@@ -37,6 +37,7 @@ from .features import (
     EditPlan,
     FeatureMap,
     MotionDescriptor,
+    PairOperator,
     extract_descriptors,
     lsmm,
     motion_delta,

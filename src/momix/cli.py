@@ -1,8 +1,7 @@
 """Command-line driver: synth, invert, extract, recompose, metrics, gradcheck, pipeline.
 
 Exit codes: 0 success, 2 usage/config error, 3 numeric failure. Every
-command is deterministic given its config and seeds. The CONMO_THREADS
-environment variable caps worker count (0 = auto).
+command is deterministic given its config and seeds.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .features import (
     Directive,
     EditPlan,
     extract_descriptors,
-    load_descriptor,
     load_plan,
 )
 from .gradcheck import run_gradcheck
@@ -167,7 +165,7 @@ def _cmd_extract(args) -> int:
         legacy_region=args.legacy_region,
         manifest_path=rel,
     )
-    index = json.loads((out / "extract_index.json").read_text())
+    index = pl._read_json(out / "extract_index.json")
     print(f"descriptors written to {out}: sources={index['sources']}, "
           f"timesteps=0..{index['n_steps']}")
     if args.baseline:
@@ -178,10 +176,7 @@ def _cmd_extract(args) -> int:
 def _print_baseline_distances(args, manifest) -> int:
     trajectory, _ = load_trajectory(args.traj_dir)
     masks = manifest.load_masks()
-    baseline = {}
-    for p in sorted(Path(args.baseline).glob("t000/*.json")):
-        d = load_descriptor(p)
-        baseline[d.source_id] = d
+    baseline = {d.source_id: d for d in pl.load_references(args.baseline, timesteps=[0])[0]}
     for mode, legacy in (("refined", False), ("legacy", True)):
         descs = extract_descriptors(
             trajectory[0], masks, timestep=0, legacy_region=legacy, strict=False
@@ -248,7 +243,7 @@ def _plan_from_args(args, manifest) -> EditPlan:
 
 def _cmd_recompose(args) -> int:
     desc_dir = Path(args.desc_dir)
-    index = json.loads((desc_dir / "extract_index.json").read_text())
+    index = pl._read_json(desc_dir / "extract_index.json")
     manifest_path = args.manifest or index.get("manifest")
     if manifest_path is None:
         raise BadValue("no manifest recorded at extract time; pass --manifest")

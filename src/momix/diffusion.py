@@ -262,10 +262,11 @@ def load_trajectory(dir_path) -> tuple[list[LatentVideo], NoiseSchedule]:
         raise IoFailure(f"cannot read trajectory index in {dir_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise BadValue(f"{dir_path}: invalid trajectory index: {exc}") from exc
-    schedule = NoiseSchedule(np.asarray(index["alpha_bar"], dtype=np.float64))
-    n = int(index["n_steps"])
-    trajectory = []
-    for t in range(n + 1):
-        rel = index["files"][str(t)]
-        trajectory.append(load_tensor(dir_path / rel))
-    return trajectory, schedule
+    try:
+        schedule = NoiseSchedule(np.asarray(index["alpha_bar"], dtype=np.float64))
+        files = [index["files"][str(t)] for t in range(int(index["n_steps"]) + 1)]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BadValue(
+            f"{dir_path}: malformed trajectory index ({type(exc).__name__}: {exc})"
+        ) from exc
+    return [load_tensor(dir_path / rel) for rel in files], schedule

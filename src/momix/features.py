@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import json
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Literal, Mapping, Sequence
 
@@ -41,20 +40,6 @@ from .masks import (
 from .tensors import LatentVideo, MaskTrack, ensure_same_geometry, read_array, write_array
 
 log = logging.getLogger(__name__)
-
-
-def worker_count() -> int:
-    """Worker cap from CONMO_THREADS; 0 or unset picks a small default."""
-    raw = os.environ.get("CONMO_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise BadValue(f"CONMO_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise BadValue(f"CONMO_THREADS must be >= 0, got {n}")
-    if n == 0:
-        return min(4, os.cpu_count() or 1)
-    return n
 
 
 @dataclass(frozen=True)
@@ -190,45 +175,125 @@ class MotionDescriptor:
         )
 
 
-def _region_for_source(
-    source_id: str,
-    subject_by_id: Mapping[str, MaskTrack],
-    background: MaskTrack,
-    legacy_region: bool,
-) -> Callable[[int, int], np.ndarray]:
-    if source_id == BACKGROUND_ID:
-        return lambda i, j: background_pair_region(background, i, j)
-    subject = subject_by_id[source_id]
-    if legacy_region:
-        others: list[MaskTrack] = []
-    else:
-        others = [t for sid, t in subject_by_id.items() if sid != source_id]
-    return lambda i, j: pair_region(subject, others, i, j)
+class PairOperator:
+    """Region-mean deltas over every non-empty pair region of a mask set, as one linear map.
+
+    Row r is one source's pair (i, j), i < j, with its cell set and area;
+    rows run by source in mask-set order, then by (i, j), and an empty
+    region never becomes a row. Subjects use ``pair_region`` (no other
+    subjects cut out if ``legacy_region``), the background track uses
+    ``background_pair_region``. Cell sets are stored as one 0/1 bool
+    matrix per frame holding every row that touches it, so ``apply`` and
+    ``adjoint`` are one matmul per frame.
+    """
+
+    def __init__(self, tracks: Mapping[str, MaskTrack], *, legacy_region: bool = False):
+        if not tracks:
+            raise BadValue("mask set must not be empty")
+        shape = next(iter(tracks.values())).data.shape
+        for track in tracks.values():
+            if track.data.shape != shape:
+                raise DimMismatch(f"mask shapes differ: {track.data.shape} vs {shape}")
+        self.n_frames, self.spatial = shape[0], shape[1:]
+        self._n_cells = int(np.prod(self.spatial))
+        subjects = {sid: t for sid, t in tracks.items() if sid != BACKGROUND_ID}
+        rows: list[tuple[str, int, int]] = []
+        by_frame: list[list[tuple[int, float, np.ndarray]]] = [[] for _ in range(shape[0])]
+        self.slices: dict[str, slice] = {}
+        for sid, track in tracks.items():
+            others = [] if legacy_region else [t for o, t in subjects.items() if o != sid]
+            first = len(rows)
+            for i in range(self.n_frames):
+                for j in range(i + 1, self.n_frames):
+                    if sid == BACKGROUND_ID:
+                        region = background_pair_region(track, i, j)
+                    else:
+                        region = pair_region(track, others, i, j)
+                    if region.any():
+                        by_frame[i].append((len(rows), 1.0, region.ravel()))
+                        by_frame[j].append((len(rows), -1.0, region.ravel()))
+                        rows.append((sid, i, j))
+            self.slices[sid] = slice(first, len(rows))
+        self.rows = tuple(rows)
+        self.area = np.zeros(len(rows), dtype=np.int64)
+        self._groups = []
+        for entries in by_frame:
+            index = np.array([e[0] for e in entries], dtype=np.intp)
+            sign = np.array([e[1] for e in entries], dtype=np.float64)
+            cells = np.array([e[2] for e in entries], dtype=bool).reshape(-1, self._n_cells)
+            self.area[index[sign > 0]] = cells[sign > 0].sum(axis=1)
+            self._groups.append((index, sign, cells))
+
+    def source_ids(self) -> list[str]:
+        return list(self.slices)
+
+    @cached_property
+    def pairs(self) -> dict[str, dict[tuple[int, int], tuple[np.ndarray, int]]]:
+        """source_id -> {(i, j): (flat cell indices, area)}: the rows, one pair at a time."""
+        table: dict[str, dict] = {sid: {} for sid in self.slices}
+        for index, sign, cells in self._groups:
+            for k in np.flatnonzero(sign > 0):
+                sid, i, j = self.rows[index[k]]
+                table[sid][(i, j)] = (np.flatnonzero(cells[k]), int(self.area[index[k]]))
+        return {sid: dict(sorted(pairs.items())) for sid, pairs in table.items()}
+
+    def apply(self, latents: np.ndarray) -> np.ndarray:
+        """(F, C, H, W) latents -> (n_rows, C) region-mean deltas ``mean_i - mean_j``."""
+        data = np.asarray(latents, dtype=np.float64)
+        if data.ndim != 4 or (data.shape[0], *data.shape[2:]) != (self.n_frames, *self.spatial):
+            raise DimMismatch(
+                f"latents {data.shape} do not match pair regions "
+                f"({self.n_frames}, *, {self.spatial})"
+            )
+        flat = data.reshape(self.n_frames, data.shape[1], self._n_cells)
+        out = np.zeros((len(self.rows), data.shape[1]))
+        # frames run in order and i < j, so each row gets +mean_i before -mean_j
+        for f, (index, sign, cells) in enumerate(self._groups):
+            if index.size:
+                means = (cells.astype(np.float64) @ flat[f].T) / self.area[index, None]
+                out[index] += sign[:, None] * means
+        return out
+
+    def adjoint(self, coef: np.ndarray) -> np.ndarray:
+        """(n_rows, C) coefficients -> (F, C, H, W) gradient of ``sum(coef * apply(z))``.
+
+        Row r adds ``coef[r] / area`` over its cells on frame i and
+        subtracts it on frame j.
+        """
+        per_cell = coef / self.area[:, None]
+        grad = np.zeros((self.n_frames, coef.shape[1], self._n_cells))
+        for f, (index, sign, cells) in enumerate(self._groups):
+            if index.size:
+                grad[f] = (sign[:, None] * per_cell[index]).T @ cells.astype(np.float64)
+        return grad.reshape(self.n_frames, coef.shape[1], *self.spatial)
 
 
-def _descriptor_for_source(
-    data: np.ndarray,
-    region_fn: Callable[[int, int], np.ndarray],
-    source_id: str,
-    timestep: int,
-    feature_map: FeatureMap | None,
-) -> MotionDescriptor:
-    n_frames = data.shape[0]
-    frames = data.astype(np.float64, copy=False)
-    if feature_map is not None:
-        frames = np.stack([feature_map.apply(frames[f]) for f in range(n_frames)])
-    flat = frames.reshape(n_frames, frames.shape[1], -1)
-    forward: dict[tuple[int, int], np.ndarray] = {}
-    for i in range(n_frames):
-        for j in range(i + 1, n_frames):
-            region = region_fn(i, j)
-            idx = np.flatnonzero(region.ravel())
-            if idx.size == 0:
-                continue
-            mean_i = flat[i][:, idx].sum(axis=1, dtype=np.float64) / idx.size
-            mean_j = flat[j][:, idx].sum(axis=1, dtype=np.float64) / idx.size
-            forward[(i, j)] = mean_i - mean_j
-    return MotionDescriptor.from_forward_pairs(source_id, timestep, n_frames, forward)
+def compile_sources(
+    latents: LatentVideo,
+    subjects: Sequence[MaskTrack],
+    *,
+    include_background: bool = True,
+    legacy_region: bool = False,
+) -> PairOperator:
+    """The pair operator over subject tracks plus (optionally) their background.
+
+    ``latents`` fixes the geometry every track must match; the operator
+    applies to any latents of that geometry, whatever their timestep.
+    """
+    tracks: dict[str, MaskTrack] = {}
+    for track in subjects:
+        ensure_same_geometry(latents, track)
+        if track.subject_id in tracks:
+            raise BadValue(f"duplicate subject id {track.subject_id!r}")
+        if track.subject_id == BACKGROUND_ID:
+            raise BadValue(f"subject id {BACKGROUND_ID!r} is reserved")
+        tracks[track.subject_id] = track
+    dims = (latents.n_frames, latents.height, latents.width)
+    if include_background:
+        tracks[BACKGROUND_ID] = background_track(list(tracks.values()), dims=dims)
+    if not tracks:
+        raise NoValidPairs("no source to extract")
+    return PairOperator(tracks, legacy_region=legacy_region)
 
 
 def extract_descriptors(
@@ -240,52 +305,38 @@ def extract_descriptors(
     legacy_region: bool = False,
     feature_map: FeatureMap | None = None,
     strict: bool = True,
+    operator: PairOperator | None = None,
 ) -> list[MotionDescriptor]:
     """One descriptor per subject plus one for the background.
 
+    ``operator``, compiled by ``compile_sources`` from the same subjects
+    and options, skips the compile when many timesteps share one mask set.
     A subject whose region is empty for every frame pair raises
     NoValidPairs when ``strict``, otherwise it is skipped with a warning.
     The background degrades to an empty descriptor instead of raising, so
     an all-covering subject (the global-mean degenerate case) still works.
     """
-    subject_by_id: dict[str, MaskTrack] = {}
-    for track in subjects:
-        ensure_same_geometry(latents, track)
-        if track.subject_id in subject_by_id:
-            raise BadValue(f"duplicate subject id {track.subject_id!r}")
-        if track.subject_id == BACKGROUND_ID:
-            raise BadValue(f"subject id {BACKGROUND_ID!r} is reserved")
-        subject_by_id[track.subject_id] = track
-    dims = (latents.n_frames, latents.height, latents.width)
-    background = background_track(list(subject_by_id.values()), dims=dims)
-
-    source_ids = list(subject_by_id.keys())
-    if include_background:
-        source_ids.append(BACKGROUND_ID)
-
-    def build(source_id: str) -> MotionDescriptor:
-        region_fn = _region_for_source(source_id, subject_by_id, background, legacy_region)
-        return _descriptor_for_source(latents.data, region_fn, source_id, timestep, feature_map)
-
-    workers = worker_count()
-    if workers > 1 and len(source_ids) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            built = list(pool.map(build, source_ids))
-    else:
-        built = [build(s) for s in source_ids]
-
+    if operator is None:
+        operator = compile_sources(
+            latents, subjects, include_background=include_background, legacy_region=legacy_region
+        )
+    frames = latents.data.astype(np.float64, copy=False)
+    if feature_map is not None:
+        frames = np.stack([feature_map.apply(frame) for frame in frames])
+    deltas = operator.apply(frames)
     out: list[MotionDescriptor] = []
-    for desc in built:
-        if not desc.valid_pairs and desc.source_id != BACKGROUND_ID:
+    for sid, rows in operator.slices.items():
+        forward = {operator.rows[r][1:]: deltas[r] for r in range(rows.start, rows.stop)}
+        if not forward and sid != BACKGROUND_ID:
             if strict:
                 raise NoValidPairs(
-                    f"subject {desc.source_id!r} has no non-empty pair region in any frame pair"
+                    f"subject {sid!r} has no non-empty pair region in any frame pair"
                 )
-            log.warning("skipping source %r: no valid frame pairs", desc.source_id)
+            log.warning("skipping source %r: no valid frame pairs", sid)
             continue
-        if not desc.valid_pairs and desc.source_id == BACKGROUND_ID:
+        if not forward:
             log.warning("background has no valid frame pairs (subjects cover every frame)")
-        out.append(desc)
+        out.append(MotionDescriptor.from_forward_pairs(sid, timestep, operator.n_frames, forward))
     if not any(d.valid_pairs for d in out):
         raise NoValidPairs("no source has any valid frame pair")
     return out

@@ -22,22 +22,29 @@ _CHUNK = 256
 
 
 def _batched_loss(z_batch: np.ndarray, target: GuidanceTarget) -> np.ndarray:
-    """Loss of each latent tensor in a (batch, F, C, H, W) stack."""
+    """Loss of each latent tensor in a (batch, F, C, H, W) stack.
+
+    A per-pair loop over the target regions and the references, kept apart
+    from the pair operator the analytic gradient uses.
+    """
     b, f, c, h, w = z_batch.shape
     flat = z_batch.reshape(b, f, c, -1)
     scale = None
     if target.feature_map is not None:
         scale = target.feature_map.scale_vector(c)
     total = np.zeros(b)
-    for source in target.terms():
-        for term in source.pairs:
-            means_i = flat[:, term.i][:, :, term.idx].sum(axis=2) / term.area
-            means_j = flat[:, term.j][:, :, term.idx].sum(axis=2) / term.area
+    for ref in sorted(target.references, key=lambda d: d.source_id):
+        weight = float(target.weights.get(ref.source_id, 1.0))
+        for (i, j), (idx, area) in target.regions.pairs[ref.source_id].items():
+            if not ref.has_pair(i, j):
+                continue
+            means_i = flat[:, i][:, :, idx].sum(axis=2) / area
+            means_j = flat[:, j][:, :, idx].sum(axis=2) / area
             delta = means_i - means_j
             if scale is not None:
                 delta = delta * scale
-            r = delta - term.ref[None, :]
-            total += source.weight * np.einsum("bc,bc->b", r, r)
+            r = delta - ref.delta(i, j)[None, :]
+            total += weight * np.einsum("bc,bc->b", r, r)
     return total
 
 

@@ -24,8 +24,8 @@ from .errors import (
     NoValidPairs,
     UnknownSubject,
 )
-from .features import FeatureMap, MotionDescriptor
-from .masks import BACKGROUND_ID, background_pair_region, pair_region
+from .features import FeatureMap, MotionDescriptor, PairOperator
+from .masks import BACKGROUND_ID
 from .tensors import LatentVideo, MaskTrack
 
 
@@ -70,54 +70,8 @@ class GuidanceConfig:
         return start, end
 
 
-class TargetRegions:
+class TargetRegions(PairOperator):
     """Target-side pair regions per source, compiled once and reused across timesteps."""
-
-    def __init__(self, target_masks: Mapping[str, MaskTrack], n_frames: int | None = None):
-        subjects = {sid: t for sid, t in target_masks.items() if sid != BACKGROUND_ID}
-        tracks = list(target_masks.values())
-        if not tracks:
-            raise BadValue("target masks must not be empty")
-        shape = tracks[0].data.shape
-        for t in tracks:
-            if t.data.shape != shape:
-                raise DimMismatch(f"target mask shapes differ: {t.data.shape} vs {shape}")
-        self.n_frames = n_frames if n_frames is not None else shape[0]
-        self.spatial = shape[1:]
-        # source_id -> {(i, j): (flat indices, area)} for i < j
-        self.pairs: dict[str, dict[tuple[int, int], tuple[np.ndarray, int]]] = {}
-        for sid, track in target_masks.items():
-            others = [t for osid, t in subjects.items() if osid != sid]
-            table: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
-            for i in range(self.n_frames):
-                for j in range(i + 1, self.n_frames):
-                    if sid == BACKGROUND_ID:
-                        region = background_pair_region(track, i, j)
-                    else:
-                        region = pair_region(track, others, i, j)
-                    idx = np.flatnonzero(region.ravel())
-                    if idx.size:
-                        table[(i, j)] = (idx, int(idx.size))
-            self.pairs[sid] = table
-
-    def source_ids(self) -> list[str]:
-        return list(self.pairs.keys())
-
-
-@dataclass(frozen=True)
-class _PairTerm:
-    i: int
-    j: int
-    idx: np.ndarray
-    area: int
-    ref: np.ndarray  # reference delta, shape (n_channels,)
-
-
-@dataclass(frozen=True)
-class _SourceTerms:
-    source_id: str
-    weight: float
-    pairs: tuple[_PairTerm, ...]
 
 
 class GuidanceTarget:
@@ -125,7 +79,8 @@ class GuidanceTarget:
 
     Every referenced source must have a target mask track; the enforced
     pair set per source is the intersection of reference-valid pairs and
-    non-empty target regions.
+    non-empty target regions. Per operator row it holds the reference
+    delta and the weight, which is 0 for rows that are not enforced.
     """
 
     def __init__(
@@ -145,26 +100,29 @@ class GuidanceTarget:
         self.references = list(references)
         self.weights = dict(weights or {})
         self.feature_map = feature_map
-        terms: list[_SourceTerms] = []
-        for ref in sorted(self.references, key=lambda d: d.source_id):
-            if ref.source_id not in regions.pairs:
+        by_source: dict[str, MotionDescriptor] = {}
+        for ref in self.references:
+            if ref.source_id not in regions.slices:
                 if ref.source_id == BACKGROUND_ID:
                     raise MissingBackground("no target-side background mask for reference")
                 raise UnknownSubject(f"no target-side mask for source {ref.source_id!r}")
-            table = regions.pairs[ref.source_id]
-            pair_terms = []
-            for (i, j), (idx, a) in sorted(table.items()):
-                if not ref.has_pair(i, j):
-                    continue
-                pair_terms.append(_PairTerm(i, j, idx, a, ref.delta(i, j)))
-            terms.append(
-                _SourceTerms(
-                    ref.source_id,
-                    float(self.weights.get(ref.source_id, 1.0)),
-                    tuple(pair_terms),
-                )
-            )
-        self._terms = tuple(terms)
+            if ref.source_id in by_source:
+                raise BadValue(f"duplicate reference for source {ref.source_id!r}")
+            by_source[ref.source_id] = ref
+        n_channels = max((ref.n_channels for ref in self.references), default=0)
+        self.ref = np.zeros((len(regions.rows), n_channels))
+        self.weight = np.zeros(len(regions.rows))
+        self.enforced = np.zeros(len(regions.rows), dtype=bool)
+        for r, (sid, i, j) in enumerate(regions.rows):
+            ref = by_source.get(sid)
+            if ref is not None and ref.has_pair(i, j):
+                if ref.n_channels != n_channels:
+                    raise DimMismatch(
+                        f"reference {sid!r} has {ref.n_channels} channels, others {n_channels}"
+                    )
+                self.ref[r] = ref.delta(i, j)
+                self.weight[r] = float(self.weights.get(sid, 1.0))
+                self.enforced[r] = True
 
     def with_references(self, references: Sequence[MotionDescriptor]) -> "GuidanceTarget":
         return GuidanceTarget(
@@ -175,49 +133,30 @@ class GuidanceTarget:
         )
 
     def enforced_pair_count(self) -> int:
-        return sum(len(s.pairs) for s in self._terms)
-
-    def terms(self) -> tuple[_SourceTerms, ...]:
-        return self._terms
+        return int(np.count_nonzero(self.enforced))
 
 
-def _check_latents(z: LatentVideo, target: GuidanceTarget) -> np.ndarray:
-    data = z.data.astype(np.float64, copy=False)
-    if (z.n_frames, z.height, z.width) != (
-        target.regions.n_frames,
-        *target.regions.spatial,
-    ):
+def _residual(target_latents: LatentVideo, target: GuidanceTarget) -> np.ndarray:
+    """(n_rows, C) scaled target deltas minus reference deltas."""
+    deltas = target.regions.apply(target_latents.data)
+    if target.enforced_pair_count() == 0:
+        raise NoValidPairs("no pair is valid on both the reference and target side")
+    if deltas.shape[1] != target.ref.shape[1]:
         raise DimMismatch(
-            f"latents {z.shape} do not match target regions "
-            f"({target.regions.n_frames}, *, {target.regions.spatial})"
+            f"latents have {deltas.shape[1]} channels, references {target.ref.shape[1]}"
         )
-    return data
+    if target.feature_map is not None:
+        deltas = deltas * target.feature_map.scale_vector(deltas.shape[1])
+    return deltas - target.ref
 
 
-def _scale_vector(target: GuidanceTarget, n_channels: int) -> np.ndarray | None:
-    if target.feature_map is None:
-        return None
-    return target.feature_map.scale_vector(n_channels)
+def _weighted_sum_of_squares(residual: np.ndarray, weight: np.ndarray) -> float:
+    return float(weight @ np.einsum("rc,rc->r", residual, residual))
 
 
 def guidance_loss(target_latents: LatentVideo, target: GuidanceTarget) -> float:
     """Weighted sum of squared delta mismatches over all enforced pairs."""
-    data = _check_latents(target_latents, target)
-    if target.enforced_pair_count() == 0:
-        raise NoValidPairs("no pair is valid on both the reference and target side")
-    flat = data.reshape(data.shape[0], data.shape[1], -1)
-    scale = _scale_vector(target, data.shape[1])
-    total = 0.0
-    for source in target.terms():
-        for term in source.pairs:
-            means_i = flat[term.i][:, term.idx].sum(axis=1) / term.area
-            means_j = flat[term.j][:, term.idx].sum(axis=1) / term.area
-            delta = means_i - means_j
-            if scale is not None:
-                delta = delta * scale
-            r = delta - term.ref
-            total += source.weight * float(r @ r)
-    return total
+    return _weighted_sum_of_squares(_residual(target_latents, target), target.weight)
 
 
 def guidance_gradient(target_latents: LatentVideo, target: GuidanceTarget) -> np.ndarray:
@@ -229,29 +168,13 @@ def guidance_gradient(target_latents: LatentVideo, target: GuidanceTarget) -> np
 def loss_and_gradient(
     target_latents: LatentVideo, target: GuidanceTarget
 ) -> tuple[float, np.ndarray]:
-    data = _check_latents(target_latents, target)
-    if target.enforced_pair_count() == 0:
-        raise NoValidPairs("no pair is valid on both the reference and target side")
-    f, c, h, w = data.shape
-    flat = data.reshape(f, c, -1)
-    grad = np.zeros((f, c, h * w))
-    scale = _scale_vector(target, c)
-    total = 0.0
-    for source in target.terms():
-        for term in source.pairs:
-            means_i = flat[term.i][:, term.idx].sum(axis=1) / term.area
-            means_j = flat[term.j][:, term.idx].sum(axis=1) / term.area
-            delta = means_i - means_j
-            if scale is not None:
-                delta = delta * scale
-            r = delta - term.ref
-            total += source.weight * float(r @ r)
-            coeff = 2.0 * source.weight * r / term.area
-            if scale is not None:
-                coeff = coeff * scale
-            grad[term.i][:, term.idx] += coeff[:, None]
-            grad[term.j][:, term.idx] -= coeff[:, None]
-    return total, grad.reshape(f, c, h, w)
+    """The loss and its gradient: one forward and one adjoint operator product."""
+    residual = _residual(target_latents, target)
+    coef = 2.0 * target.weight[:, None] * residual
+    if target.feature_map is not None:
+        coef = coef * target.feature_map.scale_vector(residual.shape[1])
+    total = _weighted_sum_of_squares(residual, target.weight)
+    return total, target.regions.adjoint(coef)
 
 
 def stable_step_size(target: GuidanceTarget) -> float:
@@ -267,12 +190,15 @@ def stable_step_size(target: GuidanceTarget) -> float:
     if target.feature_map is not None:
         s = np.asarray(target.feature_map.scale, dtype=np.float64)
         max_scale2 = float(np.max(s * s)) if s.size else 1.0
-    for source in target.terms():
-        if not source.pairs:
+    regions = target.regions
+    for sid, rows in sorted(regions.slices.items()):
+        enforced = target.enforced[rows]
+        n_pairs = int(np.count_nonzero(enforced))
+        if n_pairs == 0:
             continue
-        a = min(t.area for t in source.pairs)
+        a = int(regions.area[rows][enforced].min())
         min_area = a if min_area is None else min(min_area, a)
-        total += source.weight * len(source.pairs)
+        total += float(target.weights.get(sid, 1.0)) * n_pairs
     if min_area is None or total == 0.0:
         raise NoValidPairs("cannot size a step with no enforced pairs")
     lipschitz = 4.0 * total / min_area * max_scale2

@@ -31,6 +31,7 @@ from .errors import BadValue, IoFailure, NoValidPairs
 from .features import (
     EditPlan,
     MotionDescriptor,
+    compile_sources,
     extract_descriptors,
     load_descriptor,
     plan_from_json,
@@ -161,12 +162,13 @@ def run_extract(
     out_dir.mkdir(parents=True, exist_ok=True)
     trajectory, schedule = load_trajectory(traj_dir)
     masks = manifest.load_masks()
+    operator = compile_sources(trajectory[0], masks, legacy_region=legacy_region)
     sources_seen: set[str] = set()
     for t, latents in enumerate(trajectory):
         t_dir = out_dir / f"t{t:03d}"
         t_dir.mkdir(exist_ok=True)
         descriptors = extract_descriptors(
-            latents, masks, timestep=t, legacy_region=legacy_region, strict=False
+            latents, masks, timestep=t, legacy_region=legacy_region, strict=False, operator=operator
         )
         for desc in descriptors:
             save_descriptor(desc, t_dir / f"{_safe_name(desc.source_id)}.json")
@@ -182,14 +184,25 @@ def run_extract(
     return out_dir
 
 
-def load_references(desc_dir) -> dict[int, list[MotionDescriptor]]:
+def load_references(desc_dir, timesteps=None) -> dict[int, list[MotionDescriptor]]:
+    """Descriptors of every source the extract index lists, per timestep.
+
+    Only files the index names are read, so a stray descriptor left in the
+    directory is never taken as a reference. ``timesteps`` (default: every
+    one the index lists) picks which to load.
+    """
     desc_dir = Path(desc_dir)
     index = _read_json(desc_dir / "extract_index.json")
+    try:
+        listed = [int(t) for t in index["timesteps"]]
+        sources = [_safe_name(str(sid)) for sid in index["sources"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BadValue(f"{desc_dir}: malformed extract index: {exc}") from exc
     refs: dict[int, list[MotionDescriptor]] = {}
-    for t in index["timesteps"]:
-        t_dir = desc_dir / f"t{int(t):03d}"
-        descs = [load_descriptor(p) for p in sorted(t_dir.glob("*.json"))]
-        refs[int(t)] = descs
+    for t in listed if timesteps is None else timesteps:
+        if t not in listed:
+            raise BadValue(f"{desc_dir}: extract index lists no timestep {t}")
+        refs[t] = [load_descriptor(desc_dir / f"t{t:03d}" / f"{sid}.json") for sid in sources]
     return refs
 
 
@@ -327,19 +340,19 @@ def run_metrics(run_dir, scene_dir, desc_dir=None, out_path=None, threshold: flo
 
     manifest = load_manifest(scene_dir / "manifest.json")
     masks = manifest.load_masks()
+    operator = compile_sources(output, masks)
     try:
-        out_desc = extract_descriptors(output, masks, timestep=0, strict=False)
+        out_desc = extract_descriptors(output, masks, timestep=0, strict=False, operator=operator)
     except NoValidPairs:
         out_desc = []
-    ref_by_source: dict[str, MotionDescriptor] = {}
-    if desc_dir is not None and (Path(desc_dir) / "t000").exists():
-        for p in sorted(Path(desc_dir).glob("t000/*.json")):
-            d = load_descriptor(p)
-            ref_by_source[d.source_id] = d
+    if desc_dir is not None:
+        ref_desc = load_references(desc_dir, timesteps=[0])[0]
     else:
         ref_latents = manifest.load_latent("0")
-        for d in extract_descriptors(ref_latents, masks, timestep=0, strict=False):
-            ref_by_source[d.source_id] = d
+        ref_desc = extract_descriptors(
+            ref_latents, masks, timestep=0, strict=False, operator=operator
+        )
+    ref_by_source = {d.source_id: d for d in ref_desc}
     for d in out_desc:
         ref = ref_by_source.get(d.source_id)
         if ref is None:

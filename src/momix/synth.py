@@ -219,82 +219,55 @@ def estimate_blob_track(
 # --- edits used to build scene variants ------------------------------------
 
 
+def _edit_blob(spec: SceneSpec, subject_id: str, fn, radius_factor: float = 1.0) -> SceneSpec:
+    """Variant with one blob's trajectory replaced by ``fn(trajectory)``, radius scaled."""
+    if subject_id not in {b.subject_id for b in spec.blobs}:
+        raise BadValue(f"no blob named {subject_id!r}")
+    blobs = tuple(
+        replace(b, trajectory=tuple(fn(b.trajectory)), radius=b.radius * radius_factor)
+        if b.subject_id == subject_id
+        else b
+        for b in spec.blobs
+    )
+    return replace(spec, blobs=blobs)
+
+
 def shift_blob(spec: SceneSpec, subject_id: str, dy: float, dx: float) -> SceneSpec:
     """Variant of the scene with one blob's trajectory translated."""
-    blobs = []
-    found = False
-    for b in spec.blobs:
-        if b.subject_id == subject_id:
-            found = True
-            b = replace(b, trajectory=tuple((r + dy, c + dx) for r, c in b.trajectory))
-        blobs.append(b)
-    if not found:
-        raise BadValue(f"no blob named {subject_id!r}")
-    return replace(spec, blobs=tuple(blobs))
+    return _edit_blob(spec, subject_id, lambda traj: ((r + dy, c + dx) for r, c in traj))
 
 
 def freeze_blob(spec: SceneSpec, subject_id: str, frame: int = 0) -> SceneSpec:
     """Variant with one blob pinned to its position at ``frame``."""
-    blobs = []
-    found = False
-    for b in spec.blobs:
-        if b.subject_id == subject_id:
-            found = True
-            b = replace(b, trajectory=tuple(b.trajectory[frame] for _ in b.trajectory))
-        blobs.append(b)
-    if not found:
-        raise BadValue(f"no blob named {subject_id!r}")
-    return replace(spec, blobs=tuple(blobs))
+    return _edit_blob(spec, subject_id, lambda traj: (traj[frame] for _ in traj))
 
 
 def reverse_blob(spec: SceneSpec, subject_id: str) -> SceneSpec:
     """Variant with one blob's trajectory played backwards."""
-    blobs = []
-    found = False
-    for b in spec.blobs:
-        if b.subject_id == subject_id:
-            found = True
-            b = replace(b, trajectory=tuple(reversed(b.trajectory)))
-        blobs.append(b)
-    if not found:
-        raise BadValue(f"no blob named {subject_id!r}")
-    return replace(spec, blobs=tuple(blobs))
+    return _edit_blob(spec, subject_id, reversed)
 
 
 def retime_blob(spec: SceneSpec, subject_id: str, rate: float) -> SceneSpec:
     """Variant with one blob's motion amplitude scaled about its start position."""
-    blobs = []
-    found = False
-    for b in spec.blobs:
-        if b.subject_id == subject_id:
-            found = True
-            r0, c0 = b.trajectory[0]
-            traj = tuple((r0 + rate * (r - r0), c0 + rate * (c - c0)) for r, c in b.trajectory)
-            b = replace(b, trajectory=traj)
-        blobs.append(b)
-    if not found:
-        raise BadValue(f"no blob named {subject_id!r}")
-    return replace(spec, blobs=tuple(blobs))
+
+    def retime(traj):
+        r0, c0 = traj[0]
+        return ((r0 + rate * (r - r0), c0 + rate * (c - c0)) for r, c in traj)
+
+    return _edit_blob(spec, subject_id, retime)
 
 
 def scale_blob(
     spec: SceneSpec, subject_id: str, factor: float, anchor: tuple[float, float]
 ) -> SceneSpec:
     """Variant with one blob's radius and trajectory scaled about ``anchor``."""
-    blobs = []
-    found = False
-    for b in spec.blobs:
-        if b.subject_id == subject_id:
-            found = True
-            traj = tuple(
-                (anchor[0] + factor * (r - anchor[0]), anchor[1] + factor * (c - anchor[1]))
-                for r, c in b.trajectory
-            )
-            b = replace(b, trajectory=traj, radius=b.radius * factor)
-        blobs.append(b)
-    if not found:
-        raise BadValue(f"no blob named {subject_id!r}")
-    return replace(spec, blobs=tuple(blobs))
+    ar, ac = anchor
+    return _edit_blob(
+        spec,
+        subject_id,
+        lambda traj: ((ar + factor * (r - ar), ac + factor * (c - ac)) for r, c in traj),
+        radius_factor=factor,
+    )
 
 
 # --- JSON (de)serialization -------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from momix.cli import main
+from momix.pipeline import load_references
 from momix.synth import BlobSpec, SceneSpec, save_scene
 from momix.tensors import load_tensor
 
@@ -187,6 +188,37 @@ def test_recompose_unknown_subject(pipeline_dirs, tmp_path, capsys):
     ])
     assert rc == 2
     assert "unknown subject" in capsys.readouterr().err
+
+
+def test_recompose_missing_desc_dir(pipeline_dirs, tmp_path, capsys):
+    scene, traj, _ = pipeline_dirs
+    rc = main([
+        "recompose", str(tmp_path / "nowhere"), str(traj), str(tmp_path / "r3"),
+        "--atlas", str(scene / "latents_t0.cmt"),
+    ])
+    assert rc == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_extract_trajectory_index_without_alpha_bar(pipeline_dirs, tmp_path, capsys):
+    scene, traj, _ = pipeline_dirs
+    index = json.loads((traj / "index.json").read_text())
+    del index["alpha_bar"]
+    (traj / "index.json").write_text(json.dumps(index))
+    rc = main(["extract", str(traj), str(scene / "manifest.json"), str(tmp_path / "d2")])
+    assert rc == 2
+    assert "alpha_bar" in capsys.readouterr().err
+
+
+def test_stray_descriptor_is_not_loaded(pipeline_dirs):
+    # a descriptor file the extract index does not list is never a reference
+    _, _, desc = pipeline_dirs
+    doc = json.loads((desc / "t000" / "A.json").read_text())
+    doc["source_id"] = "ghost"
+    (desc / "t000" / "ghost.json").write_text(json.dumps(doc))
+    refs = load_references(desc)
+    assert [d.source_id for d in refs[0]] == ["A", "B", "background"]
+    assert all(len(descs) == 3 for descs in refs.values())
 
 
 def test_metrics_self_comparison(pipeline_dirs, tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momix.errors import (
     BadValue,
@@ -13,6 +15,7 @@ from momix.features import (
     Directive,
     EditPlan,
     FeatureMap,
+    compile_sources,
     extract_descriptors,
     load_descriptor,
     load_plan,
@@ -25,9 +28,9 @@ from momix.features import (
     save_plan,
     soft_blend,
 )
-from momix.masks import MaskEdit
+from momix.masks import MaskEdit, background_pair_region, background_track, pair_region
 from momix.synth import BlobSpec, SceneSpec, render_scene
-from momix.tensors import MaskTrack
+from momix.tensors import LatentVideo, MaskTrack
 
 
 def test_lsmm_constant():
@@ -282,28 +285,59 @@ def test_descriptor_archive_round_trip(tmp_path):
             )
 
 
-def test_worker_count_env(monkeypatch):
-    from momix.features import worker_count
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(["random", "empty", "full"]), max_size=3),
+    n_frames=st.integers(2, 4),
+    legacy=st.booleans(),
+    background=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_operator_matches_naive_loop(kinds, n_frames, legacy, background, seed):
+    # oracle: one pair_region + lsmm per (source, i, j), as the regions are defined
+    h, w, c = 5, 4, 2
+    rng = np.random.default_rng(seed)
+    tracks = [
+        MaskTrack(
+            rng.random((n_frames, h, w)) < 0.4
+            if kind == "random"
+            else np.full((n_frames, h, w), kind == "full"),
+            subject_id=f"s{k}",
+        )
+        for k, kind in enumerate(kinds)
+    ]
+    lat = LatentVideo(rng.standard_normal((n_frames, c, h, w)))
+    if not tracks and not background:
+        with pytest.raises(NoValidPairs):
+            compile_sources(lat, tracks, include_background=False)
+        return
+    op = compile_sources(lat, tracks, include_background=background, legacy_region=legacy)
 
-    monkeypatch.setenv("CONMO_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("CONMO_THREADS", "0")
-    assert worker_count() >= 1
-    monkeypatch.delenv("CONMO_THREADS")
-    assert worker_count() >= 1
-    monkeypatch.setenv("CONMO_THREADS", "lots")
-    with pytest.raises(BadValue):
-        worker_count()
-
-
-def test_parallel_extraction_matches_serial(monkeypatch):
-    lat, tracks, _ = render_scene(_scene())
-    monkeypatch.setenv("CONMO_THREADS", "1")
-    serial = extract_descriptors(lat, tracks, timestep=0)
-    monkeypatch.setenv("CONMO_THREADS", "4")
-    parallel = extract_descriptors(lat, tracks, timestep=0)
-    assert [d.source_id for d in serial] == [d.source_id for d in parallel]
-    for a, b in zip(serial, parallel):
-        assert a.valid_pairs == b.valid_pairs
-        for i, j in a.forward_pairs():
-            assert np.array_equal(a.delta(i, j), b.delta(i, j))
+    bg = background_track(tracks, dims=(n_frames, h, w))
+    rows, deltas, cells = [], [], {}
+    for track in tracks + ([bg] if background else []):
+        others = [] if legacy else [o for o in tracks if o is not track]
+        for i in range(n_frames):
+            for j in range(i + 1, n_frames):
+                if track is bg:
+                    region = background_pair_region(bg, i, j)
+                else:
+                    region = pair_region(track, others, i, j)
+                if region.any():
+                    rows.append((track.subject_id, i, j))
+                    deltas.append(lsmm(lat.data[i], region) - lsmm(lat.data[j], region))
+                    cells[rows[-1]] = np.flatnonzero(region)
+    # empty regions never become rows; every row holds exactly its region
+    assert op.rows == tuple(rows)
+    for (sid, i, j), want in cells.items():
+        got, area = op.pairs[sid][(i, j)]
+        assert np.array_equal(got, want) and area == want.size
+    assert sum(len(p) for p in op.pairs.values()) == len(rows)
+    applied = op.apply(lat.data)
+    assert applied.shape == (len(rows), c)
+    assert np.allclose(applied, np.reshape(deltas, (len(rows), c)), rtol=0, atol=1e-12)
+    # adjoint: <W x, y> == <x, W^T y>
+    y = rng.standard_normal(applied.shape)
+    lhs = float(np.sum(applied * y))
+    rhs = float(np.sum(lat.data * op.adjoint(y)))
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)

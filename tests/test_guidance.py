@@ -179,6 +179,9 @@ def test_unknown_source_and_config_validation():
     mask = MaskTrack(np.ones((2, 4, 4), dtype=bool), subject_id="s")
     with pytest.raises(UnknownSubject):
         GuidanceTarget([ref], {"s": mask})
+    dup = MotionDescriptor.from_forward_pairs("s", 0, 2, {(0, 1): np.array([1.0])})
+    with pytest.raises(BadValue):
+        GuidanceTarget([dup, dup], {"s": mask})
     with pytest.raises(BadValue):
         GuidanceConfig(step_size=0.0)
     with pytest.raises(BadValue):
