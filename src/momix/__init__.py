@@ -35,7 +35,6 @@ from .errors import (
 from .features import (
     Directive,
     EditPlan,
-    FeatureMap,
     MotionDescriptor,
     PairOperator,
     extract_descriptors,
@@ -47,7 +46,6 @@ from .features import (
 from .guidance import (
     GuidanceConfig,
     GuidanceTarget,
-    TargetRegions,
     guidance_gradient,
     guidance_loss,
     guided_update,

@@ -39,7 +39,7 @@ from .guidance import GuidanceConfig
 from .masks import MaskEdit
 from .metrics import descriptor_distance
 from .synth import load_scene
-from .tensors import load_manifest, load_tensor
+from .tensors import load_manifest, load_tensor, read_json
 
 _USAGE_ERRORS = (
     BadValue,
@@ -165,7 +165,7 @@ def _cmd_extract(args) -> int:
         legacy_region=args.legacy_region,
         manifest_path=rel,
     )
-    index = pl._read_json(out / "extract_index.json")
+    index = read_json(out / "extract_index.json")
     print(f"descriptors written to {out}: sources={index['sources']}, "
           f"timesteps=0..{index['n_steps']}")
     if args.baseline:
@@ -243,13 +243,15 @@ def _plan_from_args(args, manifest) -> EditPlan:
 
 def _cmd_recompose(args) -> int:
     desc_dir = Path(args.desc_dir)
-    index = pl._read_json(desc_dir / "extract_index.json")
-    manifest_path = args.manifest or index.get("manifest")
-    if manifest_path is None:
-        raise BadValue("no manifest recorded at extract time; pass --manifest")
-    manifest_path = Path(manifest_path)
-    if not manifest_path.is_absolute() and not manifest_path.exists():
-        manifest_path = desc_dir / manifest_path
+    index = read_json(desc_dir / "extract_index.json")
+    if args.manifest:
+        manifest_path = Path(args.manifest)
+    else:
+        # recorded relative to the desc dir at extract time
+        recorded = index.get("manifest")
+        if not isinstance(recorded, str):
+            raise BadValue("no manifest recorded at extract time; pass --manifest")
+        manifest_path = desc_dir / recorded
     manifest = load_manifest(manifest_path)
     plan = _plan_from_args(args, manifest)
     config = GuidanceConfig(
@@ -317,12 +319,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    try:
-        config = json.loads(Path(args.config).read_text())
-    except OSError as exc:
-        raise IoFailure(f"cannot read {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise BadValue(f"{args.config}: invalid config JSON: {exc}") from exc
+    config = read_json(args.config)
     out_root = args.out or config.get("out_dir")
     if out_root is None:
         raise BadValue("config needs 'out_dir' (or pass --out)")

@@ -14,7 +14,6 @@ toward plausible videos while remaining cheap and fully deterministic.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,10 +21,10 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .errors import BadValue, DimMismatch, IoFailure, NonFinite
+from .errors import BadValue, DimMismatch, NonFinite
 from .guidance import GuidanceConfig, GuidanceTarget, guided_update
 from .features import MotionDescriptor
-from .tensors import LatentVideo, load_tensor, save_tensor
+from .tensors import LatentVideo, load_tensor, read_json, save_tensor, write_json
 
 log = logging.getLogger(__name__)
 
@@ -243,30 +242,37 @@ def save_trajectory(trajectory: Sequence[LatentVideo], schedule: NoiseSchedule, 
         name = f"t{t:03d}.cmt"
         save_tensor(lat, out_dir / name)
         files[str(t)] = name
-    index = {
-        "n_steps": schedule.n_steps,
-        "alpha_bar": [float(a) for a in schedule.alpha_bar],
-        "files": files,
-    }
-    try:
-        (out_dir / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write trajectory index: {exc}") from exc
+    write_json(
+        out_dir / "index.json",
+        {
+            "n_steps": schedule.n_steps,
+            "alpha_bar": [float(a) for a in schedule.alpha_bar],
+            "files": files,
+        },
+    )
 
 
 def load_trajectory(dir_path) -> tuple[list[LatentVideo], NoiseSchedule]:
+    """The latents at t = 0..n_steps and their schedule, as the index lists them.
+
+    The index must agree with itself: ``alpha_bar`` holds ``n_steps + 1``
+    values and ``files`` names exactly the timesteps 0..n_steps.
+    """
     dir_path = Path(dir_path)
-    try:
-        index = json.loads((dir_path / "index.json").read_text())
-    except OSError as exc:
-        raise IoFailure(f"cannot read trajectory index in {dir_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise BadValue(f"{dir_path}: invalid trajectory index: {exc}") from exc
+    index = read_json(dir_path / "index.json")
     try:
         schedule = NoiseSchedule(np.asarray(index["alpha_bar"], dtype=np.float64))
-        files = [index["files"][str(t)] for t in range(int(index["n_steps"]) + 1)]
+        n_steps = int(index["n_steps"])
+        files = dict(index["files"])
     except (KeyError, TypeError, ValueError) as exc:
         raise BadValue(
             f"{dir_path}: malformed trajectory index ({type(exc).__name__}: {exc})"
         ) from exc
-    return [load_tensor(dir_path / rel) for rel in files], schedule
+    if schedule.n_steps != n_steps:
+        raise BadValue(
+            f"{dir_path}: index says n_steps {n_steps} but alpha_bar has "
+            f"{schedule.n_steps + 1} values"
+        )
+    if sorted(files) != sorted(str(t) for t in range(n_steps + 1)):
+        raise BadValue(f"{dir_path}: index files must list exactly the timesteps 0..{n_steps}")
+    return [load_tensor(dir_path / str(files[str(t)])) for t in range(n_steps + 1)], schedule

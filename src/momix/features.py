@@ -11,12 +11,11 @@ means "no evidence", not "no motion".
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Literal, Mapping, Sequence
+from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .errors import (
     BadValue,
     DimMismatch,
     EmptyRegion,
-    IoFailure,
     LengthMismatch,
     MissingBackground,
     NoValidPairs,
@@ -37,32 +35,17 @@ from .masks import (
     background_track,
     pair_region,
 )
-from .tensors import LatentVideo, MaskTrack, ensure_same_geometry, read_array, write_array
+from .tensors import (
+    LatentVideo,
+    MaskTrack,
+    ensure_same_geometry,
+    read_array,
+    read_json,
+    write_array,
+    write_json,
+)
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class FeatureMap:
-    """Optional fixed per-channel affine map applied before pooling."""
-
-    scale: tuple[float, ...]
-    offset: tuple[float, ...]
-
-    def apply(self, frame: np.ndarray) -> np.ndarray:
-        s = np.asarray(self.scale, dtype=np.float64)
-        o = np.asarray(self.offset, dtype=np.float64)
-        if s.shape[0] != frame.shape[0] or o.shape[0] != frame.shape[0]:
-            raise LengthMismatch(
-                f"feature map has {s.shape[0]} channels, frame has {frame.shape[0]}"
-            )
-        return frame * s[:, None, None] + o[:, None, None]
-
-    def scale_vector(self, n_channels: int) -> np.ndarray:
-        s = np.asarray(self.scale, dtype=np.float64)
-        if s.shape[0] != n_channels:
-            raise LengthMismatch(f"feature map has {s.shape[0]} channels, need {n_channels}")
-        return s
 
 
 def lsmm(frame_features: np.ndarray, region: np.ndarray) -> np.ndarray:
@@ -92,13 +75,9 @@ def motion_delta(
     others: Sequence[MaskTrack],
     i: int,
     j: int,
-    feature_map: FeatureMap | None = None,
 ) -> np.ndarray:
     """Delta of pooled features between frames i and j over their shared pair region."""
     region = pair_region(subject, others, i, j)
-    if feature_map is not None:
-        latents_i = feature_map.apply(np.asarray(latents_i, dtype=np.float64))
-        latents_j = feature_map.apply(np.asarray(latents_j, dtype=np.float64))
     return lsmm(latents_i, region) - lsmm(latents_j, region)
 
 
@@ -106,20 +85,40 @@ def motion_delta(
 class MotionDescriptor:
     """All pairwise deltas for one motion source at one timestep.
 
-    ``deltas`` stores both orientations of every valid pair; the mirror of
-    (i, j) is the exact negation. ``valid_pairs`` is the symmetric set of
-    ordered pairs whose region was non-empty.
+    ``pairs`` is the sorted (n_pairs, 2) array of forward pairs (i < j)
+    whose region was non-empty, and row k of the (n_pairs, C) ``deltas``
+    is ``delta(*pairs[k])``: the layout of a pair operator's rows and of
+    the archive tensor. The mirror ``delta(j, i)`` is read as the exact
+    negation. Both arrays are read-only.
     """
 
     source_id: str
     timestep: int
     n_frames: int
-    deltas: Mapping[tuple[int, int], np.ndarray]
-    valid_pairs: frozenset[tuple[int, int]]
+    pairs: np.ndarray
+    deltas: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "deltas", dict(self.deltas))
-        object.__setattr__(self, "valid_pairs", frozenset(self.valid_pairs))
+        name = f"descriptor {self.source_id!r} t={self.timestep}"
+        pairs = np.asarray(self.pairs, dtype=np.int64)
+        pairs = pairs.reshape(0, 2) if pairs.size == 0 else pairs.view()
+        deltas = np.asarray(self.deltas, dtype=np.float64).view()
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise DimMismatch(f"{name}: pairs must be (n_pairs, 2), got {pairs.shape}")
+        if deltas.ndim != 2 or deltas.shape[0] != pairs.shape[0]:
+            raise DimMismatch(
+                f"{name}: deltas {deltas.shape} do not match {pairs.shape[0]} pairs"
+            )
+        if pairs.size:
+            i, j = pairs.T
+            if i.min() < 0 or j.max() >= self.n_frames or np.any(i >= j):
+                raise BadValue(f"{name}: pairs must satisfy 0 <= i < j < {self.n_frames}")
+            if np.any(np.diff(i * self.n_frames + j) <= 0):
+                raise BadValue(f"{name}: pairs must be sorted and distinct")
+        pairs.setflags(write=False)
+        deltas.setflags(write=False)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "deltas", deltas)
 
     @classmethod
     def from_forward_pairs(
@@ -129,56 +128,59 @@ class MotionDescriptor:
         n_frames: int,
         forward: Mapping[tuple[int, int], np.ndarray],
     ) -> "MotionDescriptor":
-        """Build from i<j deltas, materializing mirrors by negation."""
-        deltas: dict[tuple[int, int], np.ndarray] = {}
-        for (i, j), vec in forward.items():
-            if not i < j:
-                raise BadValue(f"forward pairs must have i < j, got ({i}, {j})")
-            vec = np.asarray(vec, dtype=np.float64)
-            deltas[(i, j)] = vec
-            deltas[(j, i)] = -vec
-        return cls(
-            source_id=source_id,
-            timestep=timestep,
-            n_frames=n_frames,
-            deltas=deltas,
-            valid_pairs=frozenset(deltas.keys()),
-        )
+        """Build from a {(i, j): delta} mapping of forward pairs, in any order."""
+        pairs = sorted(forward)
+        deltas = [np.asarray(forward[p], dtype=np.float64) for p in pairs]
+        return cls(source_id, timestep, n_frames, pairs, deltas if pairs else np.zeros((0, 0)))
 
     @property
     def n_channels(self) -> int:
-        for vec in self.deltas.values():
-            return int(vec.shape[0])
-        return 0
+        return int(self.deltas.shape[1])
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """(n_frames, n_frames) row of pair (i, j) in either orientation; -1 if absent."""
+        rows = np.full((self.n_frames, self.n_frames), -1, dtype=np.intp)
+        i, j = self.pairs.T
+        rows[i, j] = rows[j, i] = np.arange(len(self.pairs))
+        return rows
+
+    def rows_of(self, pairs: np.ndarray) -> np.ndarray:
+        """Row of each frame pair in an (n, 2) array, -1 where this descriptor lacks it."""
+        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+        return self._rows[pairs[:, 0], pairs[:, 1]]
+
+    @cached_property
+    def valid_pairs(self) -> frozenset[tuple[int, int]]:
+        """Every valid ordered pair, both orientations."""
+        forward = [tuple(p) for p in self.pairs.tolist()]
+        return frozenset(forward + [(j, i) for i, j in forward])
 
     def delta(self, i: int, j: int) -> np.ndarray:
         if i == j:
             return np.zeros(self.n_channels)
-        return self.deltas[(i, j)]
+        if not self.has_pair(i, j):
+            raise KeyError((i, j))
+        row = self.deltas[self._rows[i, j]]
+        return row if i < j else -row
 
     def has_pair(self, i: int, j: int) -> bool:
-        return (i, j) in self.valid_pairs
+        return 0 <= i < self.n_frames and 0 <= j < self.n_frames and bool(self._rows[i, j] >= 0)
 
     def forward_pairs(self) -> list[tuple[int, int]]:
-        return sorted(p for p in self.valid_pairs if p[0] < p[1])
-
-    def map_deltas(self, fn: Callable[[np.ndarray], np.ndarray]) -> "MotionDescriptor":
-        forward = {p: fn(self.deltas[p]) for p in self.forward_pairs()}
-        return MotionDescriptor.from_forward_pairs(
-            self.source_id, self.timestep, self.n_frames, forward
-        )
+        return [tuple(p) for p in self.pairs.tolist()]
 
     def __repr__(self):
         return (
             f"MotionDescriptor({self.source_id!r}, t={self.timestep}, "
-            f"pairs={len(self.valid_pairs) // 2})"
+            f"pairs={len(self.pairs)})"
         )
 
 
 class PairOperator:
     """Region-mean deltas over every non-empty pair region of a mask set, as one linear map.
 
-    Row r is one source's pair (i, j), i < j, with its cell set and area;
+    Row r is one source's pair (i, j) = ``ij[r]``, i < j, with its cell set and area;
     rows run by source in mask-set order, then by (i, j), and an empty
     region never becomes a row. Subjects use ``pair_region`` (no other
     subjects cut out if ``legacy_region``), the background track uses
@@ -215,6 +217,7 @@ class PairOperator:
                         rows.append((sid, i, j))
             self.slices[sid] = slice(first, len(rows))
         self.rows = tuple(rows)
+        self.ij = np.array([row[1:] for row in rows], dtype=np.int64).reshape(-1, 2)
         self.area = np.zeros(len(rows), dtype=np.int64)
         self._groups = []
         for entries in by_frame:
@@ -303,7 +306,6 @@ def extract_descriptors(
     *,
     include_background: bool = True,
     legacy_region: bool = False,
-    feature_map: FeatureMap | None = None,
     strict: bool = True,
     operator: PairOperator | None = None,
 ) -> list[MotionDescriptor]:
@@ -320,24 +322,23 @@ def extract_descriptors(
         operator = compile_sources(
             latents, subjects, include_background=include_background, legacy_region=legacy_region
         )
-    frames = latents.data.astype(np.float64, copy=False)
-    if feature_map is not None:
-        frames = np.stack([feature_map.apply(frame) for frame in frames])
-    deltas = operator.apply(frames)
+    deltas = operator.apply(latents.data)
     out: list[MotionDescriptor] = []
     for sid, rows in operator.slices.items():
-        forward = {operator.rows[r][1:]: deltas[r] for r in range(rows.start, rows.stop)}
-        if not forward and sid != BACKGROUND_ID:
+        empty = rows.start == rows.stop
+        if empty and sid != BACKGROUND_ID:
             if strict:
                 raise NoValidPairs(
                     f"subject {sid!r} has no non-empty pair region in any frame pair"
                 )
             log.warning("skipping source %r: no valid frame pairs", sid)
             continue
-        if not forward:
+        if empty:
             log.warning("background has no valid frame pairs (subjects cover every frame)")
-        out.append(MotionDescriptor.from_forward_pairs(sid, timestep, operator.n_frames, forward))
-    if not any(d.valid_pairs for d in out):
+        out.append(
+            MotionDescriptor(sid, timestep, operator.n_frames, operator.ij[rows], deltas[rows])
+        )
+    if not any(len(d.pairs) for d in out):
         raise NoValidPairs("no source has any valid frame pair")
     return out
 
@@ -432,23 +433,19 @@ def recompose(descriptors: Sequence[MotionDescriptor], plan: EditPlan) -> list[M
         elif directive.kind == "remove":
             out.append(
                 MotionDescriptor(
-                    source_id=desc.source_id,
-                    timestep=desc.timestep,
-                    n_frames=desc.n_frames,
-                    deltas={p: v.copy() for p, v in background.deltas.items()},
-                    valid_pairs=background.valid_pairs,
+                    desc.source_id, desc.timestep, desc.n_frames, background.pairs, background.deltas
                 )
             )
-        else:  # soften
+        else:  # soften, over the pairs the background also has
             w_c = directive.w_c if directive.w_c is not None else plan.w_c
-            forward = {}
-            for i, j in desc.forward_pairs():
-                if not background.has_pair(i, j):
-                    continue
-                forward[(i, j)] = soft_blend(desc.delta(i, j), background.delta(i, j), w_c)
+            rows = background.rows_of(desc.pairs)
+            shared = rows >= 0
+            deltas = desc.deltas[shared]
+            if shared.any():
+                deltas = soft_blend(deltas, background.deltas[rows[shared]], w_c)
             out.append(
-                MotionDescriptor.from_forward_pairs(
-                    desc.source_id, desc.timestep, desc.n_frames, forward
+                MotionDescriptor(
+                    desc.source_id, desc.timestep, desc.n_frames, desc.pairs[shared], deltas
                 )
             )
     return out
@@ -502,75 +499,46 @@ def plan_from_json(doc: dict) -> EditPlan:
             w_c=float(doc.get("w_c", 0.0)),
             camera_only=bool(doc.get("camera_only", False)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise BadValue(f"malformed edit plan: {exc}") from exc
 
 
 def load_plan(path) -> EditPlan:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    try:
-        return plan_from_json(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise BadValue(f"{path}: invalid plan JSON: {exc}") from exc
+    return plan_from_json(read_json(path))
 
 
 def save_plan(plan: EditPlan, path) -> None:
-    try:
-        Path(path).write_text(json.dumps(plan_to_json(plan), indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_json(path, plan_to_json(plan))
 
 
 # --- descriptor archive -----------------------------------------------------
 
 
 def save_descriptor(desc: MotionDescriptor, json_path) -> None:
-    """Write a descriptor as a JSON manifest plus a (n_pairs, n_channels) tensor."""
+    """Write a descriptor as a JSON manifest plus its (n_pairs, n_channels) tensor."""
     json_path = Path(json_path)
-    tensor_rel = json_path.with_suffix(".cmt").name
-    pairs = desc.forward_pairs()
-    mat = (
-        np.stack([desc.delta(i, j) for i, j in pairs])
-        if pairs
-        else np.zeros((0, max(desc.n_channels, 1)))
+    if len(desc.pairs):
+        write_array(json_path.with_suffix(".cmt"), desc.deltas)
+    write_json(
+        json_path,
+        {
+            "source_id": desc.source_id,
+            "timestep": desc.timestep,
+            "n_frames": desc.n_frames,
+            "valid_pairs": desc.pairs.tolist(),
+            "tensor": json_path.with_suffix(".cmt").name,
+        },
     )
-    doc = {
-        "source_id": desc.source_id,
-        "timestep": desc.timestep,
-        "n_frames": desc.n_frames,
-        "valid_pairs": [list(p) for p in pairs],
-        "tensor": tensor_rel,
-    }
-    if pairs:
-        write_array(json_path.with_suffix(".cmt"), mat)
-    try:
-        json_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {json_path}: {exc}") from exc
 
 
 def load_descriptor(json_path) -> MotionDescriptor:
     json_path = Path(json_path)
+    doc = read_json(json_path)
     try:
-        doc = json.loads(json_path.read_text())
-    except OSError as exc:
-        raise IoFailure(f"cannot read {json_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise BadValue(f"{json_path}: invalid descriptor JSON: {exc}") from exc
-    pairs = [tuple(p) for p in doc["valid_pairs"]]
-    forward: dict[tuple[int, int], np.ndarray] = {}
-    if pairs:
-        mat = read_array(json_path.parent / doc["tensor"]).astype(np.float64)
-        if mat.ndim != 2 or mat.shape[0] != len(pairs):
-            raise DimMismatch(
-                f"{json_path}: descriptor tensor shape {mat.shape} does not match "
-                f"{len(pairs)} pairs"
-            )
-        for row, (i, j) in enumerate(pairs):
-            forward[(int(i), int(j))] = mat[row]
-    return MotionDescriptor.from_forward_pairs(
-        str(doc["source_id"]), int(doc["timestep"]), int(doc["n_frames"]), forward
-    )
+        pairs = np.asarray(doc["valid_pairs"], dtype=np.int64)
+        deltas = read_array(json_path.parent / doc["tensor"]) if pairs.size else np.zeros((0, 0))
+        return MotionDescriptor(
+            str(doc["source_id"]), int(doc["timestep"]), int(doc["n_frames"]), pairs, deltas
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BadValue(f"{json_path}: malformed descriptor: {exc}") from exc

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoValidPairs
-from .features import MotionDescriptor
-from .guidance import GuidanceTarget, TargetRegions, guidance_gradient
+from .features import MotionDescriptor, PairOperator
+from .guidance import GuidanceTarget, guidance_gradient
 from .tensors import LatentVideo, MaskTrack
 
 _CHUNK = 256
@@ -29,9 +29,6 @@ def _batched_loss(z_batch: np.ndarray, target: GuidanceTarget) -> np.ndarray:
     """
     b, f, c, h, w = z_batch.shape
     flat = z_batch.reshape(b, f, c, -1)
-    scale = None
-    if target.feature_map is not None:
-        scale = target.feature_map.scale_vector(c)
     total = np.zeros(b)
     for ref in sorted(target.references, key=lambda d: d.source_id):
         weight = float(target.weights.get(ref.source_id, 1.0))
@@ -40,10 +37,7 @@ def _batched_loss(z_batch: np.ndarray, target: GuidanceTarget) -> np.ndarray:
                 continue
             means_i = flat[:, i][:, :, idx].sum(axis=2) / area
             means_j = flat[:, j][:, :, idx].sum(axis=2) / area
-            delta = means_i - means_j
-            if scale is not None:
-                delta = delta * scale
-            r = delta - ref.delta(i, j)[None, :]
+            r = (means_i - means_j) - ref.delta(i, j)[None, :]
             total += weight * np.einsum("bc,bc->b", r, r)
     return total
 
@@ -125,7 +119,7 @@ def random_case(
         occupied |= t.data
     masks["background"] = MaskTrack(~occupied, subject_id="background")
 
-    regions = TargetRegions(masks)
+    regions = PairOperator(masks)
     references = []
     weights = {}
     for sid, table in regions.pairs.items():

@@ -24,7 +24,7 @@ from .errors import (
     NoValidPairs,
     UnknownSubject,
 )
-from .features import FeatureMap, MotionDescriptor, PairOperator
+from .features import MotionDescriptor, PairOperator
 from .masks import BACKGROUND_ID
 from .tensors import LatentVideo, MaskTrack
 
@@ -43,7 +43,6 @@ class GuidanceConfig:
     t_start: int | None = None
     t_end: int | None = None
     per_source_weight: Mapping[str, float] = field(default_factory=dict)
-    w_c: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "per_source_weight", dict(self.per_source_weight))
@@ -59,8 +58,6 @@ class GuidanceConfig:
         for sid, w in self.per_source_weight.items():
             if not np.isfinite(w) or w < 0:
                 raise BadValue(f"weight for {sid!r} must be finite and >= 0, got {w}")
-        if not self.w_c >= 0:
-            raise BadValue(f"w_c must be non-negative, got {self.w_c}")
 
     def window(self, n_steps: int) -> tuple[int, int]:
         start = min(self.t_start, n_steps) if self.t_start is not None else n_steps
@@ -70,17 +67,15 @@ class GuidanceConfig:
         return start, end
 
 
-class TargetRegions(PairOperator):
-    """Target-side pair regions per source, compiled once and reused across timesteps."""
-
-
 class GuidanceTarget:
     """Reference descriptors bound to target-side regions and source weights.
 
     Every referenced source must have a target mask track; the enforced
     pair set per source is the intersection of reference-valid pairs and
-    non-empty target regions. Per operator row it holds the reference
-    delta and the weight, which is 0 for rows that are not enforced.
+    non-empty target regions. ``regions``, the operator over the target
+    masks, is compiled once and shared by ``with_references``. Per operator
+    row it holds the reference delta and the weight, which is 0 for rows
+    that are not enforced.
     """
 
     def __init__(
@@ -88,18 +83,16 @@ class GuidanceTarget:
         references: Sequence[MotionDescriptor],
         target_masks: Mapping[str, MaskTrack] | None = None,
         *,
-        regions: TargetRegions | None = None,
+        regions: PairOperator | None = None,
         weights: Mapping[str, float] | None = None,
-        feature_map: FeatureMap | None = None,
     ):
         if regions is None:
             if target_masks is None:
                 raise BadValue("provide target_masks or precompiled regions")
-            regions = TargetRegions(target_masks)
+            regions = PairOperator(target_masks)
         self.regions = regions
         self.references = list(references)
         self.weights = dict(weights or {})
-        self.feature_map = feature_map
         by_source: dict[str, MotionDescriptor] = {}
         for ref in self.references:
             if ref.source_id not in regions.slices:
@@ -108,36 +101,40 @@ class GuidanceTarget:
                 raise UnknownSubject(f"no target-side mask for source {ref.source_id!r}")
             if ref.source_id in by_source:
                 raise BadValue(f"duplicate reference for source {ref.source_id!r}")
+            if ref.n_frames != regions.n_frames:
+                raise DimMismatch(
+                    f"reference {ref.source_id!r} has {ref.n_frames} frames, "
+                    f"target {regions.n_frames}"
+                )
             by_source[ref.source_id] = ref
         n_channels = max((ref.n_channels for ref in self.references), default=0)
         self.ref = np.zeros((len(regions.rows), n_channels))
         self.weight = np.zeros(len(regions.rows))
         self.enforced = np.zeros(len(regions.rows), dtype=bool)
-        for r, (sid, i, j) in enumerate(regions.rows):
-            ref = by_source.get(sid)
-            if ref is not None and ref.has_pair(i, j):
-                if ref.n_channels != n_channels:
-                    raise DimMismatch(
-                        f"reference {sid!r} has {ref.n_channels} channels, others {n_channels}"
-                    )
-                self.ref[r] = ref.delta(i, j)
-                self.weight[r] = float(self.weights.get(sid, 1.0))
-                self.enforced[r] = True
+        for sid, ref in by_source.items():
+            rows = regions.slices[sid]
+            ref_rows = ref.rows_of(regions.ij[rows])
+            hit = ref_rows >= 0
+            if not hit.any():
+                continue
+            if ref.n_channels != n_channels:
+                raise DimMismatch(
+                    f"reference {sid!r} has {ref.n_channels} channels, others {n_channels}"
+                )
+            r = rows.start + np.flatnonzero(hit)
+            self.ref[r] = ref.deltas[ref_rows[hit]]
+            self.weight[r] = float(self.weights.get(sid, 1.0))
+            self.enforced[r] = True
 
     def with_references(self, references: Sequence[MotionDescriptor]) -> "GuidanceTarget":
-        return GuidanceTarget(
-            references,
-            regions=self.regions,
-            weights=self.weights,
-            feature_map=self.feature_map,
-        )
+        return GuidanceTarget(references, regions=self.regions, weights=self.weights)
 
     def enforced_pair_count(self) -> int:
         return int(np.count_nonzero(self.enforced))
 
 
 def _residual(target_latents: LatentVideo, target: GuidanceTarget) -> np.ndarray:
-    """(n_rows, C) scaled target deltas minus reference deltas."""
+    """(n_rows, C) target deltas minus reference deltas."""
     deltas = target.regions.apply(target_latents.data)
     if target.enforced_pair_count() == 0:
         raise NoValidPairs("no pair is valid on both the reference and target side")
@@ -145,8 +142,6 @@ def _residual(target_latents: LatentVideo, target: GuidanceTarget) -> np.ndarray
         raise DimMismatch(
             f"latents have {deltas.shape[1]} channels, references {target.ref.shape[1]}"
         )
-    if target.feature_map is not None:
-        deltas = deltas * target.feature_map.scale_vector(deltas.shape[1])
     return deltas - target.ref
 
 
@@ -171,8 +166,6 @@ def loss_and_gradient(
     """The loss and its gradient: one forward and one adjoint operator product."""
     residual = _residual(target_latents, target)
     coef = 2.0 * target.weight[:, None] * residual
-    if target.feature_map is not None:
-        coef = coef * target.feature_map.scale_vector(residual.shape[1])
     total = _weighted_sum_of_squares(residual, target.weight)
     return total, target.regions.adjoint(coef)
 
@@ -186,10 +179,6 @@ def stable_step_size(target: GuidanceTarget) -> float:
     """
     total = 0.0
     min_area = None
-    max_scale2 = 1.0
-    if target.feature_map is not None:
-        s = np.asarray(target.feature_map.scale, dtype=np.float64)
-        max_scale2 = float(np.max(s * s)) if s.size else 1.0
     regions = target.regions
     for sid, rows in sorted(regions.slices.items()):
         enforced = target.enforced[rows]
@@ -201,8 +190,7 @@ def stable_step_size(target: GuidanceTarget) -> float:
         total += float(target.weights.get(sid, 1.0)) * n_pairs
     if min_area is None or total == 0.0:
         raise NoValidPairs("cannot size a step with no enforced pairs")
-    lipschitz = 4.0 * total / min_area * max_scale2
-    return 1.0 / lipschitz
+    return 1.0 / (4.0 * total / min_area)
 
 
 def guided_update(

@@ -87,12 +87,12 @@ def descriptor_distance(d1: MotionDescriptor, d2: MotionDescriptor) -> tuple[flo
     """
     if d1.n_frames != d2.n_frames:
         raise LengthMismatch(f"frame counts differ: {d1.n_frames} vs {d2.n_frames}")
-    shared = [p for p in d1.forward_pairs() if d2.has_pair(*p)]
-    total = 0.0
-    for i, j in shared:
-        r = d1.delta(i, j) - d2.delta(i, j)
-        total += float(r @ r)
-    return total, len(shared)
+    rows = d2.rows_of(d1.pairs)
+    shared = rows >= 0
+    if not shared.any():
+        return 0.0, 0
+    r = d1.deltas[shared] - d2.deltas[rows[shared]]
+    return float(np.sum(r * r)), int(np.count_nonzero(shared))
 
 
 def compare_trajectories(a, b) -> TrajectoryReport:

@@ -31,6 +31,7 @@ from .errors import BadValue, IoFailure, NoValidPairs
 from .features import (
     EditPlan,
     MotionDescriptor,
+    PairOperator,
     compile_sources,
     extract_descriptors,
     load_descriptor,
@@ -38,7 +39,7 @@ from .features import (
     recompose,
     save_descriptor,
 )
-from .guidance import GuidanceConfig, GuidanceTarget, TargetRegions
+from .guidance import GuidanceConfig, GuidanceTarget
 from .masks import BACKGROUND_ID, apply_edit, background_track
 from .metrics import compare_trajectories, descriptor_distance
 from .synth import (
@@ -55,9 +56,11 @@ from .tensors import (
     SceneManifest,
     load_manifest,
     load_tensor,
+    read_json,
     save_manifest,
     save_mask,
     save_tensor,
+    write_json,
 )
 
 log = logging.getLogger(__name__)
@@ -69,22 +72,6 @@ def _safe_name(name: str) -> str:
     if not _SAFE_NAME.match(name):
         raise BadValue(f"id {name!r} is not filesystem-safe (use letters, digits, _ . -)")
     return name
-
-
-def _write_json(path: Path, doc) -> None:
-    try:
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-
-
-def _read_json(path: Path):
-    try:
-        return json.loads(path.read_text())
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise BadValue(f"{path}: invalid JSON: {exc}") from exc
 
 
 # --- synth ------------------------------------------------------------------
@@ -111,7 +98,7 @@ def run_synth(spec: SceneSpec, out_dir) -> Path:
         root=out_dir,
     )
     save_manifest(manifest, out_dir / "manifest.json")
-    _write_json(
+    write_json(
         out_dir / "trajectories.json",
         {
             "subjects": {sid: [list(p) for p in traj] for sid, traj in trajectories.items()},
@@ -180,7 +167,7 @@ def run_extract(
         "legacy_region": legacy_region,
         "manifest": str(manifest_path) if manifest_path else None,
     }
-    _write_json(out_dir / "extract_index.json", index)
+    write_json(out_dir / "extract_index.json", index)
     return out_dir
 
 
@@ -192,7 +179,7 @@ def load_references(desc_dir, timesteps=None) -> dict[int, list[MotionDescriptor
     one the index lists) picks which to load.
     """
     desc_dir = Path(desc_dir)
-    index = _read_json(desc_dir / "extract_index.json")
+    index = read_json(desc_dir / "extract_index.json")
     try:
         listed = [int(t) for t in index["timesteps"]]
         sources = [_safe_name(str(sid)) for sid in index["sources"]]
@@ -275,7 +262,7 @@ def run_recompose(
         target_masks = build_target_masks(
             subject_masks, plan, dims=(manifest.frames, manifest.height, manifest.width)
         )
-        regions = TargetRegions(target_masks)
+        regions = PairOperator(target_masks)
         window = config.window(schedule.n_steps)
         references_by_t: dict[int, list[MotionDescriptor]] = {}
         for t in range(window[1], window[0] + 1):
@@ -302,7 +289,7 @@ def run_recompose(
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
     except OSError as exc:
         raise IoFailure(f"cannot write {trace_path}: {exc}") from exc
-    _write_json(
+    write_json(
         out_dir / "run.json",
         {"init": init_mode, "seed": seed, "guided": guided, "bandwidth": bandwidth},
     )
@@ -322,14 +309,17 @@ def run_metrics(run_dir, scene_dir, desc_dir=None, out_path=None, threshold: flo
     run_dir, scene_dir = Path(run_dir), Path(scene_dir)
     output = load_tensor(run_dir / "output.cmt")
     spec = load_scene(scene_dir / "spec.json")
-    truth = _read_json(scene_dir / "trajectories.json")
+    truth = read_json(scene_dir / "trajectories.json")
     report: dict = {"subjects": {}, "descriptor_distances": {}, "warnings": []}
     for blob in spec.blobs:
         centroids, areas = estimate_blob_track(output, blob.channel_signature, threshold)
         missing = sum(1 for c in centroids if c is None)
         entry: dict = {"areas": areas, "missing_frames": missing}
         if missing == 0:
-            ref = truth["subjects"][blob.subject_id]
+            try:
+                ref = truth["subjects"][blob.subject_id]
+            except (KeyError, TypeError) as exc:
+                raise BadValue(f"{scene_dir}: no true trajectory for {blob.subject_id!r}") from exc
             entry["estimated"] = [list(c) for c in centroids]
             entry.update(compare_trajectories(ref, centroids).to_json())
         else:
@@ -358,11 +348,8 @@ def run_metrics(run_dir, scene_dir, desc_dir=None, out_path=None, threshold: flo
         if ref is None:
             continue
         dist, count = descriptor_distance(ref, d)
-        ref_norm = 0.0
-        for i, j in ref.forward_pairs():
-            if d.has_pair(i, j):
-                v = ref.delta(i, j)
-                ref_norm += float(v @ v)
+        shared = ref.deltas[d.rows_of(ref.pairs) >= 0]
+        ref_norm = float(np.sum(shared * shared))
         rel = float(np.sqrt(dist / ref_norm)) if ref_norm > 0 else None
         if count == 0:
             report["warnings"].append(f"source {d.source_id}: no shared valid pairs")
@@ -372,27 +359,40 @@ def run_metrics(run_dir, scene_dir, desc_dir=None, out_path=None, threshold: flo
             "relative_l2": rel,
         }
     if out_path is not None:
-        _write_json(Path(out_path), report)
+        write_json(out_path, report)
     return report
 
 
 # --- full pipeline --------------------------------------------------------------
 
 
+_GUIDANCE_KEYS = ("step_size", "n_inner_steps", "t_start", "t_end", "weights")
+
+
 def guidance_config_from_json(doc: dict) -> GuidanceConfig:
-    return GuidanceConfig(
-        step_size=doc.get("step_size"),
-        n_inner_steps=int(doc.get("n_inner_steps", 3)),
-        t_start=doc.get("t_start"),
-        t_end=doc.get("t_end"),
-        per_source_weight={str(k): float(v) for k, v in doc.get("weights", {}).items()},
-        w_c=float(doc.get("w_c", 0.0)),
-    )
+    """The ``guidance`` section of a pipeline config; any other key is rejected."""
+    if not isinstance(doc, dict):
+        raise BadValue(f"guidance config must be an object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(_GUIDANCE_KEYS))
+    if unknown:
+        raise BadValue(f"unknown guidance config keys {unknown}; known: {list(_GUIDANCE_KEYS)}")
+    try:
+        return GuidanceConfig(
+            step_size=doc.get("step_size"),
+            n_inner_steps=int(doc.get("n_inner_steps", 3)),
+            t_start=doc.get("t_start"),
+            t_end=doc.get("t_end"),
+            per_source_weight={str(k): float(v) for k, v in doc.get("weights", {}).items()},
+        )
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise BadValue(f"malformed guidance config: {exc}") from exc
 
 
 def run_pipeline(config: dict, out_root) -> dict:
     """Run every stage per a config document; returns the metrics report."""
     out_root = Path(out_root)
+    plan = plan_from_json(config.get("plan", {}))
+    gcfg = guidance_config_from_json(config.get("guidance", {}))
     out_root.mkdir(parents=True, exist_ok=True)
     try:
         scene_doc = config["scene"]
@@ -439,8 +439,6 @@ def run_pipeline(config: dict, out_root) -> dict:
         manifest_path="../scene/manifest.json",
     )
 
-    plan = plan_from_json(config.get("plan", {}))
-    gcfg = guidance_config_from_json(config.get("guidance", {}))
     result = run_recompose(
         desc_dir,
         plan,
@@ -462,5 +460,5 @@ def run_pipeline(config: dict, out_root) -> dict:
         threshold=float(config.get("metrics", {}).get("threshold", 0.5)),
     )
     recorded = {k: v for k, v in config.items() if k != "out_dir"}
-    _write_json(out_root / "config.json", recorded)
+    write_json(out_root / "config.json", recorded)
     return report

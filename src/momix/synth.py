@@ -11,7 +11,6 @@ behind it and covers different texture ahead of it.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -19,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadValue, DimMismatch, IoFailure
-from .tensors import LatentVideo, MaskTrack
+from .errors import BadValue, DimMismatch
+from .tensors import LatentVideo, MaskTrack, read_json, write_json
 
 log = logging.getLogger(__name__)
 
@@ -321,26 +320,16 @@ def scene_from_json(doc: dict) -> SceneSpec:
             texture_amplitude=float(doc.get("texture_amplitude", 0.5)),
             texture_wavelengths=tuple(doc.get("texture_wavelengths", (1.5, 3.0))),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise BadValue(f"malformed scene spec: {exc}") from exc
 
 
 def load_scene(path) -> SceneSpec:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    try:
-        return scene_from_json(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise BadValue(f"{path}: invalid scene JSON: {exc}") from exc
+    return scene_from_json(read_json(path))
 
 
 def save_scene(spec: SceneSpec, path) -> None:
-    try:
-        Path(path).write_text(json.dumps(scene_to_json(spec), indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_json(path, scene_to_json(spec))
 
 
 def write_frame_images(latents: LatentVideo, out_dir, channel: int = 0) -> list[Path]:

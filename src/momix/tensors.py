@@ -253,6 +253,32 @@ def peek_dims(path, magic: bytes) -> tuple[int, ...]:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 
 
+# --- JSON documents -------------------------------------------------------
+
+
+def read_json(path) -> dict:
+    """Read a JSON document whose top level is an object."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise BadValue(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise BadValue(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as sorted, two-space-indented JSON with a trailing newline."""
+    try:
+        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
 # --- scene manifest -------------------------------------------------------
 
 
@@ -302,28 +328,22 @@ class SceneManifest:
 
 
 def save_manifest(manifest: SceneManifest, path) -> None:
-    doc = {
-        "frames": manifest.frames,
-        "channels": manifest.channels,
-        "height": manifest.height,
-        "width": manifest.width,
-        "latents": dict(sorted(manifest.latents.items())),
-        "masks": dict(sorted(manifest.masks.items())),
-    }
-    try:
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_json(
+        path,
+        {
+            "frames": manifest.frames,
+            "channels": manifest.channels,
+            "height": manifest.height,
+            "width": manifest.width,
+            "latents": dict(sorted(manifest.latents.items())),
+            "masks": dict(sorted(manifest.masks.items())),
+        },
+    )
 
 
 def load_manifest(path, verify: bool = True) -> SceneManifest:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise BadValue(f"{path}: invalid manifest JSON: {exc}") from exc
+    doc = read_json(path)
     try:
         manifest = SceneManifest(
             frames=int(doc["frames"]),
@@ -334,7 +354,7 @@ def load_manifest(path, verify: bool = True) -> SceneManifest:
             masks={str(k): str(v) for k, v in doc.get("masks", {}).items()},
             root=path.parent,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise BadValue(f"{path}: malformed manifest: {exc}") from exc
     if verify:
         manifest.verify()

@@ -365,3 +365,77 @@ def test_plan_from_args_switches(scene_dir):
     assert edit.kind == "scale" and edit.factor == 2.0
     assert edit.anchor == (11.5, 11.5)
     assert plan2.camera_only
+
+
+def _recompose(desc, traj, scene, run):
+    return main([
+        "recompose", str(desc), str(traj), str(run),
+        "--atlas", str(scene / "latents_t0.cmt"), "--inner-steps", "1",
+    ])
+
+
+def test_recompose_descriptor_without_valid_pairs(pipeline_dirs, tmp_path, capsys):
+    scene, traj, desc = pipeline_dirs
+    doc = json.loads((desc / "t001" / "A.json").read_text())
+    del doc["valid_pairs"]
+    (desc / "t001" / "A.json").write_text(json.dumps(doc))
+    assert _recompose(desc, traj, scene, tmp_path / "r") == 2
+    assert "valid_pairs" in capsys.readouterr().err
+
+
+def test_recompose_extract_index_not_an_object(pipeline_dirs, tmp_path, capsys):
+    scene, traj, desc = pipeline_dirs
+    (desc / "extract_index.json").write_text("[]")
+    assert _recompose(desc, traj, scene, tmp_path / "r") == 2
+    assert "expected a JSON object" in capsys.readouterr().err
+
+
+def test_recompose_trajectory_index_with_short_n_steps(pipeline_dirs, tmp_path, capsys):
+    # n_steps must agree with alpha_bar, or sampling would start from the wrong latent
+    scene, traj, desc = pipeline_dirs
+    index = json.loads((traj / "index.json").read_text())
+    index["n_steps"] = 2
+    (traj / "index.json").write_text(json.dumps(index))
+    assert _recompose(desc, traj, scene, tmp_path / "r") == 2
+    assert "n_steps" in capsys.readouterr().err
+
+
+def test_recompose_resolves_recorded_manifest_against_desc_dir(
+    pipeline_dirs, tmp_path, monkeypatch
+):
+    # the index records "../scene/manifest.json"; a file at that path under the
+    # current directory is a decoy that must not be read
+    scene, traj, desc = pipeline_dirs
+    recorded = json.loads((desc / "extract_index.json").read_text())["manifest"]
+    cwd = tmp_path / "elsewhere" / "cwd"
+    decoy = cwd / recorded
+    decoy.parent.mkdir(parents=True)
+    decoy.write_text("{not a manifest")
+    monkeypatch.chdir(cwd)
+    assert _recompose(desc, traj, scene, tmp_path / "r") == 0
+    # an explicit --manifest still resolves against the current directory
+    rc = main([
+        "recompose", str(desc), str(traj), str(tmp_path / "r2"),
+        "--atlas", str(scene / "latents_t0.cmt"), "--manifest", recorded,
+    ])
+    assert rc == 2
+
+
+@pytest.mark.parametrize("guidance", [{"w_c": 1}, {"n_inner_step": 3}])
+def test_pipeline_rejects_unknown_guidance_keys(tmp_path, capsys, guidance):
+    cfg = dict(_pipeline_config(tmp_path), guidance=guidance)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["pipeline", str(cfg_path)]) == 2
+    assert "unknown guidance config keys" in capsys.readouterr().err
+    assert not Path(cfg["out_dir"]).exists()  # rejected before any stage ran
+
+
+def test_metrics_trajectories_without_subject(pipeline_dirs, tmp_path, capsys):
+    scene, _, _ = pipeline_dirs
+    run = tmp_path / "runself"
+    run.mkdir()
+    (run / "output.cmt").write_bytes((scene / "latents_t0.cmt").read_bytes())
+    (scene / "trajectories.json").write_text("{}")
+    assert main(["metrics", str(run), str(scene)]) == 2
+    assert "no true trajectory" in capsys.readouterr().err

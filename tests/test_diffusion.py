@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,14 @@ from momix.diffusion import (
     save_trajectory,
 )
 from momix.errors import BadValue, DimMismatch, NonFinite
-from momix.features import EditPlan, MotionDescriptor, extract_descriptors, recompose
-from momix.guidance import GuidanceConfig, GuidanceTarget, TargetRegions
+from momix.features import (
+    EditPlan,
+    MotionDescriptor,
+    PairOperator,
+    extract_descriptors,
+    recompose,
+)
+from momix.guidance import GuidanceConfig, GuidanceTarget
 from momix.synth import BlobSpec, SceneSpec, render_scene
 from momix.tensors import LatentVideo
 
@@ -157,6 +165,26 @@ def test_trajectory_archive_round_trip(tmp_path):
         )
 
 
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda ix: ix.update(n_steps=2),  # fewer steps than alpha_bar holds
+        lambda ix: ix.update(n_steps=5),  # more steps than alpha_bar holds
+        lambda ix: ix["files"].pop("3"),  # a timestep without a file
+        lambda ix: ix["files"].update({"9": "t004.cmt"}),  # a file for no timestep
+    ],
+)
+def test_trajectory_index_must_agree_with_itself(tmp_path, edit):
+    z0 = _latents(seed=3, shape=(2, 1, 6, 6))
+    sched = NoiseSchedule.default(n_steps=4)
+    save_trajectory(ddim_invert(z0, sched, ZeroDenoiser()), sched, tmp_path)
+    index = json.loads((tmp_path / "index.json").read_text())
+    edit(index)
+    (tmp_path / "index.json").write_text(json.dumps(index))
+    with pytest.raises(BadValue):
+        load_trajectory(tmp_path)
+
 def _guided_setup(n_steps=12):
     n = 6
     spec = SceneSpec(
@@ -177,7 +205,7 @@ def _guided_setup(n_steps=12):
     from momix.masks import background_track
 
     masks["background"] = background_track(tracks)
-    target = GuidanceTarget(refs_by_t[1], regions=TargetRegions(masks))
+    target = GuidanceTarget(refs_by_t[1], regions=PairOperator(masks))
     return lat, sched, den, inv, config, refs_by_t, target
 
 
@@ -213,7 +241,7 @@ def test_guidance_toward_zero_deltas_yields_static_stats():
     from momix.masks import background_track
 
     masks["background"] = background_track(tracks)
-    regions = TargetRegions(masks)
+    regions = PairOperator(masks)
     zero_refs = [
         MotionDescriptor.from_forward_pairs(
             sid, 0, n, {p: np.zeros(2) for p in regions.pairs[sid]}

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from momix.errors import (
     BadValue,
+    DimMismatch,
     EmptyRegion,
     LengthMismatch,
     MissingBackground,
@@ -14,7 +17,7 @@ from momix.errors import (
 from momix.features import (
     Directive,
     EditPlan,
-    FeatureMap,
+    MotionDescriptor,
     compile_sources,
     extract_descriptors,
     load_descriptor,
@@ -170,17 +173,6 @@ def test_disentangled_matches_isolated():
             assert np.max(np.abs(multi["A"].delta(i, j) - iso.delta(i, j))) <= 1e-6
 
 
-def test_feature_map_affine():
-    lat, tracks, _ = render_scene(_scene(n=3))
-    fm = FeatureMap(scale=(2.0, 0.5, 1.0), offset=(1.0, -1.0, 0.0))
-    plain = extract_descriptors(lat, tracks, timestep=0)
-    mapped = extract_descriptors(lat, tracks, timestep=0, feature_map=fm)
-    for p, m in zip(plain, mapped):
-        for i, j in p.forward_pairs():
-            # offsets cancel in deltas; scales pass through
-            assert np.allclose(m.delta(i, j), p.delta(i, j) * np.array([2.0, 0.5, 1.0]))
-
-
 def test_soft_blend_endpoints_and_oracle():
     s = np.array([2.0, 0.0])
     c = np.array([0.0, 2.0])
@@ -284,6 +276,63 @@ def test_descriptor_archive_round_trip(tmp_path):
                 back.delta(i, j), d.delta(i, j).astype(np.float32).astype(np.float64)
             )
 
+
+
+def test_descriptor_array_layout():
+    d = MotionDescriptor.from_forward_pairs(
+        "s", 0, 3, {(1, 2): np.array([3.0, 4.0]), (0, 2): np.array([1.0, 2.0])}
+    )
+    assert d.forward_pairs() == [(0, 2), (1, 2)]
+    assert d.deltas.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert d.valid_pairs == {(0, 2), (2, 0), (1, 2), (2, 1)}
+    assert d.delta(2, 1).tolist() == [-3.0, -4.0]
+    assert not d.has_pair(0, 1) and not d.has_pair(0, 0) and not d.has_pair(0, 3)
+    assert d.rows_of([(0, 1), (1, 2), (0, 2)]).tolist() == [-1, 1, 0]
+    with pytest.raises(KeyError):
+        d.delta(0, 1)
+    with pytest.raises(ValueError):
+        d.deltas[0, 0] = 9.0  # read-only
+    empty = MotionDescriptor.from_forward_pairs("s", 0, 3, {})
+    assert empty.forward_pairs() == [] and empty.rows_of([(0, 1)]).tolist() == [-1]
+
+
+@pytest.mark.parametrize(
+    "pairs, n_rows, error",
+    [
+        ([(0, 2), (0, 1)], 2, BadValue),  # unsorted
+        ([(0, 1), (0, 1)], 2, BadValue),  # duplicated
+        ([(0, 3)], 1, BadValue),  # j out of range
+        ([(-1, 1)], 1, BadValue),  # i out of range
+        ([(1, 0)], 1, BadValue),  # not forward
+        ([(1, 1)], 1, BadValue),  # diagonal
+        ([(0, 1), (0, 2)], 1, DimMismatch),  # one delta row short
+        ([(0, 1, 2)], 1, DimMismatch),  # not a pair
+    ],
+)
+def test_descriptor_rejects_malformed_pairs(pairs, n_rows, error):
+    with pytest.raises(error):
+        MotionDescriptor("s", 0, 3, np.array(pairs), np.zeros((n_rows, 2)))
+
+
+def test_descriptor_rejects_deltas_that_are_not_a_matrix():
+    with pytest.raises(DimMismatch):
+        MotionDescriptor("s", 0, 3, np.array([(0, 1)]), np.zeros(2))
+    with pytest.raises(BadValue):
+        MotionDescriptor.from_forward_pairs("s", 0, 3, {(2, 1): np.zeros(2)})
+
+
+def test_descriptor_archive_rejects_mismatched_tensor(tmp_path):
+    d = next(d for d in _descriptors() if d.source_id == "A")
+    save_descriptor(d, tmp_path / "A.json")
+    doc = json.loads((tmp_path / "A.json").read_text())
+    doc["valid_pairs"] = doc["valid_pairs"][1:]
+    (tmp_path / "A.json").write_text(json.dumps(doc))
+    with pytest.raises(DimMismatch):
+        load_descriptor(tmp_path / "A.json")
+    del doc["valid_pairs"]
+    (tmp_path / "A.json").write_text(json.dumps(doc))
+    with pytest.raises(BadValue):
+        load_descriptor(tmp_path / "A.json")
 
 @settings(max_examples=60, deadline=None)
 @given(

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from momix.errors import BadValue, NoValidPairs, UnknownSubject
-from momix.features import MotionDescriptor
+from momix.errors import BadValue, DimMismatch, NoValidPairs, UnknownSubject
+from momix.features import MotionDescriptor, PairOperator
 from momix.gradcheck import (
     finite_difference_gradient,
     max_relative_error,
@@ -182,6 +184,9 @@ def test_unknown_source_and_config_validation():
     dup = MotionDescriptor.from_forward_pairs("s", 0, 2, {(0, 1): np.array([1.0])})
     with pytest.raises(BadValue):
         GuidanceTarget([dup, dup], {"s": mask})
+    longer = MotionDescriptor.from_forward_pairs("s", 0, 3, {(0, 1): np.array([1.0])})
+    with pytest.raises(DimMismatch):
+        GuidanceTarget([longer], {"s": mask})
     with pytest.raises(BadValue):
         GuidanceConfig(step_size=0.0)
     with pytest.raises(BadValue):
@@ -201,3 +206,47 @@ def test_guidance_window_default():
     assert cfg.window(20) == (20, 5)  # first 80% of the denoising steps
     cfg2 = GuidanceConfig(t_start=12, t_end=3)
     assert cfg2.window(20) == (12, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_sources=st.integers(1, 3),
+    n_frames=st.integers(2, 5),
+    keep=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_target_rows_match_naive_loop(n_sources, n_frames, keep, seed):
+    # oracle: one has_pair/delta lookup per operator row
+    rng = np.random.default_rng(seed)
+    masks = {
+        f"s{k}": MaskTrack(rng.random((n_frames, 4, 3)) < 0.5, subject_id=f"s{k}")
+        for k in range(n_sources)
+    }
+    regions = PairOperator(masks)
+    all_pairs = [(i, j) for i in range(n_frames) for j in range(i + 1, n_frames)]
+    references, weights = [], {}
+    for sid in masks:
+        if rng.random() < 0.2:
+            continue  # a source with no reference at all
+        # any subset of pairs, including ones whose target region is empty
+        chosen = [p for p in all_pairs if rng.random() < keep]
+        rng.shuffle(chosen)
+        forward = {p: rng.standard_normal(2) for p in chosen}
+        references.append(MotionDescriptor.from_forward_pairs(sid, 0, n_frames, forward))
+        weights[sid] = float(rng.uniform(0.1, 3.0))
+    target = GuidanceTarget(references, regions=regions, weights=weights)
+
+    by_source = {ref.source_id: ref for ref in references}
+    n_channels = 2 if any(len(ref.pairs) for ref in references) else 0
+    want_ref = np.zeros((len(regions.rows), n_channels))
+    want_weight = np.zeros(len(regions.rows))
+    want_enforced = np.zeros(len(regions.rows), dtype=bool)
+    for r, (sid, i, j) in enumerate(regions.rows):
+        ref = by_source.get(sid)
+        if ref is not None and ref.has_pair(i, j):
+            want_ref[r] = ref.delta(i, j)
+            want_weight[r] = weights[sid]
+            want_enforced[r] = True
+    assert np.array_equal(target.ref, want_ref)
+    assert np.array_equal(target.weight, want_weight)
+    assert np.array_equal(target.enforced, want_enforced)

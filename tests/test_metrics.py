@@ -70,6 +70,10 @@ def test_descriptor_distance_examples():
     d3 = MotionDescriptor.from_forward_pairs("s", 0, 3, {(1, 2): np.array([1.0, 0.0])})
     dist, n = descriptor_distance(d2, d3)
     assert dist == 0.0 and n == 0
+    # an empty descriptor (as loaded from an archive: no tensor, no channels)
+    empty = MotionDescriptor.from_forward_pairs("s", 0, 3, {})
+    assert descriptor_distance(d1, empty) == (0.0, 0)
+    assert descriptor_distance(empty, d1) == (0.0, 0)
 
 
 def test_descriptor_distance_equals_guidance_loss():
