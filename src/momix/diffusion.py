@@ -89,6 +89,13 @@ class GaussianAtlasDenoiser:
     re-weighted mixture whose mean has a closed form; the predicted noise
     is read back from the forward relation. At t = 0 there is no noise to
     predict and the output is zero.
+
+    The members are stacked once with their squared norms. A call reads the
+    atlas once for the K inner products with z, then reads the members whose
+    weight is not zero for the weighted mean, summed in member order. Neither
+    reduction goes through BLAS, so the output bytes do not depend on the
+    BLAS thread count; a matmul would, as OpenBLAS gemv splits its sums
+    differently per thread count.
     """
 
     def __init__(
@@ -105,7 +112,10 @@ class GaussianAtlasDenoiser:
                 raise DimMismatch(f"atlas member shape {member.shape} != {shape}")
         if not bandwidth > 0:
             raise BadValue(f"bandwidth must be positive, got {bandwidth}")
-        self.members = np.stack([m.data.astype(np.float64) for m in atlas])
+        self.members = np.stack([m.data for m in atlas], dtype=np.float64)
+        self.members.setflags(write=False)
+        self._flat = self.members.reshape(len(atlas), -1)
+        self._sq_norms = np.einsum("kn,kn->k", self._flat, self._flat)
         self.schedule = schedule
         self.bandwidth = float(bandwidth)
 
@@ -114,13 +124,19 @@ class GaussianAtlasDenoiser:
         ab = float(self.schedule.alpha_bar[t])
         c = np.sqrt(ab)
         var = ab * self.bandwidth**2 + (1.0 - ab)
-        diffs = (z[None] - c * self.members).reshape(self.members.shape[0], -1)
-        d2 = np.einsum("kn,kn->k", diffs, diffs)
+        # ||z - c m_k||^2 = ||z||^2 - 2c <m_k, z> + ab ||m_k||^2. The ||z||^2 term is
+        # the same for every k, so the max-shifted softmax drops it; d2 may go negative.
+        d2 = ab * self._sq_norms - 2.0 * c * np.einsum("kn,n->k", self._flat, z.reshape(-1))
         logw = -d2 / (2.0 * var)
         logw -= logw.max()
         w = np.exp(logw)
         w /= w.sum()
-        mean_member = np.einsum("k,k...->...", w, self.members)
+        # Over many cells the distances differ by far more than var, so exp underflows
+        # to exactly 0 for all but the nearest members; only those are read.
+        mean_member = np.zeros(self._flat.shape[1])
+        for k in np.flatnonzero(w):
+            mean_member += w[k] * self._flat[k]
+        mean_member = mean_member.reshape(z.shape)
         shrink = c * self.bandwidth**2 / var
         return mean_member + shrink * (z - c * mean_member)
 

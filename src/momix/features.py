@@ -38,6 +38,7 @@ from .masks import (
 from .tensors import (
     LatentVideo,
     MaskTrack,
+    check_keys,
     ensure_same_geometry,
     read_array,
     read_json,
@@ -474,13 +475,21 @@ def plan_to_json(plan: EditPlan) -> dict:
     }
 
 
+_PLAN_KEYS = ("subjects", "include_background", "w_c", "camera_only")
+_DIRECTIVE_KEYS = ("op", "w_c", "edit")
+_EDIT_KEYS = ("kind", "dx", "dy", "factor", "anchor")
+
+
 def plan_from_json(doc: dict) -> EditPlan:
+    """The plan ``plan_to_json`` writes; a key it would not write is rejected."""
+    check_keys(doc, _PLAN_KEYS, "edit plan")
     try:
         directives = {}
         for sid, entry in doc.get("subjects", {}).items():
+            check_keys(entry, _DIRECTIVE_KEYS, f"plan entry {sid!r}")
             edit = None
             if entry.get("edit") is not None:
-                e = entry["edit"]
+                e = check_keys(entry["edit"], _EDIT_KEYS, f"plan edit of {sid!r}")
                 edit = MaskEdit(
                     kind=e["kind"],
                     dx=int(e.get("dx", 0)),

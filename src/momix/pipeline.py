@@ -54,6 +54,7 @@ from .tensors import (
     LatentVideo,
     MaskTrack,
     SceneManifest,
+    check_keys,
     load_manifest,
     load_tensor,
     read_json,
@@ -366,16 +367,19 @@ def run_metrics(run_dir, scene_dir, desc_dir=None, out_path=None, threshold: flo
 # --- full pipeline --------------------------------------------------------------
 
 
+_PIPELINE_KEYS = (
+    "out_dir", "seed", "scene", "schedule", "atlas_include_reference", "atlas_scenes",
+    "bandwidth", "invert_denoiser", "legacy_region", "guidance", "plan", "init", "guided",
+    "metrics",
+)
+_SCHEDULE_KEYS = ("n_steps", "power", "floor")
+_METRICS_KEYS = ("threshold",)
 _GUIDANCE_KEYS = ("step_size", "n_inner_steps", "t_start", "t_end", "weights")
 
 
 def guidance_config_from_json(doc: dict) -> GuidanceConfig:
     """The ``guidance`` section of a pipeline config; any other key is rejected."""
-    if not isinstance(doc, dict):
-        raise BadValue(f"guidance config must be an object, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - set(_GUIDANCE_KEYS))
-    if unknown:
-        raise BadValue(f"unknown guidance config keys {unknown}; known: {list(_GUIDANCE_KEYS)}")
+    check_keys(doc, _GUIDANCE_KEYS, "guidance config")
     try:
         return GuidanceConfig(
             step_size=doc.get("step_size"),
@@ -388,43 +392,53 @@ def guidance_config_from_json(doc: dict) -> GuidanceConfig:
         raise BadValue(f"malformed guidance config: {exc}") from exc
 
 
+def _scene_spec(doc) -> SceneSpec:
+    """A scene given inline as a spec object, or as the path of a spec file."""
+    return load_scene(doc) if isinstance(doc, str) else scene_from_json(doc)
+
+
 def run_pipeline(config: dict, out_root) -> dict:
-    """Run every stage per a config document; returns the metrics report."""
+    """Run every stage per a config document; returns the metrics report.
+
+    Every key is checked, and every number parsed, before the first stage
+    writes output; an unknown key is rejected rather than left to its default.
+    """
     out_root = Path(out_root)
+    check_keys(config, _PIPELINE_KEYS, "pipeline config")
     plan = plan_from_json(config.get("plan", {}))
     gcfg = guidance_config_from_json(config.get("guidance", {}))
-    out_root.mkdir(parents=True, exist_ok=True)
+    sched_doc = check_keys(config.get("schedule", {}), _SCHEDULE_KEYS, "schedule")
+    metrics_doc = check_keys(config.get("metrics", {}), _METRICS_KEYS, "metrics")
+    if "scene" not in config:
+        raise BadValue("pipeline config needs a 'scene'")
+    spec = _scene_spec(config["scene"])
+    member_specs = [_scene_spec(doc) for doc in config.get("atlas_scenes", [])]
     try:
-        scene_doc = config["scene"]
-    except KeyError as exc:
-        raise BadValue("pipeline config needs a 'scene'") from exc
-    spec = (
-        load_scene(scene_doc) if isinstance(scene_doc, str) else scene_from_json(scene_doc)
-    )
+        schedule = NoiseSchedule.default(
+            n_steps=int(sched_doc.get("n_steps", 20)),
+            power=float(sched_doc.get("power", 2.0)),
+            floor=float(sched_doc.get("floor", 1e-4)),
+        )
+        bandwidth = float(config.get("bandwidth", 0.5))
+        seed = int(config.get("seed", 0))
+        threshold = float(metrics_doc.get("threshold", 0.5))
+    except (TypeError, ValueError) as exc:
+        raise BadValue(f"malformed pipeline config: {exc}") from exc
+    out_root.mkdir(parents=True, exist_ok=True)
     scene_dir = run_synth(spec, out_root / "scene")
     manifest = load_manifest(scene_dir / "manifest.json")
 
-    sched_doc = config.get("schedule", {})
-    schedule = NoiseSchedule.default(
-        n_steps=int(sched_doc.get("n_steps", 20)),
-        power=float(sched_doc.get("power", 2.0)),
-        floor=float(sched_doc.get("floor", 1e-4)),
-    )
     atlas_dir = out_root / "atlas"
     atlas_dir.mkdir(exist_ok=True)
     atlas: list[LatentVideo] = []
     if config.get("atlas_include_reference", True):
         atlas.append(manifest.load_latent("0"))
-    for member_doc in config.get("atlas_scenes", []):
-        member_spec = (
-            load_scene(member_doc) if isinstance(member_doc, str) else scene_from_json(member_doc)
-        )
+    for member_spec in member_specs:
         member_latents, _, _ = render_scene(member_spec)
         atlas.append(member_latents)
     for k, member in enumerate(atlas):
         save_tensor(member, atlas_dir / f"member{k:03d}.cmt")
 
-    bandwidth = float(config.get("bandwidth", 0.5))
     if str(config.get("invert_denoiser", "atlas")) == "zero":
         invert_denoiser: Denoiser = ZeroDenoiser()
     else:
@@ -449,7 +463,7 @@ def run_pipeline(config: dict, out_root) -> dict:
         guidance_config=gcfg,
         bandwidth=bandwidth,
         init=str(config.get("init", "auto")),
-        seed=int(config.get("seed", 0)),
+        seed=seed,
         guided=bool(config.get("guided", True)),
     )
     report = run_metrics(
@@ -457,7 +471,7 @@ def run_pipeline(config: dict, out_root) -> dict:
         scene_dir,
         desc_dir=desc_dir,
         out_path=out_root / "metrics.json",
-        threshold=float(config.get("metrics", {}).get("threshold", 0.5)),
+        threshold=threshold,
     )
     recorded = {k: v for k, v in config.items() if k != "out_dir"}
     write_json(out_root / "config.json", recorded)

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadValue, DimMismatch
-from .tensors import LatentVideo, MaskTrack, read_json, write_json
+from .tensors import LatentVideo, MaskTrack, check_keys, read_json, write_json
 
 log = logging.getLogger(__name__)
 
@@ -294,8 +294,18 @@ def scene_to_json(spec: SceneSpec) -> dict:
     }
 
 
+_SCENE_KEYS = (
+    "n_frames", "n_channels", "height", "width", "texture_seed", "texture_amplitude",
+    "texture_wavelengths", "background_drift", "blobs",
+)
+_BLOB_KEYS = ("subject_id", "trajectory", "radius", "channel_signature")
+
+
 def scene_from_json(doc: dict) -> SceneSpec:
+    """The spec ``scene_to_json`` writes; a key it would not write is rejected."""
+    check_keys(doc, _SCENE_KEYS, "scene spec")
     try:
+        blob_docs = [check_keys(b, _BLOB_KEYS, "scene blob") for b in doc.get("blobs", [])]
         blobs = tuple(
             BlobSpec(
                 subject_id=str(b["subject_id"]),
@@ -303,7 +313,7 @@ def scene_from_json(doc: dict) -> SceneSpec:
                 radius=float(b["radius"]),
                 channel_signature=tuple(b["channel_signature"]),
             )
-            for b in doc.get("blobs", [])
+            for b in blob_docs
         )
         return SceneSpec(
             n_frames=int(doc["n_frames"]),

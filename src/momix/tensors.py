@@ -271,6 +271,19 @@ def read_json(path) -> dict:
     return doc
 
 
+def check_keys(doc, known, what: str) -> dict:
+    """``doc`` itself, once it is an object whose keys all lie in ``known``.
+
+    A misspelt key would otherwise fall back silently to its default.
+    """
+    if not isinstance(doc, dict):
+        raise BadValue(f"{what} must be an object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise BadValue(f"unknown {what} keys {unknown}; known: {sorted(known)}")
+    return doc
+
+
 def write_json(path, doc) -> None:
     """Write ``doc`` as sorted, two-space-indented JSON with a trailing newline."""
     try:

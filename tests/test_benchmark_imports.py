@@ -61,6 +61,9 @@ def test_workload_checks_run_on_a_traced_pipeline(tmp_path):
         gradcheck.run_gradcheck(0, n_cases=2)
     m = tracing.layer_metrics(tracer.spans, regions, traced_run_s=1.0)
     assert m["guidance.update_calls"] > 0
+    # the tracer reads the denoiser's ``members`` for its byte count
+    assert m["diffusion.denoise_calls"] > 0
+    assert m["diffusion.denoise_bytes"] > 0
     assert m["guidance.enforced_pairs"] > 0
     assert m["guidance.step_size"] > 0
     assert m["features.pairs"] > 0

@@ -421,14 +421,52 @@ def test_recompose_resolves_recorded_manifest_against_desc_dir(
     assert rc == 2
 
 
-@pytest.mark.parametrize("guidance", [{"w_c": 1}, {"n_inner_step": 3}])
-def test_pipeline_rejects_unknown_guidance_keys(tmp_path, capsys, guidance):
-    cfg = dict(_pipeline_config(tmp_path), guidance=guidance)
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        ({"guidance": {"w_c": 1}}, "unknown guidance config keys ['w_c']"),
+        ({"guidance": {"n_inner_step": 3}}, "unknown guidance config keys ['n_inner_step']"),
+        ({"guidence": {"n_inner_steps": 3}}, "unknown pipeline config keys ['guidence']"),
+        ({"schedule": {"n_step": 6}}, "unknown schedule keys ['n_step']"),
+        ({"metrics": {"treshold": 0.4}}, "unknown metrics keys ['treshold']"),
+    ],
+    ids=["guidance-w_c", "guidance-typo", "top-level-typo", "schedule-typo", "metrics-typo"],
+)
+def test_pipeline_rejects_unknown_config_keys(tmp_path, capsys, patch, message):
+    cfg = dict(_pipeline_config(tmp_path), **patch)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["pipeline", str(cfg_path)]) == 2
-    assert "unknown guidance config keys" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not Path(cfg["out_dir"]).exists()  # rejected before any stage ran
+
+
+@pytest.mark.parametrize(
+    "patch", [{"schedule": {"n_steps": "x"}}, {"bandwidth": "wide"}, {"seed": "s"}],
+    ids=["schedule", "bandwidth", "seed"],
+)
+def test_pipeline_rejects_mistyped_values(tmp_path, capsys, patch):
+    # each used to raise ValueError (exit 1) after the scene was written
+    cfg = dict(_pipeline_config(tmp_path), **patch)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["pipeline", str(cfg_path)]) == 2
+    assert "malformed pipeline config" in capsys.readouterr().err
+    assert not Path(cfg["out_dir"]).exists()
+
+
+def test_recompose_plan_with_unknown_key(pipeline_dirs, tmp_path, capsys):
+    # "subject" for "subjects" used to run as a keep-everything plan
+    scene, traj, desc = pipeline_dirs
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"subject": {"A": {"op": "remove"}}}))
+    rc = main([
+        "recompose", str(desc), str(traj), str(tmp_path / "r"),
+        "--atlas", str(scene / "latents_t0.cmt"), "--plan", str(plan),
+    ])
+    assert rc == 2
+    assert "unknown edit plan keys ['subject']" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_metrics_trajectories_without_subject(pipeline_dirs, tmp_path, capsys):

@@ -263,6 +263,23 @@ def test_plan_json_round_trip(tmp_path):
     assert load_plan(tmp_path / "plan.json") == plan
 
 
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"subject": {"A": {"op": "remove"}}}, "edit plan"),
+        ({"subjects": {"A": {"op": "soften", "wc": 2.0}}}, "plan entry 'A'"),
+        ({"subjects": {"A": {"op": "mask_edit", "edit": {"kind": "shift", "DX": 8}}}},
+         "plan edit of 'A'"),
+    ],
+    ids=["top-level", "subject", "edit"],
+)
+def test_plan_from_json_rejects_unknown_keys(doc, where):
+    # each of these used to parse: to a keep-everything plan, a soften at the
+    # plan-wide w_c, and a shift by 0
+    with pytest.raises(BadValue, match=f"unknown {where} keys"):
+        plan_from_json(doc)
+
+
 def test_descriptor_archive_round_trip(tmp_path):
     descs = _descriptors()
     for d in descs:

@@ -8,8 +8,10 @@ from momix.synth import (
     SceneSpec,
     centroid_trajectory,
     estimate_blob_track,
+    load_scene,
     render_scene,
     reverse_blob,
+    save_scene,
     scale_blob,
     scene_from_json,
     scene_to_json,
@@ -159,11 +161,24 @@ def test_scene_spec_validation():
         BlobSpec("A", ((1, 1),), 0.0, (1.0,))
 
 
-def test_scene_json_round_trip():
+def test_scene_json_round_trip(tmp_path):
     spec = two_blob_scene()
     doc = scene_to_json(spec)
     back = scene_from_json(doc)
     assert back == spec
+    save_scene(spec, tmp_path / "scene.json")
+    assert load_scene(tmp_path / "scene.json") == spec
+
+
+def test_scene_from_json_rejects_unknown_keys():
+    doc = scene_to_json(two_blob_scene())
+    # "blob" for "blobs" used to render a scene with no subjects
+    typo = {("blob" if k == "blobs" else k): v for k, v in doc.items()}
+    with pytest.raises(BadValue, match=r"unknown scene spec keys \['blob'\]"):
+        scene_from_json(typo)
+    blob = dict(doc["blobs"][1], radus=3.0)
+    with pytest.raises(BadValue, match=r"unknown scene blob keys \['radus'\]"):
+        scene_from_json(dict(doc, blobs=[doc["blobs"][0], blob]))
 
 
 def test_scene_variants():
