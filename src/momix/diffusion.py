@@ -14,7 +14,6 @@ toward plausible videos while remaining cheap and fully deterministic.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
@@ -23,10 +22,7 @@ import numpy as np
 
 from .errors import BadValue, DimMismatch, NonFinite
 from .guidance import GuidanceConfig, GuidanceTarget, guided_update
-from .features import MotionDescriptor
 from .tensors import LatentVideo, load_tensor, read_json, save_tensor, write_json
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,16 +64,16 @@ class NoiseSchedule:
 
 
 class Denoiser(Protocol):
-    """Deterministic map (latents, timestep) -> predicted noise of identical shape."""
+    """Deterministic map (float64 latents, timestep) -> predicted noise of identical shape."""
 
-    def predict_noise(self, latents: LatentVideo, t: int) -> np.ndarray: ...
+    def predict_noise(self, z: np.ndarray, t: int) -> np.ndarray: ...
 
 
 class ZeroDenoiser:
     """Predicts zero noise everywhere; collapses both recursions to pure scalings."""
 
-    def predict_noise(self, latents: LatentVideo, t: int) -> np.ndarray:
-        return np.zeros(latents.shape)
+    def predict_noise(self, z: np.ndarray, t: int) -> np.ndarray:
+        return np.zeros(z.shape)
 
 
 class GaussianAtlasDenoiser:
@@ -119,8 +115,7 @@ class GaussianAtlasDenoiser:
         self.schedule = schedule
         self.bandwidth = float(bandwidth)
 
-    def posterior_mean(self, latents: LatentVideo, t: int) -> np.ndarray:
-        z = latents.data.astype(np.float64, copy=False)
+    def posterior_mean(self, z: np.ndarray, t: int) -> np.ndarray:
         ab = float(self.schedule.alpha_bar[t])
         c = np.sqrt(ab)
         var = ab * self.bandwidth**2 + (1.0 - ab)
@@ -140,41 +135,39 @@ class GaussianAtlasDenoiser:
         shrink = c * self.bandwidth**2 / var
         return mean_member + shrink * (z - c * mean_member)
 
-    def predict_noise(self, latents: LatentVideo, t: int) -> np.ndarray:
+    def predict_noise(self, z: np.ndarray, t: int) -> np.ndarray:
         ab = float(self.schedule.alpha_bar[t])
         rem = 1.0 - ab
         if rem <= 1e-12:
-            return np.zeros(latents.shape)
-        x_hat = self.posterior_mean(latents, t)
-        z = latents.data.astype(np.float64, copy=False)
+            return np.zeros(z.shape)
+        x_hat = self.posterior_mean(z, t)
         return (z - np.sqrt(ab) * x_hat) / np.sqrt(rem)
 
 
-def _predict(denoiser: Denoiser, z: np.ndarray, t: int) -> np.ndarray:
-    eps = denoiser.predict_noise(LatentVideo(z), t)
-    if isinstance(eps, LatentVideo):  # tolerate wrapped returns
-        eps = eps.data
-    eps = np.asarray(eps, dtype=np.float64)
+def _ddim_step(
+    denoiser: Denoiser, z: np.ndarray, ab: np.ndarray, t: int, t_next: int
+) -> np.ndarray:
+    """One deterministic DDIM move of the latents from timestep t to t_next, either way."""
+    eps = np.asarray(denoiser.predict_noise(z, t), dtype=np.float64)
     if eps.shape != z.shape:
         raise DimMismatch(f"denoiser returned shape {eps.shape}, expected {z.shape}")
     if not np.all(np.isfinite(eps)):
         raise NonFinite(f"denoiser produced non-finite values at t={t}")
-    return eps
+    x0_hat = (z - np.sqrt(1.0 - ab[t]) * eps) / np.sqrt(ab[t])
+    z = np.sqrt(ab[t_next]) * x0_hat + np.sqrt(1.0 - ab[t_next]) * eps
+    if not np.all(np.isfinite(z)):
+        raise NonFinite(f"DDIM step produced non-finite latents at t={t_next}")
+    return z
 
 
 def ddim_invert(
     z0: LatentVideo, schedule: NoiseSchedule, denoiser: Denoiser
 ) -> list[LatentVideo]:
     """Deterministic inversion from t=0 to t=n_steps; returns the full trajectory."""
-    ab = schedule.alpha_bar
     z = z0.data.astype(np.float64, copy=True)
     trajectory = [LatentVideo(z)]
     for t in range(schedule.n_steps):
-        eps = _predict(denoiser, z, t)
-        x0_hat = (z - np.sqrt(1.0 - ab[t]) * eps) / np.sqrt(ab[t])
-        z = np.sqrt(ab[t + 1]) * x0_hat + np.sqrt(1.0 - ab[t + 1]) * eps
-        if not np.all(np.isfinite(z)):
-            raise NonFinite(f"inversion produced non-finite latents at t={t + 1}")
+        z = _ddim_step(denoiser, z, schedule.alpha_bar, t, t + 1)
         trajectory.append(LatentVideo(z))
     return trajectory
 
@@ -183,14 +176,13 @@ def ddim_invert(
 class SamplingGuidance:
     """Everything the sampler needs to run guided updates.
 
-    ``references_by_t`` maps each guided timestep to the post-recompose
-    reference descriptors extracted from the inversion trajectory at that
-    same timestep. The trace records every inner-step loss.
+    ``targets`` maps each guided timestep to its guidance problem, built
+    from the reference descriptors extracted from the inversion trajectory
+    at that same timestep. The trace records every inner-step loss.
     """
 
     config: GuidanceConfig
-    target: GuidanceTarget
-    references_by_t: Mapping[int, Sequence[MotionDescriptor]]
+    targets: Mapping[int, GuidanceTarget]
     trace: list[dict] = field(default_factory=list)
 
 
@@ -202,32 +194,19 @@ def ddim_sample(
 ) -> LatentVideo:
     """Deterministic reverse recursion from t=n_steps down to 0.
 
-    When guidance is active at a timestep, the latents are corrected with
-    the motion-guidance update before the denoising step so the denoiser
-    itself stays untouched.
+    At each timestep that has a guidance target, the latents are corrected
+    with the motion-guidance update before the denoising step so the
+    denoiser itself stays untouched.
     """
-    ab = schedule.alpha_bar
     z = zT.data.astype(np.float64, copy=True)
-    window = None
-    if guidance is not None:
-        window = guidance.config.window(schedule.n_steps)
+    targets = guidance.targets if guidance is not None else {}
     for t in range(schedule.n_steps, 0, -1):
-        if guidance is not None and window[1] <= t <= window[0]:
-            refs = guidance.references_by_t.get(t)
-            if refs is None:
-                log.warning("no reference descriptors for timestep %d; skipping guidance", t)
-            else:
-                updated, losses = guided_update(
-                    LatentVideo(z), guidance.target.with_references(refs), guidance.config
-                )
-                z = updated.data.astype(np.float64, copy=True)
-                for k, value in enumerate(losses):
-                    guidance.trace.append({"timestep": t, "inner_step": k, "loss": value})
-        eps = _predict(denoiser, z, t)
-        x0_hat = (z - np.sqrt(1.0 - ab[t]) * eps) / np.sqrt(ab[t])
-        z = np.sqrt(ab[t - 1]) * x0_hat + np.sqrt(1.0 - ab[t - 1]) * eps
-        if not np.all(np.isfinite(z)):
-            raise NonFinite(f"sampling produced non-finite latents at t={t - 1}")
+        if t in targets:
+            updated, losses = guided_update(LatentVideo(z), targets[t], guidance.config)
+            z = updated.data
+            for k, value in enumerate(losses):
+                guidance.trace.append({"timestep": t, "inner_step": k, "loss": value})
+        z = _ddim_step(denoiser, z, schedule.alpha_bar, t, t - 1)
     return LatentVideo(z)
 
 

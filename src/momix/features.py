@@ -42,6 +42,7 @@ from .tensors import (
     ensure_same_geometry,
     read_array,
     read_json,
+    typed_field,
     write_array,
     write_json,
 )
@@ -492,8 +493,8 @@ def plan_from_json(doc: dict) -> EditPlan:
                 e = check_keys(entry["edit"], _EDIT_KEYS, f"plan edit of {sid!r}")
                 edit = MaskEdit(
                     kind=e["kind"],
-                    dx=int(e.get("dx", 0)),
-                    dy=int(e.get("dy", 0)),
+                    dx=typed_field(e, "dx", int, 0, "edit plan"),
+                    dy=typed_field(e, "dy", int, 0, "edit plan"),
                     factor=float(e.get("factor", 1.0)),
                     anchor=tuple(e["anchor"]) if e.get("anchor") is not None else None,
                 )
@@ -504,9 +505,9 @@ def plan_from_json(doc: dict) -> EditPlan:
             )
         return EditPlan(
             directives=directives,
-            include_background=bool(doc.get("include_background", True)),
+            include_background=typed_field(doc, "include_background", bool, True, "edit plan"),
             w_c=float(doc.get("w_c", 0.0)),
-            camera_only=bool(doc.get("camera_only", False)),
+            camera_only=typed_field(doc, "camera_only", bool, False, "edit plan"),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise BadValue(f"malformed edit plan: {exc}") from exc

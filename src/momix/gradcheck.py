@@ -132,7 +132,7 @@ def random_case(
             MotionDescriptor.from_forward_pairs(sid, timestep=0, n_frames=n_frames, forward=forward)
         )
         weights[sid] = float(rng.uniform(0.2, 2.0))
-    target = GuidanceTarget(references, regions=regions, weights=weights)
+    target = GuidanceTarget(references, regions, weights=weights)
     label = f"({n_frames}f,{n_channels}c,{height}x{width},{n_subjects}s)"
     return GradCheckCase(label, latents, target)
 

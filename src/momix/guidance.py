@@ -26,7 +26,7 @@ from .errors import (
 )
 from .features import MotionDescriptor, PairOperator
 from .masks import BACKGROUND_ID
-from .tensors import LatentVideo, MaskTrack
+from .tensors import LatentVideo
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,9 @@ class GuidanceConfig:
                 raise BadValue(f"weight for {sid!r} must be finite and >= 0, got {w}")
 
     def window(self, n_steps: int) -> tuple[int, int]:
+        """The first and last guided timestep. Sampling denoises at t = n_steps..1."""
         start = min(self.t_start, n_steps) if self.t_start is not None else n_steps
-        end = self.t_end if self.t_end is not None else max(1, n_steps - int(0.8 * n_steps) + 1)
+        end = max(1, self.t_end if self.t_end is not None else n_steps - int(0.8 * n_steps) + 1)
         if end > start:
             raise BadValue(f"guidance window empty: t_end {end} > t_start {start}")
         return start, end
@@ -81,15 +82,10 @@ class GuidanceTarget:
     def __init__(
         self,
         references: Sequence[MotionDescriptor],
-        target_masks: Mapping[str, MaskTrack] | None = None,
+        regions: PairOperator,
         *,
-        regions: PairOperator | None = None,
         weights: Mapping[str, float] | None = None,
     ):
-        if regions is None:
-            if target_masks is None:
-                raise BadValue("provide target_masks or precompiled regions")
-            regions = PairOperator(target_masks)
         self.regions = regions
         self.references = list(references)
         self.weights = dict(weights or {})
@@ -127,7 +123,7 @@ class GuidanceTarget:
             self.enforced[r] = True
 
     def with_references(self, references: Sequence[MotionDescriptor]) -> "GuidanceTarget":
-        return GuidanceTarget(references, regions=self.regions, weights=self.weights)
+        return GuidanceTarget(references, self.regions, weights=self.weights)
 
     def enforced_pair_count(self) -> int:
         return int(np.count_nonzero(self.enforced))
@@ -171,26 +167,17 @@ def loss_and_gradient(
 
 
 def stable_step_size(target: GuidanceTarget) -> float:
-    """1/L with L = 4 * sum over sources of weight * n_pairs / min_area.
+    """1/L with L = 4 * (sum of enforced row weights) / (smallest enforced area).
 
     L upper-bounds the largest Hessian eigenvalue of the quadratic (per
     channel, via the trace), so gradient descent with this step cannot
     increase the loss.
     """
-    total = 0.0
-    min_area = None
-    regions = target.regions
-    for sid, rows in sorted(regions.slices.items()):
-        enforced = target.enforced[rows]
-        n_pairs = int(np.count_nonzero(enforced))
-        if n_pairs == 0:
-            continue
-        a = int(regions.area[rows][enforced].min())
-        min_area = a if min_area is None else min(min_area, a)
-        total += float(target.weights.get(sid, 1.0)) * n_pairs
-    if min_area is None or total == 0.0:
+    enforced = target.enforced
+    total = float(target.weight[enforced].sum())
+    if total == 0.0:
         raise NoValidPairs("cannot size a step with no enforced pairs")
-    return 1.0 / (4.0 * total / min_area)
+    return float(1.0 / (4.0 * total / target.regions.area[enforced].min()))
 
 
 def guided_update(
@@ -203,7 +190,7 @@ def guided_update(
     Returns the updated latents and the loss trace: the value before any
     step followed by the value after each step.
     """
-    z = target_latents.data.astype(np.float64, copy=True)
+    z = target_latents.data.astype(np.float64, copy=False)
     step = config.step_size if config.step_size is not None else stable_step_size(target)
     losses: list[float] = []
     current = LatentVideo(z)

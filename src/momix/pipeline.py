@@ -61,6 +61,7 @@ from .tensors import (
     save_manifest,
     save_mask,
     save_tensor,
+    typed_field,
     write_json,
 )
 
@@ -241,8 +242,6 @@ def run_recompose(
     guided: bool = True,
 ) -> RecomposeResult:
     """Build the guidance problem from stored descriptors and sample a target video."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     trajectory, schedule = load_trajectory(traj_dir)
     denoiser = build_denoiser(atlas, schedule, bandwidth=bandwidth)
     plan = plan if plan is not None else EditPlan()
@@ -258,29 +257,26 @@ def run_recompose(
     guidance = None
     if guided:
         config = guidance_config if guidance_config is not None else GuidanceConfig()
-        refs_by_t_raw = load_references(desc_dir)
-        subject_masks = manifest.load_masks()
+        refs_by_t = load_references(desc_dir)
         target_masks = build_target_masks(
-            subject_masks, plan, dims=(manifest.frames, manifest.height, manifest.width)
+            manifest.load_masks(), plan, dims=(manifest.frames, manifest.height, manifest.width)
         )
         regions = PairOperator(target_masks)
-        window = config.window(schedule.n_steps)
-        references_by_t: dict[int, list[MotionDescriptor]] = {}
-        for t in range(window[1], window[0] + 1):
-            if t not in refs_by_t_raw:
+        start, end = config.window(schedule.n_steps)
+        targets = {}
+        for t in range(end, start + 1):
+            if t not in refs_by_t:
                 raise BadValue(f"descriptor archive lacks timestep {t} needed by guidance")
-            references_by_t[t] = recompose(refs_by_t_raw[t], plan)
-        probe_refs = references_by_t[window[1]]
-        target = GuidanceTarget(
-            probe_refs, regions=regions, weights=config.per_source_weight
-        )
-        if target.enforced_pair_count() == 0:
-            raise NoValidPairs("guidance problem has no enforced pairs")
-        guidance = SamplingGuidance(
-            config=config, target=target, references_by_t=references_by_t
-        )
+            targets[t] = GuidanceTarget(
+                recompose(refs_by_t[t], plan), regions, weights=config.per_source_weight
+            )
+            if targets[t].enforced_pair_count() == 0:
+                raise NoValidPairs(f"guidance problem has no enforced pairs at timestep {t}")
+        guidance = SamplingGuidance(config=config, targets=targets)
 
     output = ddim_sample(zT, schedule, denoiser, guidance=guidance)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_tensor(output, out_dir / "output.cmt")
     trace = guidance.trace if guidance is not None else []
     trace_path = out_dir / "trace.jsonl"
@@ -379,17 +375,18 @@ _GUIDANCE_KEYS = ("step_size", "n_inner_steps", "t_start", "t_end", "weights")
 
 def guidance_config_from_json(doc: dict) -> GuidanceConfig:
     """The ``guidance`` section of a pipeline config; any other key is rejected."""
-    check_keys(doc, _GUIDANCE_KEYS, "guidance config")
+    what = "guidance config"
+    check_keys(doc, _GUIDANCE_KEYS, what)
     try:
         return GuidanceConfig(
             step_size=doc.get("step_size"),
-            n_inner_steps=int(doc.get("n_inner_steps", 3)),
-            t_start=doc.get("t_start"),
-            t_end=doc.get("t_end"),
+            n_inner_steps=typed_field(doc, "n_inner_steps", int, 3, what),
+            t_start=typed_field(doc, "t_start", int, None, what),
+            t_end=typed_field(doc, "t_end", int, None, what),
             per_source_weight={str(k): float(v) for k, v in doc.get("weights", {}).items()},
         )
     except (AttributeError, TypeError, ValueError) as exc:
-        raise BadValue(f"malformed guidance config: {exc}") from exc
+        raise BadValue(f"malformed {what}: {exc}") from exc
 
 
 def _scene_spec(doc) -> SceneSpec:
@@ -400,11 +397,13 @@ def _scene_spec(doc) -> SceneSpec:
 def run_pipeline(config: dict, out_root) -> dict:
     """Run every stage per a config document; returns the metrics report.
 
-    Every key is checked, and every number parsed, before the first stage
+    Every key is checked, and every value parsed, before the first stage
     writes output; an unknown key is rejected rather than left to its default.
+    Booleans, integers and the enumerated strings must have their JSON type.
     """
     out_root = Path(out_root)
-    check_keys(config, _PIPELINE_KEYS, "pipeline config")
+    what = "pipeline config"
+    check_keys(config, _PIPELINE_KEYS, what)
     plan = plan_from_json(config.get("plan", {}))
     gcfg = guidance_config_from_json(config.get("guidance", {}))
     sched_doc = check_keys(config.get("schedule", {}), _SCHEDULE_KEYS, "schedule")
@@ -415,15 +414,21 @@ def run_pipeline(config: dict, out_root) -> dict:
     member_specs = [_scene_spec(doc) for doc in config.get("atlas_scenes", [])]
     try:
         schedule = NoiseSchedule.default(
-            n_steps=int(sched_doc.get("n_steps", 20)),
+            n_steps=typed_field(sched_doc, "n_steps", int, 20, what),
             power=float(sched_doc.get("power", 2.0)),
             floor=float(sched_doc.get("floor", 1e-4)),
         )
         bandwidth = float(config.get("bandwidth", 0.5))
-        seed = int(config.get("seed", 0))
         threshold = float(metrics_doc.get("threshold", 0.5))
     except (TypeError, ValueError) as exc:
-        raise BadValue(f"malformed pipeline config: {exc}") from exc
+        raise BadValue(f"malformed {what}: {exc}") from exc
+    seed = typed_field(config, "seed", int, 0, what)
+    gcfg.window(schedule.n_steps)  # an empty guidance window is a config error
+    guided = typed_field(config, "guided", bool, True, what)
+    init = typed_field(config, "init", ("auto", "shared", "fresh"), "auto", what)
+    legacy_region = typed_field(config, "legacy_region", bool, False, what)
+    include_reference = typed_field(config, "atlas_include_reference", bool, True, what)
+    invert_with = typed_field(config, "invert_denoiser", ("atlas", "zero"), "atlas", what)
     out_root.mkdir(parents=True, exist_ok=True)
     scene_dir = run_synth(spec, out_root / "scene")
     manifest = load_manifest(scene_dir / "manifest.json")
@@ -431,7 +436,7 @@ def run_pipeline(config: dict, out_root) -> dict:
     atlas_dir = out_root / "atlas"
     atlas_dir.mkdir(exist_ok=True)
     atlas: list[LatentVideo] = []
-    if config.get("atlas_include_reference", True):
+    if include_reference:
         atlas.append(manifest.load_latent("0"))
     for member_spec in member_specs:
         member_latents, _, _ = render_scene(member_spec)
@@ -439,7 +444,7 @@ def run_pipeline(config: dict, out_root) -> dict:
     for k, member in enumerate(atlas):
         save_tensor(member, atlas_dir / f"member{k:03d}.cmt")
 
-    if str(config.get("invert_denoiser", "atlas")) == "zero":
+    if invert_with == "zero":
         invert_denoiser: Denoiser = ZeroDenoiser()
     else:
         invert_denoiser = build_denoiser(atlas, schedule, bandwidth=bandwidth)
@@ -449,7 +454,7 @@ def run_pipeline(config: dict, out_root) -> dict:
         traj_dir,
         manifest,
         out_root / "desc",
-        legacy_region=bool(config.get("legacy_region", False)),
+        legacy_region=legacy_region,
         manifest_path="../scene/manifest.json",
     )
 
@@ -462,9 +467,9 @@ def run_pipeline(config: dict, out_root) -> dict:
         manifest=manifest,
         guidance_config=gcfg,
         bandwidth=bandwidth,
-        init=str(config.get("init", "auto")),
+        init=init,
         seed=seed,
-        guided=bool(config.get("guided", True)),
+        guided=guided,
     )
     report = run_metrics(
         out_root / "run",

@@ -284,6 +284,24 @@ def check_keys(doc, known, what: str) -> dict:
     return doc
 
 
+def typed_field(doc: dict, key: str, kind, default, what: str):
+    """``doc[key]`` (``default`` when absent), once it has the JSON type ``kind``.
+
+    ``kind`` is ``bool``, ``int`` or a tuple of the allowed strings. Nothing
+    is coerced: ``"false"`` is no boolean, and ``2.9`` or ``true`` no integer.
+    """
+    if key not in doc:
+        return default
+    value = doc[key]
+    if isinstance(kind, tuple):
+        if not (isinstance(value, str) and value in kind):
+            raise BadValue(f"malformed {what}: {key} must be one of {list(kind)}, got {value!r}")
+    elif not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        name = "boolean" if kind is bool else "integer"
+        raise BadValue(f"malformed {what}: {key} must be a JSON {name}, got {value!r}")
+    return value
+
+
 def write_json(path, doc) -> None:
     """Write ``doc`` as sorted, two-space-indented JSON with a trailing newline."""
     try:

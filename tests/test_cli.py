@@ -5,10 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from momix import pipeline as pl
 from momix.cli import main
+from momix.errors import NoValidPairs
+from momix.guidance import GuidanceConfig
 from momix.pipeline import load_references
 from momix.synth import BlobSpec, SceneSpec, save_scene
-from momix.tensors import load_tensor
+from momix.tensors import load_manifest, load_tensor
 
 
 def demo_scene(n=6):
@@ -441,18 +444,78 @@ def test_pipeline_rejects_unknown_config_keys(tmp_path, capsys, patch, message):
     assert not Path(cfg["out_dir"]).exists()  # rejected before any stage ran
 
 
+_MALFORMED = "malformed pipeline config"
+
+
 @pytest.mark.parametrize(
-    "patch", [{"schedule": {"n_steps": "x"}}, {"bandwidth": "wide"}, {"seed": "s"}],
-    ids=["schedule", "bandwidth", "seed"],
+    "patch, message",
+    [
+        ({"schedule": {"n_steps": "x"}}, _MALFORMED),
+        ({"bandwidth": "wide"}, _MALFORMED),
+        ({"seed": "s"}, _MALFORMED),
+        ({"seed": 5.0}, _MALFORMED),
+        ({"schedule": {"n_steps": 6.5}}, _MALFORMED),
+        ({"guided": "false"}, "guided must be a JSON boolean"),
+        ({"legacy_region": "no"}, "legacy_region must be a JSON boolean"),
+        ({"atlas_include_reference": 1}, "atlas_include_reference must be a JSON boolean"),
+        ({"invert_denoiser": "zeros"}, "invert_denoiser must be one of ['atlas', 'zero']"),
+        ({"init": "fersh"}, "init must be one of ['auto', 'shared', 'fresh']"),
+        ({"guidance": {"t_end": "1"}}, "malformed guidance config: t_end must be a JSON integer"),
+        ({"guidance": {"t_end": 1.5}}, "t_end must be a JSON integer"),
+        ({"guidance": {"t_start": True}}, "t_start must be a JSON integer"),
+        ({"guidance": {"n_inner_steps": 2.9}}, "n_inner_steps must be a JSON integer"),
+        ({"guidance": {"t_end": 7}}, "guidance window empty"),
+        ({"plan": {"camera_only": "false"}}, "malformed edit plan: camera_only"),
+    ],
+    ids=[
+        "schedule", "bandwidth", "seed", "seed-float", "n_steps-float", "guided",
+        "legacy_region", "atlas_include_reference", "invert_denoiser", "init",
+        "t_end-string", "t_end-float", "t_start-bool", "n_inner_steps-float",
+        "window-past-n_steps", "plan-camera_only",
+    ],
 )
-def test_pipeline_rejects_mistyped_values(tmp_path, capsys, patch):
-    # each used to raise ValueError (exit 1) after the scene was written
+def test_pipeline_rejects_mistyped_values(tmp_path, capsys, patch, message):
+    # each used to run on a misread value, or fail only after the scene was written
     cfg = dict(_pipeline_config(tmp_path), **patch)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["pipeline", str(cfg_path)]) == 2
-    assert "malformed pipeline config" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not Path(cfg["out_dir"]).exists()
+
+
+def test_recompose_checks_every_guided_timestep_before_sampling(
+    pipeline_dirs, tmp_path, monkeypatch
+):
+    # a guided timestep with no enforced pairs in mid-window used to fail only
+    # when sampling reached it
+    scene, traj, desc = pipeline_dirs
+    for path in (desc / "t004").glob("*.json"):
+        doc = json.loads(path.read_text())
+        doc["valid_pairs"] = []
+        path.write_text(json.dumps(doc))
+    sampled = []
+    monkeypatch.setattr(pl, "ddim_sample", lambda *args, **kwargs: sampled.append(args))
+    with pytest.raises(NoValidPairs, match="at timestep 4"):
+        pl.run_recompose(
+            desc, None, traj, tmp_path / "r",
+            atlas=[load_tensor(scene / "latents_t0.cmt")],
+            manifest=load_manifest(scene / "manifest.json"),
+            guidance_config=GuidanceConfig(n_inner_steps=1, t_start=6, t_end=2),
+        )
+    assert sampled == []
+    assert not (tmp_path / "r").exists()
+
+
+def test_recompose_window_past_the_schedule_writes_nothing(pipeline_dirs, tmp_path, capsys):
+    scene, traj, desc = pipeline_dirs
+    rc = main([
+        "recompose", str(desc), str(traj), str(tmp_path / "r"),
+        "--atlas", str(scene / "latents_t0.cmt"), "--t-end", "9",
+    ])
+    assert rc == 2
+    assert "guidance window empty" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_recompose_plan_with_unknown_key(pipeline_dirs, tmp_path, capsys):

@@ -134,7 +134,7 @@ def test_posterior_mean_matches_direct_formula():
     for z in (a.data, noisy, 0.5 * (a.data + b.data)):
         for t in range(sched.n_steps + 1):
             want, w = _direct_posterior(members, z, sched.alpha_bar[t], 0.5)
-            got = den.posterior_mean(LatentVideo(z), t)
+            got = den.posterior_mean(z, t)
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), t
             spread = max(spread, w.min())
     # the midpoint does reach mixed weights, where the expanded norms cancel most
@@ -153,7 +153,7 @@ from momix.tensors import LatentVideo
 rng = np.random.default_rng(11)
 base = rng.standard_normal((5, 4, 71, 71))
 atlas = [LatentVideo(base + 0.01 * rng.standard_normal(base.shape)) for _ in range(17)]
-z = LatentVideo(base + 0.01 * rng.standard_normal(base.shape))
+z = base + 0.01 * rng.standard_normal(base.shape)
 den = GaussianAtlasDenoiser(atlas, NoiseSchedule.default(n_steps=10))
 digest = hashlib.sha256()
 for t in range(1, 11):
@@ -264,7 +264,7 @@ def _guided_setup(n_steps=12):
     sched = NoiseSchedule.default(n_steps=n_steps)
     den = GaussianAtlasDenoiser([lat], sched, bandwidth=0.5)
     inv = ddim_invert(lat, sched, den)
-    config = GuidanceConfig(n_inner_steps=4, t_start=n_steps, t_end=1)
+    config = GuidanceConfig(n_inner_steps=4)
     refs_by_t = {
         t: recompose(extract_descriptors(inv[t], tracks, timestep=t), EditPlan())
         for t in range(1, n_steps + 1)
@@ -273,13 +273,14 @@ def _guided_setup(n_steps=12):
     from momix.masks import background_track
 
     masks["background"] = background_track(tracks)
-    target = GuidanceTarget(refs_by_t[1], regions=PairOperator(masks))
-    return lat, sched, den, inv, config, refs_by_t, target
+    regions = PairOperator(masks)
+    targets = {t: GuidanceTarget(refs, regions) for t, refs in refs_by_t.items()}
+    return lat, sched, den, inv, config, targets
 
 
 def test_guided_sampling_trace_monotone_within_timesteps():
-    lat, sched, den, inv, config, refs_by_t, target = _guided_setup()
-    guidance = SamplingGuidance(config=config, target=target, references_by_t=refs_by_t)
+    lat, sched, den, inv, config, targets = _guided_setup()
+    guidance = SamplingGuidance(config=config, targets=targets)
     out = ddim_sample(inv[-1], sched, den, guidance=guidance)
     assert guidance.trace, "guidance should have produced a trace"
     by_t = {}
@@ -316,11 +317,10 @@ def test_guidance_toward_zero_deltas_yields_static_stats():
         )
         for sid in regions.source_ids()
     ]
-    refs_by_t = {t: zero_refs for t in range(1, n_steps + 1)}
-    config = GuidanceConfig(n_inner_steps=200, t_start=n_steps, t_end=1)
+    target = GuidanceTarget(zero_refs, regions)
+    config = GuidanceConfig(n_inner_steps=200)
     guidance = SamplingGuidance(
-        config=config, target=GuidanceTarget(zero_refs, regions=regions),
-        references_by_t=refs_by_t,
+        config=config, targets={t: target for t in range(1, n_steps + 1)}
     )
     out = ddim_sample(
         make_initial_noise(inv[-1], mode="fresh", seed=11), sched, den, guidance=guidance
@@ -332,9 +332,17 @@ def test_guidance_toward_zero_deltas_yields_static_stats():
 
 
 def test_determinism_bitwise():
-    lat, sched, den, inv, config, refs_by_t, target = _guided_setup(n_steps=8)
-    g1 = SamplingGuidance(config=config, target=target, references_by_t=refs_by_t)
-    g2 = SamplingGuidance(config=config, target=target, references_by_t=refs_by_t)
+    lat, sched, den, inv, config, targets = _guided_setup(n_steps=8)
+    g1 = SamplingGuidance(config=config, targets=targets)
+    g2 = SamplingGuidance(config=config, targets=targets)
     out1 = ddim_sample(inv[-1], sched, den, guidance=g1)
     out2 = ddim_sample(inv[-1], sched, den, guidance=g2)
     assert out1.data.tobytes() == out2.data.tobytes()
+
+
+def test_sampler_guides_exactly_at_the_target_timesteps():
+    lat, sched, den, inv, config, targets = _guided_setup(n_steps=8)
+    guidance = SamplingGuidance(config=config, targets={t: targets[t] for t in (1, 5, 8)})
+    ddim_sample(inv[-1], sched, den, guidance=guidance)
+    assert sorted({e["timestep"] for e in guidance.trace}) == [1, 5, 8]
+    assert len(guidance.trace) == 3 * (config.n_inner_steps + 1)

@@ -280,6 +280,28 @@ def test_plan_from_json_rejects_unknown_keys(doc, where):
         plan_from_json(doc)
 
 
+def _shift(dx):
+    return {"subjects": {"A": {"op": "mask_edit", "edit": {"kind": "shift", "dx": dx}}}}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"camera_only": "false"}, "camera_only must be a JSON boolean"),
+        ({"camera_only": 0}, "camera_only must be a JSON boolean"),
+        ({"include_background": "no"}, "include_background must be a JSON boolean"),
+        (_shift(1.5), "dx must be a JSON integer"),
+        (_shift("8"), "dx must be a JSON integer"),
+    ],
+    ids=["camera_only-string", "camera_only-int", "include_background-string", "dx-float",
+         "dx-string"],
+)
+def test_plan_from_json_rejects_mistyped_values(doc, message):
+    # "false" used to parse as True, and a shift by 1.5 as a shift by 1
+    with pytest.raises(BadValue, match=message):
+        plan_from_json(doc)
+
+
 def test_descriptor_archive_round_trip(tmp_path):
     descs = _descriptors()
     for d in descs:

@@ -29,7 +29,7 @@ def _single_pair_setup(delta=(1.0, 0.0), weight=1.0):
     ref = MotionDescriptor.from_forward_pairs(
         "s", timestep=0, n_frames=2, forward={(0, 1): np.asarray(delta, dtype=float)}
     )
-    target = GuidanceTarget([ref], {"s": mask}, weights={"s": weight})
+    target = GuidanceTarget([ref], PairOperator({"s": mask}), weights={"s": weight})
     return target
 
 
@@ -66,7 +66,7 @@ def test_gradient_locality():
     ref = MotionDescriptor.from_forward_pairs(
         "s", 0, 2, {(0, 1): rng.standard_normal(2)}
     )
-    target = GuidanceTarget([ref], {"s": track})
+    target = GuidanceTarget([ref], PairOperator({"s": track}))
     lat = LatentVideo(rng.standard_normal((2, 2, 6, 6)))
     grad = guidance_gradient(lat, target)
     outside = ~mask[0]
@@ -138,7 +138,7 @@ def test_uniform_mask_mean_dynamics():
         (1, 2): np.array([0.1]),
     }
     ref = MotionDescriptor.from_forward_pairs("bg", 0, f, refs)
-    target = GuidanceTarget([ref], {"bg": track})
+    target = GuidanceTarget([ref], PairOperator({"bg": track}))
     lat = LatentVideo(rng.standard_normal((f, c, h, w)))
     step = 0.5
     out, _ = guided_update(lat, target, GuidanceConfig(step_size=step, n_inner_steps=1))
@@ -168,7 +168,7 @@ def test_pair_validity_intersection():
         "s", 0, 3,
         {(0, 1): np.array([1.0]), (0, 2): np.array([1.0]), (1, 2): np.array([1.0])},
     )
-    target = GuidanceTarget([ref], {"s": track})
+    target = GuidanceTarget([ref], PairOperator({"s": track}))
     assert target.enforced_pair_count() == 2
     # reference missing a pair the target has also drops it
     ref2 = MotionDescriptor.from_forward_pairs("s", 0, 3, {})
@@ -180,13 +180,13 @@ def test_unknown_source_and_config_validation():
     ref = MotionDescriptor.from_forward_pairs("ghost", 0, 2, {(0, 1): np.array([1.0])})
     mask = MaskTrack(np.ones((2, 4, 4), dtype=bool), subject_id="s")
     with pytest.raises(UnknownSubject):
-        GuidanceTarget([ref], {"s": mask})
+        GuidanceTarget([ref], PairOperator({"s": mask}))
     dup = MotionDescriptor.from_forward_pairs("s", 0, 2, {(0, 1): np.array([1.0])})
     with pytest.raises(BadValue):
-        GuidanceTarget([dup, dup], {"s": mask})
+        GuidanceTarget([dup, dup], PairOperator({"s": mask}))
     longer = MotionDescriptor.from_forward_pairs("s", 0, 3, {(0, 1): np.array([1.0])})
     with pytest.raises(DimMismatch):
-        GuidanceTarget([longer], {"s": mask})
+        GuidanceTarget([longer], PairOperator({"s": mask}))
     with pytest.raises(BadValue):
         GuidanceConfig(step_size=0.0)
     with pytest.raises(BadValue):
@@ -199,6 +199,36 @@ def test_stable_step_size_bound():
     target = _single_pair_setup(weight=2.0)
     # L = 4 * weight * pairs / min_area = 4 * 2 * 1 / 16
     assert stable_step_size(target) == pytest.approx(16.0 / 8.0)
+
+
+def test_stable_step_size_matches_per_source_sum():
+    # the per-source loop the row sums replaced: L = 4 * sum_s w_s * n_enforced_s / min_area,
+    # with the smallest region left unenforced so that only enforced areas may count
+    rng = np.random.default_rng(5)
+    for k in range(10):
+        regions = random_case(rng, 3, 2, 8, 8, 2).target.regions
+        smallest = regions.rows[int(np.argmin(regions.area))]
+        references = [
+            MotionDescriptor.from_forward_pairs(
+                sid, 0, regions.n_frames,
+                {p: rng.standard_normal(2) for p in table if (sid, *p) != smallest},
+            )
+            for sid, table in regions.pairs.items()
+        ]
+        fractional = {sid: float(rng.uniform(0.2, 2.0)) for sid in regions.source_ids()}
+        integer = {sid: float(n + 1) for n, sid in enumerate(regions.source_ids())}
+        for weights, rel in ((fractional, 1e-12), (integer, 0.0)):
+            target = GuidanceTarget(references, regions, weights=weights)
+            if not target.enforced.any():
+                continue
+            total, min_area = 0.0, np.inf
+            for sid, rows in regions.slices.items():
+                enforced = target.enforced[rows]
+                if enforced.any():
+                    total += weights[sid] * np.count_nonzero(enforced)
+                    min_area = min(min_area, regions.area[rows][enforced].min())
+            want = 1.0 / (4.0 * total / min_area)
+            assert stable_step_size(target) == pytest.approx(want, rel=rel, abs=0.0), k
 
 
 def test_guidance_window_default():
@@ -234,7 +264,7 @@ def test_target_rows_match_naive_loop(n_sources, n_frames, keep, seed):
         forward = {p: rng.standard_normal(2) for p in chosen}
         references.append(MotionDescriptor.from_forward_pairs(sid, 0, n_frames, forward))
         weights[sid] = float(rng.uniform(0.1, 3.0))
-    target = GuidanceTarget(references, regions=regions, weights=weights)
+    target = GuidanceTarget(references, regions, weights=weights)
 
     by_source = {ref.source_id: ref for ref in references}
     n_channels = 2 if any(len(ref.pairs) for ref in references) else 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from momix.errors import LengthMismatch
-from momix.features import MotionDescriptor, extract_descriptors
+from momix.features import MotionDescriptor, PairOperator, extract_descriptors
 from momix.guidance import GuidanceTarget, guidance_loss
 from momix.metrics import (
     compare_trajectories,
@@ -93,7 +93,7 @@ def test_descriptor_distance_equals_guidance_loss():
 
     masks = {t.subject_id: t for t in tracks}
     masks["background"] = background_track(tracks)
-    target = GuidanceTarget(ref_descs, masks)
+    target = GuidanceTarget(ref_descs, PairOperator(masks))
     loss = guidance_loss(other, target)
     total = 0.0
     for ref in ref_descs:
