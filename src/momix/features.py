@@ -242,6 +242,25 @@ class PairOperator:
                 table[sid][(i, j)] = (np.flatnonzero(cells[k]), int(self.area[index[k]]))
         return {sid: dict(sorted(pairs.items())) for sid, pairs in table.items()}
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """(n_rows, n_rows) Gram matrix ``W Wᵀ``: ``apply(adjoint(c)) == gram @ c``.
+
+        Entry (r, s) sums, over the frames both rows touch, the overlap count
+        of their cells times ``sign_r sign_s / (area_r area_s)``. The counts
+        are integers, exact in float32 below 2**24 cells in any summation
+        order, so the bytes do not depend on the BLAS thread count. Read-only.
+        """
+        gram = np.zeros((len(self.rows), len(self.rows)))
+        exact = np.float32 if self._n_cells < 1 << 24 else np.float64
+        for index, sign, cells in self._groups:
+            if index.size:
+                ones = cells.astype(exact)
+                scale = sign / self.area[index]
+                gram[np.ix_(index, index)] += np.outer(scale, scale) * (ones @ ones.T)
+        gram.setflags(write=False)
+        return gram
+
     def apply(self, latents: np.ndarray) -> np.ndarray:
         """(F, C, H, W) latents -> (n_rows, C) region-mean deltas ``mean_i - mean_j``."""
         data = np.asarray(latents, dtype=np.float64)
@@ -495,18 +514,18 @@ def plan_from_json(doc: dict) -> EditPlan:
                     kind=e["kind"],
                     dx=typed_field(e, "dx", int, 0, "edit plan"),
                     dy=typed_field(e, "dy", int, 0, "edit plan"),
-                    factor=float(e.get("factor", 1.0)),
+                    factor=typed_field(e, "factor", float, 1.0, "edit plan"),
                     anchor=tuple(e["anchor"]) if e.get("anchor") is not None else None,
                 )
             directives[str(sid)] = Directive(
                 kind=entry["op"],
-                w_c=float(entry["w_c"]) if "w_c" in entry else None,
+                w_c=typed_field(entry, "w_c", float, None, "edit plan"),
                 edit=edit,
             )
         return EditPlan(
             directives=directives,
             include_background=typed_field(doc, "include_background", bool, True, "edit plan"),
-            w_c=float(doc.get("w_c", 0.0)),
+            w_c=typed_field(doc, "w_c", float, 0.0, "edit plan"),
             camera_only=typed_field(doc, "camera_only", bool, False, "edit plan"),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -46,8 +46,8 @@ class GuidanceConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "per_source_weight", dict(self.per_source_weight))
-        if self.step_size is not None and not self.step_size > 0:
-            raise BadValue(f"step_size must be positive, got {self.step_size}")
+        if self.step_size is not None and not (np.isfinite(self.step_size) and self.step_size > 0):
+            raise BadValue(f"step_size must be finite and positive, got {self.step_size}")
         if self.n_inner_steps < 0:
             raise BadValue(f"n_inner_steps must be >= 0, got {self.n_inner_steps}")
         if self.t_start is not None and self.t_end is not None:
@@ -187,17 +187,28 @@ def guided_update(
 ) -> tuple[LatentVideo, list[float]]:
     """Run ``n_inner_steps`` of steepest descent on the guidance loss.
 
+    A step ``z -= step * Wᵀ coef`` moves the residual ``W z - ref`` by
+    ``-step * G coef``, with ``G = W Wᵀ`` the operator's Gram matrix, so the
+    inner steps run on the (n_rows, C) residual alone: one ``apply`` before
+    them, one ``adjoint`` of their summed coefficients after. The products
+    with G are fixed-order einsums, not BLAS, so the bytes do not depend on
+    the thread count.
+
     Returns the updated latents and the loss trace: the value before any
     step followed by the value after each step.
     """
-    z = target_latents.data.astype(np.float64, copy=False)
     step = config.step_size if config.step_size is not None else stable_step_size(target)
-    losses: list[float] = []
-    current = LatentVideo(z)
+    # channel-major (C, n_rows), so each product sums along contiguous rows of G
+    residual = np.ascontiguousarray(_residual(target_latents, target).T)
+    losses = [_weighted_sum_of_squares(residual.T, target.weight)]
+    if config.n_inner_steps == 0:
+        return target_latents, losses
+    gram = target.regions.gram
+    total = np.zeros_like(residual)
     for _ in range(config.n_inner_steps):
-        loss, grad = loss_and_gradient(current, target)
-        losses.append(loss)
-        z = z - step * grad
-        current = LatentVideo(z)
-    losses.append(guidance_loss(current, target))
-    return current, losses
+        coef = 2.0 * target.weight * residual
+        total += coef
+        residual -= step * np.einsum("rs,cs->cr", gram, coef)
+        losses.append(_weighted_sum_of_squares(residual.T, target.weight))
+    z = target_latents.data - step * target.regions.adjoint(total.T)
+    return LatentVideo(z), losses

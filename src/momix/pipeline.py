@@ -27,7 +27,7 @@ from .diffusion import (
     make_initial_noise,
     save_trajectory,
 )
-from .errors import BadValue, IoFailure, NoValidPairs
+from .errors import BadValue, NoValidPairs
 from .features import (
     EditPlan,
     MotionDescriptor,
@@ -54,6 +54,7 @@ from .tensors import (
     LatentVideo,
     MaskTrack,
     SceneManifest,
+    atomic_write,
     check_keys,
     load_manifest,
     load_tensor,
@@ -257,18 +258,16 @@ def run_recompose(
     guidance = None
     if guided:
         config = guidance_config if guidance_config is not None else GuidanceConfig()
-        refs_by_t = load_references(desc_dir)
+        start, end = config.window(schedule.n_steps)
+        refs_by_t = load_references(desc_dir, timesteps=range(end, start + 1))
         target_masks = build_target_masks(
             manifest.load_masks(), plan, dims=(manifest.frames, manifest.height, manifest.width)
         )
         regions = PairOperator(target_masks)
-        start, end = config.window(schedule.n_steps)
         targets = {}
-        for t in range(end, start + 1):
-            if t not in refs_by_t:
-                raise BadValue(f"descriptor archive lacks timestep {t} needed by guidance")
+        for t, refs in refs_by_t.items():
             targets[t] = GuidanceTarget(
-                recompose(refs_by_t[t], plan), regions, weights=config.per_source_weight
+                recompose(refs, plan), regions, weights=config.per_source_weight
             )
             if targets[t].enforced_pair_count() == 0:
                 raise NoValidPairs(f"guidance problem has no enforced pairs at timestep {t}")
@@ -279,13 +278,8 @@ def run_recompose(
     out_dir.mkdir(parents=True, exist_ok=True)
     save_tensor(output, out_dir / "output.cmt")
     trace = guidance.trace if guidance is not None else []
-    trace_path = out_dir / "trace.jsonl"
-    try:
-        with open(trace_path, "w") as fh:
-            for entry in trace:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {trace_path}: {exc}") from exc
+    lines = "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in trace)
+    atomic_write(out_dir / "trace.jsonl", lines.encode())
     write_json(
         out_dir / "run.json",
         {"init": init_mode, "seed": seed, "guided": guided, "bandwidth": bandwidth},
@@ -377,16 +371,21 @@ def guidance_config_from_json(doc: dict) -> GuidanceConfig:
     """The ``guidance`` section of a pipeline config; any other key is rejected."""
     what = "guidance config"
     check_keys(doc, _GUIDANCE_KEYS, what)
-    try:
-        return GuidanceConfig(
-            step_size=doc.get("step_size"),
-            n_inner_steps=typed_field(doc, "n_inner_steps", int, 3, what),
-            t_start=typed_field(doc, "t_start", int, None, what),
-            t_end=typed_field(doc, "t_end", int, None, what),
-            per_source_weight={str(k): float(v) for k, v in doc.get("weights", {}).items()},
-        )
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise BadValue(f"malformed {what}: {exc}") from exc
+    weights = doc.get("weights", {})
+    if not isinstance(weights, dict):
+        raise BadValue(f"malformed {what}: weights must be an object, got {weights!r}")
+    # null, like an absent key, selects the stable step
+    step_size = None if doc.get("step_size") is None else typed_field(
+        doc, "step_size", float, None, what)
+    return GuidanceConfig(
+        step_size=step_size,
+        n_inner_steps=typed_field(doc, "n_inner_steps", int, 3, what),
+        t_start=typed_field(doc, "t_start", int, None, what),
+        t_end=typed_field(doc, "t_end", int, None, what),
+        per_source_weight={
+            str(sid): typed_field(weights, sid, float, None, f"{what} weights") for sid in weights
+        },
+    )
 
 
 def _scene_spec(doc) -> SceneSpec:
@@ -412,16 +411,13 @@ def run_pipeline(config: dict, out_root) -> dict:
         raise BadValue("pipeline config needs a 'scene'")
     spec = _scene_spec(config["scene"])
     member_specs = [_scene_spec(doc) for doc in config.get("atlas_scenes", [])]
-    try:
-        schedule = NoiseSchedule.default(
-            n_steps=typed_field(sched_doc, "n_steps", int, 20, what),
-            power=float(sched_doc.get("power", 2.0)),
-            floor=float(sched_doc.get("floor", 1e-4)),
-        )
-        bandwidth = float(config.get("bandwidth", 0.5))
-        threshold = float(metrics_doc.get("threshold", 0.5))
-    except (TypeError, ValueError) as exc:
-        raise BadValue(f"malformed {what}: {exc}") from exc
+    schedule = NoiseSchedule.default(
+        n_steps=typed_field(sched_doc, "n_steps", int, 20, what),
+        power=typed_field(sched_doc, "power", float, 2.0, what),
+        floor=typed_field(sched_doc, "floor", float, 1e-4, what),
+    )
+    bandwidth = typed_field(config, "bandwidth", float, 0.5, what)
+    threshold = typed_field(metrics_doc, "threshold", float, 0.5, what)
     seed = typed_field(config, "seed", int, 0, what)
     gcfg.window(schedule.n_steps)  # an empty guidance window is a config error
     guided = typed_field(config, "guided", bool, True, what)

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadValue, DimMismatch
-from .tensors import LatentVideo, MaskTrack, check_keys, read_json, write_json
+from .tensors import LatentVideo, MaskTrack, atomic_write, check_keys, read_json, write_json
 
 log = logging.getLogger(__name__)
 
@@ -354,6 +354,6 @@ def write_frame_images(latents: LatentVideo, out_dir, channel: int = 0) -> list[
         img = ((latents.data[f, channel] - lo) / span * 255.0).astype(np.uint8)
         header = f"P5\n{latents.width} {latents.height}\n255\n".encode()
         p = out_dir / f"frame{f:03d}.pgm"
-        p.write_bytes(header + img.tobytes())
+        atomic_write(p, header, img.tobytes())
         paths.append(p)
     return paths

@@ -14,7 +14,10 @@ after construction and safe to share across workers.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -170,6 +173,29 @@ def _check_dims(shape: tuple[int, ...]) -> None:
         raise DimMismatch(f"zero-size dim in shape {shape}")
 
 
+def atomic_write(path, *chunks: bytes) -> None:
+    """Write the concatenated ``chunks`` to ``path``, all or nothing.
+
+    The bytes go to a temp file in the same directory, which ``os.replace``
+    then renames over ``path``, so a reader never sees a partial file. On
+    any error the temp file is removed and ``path`` keeps what it held; an
+    ``OSError`` is raised as ``IoFailure``.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):  # report the error that brought us here
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise IoFailure(f"cannot write {path}: {exc}") from exc
+        raise
+
+
 def write_array(path, arr: np.ndarray) -> None:
     """Write any float array as a CMT1 tensor file (stored as float32)."""
     arr = np.ascontiguousarray(arr)
@@ -178,12 +204,7 @@ def write_array(path, arr: np.ndarray) -> None:
         raise NonFinite(f"refusing to write non-finite values to {path}")
     payload = arr.astype("<f4", copy=False)
     header = TENSOR_MAGIC + struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(payload.tobytes(order="C"))
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    atomic_write(path, header, payload.tobytes(order="C"))
 
 
 def read_array(path) -> np.ndarray:
@@ -217,12 +238,7 @@ def load_tensor(path) -> LatentVideo:
 def save_mask(m: MaskTrack, path) -> None:
     _check_dims(m.data.shape)
     header = MASK_MAGIC + struct.pack("<I3I", 3, *m.data.shape)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(m.data.astype(np.uint8).tobytes(order="C"))
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    atomic_write(path, header, m.data.astype(np.uint8).tobytes(order="C"))
 
 
 def load_mask(path, subject_id: str | None = None) -> MaskTrack:
@@ -287,8 +303,10 @@ def check_keys(doc, known, what: str) -> dict:
 def typed_field(doc: dict, key: str, kind, default, what: str):
     """``doc[key]`` (``default`` when absent), once it has the JSON type ``kind``.
 
-    ``kind`` is ``bool``, ``int`` or a tuple of the allowed strings. Nothing
-    is coerced: ``"false"`` is no boolean, and ``2.9`` or ``true`` no integer.
+    ``kind`` is ``bool``, ``int``, ``float`` (a finite JSON number, integer
+    or not, returned as a float) or a tuple of the allowed strings. Nothing
+    else is coerced: ``"false"`` is no boolean, ``2.9`` or ``true`` no
+    integer, and ``"2"``, ``true`` or ``Infinity`` no number.
     """
     if key not in doc:
         return default
@@ -296,18 +314,25 @@ def typed_field(doc: dict, key: str, kind, default, what: str):
     if isinstance(kind, tuple):
         if not (isinstance(value, str) and value in kind):
             raise BadValue(f"malformed {what}: {key} must be one of {list(kind)}, got {value!r}")
-    elif not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        name = "boolean" if kind is bool else "integer"
+        return value
+    allowed = (int, float) if kind is float else kind
+    if not isinstance(value, allowed) or (kind is not bool and isinstance(value, bool)):
+        name = {bool: "boolean", int: "integer", float: "number"}[kind]
         raise BadValue(f"malformed {what}: {key} must be a JSON {name}, got {value!r}")
+    if kind is float:
+        try:
+            number = float(value)  # an integer past the float range overflows
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            raise BadValue(f"malformed {what}: {key} must be finite, got {value!r}")
+        return number
     return value
 
 
 def write_json(path, doc) -> None:
     """Write ``doc`` as sorted, two-space-indented JSON with a trailing newline."""
-    try:
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    atomic_write(path, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
 
 
 # --- scene manifest -------------------------------------------------------

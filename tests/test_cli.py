@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -378,12 +379,50 @@ def _recompose(desc, traj, scene, run):
 
 
 def test_recompose_descriptor_without_valid_pairs(pipeline_dirs, tmp_path, capsys):
+    # t005 lies in the default guidance window (8..3) of the 8-step archive
     scene, traj, desc = pipeline_dirs
-    doc = json.loads((desc / "t001" / "A.json").read_text())
+    doc = json.loads((desc / "t005" / "A.json").read_text())
     del doc["valid_pairs"]
-    (desc / "t001" / "A.json").write_text(json.dumps(doc))
+    (desc / "t005" / "A.json").write_text(json.dumps(doc))
     assert _recompose(desc, traj, scene, tmp_path / "r") == 2
     assert "valid_pairs" in capsys.readouterr().err
+
+
+def test_recompose_failed_trace_write_keeps_the_old_run(
+    pipeline_dirs, tmp_path, monkeypatch, capsys
+):
+    # a rerun whose trace write fails exits 2, and leaves the previous trace whole
+    scene, traj, desc = pipeline_dirs
+    run = tmp_path / "r"
+    assert _recompose(desc, traj, scene, run) == 0
+    before = (run / "trace.jsonl").read_bytes()
+    replace = os.replace
+
+    def refuse_trace(src, dst):
+        if Path(dst).name == "trace.jsonl":
+            raise OSError("no space left on device")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse_trace)
+    assert _recompose(desc, traj, scene, run) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert (run / "trace.jsonl").read_bytes() == before
+    assert sorted(p.name for p in run.iterdir()) == ["output.cmt", "run.json", "trace.jsonl"]
+
+
+def test_recompose_reads_only_the_guidance_window(pipeline_dirs, tmp_path, monkeypatch):
+    # every archived timestep used to be loaded and checked, though guidance reads
+    # only the window's
+    scene, traj, desc = pipeline_dirs
+    opened, load = [], pl.load_descriptor
+
+    def load_descriptor(path):
+        opened.append(Path(path).parent.name)
+        return load(path)
+
+    monkeypatch.setattr(pl, "load_descriptor", load_descriptor)
+    assert _recompose(desc, traj, scene, tmp_path / "r") == 0
+    assert sorted(set(opened)) == [f"t{t:03d}" for t in range(3, 9)]
 
 
 def test_recompose_extract_index_not_an_object(pipeline_dirs, tmp_path, capsys):
@@ -466,12 +505,26 @@ _MALFORMED = "malformed pipeline config"
         ({"guidance": {"n_inner_steps": 2.9}}, "n_inner_steps must be a JSON integer"),
         ({"guidance": {"t_end": 7}}, "guidance window empty"),
         ({"plan": {"camera_only": "false"}}, "malformed edit plan: camera_only"),
+        ({"guidance": {"step_size": "2"}}, "step_size must be a JSON number"),
+        ({"guidance": {"step_size": True}}, "step_size must be a JSON number"),
+        ({"guidance": {"step_size": float("inf")}}, "step_size must be finite"),
+        ({"guidance": {"weights": {"A": "2"}}}, "A must be a JSON number"),
+        ({"guidance": {"weights": {"A": True}}}, "A must be a JSON number"),
+        ({"guidance": {"weights": {"A": float("nan")}}}, "A must be finite"),
+        ({"bandwidth": True}, "bandwidth must be a JSON number"),
+        ({"bandwidth": float("inf")}, "bandwidth must be finite"),
+        ({"schedule": {"power": "2"}}, "power must be a JSON number"),
+        ({"schedule": {"floor": float("-inf")}}, "floor must be finite"),
+        ({"metrics": {"threshold": False}}, "threshold must be a JSON number"),
+        ({"plan": {"w_c": "0.5"}}, "malformed edit plan: w_c must be a JSON number"),
     ],
     ids=[
         "schedule", "bandwidth", "seed", "seed-float", "n_steps-float", "guided",
         "legacy_region", "atlas_include_reference", "invert_denoiser", "init",
         "t_end-string", "t_end-float", "t_start-bool", "n_inner_steps-float",
-        "window-past-n_steps", "plan-camera_only",
+        "window-past-n_steps", "plan-camera_only", "step_size-string", "step_size-bool",
+        "step_size-infinite", "weight-string", "weight-bool", "weight-nan", "bandwidth-bool",
+        "bandwidth-infinite", "power-string", "floor-infinite", "threshold-bool", "plan-w_c",
     ],
 )
 def test_pipeline_rejects_mistyped_values(tmp_path, capsys, patch, message):

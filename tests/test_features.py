@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momix.errors import (
@@ -284,6 +284,11 @@ def _shift(dx):
     return {"subjects": {"A": {"op": "mask_edit", "edit": {"kind": "shift", "dx": dx}}}}
 
 
+def _scale(factor):
+    edit = {"kind": "scale", "factor": factor, "anchor": [4.0, 4.0]}
+    return {"subjects": {"A": {"op": "mask_edit", "edit": edit}}}
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -292,12 +297,20 @@ def _shift(dx):
         ({"include_background": "no"}, "include_background must be a JSON boolean"),
         (_shift(1.5), "dx must be a JSON integer"),
         (_shift("8"), "dx must be a JSON integer"),
+        ({"w_c": "0.5"}, "w_c must be a JSON number"),
+        ({"w_c": True}, "w_c must be a JSON number"),
+        ({"subjects": {"A": {"op": "soften", "w_c": "2"}}}, "w_c must be a JSON number"),
+        ({"subjects": {"A": {"op": "soften", "w_c": float("inf")}}}, "w_c must be finite"),
+        (_scale("2"), "factor must be a JSON number"),
+        (_scale(False), "factor must be a JSON number"),
+        (_scale(float("nan")), "factor must be finite"),
     ],
     ids=["camera_only-string", "camera_only-int", "include_background-string", "dx-float",
-         "dx-string"],
+         "dx-string", "w_c-string", "w_c-bool", "directive-w_c-string", "directive-w_c-infinite",
+         "factor-string", "factor-bool", "factor-nan"],
 )
 def test_plan_from_json_rejects_mistyped_values(doc, message):
-    # "false" used to parse as True, and a shift by 1.5 as a shift by 1
+    # "false" used to parse as True, a shift by 1.5 as a shift by 1, and "0.5" as 0.5
     with pytest.raises(BadValue, match=message):
         plan_from_json(doc)
 
@@ -381,6 +394,9 @@ def test_descriptor_archive_rejects_mismatched_tensor(tmp_path):
     background=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(kinds=["random", "random"], n_frames=4, legacy=False, background=True, seed=1)
+@example(kinds=["random", "full"], n_frames=3, legacy=True, background=True, seed=2)
+@example(kinds=["empty"], n_frames=3, legacy=False, background=False, seed=3)  # no rows
 def test_pair_operator_matches_naive_loop(kinds, n_frames, legacy, background, seed):
     # oracle: one pair_region + lsmm per (source, i, j), as the regions are defined
     h, w, c = 5, 4, 2
@@ -429,3 +445,9 @@ def test_pair_operator_matches_naive_loop(kinds, n_frames, legacy, background, s
     lhs = float(np.sum(applied * y))
     rhs = float(np.sum(lat.data * op.adjoint(y)))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+    # Gram matrix: symmetric, and W W^T c for any c
+    gram = op.gram
+    assert gram.shape == (len(rows), len(rows)) and np.array_equal(gram, gram.T)
+    want = op.apply(op.adjoint(y))
+    scale = np.max(np.abs(want), initial=0.0)
+    assert np.max(np.abs(gram @ y - want), initial=0.0) <= 1e-12 * scale

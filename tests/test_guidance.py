@@ -1,10 +1,24 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import momix
+from momix import guidance
 from momix.errors import BadValue, DimMismatch, NoValidPairs, UnknownSubject
-from momix.features import MotionDescriptor, PairOperator
+from momix.features import (
+    Directive,
+    EditPlan,
+    MotionDescriptor,
+    PairOperator,
+    extract_descriptors,
+    recompose,
+)
 from momix.gradcheck import (
     finite_difference_gradient,
     max_relative_error,
@@ -20,6 +34,9 @@ from momix.guidance import (
     loss_and_gradient,
     stable_step_size,
 )
+from momix.masks import MaskEdit
+from momix.pipeline import build_target_masks
+from momix.synth import BlobSpec, SceneSpec, render_scene
 from momix.tensors import LatentVideo, MaskTrack
 
 
@@ -124,6 +141,128 @@ def test_guided_update_zero_steps_identity():
     out, losses = guided_update(lat, target, GuidanceConfig(n_inner_steps=0))
     assert np.array_equal(out.data, lat.data)
     assert len(losses) == 1
+
+
+def _descent_oracle(latents, target, config):
+    """Steepest descent on the latents: one gradient and one step per inner step."""
+    step = config.step_size if config.step_size is not None else stable_step_size(target)
+    z, losses = latents.data.astype(np.float64), []
+    for _ in range(config.n_inner_steps):
+        loss, grad = loss_and_gradient(LatentVideo(z), target)
+        losses.append(loss)
+        z = z - step * grad
+    losses.append(guidance_loss(LatentVideo(z), target))
+    return z, losses
+
+
+def _gradcheck_cases(rng):
+    """One case per size ``run_gradcheck`` draws, redrawn until some pair is enforced."""
+    sizes = [
+        (2, 2, 6, 6, 1), (3, 1, 8, 8, 2), (2, 3, 6, 6, 2), (4, 2, 10, 10, 3), (4, 4, 16, 16, 3)
+    ]
+    for size in sizes:
+        case = random_case(rng, *size)
+        while not case.target.enforced.any():
+            case = random_case(rng, *size)
+        yield case.label, case.latents, case.target
+
+
+def _mask_edit_case(rng):
+    """Clean-latent references of a two-blob scene, guiding a shifted A over noise."""
+    n = 5
+    spec = SceneSpec(
+        n_frames=n, n_channels=3, height=20, width=20,
+        blobs=(
+            BlobSpec("A", tuple((6.0, 4.0 + 2.0 * f) for f in range(n)), 3.0, (1.0, 0.0, 0.5)),
+            BlobSpec("B", tuple((14.0, 15.0 - 1.5 * f) for f in range(n)), 2.5, (0.0, 1.0, 0.0)),
+        ),
+        texture_seed=5,
+    )
+    latents, tracks, _ = render_scene(spec)
+    plan = EditPlan({"A": Directive("mask_edit", edit=MaskEdit("shift", dx=3, dy=1))})
+    refs = recompose(extract_descriptors(latents, tracks, timestep=0), plan)
+    target = GuidanceTarget(refs, PairOperator(build_target_masks(tracks, plan)))
+    return "mask_edit", LatentVideo(rng.standard_normal(latents.shape)), target
+
+
+@pytest.mark.parametrize("step_size", [None, 0.3], ids=["stable-step", "fixed-step"])
+def test_guided_update_matches_descent_on_the_latents(step_size):
+    # the pair-space iteration against the loop it replaced; losses that reach 0
+    # are compared relative to the starting loss
+    rng = np.random.default_rng(7)
+    config = GuidanceConfig(step_size=step_size, n_inner_steps=5)
+    for label, latents, target in [*_gradcheck_cases(rng), _mask_edit_case(rng)]:
+        out, losses = guided_update(latents, target, config)
+        want, want_losses = _descent_oracle(latents, target, config)
+        assert np.max(np.abs(out.data - want)) <= 1e-12 * np.max(np.abs(want)), label
+        np.testing.assert_allclose(
+            losses, want_losses, rtol=1e-6, atol=1e-12 * want_losses[0], err_msg=label
+        )
+
+
+@pytest.mark.parametrize("n_inner_steps", [0, 1, 2, 6])
+def test_guided_update_makes_one_apply_and_one_adjoint(monkeypatch, n_inner_steps):
+    calls = {"apply": 0, "adjoint": 0}
+
+    def counted(name):
+        method = getattr(PairOperator, name)
+
+        def wrapper(self, *args, **kwargs):
+            calls[name] += 1
+            return method(self, *args, **kwargs)
+
+        return wrapper
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("guided_update must not evaluate the loss on the latents")
+
+    monkeypatch.setattr(PairOperator, "apply", counted("apply"))
+    monkeypatch.setattr(PairOperator, "adjoint", counted("adjoint"))
+    monkeypatch.setattr(guidance, "loss_and_gradient", forbidden)
+    monkeypatch.setattr(guidance, "guidance_loss", forbidden)
+    case = random_case(np.random.default_rng(8), 4, 2, 10, 10, 3)
+    config = GuidanceConfig(n_inner_steps=n_inner_steps)
+    _, losses = guided_update(case.latents, case.target, config)
+    assert len(losses) == n_inner_steps + 1
+    assert calls == {"apply": 1, "adjoint": min(1, n_inner_steps)}
+
+
+# 1,260 rows: at this size OpenBLAS gives different bytes for the Gram product at 1
+# and 2 threads, and the fixed step is large enough for that to reach the output
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from momix.features import MotionDescriptor, PairOperator
+from momix.guidance import GuidanceConfig, GuidanceTarget, guided_update
+from momix.tensors import LatentVideo, MaskTrack
+
+rng = np.random.default_rng(3)
+f, c, h, w = 36, 3, 8, 8
+masks = {sid: MaskTrack(rng.random((f, h, w)) < 0.5, subject_id=sid) for sid in ("a", "b")}
+regions = PairOperator(masks)
+assert len(regions.rows) >= 1200, len(regions.rows)
+refs = [
+    MotionDescriptor(sid, 0, f, regions.ij[rows], rng.standard_normal((rows.stop - rows.start, c)))
+    for sid, rows in regions.slices.items()
+]
+target = GuidanceTarget(refs, regions, weights={"a": 1.0, "b": 0.5})
+latents = LatentVideo(rng.standard_normal((f, c, h, w)))
+out, losses = guided_update(latents, target, GuidanceConfig(step_size=0.3, n_inner_steps=4))
+print(hashlib.sha256(out.data.tobytes() + np.array(losses).tobytes()).hexdigest())
+"""
+
+
+def test_guided_update_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(momix.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1, digests
 
 
 def test_uniform_mask_mean_dynamics():

@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momix.errors import BadMagic, BadValue, DimMismatch, NonFinite
+from momix.errors import BadMagic, BadValue, DimMismatch, IoFailure, NonFinite
+from momix.synth import write_frame_images
 from momix.tensors import (
     LatentVideo,
     MaskTrack,
@@ -17,6 +19,8 @@ from momix.tensors import (
     save_manifest,
     save_mask,
     save_tensor,
+    write_array,
+    write_json,
 )
 
 
@@ -193,3 +197,31 @@ def test_manifest_dim_disagreement(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps(doc))
     with pytest.raises(DimMismatch):
         load_manifest(tmp_path / "manifest.json")
+
+
+_WRITERS = {
+    "cmt": lambda path: write_array(path, np.ones((2, 3))),
+    "cmm": lambda path: save_mask(MaskTrack(np.ones((2, 3, 3), dtype=bool)), path),
+    "json": lambda path: write_json(path, {"new": True}),
+    "pgm": lambda path: write_frame_images(LatentVideo(np.ones((2, 1, 3, 3))), path.parent),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WRITERS))
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, kind):
+    # a write that fails at the rename leaves the previous file whole and no temp file
+    path = tmp_path / "frame000.pgm" if kind == "pgm" else tmp_path / f"file.{kind}"
+    path.write_bytes(b"old contents")
+
+    def refuse(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(IoFailure, match="no space left"):
+        _WRITERS[kind](path)
+    assert path.read_bytes() == b"old contents"
+    assert os.listdir(tmp_path) == [path.name]
+    monkeypatch.undo()
+    _WRITERS[kind](path)
+    assert path.read_bytes() != b"old contents"
+    assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
