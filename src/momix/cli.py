@@ -304,8 +304,8 @@ def _cmd_gradcheck(args) -> int:
         fault=args.fault,
         zero_weights=args.zero_weights,
     )
-    if report.get("vacuous"):
-        print("warning: all source weights are zero; gradient check is vacuous")
+    if report["vacuous"]:
+        print(f"warning: {report['vacuous']}; gradient check is vacuous")
     print(
         f"gradcheck: {report['checked']} cases, max relative error "
         f"{report['max_rel_err']:.3e} (worst case {report.get('worst_case')})"

@@ -43,6 +43,7 @@ from .tensors import (
     read_array,
     read_json,
     typed_field,
+    typed_numbers,
     write_array,
     write_json,
 )
@@ -515,7 +516,11 @@ def plan_from_json(doc: dict) -> EditPlan:
                     dx=typed_field(e, "dx", int, 0, "edit plan"),
                     dy=typed_field(e, "dy", int, 0, "edit plan"),
                     factor=typed_field(e, "factor", float, 1.0, "edit plan"),
-                    anchor=tuple(e["anchor"]) if e.get("anchor") is not None else None,
+                    anchor=(
+                        typed_numbers(e["anchor"], 2, "malformed edit plan: anchor")
+                        if e.get("anchor") is not None
+                        else None
+                    ),
                 )
             directives[str(sid)] = Directive(
                 kind=entry["op"],

@@ -9,11 +9,12 @@ analytic locality property.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoValidPairs
+from .errors import BadValue, NoValidPairs
 from .features import MotionDescriptor, PairOperator
 from .guidance import GuidanceTarget, guidance_gradient
 from .tensors import LatentVideo, MaskTrack
@@ -25,21 +26,35 @@ def _batched_loss(z_batch: np.ndarray, target: GuidanceTarget) -> np.ndarray:
     """Loss of each latent tensor in a (batch, F, C, H, W) stack.
 
     A per-pair loop over the target regions and the references, kept apart
-    from the pair operator the analytic gradient uses.
+    from the pair operator the analytic gradient uses: each region mean is
+    a fixed-order dot product with the pair's dense 0/1 cell mask over the
+    region's own cell count.
     """
     b, f, c, h, w = z_batch.shape
     flat = z_batch.reshape(b, f, c, -1)
     total = np.zeros(b)
     for ref in sorted(target.references, key=lambda d: d.source_id):
         weight = float(target.weights.get(ref.source_id, 1.0))
-        for (i, j), (idx, area) in target.regions.pairs[ref.source_id].items():
+        for (i, j), (idx, _) in target.regions.pairs[ref.source_id].items():
             if not ref.has_pair(i, j):
                 continue
-            means_i = flat[:, i][:, :, idx].sum(axis=2) / area
-            means_j = flat[:, j][:, :, idx].sum(axis=2) / area
+            mask = np.zeros(flat.shape[3])
+            mask[idx] = 1.0
+            means_i = np.einsum("bcn,n->bc", flat[:, i], mask) / idx.size
+            means_j = np.einsum("bcn,n->bc", flat[:, j], mask) / idx.size
             r = (means_i - means_j) - ref.delta(i, j)[None, :]
             total += weight * np.einsum("bc,bc->b", r, r)
     return total
+
+
+def _perturbed(flat: np.ndarray, idx: np.ndarray, h: float) -> np.ndarray:
+    """(2m, n) copies of ``flat``: row k has ``+h`` at cell ``idx[k]``, row m + k ``-h``."""
+    m = idx.size
+    stack = np.repeat(flat[None, :], 2 * m, axis=0)
+    rows = np.arange(m)
+    stack[rows, idx] += h
+    stack[m + rows, idx] -= h
+    return stack
 
 
 def finite_difference_gradient(
@@ -52,11 +67,7 @@ def finite_difference_gradient(
     flat = base.reshape(-1)
     for start in range(0, n, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, n))
-        plus = np.repeat(flat[None, :], idx.size, axis=0)
-        minus = plus.copy()
-        plus[np.arange(idx.size), idx] += h
-        minus[np.arange(idx.size), idx] -= h
-        stacked = np.concatenate([plus, minus]).reshape(2 * idx.size, *base.shape)
+        stacked = _perturbed(flat, idx, h).reshape(2 * idx.size, *base.shape)
         losses = _batched_loss(stacked, target)
         grad[idx] = (losses[: idx.size] - losses[idx.size :]) / (2.0 * h)
     return grad.reshape(base.shape)
@@ -149,9 +160,16 @@ def run_gradcheck(
 
     ``fault='sign-flip'`` negates the analytic gradient to prove the
     harness detects a broken gradient. ``zero_weights`` zeroes every
-    source weight, which produces an identically-zero loss surface and a
-    vacuous (but honestly reported) pass.
+    source weight, which produces an identically-zero loss surface. A pass
+    that checks nothing says why in ``vacuous``: zero weights, or no case
+    with an enforced pair drawn; otherwise ``vacuous`` is None.
     """
+    if n_cases < 1:
+        raise BadValue(f"gradcheck needs at least one case, got {n_cases}")
+    if seed < 0:
+        raise BadValue(f"gradcheck seed must be >= 0, got {seed}")
+    if not (math.isfinite(h) and h > 0):
+        raise BadValue(f"finite-difference step must be finite and positive, got {h}")
     rng = np.random.default_rng(np.random.PCG64(seed))
     sizes = [(2, 2, 6, 6, 1), (3, 1, 8, 8, 2), (2, 3, 6, 6, 2), (4, 2, 10, 10, 3)]
     worst = {"rel_err": 0.0, "case": None}
@@ -186,11 +204,16 @@ def run_gradcheck(
         if rel > worst["rel_err"]:
             worst = {"rel_err": rel, "case": case.label, "case_index": case_idx}
     if checked == 0:
-        return {"checked": 0, "max_rel_err": 0.0, "passed": True, "vacuous": True}
+        return {
+            "checked": 0,
+            "max_rel_err": 0.0,
+            "passed": True,
+            "vacuous": "no case with an enforced pair was drawn",
+        }
     return {
         "checked": checked,
         "max_rel_err": worst["rel_err"],
         "worst_case": worst.get("case"),
         "passed": bool(worst["rel_err"] < 1e-4),
-        "vacuous": zero_weights,
+        "vacuous": "all source weights are zero" if zero_weights else None,
     }

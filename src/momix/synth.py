@@ -19,7 +19,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadValue, DimMismatch
-from .tensors import LatentVideo, MaskTrack, atomic_write, check_keys, read_json, write_json
+from .tensors import (
+    LatentVideo,
+    MaskTrack,
+    atomic_write,
+    check_keys,
+    read_json,
+    typed_field,
+    typed_numbers,
+    write_json,
+)
 
 log = logging.getLogger(__name__)
 
@@ -68,6 +77,11 @@ class SceneSpec:
                 f"invalid scene dims ({self.n_frames}, {self.n_channels}, "
                 f"{self.height}, {self.width})"
             )
+        if self.texture_seed < 0:
+            raise BadValue(f"texture_seed must be >= 0, got {self.texture_seed}")
+        lo, hi = self.texture_wavelengths
+        if not 0 < lo <= hi:
+            raise BadValue(f"need 0 < texture wavelengths lo <= hi, got {self.texture_wavelengths}")
         drift = self.background_drift
         if drift is None:
             drift = tuple((0.0, 0.0) for _ in range(self.n_frames))
@@ -143,13 +157,17 @@ def render_scene(
     where another blob occludes it.
     """
     waves = _texture_waves(spec)
+    textures: dict[tuple[float, float], np.ndarray] = {}  # one per distinct drift
     frames = np.zeros((spec.n_frames, spec.n_channels, spec.height, spec.width))
     mask_data = {b.subject_id: np.zeros((spec.n_frames, spec.height, spec.width), bool)
                  for b in spec.blobs}
     if len(mask_data) != len(spec.blobs):
         raise BadValue("blob subject ids must be unique")
     for f in range(spec.n_frames):
-        frames[f] = _texture_frame(waves, spec.height, spec.width, spec.background_drift[f])
+        drift = spec.background_drift[f]
+        if drift not in textures:
+            textures[drift] = _texture_frame(waves, spec.height, spec.width, drift)
+        frames[f] = textures[drift]
         for blob in spec.blobs:
             disk = _disk(spec.height, spec.width, blob.trajectory[f], blob.radius)
             mask_data[blob.subject_id][f] = disk
@@ -302,33 +320,53 @@ _BLOB_KEYS = ("subject_id", "trajectory", "radius", "channel_signature")
 
 
 def scene_from_json(doc: dict) -> SceneSpec:
-    """The spec ``scene_to_json`` writes; a key it would not write is rejected."""
-    check_keys(doc, _SCENE_KEYS, "scene spec")
+    """The spec ``scene_to_json`` writes; a key it would not write is rejected.
+
+    Sizes and the texture seed must be JSON integers, and every other
+    number a finite JSON number: nothing is coerced.
+    """
+    what = "scene spec"
+    check_keys(doc, _SCENE_KEYS, what)
+
+    def required(entry: dict, key: str, kind, where: str):
+        if key not in entry:
+            raise BadValue(f"malformed {where}: missing {key}")
+        return typed_field(entry, key, kind, None, where)
+
+    def points(value, label: str) -> tuple[tuple[float, ...], ...]:
+        if not isinstance(value, (list, tuple)):
+            raise BadValue(f"{label} must be a JSON array of points, got {value!r}")
+        return tuple(typed_numbers(p, 2, f"{label} point {k}") for k, p in enumerate(value))
+
     try:
-        blob_docs = [check_keys(b, _BLOB_KEYS, "scene blob") for b in doc.get("blobs", [])]
-        blobs = tuple(
-            BlobSpec(
+        blobs = []
+        for b in doc.get("blobs", []):
+            check_keys(b, _BLOB_KEYS, "scene blob")
+            where = f"scene blob {b.get('subject_id')!r}"
+            blobs.append(BlobSpec(
                 subject_id=str(b["subject_id"]),
-                trajectory=tuple(tuple(p) for p in b["trajectory"]),
-                radius=float(b["radius"]),
-                channel_signature=tuple(b["channel_signature"]),
-            )
-            for b in blob_docs
-        )
+                trajectory=points(b["trajectory"], f"malformed {where}: trajectory"),
+                radius=required(b, "radius", float, where),
+                channel_signature=typed_numbers(
+                    b["channel_signature"], None, f"malformed {where}: channel_signature"
+                ),
+            ))
+        drift = doc.get("background_drift")
         return SceneSpec(
-            n_frames=int(doc["n_frames"]),
-            n_channels=int(doc["n_channels"]),
-            height=int(doc["height"]),
-            width=int(doc["width"]),
-            blobs=blobs,
+            n_frames=required(doc, "n_frames", int, what),
+            n_channels=required(doc, "n_channels", int, what),
+            height=required(doc, "height", int, what),
+            width=required(doc, "width", int, what),
+            blobs=tuple(blobs),
             background_drift=(
-                tuple(tuple(d) for d in doc["background_drift"])
-                if doc.get("background_drift") is not None
-                else None
+                None if drift is None else points(drift, f"malformed {what}: background_drift")
             ),
-            texture_seed=int(doc.get("texture_seed", 0)),
-            texture_amplitude=float(doc.get("texture_amplitude", 0.5)),
-            texture_wavelengths=tuple(doc.get("texture_wavelengths", (1.5, 3.0))),
+            texture_seed=typed_field(doc, "texture_seed", int, 0, what),
+            texture_amplitude=typed_field(doc, "texture_amplitude", float, 0.5, what),
+            texture_wavelengths=typed_numbers(
+                doc.get("texture_wavelengths", (1.5, 3.0)), 2,
+                f"malformed {what}: texture_wavelengths",
+            ),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise BadValue(f"malformed scene spec: {exc}") from exc

@@ -315,19 +315,36 @@ def typed_field(doc: dict, key: str, kind, default, what: str):
         if not (isinstance(value, str) and value in kind):
             raise BadValue(f"malformed {what}: {key} must be one of {list(kind)}, got {value!r}")
         return value
-    allowed = (int, float) if kind is float else kind
-    if not isinstance(value, allowed) or (kind is not bool and isinstance(value, bool)):
-        name = {bool: "boolean", int: "integer", float: "number"}[kind]
-        raise BadValue(f"malformed {what}: {key} must be a JSON {name}, got {value!r}")
     if kind is float:
-        try:
-            number = float(value)  # an integer past the float range overflows
-        except OverflowError:
-            number = math.inf
-        if not math.isfinite(number):
-            raise BadValue(f"malformed {what}: {key} must be finite, got {value!r}")
-        return number
+        return _finite_number(value, f"malformed {what}: {key}")
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        name = {bool: "boolean", int: "integer"}[kind]
+        raise BadValue(f"malformed {what}: {key} must be a JSON {name}, got {value!r}")
     return value
+
+
+def typed_numbers(value, length: int | None, label: str) -> tuple[float, ...]:
+    """``value`` as floats, once it is an array of finite JSON numbers.
+
+    ``length`` fixes the array's length; None allows any. ``label`` names
+    the value in the ``BadValue`` raised otherwise.
+    """
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        size = "" if length is None else f"{length} "
+        raise BadValue(f"{label} must be a JSON array of {size}numbers, got {value!r}")
+    return tuple(_finite_number(v, label) for v in value)
+
+
+def _finite_number(value, label: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise BadValue(f"{label} must be a JSON number, got {value!r}")
+    try:
+        number = float(value)  # an integer past the float range overflows
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise BadValue(f"{label} must be finite, got {value!r}")
+    return number
 
 
 def write_json(path, doc) -> None:

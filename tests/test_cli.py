@@ -6,12 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from momix import gradcheck
 from momix import pipeline as pl
 from momix.cli import main
 from momix.errors import NoValidPairs
 from momix.guidance import GuidanceConfig
 from momix.pipeline import load_references
-from momix.synth import BlobSpec, SceneSpec, save_scene
+from momix.synth import BlobSpec, SceneSpec, save_scene, scene_to_json
 from momix.tensors import load_manifest, load_tensor
 
 
@@ -57,6 +58,56 @@ def test_synth_malformed_json(tmp_path, capsys):
     rc = main(["synth", str(bad), str(tmp_path / "out")])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+_MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("n_frames",), "6", "n_frames must be a JSON integer"),
+        (("n_frames",), _MISSING, "missing n_frames"),
+        (("n_channels",), 3.0, "n_channels must be a JSON integer"),
+        (("height",), True, "height must be a JSON integer"),
+        (("width",), "24", "width must be a JSON integer"),
+        (("texture_seed",), 7.5, "texture_seed must be a JSON integer"),
+        (("texture_seed",), -1, "texture_seed must be >= 0"),
+        (("blobs", 0, "radius"), "2", "radius must be a JSON number"),
+        (("texture_amplitude",), True, "texture_amplitude must be a JSON number"),
+        (("texture_amplitude",), float("inf"), "texture_amplitude must be finite"),
+        (("blobs", 0, "trajectory", 2), ["8", 8.0], "trajectory point 2 must be a JSON number"),
+        (("blobs", 1, "trajectory", 0), [17.0], "trajectory point 0 must be a JSON array of 2"),
+        (("background_drift",), [[float("nan"), 0.0]] * 6,
+         "background_drift point 0 must be finite"),
+        (("blobs", 0, "channel_signature"), [True, 2.5, 0.0],
+         "channel_signature must be a JSON number"),
+        (("texture_wavelengths",), ["1.5", 3.0], "texture_wavelengths must be a JSON number"),
+        (("texture_wavelengths",), [1.5], "texture_wavelengths must be a JSON array of 2"),
+        (("texture_wavelengths",), [0, 3.0], "need 0 < texture wavelengths"),
+    ],
+    ids=["n_frames-string", "n_frames-missing", "n_channels-float", "height-bool",
+         "width-string", "texture_seed-float", "texture_seed-negative", "radius-string",
+         "texture_amplitude-bool", "texture_amplitude-infinite", "trajectory-string",
+         "trajectory-short-point", "drift-nan", "channel_signature-bool",
+         "texture_wavelengths-string", "texture_wavelengths-short", "texture_wavelengths-zero"],
+)
+def test_synth_rejects_mistyped_values(tmp_path, capsys, path, value, message):
+    # each used to render a scene from a coerced value, or fail with a traceback
+    doc = json.loads(json.dumps(scene_to_json(demo_scene())))
+    *parents, key = path
+    entry = doc
+    for k in parents:
+        entry = entry[k]
+    if value is _MISSING:
+        del entry[key]
+    else:
+        entry[key] = value
+    spec = tmp_path / "scene.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["synth", str(spec), str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_deterministic(tmp_path):
@@ -259,7 +310,33 @@ def test_gradcheck_pass_and_fault(capsys):
     assert main(["gradcheck", "--cases", "3", "--fault", "sign-flip"]) == 3
     assert main(["gradcheck", "--cases", "3", "--zero-weights"]) == 0
     out = capsys.readouterr().out
-    assert "vacuous" in out
+    assert "warning: all source weights are zero; gradient check is vacuous" in out
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [(["--cases", "0"], "at least one case"), (["--cases", "-3"], "at least one case"),
+     (["--seed", "-1"], "seed must be >= 0")],
+    ids=["no-cases", "negative-cases", "negative-seed"],
+)
+def test_gradcheck_bad_arguments_are_usage_errors(capsys, args, message):
+    # no cases used to print a vacuous pass blamed on zero weights and exit 0,
+    # and a negative seed to end in a traceback
+    assert main(["gradcheck", *args]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "passed" not in captured.out
+
+
+def test_gradcheck_names_a_vacuous_pass_with_no_case_drawn(capsys, monkeypatch):
+    def degenerate(latents, target):
+        raise NoValidPairs("no pair is valid")
+
+    monkeypatch.setattr(gradcheck, "guidance_gradient", degenerate)
+    assert main(["gradcheck", "--cases", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "warning: no case with an enforced pair was drawn; gradient check is vacuous" in out
+    assert "weights" not in out
 
 
 def _pipeline_config(tmp_path, out_name="runA"):

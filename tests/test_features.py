@@ -284,8 +284,8 @@ def _shift(dx):
     return {"subjects": {"A": {"op": "mask_edit", "edit": {"kind": "shift", "dx": dx}}}}
 
 
-def _scale(factor):
-    edit = {"kind": "scale", "factor": factor, "anchor": [4.0, 4.0]}
+def _scale(factor, anchor=(4.0, 4.0)):
+    edit = {"kind": "scale", "factor": factor, "anchor": anchor}
     return {"subjects": {"A": {"op": "mask_edit", "edit": edit}}}
 
 
@@ -304,15 +304,28 @@ def _scale(factor):
         (_scale("2"), "factor must be a JSON number"),
         (_scale(False), "factor must be a JSON number"),
         (_scale(float("nan")), "factor must be finite"),
+        (_scale(2.0, ["7.5", True]), "anchor must be a JSON number"),
+        (_scale(2.0, [7.5, True]), "anchor must be a JSON number"),
+        (_scale(2.0, [7.5, float("inf")]), "anchor must be finite"),
+        (_scale(2.0, [7.5]), "anchor must be a JSON array of 2 numbers"),
+        (_scale(2.0, [7.5, 7.5, 7.5]), "anchor must be a JSON array of 2 numbers"),
+        (_scale(2.0, "7.5"), "anchor must be a JSON array of 2 numbers"),
     ],
     ids=["camera_only-string", "camera_only-int", "include_background-string", "dx-float",
          "dx-string", "w_c-string", "w_c-bool", "directive-w_c-string", "directive-w_c-infinite",
-         "factor-string", "factor-bool", "factor-nan"],
+         "factor-string", "factor-bool", "factor-nan", "anchor-string", "anchor-bool",
+         "anchor-infinite", "anchor-short", "anchor-long", "anchor-not-array"],
 )
 def test_plan_from_json_rejects_mistyped_values(doc, message):
-    # "false" used to parse as True, a shift by 1.5 as a shift by 1, and "0.5" as 0.5
+    # "false" used to parse as True, a shift by 1.5 as a shift by 1, "0.5" as 0.5,
+    # and the anchor ["7.5", true] as (7.5, 1.0)
     with pytest.raises(BadValue, match=message):
         plan_from_json(doc)
+
+
+def test_plan_from_json_reads_the_anchor_as_floats():
+    edit = plan_from_json(_scale(2.0, [7, 7.5])).directives["A"].edit
+    assert edit.anchor == (7.0, 7.5) and all(type(v) is float for v in edit.anchor)
 
 
 def test_descriptor_archive_round_trip(tmp_path):

@@ -20,6 +20,8 @@ from momix.features import (
     recompose,
 )
 from momix.gradcheck import (
+    _batched_loss,
+    _perturbed,
     finite_difference_gradient,
     max_relative_error,
     random_case,
@@ -104,7 +106,85 @@ def test_gradcheck_suite_and_fault_injection():
     bad = run_gradcheck(seed=0, n_cases=3, fault="sign-flip")
     assert not bad["passed"]
     vac = run_gradcheck(seed=0, n_cases=3, zero_weights=True)
-    assert vac["passed"] and vac["vacuous"]
+    assert vac["passed"] and vac["vacuous"] == "all source weights are zero"
+    assert report["vacuous"] is None and bad["vacuous"] is None
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"n_cases": 0}, {"n_cases": -3}, {"seed": -1}, {"h": 0.0}, {"h": -1e-3},
+     {"h": float("nan")}, {"h": float("inf")}],
+    ids=["no-cases", "negative-cases", "negative-seed", "zero-h", "negative-h", "nan-h",
+         "infinite-h"],
+)
+def test_run_gradcheck_rejects_bad_arguments(kwargs):
+    with pytest.raises(BadValue):
+        run_gradcheck(**kwargs)
+
+
+def _oracle_targets():
+    """Targets for the finite-difference oracle, each with a label.
+
+    The five ``run_gradcheck`` sizes (``random_case`` leaves about 15% of
+    the pairs unreferenced), then a fixed scene with a source that has no
+    rows, a source with half its pairs referenced, a source with no
+    reference at all, and zero weights on some or all sources.
+    """
+    rng = np.random.default_rng(11)
+    for label, _, target in _gradcheck_cases(rng):
+        yield label, target
+    n = 4
+    a = np.zeros((n, 10, 10), dtype=bool)
+    b = np.zeros_like(a)
+    for f in range(n):
+        a[f, 1:5, f : f + 4] = True
+        b[f, 4:8, 6 - f : 9 - f] = True
+    masks = {
+        "A": MaskTrack(a, subject_id="A"),
+        "B": MaskTrack(b, subject_id="B"),
+        "ghost": MaskTrack(np.zeros_like(a), subject_id="ghost"),
+        "background": MaskTrack(~(a | b), subject_id="background"),
+    }
+    regions = PairOperator(masks)
+    assert regions.slices["ghost"] == slice(regions.slices["B"].stop, regions.slices["B"].stop)
+    pairs_b = list(regions.pairs["B"])
+    references = [
+        MotionDescriptor.from_forward_pairs(
+            "A", 0, n, {p: rng.standard_normal(2) for p in regions.pairs["A"]}
+        ),
+        MotionDescriptor.from_forward_pairs(
+            "B", 0, n, {p: rng.standard_normal(2) for p in pairs_b[::2]}
+        ),
+        MotionDescriptor.from_forward_pairs("ghost", 0, n, {}),
+    ]
+    for weights in ({"A": 1.3, "B": 0.7}, {"A": 0.0, "B": 0.7}, {"A": 0.0, "B": 0.0}):
+        yield f"fixed-scene-{weights}", GuidanceTarget(references, regions, weights=weights)
+
+
+def test_batched_loss_matches_guidance_loss_per_row():
+    # the oracle against the operator's loss, one batch row at a time
+    rng = np.random.default_rng(12)
+    for label, target in _oracle_targets():
+        n_channels = target.ref.shape[1]
+        shape = (target.regions.n_frames, n_channels, *target.regions.spatial)
+        batch = rng.standard_normal((5, *shape))
+        got = _batched_loss(batch, target)
+        want = np.array([guidance_loss(LatentVideo(z), target) for z in batch])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (label, got, want)
+
+
+def test_perturbation_stack_matches_separate_plus_and_minus_copies():
+    flat = np.random.default_rng(13).standard_normal(600)
+    h = 1e-3
+    for start, stop in ((0, 256), (256, 512), (512, 600)):
+        idx = np.arange(start, stop)
+        plus = np.repeat(flat[None, :], idx.size, axis=0)
+        minus = plus.copy()
+        plus[np.arange(idx.size), idx] += h
+        minus[np.arange(idx.size), idx] -= h
+        want = np.concatenate([plus, minus])
+        got = _perturbed(flat, idx, h)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_exact_line_search_reaches_minimum():

@@ -6,6 +6,8 @@ from momix.features import extract_descriptors
 from momix.synth import (
     BlobSpec,
     SceneSpec,
+    _texture_frame,
+    _texture_waves,
     centroid_trajectory,
     estimate_blob_track,
     load_scene,
@@ -44,6 +46,23 @@ def test_no_blobs_static_texture():
     assert tracks == [] and traj == {}
     assert np.array_equal(lat.data[0], lat.data[1])
     assert np.array_equal(lat.data[0], lat.data[2])
+
+
+@pytest.mark.parametrize(
+    "drift",
+    [None, tuple((0.5 * f, -1.5 * f) for f in range(6)), ((0.0, 0.0), (1.0, 2.0)) * 3],
+    ids=["static", "drifting", "repeated-drift"],
+)
+def test_render_scene_texture_matches_each_frame(drift):
+    # frames that share a drift share one texture; each must stay byte-identical
+    # to a texture rendered for its own frame
+    spec = SceneSpec(n_frames=6, n_channels=3, height=9, width=11, background_drift=drift,
+                     texture_seed=3)
+    latents, _, _ = render_scene(spec)
+    waves = _texture_waves(spec)
+    for f in range(spec.n_frames):
+        want = _texture_frame(waves, spec.height, spec.width, spec.background_drift[f])
+        assert latents.data[f].tobytes() == want.tobytes(), f
 
 
 def test_blob_centroid_tracks_trajectory():
