@@ -174,12 +174,12 @@ def _cmd_extract(args) -> int:
 
 
 def _print_baseline_distances(args, manifest) -> int:
-    trajectory, _ = load_trajectory(args.traj_dir)
+    [z0], _ = load_trajectory(args.traj_dir, timesteps=[0])
     masks = manifest.load_masks()
     baseline = {d.source_id: d for d in pl.load_references(args.baseline, timesteps=[0])[0]}
     for mode, legacy in (("refined", False), ("legacy", True)):
         descs = extract_descriptors(
-            trajectory[0], masks, timestep=0, legacy_region=legacy, strict=False
+            z0, masks, timestep=0, legacy_region=legacy, strict=False
         )
         for d in descs:
             ref = baseline.get(d.source_id)

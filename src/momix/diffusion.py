@@ -92,6 +92,12 @@ class GaussianAtlasDenoiser:
     reduction goes through BLAS, so the output bytes do not depend on the
     BLAS thread count; a matmul would, as OpenBLAS gemv splits its sums
     differently per thread count.
+
+    The full-size arithmetic runs in place, in the order the formulas are
+    written, into buffers the call allocates itself: the accumulator of the
+    weighted mean and one scratch buffer, which becomes the returned mean
+    and, in ``predict_noise``, the returned noise. The caller's ``z`` is
+    only read.
     """
 
     def __init__(
@@ -129,32 +135,55 @@ class GaussianAtlasDenoiser:
         # Over many cells the distances differ by far more than var, so exp underflows
         # to exactly 0 for all but the nearest members; only those are read.
         mean_member = np.zeros(self._flat.shape[1])
+        x_hat = np.empty_like(mean_member)
         for k in np.flatnonzero(w):
-            mean_member += w[k] * self._flat[k]
+            np.multiply(w[k], self._flat[k], out=x_hat)
+            mean_member += x_hat
         mean_member = mean_member.reshape(z.shape)
+        x_hat = x_hat.reshape(z.shape)
+        # mean + shrink * (z - c * mean)
         shrink = c * self.bandwidth**2 / var
-        return mean_member + shrink * (z - c * mean_member)
+        np.multiply(c, mean_member, out=x_hat)
+        np.subtract(z, x_hat, out=x_hat)
+        x_hat *= shrink
+        x_hat += mean_member
+        return x_hat
 
     def predict_noise(self, z: np.ndarray, t: int) -> np.ndarray:
         ab = float(self.schedule.alpha_bar[t])
         rem = 1.0 - ab
         if rem <= 1e-12:
             return np.zeros(z.shape)
-        x_hat = self.posterior_mean(z, t)
-        return (z - np.sqrt(ab) * x_hat) / np.sqrt(rem)
+        # (z - sqrt(ab) * x_hat) / sqrt(rem), in the buffer posterior_mean returned
+        eps = self.posterior_mean(z, t)
+        eps *= np.sqrt(ab)
+        np.subtract(z, eps, out=eps)
+        eps /= np.sqrt(rem)
+        return eps
 
 
 def _ddim_step(
     denoiser: Denoiser, z: np.ndarray, ab: np.ndarray, t: int, t_next: int
 ) -> np.ndarray:
-    """One deterministic DDIM move of the latents from timestep t to t_next, either way."""
+    """One deterministic DDIM move of the latents from timestep t to t_next, either way.
+
+    Only the two arrays allocated here are written: ``z`` and the denoiser's
+    output may be buffers their owners keep, or read-only.
+    """
     eps = np.asarray(denoiser.predict_noise(z, t), dtype=np.float64)
     if eps.shape != z.shape:
         raise DimMismatch(f"denoiser returned shape {eps.shape}, expected {z.shape}")
     if not np.all(np.isfinite(eps)):
         raise NonFinite(f"denoiser produced non-finite values at t={t}")
-    x0_hat = (z - np.sqrt(1.0 - ab[t]) * eps) / np.sqrt(ab[t])
-    z = np.sqrt(ab[t_next]) * x0_hat + np.sqrt(1.0 - ab[t_next]) * eps
+    # x0_hat = (z - sqrt(1 - ab[t]) * eps) / sqrt(ab[t])
+    x0_hat = np.multiply(np.sqrt(1.0 - ab[t]), eps)
+    np.subtract(z, x0_hat, out=x0_hat)
+    x0_hat /= np.sqrt(ab[t])
+    # z = sqrt(ab[t_next]) * x0_hat + sqrt(1 - ab[t_next]) * eps, the second
+    # product taken into x0_hat once it is read
+    z = np.multiply(np.sqrt(ab[t_next]), x0_hat)
+    np.multiply(np.sqrt(1.0 - ab[t_next]), eps, out=x0_hat)
+    z += x0_hat
     if not np.all(np.isfinite(z)):
         raise NonFinite(f"DDIM step produced non-finite latents at t={t_next}")
     return z
@@ -247,11 +276,14 @@ def save_trajectory(trajectory: Sequence[LatentVideo], schedule: NoiseSchedule, 
     )
 
 
-def load_trajectory(dir_path) -> tuple[list[LatentVideo], NoiseSchedule]:
+def load_trajectory(dir_path, timesteps=None) -> tuple[list[LatentVideo], NoiseSchedule]:
     """The latents at t = 0..n_steps and their schedule, as the index lists them.
 
     The index must agree with itself: ``alpha_bar`` holds ``n_steps + 1``
     values and ``files`` names exactly the timesteps 0..n_steps.
+    ``timesteps`` (default: all of them) picks which tensors to read, in
+    the order given; each must lie in 0..n_steps, and an empty selection
+    reads the index alone.
     """
     dir_path = Path(dir_path)
     index = read_json(dir_path / "index.json")
@@ -270,4 +302,9 @@ def load_trajectory(dir_path) -> tuple[list[LatentVideo], NoiseSchedule]:
         )
     if sorted(files) != sorted(str(t) for t in range(n_steps + 1)):
         raise BadValue(f"{dir_path}: index files must list exactly the timesteps 0..{n_steps}")
-    return [load_tensor(dir_path / str(files[str(t)])) for t in range(n_steps + 1)], schedule
+    if timesteps is None:
+        timesteps = range(n_steps + 1)
+    for t in timesteps:
+        if t not in range(n_steps + 1):
+            raise BadValue(f"{dir_path}: trajectory has no timestep {t!r} (0..{n_steps})")
+    return [load_tensor(dir_path / str(files[str(t)])) for t in timesteps], schedule

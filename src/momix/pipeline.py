@@ -243,7 +243,9 @@ def run_recompose(
     guided: bool = True,
 ) -> RecomposeResult:
     """Build the guidance problem from stored descriptors and sample a target video."""
-    trajectory, schedule = load_trajectory(traj_dir)
+    # sampling starts from z_T, so the other latents are never read
+    _, schedule = load_trajectory(traj_dir, timesteps=())
+    [reference_zT], _ = load_trajectory(traj_dir, timesteps=[schedule.n_steps])
     denoiser = build_denoiser(atlas, schedule, bandwidth=bandwidth)
     plan = plan if plan is not None else EditPlan()
     if init == "auto":
@@ -253,7 +255,7 @@ def run_recompose(
         init_mode = "fresh" if wants_fresh else "shared"
     else:
         init_mode = init
-    zT = make_initial_noise(trajectory[-1], mode=init_mode, seed=seed)
+    zT = make_initial_noise(reference_zT, mode=init_mode, seed=seed)
 
     guidance = None
     if guided:

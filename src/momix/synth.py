@@ -344,7 +344,7 @@ def scene_from_json(doc: dict) -> SceneSpec:
             check_keys(b, _BLOB_KEYS, "scene blob")
             where = f"scene blob {b.get('subject_id')!r}"
             blobs.append(BlobSpec(
-                subject_id=str(b["subject_id"]),
+                subject_id=required(b, "subject_id", str, where),
                 trajectory=points(b["trajectory"], f"malformed {where}: trajectory"),
                 radius=required(b, "radius", float, where),
                 channel_signature=typed_numbers(

@@ -303,10 +303,11 @@ def check_keys(doc, known, what: str) -> dict:
 def typed_field(doc: dict, key: str, kind, default, what: str):
     """``doc[key]`` (``default`` when absent), once it has the JSON type ``kind``.
 
-    ``kind`` is ``bool``, ``int``, ``float`` (a finite JSON number, integer
-    or not, returned as a float) or a tuple of the allowed strings. Nothing
-    else is coerced: ``"false"`` is no boolean, ``2.9`` or ``true`` no
-    integer, and ``"2"``, ``true`` or ``Infinity`` no number.
+    ``kind`` is ``bool``, ``int``, ``str``, ``float`` (a finite JSON number,
+    integer or not, returned as a float) or a tuple of the allowed strings.
+    Nothing else is coerced: ``"false"`` is no boolean, ``2.9`` or ``true``
+    no integer, ``5`` or ``["x"]`` no string, and ``"2"``, ``true`` or
+    ``Infinity`` no number.
     """
     if key not in doc:
         return default
@@ -318,7 +319,7 @@ def typed_field(doc: dict, key: str, kind, default, what: str):
     if kind is float:
         return _finite_number(value, f"malformed {what}: {key}")
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        name = {bool: "boolean", int: "integer"}[kind]
+        name = {bool: "boolean", int: "integer", str: "string"}[kind]
         raise BadValue(f"malformed {what}: {key} must be a JSON {name}, got {value!r}")
     return value
 

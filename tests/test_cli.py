@@ -74,6 +74,8 @@ _MISSING = object()
         (("texture_seed",), 7.5, "texture_seed must be a JSON integer"),
         (("texture_seed",), -1, "texture_seed must be >= 0"),
         (("blobs", 0, "radius"), "2", "radius must be a JSON number"),
+        (("blobs", 0, "subject_id"), 5, "subject_id must be a JSON string"),
+        (("blobs", 1, "subject_id"), ["x"], "subject_id must be a JSON string"),
         (("texture_amplitude",), True, "texture_amplitude must be a JSON number"),
         (("texture_amplitude",), float("inf"), "texture_amplitude must be finite"),
         (("blobs", 0, "trajectory", 2), ["8", 8.0], "trajectory point 2 must be a JSON number"),
@@ -88,6 +90,7 @@ _MISSING = object()
     ],
     ids=["n_frames-string", "n_frames-missing", "n_channels-float", "height-bool",
          "width-string", "texture_seed-float", "texture_seed-negative", "radius-string",
+         "subject_id-integer", "subject_id-array",
          "texture_amplitude-bool", "texture_amplitude-infinite", "trajectory-string",
          "trajectory-short-point", "drift-nan", "channel_signature-bool",
          "texture_wavelengths-string", "texture_wavelengths-short", "texture_wavelengths-zero"],
@@ -500,6 +503,47 @@ def test_recompose_reads_only_the_guidance_window(pipeline_dirs, tmp_path, monke
     monkeypatch.setattr(pl, "load_descriptor", load_descriptor)
     assert _recompose(desc, traj, scene, tmp_path / "r") == 0
     assert sorted(set(opened)) == [f"t{t:03d}" for t in range(3, 9)]
+
+
+def test_recompose_reads_only_the_terminal_latents(pipeline_dirs, tmp_path):
+    # sampling starts from z_T, so a damaged t000 does not reach it
+    scene, traj, desc = pipeline_dirs
+    assert _recompose(desc, traj, scene, tmp_path / "before") == 0
+    (traj / "t000.cmt").write_bytes(b"garbage")
+    assert _recompose(desc, traj, scene, tmp_path / "after") == 0
+    output = [(tmp_path / run / "output.cmt").read_bytes() for run in ("before", "after")]
+    assert output[0] == output[1]
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _edit_index(traj, edit):
+    index = json.loads((traj / "index.json").read_text())
+    edit(index)
+    (traj / "index.json").write_text(json.dumps(index))
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda traj: (traj / "t008.cmt").unlink(), "t008.cmt"),
+        (lambda traj: _truncate(traj / "t008.cmt"), "t008.cmt"),
+        (lambda traj: _edit_index(traj, lambda ix: ix["files"].pop("3")), "0..8"),
+        (lambda traj: _edit_index(traj, lambda ix: ix["files"].update({"9": "t008.cmt"})),
+         "0..8"),
+    ],
+    ids=["terminal-missing", "terminal-truncated", "files-short", "files-extra"],
+)
+def test_recompose_damaged_trajectory_is_a_usage_error(
+    pipeline_dirs, tmp_path, capsys, damage, message
+):
+    scene, traj, desc = pipeline_dirs
+    damage(traj)
+    assert _recompose(desc, traj, scene, tmp_path / "r") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_recompose_extract_index_not_an_object(pipeline_dirs, tmp_path, capsys):

@@ -13,6 +13,7 @@ from momix.diffusion import (
     NoiseSchedule,
     SamplingGuidance,
     ZeroDenoiser,
+    _ddim_step,
     ddim_invert,
     ddim_sample,
     load_trajectory,
@@ -141,23 +142,127 @@ def test_posterior_mean_matches_direct_formula():
     assert spread > 0.1
 
 
+def _oracle_posterior_mean(den, z, t):
+    """The posterior mean written out with temporaries; the in-place one must match its bytes."""
+    flat = den.members.reshape(len(den.members), -1)
+    sq_norms = np.einsum("kn,kn->k", flat, flat)
+    ab = float(den.schedule.alpha_bar[t])
+    c = np.sqrt(ab)
+    var = ab * den.bandwidth**2 + (1.0 - ab)
+    d2 = ab * sq_norms - 2.0 * c * np.einsum("kn,n->k", flat, z.reshape(-1))
+    logw = -d2 / (2.0 * var)
+    logw -= logw.max()
+    w = np.exp(logw)
+    w /= w.sum()
+    mean_member = np.zeros(flat.shape[1])
+    for k in np.flatnonzero(w):
+        mean_member += w[k] * flat[k]
+    mean_member = mean_member.reshape(z.shape)
+    shrink = c * den.bandwidth**2 / var
+    return mean_member + shrink * (z - c * mean_member)
+
+
+def _oracle_predict_noise(den, z, t):
+    ab = float(den.schedule.alpha_bar[t])
+    rem = 1.0 - ab
+    if rem <= 1e-12:
+        return np.zeros(z.shape)
+    x_hat = _oracle_posterior_mean(den, z, t)
+    return (z - np.sqrt(ab) * x_hat) / np.sqrt(rem)
+
+
+def _oracle_ddim_step(den, z, ab, t, t_next):
+    eps = _oracle_predict_noise(den, z, t)
+    x0_hat = (z - np.sqrt(1.0 - ab[t]) * eps) / np.sqrt(ab[t])
+    return np.sqrt(ab[t_next]) * x0_hat + np.sqrt(1.0 - ab[t_next]) * eps
+
+
+def test_in_place_arithmetic_matches_the_written_out_formulas_byte_for_byte():
+    a, b = _atlas_pair()
+    sched = NoiseSchedule.default(n_steps=20)
+    ab = sched.alpha_bar
+    den = GaussianAtlasDenoiser([a, b], sched, bandwidth=0.5)
+    noisy = a.data + 0.3 * np.random.default_rng(0).standard_normal(a.shape)
+    for z in (a.data, noisy, 0.5 * (a.data + b.data)):
+        for t in range(sched.n_steps + 1):
+            assert den.posterior_mean(z, t).tobytes() == _oracle_posterior_mean(den, z, t).tobytes()
+            assert den.predict_noise(z, t).tobytes() == _oracle_predict_noise(den, z, t).tobytes()
+            for t_next in (t - 1, t + 1):
+                if 0 <= t_next <= sched.n_steps:
+                    got = _ddim_step(den, z, ab, t, t_next)
+                    assert got.tobytes() == _oracle_ddim_step(den, z, ab, t, t_next).tobytes()
+    z = noisy.copy()
+    traj = ddim_invert(LatentVideo(noisy), sched, den)
+    for t in range(sched.n_steps):
+        z = _oracle_ddim_step(den, z, ab, t, t + 1)
+        assert traj[t + 1].data.tobytes() == z.tobytes(), t
+    for t in range(sched.n_steps, 0, -1):
+        z = _oracle_ddim_step(den, z, ab, t, t - 1)
+    assert ddim_sample(traj[-1], sched, den).data.tobytes() == z.tobytes()
+
+
+class _ReadOnlyNoise:
+    """Returns the atlas denoiser's noise marked read-only."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def predict_noise(self, z, t):
+        eps = self.inner.predict_noise(z, t)
+        eps.setflags(write=False)
+        return eps
+
+
+class _KeptBuffer:
+    """Returns the one buffer it keeps on every call."""
+
+    def __init__(self, shape):
+        self.buffer = np.linspace(-0.5, 0.5, int(np.prod(shape))).reshape(shape)
+
+    def predict_noise(self, z, t):
+        return self.buffer
+
+
+def test_ddim_writes_neither_the_latents_nor_the_denoisers_arrays():
+    a, b = _atlas_pair()
+    sched = NoiseSchedule.default(n_steps=8)
+    kept = _KeptBuffer(a.shape)
+    kept_bytes = kept.buffer.tobytes()
+    for den in (_ReadOnlyNoise(GaussianAtlasDenoiser([a, b], sched)), kept):
+        z = np.array(a.data)  # writable, unlike a LatentVideo's buffer
+        for t, t_next in ((3, 4), (4, 3)):
+            _ddim_step(den, z, sched.alpha_bar, t, t_next)
+            assert z.tobytes() == a.data.tobytes()
+        traj = ddim_invert(a, sched, den)
+        snapshot = [lat.data.tobytes() for lat in traj]
+        ddim_sample(traj[-1], sched, den)
+        assert [lat.data.tobytes() for lat in traj] == snapshot
+    assert kept.buffer.tobytes() == kept_bytes
+
+
 # 17 members of 100,820 cells: OpenBLAS 0.3.31 splits both gemv sums differently at
 # 1 and 2 threads for this size (3 members it does not), and the members sit close
-# enough together that the weights are mixed.
+# enough together that the weights are mixed. The probe hashes the noise predictions,
+# then one inversion and one sampling pass over the same atlas.
 _THREAD_PROBE = """
 import hashlib
 import numpy as np
-from momix.diffusion import GaussianAtlasDenoiser, NoiseSchedule
+from momix.diffusion import GaussianAtlasDenoiser, NoiseSchedule, ddim_invert, ddim_sample
 from momix.tensors import LatentVideo
 
 rng = np.random.default_rng(11)
 base = rng.standard_normal((5, 4, 71, 71))
 atlas = [LatentVideo(base + 0.01 * rng.standard_normal(base.shape)) for _ in range(17)]
 z = base + 0.01 * rng.standard_normal(base.shape)
-den = GaussianAtlasDenoiser(atlas, NoiseSchedule.default(n_steps=10))
+schedule = NoiseSchedule.default(n_steps=10)
+den = GaussianAtlasDenoiser(atlas, schedule)
 digest = hashlib.sha256()
 for t in range(1, 11):
     digest.update(den.predict_noise(z, t).tobytes())
+trajectory = ddim_invert(LatentVideo(z), schedule, den)
+for latents in trajectory:
+    digest.update(latents.data.tobytes())
+digest.update(ddim_sample(trajectory[-1], schedule, den).data.tobytes())
 print(digest.hexdigest())
 """
 
@@ -252,6 +357,30 @@ def test_trajectory_index_must_agree_with_itself(tmp_path, edit):
     (tmp_path / "index.json").write_text(json.dumps(index))
     with pytest.raises(BadValue):
         load_trajectory(tmp_path)
+
+
+@pytest.mark.parametrize("timesteps", [[5], [-1], [2, 7]])
+def test_load_trajectory_rejects_a_timestep_it_does_not_hold(tmp_path, timesteps):
+    z0 = _latents(seed=3, shape=(2, 1, 6, 6))
+    sched = NoiseSchedule.default(n_steps=4)
+    save_trajectory(ddim_invert(z0, sched, ZeroDenoiser()), sched, tmp_path)
+    with pytest.raises(BadValue, match="no timestep"):
+        load_trajectory(tmp_path, timesteps=timesteps)
+
+
+def test_load_trajectory_reads_only_the_timesteps_asked_for(tmp_path):
+    z0 = _latents(seed=3, shape=(2, 1, 6, 6))
+    sched = NoiseSchedule.default(n_steps=4)
+    traj = ddim_invert(z0, sched, ZeroDenoiser())
+    save_trajectory(traj, sched, tmp_path)
+    (tmp_path / "t001.cmt").write_bytes(b"garbage")
+    picked, sched2 = load_trajectory(tmp_path, timesteps=[4, 0])
+    assert sched2.n_steps == 4
+    assert [p.data.tobytes() for p in picked] == [
+        traj[t].data.astype(np.float32).tobytes() for t in (4, 0)
+    ]
+    assert load_trajectory(tmp_path, timesteps=())[0] == []
+
 
 def _guided_setup(n_steps=12):
     n = 6
