@@ -14,20 +14,7 @@ from pathlib import Path
 
 from . import pipeline as pl
 from .diffusion import NoiseSchedule, ZeroDenoiser, load_trajectory
-from .errors import (
-    BadMagic,
-    BadValue,
-    DimMismatch,
-    EmptyRegion,
-    IndexOutOfRange,
-    IoFailure,
-    LengthMismatch,
-    MissingBackground,
-    MomixError,
-    NonFinite,
-    NoValidPairs,
-    UnknownSubject,
-)
+from .errors import BadValue, EmptyRegion, MomixError, NonFinite, NoValidPairs, UnknownSubject
 from .features import (
     Directive,
     EditPlan,
@@ -41,16 +28,6 @@ from .metrics import descriptor_distance
 from .synth import load_scene
 from .tensors import load_manifest, load_tensor, read_json
 
-_USAGE_ERRORS = (
-    BadValue,
-    BadMagic,
-    DimMismatch,
-    IoFailure,
-    UnknownSubject,
-    MissingBackground,
-    LengthMismatch,
-    IndexOutOfRange,
-)
 _NUMERIC_ERRORS = (NonFinite, NoValidPairs, EmptyRegion)
 
 
@@ -159,35 +136,24 @@ def _cmd_extract(args) -> int:
     manifest = load_manifest(args.manifest)
     rel = os.path.relpath(args.manifest, args.out_dir)
     out = pl.run_extract(
-        args.traj_dir,
-        manifest,
-        args.out_dir,
-        legacy_region=args.legacy_region,
-        manifest_path=rel,
+        args.traj_dir, manifest, args.out_dir, legacy_region=args.legacy_region, manifest_path=rel
     )
-    index = read_json(out / "extract_index.json")
-    print(f"descriptors written to {out}: sources={index['sources']}, "
-          f"timesteps=0..{index['n_steps']}")
+    index = pl.read_extract_index(out)
+    print(f"descriptors written to {out}: sources={index.sources}, timesteps=0..{index.n_steps}")
     if args.baseline:
         _print_baseline_distances(args, manifest)
     return 0
 
 
-def _print_baseline_distances(args, manifest) -> int:
+def _print_baseline_distances(args, manifest) -> None:
     [z0], _ = load_trajectory(args.traj_dir, timesteps=[0])
     masks = manifest.load_masks()
-    baseline = {d.source_id: d for d in pl.load_references(args.baseline, timesteps=[0])[0]}
+    baseline = {d.source_id: d for d in pl.read_extract_index(args.baseline).references([0])[0]}
     for mode, legacy in (("refined", False), ("legacy", True)):
-        descs = extract_descriptors(
-            z0, masks, timestep=0, legacy_region=legacy, strict=False
-        )
-        for d in descs:
-            ref = baseline.get(d.source_id)
-            if ref is None:
-                continue
-            dist, n = descriptor_distance(d, ref)
-            print(f"{mode} {d.source_id}: distance to baseline = {dist:.6g} over {n} pairs")
-    return 0
+        for d in extract_descriptors(z0, masks, timestep=0, legacy_region=legacy, strict=False):
+            if d.source_id in baseline:
+                dist, n = descriptor_distance(d, baseline[d.source_id])
+                print(f"{mode} {d.source_id}: distance to baseline = {dist:.6g} over {n} pairs")
 
 
 def _parse_weights(items: list[str]) -> dict[str, float]:
@@ -243,13 +209,12 @@ def _plan_from_args(args, manifest) -> EditPlan:
 
 def _cmd_recompose(args) -> int:
     desc_dir = Path(args.desc_dir)
-    index = read_json(desc_dir / "extract_index.json")
     if args.manifest:
         manifest_path = Path(args.manifest)
     else:
         # recorded relative to the desc dir at extract time
-        recorded = index.get("manifest")
-        if not isinstance(recorded, str):
+        recorded = pl.read_extract_index(desc_dir).manifest
+        if recorded is None:
             raise BadValue("no manifest recorded at extract time; pass --manifest")
         manifest_path = desc_dir / recorded
     manifest = load_manifest(manifest_path)
@@ -344,9 +309,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except _NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

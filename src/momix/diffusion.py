@@ -22,7 +22,16 @@ import numpy as np
 
 from .errors import BadValue, DimMismatch, NonFinite
 from .guidance import GuidanceConfig, GuidanceTarget, guided_update
-from .tensors import LatentVideo, load_tensor, read_json, save_tensor, write_json
+from .tensors import (
+    REQUIRED,
+    LatentVideo,
+    load_tensor,
+    read_json,
+    save_tensor,
+    typed_field,
+    typed_numbers,
+    write_json,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,8 +121,8 @@ class GaussianAtlasDenoiser:
         for member in atlas:
             if member.shape != shape:
                 raise DimMismatch(f"atlas member shape {member.shape} != {shape}")
-        if not bandwidth > 0:
-            raise BadValue(f"bandwidth must be positive, got {bandwidth}")
+        if not 0 < bandwidth < np.inf:
+            raise BadValue(f"bandwidth must be finite and positive, got {bandwidth}")
         self.members = np.stack([m.data for m in atlas], dtype=np.float64)
         self.members.setflags(write=False)
         self._flat = self.members.reshape(len(atlas), -1)
@@ -279,32 +288,30 @@ def save_trajectory(trajectory: Sequence[LatentVideo], schedule: NoiseSchedule, 
 def load_trajectory(dir_path, timesteps=None) -> tuple[list[LatentVideo], NoiseSchedule]:
     """The latents at t = 0..n_steps and their schedule, as the index lists them.
 
-    The index must agree with itself: ``alpha_bar`` holds ``n_steps + 1``
-    values and ``files`` names exactly the timesteps 0..n_steps.
+    The index must agree with itself: ``n_steps`` is a JSON integer,
+    ``alpha_bar`` holds ``n_steps + 1`` numbers and ``files`` maps exactly
+    the timesteps 0..n_steps, each t to the file ``t###.cmt``.
     ``timesteps`` (default: all of them) picks which tensors to read, in
     the order given; each must lie in 0..n_steps, and an empty selection
     reads the index alone.
     """
     dir_path = Path(dir_path)
+    what = f"trajectory index {dir_path}"
     index = read_json(dir_path / "index.json")
-    try:
-        schedule = NoiseSchedule(np.asarray(index["alpha_bar"], dtype=np.float64))
-        n_steps = int(index["n_steps"])
-        files = dict(index["files"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadValue(
-            f"{dir_path}: malformed trajectory index ({type(exc).__name__}: {exc})"
-        ) from exc
+    n_steps = typed_field(index, "n_steps", int, REQUIRED, what)
+    alpha_bar = typed_field(index, "alpha_bar", list, REQUIRED, what)
+    schedule = NoiseSchedule(np.asarray(typed_numbers(alpha_bar, None, f"{what}: alpha_bar")))
     if schedule.n_steps != n_steps:
         raise BadValue(
             f"{dir_path}: index says n_steps {n_steps} but alpha_bar has "
             f"{schedule.n_steps + 1} values"
         )
-    if sorted(files) != sorted(str(t) for t in range(n_steps + 1)):
-        raise BadValue(f"{dir_path}: index files must list exactly the timesteps 0..{n_steps}")
+    files = typed_field(index, "files", dict, REQUIRED, what)
+    if files != {str(t): f"t{t:03d}.cmt" for t in range(n_steps + 1)}:
+        raise BadValue(f"{dir_path}: index files must map each timestep 0..{n_steps} to t###.cmt")
     if timesteps is None:
         timesteps = range(n_steps + 1)
     for t in timesteps:
         if t not in range(n_steps + 1):
             raise BadValue(f"{dir_path}: trajectory has no timestep {t!r} (0..{n_steps})")
-    return [load_tensor(dir_path / str(files[str(t)])) for t in timesteps], schedule
+    return [load_tensor(dir_path / f"t{t:03d}.cmt") for t in timesteps], schedule

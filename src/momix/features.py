@@ -36,6 +36,7 @@ from .masks import (
     pair_region,
 )
 from .tensors import (
+    REQUIRED,
     LatentVideo,
     MaskTrack,
     check_keys,
@@ -326,24 +327,22 @@ def extract_descriptors(
     subjects: Sequence[MaskTrack],
     timestep: int,
     *,
-    include_background: bool = True,
     legacy_region: bool = False,
     strict: bool = True,
     operator: PairOperator | None = None,
 ) -> list[MotionDescriptor]:
     """One descriptor per subject plus one for the background.
 
-    ``operator``, compiled by ``compile_sources`` from the same subjects
-    and options, skips the compile when many timesteps share one mask set.
+    ``operator``, compiled by ``compile_sources`` from the same subjects,
+    skips the compile when many timesteps share one mask set; it then
+    fixes the regions, and ``legacy_region`` is not read.
     A subject whose region is empty for every frame pair raises
     NoValidPairs when ``strict``, otherwise it is skipped with a warning.
     The background degrades to an empty descriptor instead of raising, so
     an all-covering subject (the global-mean degenerate case) still works.
     """
     if operator is None:
-        operator = compile_sources(
-            latents, subjects, include_background=include_background, legacy_region=legacy_region
-        )
+        operator = compile_sources(latents, subjects, legacy_region=legacy_region)
     deltas = operator.apply(latents.data)
     out: list[MotionDescriptor] = []
     for sid, rows in operator.slices.items():
@@ -371,8 +370,8 @@ def soft_blend(subject_delta: np.ndarray, camera_delta: np.ndarray, w_c: float) 
     c = np.asarray(camera_delta, dtype=np.float64)
     if s.shape != c.shape:
         raise LengthMismatch(f"delta lengths differ: {s.shape} vs {c.shape}")
-    if not w_c >= 0:
-        raise BadValue(f"w_c must be non-negative, got {w_c}")
+    if not 0 <= w_c < np.inf:
+        raise BadValue(f"w_c must be finite and non-negative, got {w_c}")
     if w_c == 0:
         return s.copy()
     return (s + w_c * c) / (w_c + 1.0)
@@ -394,8 +393,8 @@ class Directive:
             raise BadValue(f"unknown directive kind {self.kind!r}")
         if self.kind == "mask_edit" and self.edit is None:
             raise BadValue("mask_edit directive requires an edit")
-        if self.w_c is not None and not self.w_c >= 0:
-            raise BadValue(f"w_c must be non-negative, got {self.w_c}")
+        if self.w_c is not None and not 0 <= self.w_c < np.inf:
+            raise BadValue(f"w_c must be finite and non-negative, got {self.w_c}")
 
 
 @dataclass(frozen=True)
@@ -413,8 +412,8 @@ class EditPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "directives", dict(self.directives))
-        if not self.w_c >= 0:
-            raise BadValue(f"w_c must be non-negative, got {self.w_c}")
+        if not 0 <= self.w_c < np.inf:
+            raise BadValue(f"w_c must be finite and non-negative, got {self.w_c}")
 
     def directive_for(self, subject_id: str) -> Directive:
         return self.directives.get(subject_id, Directive("keep"))
@@ -503,38 +502,35 @@ _EDIT_KEYS = ("kind", "dx", "dy", "factor", "anchor")
 
 def plan_from_json(doc: dict) -> EditPlan:
     """The plan ``plan_to_json`` writes; a key it would not write is rejected."""
-    check_keys(doc, _PLAN_KEYS, "edit plan")
-    try:
-        directives = {}
-        for sid, entry in doc.get("subjects", {}).items():
-            check_keys(entry, _DIRECTIVE_KEYS, f"plan entry {sid!r}")
-            edit = None
-            if entry.get("edit") is not None:
-                e = check_keys(entry["edit"], _EDIT_KEYS, f"plan edit of {sid!r}")
-                edit = MaskEdit(
-                    kind=e["kind"],
-                    dx=typed_field(e, "dx", int, 0, "edit plan"),
-                    dy=typed_field(e, "dy", int, 0, "edit plan"),
-                    factor=typed_field(e, "factor", float, 1.0, "edit plan"),
-                    anchor=(
-                        typed_numbers(e["anchor"], 2, "malformed edit plan: anchor")
-                        if e.get("anchor") is not None
-                        else None
-                    ),
-                )
-            directives[str(sid)] = Directive(
-                kind=entry["op"],
-                w_c=typed_field(entry, "w_c", float, None, "edit plan"),
-                edit=edit,
+    what = "edit plan"
+    check_keys(doc, _PLAN_KEYS, what)
+    directives = {}
+    for sid, entry in typed_field(doc, "subjects", dict, {}, what).items():
+        check_keys(entry, _DIRECTIVE_KEYS, f"plan entry {sid!r}")
+        edit = None
+        if entry.get("edit") is not None:
+            e = check_keys(entry["edit"], _EDIT_KEYS, f"plan edit of {sid!r}")
+            anchor = e.get("anchor")
+            if anchor is not None:
+                anchor = typed_numbers(anchor, 2, f"malformed {what}: anchor")
+            edit = MaskEdit(
+                kind=typed_field(e, "kind", str, REQUIRED, what),
+                dx=typed_field(e, "dx", int, 0, what),
+                dy=typed_field(e, "dy", int, 0, what),
+                factor=typed_field(e, "factor", float, 1.0, what),
+                anchor=anchor,
             )
-        return EditPlan(
-            directives=directives,
-            include_background=typed_field(doc, "include_background", bool, True, "edit plan"),
-            w_c=typed_field(doc, "w_c", float, 0.0, "edit plan"),
-            camera_only=typed_field(doc, "camera_only", bool, False, "edit plan"),
+        directives[sid] = Directive(
+            kind=typed_field(entry, "op", str, REQUIRED, what),
+            w_c=typed_field(entry, "w_c", float, None, what),
+            edit=edit,
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise BadValue(f"malformed edit plan: {exc}") from exc
+    return EditPlan(
+        directives=directives,
+        include_background=typed_field(doc, "include_background", bool, True, what),
+        w_c=typed_field(doc, "w_c", float, 0.0, what),
+        camera_only=typed_field(doc, "camera_only", bool, False, what),
+    )
 
 
 def load_plan(path) -> EditPlan:
@@ -566,13 +562,27 @@ def save_descriptor(desc: MotionDescriptor, json_path) -> None:
 
 
 def load_descriptor(json_path) -> MotionDescriptor:
+    """The descriptor ``save_descriptor`` wrote at ``json_path``, every field typed.
+
+    Its tensor is the file beside it with the suffix ``.cmt``; a ``tensor``
+    field naming any other file is rejected.
+    """
     json_path = Path(json_path)
+    what = f"descriptor {json_path}"
     doc = read_json(json_path)
-    try:
-        pairs = np.asarray(doc["valid_pairs"], dtype=np.int64)
-        deltas = read_array(json_path.parent / doc["tensor"]) if pairs.size else np.zeros((0, 0))
-        return MotionDescriptor(
-            str(doc["source_id"]), int(doc["timestep"]), int(doc["n_frames"]), pairs, deltas
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadValue(f"{json_path}: malformed descriptor: {exc}") from exc
+    tensor = json_path.with_suffix(".cmt")
+    if typed_field(doc, "tensor", str, REQUIRED, what) != tensor.name:
+        raise BadValue(f"malformed {what}: tensor must be {tensor.name!r}, got {doc['tensor']!r}")
+    n_frames = typed_field(doc, "n_frames", int, REQUIRED, what)
+    pairs = typed_field(doc, "valid_pairs", list, REQUIRED, what)
+    if not all(isinstance(p, list) and len(p) == 2
+               and all(type(f) is int and 0 <= f < n_frames for f in p) for p in pairs):
+        raise BadValue(f"malformed {what}: valid_pairs must hold [i, j] pairs of JSON integers "
+                       f"in 0..{n_frames - 1}")
+    return MotionDescriptor(
+        typed_field(doc, "source_id", str, REQUIRED, what),
+        typed_field(doc, "timestep", int, REQUIRED, what),
+        n_frames,
+        np.array(pairs, dtype=np.int64).reshape(-1, 2),
+        read_array(tensor) if pairs else np.zeros((0, 0)),
+    )

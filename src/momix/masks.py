@@ -133,8 +133,8 @@ class MaskEdit:
         if self.kind not in ("shift", "scale"):
             raise BadValue(f"unknown edit kind {self.kind!r}")
         if self.kind == "scale":
-            if not self.factor > 0:
-                raise BadValue(f"scale factor must be positive, got {self.factor}")
+            if not 0 < self.factor < np.inf:
+                raise BadValue(f"scale factor must be finite and positive, got {self.factor}")
             if self.anchor is None:
                 raise BadValue("scale edit requires an anchor (row, col)")
 
@@ -163,15 +163,14 @@ def scale_mask(frame: np.ndarray, factor: float, anchor: tuple[float, float]) ->
         raise BadValue(f"anchor {anchor} outside frame bounds {(h, w)}")
     rows = ar + (np.arange(h) - ar) / factor
     cols = ac + (np.arange(w) - ac) / factor
-    # round half up, then mark out-of-bounds sources invalid
-    src_r = np.floor(rows + 0.5).astype(int)
-    src_c = np.floor(cols + 0.5).astype(int)
-    ok_r = (src_r >= 0) & (src_r < h)
-    ok_c = (src_c >= 0) & (src_c < w)
+    # past 2**53 a float has no fractional part, so rounding half up is no longer exact
+    if max(np.abs(rows).max(), np.abs(cols).max()) >= 2.0**53:
+        raise BadValue(f"scale factor {factor} maps cells past 2**53 pixels from the anchor")
+    # round half up, and test the bounds before the integer cast
+    src_r, src_c = np.floor(rows + 0.5), np.floor(cols + 0.5)
+    ok_r, ok_c = (src_r >= 0) & (src_r < h), (src_c >= 0) & (src_c < w)
     out = np.zeros_like(frame)
-    rr = src_r[ok_r]
-    cc = src_c[ok_c]
-    out[np.ix_(ok_r, ok_c)] = frame[np.ix_(rr, cc)]
+    out[np.ix_(ok_r, ok_c)] = frame[np.ix_(src_r[ok_r].astype(int), src_c[ok_c].astype(int))]
     return out
 
 

@@ -31,7 +31,6 @@ from .errors import BadValue, NoValidPairs
 from .features import (
     EditPlan,
     MotionDescriptor,
-    PairOperator,
     compile_sources,
     extract_descriptors,
     load_descriptor,
@@ -40,7 +39,7 @@ from .features import (
     save_descriptor,
 )
 from .guidance import GuidanceConfig, GuidanceTarget
-from .masks import BACKGROUND_ID, apply_edit, background_track
+from .masks import apply_edit
 from .metrics import compare_trajectories, descriptor_distance
 from .synth import (
     SceneSpec,
@@ -51,8 +50,8 @@ from .synth import (
     scene_from_json,
 )
 from .tensors import (
+    REQUIRED,
     LatentVideo,
-    MaskTrack,
     SceneManifest,
     atomic_write,
     check_keys,
@@ -63,16 +62,17 @@ from .tensors import (
     save_mask,
     save_tensor,
     typed_field,
+    typed_points,
     write_json,
 )
 
 log = logging.getLogger(__name__)
 
-_SAFE_NAME = re.compile(r"^[A-Za-z0-9_.-]+$")
+_SAFE_NAME = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 def _safe_name(name: str) -> str:
-    if not _SAFE_NAME.match(name):
+    if not _SAFE_NAME.fullmatch(name):
         raise BadValue(f"id {name!r} is not filesystem-safe (use letters, digits, _ . -)")
     return name
 
@@ -157,10 +157,7 @@ def run_extract(
     for t, latents in enumerate(trajectory):
         t_dir = out_dir / f"t{t:03d}"
         t_dir.mkdir(exist_ok=True)
-        descriptors = extract_descriptors(
-            latents, masks, timestep=t, legacy_region=legacy_region, strict=False, operator=operator
-        )
-        for desc in descriptors:
+        for desc in extract_descriptors(latents, masks, timestep=t, strict=False, operator=operator):
             save_descriptor(desc, t_dir / f"{_safe_name(desc.source_id)}.json")
             sources_seen.add(desc.source_id)
     index = {
@@ -174,51 +171,69 @@ def run_extract(
     return out_dir
 
 
-def load_references(desc_dir, timesteps=None) -> dict[int, list[MotionDescriptor]]:
-    """Descriptors of every source the extract index lists, per timestep.
+@dataclass(frozen=True)
+class ExtractIndex:
+    """A descriptor archive's ``extract_index.json``.
 
-    Only files the index names are read, so a stray descriptor left in the
-    directory is never taken as a reference. ``timesteps`` (default: every
-    one the index lists) picks which to load.
+    ``root`` holds ``t###/<source>.json`` for t in 0..n_steps, extracted with
+    ``legacy_region``. ``manifest`` is the scene manifest's path relative to
+    ``root``, or None.
     """
+
+    root: Path
+    n_steps: int
+    sources: list[str]
+    legacy_region: bool
+    manifest: str | None
+
+    def references(self, timesteps=None) -> dict[int, list[MotionDescriptor]]:
+        """Descriptors of every listed source, per timestep (default: all of them).
+
+        Only the files the index names are read, so a stray descriptor is never
+        a reference, and each must hold the source and timestep of its name.
+        """
+        refs: dict[int, list[MotionDescriptor]] = {}
+        for t in range(self.n_steps + 1) if timesteps is None else timesteps:
+            if t not in range(self.n_steps + 1):
+                raise BadValue(f"{self.root}: extract index lists no timestep {t}")
+            refs[t] = []
+            for sid in self.sources:
+                path = self.root / f"t{t:03d}" / f"{sid}.json"
+                desc = load_descriptor(path)
+                if (desc.source_id, desc.timestep) != (sid, t):
+                    raise BadValue(f"{path}: holds source {desc.source_id!r} at timestep "
+                                   f"{desc.timestep}, not {sid!r} at {t}")
+                refs[t].append(desc)
+        return refs
+
+
+_INDEX_KEYS = ("n_steps", "timesteps", "sources", "legacy_region", "manifest")
+
+
+def read_extract_index(desc_dir) -> ExtractIndex:
+    """The typed index ``run_extract`` wrote; a missing or mistyped field is rejected."""
     desc_dir = Path(desc_dir)
-    index = read_json(desc_dir / "extract_index.json")
-    try:
-        listed = [int(t) for t in index["timesteps"]]
-        sources = [_safe_name(str(sid)) for sid in index["sources"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadValue(f"{desc_dir}: malformed extract index: {exc}") from exc
-    refs: dict[int, list[MotionDescriptor]] = {}
-    for t in listed if timesteps is None else timesteps:
-        if t not in listed:
-            raise BadValue(f"{desc_dir}: extract index lists no timestep {t}")
-        refs[t] = [load_descriptor(desc_dir / f"t{t:03d}" / f"{sid}.json") for sid in sources]
-    return refs
+    what = f"extract index {desc_dir}"
+    doc = check_keys(read_json(desc_dir / "extract_index.json"), _INDEX_KEYS, what)
+    n_steps = typed_field(doc, "n_steps", int, REQUIRED, what)
+    timesteps = typed_field(doc, "timesteps", list, REQUIRED, what)
+    if len(timesteps) != n_steps + 1 or any(type(t) is not int or t != k
+                                            for k, t in enumerate(timesteps)):
+        raise BadValue(f"malformed {what}: timesteps must be 0..{n_steps}, got {timesteps!r}")
+    sources = typed_field(doc, "sources", list, REQUIRED, what)
+    if not all(isinstance(sid, str) and _SAFE_NAME.fullmatch(sid) for sid in sources):
+        raise BadValue(f"malformed {what}: sources must be filesystem-safe strings, "
+                       f"got {sources!r}")
+    if doc.get("manifest", "") is not None:  # null: extract recorded no manifest
+        typed_field(doc, "manifest", str, REQUIRED, what)
+    return ExtractIndex(
+        desc_dir, n_steps, sources,
+        legacy_region=typed_field(doc, "legacy_region", bool, REQUIRED, what),
+        manifest=doc["manifest"],
+    )
 
 
 # --- recompose + guided sampling ---------------------------------------------
-
-
-def build_target_masks(
-    subject_masks: list[MaskTrack],
-    plan: EditPlan,
-    dims: tuple[int, int, int] | None = None,
-) -> dict[str, MaskTrack]:
-    """Target-side tracks: subject masks (after any plan edits) plus background.
-
-    ``dims`` (frames, height, width) is required when there are no subjects.
-    """
-    edited: list[MaskTrack] = []
-    for track in subject_masks:
-        directive = plan.directive_for(track.subject_id)
-        if directive.kind == "mask_edit":
-            track = apply_edit(track, directive.edit)
-        edited.append(track)
-    out = {t.subject_id: t for t in edited}
-    if subject_masks:
-        dims = (subject_masks[0].n_frames, subject_masks[0].height, subject_masks[0].width)
-    out[BACKGROUND_ID] = background_track(edited, dims=dims)
-    return out
 
 
 @dataclass
@@ -248,11 +263,9 @@ def run_recompose(
     [reference_zT], _ = load_trajectory(traj_dir, timesteps=[schedule.n_steps])
     denoiser = build_denoiser(atlas, schedule, bandwidth=bandwidth)
     plan = plan if plan is not None else EditPlan()
+    edits = {sid: d.edit for sid, d in plan.directives.items() if d.kind == "mask_edit"}
     if init == "auto":
-        wants_fresh = plan.camera_only or any(
-            d.kind == "mask_edit" for d in plan.directives.values()
-        )
-        init_mode = "fresh" if wants_fresh else "shared"
+        init_mode = "fresh" if plan.camera_only or edits else "shared"
     else:
         init_mode = init
     zT = make_initial_noise(reference_zT, mode=init_mode, seed=seed)
@@ -261,11 +274,14 @@ def run_recompose(
     if guided:
         config = guidance_config if guidance_config is not None else GuidanceConfig()
         start, end = config.window(schedule.n_steps)
-        refs_by_t = load_references(desc_dir, timesteps=range(end, start + 1))
-        target_masks = build_target_masks(
-            manifest.load_masks(), plan, dims=(manifest.frames, manifest.height, manifest.width)
-        )
-        regions = PairOperator(target_masks)
+        index = read_extract_index(desc_dir)
+        if index.n_steps != schedule.n_steps:
+            raise BadValue(f"{desc_dir}: descriptors span timesteps 0..{index.n_steps}, "
+                           f"the trajectory 0..{schedule.n_steps}")
+        refs_by_t = index.references(range(end, start + 1))
+        subjects = [apply_edit(m, edits[m.subject_id]) if m.subject_id in edits else m
+                    for m in manifest.load_masks()]
+        regions = compile_sources(reference_zT, subjects, legacy_region=index.legacy_region)
         targets = {}
         for t, refs in refs_by_t.items():
             targets[t] = GuidanceTarget(
@@ -302,17 +318,17 @@ def run_metrics(run_dir, scene_dir, desc_dir=None, out_path=None, threshold: flo
     run_dir, scene_dir = Path(run_dir), Path(scene_dir)
     output = load_tensor(run_dir / "output.cmt")
     spec = load_scene(scene_dir / "spec.json")
-    truth = read_json(scene_dir / "trajectories.json")
+    truth = typed_field(read_json(scene_dir / "trajectories.json"), "subjects", dict, {},
+                        f"{scene_dir} trajectories")
     report: dict = {"subjects": {}, "descriptor_distances": {}, "warnings": []}
     for blob in spec.blobs:
         centroids, areas = estimate_blob_track(output, blob.channel_signature, threshold)
         missing = sum(1 for c in centroids if c is None)
         entry: dict = {"areas": areas, "missing_frames": missing}
         if missing == 0:
-            try:
-                ref = truth["subjects"][blob.subject_id]
-            except (KeyError, TypeError) as exc:
-                raise BadValue(f"{scene_dir}: no true trajectory for {blob.subject_id!r}") from exc
+            if blob.subject_id not in truth:
+                raise BadValue(f"{scene_dir}: no true trajectory for {blob.subject_id!r}")
+            ref = typed_points(truth[blob.subject_id], f"{scene_dir}: {blob.subject_id} trajectory")
             entry["estimated"] = [list(c) for c in centroids]
             entry.update(compare_trajectories(ref, centroids).to_json())
         else:
@@ -323,18 +339,18 @@ def run_metrics(run_dir, scene_dir, desc_dir=None, out_path=None, threshold: flo
 
     manifest = load_manifest(scene_dir / "manifest.json")
     masks = manifest.load_masks()
-    operator = compile_sources(output, masks)
+    # compared over the regions the references were extracted with
+    index = read_extract_index(desc_dir) if desc_dir is not None else None
+    operator = compile_sources(output, masks, legacy_region=bool(index and index.legacy_region))
     try:
         out_desc = extract_descriptors(output, masks, timestep=0, strict=False, operator=operator)
     except NoValidPairs:
         out_desc = []
-    if desc_dir is not None:
-        ref_desc = load_references(desc_dir, timesteps=[0])[0]
+    if index is not None:
+        ref_desc = index.references([0])[0]
     else:
-        ref_latents = manifest.load_latent("0")
         ref_desc = extract_descriptors(
-            ref_latents, masks, timestep=0, strict=False, operator=operator
-        )
+            manifest.load_latent("0"), masks, timestep=0, strict=False, operator=operator)
     ref_by_source = {d.source_id: d for d in ref_desc}
     for d in out_desc:
         ref = ref_by_source.get(d.source_id)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import BadValue, DimMismatch
 from .tensors import (
+    REQUIRED,
     LatentVideo,
     MaskTrack,
     atomic_write,
@@ -27,6 +28,7 @@ from .tensors import (
     read_json,
     typed_field,
     typed_numbers,
+    typed_points,
     write_json,
 )
 
@@ -327,40 +329,29 @@ def scene_from_json(doc: dict) -> SceneSpec:
     """
     what = "scene spec"
     check_keys(doc, _SCENE_KEYS, what)
-
-    def required(entry: dict, key: str, kind, where: str):
-        if key not in entry:
-            raise BadValue(f"malformed {where}: missing {key}")
-        return typed_field(entry, key, kind, None, where)
-
-    def points(value, label: str) -> tuple[tuple[float, ...], ...]:
-        if not isinstance(value, (list, tuple)):
-            raise BadValue(f"{label} must be a JSON array of points, got {value!r}")
-        return tuple(typed_numbers(p, 2, f"{label} point {k}") for k, p in enumerate(value))
-
     try:
         blobs = []
         for b in doc.get("blobs", []):
             check_keys(b, _BLOB_KEYS, "scene blob")
             where = f"scene blob {b.get('subject_id')!r}"
             blobs.append(BlobSpec(
-                subject_id=required(b, "subject_id", str, where),
-                trajectory=points(b["trajectory"], f"malformed {where}: trajectory"),
-                radius=required(b, "radius", float, where),
+                subject_id=typed_field(b, "subject_id", str, REQUIRED, where),
+                trajectory=typed_points(b["trajectory"], f"malformed {where}: trajectory"),
+                radius=typed_field(b, "radius", float, REQUIRED, where),
                 channel_signature=typed_numbers(
                     b["channel_signature"], None, f"malformed {where}: channel_signature"
                 ),
             ))
         drift = doc.get("background_drift")
+        if drift is not None:
+            drift = typed_points(drift, f"malformed {what}: background_drift")
         return SceneSpec(
-            n_frames=required(doc, "n_frames", int, what),
-            n_channels=required(doc, "n_channels", int, what),
-            height=required(doc, "height", int, what),
-            width=required(doc, "width", int, what),
+            n_frames=typed_field(doc, "n_frames", int, REQUIRED, what),
+            n_channels=typed_field(doc, "n_channels", int, REQUIRED, what),
+            height=typed_field(doc, "height", int, REQUIRED, what),
+            width=typed_field(doc, "width", int, REQUIRED, what),
             blobs=tuple(blobs),
-            background_drift=(
-                None if drift is None else points(drift, f"malformed {what}: background_drift")
-            ),
+            background_drift=drift,
             texture_seed=typed_field(doc, "texture_seed", int, 0, what),
             texture_amplitude=typed_field(doc, "texture_amplitude", float, 0.5, what),
             texture_wavelengths=typed_numbers(

@@ -300,16 +300,22 @@ def check_keys(doc, known, what: str) -> dict:
     return doc
 
 
+REQUIRED = object()  # the ``default`` of ``typed_field`` for a key that must be present
+
+
 def typed_field(doc: dict, key: str, kind, default, what: str):
     """``doc[key]`` (``default`` when absent), once it has the JSON type ``kind``.
 
-    ``kind`` is ``bool``, ``int``, ``str``, ``float`` (a finite JSON number,
-    integer or not, returned as a float) or a tuple of the allowed strings.
-    Nothing else is coerced: ``"false"`` is no boolean, ``2.9`` or ``true``
-    no integer, ``5`` or ``["x"]`` no string, and ``"2"``, ``true`` or
-    ``Infinity`` no number.
+    ``kind`` is ``bool``, ``int``, ``str``, ``list``, ``dict``, ``float`` (a
+    finite JSON number, integer or not, returned as a float) or a tuple of
+    the allowed strings. Nothing else is coerced: ``"false"`` is no boolean,
+    ``2.9`` or ``true`` no integer, ``5`` or ``["x"]`` no string, and
+    ``"2"``, ``true`` or ``Infinity`` no number. An absent key whose
+    ``default`` is ``REQUIRED`` is rejected.
     """
     if key not in doc:
+        if default is REQUIRED:
+            raise BadValue(f"malformed {what}: missing {key}")
         return default
     value = doc[key]
     if isinstance(kind, tuple):
@@ -319,8 +325,8 @@ def typed_field(doc: dict, key: str, kind, default, what: str):
     if kind is float:
         return _finite_number(value, f"malformed {what}: {key}")
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        name = {bool: "boolean", int: "integer", str: "string"}[kind]
-        raise BadValue(f"malformed {what}: {key} must be a JSON {name}, got {value!r}")
+        name = {bool: "boolean", int: "integer", str: "string", list: "array", dict: "object"}
+        raise BadValue(f"malformed {what}: {key} must be a JSON {name[kind]}, got {value!r}")
     return value
 
 
@@ -346,6 +352,13 @@ def _finite_number(value, label: str) -> float:
     if not math.isfinite(number):
         raise BadValue(f"{label} must be finite, got {value!r}")
     return number
+
+
+def typed_points(value, label: str) -> tuple[tuple[float, ...], ...]:
+    """``value`` as points, once it is an array of arrays of two finite JSON numbers."""
+    if not isinstance(value, (list, tuple)):
+        raise BadValue(f"{label} must be a JSON array of points, got {value!r}")
+    return tuple(typed_numbers(p, 2, f"{label} point {k}") for k, p in enumerate(value))
 
 
 def write_json(path, doc) -> None:
@@ -376,6 +389,8 @@ class SceneManifest:
         return list(self.masks.keys())
 
     def latent_path(self, timestep: str | int) -> Path:
+        if str(timestep) not in self.latents:
+            raise BadValue(f"manifest lists no latents for timestep {timestep}")
         return self.root / self.latents[str(timestep)]
 
     def mask_path(self, subject_id: str) -> Path:
@@ -415,21 +430,21 @@ def save_manifest(manifest: SceneManifest, path) -> None:
     )
 
 
-def load_manifest(path, verify: bool = True) -> SceneManifest:
+def load_manifest(path) -> SceneManifest:
+    """The manifest ``save_manifest`` wrote, once every file it lists has its dims.
+
+    The sizes must be JSON integers and every latent and mask path a JSON string.
+    """
     path = Path(path)
+    what = f"manifest {path}"
     doc = read_json(path)
-    try:
-        manifest = SceneManifest(
-            frames=int(doc["frames"]),
-            channels=int(doc["channels"]),
-            height=int(doc["height"]),
-            width=int(doc["width"]),
-            latents={str(k): str(v) for k, v in doc["latents"].items()},
-            masks={str(k): str(v) for k, v in doc.get("masks", {}).items()},
-            root=path.parent,
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise BadValue(f"{path}: malformed manifest: {exc}") from exc
-    if verify:
-        manifest.verify()
+    latents = typed_field(doc, "latents", dict, REQUIRED, what)
+    masks = typed_field(doc, "masks", dict, {}, what)
+    for table in (latents, masks):
+        for key in table:
+            typed_field(table, key, str, REQUIRED, what)
+    keys = ("frames", "channels", "height", "width")
+    sizes = [typed_field(doc, k, int, REQUIRED, what) for k in keys]
+    manifest = SceneManifest(*sizes, latents=latents, masks=masks, root=path.parent)
+    manifest.verify()
     return manifest

@@ -11,7 +11,7 @@ from momix import pipeline as pl
 from momix.cli import main
 from momix.errors import NoValidPairs
 from momix.guidance import GuidanceConfig
-from momix.pipeline import load_references
+from momix.pipeline import read_extract_index
 from momix.synth import BlobSpec, SceneSpec, save_scene, scene_to_json
 from momix.tensors import load_manifest, load_tensor
 
@@ -274,7 +274,7 @@ def test_stray_descriptor_is_not_loaded(pipeline_dirs):
     doc = json.loads((desc / "t000" / "A.json").read_text())
     doc["source_id"] = "ghost"
     (desc / "t000" / "ghost.json").write_text(json.dumps(doc))
-    refs = load_references(desc)
+    refs = read_extract_index(desc).references()
     assert [d.source_id for d in refs[0]] == ["A", "B", "background"]
     assert all(len(descs) == 3 for descs in refs.values())
 
@@ -533,8 +533,13 @@ def _edit_index(traj, edit):
         (lambda traj: _edit_index(traj, lambda ix: ix["files"].pop("3")), "0..8"),
         (lambda traj: _edit_index(traj, lambda ix: ix["files"].update({"9": "t008.cmt"})),
          "0..8"),
+        (lambda traj: _edit_index(traj, lambda ix: ix["files"].update({"8": "t007.cmt"})),
+         "0..8"),
+        (lambda traj: _edit_index(traj, lambda ix: ix.update({"n_steps": 8.9})),
+         "n_steps must be a JSON integer"),
     ],
-    ids=["terminal-missing", "terminal-truncated", "files-short", "files-extra"],
+    ids=["terminal-missing", "terminal-truncated", "files-short", "files-extra",
+         "files-renamed", "n_steps-float"],
 )
 def test_recompose_damaged_trajectory_is_a_usage_error(
     pipeline_dirs, tmp_path, capsys, damage, message
@@ -714,3 +719,177 @@ def test_metrics_trajectories_without_subject(pipeline_dirs, tmp_path, capsys):
     (scene / "trajectories.json").write_text("{}")
     assert main(["metrics", str(run), str(scene)]) == 2
     assert "no true trajectory" in capsys.readouterr().err
+
+
+def _crossing_scene():
+    # the README scene with blob B moved to row 10, so the two blobs cross
+    n = 8
+    return SceneSpec(
+        n_frames=n, n_channels=3, height=32, width=32,
+        blobs=(
+            BlobSpec("A", tuple((10.0, 5.0 + 2.4 * f) for f in range(n)), 3.0, (0, 2.5, 0)),
+            BlobSpec("B", tuple((10.0, 26.0 - 2.4 * f) for f in range(n)), 3.0, (0, 0, 2.5)),
+        ),
+        texture_seed=7, texture_amplitude=1.0,
+    )
+
+
+def test_legacy_archive_self_transfer_matches_its_own_regions(tmp_path, capsys):
+    # recompose and metrics used to compile the refined regions over a legacy
+    # archive: guidance started at loss 0.37 and ended at 16, and relative_l2
+    # read 0.88 and 2.9
+    spec_path = tmp_path / "scene.json"
+    save_scene(_crossing_scene(), spec_path)
+    scene, traj, desc, run = (tmp_path / name for name in ("scene", "traj", "desc", "run"))
+    assert main(["synth", str(spec_path), str(scene)]) == 0
+    assert main(["invert", str(scene / "manifest.json"), str(traj), "--steps", "8"]) == 0
+    assert main(["extract", str(traj), str(scene / "manifest.json"), str(desc),
+                 "--legacy-region"]) == 0
+    assert main(["recompose", str(desc), str(traj), str(run), "--atlas",
+                 str(scene / "latents_t0.cmt"), "--inner-steps", "10", "--t-end", "1"]) == 0
+    trace = [json.loads(line) for line in (run / "trace.jsonl").read_text().splitlines()]
+    assert trace[0]["loss"] < 1e-10
+    assert main(["metrics", str(run), str(scene), "--desc", str(desc)]) == 0
+    report = json.loads((run / "metrics.json").read_text())
+    for sid in ("A", "B"):
+        assert report["descriptor_distances"][sid]["relative_l2"] < 1e-6
+
+
+def _edit_json(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def _copy_t005_over_t004(desc):
+    for suffix in (".json", ".cmt"):
+        (desc / "t004" / f"A{suffix}").write_bytes((desc / "t005" / f"A{suffix}").read_bytes())
+
+
+def _set_pair(k, pair):
+    return lambda d: d["valid_pairs"].__setitem__(k, pair)
+
+
+def _index_case(edit):
+    return lambda desc: _edit_json(desc / "extract_index.json", edit)
+
+
+def _drop(key):
+    return _index_case(lambda ix: ix.pop(key))
+
+
+def _set(key, value):
+    return _index_case(lambda ix: ix.update({key: value}))
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_copy_t005_over_t004, "holds source 'A' at timestep 5, not 'A' at 4"),
+        (lambda desc: _edit_json(desc / "t004" / "A.json",
+                                 lambda d: d.update({"tensor": "../t006/A.cmt"})),
+         "tensor must be 'A.cmt'"),
+        (lambda desc: _edit_json(desc / "t004" / "A.json", _set_pair(1, [0, 2.5])),
+         "valid_pairs must hold [i, j] pairs of JSON integers"),
+        (lambda desc: _edit_json(desc / "t004" / "A.json", _set_pair(0, [0, True])),
+         "valid_pairs must hold [i, j] pairs of JSON integers"),
+        (lambda desc: _edit_json(desc / "t004" / "A.json",
+                                 lambda d: d.update({"source_id": "ghost"})),
+         "holds source 'ghost'"),
+        (_drop("n_steps"), "missing n_steps"),
+        (_drop("timesteps"), "missing timesteps"),
+        (_drop("sources"), "missing sources"),
+        (_drop("legacy_region"), "missing legacy_region"),
+        (_drop("manifest"), "missing manifest"),
+        (_set("n_steps", 8.0), "n_steps must be a JSON integer"),
+        (_set("timesteps", [0, 1, 2, 3, 4, 5, 6, 7, "8"]), "timesteps must be 0..8"),
+        (_set("timesteps", [0, 1, 2]), "timesteps must be 0..8"),
+        (_set("sources", "A"), "sources must be a JSON array"),
+        (_set("sources", ["A", 5]), "sources must be filesystem-safe strings"),
+        (_set("legacy_region", "false"), "legacy_region must be a JSON boolean"),
+        (_set("manifest", 5), "manifest must be a JSON string"),
+    ],
+    ids=["stale-t004", "tensor-redirect", "pair-float", "pair-bool", "source_id-mismatch",
+         "n_steps-missing", "timesteps-missing", "sources-missing", "legacy_region-missing",
+         "manifest-missing", "n_steps-float", "timesteps-string", "timesteps-short",
+         "sources-string", "sources-integer", "legacy_region-string", "manifest-integer"],
+)
+def test_recompose_damaged_descriptor_archive_is_a_usage_error(
+    pipeline_dirs, tmp_path, capsys, damage, message
+):
+    # each used to recompose from the wrong descriptors or a misread index (exit 0),
+    # or to fail on a file the index does not name
+    scene, traj, desc = pipeline_dirs
+    damage(desc)
+    assert _recompose(desc, traj, scene, tmp_path / "r") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_recompose_archive_of_another_schedule_is_a_usage_error(pipeline_dirs, tmp_path, capsys):
+    # descriptors of a 6-step inversion used to guide sampling on an 8-step schedule
+    scene, traj, _ = pipeline_dirs
+    traj6, desc6 = tmp_path / "traj6", tmp_path / "desc6"
+    assert main(["invert", str(scene / "manifest.json"), str(traj6),
+                 "--steps", "6", "--zero-noise"]) == 0
+    assert main(["extract", str(traj6), str(scene / "manifest.json"), str(desc6)]) == 0
+    assert _recompose(desc6, traj, scene, tmp_path / "r") == 2
+    assert "descriptors span timesteps 0..6, the trajectory 0..8" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [({"frames": "6", "height": 24.7}, "frames must be a JSON integer"),
+     ({"height": 24.7}, "height must be a JSON integer"),
+     ({"latents": {}}, "no latents for timestep 0")],
+    ids=["frames-string", "height-float", "no-clean-latents"],
+)
+def test_invert_mistyped_manifest_is_a_usage_error(scene_dir, tmp_path, capsys, patch, message):
+    # "6" and 24.7 used to be read as 6 and 24 (exit 0), and no t=0 latents
+    # ended in a KeyError traceback (exit 1)
+    _edit_json(scene_dir / "manifest.json", lambda doc: doc.update(patch))
+    rc = main(["invert", str(scene_dir / "manifest.json"), str(tmp_path / "t"), "--steps", "2"])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+def test_metrics_mistyped_true_trajectory(pipeline_dirs, tmp_path, capsys):
+    # a point ["a", "b"] used to end in a ValueError traceback (exit 1)
+    scene, _, _ = pipeline_dirs
+    run = tmp_path / "runself"
+    run.mkdir()
+    (run / "output.cmt").write_bytes((scene / "latents_t0.cmt").read_bytes())
+    _edit_json(scene / "trajectories.json",
+               lambda doc: doc["subjects"]["A"].__setitem__(0, ["a", "b"]))
+    assert main(["metrics", str(run), str(scene)]) == 2
+    assert "A trajectory point 0 must be a JSON number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--soften", "inf"], "w_c must be finite"),
+        (["--bandwidth", "inf"], "bandwidth must be finite"),
+        (["--resize", "A", "inf"], "scale factor must be finite"),
+        (["--resize", "A", "1e-300"], "scale factor 1e-300"),
+    ],
+    ids=["soften", "bandwidth", "resize-infinite", "resize-tiny"],
+)
+def test_recompose_non_finite_values_are_usage_errors(pipeline_dirs, tmp_path, capsys,
+                                                      args, message):
+    # --soften inf and --bandwidth inf used to exit 3 on non-finite latents,
+    # and both resizes to exit 0 (the tiny one after an int-cast RuntimeWarning)
+    scene, traj, desc = pipeline_dirs
+    rc = main(["recompose", str(desc), str(traj), str(tmp_path / "r"),
+               "--atlas", str(scene / "latents_t0.cmt"), "--inner-steps", "1", *args])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_invert_infinite_bandwidth_is_a_usage_error(scene_dir, tmp_path, capsys):
+    rc = main(["invert", str(scene_dir / "manifest.json"), str(tmp_path / "t"),
+               "--steps", "2", "--bandwidth", "inf"])
+    assert rc == 2
+    assert "bandwidth must be finite" in capsys.readouterr().err

@@ -287,6 +287,8 @@ def test_denoiser_validation():
         GaussianAtlasDenoiser([], sched)
     with pytest.raises(BadValue):
         GaussianAtlasDenoiser([a], sched, bandwidth=0.0)
+    with pytest.raises(BadValue, match="finite"):
+        GaussianAtlasDenoiser([a], sched, bandwidth=float("inf"))
     small = LatentVideo(np.zeros((2, 2, 4, 4)))
     with pytest.raises(DimMismatch):
         GaussianAtlasDenoiser([a, small], sched)

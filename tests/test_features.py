@@ -186,6 +186,16 @@ def test_soft_blend_endpoints_and_oracle():
         soft_blend(s, c, -0.1)
 
 
+@pytest.mark.parametrize("w_c", [float("inf"), float("nan")])
+def test_soften_weight_must_be_finite(w_c):
+    # an infinite w_c used to reach sampling and fail there as a numeric error
+    s = np.array([1.0, 0.0])
+    for make in (lambda: Directive("soften", w_c=w_c), lambda: EditPlan(w_c=w_c),
+                 lambda: soft_blend(s, s, w_c)):
+        with pytest.raises(BadValue, match="finite and non-negative"):
+            make()
+
+
 def test_soft_blend_monotone_approach():
     rng = np.random.default_rng(1)
     s, c = rng.standard_normal(4), rng.standard_normal(4)

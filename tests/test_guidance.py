@@ -16,6 +16,7 @@ from momix.features import (
     EditPlan,
     MotionDescriptor,
     PairOperator,
+    compile_sources,
     extract_descriptors,
     recompose,
 )
@@ -36,8 +37,7 @@ from momix.guidance import (
     loss_and_gradient,
     stable_step_size,
 )
-from momix.masks import MaskEdit
-from momix.pipeline import build_target_masks
+from momix.masks import MaskEdit, apply_edit
 from momix.synth import BlobSpec, SceneSpec, render_scene
 from momix.tensors import LatentVideo, MaskTrack
 
@@ -259,9 +259,11 @@ def _mask_edit_case(rng):
         texture_seed=5,
     )
     latents, tracks, _ = render_scene(spec)
-    plan = EditPlan({"A": Directive("mask_edit", edit=MaskEdit("shift", dx=3, dy=1))})
+    edit = MaskEdit("shift", dx=3, dy=1)
+    plan = EditPlan({"A": Directive("mask_edit", edit=edit)})
     refs = recompose(extract_descriptors(latents, tracks, timestep=0), plan)
-    target = GuidanceTarget(refs, PairOperator(build_target_masks(tracks, plan)))
+    regions = compile_sources(latents, [apply_edit(tracks[0], edit), tracks[1]])
+    target = GuidanceTarget(refs, regions)
     return "mask_edit", LatentVideo(rng.standard_normal(latents.shape)), target
 
 

@@ -196,6 +196,22 @@ def test_scale_anchor_validation():
         MaskEdit("scale", factor=2.0)  # anchor required
 
 
+@pytest.mark.parametrize("factor", [float("inf"), float("nan")])
+def test_scale_edit_rejects_a_non_finite_factor(factor):
+    # an infinite factor used to scale every frame to its anchor cell
+    with pytest.raises(BadValue, match="finite and positive"):
+        MaskEdit("scale", factor=factor, anchor=(1.0, 1.0))
+
+
+def test_scale_mask_tests_bounds_before_the_integer_cast(recwarn):
+    # a factor of 1e-300 used to cast 1e300 to int, with a RuntimeWarning
+    frame = np.ones((8, 8), dtype=bool)
+    with pytest.raises(BadValue, match="2\\*\\*53"):
+        scale_mask(frame, 1e-300, (3.5, 3.5))
+    assert not scale_mask(frame, 1e-3, (3.5, 3.5)).any()
+    assert not recwarn.list
+
+
 def test_exhaustive_3x3_set_identities():
     # all 2^9 x 2^9 pairs at once, laid out as one giant cell-wise region
     all_masks = np.array([[(n >> k) & 1 for k in range(9)] for n in range(512)], bool)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from momix.errors import BadMagic, BadValue, DimMismatch, IoFailure, NonFinite
 from momix.synth import write_frame_images
 from momix.tensors import (
+    REQUIRED,
     LatentVideo,
     MaskTrack,
     SceneManifest,
@@ -19,6 +20,7 @@ from momix.tensors import (
     save_manifest,
     save_mask,
     save_tensor,
+    typed_field,
     write_array,
     write_json,
 )
@@ -197,6 +199,56 @@ def test_manifest_dim_disagreement(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps(doc))
     with pytest.raises(DimMismatch):
         load_manifest(tmp_path / "manifest.json")
+
+
+def _manifest_doc(tmp_path):
+    save_tensor(LatentVideo(np.zeros((2, 1, 4, 4))), tmp_path / "z.cmt")
+    save_mask(MaskTrack(np.zeros((2, 4, 4), dtype=bool)), tmp_path / "a.cmm")
+    return {"frames": 2, "channels": 1, "height": 4, "width": 4,
+            "latents": {"0": "z.cmt"}, "masks": {"a": "a.cmm"}}
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        ({"frames": "2"}, "frames must be a JSON integer"),
+        ({"height": 4.7}, "height must be a JSON integer"),
+        ({"width": True}, "width must be a JSON integer"),
+        ({"channels": None}, "channels must be a JSON integer"),
+        ({"latents": {"0": 5}}, "0 must be a JSON string"),
+        ({"masks": {"a": ["a.cmm"]}}, "a must be a JSON string"),
+        ({"masks": ["a.cmm"]}, "masks must be a JSON object"),
+    ],
+    ids=["frames-string", "height-float", "width-bool", "channels-null", "latent-path-integer",
+         "mask-path-array", "masks-array"],
+)
+def test_manifest_rejects_mistyped_values(tmp_path, patch, message):
+    # "2" and 4.7 used to be read as 2 and 4, and a path 5 as the file "5"
+    doc = dict(_manifest_doc(tmp_path), **patch)
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(BadValue, match=message):
+        load_manifest(tmp_path / "manifest.json")
+
+
+def test_manifest_without_clean_latents_is_a_usage_error(tmp_path):
+    # a manifest listing no latents for t=0 used to end in a KeyError traceback
+    doc = dict(_manifest_doc(tmp_path), latents={})
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(BadValue, match="no latents for timestep 0"):
+        load_manifest(tmp_path / "manifest.json").load_latent("0")
+
+
+def test_typed_field_required_and_container_kinds():
+    doc = {"n": 3, "xs": [1], "table": {}}
+    assert typed_field(doc, "n", int, REQUIRED, "doc") == 3
+    assert typed_field(doc, "xs", list, REQUIRED, "doc") == [1]
+    assert typed_field(doc, "missing", dict, {}, "doc") == {}
+    with pytest.raises(BadValue, match="malformed doc: missing m"):
+        typed_field(doc, "m", int, REQUIRED, "doc")
+    with pytest.raises(BadValue, match="table must be a JSON array"):
+        typed_field(doc, "table", list, REQUIRED, "doc")
+    with pytest.raises(BadValue, match="xs must be a JSON object"):
+        typed_field(doc, "xs", dict, REQUIRED, "doc")
 
 
 _WRITERS = {
