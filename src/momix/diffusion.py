@@ -252,6 +252,8 @@ def make_initial_noise(
     reference_zT: LatentVideo, mode: str = "shared", seed: int = 0
 ) -> LatentVideo:
     """Initial latents for sampling: the reference terminal, or seeded fresh noise."""
+    if seed < 0:
+        raise BadValue(f"noise seed must be >= 0, got {seed}")
     if mode == "shared":
         return reference_zT
     if mode == "fresh":

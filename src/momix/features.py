@@ -188,9 +188,17 @@ class PairOperator:
     rows run by source in mask-set order, then by (i, j), and an empty
     region never becomes a row. Subjects use ``pair_region`` (no other
     subjects cut out if ``legacy_region``), the background track uses
-    ``background_pair_region``. Cell sets are stored as one 0/1 bool
-    matrix per frame holding every row that touches it, so ``apply`` and
-    ``adjoint`` are one matmul per frame.
+    ``background_pair_region``.
+
+    Both region kinds are cellwise set algebra on the tracks, so cells that
+    carry the same bit in every track at every frame (an *atom*) belong to
+    exactly the same rows. The regions are computed once per atom, on one
+    representative cell each, and stored as one 0/1 (rows, atoms) matrix
+    per frame holding every row that touches it. ``apply`` sums each
+    frame's cells per atom with ``np.bincount`` and ``adjoint`` gathers
+    per-atom coefficients back to the cells; every product is a fixed-order
+    einsum or bincount, not BLAS, so the bytes do not depend on the thread
+    count.
     """
 
     def __init__(self, tracks: Mapping[str, MaskTrack], *, legacy_region: bool = False):
@@ -202,11 +210,24 @@ class PairOperator:
                 raise DimMismatch(f"mask shapes differ: {track.data.shape} vs {shape}")
         self.n_frames, self.spatial = shape[0], shape[1:]
         self._n_cells = int(np.prod(self.spatial))
-        subjects = {sid: t for sid, t in tracks.items() if sid != BACKGROUND_ID}
+        # label each cell by its bits over every track and frame
+        bits = np.stack([t.data.reshape(-1, self._n_cells) for t in tracks.values()])
+        packed = np.ascontiguousarray(np.packbits(bits.reshape(-1, self._n_cells), axis=0).T)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+        _, rep, labels = np.unique(keys, return_index=True, return_inverse=True)
+        self._labels = labels.reshape(-1)
+        self._sizes = np.bincount(self._labels).astype(np.float64)
+        n_atoms = rep.size
+        # each track on one representative cell per atom: (F, 1, n_atoms)
+        atoms = {
+            sid: MaskTrack(t.data.reshape(self.n_frames, 1, -1)[:, :, rep], subject_id=sid)
+            for sid, t in tracks.items()
+        }
+        subjects = {sid: t for sid, t in atoms.items() if sid != BACKGROUND_ID}
         rows: list[tuple[str, int, int]] = []
         by_frame: list[list[tuple[int, float, np.ndarray]]] = [[] for _ in range(shape[0])]
         self.slices: dict[str, slice] = {}
-        for sid, track in tracks.items():
+        for sid, track in atoms.items():
             others = [] if legacy_region else [t for o, t in subjects.items() if o != sid]
             first = len(rows)
             for i in range(self.n_frames):
@@ -227,9 +248,10 @@ class PairOperator:
         for entries in by_frame:
             index = np.array([e[0] for e in entries], dtype=np.intp)
             sign = np.array([e[1] for e in entries], dtype=np.float64)
-            cells = np.array([e[2] for e in entries], dtype=bool).reshape(-1, self._n_cells)
-            self.area[index[sign > 0]] = cells[sign > 0].sum(axis=1)
-            self._groups.append((index, sign, cells))
+            member = np.array([e[2] for e in entries], dtype=np.float64).reshape(-1, n_atoms)
+            # sums of integer cell counts, exact in float64
+            self.area[index[sign > 0]] = np.einsum("ra,a->r", member[sign > 0], self._sizes)
+            self._groups.append((index, sign, member))
 
     def source_ids(self) -> list[str]:
         return list(self.slices)
@@ -238,10 +260,11 @@ class PairOperator:
     def pairs(self) -> dict[str, dict[tuple[int, int], tuple[np.ndarray, int]]]:
         """source_id -> {(i, j): (flat cell indices, area)}: the rows, one pair at a time."""
         table: dict[str, dict] = {sid: {} for sid in self.slices}
-        for index, sign, cells in self._groups:
+        for index, sign, member in self._groups:
             for k in np.flatnonzero(sign > 0):
                 sid, i, j = self.rows[index[k]]
-                table[sid][(i, j)] = (np.flatnonzero(cells[k]), int(self.area[index[k]]))
+                cells = np.flatnonzero(member[k][self._labels])
+                table[sid][(i, j)] = (cells, int(self.area[index[k]]))
         return {sid: dict(sorted(pairs.items())) for sid, pairs in table.items()}
 
     @cached_property
@@ -250,33 +273,36 @@ class PairOperator:
 
         Entry (r, s) sums, over the frames both rows touch, the overlap count
         of their cells times ``sign_r sign_s / (area_r area_s)``. The counts
-        are integers, exact in float32 below 2**24 cells in any summation
-        order, so the bytes do not depend on the BLAS thread count. Read-only.
+        are sums of atom sizes, integers exact in float64 in any order. Read-only.
         """
         gram = np.zeros((len(self.rows), len(self.rows)))
-        exact = np.float32 if self._n_cells < 1 << 24 else np.float64
-        for index, sign, cells in self._groups:
+        for index, sign, member in self._groups:
             if index.size:
-                ones = cells.astype(exact)
+                overlap = np.einsum("ra,sa->rs", member * self._sizes, member)
                 scale = sign / self.area[index]
-                gram[np.ix_(index, index)] += np.outer(scale, scale) * (ones @ ones.T)
+                gram[np.ix_(index, index)] += np.outer(scale, scale) * overlap
         gram.setflags(write=False)
         return gram
 
     def apply(self, latents: np.ndarray) -> np.ndarray:
         """(F, C, H, W) latents -> (n_rows, C) region-mean deltas ``mean_i - mean_j``."""
-        data = np.asarray(latents, dtype=np.float64)
+        data = np.asarray(latents)
         if data.ndim != 4 or (data.shape[0], *data.shape[2:]) != (self.n_frames, *self.spatial):
             raise DimMismatch(
                 f"latents {data.shape} do not match pair regions "
                 f"({self.n_frames}, *, {self.spatial})"
             )
-        flat = data.reshape(self.n_frames, data.shape[1], self._n_cells)
-        out = np.zeros((len(self.rows), data.shape[1]))
+        n_channels, n_atoms = data.shape[1], self._sizes.size
+        flat = data.reshape(self.n_frames, n_channels * self._n_cells)
+        # channel c of a frame sums into bins c * n_atoms + label
+        bins = (self._labels + n_atoms * np.arange(n_channels)[:, None]).reshape(-1)
+        out = np.zeros((len(self.rows), n_channels))
         # frames run in order and i < j, so each row gets +mean_i before -mean_j
-        for f, (index, sign, cells) in enumerate(self._groups):
+        for f, (index, sign, member) in enumerate(self._groups):
             if index.size:
-                means = (cells.astype(np.float64) @ flat[f].T) / self.area[index, None]
+                sums = np.bincount(bins, weights=flat[f], minlength=n_channels * n_atoms)
+                sums = sums.reshape(n_channels, n_atoms)
+                means = np.einsum("ra,ca->rc", member, sums) / self.area[index, None]
                 out[index] += sign[:, None] * means
         return out
 
@@ -287,11 +313,11 @@ class PairOperator:
         subtracts it on frame j.
         """
         per_cell = coef / self.area[:, None]
-        grad = np.zeros((self.n_frames, coef.shape[1], self._n_cells))
-        for f, (index, sign, cells) in enumerate(self._groups):
+        atoms = np.zeros((self.n_frames, coef.shape[1], self._sizes.size))
+        for f, (index, sign, member) in enumerate(self._groups):
             if index.size:
-                grad[f] = (sign[:, None] * per_cell[index]).T @ cells.astype(np.float64)
-        return grad.reshape(self.n_frames, coef.shape[1], *self.spatial)
+                atoms[f] = np.einsum("ra,rc->ca", member, sign[:, None] * per_cell[index])
+        return atoms[:, :, self._labels].reshape(self.n_frames, coef.shape[1], *self.spatial)
 
 
 def compile_sources(

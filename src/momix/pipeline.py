@@ -315,6 +315,8 @@ def run_metrics(run_dir, scene_dir, desc_dir=None, out_path=None, threshold: flo
     projection and scored against the reference ground truth; descriptor
     distances compare clean-latent descriptors over the reference masks.
     """
+    if not np.isfinite(threshold):
+        raise BadValue(f"metrics threshold must be finite, got {threshold}")
     run_dir, scene_dir = Path(run_dir), Path(scene_dir)
     output = load_tensor(run_dir / "output.cmt")
     spec = load_scene(scene_dir / "spec.json")
@@ -437,6 +439,8 @@ def run_pipeline(config: dict, out_root) -> dict:
     bandwidth = typed_field(config, "bandwidth", float, 0.5, what)
     threshold = typed_field(metrics_doc, "threshold", float, 0.5, what)
     seed = typed_field(config, "seed", int, 0, what)
+    if seed < 0:
+        raise BadValue(f"malformed {what}: seed must be >= 0, got {seed}")
     gcfg.window(schedule.n_steps)  # an empty guidance window is a config error
     guided = typed_field(config, "guided", bool, True, what)
     init = typed_field(config, "init", ("auto", "shared", "fresh"), "auto", what)

@@ -643,6 +643,7 @@ _MALFORMED = "malformed pipeline config"
         ({"schedule": {"floor": float("-inf")}}, "floor must be finite"),
         ({"metrics": {"threshold": False}}, "threshold must be a JSON number"),
         ({"plan": {"w_c": "0.5"}}, "malformed edit plan: w_c must be a JSON number"),
+        ({"seed": -1, "init": "fresh"}, "seed must be >= 0"),
     ],
     ids=[
         "schedule", "bandwidth", "seed", "seed-float", "n_steps-float", "guided",
@@ -651,6 +652,7 @@ _MALFORMED = "malformed pipeline config"
         "window-past-n_steps", "plan-camera_only", "step_size-string", "step_size-bool",
         "step_size-infinite", "weight-string", "weight-bool", "weight-nan", "bandwidth-bool",
         "bandwidth-infinite", "power-string", "floor-infinite", "threshold-bool", "plan-w_c",
+        "seed-negative",
     ],
 )
 def test_pipeline_rejects_mistyped_values(tmp_path, capsys, patch, message):
@@ -695,6 +697,33 @@ def test_recompose_window_past_the_schedule_writes_nothing(pipeline_dirs, tmp_pa
     assert rc == 2
     assert "guidance window empty" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("init", ["fresh", "shared"])
+def test_recompose_negative_seed_writes_nothing(pipeline_dirs, tmp_path, capsys, init):
+    # a fresh init used to end in a ValueError traceback from the noise generator
+    scene, traj, desc = pipeline_dirs
+    rc = main([
+        "recompose", str(desc), str(traj), str(tmp_path / "r"),
+        "--atlas", str(scene / "latents_t0.cmt"), "--seed", "-1", "--init", init,
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "seed must be >= 0" in err and "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf"])
+def test_metrics_non_finite_threshold_writes_nothing(pipeline_dirs, tmp_path, capsys, threshold):
+    # used to exit 0 with every blob reported missing from every frame
+    scene, _, _ = pipeline_dirs
+    run = tmp_path / "runself"
+    run.mkdir()
+    (run / "output.cmt").write_bytes((scene / "latents_t0.cmt").read_bytes())
+    assert main(["metrics", str(run), str(scene), "--threshold", threshold]) == 2
+    err = capsys.readouterr().err
+    assert "threshold must be finite" in err and "Traceback" not in err
+    assert not (run / "metrics.json").exists()
 
 
 def test_recompose_plan_with_unknown_key(pipeline_dirs, tmp_path, capsys):

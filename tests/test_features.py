@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import momix
 from momix.errors import (
     BadValue,
     DimMismatch,
@@ -18,6 +23,7 @@ from momix.features import (
     Directive,
     EditPlan,
     MotionDescriptor,
+    PairOperator,
     compile_sources,
     extract_descriptors,
     load_descriptor,
@@ -31,7 +37,13 @@ from momix.features import (
     save_plan,
     soft_blend,
 )
-from momix.masks import MaskEdit, background_pair_region, background_track, pair_region
+from momix.masks import (
+    BACKGROUND_ID,
+    MaskEdit,
+    background_pair_region,
+    background_track,
+    pair_region,
+)
 from momix.synth import BlobSpec, SceneSpec, render_scene
 from momix.tensors import LatentVideo, MaskTrack
 
@@ -409,40 +421,69 @@ def test_descriptor_archive_rejects_mismatched_tensor(tmp_path):
     with pytest.raises(BadValue):
         load_descriptor(tmp_path / "A.json")
 
+
+def _shares_a_cell_outside_every_subject_row(op, tracks):
+    # some cell that two subjects hold at one frame lies in no subject row at all
+    shared = (tracks[0].data & tracks[1].data).any(axis=0).ravel()
+    held = np.zeros_like(shared)
+    for sid in op.source_ids():
+        if sid != BACKGROUND_ID:
+            for cells, _ in op.pairs[sid].values():
+                held[cells] = True
+    return bool((shared & ~held).any())
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    kinds=st.lists(st.sampled_from(["random", "empty", "full"]), max_size=3),
+    kinds=st.lists(st.sampled_from(["random", "empty", "full", "copy"]), max_size=3),
     n_frames=st.integers(2, 4),
     legacy=st.booleans(),
-    background=st.booleans(),
+    background=st.sampled_from(["none", "derived", "supplied"]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(kinds=["random", "random"], n_frames=4, legacy=False, background=True, seed=1)
-@example(kinds=["random", "full"], n_frames=3, legacy=True, background=True, seed=2)
-@example(kinds=["empty"], n_frames=3, legacy=False, background=False, seed=3)  # no rows
+@example(kinds=["random", "random"], n_frames=4, legacy=False, background="derived", seed=1)
+@example(kinds=["random", "full"], n_frames=3, legacy=True, background="derived", seed=2)
+@example(kinds=["empty"], n_frames=3, legacy=False, background="none", seed=3)  # no rows
+# cells both subjects hold at some frame, so they lie in no subject row
+@example(kinds=["random", "copy"], n_frames=3, legacy=False, background="none", seed=4)
+# a background track that is not the complement of the subjects
+@example(kinds=["random", "random"], n_frames=3, legacy=False, background="supplied", seed=5)
+# legacy regions, with no cut, still read per-atom labels over every track
+@example(kinds=["random", "copy", "random"], n_frames=4, legacy=True, background="derived",
+         seed=6)
 def test_pair_operator_matches_naive_loop(kinds, n_frames, legacy, background, seed):
-    # oracle: one pair_region + lsmm per (source, i, j), as the regions are defined
+    # oracle: one pair_region + lsmm per (source, i, j), as the regions are defined,
+    # and the dense (rows, frames, cells) matrix W those regions make
     h, w, c = 5, 4, 2
     rng = np.random.default_rng(seed)
-    tracks = [
-        MaskTrack(
-            rng.random((n_frames, h, w)) < 0.4
-            if kind == "random"
-            else np.full((n_frames, h, w), kind == "full"),
-            subject_id=f"s{k}",
-        )
-        for k, kind in enumerate(kinds)
-    ]
-    lat = LatentVideo(rng.standard_normal((n_frames, c, h, w)))
-    if not tracks and not background:
+    tracks = []
+    for k, kind in enumerate(kinds):
+        if kind == "copy":  # the previous subject's masks, plus some cells of its own
+            prev = tracks[-1].data if tracks else np.zeros((n_frames, h, w), dtype=bool)
+            data = prev | (rng.random((n_frames, h, w)) < 0.3)
+        elif kind == "random":
+            data = rng.random((n_frames, h, w)) < 0.4
+        else:
+            data = np.full((n_frames, h, w), kind == "full")
+        tracks.append(MaskTrack(data, subject_id=f"s{k}"))
+    lat = LatentVideo(rng.standard_normal((n_frames, c, h, w)).astype(np.float32))
+    if not tracks and background == "none":
         with pytest.raises(NoValidPairs):
             compile_sources(lat, tracks, include_background=False)
         return
-    op = compile_sources(lat, tracks, include_background=background, legacy_region=legacy)
+    if background == "supplied":
+        bg = MaskTrack(rng.random((n_frames, h, w)) < 0.6, subject_id=BACKGROUND_ID)
+        op = PairOperator({t.subject_id: t for t in tracks + [bg]}, legacy_region=legacy)
+    else:
+        bg = background_track(tracks, dims=(n_frames, h, w))
+        op = compile_sources(lat, tracks, include_background=background == "derived",
+                             legacy_region=legacy)
+    if (kinds, n_frames, legacy, background, seed) == (["random", "copy"], 3, False, "none", 4):
+        assert _shares_a_cell_outside_every_subject_row(op, tracks)  # the example does its job
 
-    bg = background_track(tracks, dims=(n_frames, h, w))
     rows, deltas, cells = [], [], {}
-    for track in tracks + ([bg] if background else []):
+    dense = []
+    for track in tracks + ([bg] if background != "none" else []):
         others = [] if legacy else [o for o in tracks if o is not track]
         for i in range(n_frames):
             for j in range(i + 1, n_frames):
@@ -454,23 +495,58 @@ def test_pair_operator_matches_naive_loop(kinds, n_frames, legacy, background, s
                     rows.append((track.subject_id, i, j))
                     deltas.append(lsmm(lat.data[i], region) - lsmm(lat.data[j], region))
                     cells[rows[-1]] = np.flatnonzero(region)
+                    row = np.zeros((n_frames, h * w))
+                    row[i, region.ravel()] = 1.0 / region.sum()
+                    row[j, region.ravel()] = -1.0 / region.sum()
+                    dense.append(row)
     # empty regions never become rows; every row holds exactly its region
     assert op.rows == tuple(rows)
     for (sid, i, j), want in cells.items():
         got, area = op.pairs[sid][(i, j)]
         assert np.array_equal(got, want) and area == want.size
     assert sum(len(p) for p in op.pairs.values()) == len(rows)
+    assert op.area.tolist() == [cells[r].size for r in rows]
+    dense = np.reshape(dense, (len(rows), n_frames * h * w))
     applied = op.apply(lat.data)
     assert applied.shape == (len(rows), c)
     assert np.allclose(applied, np.reshape(deltas, (len(rows), c)), rtol=0, atol=1e-12)
-    # adjoint: <W x, y> == <x, W^T y>
+    # float32 latents are read as they are: the same bytes as their float64 cast
+    assert applied.tobytes() == op.apply(lat.data.astype(np.float64)).tobytes()
     y = rng.standard_normal(applied.shape)
-    lhs = float(np.sum(applied * y))
-    rhs = float(np.sum(lat.data * op.adjoint(y)))
-    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-    # Gram matrix: symmetric, and W W^T c for any c
+    adjoint = op.adjoint(y).reshape(n_frames, c, h * w)
+    assert np.allclose(adjoint, np.einsum("rn,rc->cn", dense, y).reshape(c, n_frames, -1)
+                       .transpose(1, 0, 2), rtol=0, atol=1e-12)
+    # Gram matrix: exactly symmetric, and W W^T
     gram = op.gram
     assert gram.shape == (len(rows), len(rows)) and np.array_equal(gram, gram.T)
-    want = op.apply(op.adjoint(y))
-    scale = np.max(np.abs(want), initial=0.0)
-    assert np.max(np.abs(gram @ y - want), initial=0.0) <= 1e-12 * scale
+    assert np.allclose(gram, dense @ dense.T, rtol=0, atol=1e-12)
+
+
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from momix.features import PairOperator
+from momix.tensors import MaskTrack
+
+rng = np.random.default_rng(3)
+f, c, h, w = 36, 3, 8, 8
+masks = {sid: MaskTrack(rng.random((f, h, w)) < 0.5, subject_id=sid) for sid in ("a", "b")}
+op = PairOperator(masks)
+assert len(op.rows) >= 1000, len(op.rows)
+latents = rng.standard_normal((f, c, h, w)).astype(np.float32)
+coef = rng.standard_normal((len(op.rows), c))
+print(hashlib.sha256(op.apply(latents).tobytes() + op.adjoint(coef).tobytes()).hexdigest())
+"""
+
+
+def test_pair_operator_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(momix.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1, digests
