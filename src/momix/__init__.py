@@ -13,6 +13,7 @@ from .diffusion import (
     SamplingGuidance,
     ZeroDenoiser,
     ddim_invert,
+    ddim_invert_steps,
     ddim_sample,
     load_trajectory,
     make_initial_noise,

@@ -126,7 +126,8 @@ def _cmd_invert(args) -> int:
     else:
         atlas_paths = args.atlas if args.atlas else [manifest.latent_path("0")]
         atlas = [load_tensor(p) for p in atlas_paths]
-        denoiser = pl.build_denoiser(atlas, schedule, bandwidth=args.bandwidth)
+        shape = (manifest.frames, manifest.channels, manifest.height, manifest.width)
+        denoiser = pl.build_denoiser(atlas, schedule, shape, bandwidth=args.bandwidth)
     out = pl.run_invert(manifest, schedule, denoiser, args.out_dir)
     print(f"trajectory archive written to {out} ({schedule.n_steps + 1} tensors)")
     return 0

@@ -1,8 +1,9 @@
 """Deterministic DDIM inversion and sampling over a pluggable denoiser.
 
 Inversion walks a clean latent video up the noise schedule using the
-denoiser's own predictions and keeps every intermediate latent, because
-guidance compares reference and target features at matching timesteps.
+denoiser's own predictions and yields every intermediate latent, because
+guidance compares reference and target features at matching timesteps;
+the trajectory archive takes them one at a time.
 Sampling walks back down, optionally correcting the latents with the
 motion-guidance update before each denoising step.
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -27,9 +28,10 @@ from .tensors import (
     LatentVideo,
     load_tensor,
     read_json,
-    save_tensor,
+    remove_file,
     typed_field,
     typed_numbers,
+    write_array,
     write_json,
 )
 
@@ -131,6 +133,9 @@ class GaussianAtlasDenoiser:
         self.bandwidth = float(bandwidth)
 
     def posterior_mean(self, z: np.ndarray, t: int) -> np.ndarray:
+        if z.shape != self.members.shape[1:]:
+            raise DimMismatch(f"latents {z.shape} do not match atlas members "
+                              f"{self.members.shape[1:]}")
         ab = float(self.schedule.alpha_bar[t])
         c = np.sqrt(ab)
         var = ab * self.bandwidth**2 + (1.0 - ab)
@@ -198,16 +203,30 @@ def _ddim_step(
     return z
 
 
+def ddim_invert_steps(
+    z0: LatentVideo, schedule: NoiseSchedule, denoiser: Denoiser
+) -> Iterator[np.ndarray]:
+    """Deterministic inversion from t=0 to t=n_steps, one latent at a time.
+
+    Yields the float64 latents at t = 0..n_steps, each a read-only array of
+    its own that ``_ddim_step`` has checked finite. The generator drops its
+    reference once the next step is taken, so a consumer that writes each
+    latent out holds about one at a time.
+    """
+    z = z0.data.astype(np.float64, copy=True)
+    z.setflags(write=False)
+    yield z
+    for t in range(schedule.n_steps):
+        z = _ddim_step(denoiser, z, schedule.alpha_bar, t, t + 1)
+        z.setflags(write=False)
+        yield z
+
+
 def ddim_invert(
     z0: LatentVideo, schedule: NoiseSchedule, denoiser: Denoiser
 ) -> list[LatentVideo]:
     """Deterministic inversion from t=0 to t=n_steps; returns the full trajectory."""
-    z = z0.data.astype(np.float64, copy=True)
-    trajectory = [LatentVideo(z)]
-    for t in range(schedule.n_steps):
-        z = _ddim_step(denoiser, z, schedule.alpha_bar, t, t + 1)
-        trajectory.append(LatentVideo(z))
-    return trajectory
+    return [LatentVideo(z) for z in ddim_invert_steps(z0, schedule, denoiser)]
 
 
 @dataclass
@@ -265,20 +284,41 @@ def make_initial_noise(
 # --- trajectory archive -----------------------------------------------------
 
 
-def save_trajectory(trajectory: Sequence[LatentVideo], schedule: NoiseSchedule, out_dir) -> None:
+def trajectory_path(dir_path, t: int) -> Path:
+    """The file that holds the latents at timestep ``t`` of a trajectory archive."""
+    return Path(dir_path) / f"t{t:03d}.cmt"
+
+
+def save_trajectory(
+    trajectory: Iterable[LatentVideo | np.ndarray], schedule: NoiseSchedule, out_dir
+) -> None:
+    """Archive the latents at t = 0..n_steps: ``t###.cmt`` files, then ``index.json``.
+
+    ``trajectory`` may be any iterable, a generator such as
+    ``ddim_invert_steps`` included: each latent is written as it arrives,
+    so only the one in hand is held. The latents are counted as they come,
+    and a trajectory whose length is not ``n_steps + 1`` raises DimMismatch
+    with no index written. An index already in ``out_dir`` is removed before
+    the first write, and the new one is written after the last file, so a
+    rewrite that fails half way leaves an archive no reader accepts, never
+    old files mixed with new under an old index.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if len(trajectory) != schedule.n_steps + 1:
-        raise DimMismatch(
-            f"trajectory has {len(trajectory)} entries, schedule wants {schedule.n_steps + 1}"
-        )
+    index = out_dir / "index.json"
+    remove_file(index)
+    want = schedule.n_steps + 1
     files = {}
     for t, lat in enumerate(trajectory):
-        name = f"t{t:03d}.cmt"
-        save_tensor(lat, out_dir / name)
-        files[str(t)] = name
+        if t == want:
+            raise DimMismatch(f"trajectory has more than {want} entries, schedule wants {want}")
+        path = trajectory_path(out_dir, t)
+        write_array(path, lat.data if isinstance(lat, LatentVideo) else lat)
+        files[str(t)] = path.name
+    if len(files) != want:
+        raise DimMismatch(f"trajectory has {len(files)} entries, schedule wants {want}")
     write_json(
-        out_dir / "index.json",
+        index,
         {
             "n_steps": schedule.n_steps,
             "alpha_bar": [float(a) for a in schedule.alpha_bar],
@@ -287,15 +327,12 @@ def save_trajectory(trajectory: Sequence[LatentVideo], schedule: NoiseSchedule, 
     )
 
 
-def load_trajectory(dir_path, timesteps=None) -> tuple[list[LatentVideo], NoiseSchedule]:
-    """The latents at t = 0..n_steps and their schedule, as the index lists them.
+def read_trajectory_index(dir_path) -> NoiseSchedule:
+    """The schedule of the trajectory archive in ``dir_path``, read from its index.
 
     The index must agree with itself: ``n_steps`` is a JSON integer,
     ``alpha_bar`` holds ``n_steps + 1`` numbers and ``files`` maps exactly
     the timesteps 0..n_steps, each t to the file ``t###.cmt``.
-    ``timesteps`` (default: all of them) picks which tensors to read, in
-    the order given; each must lie in 0..n_steps, and an empty selection
-    reads the index alone.
     """
     dir_path = Path(dir_path)
     what = f"trajectory index {dir_path}"
@@ -309,11 +346,23 @@ def load_trajectory(dir_path, timesteps=None) -> tuple[list[LatentVideo], NoiseS
             f"{schedule.n_steps + 1} values"
         )
     files = typed_field(index, "files", dict, REQUIRED, what)
-    if files != {str(t): f"t{t:03d}.cmt" for t in range(n_steps + 1)}:
+    if files != {str(t): trajectory_path(dir_path, t).name for t in range(n_steps + 1)}:
         raise BadValue(f"{dir_path}: index files must map each timestep 0..{n_steps} to t###.cmt")
+    return schedule
+
+
+def load_trajectory(dir_path, timesteps=None) -> tuple[list[LatentVideo], NoiseSchedule]:
+    """The latents at t = 0..n_steps and their schedule, as the index lists them.
+
+    ``read_trajectory_index`` checks the index. ``timesteps`` (default: all
+    of them) picks which tensors to read, in the order given; each must lie
+    in 0..n_steps, and an empty selection reads the index alone.
+    """
+    schedule = read_trajectory_index(dir_path)
+    n_steps = schedule.n_steps
     if timesteps is None:
         timesteps = range(n_steps + 1)
     for t in timesteps:
         if t not in range(n_steps + 1):
             raise BadValue(f"{dir_path}: trajectory has no timestep {t!r} (0..{n_steps})")
-    return [load_tensor(dir_path / f"t{t:03d}.cmt") for t in timesteps], schedule
+    return [load_tensor(trajectory_path(dir_path, t)) for t in timesteps], schedule

@@ -21,13 +21,14 @@ from .diffusion import (
     NoiseSchedule,
     SamplingGuidance,
     ZeroDenoiser,
-    ddim_invert,
+    ddim_invert_steps,
     ddim_sample,
-    load_trajectory,
     make_initial_noise,
+    read_trajectory_index,
     save_trajectory,
+    trajectory_path,
 )
-from .errors import BadValue, NoValidPairs
+from .errors import BadValue, DimMismatch, NoValidPairs
 from .features import (
     EditPlan,
     MotionDescriptor,
@@ -58,6 +59,7 @@ from .tensors import (
     load_manifest,
     load_tensor,
     read_json,
+    remove_file,
     save_manifest,
     save_mask,
     save_tensor,
@@ -116,8 +118,20 @@ def run_synth(spec: SceneSpec, out_dir) -> Path:
 
 
 def build_denoiser(
-    atlas: list[LatentVideo] | None, schedule: NoiseSchedule, bandwidth: float = 0.5
+    atlas: list[LatentVideo] | None,
+    schedule: NoiseSchedule,
+    shape: tuple[int, ...],
+    bandwidth: float = 0.5,
 ) -> Denoiser:
+    """The atlas denoiser for latents of ``shape``; the zero denoiser for no atlas.
+
+    A member of another shape raises DimMismatch here, before any stage
+    that uses the denoiser has written a file.
+    """
+    for k, member in enumerate(atlas or ()):
+        if member.shape != tuple(shape):
+            raise DimMismatch(f"atlas member {k} has shape {member.shape}, "
+                              f"the latents {tuple(shape)}")
     if not atlas:
         return ZeroDenoiser()
     return GaussianAtlasDenoiser(atlas, schedule, bandwidth=bandwidth)
@@ -129,10 +143,15 @@ def run_invert(
     denoiser: Denoiser,
     out_dir,
 ) -> Path:
+    """Invert the scene's clean latents and archive the trajectory in ``out_dir``.
+
+    Each latent is written as soon as its DDIM step has made and checked
+    it, so the run holds about one latent at a time, whatever ``n_steps``
+    is. ``save_trajectory`` says how a rerun replaces an archive.
+    """
     out_dir = Path(out_dir)
     z0 = manifest.load_latent("0")
-    trajectory = ddim_invert(z0, schedule, denoiser)
-    save_trajectory(trajectory, schedule, out_dir)
+    save_trajectory(ddim_invert_steps(z0, schedule, denoiser), schedule, out_dir)
     return out_dir
 
 
@@ -147,14 +166,25 @@ def run_extract(
     legacy_region: bool = False,
     manifest_path=None,
 ) -> Path:
-    """Extract descriptors for every source at every stored timestep."""
+    """Extract descriptors for every source at every stored timestep.
+
+    The trajectory index is read once; then each timestep's latents are
+    loaded, extracted and written before the next is read, so the run holds
+    about one latent at a time. An ``extract_index.json`` already in
+    ``out_dir`` is removed before the first descriptor is written, and the
+    new one is written after the last, so a rerun that fails half way
+    leaves an archive no reader accepts.
+    """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trajectory, schedule = load_trajectory(traj_dir)
+    schedule = read_trajectory_index(traj_dir)
     masks = manifest.load_masks()
-    operator = compile_sources(trajectory[0], masks, legacy_region=legacy_region)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    remove_file(out_dir / "extract_index.json")
     sources_seen: set[str] = set()
-    for t, latents in enumerate(trajectory):
+    for t in range(schedule.n_steps + 1):
+        latents = load_tensor(trajectory_path(traj_dir, t))
+        if t == 0:  # the regions depend on the masks alone
+            operator = compile_sources(latents, masks, legacy_region=legacy_region)
         t_dir = out_dir / f"t{t:03d}"
         t_dir.mkdir(exist_ok=True)
         for desc in extract_descriptors(latents, masks, timestep=t, strict=False, operator=operator):
@@ -259,9 +289,9 @@ def run_recompose(
 ) -> RecomposeResult:
     """Build the guidance problem from stored descriptors and sample a target video."""
     # sampling starts from z_T, so the other latents are never read
-    _, schedule = load_trajectory(traj_dir, timesteps=())
-    [reference_zT], _ = load_trajectory(traj_dir, timesteps=[schedule.n_steps])
-    denoiser = build_denoiser(atlas, schedule, bandwidth=bandwidth)
+    schedule = read_trajectory_index(traj_dir)
+    reference_zT = load_tensor(trajectory_path(traj_dir, schedule.n_steps))
+    denoiser = build_denoiser(atlas, schedule, reference_zT.shape, bandwidth=bandwidth)
     plan = plan if plan is not None else EditPlan()
     edits = {sid: d.edit for sid, d in plan.directives.items() if d.kind == "mask_edit"}
     if init == "auto":
@@ -431,6 +461,13 @@ def run_pipeline(config: dict, out_root) -> dict:
         raise BadValue("pipeline config needs a 'scene'")
     spec = _scene_spec(config["scene"])
     member_specs = [_scene_spec(doc) for doc in config.get("atlas_scenes", [])]
+    shape = (spec.n_frames, spec.n_channels, spec.height, spec.width)
+    for k, member_spec in enumerate(member_specs):
+        member_shape = (member_spec.n_frames, member_spec.n_channels,
+                        member_spec.height, member_spec.width)
+        if member_shape != shape:
+            raise DimMismatch(f"{what}: atlas_scenes[{k}] has latents {member_shape}, "
+                              f"the scene {shape}")
     schedule = NoiseSchedule.default(
         n_steps=typed_field(sched_doc, "n_steps", int, 20, what),
         power=typed_field(sched_doc, "power", float, 2.0, what),
@@ -465,8 +502,10 @@ def run_pipeline(config: dict, out_root) -> dict:
     if invert_with == "zero":
         invert_denoiser: Denoiser = ZeroDenoiser()
     else:
-        invert_denoiser = build_denoiser(atlas, schedule, bandwidth=bandwidth)
+        invert_denoiser = build_denoiser(atlas, schedule, shape, bandwidth=bandwidth)
     traj_dir = run_invert(manifest, schedule, invert_denoiser, out_root / "traj")
+    # recompose builds its own denoiser; keeping this one would hold a second atlas stack
+    del invert_denoiser
 
     desc_dir = run_extract(
         traj_dir,

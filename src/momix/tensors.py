@@ -196,6 +196,14 @@ def atomic_write(path, *chunks: bytes) -> None:
         raise
 
 
+def remove_file(path) -> None:
+    """Remove ``path`` if it exists; an ``OSError`` is raised as ``IoFailure``."""
+    try:
+        Path(path).unlink(missing_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot remove {path}: {exc}") from exc
+
+
 def write_array(path, arr: np.ndarray) -> None:
     """Write any float array as a CMT1 tensor file (stored as float32)."""
     arr = np.ascontiguousarray(arr)

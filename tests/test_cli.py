@@ -1,6 +1,9 @@
+import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +13,11 @@ from momix import gradcheck
 from momix import pipeline as pl
 from momix.cli import main
 from momix.errors import NoValidPairs
+from momix.synth import render_scene
 from momix.guidance import GuidanceConfig
 from momix.pipeline import read_extract_index
 from momix.synth import BlobSpec, SceneSpec, save_scene, scene_to_json
-from momix.tensors import load_manifest, load_tensor
+from momix.tensors import load_manifest, load_tensor, save_tensor
 
 
 def demo_scene(n=6):
@@ -922,3 +926,100 @@ def test_invert_infinite_bandwidth_is_a_usage_error(scene_dir, tmp_path, capsys)
                "--steps", "2", "--bandwidth", "inf"])
     assert rc == 2
     assert "bandwidth must be finite" in capsys.readouterr().err
+
+
+def _wide_scene_latents(tmp_path, n=6):
+    """The demo scene's clean latents at 28x28, not 24x24."""
+    path = tmp_path / "wide.cmt"
+    save_tensor(render_scene(dataclasses.replace(demo_scene(n), height=28, width=28))[0], path)
+    return path
+
+
+def test_invert_atlas_of_another_geometry_is_a_usage_error(scene_dir, tmp_path, capsys):
+    # used to end in an einsum ValueError traceback (exit 1) at the first step
+    traj = tmp_path / "traj"
+    rc = main(["invert", str(scene_dir / "manifest.json"), str(traj), "--steps", "2",
+               "--atlas", str(_wide_scene_latents(tmp_path))])
+    assert rc == 2
+    assert "atlas member 0 has shape (6, 3, 28, 28), the latents (6, 3, 24, 24)" in (
+        capsys.readouterr().err)
+    assert not traj.exists()
+
+
+def test_recompose_atlas_of_another_geometry_is_a_usage_error(pipeline_dirs, tmp_path, capsys):
+    # used to end in an einsum ValueError traceback (exit 1) at the first step
+    scene, traj, desc = pipeline_dirs
+    rc = main(["recompose", str(desc), str(traj), str(tmp_path / "r"),
+               "--atlas", str(_wide_scene_latents(tmp_path)), "--inner-steps", "1"])
+    assert rc == 2
+    assert "atlas member 0 has shape (6, 3, 28, 28)" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_pipeline_atlas_of_another_geometry_is_a_usage_error(tmp_path, capsys):
+    # used to end in a traceback (exit 1) after writing scene/ and atlas/
+    wide = dataclasses.replace(demo_scene(n=5), height=28, width=28)
+    cfg = dict(_pipeline_config(tmp_path), atlas_include_reference=False,
+               atlas_scenes=[scene_to_json(wide)])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["pipeline", str(cfg_path)]) == 2
+    assert "atlas_scenes[0] has latents (5, 3, 28, 28), the scene (5, 3, 24, 24)" in (
+        capsys.readouterr().err)
+    assert not Path(cfg["out_dir"]).exists()
+
+
+class _NanFrom:
+    """Predicts zero noise up to timestep ``t``, then NaN."""
+
+    def __init__(self, t):
+        self.t = t
+
+    def predict_noise(self, z, t):
+        return np.full(z.shape, np.nan if t >= self.t else 0.0)
+
+
+def test_invert_rerun_that_fails_leaves_no_index(scene_dir, tmp_path, monkeypatch, capsys):
+    # the rerun streams its latents over the old ones; without the old index
+    # extract cannot read that mix as one trajectory
+    manifest, traj = str(scene_dir / "manifest.json"), tmp_path / "traj"
+    assert main(["invert", manifest, str(traj), "--steps", "8"]) == 0
+    monkeypatch.setattr(pl, "build_denoiser", lambda *args, **kwargs: _NanFrom(3))
+    assert main(["invert", manifest, str(traj), "--steps", "8"]) == 3
+    assert "non-finite values at t=3" in capsys.readouterr().err
+    assert not (traj / "index.json").exists()
+    assert main(["extract", str(traj), manifest, str(tmp_path / "desc")]) == 2
+    assert "index.json" in capsys.readouterr().err
+
+
+def test_extract_rerun_over_a_damaged_trajectory_leaves_no_index(pipeline_dirs, tmp_path, capsys):
+    # the rerun has rewritten t000..t004 when t005 fails; recompose must not
+    # read them under the old index
+    scene, traj, desc = pipeline_dirs
+    (traj / "t005.cmt").write_bytes(b"garbage")
+    assert main(["extract", str(traj), str(scene / "manifest.json"), str(desc)]) == 2
+    assert "t005.cmt" in capsys.readouterr().err
+    assert not (desc / "extract_index.json").exists()
+    assert _recompose(desc, traj, scene, tmp_path / "r") == 2
+    assert "extract_index.json" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_pipeline_tree_does_not_depend_on_blas_threads(tmp_path):
+    # one whole-tree check: a stage that starts using BLAS in a thread-dependent
+    # way changes some artifact's bytes between the two runs
+    members = [scene_to_json(dataclasses.replace(demo_scene(n=5), texture_seed=s))
+               for s in (1, 2, 3)]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(_pipeline_config(tmp_path), atlas_scenes=members)))
+    src = str(Path(pl.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        subprocess.run(
+            [sys.executable, "-m", "momix.cli", "pipeline", str(cfg_path), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        digests.append(tree_digest(out))
+    assert digests[0] == digests[1]

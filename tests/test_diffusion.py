@@ -15,6 +15,7 @@ from momix.diffusion import (
     ZeroDenoiser,
     _ddim_step,
     ddim_invert,
+    ddim_invert_steps,
     ddim_sample,
     load_trajectory,
     make_initial_noise,
@@ -359,6 +360,38 @@ def test_trajectory_index_must_agree_with_itself(tmp_path, edit):
     (tmp_path / "index.json").write_text(json.dumps(index))
     with pytest.raises(BadValue):
         load_trajectory(tmp_path)
+
+
+def test_invert_steps_yield_the_trajectory_read_only():
+    z0, _ = _atlas_pair()
+    sched = NoiseSchedule.default(n_steps=5)
+    den = GaussianAtlasDenoiser(list(_atlas_pair()), sched)
+    steps = list(ddim_invert_steps(z0, sched, den))
+    assert not any(z.flags.writeable for z in steps)
+    assert [z.tobytes() for z in steps] == [
+        lat.data.tobytes() for lat in ddim_invert(z0, sched, den)
+    ]
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_save_trajectory_of_the_wrong_length_writes_no_index(tmp_path, extra):
+    # a rewrite removes the old index first, and writes none for a wrong count
+    z0 = _latents(seed=3, shape=(2, 1, 6, 6))
+    sched = NoiseSchedule.default(n_steps=4)
+    save_trajectory(ddim_invert(z0, sched, ZeroDenoiser()), sched, tmp_path)
+    steps = ddim_invert_steps(z0, NoiseSchedule.default(n_steps=4 + extra), ZeroDenoiser())
+    with pytest.raises(DimMismatch, match="schedule wants 5"):
+        save_trajectory(steps, sched, tmp_path)
+    assert not (tmp_path / "index.json").exists()
+    assert not (tmp_path / "t005.cmt").exists()
+
+
+def test_atlas_denoiser_rejects_latents_of_another_shape():
+    # used to end in an einsum ValueError
+    a, b = _atlas_pair()
+    den = GaussianAtlasDenoiser([a, b], NoiseSchedule.default(n_steps=5))
+    with pytest.raises(DimMismatch, match="do not match atlas members"):
+        den.predict_noise(np.zeros((6, 2, 20, 24)), 3)
 
 
 @pytest.mark.parametrize("timesteps", [[5], [-1], [2, 7]])

@@ -1,0 +1,66 @@
+"""Inversion and extraction hold about one latent at a time, whatever n_steps is.
+
+tracemalloc sees numpy's buffers, so its peak over a stage counts the arrays
+the stage keeps alive at once. The budgets are in float64 latents of the
+scene; a stage that held the whole trajectory would need about n_steps + 1
+of them for inversion, and half that for extraction's float32 tensors.
+"""
+
+import tracemalloc
+
+import pytest
+
+from momix import pipeline as pl
+from momix.diffusion import GaussianAtlasDenoiser, NoiseSchedule
+from momix.synth import BlobSpec, SceneSpec
+from momix.tensors import load_manifest
+
+N_STEPS = 30
+INVERT_BUDGET = 6  # measured 4.6: the step's four buffers plus z0 and the file write
+EXTRACT_BUDGET = 3  # measured 1.8
+
+
+def _peak(fn, *args, **kwargs) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture()
+def scene(tmp_path):
+    n = 6
+    spec = SceneSpec(
+        n_frames=n, n_channels=3, height=64, width=64,
+        blobs=(
+            BlobSpec("A", tuple((20.0, 10.0 + 6.0 * f) for f in range(n)), 5.0, (0, 2.5, 0)),
+            BlobSpec("B", tuple((44.0, 54.0 - 6.0 * f) for f in range(n)), 5.0, (0, 0, 2.5)),
+        ),
+        texture_seed=7, texture_amplitude=0.8,
+    )
+    pl.run_synth(spec, tmp_path / "scene")
+    manifest = load_manifest(tmp_path / "scene" / "manifest.json")
+    latent_bytes = 8 * n * 3 * 64 * 64
+    return manifest, latent_bytes
+
+
+def _invert(manifest, out_dir):
+    schedule = NoiseSchedule.default(n_steps=N_STEPS)
+    z0 = manifest.load_latent("0")
+    denoiser = GaussianAtlasDenoiser([z0, z0], schedule)
+    return lambda: pl.run_invert(manifest, schedule, denoiser, out_dir)
+
+
+def test_invert_peak_does_not_grow_with_n_steps(scene, tmp_path):
+    manifest, latent_bytes = scene
+    peak = _peak(_invert(manifest, tmp_path / "traj"))
+    assert peak < INVERT_BUDGET * latent_bytes, peak / latent_bytes
+
+
+def test_extract_peak_does_not_grow_with_n_steps(scene, tmp_path):
+    manifest, latent_bytes = scene
+    _invert(manifest, tmp_path / "traj")()
+    peak = _peak(pl.run_extract, tmp_path / "traj", manifest, tmp_path / "desc")
+    assert peak < EXTRACT_BUDGET * latent_bytes, peak / latent_bytes
