@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline as pl
-from .diffusion import NoiseSchedule, ZeroDenoiser, load_trajectory
+from .diffusion import NoiseSchedule, ZeroDenoiser, load_trajectory, read_trajectory_index
 from .errors import BadValue, EmptyRegion, MomixError, NonFinite, NoValidPairs, UnknownSubject
 from .features import (
     Directive,
@@ -227,13 +227,16 @@ def _cmd_recompose(args) -> int:
         t_end=args.t_end,
         per_source_weight=_parse_weights(args.weight),
     )
-    atlas = [load_tensor(p) for p in args.atlas]
+    shape = (manifest.frames, manifest.channels, manifest.height, manifest.width)
+    denoiser = pl.build_denoiser([load_tensor(p) for p in args.atlas],
+                                 read_trajectory_index(args.traj_dir), shape,
+                                 bandwidth=args.bandwidth)
     result = pl.run_recompose(
         desc_dir,
         plan,
         args.traj_dir,
         args.out_dir,
-        atlas=atlas,
+        denoiser=denoiser,
         manifest=manifest,
         guidance_config=config,
         bandwidth=args.bandwidth,

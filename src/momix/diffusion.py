@@ -15,6 +15,7 @@ toward plausible videos while remaining cheap and fully deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence
@@ -87,6 +88,137 @@ class ZeroDenoiser:
         return np.zeros(z.shape)
 
 
+_UNIT_ROUNDOFF = 2.0**-53
+# exp(x) underflows to exactly 0 below x = -745.13; a member whose log-weight is
+# certified to lie this far below another's has weight 0 whether it is read or not
+_CERTIFY_GAP = 800.0
+# latent-sized passes the certificate adds to a call (see GaussianAtlasDenoiser)
+_TRACKING_PASSES = 10
+
+
+def _gamma(n: int) -> float:
+    """gamma_n = nu / (1 - nu): a float sum of n products errs by at most gamma_n sum |x_i y_i|."""
+    nu = n * _UNIT_ROUNDOFF
+    return nu / (1.0 - nu)
+
+
+def _residual_bound(zz: float, g: tuple, gs: tuple, a: float, b: float, gam: float) -> float:
+    """An upper bound on ||z - a z_p - b m_p|| from the computed Gram of (z, z_p, m_p).
+
+    ``zz`` is <z, z>, ``g`` holds <z_p, z> and <m_p, z>, and ``gs`` holds
+    <z_p, z_p>, <z_p, m_p> and <m_p, m_p>. Each computed entry <x, y> errs by
+    at most (gam / 2) ||x|| ||y||, so the quadratic form errs by at most that
+    times (||z|| + |a| ||z_p|| + |b| ||m_p||)^2; the last term covers its own
+    rounding.
+    """
+    terms = (zz, -2.0 * a * g[0], -2.0 * b * g[1],
+             a * a * gs[0], 2.0 * a * b * gs[1], b * b * gs[2])
+    spread = math.sqrt(zz) + abs(a) * math.sqrt(gs[0]) + abs(b) * math.sqrt(gs[2])
+    r2 = sum(terms) + gam * spread * spread + 16 * _UNIT_ROUNDOFF * sum(map(abs, terms))
+    return math.sqrt(max(r2, 0.0)) * (1.0 + 4 * _UNIT_ROUNDOFF)
+
+
+def _coefficients(g: tuple, gs: tuple):
+    """Candidate (a, b) for z ~ a z_p + b m_p: each alone, then both by least squares.
+
+    Any pair is sound; the smallest residual bound wins. During inversion z_p
+    and m_p are often parallel, and the 2x2 system is then singular.
+    """
+    yield 0.0, 0.0
+    if gs[0] > 0:
+        yield g[0] / gs[0], 0.0
+    if gs[2] > 0:
+        yield 0.0, g[1] / gs[2]
+    det = gs[0] * gs[2] - gs[1] * gs[1]
+    if det > 1e-12 * gs[0] * gs[2]:
+        yield (g[0] * gs[2] - g[1] * gs[1]) / det, (gs[0] * g[1] - gs[1] * g[0]) / det
+
+
+class _MemberBounds:
+    """Intervals on the inner products <m_k, z>, carried from one call to the next.
+
+    After a call the state is the latents z_p it was given and the weighted
+    mean m_p it computed (the two rows of one preallocated buffer), the
+    weights w_p, and an interval on each <m_k, z_p>. For the next z and any
+    scalars a, b, with r = z - a z_p - b m_p,
+
+        <m_k, z> = a <m_k, z_p> + b <m_k, m_p> + <m_k, r>,
+
+    where <m_k, m_p> lies within ||m_k|| beta of (G w_p)_k for the atlas Gram
+    G, and |<m_k, r>| <= ||m_k|| ||r||. A DDIM step makes z from z_p and m_p
+    alone, so ||r|| is rounding-sized and the intervals stay tight; for any
+    other z they are only wider. A float sum of n products errs by at most
+    gamma_n times the product of the norms in any summation order, so the
+    Gram products may go through BLAS: they only bound, and are never outputs.
+    """
+
+    def __init__(self, flat: np.ndarray, sq_norms: np.ndarray):
+        k, n = flat.shape
+        self._flat = flat
+        self._sq_norms = sq_norms
+        self._gam = 2.0 * _gamma(n)  # one dot product, with norms from computed squares
+        self._gam_mean = 2.0 * _gamma(n + 3 * k)  # the weighted mean, G and G @ w
+        self._norms = np.sqrt(sq_norms * (1.0 + self._gam))  # upper bounds on ||m_k||
+        self._state = None  # rows z_p and m_p, allocated at the first call
+        self._valid = False
+
+    def live(self, zf: np.ndarray, c: float, ab: float, var: float) -> np.ndarray:
+        """Which members' weights may be non-zero at this call, as a bool vector.
+
+        Every other member's log-weight, as the full formula computes it from
+        a computed <m_k, z>, lies more than ``_CERTIFY_GAP`` below the largest.
+        The state is spent: ``record`` must follow before the next call.
+        """
+        valid, self._valid = self._valid, False
+        zf = np.asarray(zf, dtype=np.float64)
+        k = self._norms.size
+        with np.errstate(all="ignore"):  # a non-finite z only makes the bounds vacuous
+            zz = self._zz = float(np.dot(zf, zf))
+            self._znorm = float(np.sqrt(zz * (1.0 + self._gam)))
+            if not valid:
+                if self._state is None:
+                    self._state = np.empty((2, zf.size))
+                    self._gram = self._flat @ self._flat.T
+                self._mid, self._rad = np.zeros(k), np.full(k, np.inf)
+                return np.ones(k, dtype=bool)
+            zp, mp = self._state
+            g = (float(np.dot(zp, zf)), float(np.dot(mp, zf)))
+            r_up, a, b = min(
+                (_residual_bound(zz, g, self._gs, a, b, self._gam), a, b)
+                for a, b in _coefficients(g, self._gs)
+            )
+            step = a * self._mid
+            self._mid = step + b * self._gw
+            rad = abs(a) * self._rad + self._norms * (abs(b) * self._beta + r_up)
+            self._rad = rad + 8 * _UNIT_ROUNDOFF * (np.abs(step) + np.abs(b * self._gw) + rad)
+            # log-weight (2c <m_k, z> - ab ||m_k||^2) / (2 var), for any computed <m_k, z>
+            err = self._rad + self._gam * self._norms * self._znorm
+            size = ab * self._sq_norms + 2.0 * c * (np.abs(self._mid) + err)
+            center = (2.0 * c * self._mid - ab * self._sq_norms) / (2.0 * var)
+            half = c * err / var + 16 * _UNIT_ROUNDOFF * size / (2.0 * var)
+            best = float(np.max(center - half))
+            return ~(center + half < best - _CERTIFY_GAP - 4 * _UNIT_ROUNDOFF * abs(best))
+
+    def mean_buffer(self) -> np.ndarray:
+        """The zeroed row that accumulates this call's weighted mean, m_p for the next."""
+        self._state[1].fill(0.0)
+        return self._state[1]
+
+    def record(self, zf: np.ndarray, first: int, ip: np.ndarray | None, w: np.ndarray) -> None:
+        """Keep z, the weights, and the inner products read for rows ``first`` on."""
+        with np.errstate(all="ignore"):
+            if ip is not None:
+                rows = slice(first, first + ip.size)
+                self._mid[rows] = ip
+                self._rad[rows] = self._gam * self._norms[rows] * self._znorm
+            self._gw = self._gram @ w
+            self._beta = self._gam_mean * float(w @ self._norms)
+            zp, mp = self._state
+            np.copyto(zp, zf)
+            self._gs = (self._zz, float(np.dot(zp, mp)), float(np.dot(mp, mp)))
+        self._valid = True
+
+
 class GaussianAtlasDenoiser:
     """Noise prediction from the posterior mean of a Gaussian mixture.
 
@@ -97,18 +229,39 @@ class GaussianAtlasDenoiser:
     is read back from the forward relation. At t = 0 there is no noise to
     predict and the output is zero.
 
-    The members are stacked once with their squared norms. A call reads the
-    atlas once for the K inner products with z, then reads the members whose
-    weight is not zero for the weighted mean, summed in member order. Neither
-    reduction goes through BLAS, so the output bytes do not depend on the
-    BLAS thread count; a matmul would, as OpenBLAS gemv splits its sums
-    differently per thread count.
+    The members are stacked once with their squared norms. A call reads
+    members for the inner products <m_k, z>, then reads the members whose
+    weight is not zero for the weighted mean, summed in member order. Both
+    reductions are fixed-order einsums outside BLAS, so the output bytes do
+    not depend on the BLAS thread count; a matmul would, as OpenBLAS gemv
+    splits its sums differently per thread count.
+
+    Over many cells most weights underflow to exactly 0. With more than
+    ``_TRACKING_PASSES`` (ten) members, the denoiser carries an interval
+    on each <m_k, z> from one call to the next (``_MemberBounds``) and
+    certifies the members whose weight is 0 before reading them. A call then
+    reads, as one view, the rows from the first uncertified member to the
+    last; such a view of two rows or more gives the bytes of the full
+    product. A lone uncertified member is not read at all: its weight is
+    exp(0) / 1 = 1.0, as the full formula computes it. The softmax runs over
+    all K log-weights, with -inf at the members not read, so every output
+    byte is the same as with every member read. The certificate costs ten
+    latent-sized passes a call: the dot products <z, z>, <z_p, z> and
+    <m_p, z> at the call and <z_p, m_p> and <m_p, m_p> after it read eight
+    operands, and the copy of z into the tracking state reads one and writes
+    one. The dot products go through BLAS, as they only bound. The weighted
+    mean accumulates in the tracking state's second row, so tracking holds
+    two latent-sized buffers, allocated at the first call. Below the gate
+    every call reads all K members.
+
+    ``calls``, ``certified_members``, ``member_rows_read`` (rows read for
+    inner products) and ``single_survivor_calls`` count what the calls did.
 
     The full-size arithmetic runs in place, in the order the formulas are
     written, into buffers the call allocates itself: the accumulator of the
-    weighted mean and one scratch buffer, which becomes the returned mean
-    and, in ``predict_noise``, the returned noise. The caller's ``z`` is
-    only read.
+    weighted mean (below the gate) and one scratch buffer, which becomes the
+    returned mean and, in ``predict_noise``, the returned noise. The
+    caller's ``z`` is only read.
     """
 
     def __init__(
@@ -131,6 +284,10 @@ class GaussianAtlasDenoiser:
         self._sq_norms = np.einsum("kn,kn->k", self._flat, self._flat)
         self.schedule = schedule
         self.bandwidth = float(bandwidth)
+        self._bounds = (_MemberBounds(self._flat, self._sq_norms)
+                        if len(atlas) > _TRACKING_PASSES else None)
+        self.calls = self.certified_members = self.member_rows_read = 0
+        self.single_survivor_calls = 0
 
     def posterior_mean(self, z: np.ndarray, t: int) -> np.ndarray:
         if z.shape != self.members.shape[1:]:
@@ -139,20 +296,43 @@ class GaussianAtlasDenoiser:
         ab = float(self.schedule.alpha_bar[t])
         c = np.sqrt(ab)
         var = ab * self.bandwidth**2 + (1.0 - ab)
-        # ||z - c m_k||^2 = ||z||^2 - 2c <m_k, z> + ab ||m_k||^2. The ||z||^2 term is
-        # the same for every k, so the max-shifted softmax drops it; d2 may go negative.
-        d2 = ab * self._sq_norms - 2.0 * c * np.einsum("kn,n->k", self._flat, z.reshape(-1))
-        logw = -d2 / (2.0 * var)
+        zf = z.reshape(-1)
+        n_members = len(self._flat)
+        first, last = 0, n_members
+        self.calls += 1
+        if self._bounds is not None:
+            live = np.flatnonzero(self._bounds.live(zf, c, ab, var))
+            first, last = int(live[0]), int(live[-1]) + 1
+            self.certified_members += n_members - live.size
+        # Members outside rows first:last are certified: their weight underflows to
+        # exactly 0 either way, so they take log-weight -inf unread.
+        logw = np.full(n_members, -np.inf)
+        ip = None
+        if self._bounds is not None and last - first == 1:
+            logw[first] = 0.0  # the lone survivor's weight exp(0) / 1 needs no product
+            self.single_survivor_calls += 1
+        else:
+            ip = np.einsum("kn,n->k", self._flat[first:last], zf)
+            self.member_rows_read += last - first
+            # ||z - c m_k||^2 = ||z||^2 - 2c <m_k, z> + ab ||m_k||^2. The ||z||^2 term is
+            # the same for every k, so the max-shifted softmax drops it; d2 may go negative.
+            d2 = ab * self._sq_norms[first:last] - 2.0 * c * ip
+            logw[first:last] = -d2 / (2.0 * var)
         logw -= logw.max()
         w = np.exp(logw)
         w /= w.sum()
         # Over many cells the distances differ by far more than var, so exp underflows
         # to exactly 0 for all but the nearest members; only those are read.
-        mean_member = np.zeros(self._flat.shape[1])
+        if self._bounds is None:
+            mean_member = np.zeros(self._flat.shape[1])
+        else:
+            mean_member = self._bounds.mean_buffer()
         x_hat = np.empty_like(mean_member)
         for k in np.flatnonzero(w):
             np.multiply(w[k], self._flat[k], out=x_hat)
             mean_member += x_hat
+        if self._bounds is not None:
+            self._bounds.record(zf, first, ip, w)
         mean_member = mean_member.reshape(z.shape)
         x_hat = x_hat.reshape(z.shape)
         # mean + shrink * (z - c * mean)

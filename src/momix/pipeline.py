@@ -170,10 +170,11 @@ def run_extract(
 
     The trajectory index is read once; then each timestep's latents are
     loaded, extracted and written before the next is read, so the run holds
-    about one latent at a time. An ``extract_index.json`` already in
-    ``out_dir`` is removed before the first descriptor is written, and the
-    new one is written after the last, so a rerun that fails half way
-    leaves an archive no reader accepts.
+    about one latent at a time. A timestep whose latents have another shape
+    than t=0's raises DimMismatch before its descriptors are written. An
+    ``extract_index.json`` already in ``out_dir`` is removed before the
+    first descriptor is written, and the new one is written after the last,
+    so a rerun that fails half way leaves an archive no reader accepts.
     """
     out_dir = Path(out_dir)
     schedule = read_trajectory_index(traj_dir)
@@ -182,9 +183,13 @@ def run_extract(
     remove_file(out_dir / "extract_index.json")
     sources_seen: set[str] = set()
     for t in range(schedule.n_steps + 1):
-        latents = load_tensor(trajectory_path(traj_dir, t))
+        path = trajectory_path(traj_dir, t)
+        latents = load_tensor(path)
         if t == 0:  # the regions depend on the masks alone
             operator = compile_sources(latents, masks, legacy_region=legacy_region)
+            shape = latents.shape
+        elif latents.shape != shape:
+            raise DimMismatch(f"{path}: latents {latents.shape} differ from t=0's {shape}")
         t_dir = out_dir / f"t{t:03d}"
         t_dir.mkdir(exist_ok=True)
         for desc in extract_descriptors(latents, masks, timestep=t, strict=False, operator=operator):
@@ -279,7 +284,7 @@ def run_recompose(
     traj_dir,
     out_dir,
     *,
-    atlas: list[LatentVideo],
+    denoiser: Denoiser,
     manifest: SceneManifest,
     guidance_config: GuidanceConfig | None = None,
     bandwidth: float = 0.5,
@@ -287,11 +292,23 @@ def run_recompose(
     seed: int = 0,
     guided: bool = True,
 ) -> RecomposeResult:
-    """Build the guidance problem from stored descriptors and sample a target video."""
+    """Build the guidance problem from stored descriptors and sample a target video.
+
+    ``denoiser`` comes from ``build_denoiser``: an atlas denoiser must have
+    the trajectory's schedule, latent shape and ``bandwidth``, which run.json
+    records, or the run stops before sampling.
+    """
     # sampling starts from z_T, so the other latents are never read
     schedule = read_trajectory_index(traj_dir)
     reference_zT = load_tensor(trajectory_path(traj_dir, schedule.n_steps))
-    denoiser = build_denoiser(atlas, schedule, reference_zT.shape, bandwidth=bandwidth)
+    if isinstance(denoiser, GaussianAtlasDenoiser):
+        if denoiser.members.shape[1:] != reference_zT.shape:
+            raise DimMismatch(f"atlas members have shape {denoiser.members.shape[1:]}, "
+                              f"the latents {reference_zT.shape}")
+        if not np.array_equal(denoiser.schedule.alpha_bar, schedule.alpha_bar):
+            raise BadValue(f"the denoiser's schedule is not the one {traj_dir} was inverted with")
+        if denoiser.bandwidth != bandwidth:
+            raise BadValue(f"the denoiser has bandwidth {denoiser.bandwidth}, not {bandwidth}")
     plan = plan if plan is not None else EditPlan()
     edits = {sid: d.edit for sid, d in plan.directives.items() if d.kind == "mask_edit"}
     if init == "auto":
@@ -498,14 +515,12 @@ def run_pipeline(config: dict, out_root) -> dict:
         atlas.append(member_latents)
     for k, member in enumerate(atlas):
         save_tensor(member, atlas_dir / f"member{k:03d}.cmt")
+    # one denoiser serves inversion and recompose; its stack is the only atlas copy kept
+    denoiser = build_denoiser(atlas, schedule, shape, bandwidth=bandwidth)
+    del atlas
 
-    if invert_with == "zero":
-        invert_denoiser: Denoiser = ZeroDenoiser()
-    else:
-        invert_denoiser = build_denoiser(atlas, schedule, shape, bandwidth=bandwidth)
+    invert_denoiser = ZeroDenoiser() if invert_with == "zero" else denoiser
     traj_dir = run_invert(manifest, schedule, invert_denoiser, out_root / "traj")
-    # recompose builds its own denoiser; keeping this one would hold a second atlas stack
-    del invert_denoiser
 
     desc_dir = run_extract(
         traj_dir,
@@ -520,7 +535,7 @@ def run_pipeline(config: dict, out_root) -> dict:
         plan,
         traj_dir,
         out_root / "run",
-        atlas=atlas,
+        denoiser=denoiser,
         manifest=manifest,
         guidance_config=gcfg,
         bandwidth=bandwidth,

@@ -12,12 +12,13 @@ import pytest
 from momix import gradcheck
 from momix import pipeline as pl
 from momix.cli import main
-from momix.errors import NoValidPairs
+from momix.diffusion import GaussianAtlasDenoiser, NoiseSchedule, read_trajectory_index
+from momix.errors import BadValue, NoValidPairs
 from momix.synth import render_scene
 from momix.guidance import GuidanceConfig
 from momix.pipeline import read_extract_index
 from momix.synth import BlobSpec, SceneSpec, save_scene, scene_to_json
-from momix.tensors import load_manifest, load_tensor, save_tensor
+from momix.tensors import LatentVideo, load_manifest, load_tensor, save_tensor
 
 
 def demo_scene(n=6):
@@ -684,11 +685,29 @@ def test_recompose_checks_every_guided_timestep_before_sampling(
     with pytest.raises(NoValidPairs, match="at timestep 4"):
         pl.run_recompose(
             desc, None, traj, tmp_path / "r",
-            atlas=[load_tensor(scene / "latents_t0.cmt")],
+            denoiser=GaussianAtlasDenoiser([load_tensor(scene / "latents_t0.cmt")],
+                                           read_trajectory_index(traj)),
             manifest=load_manifest(scene / "manifest.json"),
             guidance_config=GuidanceConfig(n_inner_steps=1, t_start=6, t_end=2),
         )
     assert sampled == []
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"schedule": NoiseSchedule.default(n_steps=4)}, "schedule is not the one"),
+    ({"bandwidth": 0.25}, "bandwidth 0.25, not 0.5"),
+])
+def test_recompose_rejects_a_denoiser_built_for_another_run(pipeline_dirs, tmp_path,
+                                                            change, message):
+    scene, traj, desc = pipeline_dirs
+    built = {"schedule": read_trajectory_index(traj), "bandwidth": 0.5, **change}
+    with pytest.raises(BadValue, match=message):
+        pl.run_recompose(
+            desc, None, traj, tmp_path / "r",
+            denoiser=GaussianAtlasDenoiser([load_tensor(scene / "latents_t0.cmt")], **built),
+            manifest=load_manifest(scene / "manifest.json"),
+        )
     assert not (tmp_path / "r").exists()
 
 
@@ -1003,6 +1022,18 @@ def test_extract_rerun_over_a_damaged_trajectory_leaves_no_index(pipeline_dirs, 
     assert _recompose(desc, traj, scene, tmp_path / "r") == 2
     assert "extract_index.json" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+def test_extract_rejects_a_timestep_of_another_shape(pipeline_dirs, capsys):
+    # used to exit 0, leaving recompose to fail one stage later on the channel count
+    scene, traj, desc = pipeline_dirs
+    t5 = load_tensor(traj / "t005.cmt")
+    save_tensor(LatentVideo(t5.data[:, :2]), traj / "t005.cmt")
+    written = tree_digest(desc / "t005")
+    assert main(["extract", str(traj), str(scene / "manifest.json"), str(desc)]) == 2
+    assert "latents (6, 2, 24, 24) differ from t=0's (6, 3, 24, 24)" in capsys.readouterr().err
+    assert tree_digest(desc / "t005") == written
+    assert not (desc / "extract_index.json").exists()
 
 
 def test_pipeline_tree_does_not_depend_on_blas_threads(tmp_path):

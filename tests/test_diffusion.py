@@ -281,6 +281,131 @@ def test_predict_noise_bytes_do_not_depend_on_blas_threads():
     assert len(digests) == 1, digests
 
 
+# Certified pruning: above the gate the denoiser skips the members whose weight it
+# can certify is 0. These atlases draw members far apart over 18,432 cells, a size
+# at which a one-row einsum gives other bytes than the batched product, so a wrong
+# certificate or a wrongly read row shows up as an output byte.
+_SEPARATED_SHAPE = (4, 2, 48, 48)
+
+
+def _separated_atlas(n_members=12, seed=3):
+    rng = np.random.default_rng(seed)
+    return [LatentVideo(rng.standard_normal(_SEPARATED_SHAPE)) for _ in range(n_members)]
+
+
+def test_certified_pruning_matches_the_oracle_through_inversion_and_sampling():
+    atlas = _separated_atlas()
+    sched = NoiseSchedule.default(n_steps=30)
+    ab = sched.alpha_bar
+    den = GaussianAtlasDenoiser(atlas, sched)
+    traj = ddim_invert(atlas[0], sched, den)
+    z = atlas[0].data.astype(np.float64)
+    for t in range(sched.n_steps):
+        z = _oracle_ddim_step(den, z, ab, t, t + 1)
+        assert traj[t + 1].data.tobytes() == z.tobytes(), t
+    inverted = (den.certified_members, den.single_survivor_calls)
+    zT = make_initial_noise(traj[-1], mode="fresh", seed=5)
+    z = zT.data
+    for t in range(sched.n_steps, 0, -1):
+        z = _oracle_ddim_step(den, z, ab, t, t - 1)
+    assert ddim_sample(zT, sched, den).data.tobytes() == z.tobytes()
+    # both directions certify, and some calls read no member for the inner products
+    assert 0 < inverted[0] < den.certified_members
+    assert 0 < inverted[1] < den.single_survivor_calls
+    assert den.member_rows_read < den.calls * len(atlas)
+
+
+@pytest.mark.parametrize("gap, certified", [(-700.5, False), (-745.2, False), (-790.0, False),
+                                            (-900.0, True)])
+def test_a_member_near_the_underflow_boundary_is_read(gap, certified):
+    # m_1 sits where its max-shifted log-weight at z = c m_0 is ``gap``; exp
+    # underflows to 0 below -745.13, but only a gap past -800 may be certified
+    atlas = _separated_atlas()
+    sched = NoiseSchedule.default(n_steps=20)
+    t = 6
+    ab = float(sched.alpha_bar[t])
+    var = ab * 0.5**2 + (1.0 - ab)
+    m0 = atlas[0].data
+    direction = atlas[1].data - m0
+    direction /= np.linalg.norm(direction)
+    atlas[1] = LatentVideo(m0 + np.sqrt(2.0 * var * -gap / ab) * direction)
+    den = GaussianAtlasDenoiser(atlas, sched, bandwidth=0.5)
+    z = np.sqrt(ab) * m0
+    d2 = [np.sum((z - np.sqrt(ab) * m.data) ** 2) for m in atlas[:2]]
+    assert abs((d2[0] - d2[1]) / (2.0 * var) - gap) < 1e-6
+    for _ in range(2):
+        got = den.posterior_mean(z, t)
+        assert got.tobytes() == _oracle_posterior_mean(den, z, t).tobytes()
+    # the second call repeats the first z, so every far member is certified
+    assert den.certified_members == len(atlas) - 1 - (not certified)
+    assert den.single_survivor_calls == int(certified)
+
+
+def test_certified_pruning_matches_the_oracle_for_any_call_sequence():
+    atlas = _separated_atlas()
+    sched = NoiseSchedule.default(n_steps=20)
+    den = GaussianAtlasDenoiser(atlas, sched)
+    rng = np.random.default_rng(8)
+
+    def check(z, t):
+        want = _oracle_posterior_mean(den, z, t)
+        assert den.posterior_mean(z, t).tobytes() == want.tobytes(), t
+
+    # unrelated latents in turn, at unrelated timesteps
+    for t in (3, 17, 1, 1, 9):
+        check(rng.standard_normal(_SEPARATED_SHAPE), t)
+        check(0.9 * atlas[2].data, t)
+        check(atlas[5].data + 0.1 * rng.standard_normal(_SEPARATED_SHAPE), t)
+    # a caller that reuses one buffer and rewrites it in place after each call:
+    # a denoiser that kept the buffer, not a copy, would bound the new z with
+    # inner products of the old one
+    z = np.array(atlas[4].data)
+    for t, nearest in ((2, 4), (2, 4), (2, 7), (5, 7), (5, 3), (1, 3)):
+        z[...] = atlas[nearest].data
+        check(z, t)
+        check(z, t)
+    assert den.certified_members > 0 and den.single_survivor_calls > 0
+
+
+# A separated 12-member atlas of 100,820 cells, so that the Gram products the
+# certificate takes through BLAS split differently at 1 and 2 threads; the
+# probe prints the output digest and then the certified count.
+_CERTIFIED_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from momix.diffusion import (GaussianAtlasDenoiser, NoiseSchedule, ddim_invert, ddim_sample,
+                             make_initial_noise)
+from momix.tensors import LatentVideo
+
+rng = np.random.default_rng(12)
+atlas = [LatentVideo(rng.standard_normal((5, 4, 71, 71))) for _ in range(12)]
+schedule = NoiseSchedule.default(n_steps=12)
+den = GaussianAtlasDenoiser(atlas, schedule)
+digest = hashlib.sha256()
+trajectory = ddim_invert(atlas[0], schedule, den)
+for latents in trajectory:
+    digest.update(latents.data.tobytes())
+zT = make_initial_noise(trajectory[-1], mode="fresh", seed=1)
+digest.update(ddim_sample(zT, schedule, den).data.tobytes())
+print(digest.hexdigest(), den.certified_members)
+"""
+
+
+def test_certified_pruning_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(momix.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _CERTIFIED_THREAD_PROBE],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        digest, certified = done.stdout.split()
+        assert int(certified) > 0
+        digests.add(digest)
+    assert len(digests) == 1, digests
+
+
 def test_denoiser_validation():
     a, b = _atlas_pair()
     sched = NoiseSchedule.default(n_steps=5)

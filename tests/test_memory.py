@@ -8,16 +8,18 @@ of them for inversion, and half that for extraction's float32 tensors.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from momix import pipeline as pl
 from momix.diffusion import GaussianAtlasDenoiser, NoiseSchedule
 from momix.synth import BlobSpec, SceneSpec
-from momix.tensors import load_manifest
+from momix.tensors import LatentVideo, load_manifest
 
 N_STEPS = 30
 INVERT_BUDGET = 6  # measured 4.6: the step's four buffers plus z0 and the file write
 EXTRACT_BUDGET = 3  # measured 1.8
+TRACKING_BUFFERS = 2  # an atlas above the pruning gate keeps the last latents and mean
 
 
 def _peak(fn, *args, **kwargs) -> int:
@@ -64,3 +66,15 @@ def test_extract_peak_does_not_grow_with_n_steps(scene, tmp_path):
     _invert(manifest, tmp_path / "traj")()
     peak = _peak(pl.run_extract, tmp_path / "traj", manifest, tmp_path / "desc")
     assert peak < EXTRACT_BUDGET * latent_bytes, peak / latent_bytes
+
+
+def test_invert_peak_above_the_pruning_gate(scene, tmp_path):
+    manifest, latent_bytes = scene
+    schedule = NoiseSchedule.default(n_steps=N_STEPS)
+    z0 = manifest.load_latent("0")
+    rng = np.random.default_rng(0)
+    atlas = [z0] + [LatentVideo(z0.data + rng.standard_normal(z0.shape)) for _ in range(11)]
+    denoiser = GaussianAtlasDenoiser(atlas, schedule)
+    peak = _peak(pl.run_invert, manifest, schedule, denoiser, tmp_path / "traj")
+    assert denoiser.certified_members > 0
+    assert peak < (INVERT_BUDGET + TRACKING_BUFFERS) * latent_bytes, peak / latent_bytes
