@@ -239,7 +239,6 @@ def _cmd_recompose(args) -> int:
         denoiser=denoiser,
         manifest=manifest,
         guidance_config=config,
-        bandwidth=args.bandwidth,
         init=args.init,
         seed=args.seed,
         guided=not args.unguided,

@@ -31,7 +31,6 @@ from .errors import (
 from .masks import (
     BACKGROUND_ID,
     MaskEdit,
-    background_pair_region,
     background_track,
     pair_region,
 )
@@ -117,7 +116,8 @@ class MotionDescriptor:
             i, j = pairs.T
             if i.min() < 0 or j.max() >= self.n_frames or np.any(i >= j):
                 raise BadValue(f"{name}: pairs must satisfy 0 <= i < j < {self.n_frames}")
-            if np.any(np.diff(i * self.n_frames + j) <= 0):
+            di, dj = np.diff(i), np.diff(j)
+            if np.any((di < 0) | ((di == 0) & (dj <= 0))):
                 raise BadValue(f"{name}: pairs must be sorted and distinct")
         pairs.setflags(write=False)
         deltas.setflags(write=False)
@@ -186,15 +186,17 @@ class PairOperator:
 
     Row r is one source's pair (i, j) = ``ij[r]``, i < j, with its cell set and area;
     rows run by source in mask-set order, then by (i, j), and an empty
-    region never becomes a row. Subjects use ``pair_region`` (no other
-    subjects cut out if ``legacy_region``), the background track uses
-    ``background_pair_region``.
+    region never becomes a row. A subject's region is ``pair_region``'s: its
+    cells at i or j minus those of every other subject at i or j (none cut
+    out if ``legacy_region``). The background track's is
+    ``background_pair_region``'s: its cells at both i and j.
 
     Both region kinds are cellwise set algebra on the tracks, so cells that
     carry the same bit in every track at every frame (an *atom*) belong to
-    exactly the same rows. The regions are computed once per atom, on one
-    representative cell each, and stored as one 0/1 (rows, atoms) matrix
-    per frame holding every row that touches it. ``apply`` sums each
+    exactly the same rows. The algebra runs on one representative cell per
+    atom, for every source and frame pair in one array expression, and the
+    regions are stored as one 0/1 (rows, atoms) matrix per frame holding
+    every row that touches it. ``apply`` sums each
     frame's cells per atom with ``np.bincount`` and ``adjoint`` gathers
     per-atom coefficients back to the cells; every product is a fixed-order
     einsum or bincount, not BLAS, so the bytes do not depend on the thread
@@ -217,41 +219,31 @@ class PairOperator:
         _, rep, labels = np.unique(keys, return_index=True, return_inverse=True)
         self._labels = labels.reshape(-1)
         self._sizes = np.bincount(self._labels).astype(np.float64)
-        n_atoms = rep.size
-        # each track on one representative cell per atom: (F, 1, n_atoms)
-        atoms = {
-            sid: MaskTrack(t.data.reshape(self.n_frames, 1, -1)[:, :, rep], subject_id=sid)
-            for sid, t in tracks.items()
-        }
-        subjects = {sid: t for sid, t in atoms.items() if sid != BACKGROUND_ID}
-        rows: list[tuple[str, int, int]] = []
-        by_frame: list[list[tuple[int, float, np.ndarray]]] = [[] for _ in range(shape[0])]
-        self.slices: dict[str, slice] = {}
-        for sid, track in atoms.items():
-            others = [] if legacy_region else [t for o, t in subjects.items() if o != sid]
-            first = len(rows)
-            for i in range(self.n_frames):
-                for j in range(i + 1, self.n_frames):
-                    if sid == BACKGROUND_ID:
-                        region = background_pair_region(track, i, j)
-                    else:
-                        region = pair_region(track, others, i, j)
-                    if region.any():
-                        by_frame[i].append((len(rows), 1.0, region.ravel()))
-                        by_frame[j].append((len(rows), -1.0, region.ravel()))
-                        rows.append((sid, i, j))
-            self.slices[sid] = slice(first, len(rows))
-        self.rows = tuple(rows)
-        self.ij = np.array([row[1:] for row in rows], dtype=np.int64).reshape(-1, 2)
-        self.area = np.zeros(len(rows), dtype=np.int64)
+        # every source's region at every forward pair at once: (sources, pairs, atoms)
+        atoms = bits[:, :, rep]
+        is_subject = np.array([sid != BACKGROUND_ID for sid in tracks])[:, None, None]
+        # per source and frame, the atoms some other subject holds
+        held = np.count_nonzero(atoms & is_subject, axis=0)
+        others = np.zeros_like(atoms) if legacy_region else held - atoms > 0
+        i, j = np.triu_indices(self.n_frames, 1)
+        region = np.where(is_subject, (atoms[:, i] | atoms[:, j]) & ~(others[:, i] | others[:, j]),
+                          atoms[:, i] & atoms[:, j])
+        kept = region.any(axis=2)
+        source, pair = np.nonzero(kept)
+        self._regions = region[source, pair]
+        self.ij = np.column_stack((i[pair], j[pair])).astype(np.int64)
+        sids = list(tracks)
+        self.rows = tuple((sids[s], a, b) for s, a, b in zip(source.tolist(), *self.ij.T.tolist()))
+        bounds = [0, *np.cumsum(np.count_nonzero(kept, axis=1)).tolist()]
+        self.slices = {sid: slice(a, b) for sid, a, b in zip(sids, bounds, bounds[1:])}
+        member = self._regions.astype(np.float64)
+        # sums of integer cell counts, exact in float64
+        self.area = np.einsum("ra,a->r", member, self._sizes).astype(np.int64)
+        # per frame, the rows that touch it in row order: +1 where it is i, -1 where it is j
         self._groups = []
-        for entries in by_frame:
-            index = np.array([e[0] for e in entries], dtype=np.intp)
-            sign = np.array([e[1] for e in entries], dtype=np.float64)
-            member = np.array([e[2] for e in entries], dtype=np.float64).reshape(-1, n_atoms)
-            # sums of integer cell counts, exact in float64
-            self.area[index[sign > 0]] = np.einsum("ra,a->r", member[sign > 0], self._sizes)
-            self._groups.append((index, sign, member))
+        for f in range(self.n_frames):
+            index = np.flatnonzero((self.ij == f).any(axis=1))
+            self._groups.append((index, np.where(self.ij[index, 0] == f, 1.0, -1.0), member[index]))
 
     def source_ids(self) -> list[str]:
         return list(self.slices)
@@ -260,12 +252,9 @@ class PairOperator:
     def pairs(self) -> dict[str, dict[tuple[int, int], tuple[np.ndarray, int]]]:
         """source_id -> {(i, j): (flat cell indices, area)}: the rows, one pair at a time."""
         table: dict[str, dict] = {sid: {} for sid in self.slices}
-        for index, sign, member in self._groups:
-            for k in np.flatnonzero(sign > 0):
-                sid, i, j = self.rows[index[k]]
-                cells = np.flatnonzero(member[k][self._labels])
-                table[sid][(i, j)] = (cells, int(self.area[index[k]]))
-        return {sid: dict(sorted(pairs.items())) for sid, pairs in table.items()}
+        for r, (sid, i, j) in enumerate(self.rows):
+            table[sid][(i, j)] = (np.flatnonzero(self._regions[r, self._labels]), int(self.area[r]))
+        return table
 
     @cached_property
     def gram(self) -> np.ndarray:

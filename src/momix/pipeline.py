@@ -287,7 +287,6 @@ def run_recompose(
     denoiser: Denoiser,
     manifest: SceneManifest,
     guidance_config: GuidanceConfig | None = None,
-    bandwidth: float = 0.5,
     init: str = "auto",
     seed: int = 0,
     guided: bool = True,
@@ -295,8 +294,8 @@ def run_recompose(
     """Build the guidance problem from stored descriptors and sample a target video.
 
     ``denoiser`` comes from ``build_denoiser``: an atlas denoiser must have
-    the trajectory's schedule, latent shape and ``bandwidth``, which run.json
-    records, or the run stops before sampling.
+    the trajectory's schedule and latent shape, or the run stops before
+    sampling. run.json records its ``bandwidth`` (null for any other denoiser).
     """
     # sampling starts from z_T, so the other latents are never read
     schedule = read_trajectory_index(traj_dir)
@@ -307,8 +306,6 @@ def run_recompose(
                               f"the latents {reference_zT.shape}")
         if not np.array_equal(denoiser.schedule.alpha_bar, schedule.alpha_bar):
             raise BadValue(f"the denoiser's schedule is not the one {traj_dir} was inverted with")
-        if denoiser.bandwidth != bandwidth:
-            raise BadValue(f"the denoiser has bandwidth {denoiser.bandwidth}, not {bandwidth}")
     plan = plan if plan is not None else EditPlan()
     edits = {sid: d.edit for sid, d in plan.directives.items() if d.kind == "mask_edit"}
     if init == "auto":
@@ -331,6 +328,12 @@ def run_recompose(
         regions = compile_sources(reference_zT, subjects, legacy_region=index.legacy_region)
         targets = {}
         for t, refs in refs_by_t.items():
+            # checked before ``recompose``, which indexes an (n_frames, n_frames) row table
+            for ref in refs:
+                if ref.n_frames != reference_zT.n_frames:
+                    raise DimMismatch(f"{desc_dir}: descriptor {ref.source_id!r} at timestep {t} "
+                                      f"has {ref.n_frames} frames, the latents "
+                                      f"{reference_zT.n_frames}")
             targets[t] = GuidanceTarget(
                 recompose(refs, plan), regions, weights=config.per_source_weight
             )
@@ -347,7 +350,8 @@ def run_recompose(
     atomic_write(out_dir / "trace.jsonl", lines.encode())
     write_json(
         out_dir / "run.json",
-        {"init": init_mode, "seed": seed, "guided": guided, "bandwidth": bandwidth},
+        {"init": init_mode, "seed": seed, "guided": guided,
+         "bandwidth": denoiser.bandwidth if isinstance(denoiser, GaussianAtlasDenoiser) else None},
     )
     return RecomposeResult(output=output, trace=trace, init_mode=init_mode)
 
@@ -538,7 +542,6 @@ def run_pipeline(config: dict, out_root) -> dict:
         denoiser=denoiser,
         manifest=manifest,
         guidance_config=gcfg,
-        bandwidth=bandwidth,
         init=init,
         seed=seed,
         guided=guided,

@@ -283,12 +283,12 @@ def peek_dims(path, magic: bytes) -> tuple[int, ...]:
 def read_json(path) -> dict:
     """Read a JSON document whose top level is an object."""
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data)  # decoded as UTF-8, the only encoding JSON allows
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise BadValue(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise BadValue(f"{path}: expected a JSON object, got {type(doc).__name__}")

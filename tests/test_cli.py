@@ -12,7 +12,9 @@ import pytest
 from momix import gradcheck
 from momix import pipeline as pl
 from momix.cli import main
-from momix.diffusion import GaussianAtlasDenoiser, NoiseSchedule, read_trajectory_index
+from momix.diffusion import (
+    GaussianAtlasDenoiser, NoiseSchedule, ZeroDenoiser, read_trajectory_index,
+)
 from momix.errors import BadValue, NoValidPairs
 from momix.synth import render_scene
 from momix.guidance import GuidanceConfig
@@ -696,7 +698,6 @@ def test_recompose_checks_every_guided_timestep_before_sampling(
 
 @pytest.mark.parametrize("change, message", [
     ({"schedule": NoiseSchedule.default(n_steps=4)}, "schedule is not the one"),
-    ({"bandwidth": 0.25}, "bandwidth 0.25, not 0.5"),
 ])
 def test_recompose_rejects_a_denoiser_built_for_another_run(pipeline_dirs, tmp_path,
                                                             change, message):
@@ -709,6 +710,38 @@ def test_recompose_rejects_a_denoiser_built_for_another_run(pipeline_dirs, tmp_p
             manifest=load_manifest(scene / "manifest.json"),
         )
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("bandwidth", [0.25, None])
+def test_recompose_records_the_denoisers_bandwidth(pipeline_dirs, tmp_path, bandwidth):
+    # run.json takes the bandwidth of the denoiser that sampled; a zero denoiser has none
+    scene, traj, desc = pipeline_dirs
+    denoiser = ZeroDenoiser() if bandwidth is None else GaussianAtlasDenoiser(
+        [load_tensor(scene / "latents_t0.cmt")], read_trajectory_index(traj), bandwidth=bandwidth)
+    pl.run_recompose(desc, None, traj, tmp_path / "r", denoiser=denoiser,
+                     manifest=load_manifest(scene / "manifest.json"), guided=False)
+    assert json.loads((tmp_path / "r" / "run.json").read_text())["bandwidth"] == bandwidth
+
+
+@pytest.mark.parametrize("stage, path, data", [
+    ("recompose", "desc/t003/A.json", b"\xff"),
+    ("metrics", "scene/manifest.json", b"\xff"),
+    ("metrics", "scene/spec.json", b"[" * 100_000),
+], ids=["recompose-not-utf8", "metrics-not-utf8", "metrics-nested-too-deep"])
+def test_json_that_cannot_be_decoded_is_a_usage_error(pipeline_dirs, tmp_path, capsys,
+                                                      stage, path, data):
+    # each used to end in a traceback (exit 1)
+    scene, traj, desc = pipeline_dirs
+    damaged = tmp_path / path
+    damaged.write_bytes(data + damaged.read_bytes()[len(data):])
+    if stage == "recompose":
+        rc = _recompose(desc, traj, scene, tmp_path / "r")
+    else:
+        (tmp_path / "r").mkdir()
+        (tmp_path / "r" / "output.cmt").write_bytes((scene / "latents_t0.cmt").read_bytes())
+        rc = main(["metrics", str(tmp_path / "r"), str(scene), "--desc", str(desc)])
+    assert rc == 2
+    assert f"{damaged}: invalid JSON" in capsys.readouterr().err
 
 
 def test_recompose_window_past_the_schedule_writes_nothing(pipeline_dirs, tmp_path, capsys):
@@ -860,11 +893,15 @@ def _set(key, value):
         (_set("sources", ["A", 5]), "sources must be filesystem-safe strings"),
         (_set("legacy_region", "false"), "legacy_region must be a JSON boolean"),
         (_set("manifest", 5), "manifest must be a JSON string"),
+        (lambda desc: _edit_json(desc / "t004" / "A.json",
+                                 lambda d: d.update({"n_frames": 10**20})),
+         "has 100000000000000000000 frames, the latents 6"),
     ],
     ids=["stale-t004", "tensor-redirect", "pair-float", "pair-bool", "source_id-mismatch",
          "n_steps-missing", "timesteps-missing", "sources-missing", "legacy_region-missing",
          "manifest-missing", "n_steps-float", "timesteps-string", "timesteps-short",
-         "sources-string", "sources-integer", "legacy_region-string", "manifest-integer"],
+         "sources-string", "sources-integer", "legacy_region-string", "manifest-integer",
+         "n_frames-huge"],
 )
 def test_recompose_damaged_descriptor_archive_is_a_usage_error(
     pipeline_dirs, tmp_path, capsys, damage, message

@@ -1,0 +1,121 @@
+"""Damaged artifacts end in a documented exit code, never in a traceback.
+
+One small real run (the 6-frame 24x24 demo scene, 6 DDIM steps) is built
+once. Each example copies it, damages one artifact, and runs every stage
+that reads artifacts: each must exit 0, 2 or 3.
+"""
+
+import json
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from momix.cli import main
+from momix.synth import save_scene
+
+from test_cli import demo_scene
+
+N_STEPS = 6
+SOURCES = ("A", "B", "background")
+JSON_FILES = (
+    ["scene/manifest.json", "scene/spec.json", "scene/trajectories.json", "traj/index.json",
+     "desc/extract_index.json", "run/run.json"]
+    + [f"desc/t{t:03d}/{sid}.json" for t in range(N_STEPS + 1) for sid in SOURCES]
+)
+ARTIFACTS = sorted(
+    JSON_FILES
+    + ["scene/latents_t0.cmt", "scene/mask_A.cmm", "scene/mask_B.cmm", "run/output.cmt",
+       "run/trace.jsonl"]
+    + [f"traj/t{t:03d}.cmt" for t in range(N_STEPS + 1)]
+    + [f"desc/t{t:03d}/{sid}.cmt" for t in range(N_STEPS + 1) for sid in SOURCES]
+)
+VALUES = (None, True, False, -1, 10**20, 1.5, "x", [0, 1], {"k": 0})
+
+_damage = st.one_of(
+    st.tuples(st.just("truncate"), st.sampled_from(ARTIFACTS), st.integers(0, 2**16)),
+    st.tuples(st.just("overwrite"), st.sampled_from(ARTIFACTS), st.integers(0, 2**16),
+              st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("delete"), st.sampled_from(ARTIFACTS)),
+    st.tuples(st.just("set"), st.sampled_from(JSON_FILES), st.integers(0, 2**16),
+              st.sampled_from(VALUES)),
+)
+
+
+@pytest.fixture(scope="module")
+def base_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    save_scene(demo_scene(), root / "spec.json")
+    scene, traj, desc, run = (str(root / d) for d in ("scene", "traj", "desc", "run"))
+    assert main(["synth", str(root / "spec.json"), scene]) == 0
+    assert main(["invert", f"{scene}/manifest.json", traj, "--steps", str(N_STEPS)]) == 0
+    assert main(["extract", traj, f"{scene}/manifest.json", desc]) == 0
+    assert main(["recompose", desc, traj, run, "--atlas", f"{scene}/latents_t0.cmt",
+                 "--inner-steps", "1"]) == 0
+    assert main(["metrics", run, scene, "--desc", desc, "--out", str(root / "metrics.json")]) == 0
+    for path in ("spec.json", "metrics.json"):  # no stage reads these
+        (root / path).unlink()
+    files = sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
+    assert files == ARTIFACTS
+    return root
+
+
+def _fields(doc):
+    """(container, key) of every value nested in a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    out = []
+    for key, value in items:
+        out.append((doc, key))
+        if isinstance(value, (dict, list)):
+            out.extend(_fields(value))
+    return out
+
+
+def _apply(damage, root: Path) -> None:
+    kind, path = damage[0], root / damage[1]
+    if kind == "delete":
+        path.unlink()
+        return
+    data = path.read_bytes()
+    if kind == "truncate":
+        path.write_bytes(data[:damage[2] % len(data)])
+    elif kind == "overwrite":
+        at = damage[2] % len(data)
+        path.write_bytes(data[:at] + damage[3] + data[at + len(damage[3]):])
+    else:
+        doc = json.loads(data)
+        container, key = (fields := _fields(doc))[damage[2] % len(fields)]
+        container[key] = damage[3]
+        path.write_text(json.dumps(doc))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(damage=_damage)
+# one non-UTF-8 byte in a JSON file a stage reads
+@example(damage=("overwrite", "desc/t003/A.json", 0, b"\xff"))
+@example(damage=("overwrite", "scene/manifest.json", 0, b"\xff"))
+# a descriptor's n_frames far beyond the latents' frame count, plain and --soften
+@example(damage=("set", "desc/t004/A.json", 0, 10**20))
+@example(damage=("set", "desc/t004/background.json", 0, 10**20))
+@example(damage=("set", "desc/t000/B.json", 0, 10**20))
+def test_damaged_artifacts_exit_with_a_documented_code(base_run, damage):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "run"
+        shutil.copytree(base_run, root)
+        _apply(damage, root)
+        scene, traj, desc, run, out = (str(root / d) for d in ("scene", "traj", "desc", "run",
+                                                                   "out"))
+        recompose = ["recompose", desc, traj, f"{out}/r", "--atlas", f"{scene}/latents_t0.cmt",
+                     "--inner-steps", "1"]
+        commands = [
+            ["invert", f"{scene}/manifest.json", f"{out}/traj", "--steps", str(N_STEPS)],
+            ["extract", traj, f"{scene}/manifest.json", f"{out}/desc"],
+            recompose,
+            recompose + ["--soften", "1"],
+            ["metrics", run, scene, "--desc", desc, "--out", f"{out}/metrics.json"],
+        ]
+        codes = [main(argv) for argv in commands]
+        assert set(codes) <= {0, 2, 3}, (damage, codes)
