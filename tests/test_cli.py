@@ -349,6 +349,18 @@ def test_gradcheck_names_a_vacuous_pass_with_no_case_drawn(capsys, monkeypatch):
     assert "weights" not in out
 
 
+def test_gradcheck_fails_a_nan_gradient(capsys, monkeypatch):
+    # a NaN gradient used to pass with a max relative error of 0
+    real = gradcheck.guidance_gradient
+    monkeypatch.setattr(
+        gradcheck, "guidance_gradient", lambda lat, target: np.full_like(real(lat, target), np.nan)
+    )
+    assert main(["gradcheck", "--cases", "3"]) == 3
+    captured = capsys.readouterr()
+    assert "max relative error inf" in captured.out
+    assert "gradcheck FAILED" in captured.err
+
+
 def _pipeline_config(tmp_path, out_name="runA"):
     from momix.synth import scene_to_json
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momix
-from momix import guidance
+from momix import gradcheck, guidance
 from momix.errors import BadValue, DimMismatch, NoValidPairs, UnknownSubject
 from momix.features import (
     Directive,
@@ -21,8 +21,10 @@ from momix.features import (
     recompose,
 )
 from momix.gradcheck import (
-    _batched_loss,
+    _CHUNK,
+    _loss_terms,
     _perturbed,
+    _plane_losses,
     finite_difference_gradient,
     max_relative_error,
     random_case,
@@ -161,16 +163,97 @@ def _oracle_targets():
         yield f"fixed-scene-{weights}", GuidanceTarget(references, regions, weights=weights)
 
 
-def test_batched_loss_matches_guidance_loss_per_row():
-    # the oracle against the operator's loss, one batch row at a time
+def test_plane_losses_match_guidance_loss_per_row():
+    # the oracle against the operator's loss, one perturbed row at a time
     rng = np.random.default_rng(12)
     for label, target in _oracle_targets():
         n_channels = target.ref.shape[1]
         shape = (target.regions.n_frames, n_channels, *target.regions.spatial)
-        batch = rng.standard_normal((5, *shape))
-        got = _batched_loss(batch, target)
-        want = np.array([guidance_loss(LatentVideo(z), target) for z in batch])
-        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (label, got, want)
+        base = rng.standard_normal(shape)
+        planes = base.reshape(*shape[:2], -1)
+        terms = _loss_terms(planes, target)
+        for f, c in ((0, 0), (shape[0] - 1, n_channels - 1), (1, n_channels // 2)):
+            stack = planes[f, c] + rng.standard_normal((5, planes.shape[2]))
+            got = _plane_losses(terms, stack, f, c)
+            want = []
+            for row in stack:
+                z = base.copy()
+                z[f, c] = row.reshape(shape[2:])
+                want.append(guidance_loss(LatentVideo(z), target))
+            want = np.array(want)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (label, f, c, got, want)
+
+
+def _full_stack_loss(z_batch, target):
+    """Loss of each latent tensor in a (batch, F, C, H, W) stack, every mean recomputed."""
+    b, f, c, h, w = z_batch.shape
+    flat = z_batch.reshape(b, f, c, -1)
+    total = np.zeros(b)
+    for ref in sorted(target.references, key=lambda d: d.source_id):
+        weight = float(target.weights.get(ref.source_id, 1.0))
+        for (i, j), (idx, _) in target.regions.pairs[ref.source_id].items():
+            if not ref.has_pair(i, j):
+                continue
+            mask = np.zeros(flat.shape[3])
+            mask[idx] = 1.0
+            means_i = np.einsum("bcn,n->bc", flat[:, i], mask) / idx.size
+            means_j = np.einsum("bcn,n->bc", flat[:, j], mask) / idx.size
+            r = (means_i - means_j) - ref.delta(i, j)[None, :]
+            total += weight * np.einsum("bc,bc->b", r, r)
+    return total
+
+
+def _full_stack_gradient(z, target, h=1e-3):
+    """The central differences over whole perturbed copies of the latents, chunk by chunk."""
+    base = z.data.astype(np.float64, copy=True)
+    n = base.size
+    grad = np.zeros(n)
+    flat = base.reshape(-1)
+    for start in range(0, n, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, n))
+        stacked = _perturbed(flat, idx, h).reshape(2 * idx.size, *base.shape)
+        losses = _full_stack_loss(stacked, target)
+        grad[idx] = (losses[: idx.size] - losses[idx.size :]) / (2.0 * h)
+    return grad.reshape(base.shape)
+
+
+def test_plane_by_plane_gradient_bytes_match_the_full_stack():
+    # reusing the base means outside the perturbed plane changes no bit
+    rng = np.random.default_rng(14)
+    for label, target in _oracle_targets():
+        n_channels = target.ref.shape[1]
+        shape = (target.regions.n_frames, n_channels, *target.regions.spatial)
+        z = LatentVideo(rng.standard_normal(shape))
+        got = finite_difference_gradient(z, target)
+        want = _full_stack_gradient(z, target)
+        assert got.tobytes() == want.tobytes(), label
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, float("nan"), float("inf")])
+def test_finite_difference_gradient_rejects_a_bad_step(h):
+    # h = 0 used to give an all-NaN gradient with only a warning
+    case = random_case(np.random.default_rng(15), 2, 2, 6, 6, 1)
+    with pytest.raises(BadValue):
+        finite_difference_gradient(case.latents, case.target, h=h)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_entry_is_an_infinite_error(bad):
+    # NaN used to count as 0 error, and inf against a finite value as NaN
+    assert max_relative_error(np.array([bad, 1.0]), np.array([0.0, 1.0])) == np.inf
+    assert max_relative_error(np.array([0.0, 1.0]), np.array([bad, 1.0])) == np.inf
+    assert max_relative_error(np.array([bad]), np.array([bad])) == np.inf
+    assert max_relative_error(np.array([0.0, 2.0]), np.array([0.0, 1.0])) == 0.5
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gradcheck_fails_a_non_finite_analytic_gradient(monkeypatch, bad):
+    real = guidance.guidance_gradient
+    monkeypatch.setattr(
+        gradcheck, "guidance_gradient", lambda lat, target: np.full_like(real(lat, target), bad)
+    )
+    report = run_gradcheck(seed=0, n_cases=3)
+    assert not report["passed"] and report["max_rel_err"] == np.inf
 
 
 def test_perturbation_stack_matches_separate_plus_and_minus_copies():
@@ -345,6 +428,26 @@ def test_guided_update_bytes_do_not_depend_on_blas_threads():
         )
         digests.add(done.stdout.strip())
     assert len(digests) == 1, digests
+
+
+_GRADCHECK_PROBE = """
+import json
+from momix.gradcheck import run_gradcheck
+print(json.dumps(run_gradcheck(1, n_cases=5), sort_keys=True))
+"""
+
+
+def test_gradcheck_report_does_not_depend_on_blas_threads():
+    src = str(Path(momix.__file__).resolve().parents[1])
+    reports = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _GRADCHECK_PROBE],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        reports.add(done.stdout.strip())
+    assert len(reports) == 1, reports
 
 
 def test_uniform_mask_mean_dynamics():

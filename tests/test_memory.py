@@ -4,6 +4,8 @@ tracemalloc sees numpy's buffers, so its peak over a stage counts the arrays
 the stage keeps alive at once. The budgets are in float64 latents of the
 scene; a stage that held the whole trajectory would need about n_steps + 1
 of them for inversion, and half that for extraction's float32 tensors.
+The finite-difference oracle's budget is in perturbation stacks of one
+(frame, channel) plane.
 """
 
 import tracemalloc
@@ -13,6 +15,7 @@ import pytest
 
 from momix import pipeline as pl
 from momix.diffusion import GaussianAtlasDenoiser, NoiseSchedule
+from momix.gradcheck import _CHUNK, finite_difference_gradient, random_case
 from momix.synth import BlobSpec, SceneSpec
 from momix.tensors import LatentVideo, load_manifest
 
@@ -78,3 +81,11 @@ def test_invert_peak_above_the_pruning_gate(scene, tmp_path):
     peak = _peak(pl.run_invert, manifest, schedule, denoiser, tmp_path / "traj")
     assert denoiser.certified_members > 0
     assert peak < (INVERT_BUDGET + TRACKING_BUFFERS) * latent_bytes, peak / latent_bytes
+
+
+def test_finite_difference_peak_stays_under_three_plane_stacks():
+    # copying the whole latent per perturbed row peaked at 32.9 MB on this case
+    case = random_case(np.random.default_rng(0), 4, 4, 16, 16, 3)
+    stack_bytes = 2 * _CHUNK * 16 * 16 * 8
+    peak = _peak(finite_difference_gradient, case.latents, case.target)
+    assert peak < 3 * stack_bytes, peak / stack_bytes
