@@ -15,7 +15,6 @@ from .diffusion import (
     ddim_invert,
     ddim_invert_steps,
     ddim_sample,
-    load_trajectory,
     make_initial_noise,
     save_trajectory,
 )

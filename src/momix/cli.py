@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline as pl
-from .diffusion import NoiseSchedule, ZeroDenoiser, load_trajectory, read_trajectory_index
+from .diffusion import NoiseSchedule, ZeroDenoiser, read_trajectory_index, trajectory_path
 from .errors import BadValue, EmptyRegion, MomixError, NonFinite, NoValidPairs, UnknownSubject
 from .features import (
     Directive,
@@ -147,7 +147,7 @@ def _cmd_extract(args) -> int:
 
 
 def _print_baseline_distances(args, manifest) -> None:
-    [z0], _ = load_trajectory(args.traj_dir, timesteps=[0])
+    z0 = load_tensor(trajectory_path(args.traj_dir, 0))  # run_extract has read its index
     masks = manifest.load_masks()
     baseline = {d.source_id: d for d in pl.read_extract_index(args.baseline).references([0])[0]}
     for mode, legacy in (("refined", False), ("legacy", True)):

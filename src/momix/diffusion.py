@@ -27,7 +27,7 @@ from .guidance import GuidanceConfig, GuidanceTarget, guided_update
 from .tensors import (
     REQUIRED,
     LatentVideo,
-    load_tensor,
+    make_dir,
     read_json,
     remove_file,
     typed_field,
@@ -483,8 +483,7 @@ def save_trajectory(
     rewrite that fails half way leaves an archive no reader accepts, never
     old files mixed with new under an old index.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dir(out_dir)
     index = out_dir / "index.json"
     remove_file(index)
     want = schedule.n_steps + 1
@@ -529,20 +528,3 @@ def read_trajectory_index(dir_path) -> NoiseSchedule:
     if files != {str(t): trajectory_path(dir_path, t).name for t in range(n_steps + 1)}:
         raise BadValue(f"{dir_path}: index files must map each timestep 0..{n_steps} to t###.cmt")
     return schedule
-
-
-def load_trajectory(dir_path, timesteps=None) -> tuple[list[LatentVideo], NoiseSchedule]:
-    """The latents at t = 0..n_steps and their schedule, as the index lists them.
-
-    ``read_trajectory_index`` checks the index. ``timesteps`` (default: all
-    of them) picks which tensors to read, in the order given; each must lie
-    in 0..n_steps, and an empty selection reads the index alone.
-    """
-    schedule = read_trajectory_index(dir_path)
-    n_steps = schedule.n_steps
-    if timesteps is None:
-        timesteps = range(n_steps + 1)
-    for t in timesteps:
-        if t not in range(n_steps + 1):
-            raise BadValue(f"{dir_path}: trajectory has no timestep {t!r} (0..{n_steps})")
-    return [load_tensor(trajectory_path(dir_path, t)) for t in timesteps], schedule

@@ -313,10 +313,9 @@ def compile_sources(
     latents: LatentVideo,
     subjects: Sequence[MaskTrack],
     *,
-    include_background: bool = True,
     legacy_region: bool = False,
 ) -> PairOperator:
-    """The pair operator over subject tracks plus (optionally) their background.
+    """The pair operator over subject tracks plus their background.
 
     ``latents`` fixes the geometry every track must match; the operator
     applies to any latents of that geometry, whatever their timestep.
@@ -330,10 +329,7 @@ def compile_sources(
             raise BadValue(f"subject id {BACKGROUND_ID!r} is reserved")
         tracks[track.subject_id] = track
     dims = (latents.n_frames, latents.height, latents.width)
-    if include_background:
-        tracks[BACKGROUND_ID] = background_track(list(tracks.values()), dims=dims)
-    if not tracks:
-        raise NoValidPairs("no source to extract")
+    tracks[BACKGROUND_ID] = background_track(list(tracks.values()), dims=dims)
     return PairOperator(tracks, legacy_region=legacy_region)
 
 
@@ -439,7 +435,11 @@ def recompose(descriptors: Sequence[MotionDescriptor], plan: EditPlan) -> list[M
 
     Mask edits pass the descriptor through untouched; they take effect on
     the target-side regions when the guidance problem is assembled.
+    Descriptors of different frame counts raise DimMismatch.
     """
+    n_frames = sorted({d.n_frames for d in descriptors})
+    if len(n_frames) > 1:
+        raise DimMismatch(f"descriptors span different frame counts {n_frames}")
     by_id = {d.source_id: d for d in descriptors}
     background = by_id.get(BACKGROUND_ID)
     for sid in plan.directives:
@@ -550,10 +550,6 @@ def plan_from_json(doc: dict) -> EditPlan:
 
 def load_plan(path) -> EditPlan:
     return plan_from_json(read_json(path))
-
-
-def save_plan(plan: EditPlan, path) -> None:
-    write_json(path, plan_to_json(plan))
 
 
 # --- descriptor archive -----------------------------------------------------

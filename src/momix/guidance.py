@@ -71,12 +71,12 @@ class GuidanceConfig:
 class GuidanceTarget:
     """Reference descriptors bound to target-side regions and source weights.
 
-    Every referenced source must have a target mask track; the enforced
-    pair set per source is the intersection of reference-valid pairs and
-    non-empty target regions. ``regions``, the operator over the target
-    masks, is compiled once and shared by ``with_references``. Per operator
-    row it holds the reference delta and the weight, which is 0 for rows
-    that are not enforced.
+    Every referenced or weighted source must have a target mask track; the
+    enforced pair set per source is the intersection of reference-valid
+    pairs and non-empty target regions. ``regions``, the operator over the
+    target masks, is compiled once and shared by ``with_references``. Per
+    operator row it holds the reference delta and the weight, which is 0
+    for rows that are not enforced.
     """
 
     def __init__(
@@ -89,6 +89,9 @@ class GuidanceTarget:
         self.regions = regions
         self.references = list(references)
         self.weights = dict(weights or {})
+        for sid in self.weights:
+            if sid not in regions.slices:
+                raise UnknownSubject(f"weight for source {sid!r}, which has no target-side mask")
         by_source: dict[str, MotionDescriptor] = {}
         for ref in self.references:
             if ref.source_id not in regions.slices:

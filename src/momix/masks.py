@@ -35,10 +35,6 @@ def _check_same(a: np.ndarray, b: np.ndarray) -> None:
         raise DimMismatch(f"region dims differ: {a.shape} vs {b.shape}")
 
 
-def area(m: np.ndarray) -> int:
-    return int(np.count_nonzero(m))
-
-
 def union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, b = _check_region(a, "a"), _check_region(b, "b")
     _check_same(a, b)

@@ -12,6 +12,7 @@ import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .diffusion import (
     save_trajectory,
     trajectory_path,
 )
-from .errors import BadValue, DimMismatch, NoValidPairs
+from .errors import BadValue, DimMismatch, NoValidPairs, UnknownSubject
 from .features import (
     EditPlan,
     MotionDescriptor,
@@ -40,7 +41,7 @@ from .features import (
     save_descriptor,
 )
 from .guidance import GuidanceConfig, GuidanceTarget
-from .masks import apply_edit
+from .masks import BACKGROUND_ID, apply_edit
 from .metrics import compare_trajectories, descriptor_distance
 from .synth import (
     SceneSpec,
@@ -58,13 +59,13 @@ from .tensors import (
     check_keys,
     load_manifest,
     load_tensor,
+    make_dir,
     read_json,
     remove_file,
     save_manifest,
     save_mask,
     save_tensor,
     typed_field,
-    typed_points,
     write_json,
 )
 
@@ -83,10 +84,12 @@ def _safe_name(name: str) -> str:
 
 
 def run_synth(spec: SceneSpec, out_dir) -> Path:
-    """Render a scene and write latents, masks, trajectories, and the manifest."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    latents, tracks, trajectories = render_scene(spec)
+    """Render a scene and write its latents, masks, manifest and spec.
+
+    ``spec.json`` is the one record of each blob's true trajectory.
+    """
+    out_dir = make_dir(out_dir)
+    latents, tracks, _ = render_scene(spec)
     save_tensor(latents, out_dir / "latents_t0.cmt")
     mask_files = {}
     for track in tracks:
@@ -103,13 +106,6 @@ def run_synth(spec: SceneSpec, out_dir) -> Path:
         root=out_dir,
     )
     save_manifest(manifest, out_dir / "manifest.json")
-    write_json(
-        out_dir / "trajectories.json",
-        {
-            "subjects": {sid: [list(p) for p in traj] for sid, traj in trajectories.items()},
-            "drift": [list(d) for d in spec.background_drift],
-        },
-    )
     save_scene(spec, out_dir / "spec.json")
     return out_dir
 
@@ -135,6 +131,34 @@ def build_denoiser(
     if not atlas:
         return ZeroDenoiser()
     return GaussianAtlasDenoiser(atlas, schedule, bandwidth=bandwidth)
+
+
+def run_atlas(
+    manifest: SceneManifest,
+    member_specs: Sequence[SceneSpec],
+    schedule: NoiseSchedule,
+    out_dir,
+    *,
+    include_reference: bool = True,
+    bandwidth: float = 0.5,
+) -> Denoiser:
+    """Write the atlas members to ``out_dir`` and build their denoiser.
+
+    The members are the scene's clean latents (if ``include_reference``),
+    then one render per spec of ``member_specs``, written as ``member###.cmt``.
+    The denoiser's stack is the only copy of them kept.
+    """
+    out_dir = make_dir(out_dir)
+    atlas: list[LatentVideo] = []
+    if include_reference:
+        atlas.append(manifest.load_latent("0"))
+    for member_spec in member_specs:
+        member_latents, _, _ = render_scene(member_spec)
+        atlas.append(member_latents)
+    for k, member in enumerate(atlas):
+        save_tensor(member, out_dir / f"member{k:03d}.cmt")
+    shape = (manifest.frames, manifest.channels, manifest.height, manifest.width)
+    return build_denoiser(atlas, schedule, shape, bandwidth=bandwidth)
 
 
 def run_invert(
@@ -179,7 +203,7 @@ def run_extract(
     out_dir = Path(out_dir)
     schedule = read_trajectory_index(traj_dir)
     masks = manifest.load_masks()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(out_dir)
     remove_file(out_dir / "extract_index.json")
     sources_seen: set[str] = set()
     for t in range(schedule.n_steps + 1):
@@ -190,8 +214,7 @@ def run_extract(
             shape = latents.shape
         elif latents.shape != shape:
             raise DimMismatch(f"{path}: latents {latents.shape} differ from t=0's {shape}")
-        t_dir = out_dir / f"t{t:03d}"
-        t_dir.mkdir(exist_ok=True)
+        t_dir = make_dir(out_dir / f"t{t:03d}")
         for desc in extract_descriptors(latents, masks, timestep=t, strict=False, operator=operator):
             save_descriptor(desc, t_dir / f"{_safe_name(desc.source_id)}.json")
             sources_seen.add(desc.source_id)
@@ -342,8 +365,7 @@ def run_recompose(
         guidance = SamplingGuidance(config=config, targets=targets)
 
     output = ddim_sample(zT, schedule, denoiser, guidance=guidance)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dir(out_dir)
     save_tensor(output, out_dir / "output.cmt")
     trace = guidance.trace if guidance is not None else []
     lines = "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in trace)
@@ -363,27 +385,23 @@ def run_metrics(run_dir, scene_dir, desc_dir=None, out_path=None, threshold: flo
     """Compare a generated video against its reference scene.
 
     Blob trajectories are estimated from the output latents via signature
-    projection and scored against the reference ground truth; descriptor
-    distances compare clean-latent descriptors over the reference masks.
+    projection and scored against the true trajectories in the scene's
+    ``spec.json``; descriptor distances compare clean-latent descriptors
+    over the reference masks.
     """
     if not np.isfinite(threshold):
         raise BadValue(f"metrics threshold must be finite, got {threshold}")
     run_dir, scene_dir = Path(run_dir), Path(scene_dir)
     output = load_tensor(run_dir / "output.cmt")
     spec = load_scene(scene_dir / "spec.json")
-    truth = typed_field(read_json(scene_dir / "trajectories.json"), "subjects", dict, {},
-                        f"{scene_dir} trajectories")
     report: dict = {"subjects": {}, "descriptor_distances": {}, "warnings": []}
     for blob in spec.blobs:
         centroids, areas = estimate_blob_track(output, blob.channel_signature, threshold)
         missing = sum(1 for c in centroids if c is None)
         entry: dict = {"areas": areas, "missing_frames": missing}
         if missing == 0:
-            if blob.subject_id not in truth:
-                raise BadValue(f"{scene_dir}: no true trajectory for {blob.subject_id!r}")
-            ref = typed_points(truth[blob.subject_id], f"{scene_dir}: {blob.subject_id} trajectory")
             entry["estimated"] = [list(c) for c in centroids]
-            entry.update(compare_trajectories(ref, centroids).to_json())
+            entry.update(compare_trajectories(blob.trajectory, centroids).to_json())
         else:
             report["warnings"].append(
                 f"subject {blob.subject_id}: blob not found in {missing} output frames"
@@ -505,23 +523,19 @@ def run_pipeline(config: dict, out_root) -> dict:
     legacy_region = typed_field(config, "legacy_region", bool, False, what)
     include_reference = typed_field(config, "atlas_include_reference", bool, True, what)
     invert_with = typed_field(config, "invert_denoiser", ("atlas", "zero"), "atlas", what)
-    out_root.mkdir(parents=True, exist_ok=True)
+    blob_ids = {b.subject_id for b in spec.blobs}
+    for sid in plan.directives:
+        if sid == BACKGROUND_ID or sid not in blob_ids:
+            raise UnknownSubject(f"plan names subject {sid!r}; the scene has {sorted(blob_ids)}")
+    for sid in gcfg.per_source_weight:
+        if sid != BACKGROUND_ID and sid not in blob_ids:
+            raise UnknownSubject(f"guidance weight for unknown source {sid!r}; the scene has "
+                                 f"{sorted(blob_ids)} and {BACKGROUND_ID!r}")
     scene_dir = run_synth(spec, out_root / "scene")
     manifest = load_manifest(scene_dir / "manifest.json")
-
-    atlas_dir = out_root / "atlas"
-    atlas_dir.mkdir(exist_ok=True)
-    atlas: list[LatentVideo] = []
-    if include_reference:
-        atlas.append(manifest.load_latent("0"))
-    for member_spec in member_specs:
-        member_latents, _, _ = render_scene(member_spec)
-        atlas.append(member_latents)
-    for k, member in enumerate(atlas):
-        save_tensor(member, atlas_dir / f"member{k:03d}.cmt")
-    # one denoiser serves inversion and recompose; its stack is the only atlas copy kept
-    denoiser = build_denoiser(atlas, schedule, shape, bandwidth=bandwidth)
-    del atlas
+    # one denoiser serves inversion and recompose
+    denoiser = run_atlas(manifest, member_specs, schedule, out_root / "atlas",
+                         include_reference=include_reference, bandwidth=bandwidth)
 
     invert_denoiser = ZeroDenoiser() if invert_with == "zero" else denoiser
     traj_dir = run_invert(manifest, schedule, invert_denoiser, out_root / "traj")

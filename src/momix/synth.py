@@ -25,6 +25,7 @@ from .tensors import (
     MaskTrack,
     atomic_write,
     check_keys,
+    make_dir,
     read_json,
     typed_field,
     typed_numbers,
@@ -329,38 +330,37 @@ def scene_from_json(doc: dict) -> SceneSpec:
     """
     what = "scene spec"
     check_keys(doc, _SCENE_KEYS, what)
-    try:
-        blobs = []
-        for b in doc.get("blobs", []):
-            check_keys(b, _BLOB_KEYS, "scene blob")
-            where = f"scene blob {b.get('subject_id')!r}"
-            blobs.append(BlobSpec(
-                subject_id=typed_field(b, "subject_id", str, REQUIRED, where),
-                trajectory=typed_points(b["trajectory"], f"malformed {where}: trajectory"),
-                radius=typed_field(b, "radius", float, REQUIRED, where),
-                channel_signature=typed_numbers(
-                    b["channel_signature"], None, f"malformed {where}: channel_signature"
-                ),
-            ))
-        drift = doc.get("background_drift")
-        if drift is not None:
-            drift = typed_points(drift, f"malformed {what}: background_drift")
-        return SceneSpec(
-            n_frames=typed_field(doc, "n_frames", int, REQUIRED, what),
-            n_channels=typed_field(doc, "n_channels", int, REQUIRED, what),
-            height=typed_field(doc, "height", int, REQUIRED, what),
-            width=typed_field(doc, "width", int, REQUIRED, what),
-            blobs=tuple(blobs),
-            background_drift=drift,
-            texture_seed=typed_field(doc, "texture_seed", int, 0, what),
-            texture_amplitude=typed_field(doc, "texture_amplitude", float, 0.5, what),
-            texture_wavelengths=typed_numbers(
-                doc.get("texture_wavelengths", (1.5, 3.0)), 2,
-                f"malformed {what}: texture_wavelengths",
+    blobs = []
+    for b in typed_field(doc, "blobs", list, [], what):
+        check_keys(b, _BLOB_KEYS, "scene blob")
+        where = f"scene blob {b.get('subject_id')!r}"
+        blobs.append(BlobSpec(
+            subject_id=typed_field(b, "subject_id", str, REQUIRED, where),
+            trajectory=typed_points(typed_field(b, "trajectory", list, REQUIRED, where),
+                                    f"malformed {where}: trajectory"),
+            radius=typed_field(b, "radius", float, REQUIRED, where),
+            channel_signature=typed_numbers(
+                typed_field(b, "channel_signature", list, REQUIRED, where), None,
+                f"malformed {where}: channel_signature",
             ),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise BadValue(f"malformed scene spec: {exc}") from exc
+        ))
+    drift = doc.get("background_drift")
+    if drift is not None:
+        drift = typed_points(drift, f"malformed {what}: background_drift")
+    return SceneSpec(
+        n_frames=typed_field(doc, "n_frames", int, REQUIRED, what),
+        n_channels=typed_field(doc, "n_channels", int, REQUIRED, what),
+        height=typed_field(doc, "height", int, REQUIRED, what),
+        width=typed_field(doc, "width", int, REQUIRED, what),
+        blobs=tuple(blobs),
+        background_drift=drift,
+        texture_seed=typed_field(doc, "texture_seed", int, 0, what),
+        texture_amplitude=typed_field(doc, "texture_amplitude", float, 0.5, what),
+        texture_wavelengths=typed_numbers(
+            doc.get("texture_wavelengths", (1.5, 3.0)), 2,
+            f"malformed {what}: texture_wavelengths",
+        ),
+    )
 
 
 def load_scene(path) -> SceneSpec:
@@ -371,16 +371,15 @@ def save_scene(spec: SceneSpec, path) -> None:
     write_json(path, scene_to_json(spec))
 
 
-def write_frame_images(latents: LatentVideo, out_dir, channel: int = 0) -> list[Path]:
-    """Dump one normalized PGM per frame for eyeballing a latent video."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    lo = float(latents.data[:, channel].min())
-    hi = float(latents.data[:, channel].max())
+def write_frame_images(latents: LatentVideo, out_dir) -> list[Path]:
+    """Dump one normalized PGM of channel 0 per frame for eyeballing a latent video."""
+    out_dir = make_dir(out_dir)
+    lo = float(latents.data[:, 0].min())
+    hi = float(latents.data[:, 0].max())
     span = (hi - lo) or 1.0
     paths = []
     for f in range(latents.n_frames):
-        img = ((latents.data[f, channel] - lo) / span * 255.0).astype(np.uint8)
+        img = ((latents.data[f, 0] - lo) / span * 255.0).astype(np.uint8)
         header = f"P5\n{latents.width} {latents.height}\n255\n".encode()
         p = out_dir / f"frame{f:03d}.pgm"
         atomic_write(p, header, img.tobytes())

@@ -81,9 +81,6 @@ class LatentVideo:
     def shape(self) -> tuple[int, int, int, int]:
         return self.data.shape
 
-    def frame(self, i: int) -> np.ndarray:
-        return self.data[i]
-
     def __repr__(self):
         return f"LatentVideo(shape={self.data.shape}, dtype={self.data.dtype})"
 
@@ -124,9 +121,6 @@ class MaskTrack:
 
     def frame(self, i: int) -> np.ndarray:
         return self.data[i]
-
-    def area(self, i: int) -> int:
-        return int(np.count_nonzero(self.data[i]))
 
     def __repr__(self):
         return f"MaskTrack({self.subject_id!r}, shape={self.data.shape})"
@@ -194,6 +188,19 @@ def atomic_write(path, *chunks: bytes) -> None:
         if isinstance(exc, OSError):
             raise IoFailure(f"cannot write {path}: {exc}") from exc
         raise
+
+
+def make_dir(path) -> Path:
+    """``path`` as a directory, made with its parents if absent.
+
+    An ``OSError``, such as a regular file in the way, is raised as ``IoFailure``.
+    """
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot make directory {path}: {exc}") from exc
+    return path
 
 
 def remove_file(path) -> None:

@@ -56,7 +56,6 @@ def test_synth_contract(scene_dir):
     assert (scene_dir / "mask_A.cmm").exists()
     assert (scene_dir / "mask_B.cmm").exists()
     assert (scene_dir / "manifest.json").exists()
-    assert (scene_dir / "trajectories.json").exists()
 
 
 def test_synth_malformed_json(tmp_path, capsys):
@@ -94,13 +93,18 @@ _MISSING = object()
         (("texture_wavelengths",), ["1.5", 3.0], "texture_wavelengths must be a JSON number"),
         (("texture_wavelengths",), [1.5], "texture_wavelengths must be a JSON array of 2"),
         (("texture_wavelengths",), [0, 3.0], "need 0 < texture wavelengths"),
+        (("blobs",), {}, "blobs must be a JSON array"),
+        (("blobs", 0, "trajectory"), _MISSING, "scene blob 'A': missing trajectory"),
+        (("blobs", 1, "channel_signature"), _MISSING,
+         "scene blob 'B': missing channel_signature"),
     ],
     ids=["n_frames-string", "n_frames-missing", "n_channels-float", "height-bool",
          "width-string", "texture_seed-float", "texture_seed-negative", "radius-string",
          "subject_id-integer", "subject_id-array",
          "texture_amplitude-bool", "texture_amplitude-infinite", "trajectory-string",
          "trajectory-short-point", "drift-nan", "channel_signature-bool",
-         "texture_wavelengths-string", "texture_wavelengths-short", "texture_wavelengths-zero"],
+         "texture_wavelengths-string", "texture_wavelengths-short", "texture_wavelengths-zero",
+         "blobs-object", "trajectory-missing", "channel_signature-missing"],
 )
 def test_synth_rejects_mistyped_values(tmp_path, capsys, path, value, message):
     # each used to render a scene from a coerced value, or fail with a traceback
@@ -663,6 +667,10 @@ _MALFORMED = "malformed pipeline config"
         ({"metrics": {"threshold": False}}, "threshold must be a JSON number"),
         ({"plan": {"w_c": "0.5"}}, "malformed edit plan: w_c must be a JSON number"),
         ({"seed": -1, "init": "fresh"}, "seed must be >= 0"),
+        ({"plan": {"subjects": {"Q": {"op": "remove"}}}}, "plan names subject 'Q'"),
+        ({"plan": {"subjects": {"background": {"op": "keep"}}}},
+         "plan names subject 'background'"),
+        ({"guidance": {"weights": {"Z": 3.0}}}, "guidance weight for unknown source 'Z'"),
     ],
     ids=[
         "schedule", "bandwidth", "seed", "seed-float", "n_steps-float", "guided",
@@ -671,7 +679,7 @@ _MALFORMED = "malformed pipeline config"
         "window-past-n_steps", "plan-camera_only", "step_size-string", "step_size-bool",
         "step_size-infinite", "weight-string", "weight-bool", "weight-nan", "bandwidth-bool",
         "bandwidth-infinite", "power-string", "floor-infinite", "threshold-bool", "plan-w_c",
-        "seed-negative",
+        "seed-negative", "plan-unknown-subject", "plan-background", "weight-unknown-source",
     ],
 )
 def test_pipeline_rejects_mistyped_values(tmp_path, capsys, patch, message):
@@ -682,6 +690,45 @@ def test_pipeline_rejects_mistyped_values(tmp_path, capsys, patch, message):
     assert main(["pipeline", str(cfg_path)]) == 2
     assert message in capsys.readouterr().err
     assert not Path(cfg["out_dir"]).exists()
+
+
+def test_recompose_weight_for_unknown_source_writes_nothing(pipeline_dirs, tmp_path, capsys):
+    # used to run to exit 0 with the weight ignored
+    scene, traj, desc = pipeline_dirs
+    rc = main(["recompose", str(desc), str(traj), str(tmp_path / "r"),
+               "--atlas", str(scene / "latents_t0.cmt"), "--weight", "Z=5"])
+    assert rc == 2
+    assert "weight for source 'Z'" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("stage, blocked", [
+    ("synth", "out"), ("synth-images", "out/frames"), ("invert", "out"), ("extract", "out"),
+    ("extract", "out/t003"), ("recompose", "out"), ("pipeline", "out"),
+    ("pipeline", "out/atlas"),
+])
+def test_a_file_where_an_output_directory_belongs_is_a_usage_error(
+    pipeline_dirs, tmp_path, capsys, stage, blocked
+):
+    # each used to end in a FileExistsError traceback (exit 1)
+    scene, traj, desc = pipeline_dirs
+    out = tmp_path / "out"
+    (tmp_path / blocked).parent.mkdir(parents=True, exist_ok=True)
+    (tmp_path / blocked).write_text("not a directory")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_pipeline_config(tmp_path, "out")))
+    manifest = str(scene / "manifest.json")
+    argv = {
+        "synth": ["synth", str(tmp_path / "scene.json"), str(out)],
+        "synth-images": ["synth", str(tmp_path / "scene.json"), str(out), "--images"],
+        "invert": ["invert", manifest, str(out), "--steps", "2"],
+        "extract": ["extract", str(traj), manifest, str(out)],
+        "recompose": ["recompose", str(desc), str(traj), str(out),
+                      "--atlas", str(scene / "latents_t0.cmt")],
+        "pipeline": ["pipeline", str(cfg)],
+    }[stage]
+    assert main(argv) == 2
+    assert "cannot make directory" in capsys.readouterr().err
 
 
 def test_recompose_checks_every_guided_timestep_before_sampling(
@@ -806,16 +853,6 @@ def test_recompose_plan_with_unknown_key(pipeline_dirs, tmp_path, capsys):
     assert rc == 2
     assert "unknown edit plan keys ['subject']" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
-
-
-def test_metrics_trajectories_without_subject(pipeline_dirs, tmp_path, capsys):
-    scene, _, _ = pipeline_dirs
-    run = tmp_path / "runself"
-    run.mkdir()
-    (run / "output.cmt").write_bytes((scene / "latents_t0.cmt").read_bytes())
-    (scene / "trajectories.json").write_text("{}")
-    assert main(["metrics", str(run), str(scene)]) == 2
-    assert "no true trajectory" in capsys.readouterr().err
 
 
 def _crossing_scene():
@@ -953,18 +990,6 @@ def test_invert_mistyped_manifest_is_a_usage_error(scene_dir, tmp_path, capsys, 
     rc = main(["invert", str(scene_dir / "manifest.json"), str(tmp_path / "t"), "--steps", "2"])
     assert rc == 2
     assert message in capsys.readouterr().err
-
-
-def test_metrics_mistyped_true_trajectory(pipeline_dirs, tmp_path, capsys):
-    # a point ["a", "b"] used to end in a ValueError traceback (exit 1)
-    scene, _, _ = pipeline_dirs
-    run = tmp_path / "runself"
-    run.mkdir()
-    (run / "output.cmt").write_bytes((scene / "latents_t0.cmt").read_bytes())
-    _edit_json(scene / "trajectories.json",
-               lambda doc: doc["subjects"]["A"].__setitem__(0, ["a", "b"]))
-    assert main(["metrics", str(run), str(scene)]) == 2
-    assert "A trajectory point 0 must be a JSON number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

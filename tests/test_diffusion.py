@@ -17,9 +17,10 @@ from momix.diffusion import (
     ddim_invert,
     ddim_invert_steps,
     ddim_sample,
-    load_trajectory,
     make_initial_noise,
+    read_trajectory_index,
     save_trajectory,
+    trajectory_path,
 )
 from momix.errors import BadValue, DimMismatch, NonFinite
 from momix.features import (
@@ -31,7 +32,7 @@ from momix.features import (
 )
 from momix.guidance import GuidanceConfig, GuidanceTarget
 from momix.synth import BlobSpec, SceneSpec, render_scene
-from momix.tensors import LatentVideo
+from momix.tensors import LatentVideo, load_tensor
 
 
 def test_schedule_invariants():
@@ -457,13 +458,12 @@ def test_trajectory_archive_round_trip(tmp_path):
     sched = NoiseSchedule.default(n_steps=4)
     traj = ddim_invert(z0, sched, ZeroDenoiser())
     save_trajectory(traj, sched, tmp_path / "traj")
-    back, sched2 = load_trajectory(tmp_path / "traj")
+    sched2 = read_trajectory_index(tmp_path / "traj")
     assert sched2.n_steps == 4
     assert np.allclose(sched2.alpha_bar, sched.alpha_bar)
-    for a, b in zip(traj, back):
-        assert np.array_equal(
-            b.data, a.data.astype(np.float32)
-        )
+    for t, a in enumerate(traj):
+        b = load_tensor(trajectory_path(tmp_path / "traj", t))
+        assert np.array_equal(b.data, a.data.astype(np.float32))
 
 
 
@@ -484,7 +484,7 @@ def test_trajectory_index_must_agree_with_itself(tmp_path, edit):
     edit(index)
     (tmp_path / "index.json").write_text(json.dumps(index))
     with pytest.raises(BadValue):
-        load_trajectory(tmp_path)
+        read_trajectory_index(tmp_path)
 
 
 def test_invert_steps_yield_the_trajectory_read_only():
@@ -517,29 +517,6 @@ def test_atlas_denoiser_rejects_latents_of_another_shape():
     den = GaussianAtlasDenoiser([a, b], NoiseSchedule.default(n_steps=5))
     with pytest.raises(DimMismatch, match="do not match atlas members"):
         den.predict_noise(np.zeros((6, 2, 20, 24)), 3)
-
-
-@pytest.mark.parametrize("timesteps", [[5], [-1], [2, 7]])
-def test_load_trajectory_rejects_a_timestep_it_does_not_hold(tmp_path, timesteps):
-    z0 = _latents(seed=3, shape=(2, 1, 6, 6))
-    sched = NoiseSchedule.default(n_steps=4)
-    save_trajectory(ddim_invert(z0, sched, ZeroDenoiser()), sched, tmp_path)
-    with pytest.raises(BadValue, match="no timestep"):
-        load_trajectory(tmp_path, timesteps=timesteps)
-
-
-def test_load_trajectory_reads_only_the_timesteps_asked_for(tmp_path):
-    z0 = _latents(seed=3, shape=(2, 1, 6, 6))
-    sched = NoiseSchedule.default(n_steps=4)
-    traj = ddim_invert(z0, sched, ZeroDenoiser())
-    save_trajectory(traj, sched, tmp_path)
-    (tmp_path / "t001.cmt").write_bytes(b"garbage")
-    picked, sched2 = load_trajectory(tmp_path, timesteps=[4, 0])
-    assert sched2.n_steps == 4
-    assert [p.data.tobytes() for p in picked] == [
-        traj[t].data.astype(np.float32).tobytes() for t in (4, 0)
-    ]
-    assert load_trajectory(tmp_path, timesteps=())[0] == []
 
 
 def _guided_setup(n_steps=12):

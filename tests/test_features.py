@@ -34,7 +34,6 @@ from momix.features import (
     plan_to_json,
     recompose,
     save_descriptor,
-    save_plan,
     soft_blend,
 )
 from momix.masks import (
@@ -45,7 +44,7 @@ from momix.masks import (
     pair_region,
 )
 from momix.synth import BlobSpec, SceneSpec, render_scene
-from momix.tensors import LatentVideo, MaskTrack
+from momix.tensors import LatentVideo, MaskTrack, write_json
 
 
 def test_lsmm_constant():
@@ -261,6 +260,15 @@ def test_recompose_camera_only_and_errors():
         recompose(no_bg, EditPlan(directives={"A": Directive("remove")}))
 
 
+def test_recompose_rejects_descriptors_of_different_frame_counts():
+    # used to raise IndexError from the background's row table
+    rng = np.random.default_rng(0)
+    a = MotionDescriptor("A", 0, 5, [(0, 4), (1, 2)], rng.standard_normal((2, 2)))
+    bg = MotionDescriptor(BACKGROUND_ID, 0, 3, [(0, 1), (1, 2)], rng.standard_normal((2, 2)))
+    with pytest.raises(DimMismatch, match=r"different frame counts \[3, 5\]"):
+        recompose([a, bg], EditPlan(directives={"A": Directive("soften", w_c=1.0)}))
+
+
 def test_recompose_mask_edit_passthrough():
     descs = _descriptors()
     edit = MaskEdit("shift", dx=3, dy=0)
@@ -281,7 +289,7 @@ def test_plan_json_round_trip(tmp_path):
     )
     back = plan_from_json(plan_to_json(plan))
     assert back == plan
-    save_plan(plan, tmp_path / "plan.json")
+    write_json(tmp_path / "plan.json", plan_to_json(plan))
     assert load_plan(tmp_path / "plan.json") == plan
 
 
@@ -468,16 +476,16 @@ def test_pair_operator_matches_naive_loop(kinds, n_frames, legacy, background, s
         tracks.append(MaskTrack(data, subject_id=f"s{k}"))
     lat = LatentVideo(rng.standard_normal((n_frames, c, h, w)).astype(np.float32))
     if not tracks and background == "none":
-        with pytest.raises(NoValidPairs):
-            compile_sources(lat, tracks, include_background=False)
+        with pytest.raises(BadValue, match="must not be empty"):
+            PairOperator({}, legacy_region=legacy)
         return
     if background == "supplied":
         bg = MaskTrack(rng.random((n_frames, h, w)) < 0.6, subject_id=BACKGROUND_ID)
         op = PairOperator({t.subject_id: t for t in tracks + [bg]}, legacy_region=legacy)
     else:
         bg = background_track(tracks, dims=(n_frames, h, w))
-        op = compile_sources(lat, tracks, include_background=background == "derived",
-                             legacy_region=legacy)
+        op = (compile_sources(lat, tracks, legacy_region=legacy) if background == "derived"
+              else PairOperator({t.subject_id: t for t in tracks}, legacy_region=legacy))
     if (kinds, n_frames, legacy, background, seed) == (["random", "copy"], 3, False, "none", 4):
         assert _shares_a_cell_outside_every_subject_row(op, tracks)  # the example does its job
 

@@ -22,8 +22,8 @@ from test_cli import demo_scene
 N_STEPS = 6
 SOURCES = ("A", "B", "background")
 JSON_FILES = (
-    ["scene/manifest.json", "scene/spec.json", "scene/trajectories.json", "traj/index.json",
-     "desc/extract_index.json", "run/run.json"]
+    ["scene/manifest.json", "scene/spec.json", "traj/index.json", "desc/extract_index.json",
+     "run/run.json"]
     + [f"desc/t{t:03d}/{sid}.json" for t in range(N_STEPS + 1) for sid in SOURCES]
 )
 ARTIFACTS = sorted(
