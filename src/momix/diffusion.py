@@ -7,10 +7,10 @@ the trajectory archive takes them one at a time.
 Sampling walks back down, optionally correcting the latents with the
 motion-guidance update before each denoising step.
 
-The stand-in denoiser is a Gaussian mixture over an atlas of clean
-latent videos: its noise prediction comes from the closed-form posterior
-mean of the mixture at the current noise level, so samples are pulled
-toward plausible videos while remaining cheap and fully deterministic.
+The stand-in denoiser is a Gaussian mixture over an atlas of clean latent
+videos. Its noise prediction, an affine form in the latents, comes from the
+mixture's closed-form posterior mean at the current noise level, so samples
+are pulled toward plausible videos, cheaply and deterministically.
 """
 
 from __future__ import annotations
@@ -75,17 +75,26 @@ class NoiseSchedule:
         return cls(floor + (1.0 - floor) * base)
 
 
-class Denoiser(Protocol):
-    """Deterministic map (float64 latents, timestep) -> predicted noise of identical shape."""
+AffineForm = tuple[float, tuple[tuple[float, np.ndarray], ...]]
 
-    def predict_noise(self, z: np.ndarray, t: int) -> np.ndarray: ...
+
+class Denoiser(Protocol):
+    """Deterministic map (float64 latents z, timestep) -> the predicted noise as an affine form.
+
+    ``predict_noise(z, t)`` returns ``(a, terms)``: eps = a z + sum c_k v_k over the
+    ``(c_k, v_k)`` pairs of ``terms``, whose arrays the sampler only reads, and only
+    until the next call. A denoiser that computes eps outright returns
+    ``(0.0, ((1.0, eps),))``.
+    """
+
+    def predict_noise(self, z: np.ndarray, t: int) -> AffineForm: ...
 
 
 class ZeroDenoiser:
     """Predicts zero noise everywhere; collapses both recursions to pure scalings."""
 
-    def predict_noise(self, z: np.ndarray, t: int) -> np.ndarray:
-        return np.zeros(z.shape)
+    def predict_noise(self, z: np.ndarray, t: int) -> AffineForm:
+        return 0.0, ()
 
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -138,7 +147,7 @@ class _MemberBounds:
     """Intervals on the inner products <m_k, z>, carried from one call to the next.
 
     After a call the state is the latents z_p it was given and the weighted
-    mean m_p it computed (the two rows of one preallocated buffer), the
+    mean m_p it computed (two rows of one buffer, whose third is scratch), the
     weights w_p, and an interval on each <m_k, z_p>. For the next z and any
     scalars a, b, with r = z - a z_p - b m_p,
 
@@ -159,7 +168,7 @@ class _MemberBounds:
         self._gam = 2.0 * _gamma(n)  # one dot product, with norms from computed squares
         self._gam_mean = 2.0 * _gamma(n + 3 * k)  # the weighted mean, G and G @ w
         self._norms = np.sqrt(sq_norms * (1.0 + self._gam))  # upper bounds on ||m_k||
-        self._state = None  # rows z_p and m_p, allocated at the first call
+        self._state = None  # rows z_p, m_p and a scratch row, allocated at the first call
         self._valid = False
 
     def live(self, zf: np.ndarray, c: float, ab: float, var: float) -> np.ndarray:
@@ -177,11 +186,11 @@ class _MemberBounds:
             self._znorm = float(np.sqrt(zz * (1.0 + self._gam)))
             if not valid:
                 if self._state is None:
-                    self._state = np.empty((2, zf.size))
+                    self._state = np.empty((3, zf.size))
                     self._gram = self._flat @ self._flat.T
                 self._mid, self._rad = np.zeros(k), np.full(k, np.inf)
                 return np.ones(k, dtype=bool)
-            zp, mp = self._state
+            zp, mp, _ = self._state
             g = (float(np.dot(zp, zf)), float(np.dot(mp, zf)))
             r_up, a, b = min(
                 (_residual_bound(zz, g, self._gs, a, b, self._gam), a, b)
@@ -199,10 +208,10 @@ class _MemberBounds:
             best = float(np.max(center - half))
             return ~(center + half < best - _CERTIFY_GAP - 4 * _UNIT_ROUNDOFF * abs(best))
 
-    def mean_buffer(self) -> np.ndarray:
-        """The zeroed row that accumulates this call's weighted mean, m_p for the next."""
+    def mean_buffer(self) -> tuple[np.ndarray, np.ndarray]:
+        """The zeroed row for this call's weighted mean, m_p for the next, and a scratch row."""
         self._state[1].fill(0.0)
-        return self._state[1]
+        return self._state[1], self._state[2]
 
     def record(self, zf: np.ndarray, first: int, ip: np.ndarray | None, w: np.ndarray) -> None:
         """Keep z, the weights, and the inner products read for rows ``first`` on."""
@@ -213,7 +222,7 @@ class _MemberBounds:
                 self._rad[rows] = self._gam * self._norms[rows] * self._znorm
             self._gw = self._gram @ w
             self._beta = self._gam_mean * float(w @ self._norms)
-            zp, mp = self._state
+            zp, mp, _ = self._state
             np.copyto(zp, zf)
             self._gs = (self._zz, float(np.dot(zp, mp)), float(np.dot(mp, mp)))
         self._valid = True
@@ -225,16 +234,18 @@ class GaussianAtlasDenoiser:
     Components sit on the atlas members with isotropic variance
     ``bandwidth**2``. At noise level alpha_bar the observation model is
     z = sqrt(ab) x + sqrt(1-ab) eps, so the posterior over x given z is a
-    re-weighted mixture whose mean has a closed form; the predicted noise
-    is read back from the forward relation. At t = 0 there is no noise to
-    predict and the output is zero.
+    re-weighted mixture whose mean s z + (1 - c s) sum w_k m_k, with
+    c = sqrt(ab) and s = c bandwidth**2 / var, is affine in z, as is the
+    noise read back from the forward relation. Both methods return that
+    affine form (see ``Denoiser``); at t = 0 the noise form is zero.
 
     The members are stacked once with their squared norms. A call reads
-    members for the inner products <m_k, z>, then reads the members whose
-    weight is not zero for the weighted mean, summed in member order. Both
-    reductions are fixed-order einsums outside BLAS, so the output bytes do
-    not depend on the BLAS thread count; a matmul would, as OpenBLAS gemv
-    splits its sums differently per thread count.
+    members for the inner products <m_k, z>, which give the weights, with a
+    fixed-order einsum outside BLAS: OpenBLAS gemv splits its sums
+    differently per thread count, so a matmul's bytes would depend on it.
+    Below the pruning gate the form's terms are the members of non-zero
+    weight, in member order, as read-only views of ``members``: a call
+    allocates nothing latent-sized.
 
     Over many cells most weights underflow to exactly 0. With more than
     ``_TRACKING_PASSES`` (ten) members, the denoiser carries an interval
@@ -244,24 +255,16 @@ class GaussianAtlasDenoiser:
     last; such a view of two rows or more gives the bytes of the full
     product. A lone uncertified member is not read at all: its weight is
     exp(0) / 1 = 1.0, as the full formula computes it. The softmax runs over
-    all K log-weights, with -inf at the members not read, so every output
+    all K log-weights, with -inf at the members not read, so every weight's
     byte is the same as with every member read. The certificate costs ten
-    latent-sized passes a call: the dot products <z, z>, <z_p, z> and
-    <m_p, z> at the call and <z_p, m_p> and <m_p, m_p> after it read eight
-    operands, and the copy of z into the tracking state reads one and writes
-    one. The dot products go through BLAS, as they only bound. The weighted
-    mean accumulates in the tracking state's second row, so tracking holds
-    two latent-sized buffers, allocated at the first call. Below the gate
-    every call reads all K members.
+    latent-sized passes a call, five dot products (through BLAS, as they only
+    bound) and one copy. It needs the weighted mean m_p, so above the gate
+    the form's one term is m_p, summed in member order in the tracking state
+    (three latent-sized rows allocated at the first call) and read-only.
 
     ``calls``, ``certified_members``, ``member_rows_read`` (rows read for
     inner products) and ``single_survivor_calls`` count what the calls did.
-
-    The full-size arithmetic runs in place, in the order the formulas are
-    written, into buffers the call allocates itself: the accumulator of the
-    weighted mean (below the gate) and one scratch buffer, which becomes the
-    returned mean and, in ``predict_noise``, the returned noise. The
-    caller's ``z`` is only read.
+    The caller's ``z`` is only read.
     """
 
     def __init__(
@@ -286,10 +289,9 @@ class GaussianAtlasDenoiser:
         self.bandwidth = float(bandwidth)
         self._bounds = (_MemberBounds(self._flat, self._sq_norms)
                         if len(atlas) > _TRACKING_PASSES else None)
-        self.calls = self.certified_members = self.member_rows_read = 0
-        self.single_survivor_calls = 0
+        self.calls = self.certified_members = self.member_rows_read = self.single_survivor_calls = 0
 
-    def posterior_mean(self, z: np.ndarray, t: int) -> np.ndarray:
+    def posterior_mean(self, z: np.ndarray, t: int) -> AffineForm:
         if z.shape != self.members.shape[1:]:
             raise DimMismatch(f"latents {z.shape} do not match atlas members "
                               f"{self.members.shape[1:]}")
@@ -321,66 +323,62 @@ class GaussianAtlasDenoiser:
         logw -= logw.max()
         w = np.exp(logw)
         w /= w.sum()
-        # Over many cells the distances differ by far more than var, so exp underflows
-        # to exactly 0 for all but the nearest members; only those are read.
-        if self._bounds is None:
-            mean_member = np.zeros(self._flat.shape[1])
-        else:
-            mean_member = self._bounds.mean_buffer()
-        x_hat = np.empty_like(mean_member)
-        for k in np.flatnonzero(w):
-            np.multiply(w[k], self._flat[k], out=x_hat)
-            mean_member += x_hat
-        if self._bounds is not None:
-            self._bounds.record(zf, first, ip, w)
-        mean_member = mean_member.reshape(z.shape)
-        x_hat = x_hat.reshape(z.shape)
-        # mean + shrink * (z - c * mean)
+        # mean + shrink * (z - c * mean) = shrink * z + (1 - c * shrink) * mean
         shrink = c * self.bandwidth**2 / var
-        np.multiply(c, mean_member, out=x_hat)
-        np.subtract(z, x_hat, out=x_hat)
-        x_hat *= shrink
-        x_hat += mean_member
-        return x_hat
+        keep = 1.0 - c * shrink
+        # over many cells exp underflows to exactly 0 for all but the nearest members
+        if self._bounds is None:
+            return shrink, tuple((keep * w[k], self.members[k]) for k in np.flatnonzero(w))
+        mean, scratch = self._bounds.mean_buffer()
+        for k in np.flatnonzero(w):
+            np.multiply(w[k], self._flat[k], out=scratch)
+            mean += scratch
+        self._bounds.record(zf, first, ip, w)
+        mean = mean.reshape(z.shape)
+        mean.setflags(write=False)
+        return shrink, ((keep, mean),)
 
-    def predict_noise(self, z: np.ndarray, t: int) -> np.ndarray:
+    def predict_noise(self, z: np.ndarray, t: int) -> AffineForm:
         ab = float(self.schedule.alpha_bar[t])
         rem = 1.0 - ab
         if rem <= 1e-12:
-            return np.zeros(z.shape)
-        # (z - sqrt(ab) * x_hat) / sqrt(rem), in the buffer posterior_mean returned
-        eps = self.posterior_mean(z, t)
-        eps *= np.sqrt(ab)
-        np.subtract(z, eps, out=eps)
-        eps /= np.sqrt(rem)
-        return eps
+            return 0.0, ()
+        # (z - sqrt(ab) * x_hat) / sqrt(rem), with x_hat = s z + sum c_k v_k
+        s, terms = self.posterior_mean(z, t)
+        c, root = np.sqrt(ab), np.sqrt(rem)
+        return (1.0 - c * s) / root, tuple((-c * ck / root, v) for ck, v in terms)
 
 
 def _ddim_step(
-    denoiser: Denoiser, z: np.ndarray, ab: np.ndarray, t: int, t_next: int
+    denoiser: Denoiser, z: np.ndarray, ab: np.ndarray, t: int, t_next: int,
+    out: np.ndarray | None = None, scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """One deterministic DDIM move of the latents from timestep t to t_next, either way.
 
-    Only the two arrays allocated here are written: ``z`` and the denoiser's
-    output may be buffers their owners keep, or read-only.
+    The move sqrt(ab[t_next]) x0_hat + sqrt(1 - ab[t_next]) eps, with
+    x0_hat = (z - sqrt(1 - ab[t]) eps) / sqrt(ab[t]), is A z + B eps; the
+    denoiser's eps = a z + sum c_k v_k makes it (A + B a) z + sum B c_k v_k,
+    summed in term order with fixed-order ufuncs into ``out`` through
+    ``scratch``: float64 buffers of z's shape, allocated when not given. They
+    must alias neither ``z`` nor the denoiser's arrays, which are only read.
     """
-    eps = np.asarray(denoiser.predict_noise(z, t), dtype=np.float64)
-    if eps.shape != z.shape:
-        raise DimMismatch(f"denoiser returned shape {eps.shape}, expected {z.shape}")
-    if not np.all(np.isfinite(eps)):
+    a, terms = denoiser.predict_noise(z, t)
+    scale = np.sqrt(ab[t_next]) / np.sqrt(ab[t])
+    mix = np.sqrt(1.0 - ab[t_next]) - scale * np.sqrt(1.0 - ab[t])
+    coefs = [scale + mix * a] + [mix * ck for ck, _ in terms]
+    if not np.all(np.isfinite(coefs)):
         raise NonFinite(f"denoiser produced non-finite values at t={t}")
-    # x0_hat = (z - sqrt(1 - ab[t]) * eps) / sqrt(ab[t])
-    x0_hat = np.multiply(np.sqrt(1.0 - ab[t]), eps)
-    np.subtract(z, x0_hat, out=x0_hat)
-    x0_hat /= np.sqrt(ab[t])
-    # z = sqrt(ab[t_next]) * x0_hat + sqrt(1 - ab[t_next]) * eps, the second
-    # product taken into x0_hat once it is read
-    z = np.multiply(np.sqrt(ab[t_next]), x0_hat)
-    np.multiply(np.sqrt(1.0 - ab[t_next]), eps, out=x0_hat)
-    z += x0_hat
-    if not np.all(np.isfinite(z)):
+    arrays = [np.asarray(v, dtype=np.float64) for _, v in terms]
+    if any(v.shape != z.shape for v in arrays):
+        raise DimMismatch(f"denoiser returned an array of another shape than {z.shape}")
+    out = np.multiply(coefs[0], z, out=np.empty(z.shape) if out is None else out)
+    scratch = np.empty(z.shape) if scratch is None and arrays else scratch
+    for beta, v in zip(coefs[1:], arrays):
+        np.multiply(beta, v, out=scratch)
+        out += scratch
+    if not np.all(np.isfinite(out)):
         raise NonFinite(f"DDIM step produced non-finite latents at t={t_next}")
-    return z
+    return out
 
 
 def ddim_invert_steps(
@@ -396,8 +394,9 @@ def ddim_invert_steps(
     z = z0.data.astype(np.float64, copy=True)
     z.setflags(write=False)
     yield z
+    scratch = np.empty(z.shape)
     for t in range(schedule.n_steps):
-        z = _ddim_step(denoiser, z, schedule.alpha_bar, t, t + 1)
+        z = _ddim_step(denoiser, z, schedule.alpha_bar, t, t + 1, scratch=scratch)
         z.setflags(write=False)
         yield z
 
@@ -432,18 +431,21 @@ def ddim_sample(
     """Deterministic reverse recursion from t=n_steps down to 0.
 
     At each timestep that has a guidance target, the latents are corrected
-    with the motion-guidance update before the denoising step so the
-    denoiser itself stays untouched.
+    with the motion-guidance update, checked finite, before the denoising
+    step, so the denoiser itself stays untouched. Between steps the latents
+    are a plain float64 array; ``zT`` is only read.
     """
-    z = zT.data.astype(np.float64, copy=True)
+    z = np.array(zT.data, dtype=np.float64, order="C")
+    spare, scratch = np.empty(z.shape), np.empty(z.shape)  # z and spare swap at each step
     targets = guidance.targets if guidance is not None else {}
     for t in range(schedule.n_steps, 0, -1):
         if t in targets:
-            updated, losses = guided_update(LatentVideo(z), targets[t], guidance.config)
-            z = updated.data
+            z, losses = guided_update(z, targets[t], guidance.config)
             for k, value in enumerate(losses):
                 guidance.trace.append({"timestep": t, "inner_step": k, "loss": value})
-        z = _ddim_step(denoiser, z, schedule.alpha_bar, t, t - 1)
+            if not np.all(np.isfinite(z)):
+                raise NonFinite(f"guidance produced non-finite latents at t={t}")
+        spare, z = z, _ddim_step(denoiser, z, schedule.alpha_bar, t, t - 1, spare, scratch)
     return LatentVideo(z)
 
 
@@ -474,14 +476,12 @@ def save_trajectory(
 ) -> None:
     """Archive the latents at t = 0..n_steps: ``t###.cmt`` files, then ``index.json``.
 
-    ``trajectory`` may be any iterable, a generator such as
-    ``ddim_invert_steps`` included: each latent is written as it arrives,
-    so only the one in hand is held. The latents are counted as they come,
-    and a trajectory whose length is not ``n_steps + 1`` raises DimMismatch
-    with no index written. An index already in ``out_dir`` is removed before
-    the first write, and the new one is written after the last file, so a
-    rewrite that fails half way leaves an archive no reader accepts, never
-    old files mixed with new under an old index.
+    ``trajectory`` may be any iterable, such as ``ddim_invert_steps``: each
+    latent is written as it arrives, so only the one in hand is held. A
+    trajectory whose length is not ``n_steps + 1`` raises DimMismatch with
+    no index written. Any old index is removed before the first write and
+    the new one written after the last file, so a rewrite that fails half
+    way leaves an archive no reader accepts, never new files under an old index.
     """
     out_dir = make_dir(out_dir)
     index = out_dir / "index.json"

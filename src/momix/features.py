@@ -306,7 +306,10 @@ class PairOperator:
         for f, (index, sign, member) in enumerate(self._groups):
             if index.size:
                 atoms[f] = np.einsum("ra,rc->ca", member, sign[:, None] * per_cell[index])
-        return atoms[:, :, self._labels].reshape(self.n_frames, coef.shape[1], *self.spatial)
+        # np.take keeps the gathered axis last, so the result is C-contiguous;
+        # atoms[:, :, labels] lays it out with frames and channels innermost
+        cells = np.take(atoms, self._labels, axis=2)
+        return cells.reshape(self.n_frames, coef.shape[1], *self.spatial)
 
 
 def compile_sources(

@@ -132,9 +132,9 @@ class GuidanceTarget:
         return int(np.count_nonzero(self.enforced))
 
 
-def _residual(target_latents: LatentVideo, target: GuidanceTarget) -> np.ndarray:
-    """(n_rows, C) target deltas minus reference deltas."""
-    deltas = target.regions.apply(target_latents.data)
+def _residual(z: np.ndarray, target: GuidanceTarget) -> np.ndarray:
+    """(n_rows, C) target deltas of the latents ``z`` minus reference deltas."""
+    deltas = target.regions.apply(z)
     if target.enforced_pair_count() == 0:
         raise NoValidPairs("no pair is valid on both the reference and target side")
     if deltas.shape[1] != target.ref.shape[1]:
@@ -150,7 +150,7 @@ def _weighted_sum_of_squares(residual: np.ndarray, weight: np.ndarray) -> float:
 
 def guidance_loss(target_latents: LatentVideo, target: GuidanceTarget) -> float:
     """Weighted sum of squared delta mismatches over all enforced pairs."""
-    return _weighted_sum_of_squares(_residual(target_latents, target), target.weight)
+    return _weighted_sum_of_squares(_residual(target_latents.data, target), target.weight)
 
 
 def guidance_gradient(target_latents: LatentVideo, target: GuidanceTarget) -> np.ndarray:
@@ -163,7 +163,7 @@ def loss_and_gradient(
     target_latents: LatentVideo, target: GuidanceTarget
 ) -> tuple[float, np.ndarray]:
     """The loss and its gradient: one forward and one adjoint operator product."""
-    residual = _residual(target_latents, target)
+    residual = _residual(target_latents.data, target)
     coef = 2.0 * target.weight[:, None] * residual
     total = _weighted_sum_of_squares(residual, target.weight)
     return total, target.regions.adjoint(coef)
@@ -184,11 +184,11 @@ def stable_step_size(target: GuidanceTarget) -> float:
 
 
 def guided_update(
-    target_latents: LatentVideo,
+    z: np.ndarray,
     target: GuidanceTarget,
     config: GuidanceConfig,
-) -> tuple[LatentVideo, list[float]]:
-    """Run ``n_inner_steps`` of steepest descent on the guidance loss.
+) -> tuple[np.ndarray, list[float]]:
+    """Run ``n_inner_steps`` of steepest descent on the guidance loss over float64 latents.
 
     A step ``z -= step * Wᵀ coef`` moves the residual ``W z - ref`` by
     ``-step * G coef``, with ``G = W Wᵀ`` the operator's Gram matrix, so the
@@ -197,15 +197,16 @@ def guided_update(
     with G are fixed-order einsums, not BLAS, so the bytes do not depend on
     the thread count.
 
-    Returns the updated latents and the loss trace: the value before any
-    step followed by the value after each step.
+    Returns the updated latents, a new array unless there are no inner
+    steps (then ``z`` itself), and the loss trace: the value before any step
+    followed by the value after each step. ``z`` is only read.
     """
     step = config.step_size if config.step_size is not None else stable_step_size(target)
     # channel-major (C, n_rows), so each product sums along contiguous rows of G
-    residual = np.ascontiguousarray(_residual(target_latents, target).T)
+    residual = np.ascontiguousarray(_residual(z, target).T)
     losses = [_weighted_sum_of_squares(residual.T, target.weight)]
     if config.n_inner_steps == 0:
-        return target_latents, losses
+        return z, losses
     gram = target.regions.gram
     total = np.zeros_like(residual)
     for _ in range(config.n_inner_steps):
@@ -213,5 +214,8 @@ def guided_update(
         total += coef
         residual -= step * np.einsum("rs,cs->cr", gram, coef)
         losses.append(_weighted_sum_of_squares(residual.T, target.weight))
-    z = target_latents.data - step * target.regions.adjoint(total.T)
-    return LatentVideo(z), losses
+    # z - step * g, as (-step * g) + z in g's own buffer
+    update = target.regions.adjoint(total.T)
+    update *= -step
+    update += z
+    return update, losses

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import BadValue, DimMismatch
 from .tensors import (
+    _MAX_ELEMENTS,
     REQUIRED,
     LatentVideo,
     MaskTrack,
@@ -79,6 +80,13 @@ class SceneSpec:
             raise DimMismatch(
                 f"invalid scene dims ({self.n_frames}, {self.n_channels}, "
                 f"{self.height}, {self.width})"
+            )
+        # checked before anything is rendered or written: a frame stack past the
+        # cap no file could hold either
+        if self.n_frames * self.n_channels * self.height * self.width > _MAX_ELEMENTS:
+            raise DimMismatch(
+                f"scene dims ({self.n_frames}, {self.n_channels}, {self.height}, "
+                f"{self.width}) hold more than {_MAX_ELEMENTS} latent elements"
             )
         if self.texture_seed < 0:
             raise BadValue(f"texture_seed must be >= 0, got {self.texture_seed}")

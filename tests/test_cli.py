@@ -97,6 +97,8 @@ _MISSING = object()
         (("blobs", 0, "trajectory"), _MISSING, "scene blob 'A': missing trajectory"),
         (("blobs", 1, "channel_signature"), _MISSING,
          "scene blob 'B': missing channel_signature"),
+        (("height",), 10**20, "hold more than 2147483648 latent elements"),
+        (("height",), 40_000_000, "hold more than 2147483648 latent elements"),
     ],
     ids=["n_frames-string", "n_frames-missing", "n_channels-float", "height-bool",
          "width-string", "texture_seed-float", "texture_seed-negative", "radius-string",
@@ -104,7 +106,8 @@ _MISSING = object()
          "texture_amplitude-bool", "texture_amplitude-infinite", "trajectory-string",
          "trajectory-short-point", "drift-nan", "channel_signature-bool",
          "texture_wavelengths-string", "texture_wavelengths-short", "texture_wavelengths-zero",
-         "blobs-object", "trajectory-missing", "channel_signature-missing"],
+         "blobs-object", "trajectory-missing", "channel_signature-missing",
+         "height-past-int64", "height-past-the-element-cap"],
 )
 def test_synth_rejects_mistyped_values(tmp_path, capsys, path, value, message):
     # each used to render a scene from a coerced value, or fail with a traceback
@@ -1069,7 +1072,7 @@ class _NanFrom:
         self.t = t
 
     def predict_noise(self, z, t):
-        return np.full(z.shape, np.nan if t >= self.t else 0.0)
+        return (np.nan if t >= self.t else 0.0), ()
 
 
 def test_invert_rerun_that_fails_leaves_no_index(scene_dir, tmp_path, monkeypatch, capsys):

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 import momix
+from momix import diffusion
 from momix.diffusion import (
     GaussianAtlasDenoiser,
     NoiseSchedule,
     SamplingGuidance,
     ZeroDenoiser,
+    _TRACKING_PASSES,
     _ddim_step,
     ddim_invert,
     ddim_invert_steps,
@@ -127,6 +129,15 @@ def _direct_posterior(members, z, ab, bandwidth):
     return mean + c * bandwidth**2 / var * (z - c * mean), w
 
 
+def _evaluate(form, z):
+    """The array a z + sum c_k v_k of an affine form, summed in term order."""
+    a, terms = form
+    out = a * z
+    for ck, v in terms:
+        out = out + ck * v
+    return out
+
+
 def test_posterior_mean_matches_direct_formula():
     a, b = _atlas_pair()
     members = np.stack([a.data, b.data])
@@ -137,15 +148,15 @@ def test_posterior_mean_matches_direct_formula():
     for z in (a.data, noisy, 0.5 * (a.data + b.data)):
         for t in range(sched.n_steps + 1):
             want, w = _direct_posterior(members, z, sched.alpha_bar[t], 0.5)
-            got = den.posterior_mean(z, t)
+            got = _evaluate(den.posterior_mean(z, t), z)
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), t
             spread = max(spread, w.min())
     # the midpoint does reach mixed weights, where the expanded norms cancel most
     assert spread > 0.1
 
 
-def _oracle_posterior_mean(den, z, t):
-    """The posterior mean written out with temporaries; the in-place one must match its bytes."""
+def _oracle_weights(den, z, t):
+    """The softmax weights over every member, written out with temporaries."""
     flat = den.members.reshape(len(den.members), -1)
     sq_norms = np.einsum("kn,kn->k", flat, flat)
     ab = float(den.schedule.alpha_bar[t])
@@ -156,10 +167,23 @@ def _oracle_posterior_mean(den, z, t):
     logw -= logw.max()
     w = np.exp(logw)
     w /= w.sum()
-    mean_member = np.zeros(flat.shape[1])
+    return w
+
+
+def _oracle_mean(den, w, shape):
+    """sum w_k m_k over the members of non-zero weight, in member order."""
+    mean_member = np.zeros(int(np.prod(shape)))
     for k in np.flatnonzero(w):
-        mean_member += w[k] * flat[k]
-    mean_member = mean_member.reshape(z.shape)
+        mean_member += w[k] * den.members[k].reshape(-1)
+    return mean_member.reshape(shape)
+
+
+def _oracle_posterior_mean(den, z, t):
+    """The posterior mean as an array, as first written."""
+    ab = float(den.schedule.alpha_bar[t])
+    c = np.sqrt(ab)
+    var = ab * den.bandwidth**2 + (1.0 - ab)
+    mean_member = _oracle_mean(den, _oracle_weights(den, z, t), z.shape)
     shrink = c * den.bandwidth**2 / var
     return mean_member + shrink * (z - c * mean_member)
 
@@ -173,10 +197,59 @@ def _oracle_predict_noise(den, z, t):
     return (z - np.sqrt(ab) * x_hat) / np.sqrt(rem)
 
 
-def _oracle_ddim_step(den, z, ab, t, t_next):
-    eps = _oracle_predict_noise(den, z, t)
+def _multipass_ddim_step(eps, z, ab, t, t_next):
+    """The DDIM step from the noise array, as first written: x0_hat, then the move."""
     x0_hat = (z - np.sqrt(1.0 - ab[t]) * eps) / np.sqrt(ab[t])
     return np.sqrt(ab[t_next]) * x0_hat + np.sqrt(1.0 - ab[t_next]) * eps
+
+
+def _oracle_mean_form(den, z, t):
+    """The posterior mean's affine form s z + (1 - c s) sum w_k m_k, with temporaries.
+
+    Below the pruning gate each member of non-zero weight is a term; above
+    it the weighted mean is the one term.
+    """
+    ab = float(den.schedule.alpha_bar[t])
+    c = np.sqrt(ab)
+    var = ab * den.bandwidth**2 + (1.0 - ab)
+    w = _oracle_weights(den, z, t)
+    shrink = c * den.bandwidth**2 / var
+    keep = 1.0 - c * shrink
+    if len(den.members) <= _TRACKING_PASSES:
+        return shrink, tuple((keep * w[k], den.members[k]) for k in np.flatnonzero(w))
+    return shrink, ((keep, _oracle_mean(den, w, z.shape)),)
+
+
+def _oracle_noise_form(den, z, t):
+    """eps = (z - sqrt(ab) x_hat) / sqrt(1 - ab) as an affine form."""
+    ab = float(den.schedule.alpha_bar[t])
+    rem = 1.0 - ab
+    if rem <= 1e-12:
+        return 0.0, ()
+    s, terms = _oracle_mean_form(den, z, t)
+    c, root = np.sqrt(ab), np.sqrt(rem)
+    return (1.0 - c * s) / root, tuple((-c * ck / root, v) for ck, v in terms)
+
+
+def _oracle_ddim_step(den, z, ab, t, t_next):
+    """(A + B a) z + sum B c_k v_k, with the scalars and the sum written out."""
+    a, terms = _oracle_noise_form(den, z, t)
+    scale = np.sqrt(ab[t_next]) / np.sqrt(ab[t])
+    mix = np.sqrt(1.0 - ab[t_next]) - scale * np.sqrt(1.0 - ab[t])
+    out = (scale + mix * a) * z
+    for ck, v in terms:
+        out = out + (mix * ck) * v
+    return out
+
+
+def _assert_same_form(got, want):
+    """The same scalars and arrays, byte for byte and in the same order."""
+    (a, terms), (a_want, terms_want) = got, want
+    assert np.float64(a).tobytes() == np.float64(a_want).tobytes()
+    assert len(terms) == len(terms_want)
+    for (ck, v), (ck_want, v_want) in zip(terms, terms_want):
+        assert np.float64(ck).tobytes() == np.float64(ck_want).tobytes()
+        assert v.tobytes() == v_want.tobytes()
 
 
 def test_in_place_arithmetic_matches_the_written_out_formulas_byte_for_byte():
@@ -187,8 +260,8 @@ def test_in_place_arithmetic_matches_the_written_out_formulas_byte_for_byte():
     noisy = a.data + 0.3 * np.random.default_rng(0).standard_normal(a.shape)
     for z in (a.data, noisy, 0.5 * (a.data + b.data)):
         for t in range(sched.n_steps + 1):
-            assert den.posterior_mean(z, t).tobytes() == _oracle_posterior_mean(den, z, t).tobytes()
-            assert den.predict_noise(z, t).tobytes() == _oracle_predict_noise(den, z, t).tobytes()
+            _assert_same_form(den.posterior_mean(z, t), _oracle_mean_form(den, z, t))
+            _assert_same_form(den.predict_noise(z, t), _oracle_noise_form(den, z, t))
             for t_next in (t - 1, t + 1):
                 if 0 <= t_next <= sched.n_steps:
                     got = _ddim_step(den, z, ab, t, t_next)
@@ -203,16 +276,50 @@ def test_in_place_arithmetic_matches_the_written_out_formulas_byte_for_byte():
     assert ddim_sample(traj[-1], sched, den).data.tobytes() == z.tobytes()
 
 
+def _multipass_chain(den, z, ab, eps_of):
+    """Inversion to the end, then sampling back: each affine step against the first formula.
+
+    Returns the largest difference of a step relative to the largest magnitude
+    the first formula gives.
+    """
+    n_steps = len(ab) - 1
+    worst = 0.0
+    moves = [(t, t + 1) for t in range(n_steps)] + [(t, t - 1) for t in range(n_steps, 0, -1)]
+    for t, t_next in moves:
+        want = _multipass_ddim_step(eps_of(z, t), z, ab, t, t_next)
+        got = _ddim_step(den, z, ab, t, t_next)
+        worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
+        z = got
+    return worst
+
+
+@pytest.mark.parametrize("atlas", ["zero", "below-gate", "above-gate"])
+def test_affine_step_matches_the_multipass_formula(atlas):
+    sched = NoiseSchedule.default(n_steps=30)
+    if atlas == "zero":
+        den, z0 = ZeroDenoiser(), _latents(seed=4).data
+        eps_of = lambda z, t: np.zeros(z.shape)  # noqa: E731
+    else:
+        members = list(_atlas_pair()) if atlas == "below-gate" else _separated_atlas()
+        den = GaussianAtlasDenoiser(members, sched)
+        z0 = members[0].data + 0.3 * np.random.default_rng(2).standard_normal(members[0].shape)
+        eps_of = lambda z, t: _oracle_predict_noise(den, z, t)  # noqa: E731
+    assert _multipass_chain(den, z0, sched.alpha_bar, eps_of) <= 1e-13
+    if atlas == "above-gate":
+        assert den.certified_members > 0
+
+
 class _ReadOnlyNoise:
-    """Returns the atlas denoiser's noise marked read-only."""
+    """Returns the atlas denoiser's noise form with its arrays marked read-only."""
 
     def __init__(self, inner):
         self.inner = inner
 
     def predict_noise(self, z, t):
-        eps = self.inner.predict_noise(z, t)
-        eps.setflags(write=False)
-        return eps
+        a, terms = self.inner.predict_noise(z, t)
+        for _, v in terms:
+            v.setflags(write=False)
+        return a, terms
 
 
 class _KeptBuffer:
@@ -222,7 +329,7 @@ class _KeptBuffer:
         self.buffer = np.linspace(-0.5, 0.5, int(np.prod(shape))).reshape(shape)
 
     def predict_noise(self, z, t):
-        return self.buffer
+        return 0.0, ((1.0, self.buffer),)
 
 
 def test_ddim_writes_neither_the_latents_nor_the_denoisers_arrays():
@@ -242,10 +349,30 @@ def test_ddim_writes_neither_the_latents_nor_the_denoisers_arrays():
     assert kept.buffer.tobytes() == kept_bytes
 
 
+class _LatentsAsNoise:
+    """Predicts eps = z, either as a term that is z itself or as the scalar alone."""
+
+    def __init__(self, as_term):
+        self.as_term = as_term
+
+    def predict_noise(self, z, t):
+        return (0.0, ((1.0, z),)) if self.as_term else (1.0, ())
+
+
+def test_sampling_reads_a_noise_term_that_is_the_latents_themselves():
+    # a step that wrote into its input latents would change such a term before reading it
+    zT = _latents(seed=6)
+    sched = NoiseSchedule.default(n_steps=6)
+    got = ddim_sample(zT, sched, _LatentsAsNoise(as_term=True)).data
+    want = ddim_sample(zT, sched, _LatentsAsNoise(as_term=False)).data
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 # 17 members of 100,820 cells: OpenBLAS 0.3.31 splits both gemv sums differently at
 # 1 and 2 threads for this size (3 members it does not), and the members sit close
-# enough together that the weights are mixed. The probe hashes the noise predictions,
-# then one inversion and one sampling pass over the same atlas.
+# enough together that the weights are mixed. The probe hashes the noise forms'
+# coefficients and weighted means, then one inversion and one sampling pass over
+# the same atlas.
 _THREAD_PROBE = """
 import hashlib
 import numpy as np
@@ -260,7 +387,10 @@ schedule = NoiseSchedule.default(n_steps=10)
 den = GaussianAtlasDenoiser(atlas, schedule)
 digest = hashlib.sha256()
 for t in range(1, 11):
-    digest.update(den.predict_noise(z, t).tobytes())
+    a, terms = den.predict_noise(z, t)
+    digest.update(np.array([a] + [c for c, _ in terms]).tobytes())
+    for _, v in terms:
+        digest.update(v.tobytes())
 trajectory = ddim_invert(LatentVideo(z), schedule, den)
 for latents in trajectory:
     digest.update(latents.data.tobytes())
@@ -335,8 +465,7 @@ def test_a_member_near_the_underflow_boundary_is_read(gap, certified):
     d2 = [np.sum((z - np.sqrt(ab) * m.data) ** 2) for m in atlas[:2]]
     assert abs((d2[0] - d2[1]) / (2.0 * var) - gap) < 1e-6
     for _ in range(2):
-        got = den.posterior_mean(z, t)
-        assert got.tobytes() == _oracle_posterior_mean(den, z, t).tobytes()
+        _assert_same_form(den.posterior_mean(z, t), _oracle_mean_form(den, z, t))
     # the second call repeats the first z, so every far member is certified
     assert den.certified_members == len(atlas) - 1 - (not certified)
     assert den.single_survivor_calls == int(certified)
@@ -349,8 +478,7 @@ def test_certified_pruning_matches_the_oracle_for_any_call_sequence():
     rng = np.random.default_rng(8)
 
     def check(z, t):
-        want = _oracle_posterior_mean(den, z, t)
-        assert den.posterior_mean(z, t).tobytes() == want.tobytes(), t
+        _assert_same_form(den.posterior_mean(z, t), _oracle_mean_form(den, z, t))
 
     # unrelated latents in turn, at unrelated timesteps
     for t in (3, 17, 1, 1, 9):
@@ -423,7 +551,7 @@ def test_denoiser_validation():
 
 class _BlowUpDenoiser:
     def predict_noise(self, latents, t):
-        return np.full(latents.shape, np.inf)
+        return 0.0, ((1.0, np.full(latents.shape, np.inf)),)
 
 
 def test_non_finite_denoiser_aborts():
@@ -612,3 +740,28 @@ def test_sampler_guides_exactly_at_the_target_timesteps():
     ddim_sample(inv[-1], sched, den, guidance=guidance)
     assert sorted({e["timestep"] for e in guidance.trace}) == [1, 5, 8]
     assert len(guidance.trace) == 3 * (config.n_inner_steps + 1)
+
+
+@pytest.mark.parametrize("denoiser", ["zero", "atlas"])
+def test_guidance_that_yields_non_finite_latents_aborts(monkeypatch, denoiser):
+    lat, sched, den, inv, config, targets = _guided_setup(n_steps=8)
+    den = ZeroDenoiser() if denoiser == "zero" else den
+    monkeypatch.setattr(
+        diffusion, "guided_update", lambda z, target, config: (np.full(z.shape, np.nan), [1.0])
+    )
+    guidance = SamplingGuidance(config=config, targets={5: targets[5]})
+    with pytest.raises(NonFinite, match="guidance produced non-finite latents at t=5"):
+        ddim_sample(inv[-1], sched, den, guidance=guidance)
+
+
+@pytest.mark.parametrize("n_inner_steps", [0, 4])
+def test_sampling_leaves_the_callers_latents_unchanged(n_inner_steps):
+    lat, sched, den, inv, config, targets = _guided_setup(n_steps=8)
+    guidance = SamplingGuidance(config=GuidanceConfig(n_inner_steps=n_inner_steps),
+                                targets=targets)
+    for zT in (inv[-1], LatentVideo(inv[-1].data.astype(np.float32))):
+        before = zT.data.tobytes()
+        ddim_sample(zT, sched, den, guidance=guidance)
+        ddim_sample(zT, sched, ZeroDenoiser())
+        assert zT.data.tobytes() == before
+        assert not zT.data.flags.writeable

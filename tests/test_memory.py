@@ -14,15 +14,15 @@ import numpy as np
 import pytest
 
 from momix import pipeline as pl
-from momix.diffusion import GaussianAtlasDenoiser, NoiseSchedule
+from momix.diffusion import GaussianAtlasDenoiser, NoiseSchedule, _ddim_step
 from momix.gradcheck import _CHUNK, finite_difference_gradient, random_case
 from momix.synth import BlobSpec, SceneSpec
 from momix.tensors import LatentVideo, load_manifest
 
 N_STEPS = 30
-INVERT_BUDGET = 6  # measured 4.6: the step's four buffers plus z0 and the file write
+INVERT_BUDGET = 5  # measured 3.6: the step's two buffers plus z0 and the file write
 EXTRACT_BUDGET = 3  # measured 1.8
-TRACKING_BUFFERS = 2  # an atlas above the pruning gate keeps the last latents and mean
+TRACKING_BUFFERS = 3  # above the pruning gate: the last latents, the mean and its scratch row
 
 
 def _peak(fn, *args, **kwargs) -> int:
@@ -81,6 +81,19 @@ def test_invert_peak_above_the_pruning_gate(scene, tmp_path):
     peak = _peak(pl.run_invert, manifest, schedule, denoiser, tmp_path / "traj")
     assert denoiser.certified_members > 0
     assert peak < (INVERT_BUDGET + TRACKING_BUFFERS) * latent_bytes, peak / latent_bytes
+
+
+def test_ddim_step_allocates_two_latent_buffers_below_the_gate(scene):
+    # the returned latents and one scratch buffer; the finiteness scan's bool
+    # mask is an eighth of a latent
+    manifest, latent_bytes = scene
+    schedule = NoiseSchedule.default(n_steps=N_STEPS)
+    z0 = manifest.load_latent("0")
+    denoiser = GaussianAtlasDenoiser([z0, z0], schedule)
+    z = z0.data.astype(np.float64)
+    for t, t_next in ((3, 4), (4, 3), (0, 1), (N_STEPS, N_STEPS - 1)):
+        peak = _peak(_ddim_step, denoiser, z, schedule.alpha_bar, t, t_next)
+        assert peak <= 2.25 * latent_bytes, (t, peak / latent_bytes)
 
 
 def test_finite_difference_peak_stays_under_three_plane_stacks():
