@@ -37,6 +37,11 @@ from .tensors import (
 )
 
 
+# 200 times the 50 steps of the largest benchmark workload; a larger count
+# would only allocate its way to a MemoryError
+MAX_STEPS = 10_000
+
+
 @dataclass(frozen=True, eq=False)
 class NoiseSchedule:
     """Cumulative signal coefficients alpha_bar[0..n_steps], strictly decreasing from 1."""
@@ -66,10 +71,11 @@ class NoiseSchedule:
         """alpha_bar[t] = floor + (1 - floor) * (1 - t/(n+1))**power.
 
         The affine floor keeps the sequence strictly decreasing even when
-        the raw power curve would dip below the floor.
+        the raw power curve would dip below the floor. ``n_steps`` may not
+        exceed ``MAX_STEPS``.
         """
-        if n_steps < 0:
-            raise BadValue(f"n_steps must be >= 0, got {n_steps}")
+        if not 0 <= n_steps <= MAX_STEPS:
+            raise BadValue(f"n_steps must be in 0..{MAX_STEPS}, got {n_steps}")
         t = np.arange(n_steps + 1, dtype=np.float64)
         base = (1.0 - t / (n_steps + 1)) ** power
         return cls(floor + (1.0 - floor) * base)

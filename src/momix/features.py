@@ -32,6 +32,7 @@ from .masks import (
     BACKGROUND_ID,
     MaskEdit,
     background_track,
+    check_subject_ids,
     pair_region,
 )
 from .tensors import (
@@ -323,13 +324,10 @@ def compile_sources(
     ``latents`` fixes the geometry every track must match; the operator
     applies to any latents of that geometry, whatever their timestep.
     """
+    check_subject_ids([track.subject_id for track in subjects])
     tracks: dict[str, MaskTrack] = {}
     for track in subjects:
         ensure_same_geometry(latents, track)
-        if track.subject_id in tracks:
-            raise BadValue(f"duplicate subject id {track.subject_id!r}")
-        if track.subject_id == BACKGROUND_ID:
-            raise BadValue(f"subject id {BACKGROUND_ID!r} is reserved")
         tracks[track.subject_id] = track
     dims = (latents.n_frames, latents.height, latents.width)
     tracks[BACKGROUND_ID] = background_track(list(tracks.values()), dims=dims)
@@ -490,36 +488,15 @@ def recompose(descriptors: Sequence[MotionDescriptor], plan: EditPlan) -> list[M
     return out
 
 
-def plan_to_json(plan: EditPlan) -> dict:
-    subjects = {}
-    for sid, d in plan.directives.items():
-        entry: dict = {"op": d.kind}
-        if d.w_c is not None:
-            entry["w_c"] = d.w_c
-        if d.edit is not None:
-            entry["edit"] = {
-                "kind": d.edit.kind,
-                "dx": d.edit.dx,
-                "dy": d.edit.dy,
-                "factor": d.edit.factor,
-                "anchor": list(d.edit.anchor) if d.edit.anchor is not None else None,
-            }
-        subjects[sid] = entry
-    return {
-        "subjects": subjects,
-        "include_background": plan.include_background,
-        "w_c": plan.w_c,
-        "camera_only": plan.camera_only,
-    }
-
-
 _PLAN_KEYS = ("subjects", "include_background", "w_c", "camera_only")
 _DIRECTIVE_KEYS = ("op", "w_c", "edit")
 _EDIT_KEYS = ("kind", "dx", "dy", "factor", "anchor")
 
 
 def plan_from_json(doc: dict) -> EditPlan:
-    """The plan ``plan_to_json`` writes; a key it would not write is rejected."""
+    """The plan in ``doc``: ``subjects`` (id -> ``op``, ``w_c``, ``edit`` with ``kind``,
+    ``dx``, ``dy``, ``factor``, ``anchor``), ``include_background``, ``w_c`` and
+    ``camera_only``; any other key is rejected."""
     what = "edit plan"
     check_keys(doc, _PLAN_KEYS, what)
     directives = {}

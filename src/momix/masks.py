@@ -10,6 +10,7 @@ camera statistics never include cells a subject occupies in either frame.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -19,6 +20,22 @@ from .errors import DimMismatch, IndexOutOfRange, BadValue
 from .tensors import MaskTrack
 
 BACKGROUND_ID = "background"
+# every source id names files in the stage directories
+SAFE_NAME = re.compile(r"[A-Za-z0-9_.-]+")
+
+
+def check_subject_ids(ids: Sequence[str]) -> None:
+    """Reject subject ids that are not filesystem-safe, not unique, or the background's."""
+    seen: set[str] = set()
+    for sid in ids:
+        if not SAFE_NAME.fullmatch(sid):
+            raise BadValue(f"subject id {sid!r} is not filesystem-safe "
+                           "(use letters, digits, _ . -)")
+        if sid == BACKGROUND_ID:
+            raise BadValue(f"subject id {BACKGROUND_ID!r} is reserved")
+        if sid in seen:
+            raise BadValue(f"duplicate subject id {sid!r}")
+        seen.add(sid)
 
 
 def _check_region(m: np.ndarray, name: str = "mask") -> np.ndarray:

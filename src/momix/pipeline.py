@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import logging
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -41,7 +40,7 @@ from .features import (
     save_descriptor,
 )
 from .guidance import GuidanceConfig, GuidanceTarget
-from .masks import BACKGROUND_ID, apply_edit
+from .masks import BACKGROUND_ID, SAFE_NAME, apply_edit
 from .metrics import compare_trajectories, descriptor_distance
 from .synth import (
     SceneSpec,
@@ -71,15 +70,6 @@ from .tensors import (
 
 log = logging.getLogger(__name__)
 
-_SAFE_NAME = re.compile(r"[A-Za-z0-9_.-]+")
-
-
-def _safe_name(name: str) -> str:
-    if not _SAFE_NAME.fullmatch(name):
-        raise BadValue(f"id {name!r} is not filesystem-safe (use letters, digits, _ . -)")
-    return name
-
-
 # --- synth ------------------------------------------------------------------
 
 
@@ -93,7 +83,7 @@ def run_synth(spec: SceneSpec, out_dir) -> Path:
     save_tensor(latents, out_dir / "latents_t0.cmt")
     mask_files = {}
     for track in tracks:
-        name = f"mask_{_safe_name(track.subject_id)}.cmm"
+        name = f"mask_{track.subject_id}.cmm"
         save_mask(track, out_dir / name)
         mask_files[track.subject_id] = name
     manifest = SceneManifest(
@@ -195,7 +185,8 @@ def run_extract(
     The trajectory index is read once; then each timestep's latents are
     loaded, extracted and written before the next is read, so the run holds
     about one latent at a time. A timestep whose latents have another shape
-    than t=0's raises DimMismatch before its descriptors are written. An
+    than t=0's raises DimMismatch before its descriptors are written; a bad
+    subject id or mask geometry fails before anything is written. An
     ``extract_index.json`` already in ``out_dir`` is removed before the
     first descriptor is written, and the new one is written after the last,
     so a rerun that fails half way leaves an archive no reader accepts.
@@ -203,20 +194,22 @@ def run_extract(
     out_dir = Path(out_dir)
     schedule = read_trajectory_index(traj_dir)
     masks = manifest.load_masks()
+    latents = load_tensor(trajectory_path(traj_dir, 0))
+    shape = latents.shape
+    # the regions depend on the masks alone
+    operator = compile_sources(latents, masks, legacy_region=legacy_region)
     make_dir(out_dir)
     remove_file(out_dir / "extract_index.json")
     sources_seen: set[str] = set()
     for t in range(schedule.n_steps + 1):
-        path = trajectory_path(traj_dir, t)
-        latents = load_tensor(path)
-        if t == 0:  # the regions depend on the masks alone
-            operator = compile_sources(latents, masks, legacy_region=legacy_region)
-            shape = latents.shape
-        elif latents.shape != shape:
-            raise DimMismatch(f"{path}: latents {latents.shape} differ from t=0's {shape}")
+        if t > 0:
+            path = trajectory_path(traj_dir, t)
+            latents = load_tensor(path)
+            if latents.shape != shape:
+                raise DimMismatch(f"{path}: latents {latents.shape} differ from t=0's {shape}")
         t_dir = make_dir(out_dir / f"t{t:03d}")
         for desc in extract_descriptors(latents, masks, timestep=t, strict=False, operator=operator):
-            save_descriptor(desc, t_dir / f"{_safe_name(desc.source_id)}.json")
+            save_descriptor(desc, t_dir / f"{desc.source_id}.json")
             sources_seen.add(desc.source_id)
     index = {
         "n_steps": schedule.n_steps,
@@ -279,7 +272,7 @@ def read_extract_index(desc_dir) -> ExtractIndex:
                                             for k, t in enumerate(timesteps)):
         raise BadValue(f"malformed {what}: timesteps must be 0..{n_steps}, got {timesteps!r}")
     sources = typed_field(doc, "sources", list, REQUIRED, what)
-    if not all(isinstance(sid, str) and _SAFE_NAME.fullmatch(sid) for sid in sources):
+    if not all(isinstance(sid, str) and SAFE_NAME.fullmatch(sid) for sid in sources):
         raise BadValue(f"malformed {what}: sources must be filesystem-safe strings, "
                        f"got {sources!r}")
     if doc.get("manifest", "") is not None:  # null: extract recorded no manifest

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadValue, DimMismatch
+from .masks import check_subject_ids
 from .tensors import (
     _MAX_ELEMENTS,
     REQUIRED,
@@ -104,6 +105,7 @@ class SceneSpec:
             )
         object.__setattr__(self, "background_drift", drift)
         object.__setattr__(self, "blobs", tuple(self.blobs))
+        check_subject_ids([b.subject_id for b in self.blobs])
         for b in self.blobs:
             if len(b.trajectory) != self.n_frames:
                 raise DimMismatch(
@@ -172,8 +174,6 @@ def render_scene(
     frames = np.zeros((spec.n_frames, spec.n_channels, spec.height, spec.width))
     mask_data = {b.subject_id: np.zeros((spec.n_frames, spec.height, spec.width), bool)
                  for b in spec.blobs}
-    if len(mask_data) != len(spec.blobs):
-        raise BadValue("blob subject ids must be unique")
     for f in range(spec.n_frames):
         drift = spec.background_drift[f]
         if drift not in textures:

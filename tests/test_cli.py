@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +100,9 @@ _MISSING = object()
          "scene blob 'B': missing channel_signature"),
         (("height",), 10**20, "hold more than 2147483648 latent elements"),
         (("height",), 40_000_000, "hold more than 2147483648 latent elements"),
+        (("blobs", 0, "subject_id"), "../x", "subject id '../x' is not filesystem-safe"),
+        (("blobs", 0, "subject_id"), "background", "subject id 'background' is reserved"),
+        (("blobs", 1, "subject_id"), "A", "duplicate subject id 'A'"),
     ],
     ids=["n_frames-string", "n_frames-missing", "n_channels-float", "height-bool",
          "width-string", "texture_seed-float", "texture_seed-negative", "radius-string",
@@ -107,7 +111,8 @@ _MISSING = object()
          "trajectory-short-point", "drift-nan", "channel_signature-bool",
          "texture_wavelengths-string", "texture_wavelengths-short", "texture_wavelengths-zero",
          "blobs-object", "trajectory-missing", "channel_signature-missing",
-         "height-past-int64", "height-past-the-element-cap"],
+         "height-past-int64", "height-past-the-element-cap", "subject_id-unsafe",
+         "subject_id-background", "subject_id-duplicate"],
 )
 def test_synth_rejects_mistyped_values(tmp_path, capsys, path, value, message):
     # each used to render a scene from a coerced value, or fail with a traceback
@@ -435,6 +440,16 @@ def test_extract_baseline_prints_both_distances(tmp_path, capsys):
     assert "legacy A: distance to baseline" in out
 
 
+def test_recompose_unguided_samples_without_guidance(pipeline_dirs, tmp_path, capsys):
+    scene, traj, desc = pipeline_dirs
+    run = tmp_path / "r"
+    rc = main(["recompose", str(desc), str(traj), str(run),
+               "--atlas", str(scene / "latents_t0.cmt"), "--unguided"])
+    assert rc == 0
+    assert "sampled without guidance" in capsys.readouterr().out
+    assert (run / "trace.jsonl").read_bytes() == b""
+
+
 def test_recompose_camera_only_switch(pipeline_dirs, tmp_path):
     scene, traj, desc = pipeline_dirs
     run = tmp_path / "cam"
@@ -638,6 +653,13 @@ def test_pipeline_rejects_unknown_config_keys(tmp_path, capsys, patch, message):
 _MALFORMED = "malformed pipeline config"
 
 
+def _scene_with_ids(*ids):
+    doc = scene_to_json(demo_scene(n=5))
+    for blob, sid in zip(doc["blobs"], ids):
+        blob["subject_id"] = sid
+    return doc
+
+
 @pytest.mark.parametrize(
     "patch, message",
     [
@@ -674,6 +696,10 @@ _MALFORMED = "malformed pipeline config"
         ({"plan": {"subjects": {"background": {"op": "keep"}}}},
          "plan names subject 'background'"),
         ({"guidance": {"weights": {"Z": 3.0}}}, "guidance weight for unknown source 'Z'"),
+        ({"schedule": {"n_steps": 100_000_000_000}}, "n_steps must be in 0..10000"),
+        ({"scene": _scene_with_ids("../x")}, "subject id '../x' is not filesystem-safe"),
+        ({"scene": _scene_with_ids("background")}, "subject id 'background' is reserved"),
+        ({"scene": _scene_with_ids("A", "A")}, "duplicate subject id 'A'"),
     ],
     ids=[
         "schedule", "bandwidth", "seed", "seed-float", "n_steps-float", "guided",
@@ -683,10 +709,12 @@ _MALFORMED = "malformed pipeline config"
         "step_size-infinite", "weight-string", "weight-bool", "weight-nan", "bandwidth-bool",
         "bandwidth-infinite", "power-string", "floor-infinite", "threshold-bool", "plan-w_c",
         "seed-negative", "plan-unknown-subject", "plan-background", "weight-unknown-source",
+        "n_steps-past-the-cap", "blob-id-unsafe", "blob-id-background", "blob-id-duplicate",
     ],
 )
 def test_pipeline_rejects_mistyped_values(tmp_path, capsys, patch, message):
     # each used to run on a misread value, or fail only after the scene was written
+    # (an unsafe or reserved blob id), or end in a MemoryError traceback (n_steps)
     cfg = dict(_pipeline_config(tmp_path), **patch)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -945,6 +973,7 @@ def _set(key, value):
         (_set("sources", ["A", 5]), "sources must be filesystem-safe strings"),
         (_set("legacy_region", "false"), "legacy_region must be a JSON boolean"),
         (_set("manifest", 5), "manifest must be a JSON string"),
+        (_set("manifest", None), "no manifest recorded at extract time; pass --manifest"),
         (lambda desc: _edit_json(desc / "t004" / "A.json",
                                  lambda d: d.update({"n_frames": 10**20})),
          "has 100000000000000000000 frames, the latents 6"),
@@ -953,7 +982,7 @@ def _set(key, value):
          "n_steps-missing", "timesteps-missing", "sources-missing", "legacy_region-missing",
          "manifest-missing", "n_steps-float", "timesteps-string", "timesteps-short",
          "sources-string", "sources-integer", "legacy_region-string", "manifest-integer",
-         "n_frames-huge"],
+         "manifest-null", "n_frames-huge"],
 )
 def test_recompose_damaged_descriptor_archive_is_a_usage_error(
     pipeline_dirs, tmp_path, capsys, damage, message
@@ -1002,19 +1031,34 @@ def test_invert_mistyped_manifest_is_a_usage_error(scene_dir, tmp_path, capsys, 
         (["--bandwidth", "inf"], "bandwidth must be finite"),
         (["--resize", "A", "inf"], "scale factor must be finite"),
         (["--resize", "A", "1e-300"], "scale factor 1e-300"),
+        (["--weight", "A"], "--weight expects ID=W, got 'A'"),
+        (["--weight", "A=x"], "--weight expects a numeric value, got 'A=x'"),
+        (["--shift", "A", "1", "x"], "--shift expects integer dx dy, got '1' 'x'"),
+        (["--resize", "A", "x"], "--resize expects a numeric factor, got 'x'"),
     ],
-    ids=["soften", "bandwidth", "resize-infinite", "resize-tiny"],
+    ids=["soften", "bandwidth", "resize-infinite", "resize-tiny", "weight-no-value",
+         "weight-string", "shift-string", "resize-string"],
 )
 def test_recompose_non_finite_values_are_usage_errors(pipeline_dirs, tmp_path, capsys,
                                                       args, message):
     # --soften inf and --bandwidth inf used to exit 3 on non-finite latents,
-    # and both resizes to exit 0 (the tiny one after an int-cast RuntimeWarning)
+    # and both resizes to exit 0 (the tiny one after an int-cast RuntimeWarning);
+    # a value that is not a number at all is a usage error too
     scene, traj, desc = pipeline_dirs
     rc = main(["recompose", str(desc), str(traj), str(tmp_path / "r"),
                "--atlas", str(scene / "latents_t0.cmt"), "--inner-steps", "1", *args])
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("steps", ["-1", "100000000000"])
+def test_invert_step_count_out_of_range_is_a_usage_error(scene_dir, tmp_path, capsys, steps):
+    # the huge count used to end in a MemoryError traceback (exit 1)
+    rc = main(["invert", str(scene_dir / "manifest.json"), str(tmp_path / "t"), "--steps", steps])
+    assert rc == 2
+    assert f"n_steps must be in 0..10000, got {steps}" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
 
 
 def test_invert_infinite_bandwidth_is_a_usage_error(scene_dir, tmp_path, capsys):
@@ -1099,6 +1143,49 @@ def test_extract_rerun_over_a_damaged_trajectory_leaves_no_index(pipeline_dirs, 
     assert _recompose(desc, traj, scene, tmp_path / "r") == 2
     assert "extract_index.json" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+def _write_container(path, magic, dims, payload=b""):
+    path.write_bytes(magic + struct.pack(f"<I{len(dims)}I", len(dims), *dims) + payload)
+
+
+def _rename_mask(old, new):
+    def rename(doc):
+        doc["masks"] = {new if k == old else k: v for k, v in doc["masks"].items()}
+
+    return lambda scene: _edit_json(scene / "manifest.json", rename)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_rename_mask("A", "background"), "subject id 'background' is reserved"),
+        (_rename_mask("A", "../x"), "subject id '../x' is not filesystem-safe"),
+        (lambda scene: (scene / "latents_t0.cmt").write_bytes(b"CMT1"), "truncated header"),
+        (lambda scene: _write_container(scene / "latents_t0.cmt", b"CMT1", (6, 3, 0, 24)),
+         "zero-size dim in (6, 3, 0, 24)"),
+        (lambda scene: _write_container(scene / "latents_t0.cmt", b"CMT1", (6, 3, 65536, 65536)),
+         "element count overflow"),
+        (lambda scene: _write_container(scene / "mask_A.cmm", b"CMM1", (24, 24), bytes(576)),
+         "mask mask_A.cmm has dims (24, 24), manifest says (6, 24, 24)"),
+        (lambda scene: _truncate(scene / "mask_A.cmm"),
+         "header says 3456 bytes, payload holds 3448"),
+        (lambda scene: _write_container(scene / "mask_A.cmm", b"CMM1", (6, 24, 20), bytes(2880)),
+         "mask mask_A.cmm has dims (6, 24, 20), manifest says (6, 24, 24)"),
+    ],
+    ids=["mask-id-background", "mask-id-unsafe", "latents-truncated-header",
+         "latents-zero-dim", "latents-element-overflow", "mask-2d", "mask-short-payload",
+         "mask-other-dims"],
+)
+def test_extract_damaged_scene_is_a_usage_error(pipeline_dirs, tmp_path, capsys, damage, message):
+    # a bad mask id used to fail after the output directory was made, or its
+    # first descriptors written
+    scene, traj, _ = pipeline_dirs
+    damage(scene)
+    out = tmp_path / "d2"
+    assert main(["extract", str(traj), str(scene / "manifest.json"), str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_extract_rejects_a_timestep_of_another_shape(pipeline_dirs, capsys):

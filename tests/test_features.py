@@ -31,7 +31,6 @@ from momix.features import (
     lsmm,
     motion_delta,
     plan_from_json,
-    plan_to_json,
     recompose,
     save_descriptor,
     soft_blend,
@@ -287,9 +286,18 @@ def test_plan_json_round_trip(tmp_path):
         },
         w_c=1.0,
     )
-    back = plan_from_json(plan_to_json(plan))
-    assert back == plan
-    write_json(tmp_path / "plan.json", plan_to_json(plan))
+    doc = {
+        "subjects": {
+            "A": {"op": "soften", "w_c": 2.0},
+            "B": {"op": "mask_edit", "edit": {"kind": "scale", "dx": 0, "dy": 0, "factor": 2.0,
+                                               "anchor": [7.5, 7.5]}},
+        },
+        "include_background": True,
+        "w_c": 1.0,
+        "camera_only": False,
+    }
+    assert plan_from_json(doc) == plan
+    write_json(tmp_path / "plan.json", doc)
     assert load_plan(tmp_path / "plan.json") == plan
 
 

@@ -129,6 +129,14 @@ def test_mask_bad_value(tmp_path):
         load_mask(p)
 
 
+def test_mask_file_must_be_3d(tmp_path):
+    # load_manifest rejects such a file by its dims first; load_mask alone must too
+    p = tmp_path / "m.cmm"
+    p.write_bytes(b"CMM1" + struct.pack("<I2I", 2, 2, 2) + bytes(4))
+    with pytest.raises(DimMismatch, match="mask file must be 3-D"):
+        load_mask(p)
+
+
 def test_all_zeros_mask_round_trip(tmp_path):
     m = MaskTrack(np.zeros((2, 3, 3), dtype=bool), subject_id="a")
     p = tmp_path / "m.cmm"
