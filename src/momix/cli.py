@@ -125,9 +125,8 @@ def _cmd_invert(args) -> int:
         denoiser = ZeroDenoiser()
     else:
         atlas_paths = args.atlas if args.atlas else [manifest.latent_path("0")]
-        atlas = [load_tensor(p) for p in atlas_paths]
-        shape = (manifest.frames, manifest.channels, manifest.height, manifest.width)
-        denoiser = pl.build_denoiser(atlas, schedule, shape, bandwidth=args.bandwidth)
+        denoiser = pl.build_denoiser(pl.load_atlas(atlas_paths, manifest.latent_shape),
+                                     schedule, bandwidth=args.bandwidth)
     out = pl.run_invert(manifest, schedule, denoiser, args.out_dir)
     print(f"trajectory archive written to {out} ({schedule.n_steps + 1} tensors)")
     return 0
@@ -227,10 +226,8 @@ def _cmd_recompose(args) -> int:
         t_end=args.t_end,
         per_source_weight=_parse_weights(args.weight),
     )
-    shape = (manifest.frames, manifest.channels, manifest.height, manifest.width)
-    denoiser = pl.build_denoiser([load_tensor(p) for p in args.atlas],
-                                 read_trajectory_index(args.traj_dir), shape,
-                                 bandwidth=args.bandwidth)
+    denoiser = pl.build_denoiser(pl.load_atlas(args.atlas, manifest.latent_shape),
+                                 read_trajectory_index(args.traj_dir), bandwidth=args.bandwidth)
     result = pl.run_recompose(
         desc_dir,
         plan,

@@ -152,10 +152,10 @@ def _coefficients(g: tuple, gs: tuple):
 class _MemberBounds:
     """Intervals on the inner products <m_k, z>, carried from one call to the next.
 
-    After a call the state is the latents z_p it was given and the weighted
-    mean m_p it computed (two rows of one buffer, whose third is scratch), the
-    weights w_p, and an interval on each <m_k, z_p>. For the next z and any
-    scalars a, b, with r = z - a z_p - b m_p,
+    After a call the state is a copy of the latents z_p it was given, the
+    weighted mean m_p it returned (the buffer's other row, or a lone
+    survivor's own member row), the weights w_p, and an interval on each
+    <m_k, z_p>. For the next z and any scalars a, b, with r = z - a z_p - b m_p,
 
         <m_k, z> = a <m_k, z_p> + b <m_k, m_p> + <m_k, r>,
 
@@ -174,7 +174,7 @@ class _MemberBounds:
         self._gam = 2.0 * _gamma(n)  # one dot product, with norms from computed squares
         self._gam_mean = 2.0 * _gamma(n + 3 * k)  # the weighted mean, G and G @ w
         self._norms = np.sqrt(sq_norms * (1.0 + self._gam))  # upper bounds on ||m_k||
-        self._state = None  # rows z_p, m_p and a scratch row, allocated at the first call
+        self._state = None  # rows for z_p and the summed mean, allocated at the first call
         self._valid = False
 
     def live(self, zf: np.ndarray, c: float, ab: float, var: float) -> np.ndarray:
@@ -192,12 +192,11 @@ class _MemberBounds:
             self._znorm = float(np.sqrt(zz * (1.0 + self._gam)))
             if not valid:
                 if self._state is None:
-                    self._state = np.empty((3, zf.size))
+                    self._state = np.empty((2, zf.size))
                     self._gram = self._flat @ self._flat.T
                 self._mid, self._rad = np.zeros(k), np.full(k, np.inf)
                 return np.ones(k, dtype=bool)
-            zp, mp, _ = self._state
-            g = (float(np.dot(zp, zf)), float(np.dot(mp, zf)))
+            g = (float(np.dot(self._state[0], zf)), float(np.dot(self._mp, zf)))
             r_up, a, b = min(
                 (_residual_bound(zz, g, self._gs, a, b, self._gam), a, b)
                 for a, b in _coefficients(g, self._gs)
@@ -214,13 +213,13 @@ class _MemberBounds:
             best = float(np.max(center - half))
             return ~(center + half < best - _CERTIFY_GAP - 4 * _UNIT_ROUNDOFF * abs(best))
 
-    def mean_buffer(self) -> tuple[np.ndarray, np.ndarray]:
-        """The zeroed row for this call's weighted mean, m_p for the next, and a scratch row."""
-        self._state[1].fill(0.0)
-        return self._state[1], self._state[2]
+    def mean_buffer(self) -> np.ndarray:
+        """The row to sum this call's weighted mean into; ``record`` then keeps it as m_p."""
+        return self._state[1]
 
-    def record(self, zf: np.ndarray, first: int, ip: np.ndarray | None, w: np.ndarray) -> None:
-        """Keep z, the weights, and the inner products read for rows ``first`` on."""
+    def record(self, zf: np.ndarray, first: int, ip: np.ndarray | None, w: np.ndarray,
+               mean: np.ndarray) -> None:
+        """Keep z, the weights, the mean, and the inner products read for rows ``first`` on."""
         with np.errstate(all="ignore"):
             if ip is not None:
                 rows = slice(first, first + ip.size)
@@ -228,9 +227,9 @@ class _MemberBounds:
                 self._rad[rows] = self._gam * self._norms[rows] * self._znorm
             self._gw = self._gram @ w
             self._beta = self._gam_mean * float(w @ self._norms)
-            zp, mp, _ = self._state
+            zp, self._mp = self._state[0], mean
             np.copyto(zp, zf)
-            self._gs = (self._zz, float(np.dot(zp, mp)), float(np.dot(mp, mp)))
+            self._gs = (self._zz, float(np.dot(zp, mean)), float(np.dot(mean, mean)))
         self._valid = True
 
 
@@ -245,7 +244,10 @@ class GaussianAtlasDenoiser:
     noise read back from the forward relation. Both methods return that
     affine form (see ``Denoiser``); at t = 0 the noise form is zero.
 
-    The members are stacked once with their squared norms. A call reads
+    ``atlas`` is a list of latent videos, stacked here, or a float64
+    (K, F, C, H, W) stack of finite members, which is kept as it is (read-only
+    from then on); that lets a caller fill the stack one member at a time and
+    never hold a second copy. The squared norms are taken once. A call reads
     members for the inner products <m_k, z>, which give the weights, with a
     fixed-order einsum outside BLAS: OpenBLAS gemv splits its sums
     differently per thread count, so a matmul's bytes would depend on it.
@@ -265,8 +267,11 @@ class GaussianAtlasDenoiser:
     byte is the same as with every member read. The certificate costs ten
     latent-sized passes a call, five dot products (through BLAS, as they only
     bound) and one copy. It needs the weighted mean m_p, so above the gate
-    the form's one term is m_p, summed in member order in the tracking state
-    (three latent-sized rows allocated at the first call) and read-only.
+    the form's one term is m_p, read-only: one fixed-order einsum over the
+    rows read sums it into the tracking state (two latent-sized rows
+    allocated at the first call, the other a copy of z), with the bytes of a
+    member-order multiply-and-add of the non-zero weights. A lone survivor's
+    weight is 1.0, so its m_p is its own member row, with no pass at all.
 
     ``calls``, ``certified_members``, ``member_rows_read`` (rows read for
     inner products) and ``single_survivor_calls`` count what the calls did.
@@ -275,19 +280,23 @@ class GaussianAtlasDenoiser:
 
     def __init__(
         self,
-        atlas: Sequence[LatentVideo],
+        atlas: Sequence[LatentVideo] | np.ndarray,
         schedule: NoiseSchedule,
         bandwidth: float = 0.5,
     ):
-        if not atlas:
+        stacked = isinstance(atlas, np.ndarray)
+        if stacked and (atlas.dtype != np.float64 or atlas.ndim != 5
+                        or not atlas.flags.c_contiguous):
+            raise DimMismatch(f"an atlas stack must be a C-ordered float64 (K, F, C, H, W) "
+                              f"array, got {atlas.dtype} {atlas.shape}")
+        if len(atlas) == 0:
             raise BadValue("atlas must contain at least one latent video")
-        shape = atlas[0].shape
-        for member in atlas:
-            if member.shape != shape:
-                raise DimMismatch(f"atlas member shape {member.shape} != {shape}")
+        for member in () if stacked else atlas:
+            if member.shape != atlas[0].shape:
+                raise DimMismatch(f"atlas member shape {member.shape} != {atlas[0].shape}")
         if not 0 < bandwidth < np.inf:
             raise BadValue(f"bandwidth must be finite and positive, got {bandwidth}")
-        self.members = np.stack([m.data for m in atlas], dtype=np.float64)
+        self.members = atlas if stacked else np.stack([m.data for m in atlas], dtype=np.float64)
         self.members.setflags(write=False)
         self._flat = self.members.reshape(len(atlas), -1)
         self._sq_norms = np.einsum("kn,kn->k", self._flat, self._flat)
@@ -335,11 +344,14 @@ class GaussianAtlasDenoiser:
         # over many cells exp underflows to exactly 0 for all but the nearest members
         if self._bounds is None:
             return shrink, tuple((keep * w[k], self.members[k]) for k in np.flatnonzero(w))
-        mean, scratch = self._bounds.mean_buffer()
-        for k in np.flatnonzero(w):
-            np.multiply(w[k], self._flat[k], out=scratch)
-            mean += scratch
-        self._bounds.record(zf, first, ip, w)
+        if ip is None:
+            mean = self._flat[first]
+        else:
+            # a row of weight 0 adds +-0 to sums that start at +0, which leaves their
+            # bytes those of summing only the non-zero terms, in member order
+            mean = np.einsum("k,kn->n", w[first:last], self._flat[first:last],
+                             out=self._bounds.mean_buffer())
+        self._bounds.record(zf, first, ip, w, mean)
         mean = mean.reshape(z.shape)
         mean.setflags(write=False)
         return shrink, ((keep, mean),)

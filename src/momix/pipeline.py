@@ -52,6 +52,7 @@ from .synth import (
 )
 from .tensors import (
     REQUIRED,
+    TENSOR_MAGIC,
     LatentVideo,
     SceneManifest,
     atomic_write,
@@ -59,12 +60,15 @@ from .tensors import (
     load_manifest,
     load_tensor,
     make_dir,
+    peek_dims,
+    read_array,
     read_json,
     remove_file,
     save_manifest,
     save_mask,
     save_tensor,
     typed_field,
+    write_array,
     write_json,
 )
 
@@ -104,23 +108,40 @@ def run_synth(spec: SceneSpec, out_dir) -> Path:
 
 
 def build_denoiser(
-    atlas: list[LatentVideo] | None,
-    schedule: NoiseSchedule,
-    shape: tuple[int, ...],
-    bandwidth: float = 0.5,
+    atlas: np.ndarray | None, schedule: NoiseSchedule, bandwidth: float = 0.5
 ) -> Denoiser:
-    """The atlas denoiser for latents of ``shape``; the zero denoiser for no atlas.
+    """The atlas denoiser over the float64 stack ``atlas``, which it keeps uncopied.
 
-    A member of another shape raises DimMismatch here, before any stage
-    that uses the denoiser has written a file.
+    No atlas (None, or a stack of no members) gives the zero denoiser.
     """
-    for k, member in enumerate(atlas or ()):
-        if member.shape != tuple(shape):
-            raise DimMismatch(f"atlas member {k} has shape {member.shape}, "
-                              f"the latents {tuple(shape)}")
-    if not atlas:
+    if atlas is None or len(atlas) == 0:
         return ZeroDenoiser()
     return GaussianAtlasDenoiser(atlas, schedule, bandwidth=bandwidth)
+
+
+def load_atlas(paths: Sequence, shape: tuple[int, ...]) -> np.ndarray:
+    """The atlas files at ``paths`` as one float64 (K, *shape) stack.
+
+    Every file's header is checked before any payload is read, so a member of
+    another shape raises DimMismatch, before any stage that uses the atlas
+    has written a file, with no latent loaded. Each file is then read
+    straight into its row of the stack, the one copy of the atlas held.
+    """
+    for k, path in enumerate(paths):
+        dims = peek_dims(path, TENSOR_MAGIC)
+        if dims != shape:
+            raise DimMismatch(f"atlas member {k} has shape {dims}, the latents {shape}")
+    members = np.empty((len(paths), *shape))
+    for path, row in zip(paths, members):
+        read_array(path, out=row)
+    return members
+
+
+def _check_member_shapes(member_specs: Sequence[SceneSpec], shape: tuple[int, ...]) -> None:
+    for k, member_spec in enumerate(member_specs):
+        if member_spec.latent_shape != shape:
+            raise DimMismatch(f"atlas_scenes[{k}] has latents {member_spec.latent_shape}, "
+                              f"the scene {shape}")
 
 
 def run_atlas(
@@ -136,19 +157,22 @@ def run_atlas(
 
     The members are the scene's clean latents (if ``include_reference``),
     then one render per spec of ``member_specs``, written as ``member###.cmt``.
-    The denoiser's stack is the only copy of them kept.
+    A spec of another shape than the scene's raises DimMismatch before
+    anything is rendered. The denoiser's stack is allocated first and is the
+    only copy of the members kept: each is loaded or rendered straight into
+    its row, so at most one render is alive besides the stack.
     """
+    shape = manifest.latent_shape
+    _check_member_shapes(member_specs, shape)
     out_dir = make_dir(out_dir)
-    atlas: list[LatentVideo] = []
+    members = np.empty((int(include_reference) + len(member_specs), *shape))
     if include_reference:
-        atlas.append(manifest.load_latent("0"))
-    for member_spec in member_specs:
-        member_latents, _, _ = render_scene(member_spec)
-        atlas.append(member_latents)
-    for k, member in enumerate(atlas):
-        save_tensor(member, out_dir / f"member{k:03d}.cmt")
-    shape = (manifest.frames, manifest.channels, manifest.height, manifest.width)
-    return build_denoiser(atlas, schedule, shape, bandwidth=bandwidth)
+        read_array(manifest.latent_path("0"), out=members[0])
+    for row, member_spec in zip(members[int(include_reference):], member_specs):
+        row[...] = render_scene(member_spec)[0].data
+    for k, row in enumerate(members):
+        write_array(out_dir / f"member{k:03d}.cmt", row)
+    return build_denoiser(members, schedule, bandwidth=bandwidth)
 
 
 def run_invert(
@@ -493,13 +517,7 @@ def run_pipeline(config: dict, out_root) -> dict:
         raise BadValue("pipeline config needs a 'scene'")
     spec = _scene_spec(config["scene"])
     member_specs = [_scene_spec(doc) for doc in config.get("atlas_scenes", [])]
-    shape = (spec.n_frames, spec.n_channels, spec.height, spec.width)
-    for k, member_spec in enumerate(member_specs):
-        member_shape = (member_spec.n_frames, member_spec.n_channels,
-                        member_spec.height, member_spec.width)
-        if member_shape != shape:
-            raise DimMismatch(f"{what}: atlas_scenes[{k}] has latents {member_shape}, "
-                              f"the scene {shape}")
+    _check_member_shapes(member_specs, spec.latent_shape)
     schedule = NoiseSchedule.default(
         n_steps=typed_field(sched_doc, "n_steps", int, 20, what),
         power=typed_field(sched_doc, "power", float, 2.0, what),

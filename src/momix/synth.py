@@ -118,6 +118,10 @@ class SceneSpec:
                     f"!= n_channels {self.n_channels}"
                 )
 
+    @property
+    def latent_shape(self) -> tuple[int, int, int, int]:
+        return (self.n_frames, self.n_channels, self.height, self.width)
+
 
 def _texture_waves(spec: SceneSpec) -> list[list[tuple[float, float, float, float]]]:
     """Per-channel wave parameters (freq_r, freq_c, phase, amplitude)."""
@@ -171,7 +175,7 @@ def render_scene(
     """
     waves = _texture_waves(spec)
     textures: dict[tuple[float, float], np.ndarray] = {}  # one per distinct drift
-    frames = np.zeros((spec.n_frames, spec.n_channels, spec.height, spec.width))
+    frames = np.zeros(spec.latent_shape)
     mask_data = {b.subject_id: np.zeros((spec.n_frames, spec.height, spec.width), bool)
                  for b in spec.blobs}
     for f in range(spec.n_frames):

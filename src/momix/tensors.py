@@ -212,21 +212,33 @@ def remove_file(path) -> None:
 
 
 def write_array(path, arr: np.ndarray) -> None:
-    """Write any float array as a CMT1 tensor file (stored as float32)."""
+    """Write any float array as a CMT1 tensor file (stored as float32).
+
+    The float32 payload is checked, so a finite value past float32's range,
+    which the cast turns into inf, raises NonFinite as well; nothing is
+    written then.
+    """
     arr = np.ascontiguousarray(arr)
     _check_dims(arr.shape)
-    if not np.all(np.isfinite(arr)):
-        raise NonFinite(f"refusing to write non-finite values to {path}")
-    payload = arr.astype("<f4", copy=False)
+    with np.errstate(over="ignore"):  # overflow shows as inf in the scan below
+        payload = arr.astype("<f4", copy=False)
+    if not np.all(np.isfinite(payload)):
+        raise NonFinite(f"refusing to write values that are not finite in float32 to {path}")
     header = TENSOR_MAGIC + struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape)
-    atomic_write(path, header, payload.tobytes(order="C"))
+    atomic_write(path, header, payload)
 
 
-def read_array(path) -> np.ndarray:
-    """Read a CMT1 tensor file into a float32 array of the encoded shape."""
+def read_array(path, out: np.ndarray | None = None) -> np.ndarray:
+    """Read a CMT1 tensor file into a float32 array of the encoded shape.
+
+    With ``out``, an array of the encoded shape, the values are cast into it
+    instead and ``out`` is returned; dims that differ raise DimMismatch.
+    """
     try:
         with open(path, "rb") as fh:
             dims = _read_header(fh, TENSOR_MAGIC, path)
+            if out is not None and dims != out.shape:
+                raise DimMismatch(f"{path}: dims {dims}, expected {out.shape}")
             payload = fh.read()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
@@ -236,7 +248,10 @@ def read_array(path) -> np.ndarray:
     arr = np.frombuffer(payload, dtype="<f4").reshape(dims)
     if not np.all(np.isfinite(arr)):
         raise NonFinite(f"{path}: payload contains NaN or Inf")
-    return arr.copy()
+    if out is None:
+        return arr.copy()
+    out[...] = arr
+    return out
 
 
 def save_tensor(t: LatentVideo, path) -> None:
@@ -400,6 +415,10 @@ class SceneManifest:
     root: Path = Path(".")
 
     @property
+    def latent_shape(self) -> tuple[int, int, int, int]:
+        return (self.frames, self.channels, self.height, self.width)
+
+    @property
     def subject_ids(self) -> list[str]:
         return list(self.masks.keys())
 
@@ -419,11 +438,10 @@ class SceneManifest:
 
     def verify(self) -> None:
         """Check that every referenced file exists with matching header dims."""
-        want_latent = (self.frames, self.channels, self.height, self.width)
         for t, rel in self.latents.items():
             dims = peek_dims(self.root / rel, TENSOR_MAGIC)
-            if tuple(dims) != want_latent:
-                raise DimMismatch(f"latent {rel} has dims {dims}, manifest says {want_latent}")
+            if dims != self.latent_shape:
+                raise DimMismatch(f"latent {rel} has dims {dims}, manifest says {self.latent_shape}")
         want_mask = (self.frames, self.height, self.width)
         for s, rel in self.masks.items():
             dims = peek_dims(self.root / rel, MASK_MAGIC)

@@ -132,6 +132,17 @@ def test_synth_rejects_mistyped_values(tmp_path, capsys, path, value, message):
     assert not (tmp_path / "out").exists()
 
 
+def test_synth_of_values_past_float32_writes_no_latents(tmp_path, capsys):
+    # used to exit 0 with the values stored as inf, which invert then refused
+    doc = scene_to_json(demo_scene())
+    doc["blobs"][0]["channel_signature"] = [1e39, 0.0, 0.0]
+    spec = tmp_path / "scene.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["synth", str(spec), str(tmp_path / "out")]) == 3
+    assert "not finite in float32" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "latents_t0.cmt").exists()
+
+
 def test_synth_deterministic(tmp_path):
     spec_path = tmp_path / "scene.json"
     save_scene(demo_scene(), spec_path)
@@ -1076,37 +1087,45 @@ def _wide_scene_latents(tmp_path, n=6):
 
 
 def test_invert_atlas_of_another_geometry_is_a_usage_error(scene_dir, tmp_path, capsys):
-    # used to end in an einsum ValueError traceback (exit 1) at the first step
-    traj = tmp_path / "traj"
-    rc = main(["invert", str(scene_dir / "manifest.json"), str(traj), "--steps", "2",
-               "--atlas", str(_wide_scene_latents(tmp_path))])
-    assert rc == 2
-    assert "atlas member 0 has shape (6, 3, 28, 28), the latents (6, 3, 24, 24)" in (
-        capsys.readouterr().err)
-    assert not traj.exists()
+    # used to end in an einsum ValueError traceback (exit 1) at the first step; every
+    # header is checked before the first member is loaded
+    good, wide = str(scene_dir / "latents_t0.cmt"), str(_wide_scene_latents(tmp_path))
+    for position, atlas in enumerate(([wide], [good, wide])):
+        traj = tmp_path / f"traj{position}"
+        rc = main(["invert", str(scene_dir / "manifest.json"), str(traj), "--steps", "2",
+                   "--atlas", *atlas])
+        assert rc == 2
+        assert (f"atlas member {position} has shape (6, 3, 28, 28), the latents (6, 3, 24, 24)"
+                in capsys.readouterr().err)
+        assert not traj.exists()
 
 
 def test_recompose_atlas_of_another_geometry_is_a_usage_error(pipeline_dirs, tmp_path, capsys):
     # used to end in an einsum ValueError traceback (exit 1) at the first step
     scene, traj, desc = pipeline_dirs
-    rc = main(["recompose", str(desc), str(traj), str(tmp_path / "r"),
-               "--atlas", str(_wide_scene_latents(tmp_path)), "--inner-steps", "1"])
-    assert rc == 2
-    assert "atlas member 0 has shape (6, 3, 28, 28)" in capsys.readouterr().err
-    assert not (tmp_path / "r").exists()
+    good, wide = str(scene / "latents_t0.cmt"), str(_wide_scene_latents(tmp_path))
+    for position, atlas in enumerate(([wide], [good, wide])):
+        out = tmp_path / f"r{position}"
+        rc = main(["recompose", str(desc), str(traj), str(out),
+                   "--atlas", *atlas, "--inner-steps", "1"])
+        assert rc == 2
+        assert f"atlas member {position} has shape (6, 3, 28, 28)" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_pipeline_atlas_of_another_geometry_is_a_usage_error(tmp_path, capsys):
     # used to end in a traceback (exit 1) after writing scene/ and atlas/
-    wide = dataclasses.replace(demo_scene(n=5), height=28, width=28)
-    cfg = dict(_pipeline_config(tmp_path), atlas_include_reference=False,
-               atlas_scenes=[scene_to_json(wide)])
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    assert main(["pipeline", str(cfg_path)]) == 2
-    assert "atlas_scenes[0] has latents (5, 3, 28, 28), the scene (5, 3, 24, 24)" in (
-        capsys.readouterr().err)
-    assert not Path(cfg["out_dir"]).exists()
+    good = scene_to_json(demo_scene(n=5))
+    wide = scene_to_json(dataclasses.replace(demo_scene(n=5), height=28, width=28))
+    for position, members in enumerate(([wide], [good, wide])):
+        cfg = dict(_pipeline_config(tmp_path, f"run{position}"), atlas_include_reference=False,
+                   atlas_scenes=members)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["pipeline", str(cfg_path)]) == 2
+        assert (f"atlas_scenes[{position}] has latents (5, 3, 28, 28), the scene (5, 3, 24, 24)"
+                in capsys.readouterr().err)
+        assert not Path(cfg["out_dir"]).exists()
 
 
 class _NanFrom:

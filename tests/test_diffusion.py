@@ -496,6 +496,59 @@ def test_certified_pruning_matches_the_oracle_for_any_call_sequence():
     assert den.certified_members > 0 and den.single_survivor_calls > 0
 
 
+def _clustered_atlas_with_signed_zeros():
+    """12 members: 0, 1 and 3 close together, every other one far away.
+
+    Cell 0 is -0.0 in every member; cell 1 is -0.0 in member 0 alone.
+    """
+    rng = np.random.default_rng(21)
+    base = rng.standard_normal(_SEPARATED_SHAPE)
+    atlas = [50.0 * rng.standard_normal(_SEPARATED_SHAPE) for _ in range(12)]
+    for k in (0, 1, 3):
+        atlas[k] = base + 0.01 * rng.standard_normal(_SEPARATED_SHAPE)
+    for k, member in enumerate(atlas):
+        member.reshape(-1)[0] = -0.0
+        if k == 0:
+            member.reshape(-1)[1] = -0.0
+    return base, [LatentVideo(m) for m in atlas]
+
+
+def test_the_one_pass_mean_has_the_bytes_of_the_per_member_sum():
+    base, atlas = _clustered_atlas_with_signed_zeros()
+    sched = NoiseSchedule.default(n_steps=20)
+    den = GaussianAtlasDenoiser(atlas, sched)
+    t = 6
+    z = np.sqrt(sched.alpha_bar[t]) * base
+    for _ in range(3):  # the first call reads every row; the later ones certify
+        w = _oracle_weights(den, z, t)
+        read = np.flatnonzero(w)
+        assert read.size >= 2 and np.any(w[read[0]:read[-1] + 1] == 0.0)
+        _, ((_, mean),) = den.posterior_mean(z, t)
+        want = _oracle_mean(den, w, z.shape)
+        assert mean.tobytes() == want.tobytes()
+        assert not mean.flags.writeable
+    assert not np.signbit(mean.reshape(-1)[0])  # sums start at +0, as before
+    # the counts the per-member sum gave on the same calls
+    assert (den.calls, den.certified_members, den.member_rows_read,
+            den.single_survivor_calls) == (3, 18, 20, 0)
+
+
+def test_a_lone_survivors_mean_is_its_own_member_row():
+    _, atlas = _clustered_atlas_with_signed_zeros()
+    sched = NoiseSchedule.default(n_steps=20)
+    den = GaussianAtlasDenoiser(atlas, sched)
+    t = 6
+    z = np.sqrt(sched.alpha_bar[t]) * atlas[5].data
+    for _ in range(2):  # the second call certifies every member but the nearest
+        _, ((_, mean),) = den.posterior_mean(z, t)
+    assert np.shares_memory(mean, den.members[5])
+    assert not mean.flags.writeable
+    assert mean.tobytes() == den.members[5].tobytes()  # its -0.0 included
+    assert np.array_equal(mean, _oracle_mean(den, _oracle_weights(den, z, t), z.shape))
+    assert (den.calls, den.certified_members, den.member_rows_read,
+            den.single_survivor_calls) == (2, 11, 12, 1)
+
+
 # A separated 12-member atlas of 100,820 cells, so that the Gram products the
 # certificate takes through BLAS split differently at 1 and 2 threads; the
 # probe prints the output digest and then the certified count.
@@ -547,6 +600,24 @@ def test_denoiser_validation():
     small = LatentVideo(np.zeros((2, 2, 4, 4)))
     with pytest.raises(DimMismatch):
         GaussianAtlasDenoiser([a, small], sched)
+    stack = np.stack([a.data, b.data])
+    with pytest.raises(BadValue):
+        GaussianAtlasDenoiser(stack[:0], sched)
+    for bad in (stack.astype(np.float32), stack[0], stack[:, :, :, ::2]):
+        with pytest.raises(DimMismatch, match="C-ordered float64"):
+            GaussianAtlasDenoiser(bad, sched)
+
+
+def test_a_stacked_atlas_is_kept_uncopied_and_denoises_like_the_list():
+    a, b = _atlas_pair()
+    sched = NoiseSchedule.default(n_steps=8)
+    stack = np.stack([a.data, b.data])
+    den = GaussianAtlasDenoiser(stack, sched)
+    assert den.members is stack and not stack.flags.writeable
+    listed = GaussianAtlasDenoiser([a, b], sched)
+    z = 0.5 * (a.data + b.data)
+    for t in range(sched.n_steps + 1):
+        _assert_same_form(den.predict_noise(z, t), listed.predict_noise(z, t))
 
 
 class _BlowUpDenoiser:

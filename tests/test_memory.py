@@ -4,6 +4,9 @@ tracemalloc sees numpy's buffers, so its peak over a stage counts the arrays
 the stage keeps alive at once. The budgets are in float64 latents of the
 scene; a stage that held the whole trajectory would need about n_steps + 1
 of them for inversion, and half that for extraction's float32 tensors.
+An atlas of K members costs K latents, its denoiser's stack, on top: a
+stage that held the members a second time, as a list beside the stack,
+would need about 2K.
 The finite-difference oracle's budget is in perturbation stacks of one
 (frame, channel) plane.
 """
@@ -14,15 +17,21 @@ import numpy as np
 import pytest
 
 from momix import pipeline as pl
+from momix.cli import main
 from momix.diffusion import GaussianAtlasDenoiser, NoiseSchedule, _ddim_step
 from momix.gradcheck import _CHUNK, finite_difference_gradient, random_case
-from momix.synth import BlobSpec, SceneSpec
+from momix.synth import BlobSpec, SceneSpec, scene_to_json
 from momix.tensors import LatentVideo, load_manifest
 
 N_STEPS = 30
 INVERT_BUDGET = 5  # measured 3.6: the step's two buffers plus z0 and the file write
 EXTRACT_BUDGET = 3  # measured 1.8
-TRACKING_BUFFERS = 3  # above the pruning gate: the last latents, the mean and its scratch row
+TRACKING_BUFFERS = 2  # above the pruning gate: a copy of the last latents and the summed mean
+ATLAS_BUDGET = 3  # measured 2.35 beside the stack: one render and its working arrays
+# measured 8.2 beside a 12-member stack, in recompose: the tracking rows, the
+# sampler's three buffers, the initial noise and the guidance problem
+PIPELINE_BUDGET = 9
+ATLAS_VARIANTS = 12  # members rendered besides the scene's own, past the pruning gate
 
 
 def _peak(fn, *args, **kwargs) -> int:
@@ -34,20 +43,28 @@ def _peak(fn, *args, **kwargs) -> int:
         tracemalloc.stop()
 
 
-@pytest.fixture()
-def scene(tmp_path):
+def _spec(texture_seed=7):
     n = 6
-    spec = SceneSpec(
+    return SceneSpec(
         n_frames=n, n_channels=3, height=64, width=64,
         blobs=(
             BlobSpec("A", tuple((20.0, 10.0 + 6.0 * f) for f in range(n)), 5.0, (0, 2.5, 0)),
             BlobSpec("B", tuple((44.0, 54.0 - 6.0 * f) for f in range(n)), 5.0, (0, 0, 2.5)),
         ),
-        texture_seed=7, texture_amplitude=0.8,
+        texture_seed=texture_seed, texture_amplitude=0.8,
     )
+
+
+def _variants(k):
+    return [_spec(texture_seed=100 + s) for s in range(k)]
+
+
+@pytest.fixture()
+def scene(tmp_path):
+    spec = _spec()
     pl.run_synth(spec, tmp_path / "scene")
     manifest = load_manifest(tmp_path / "scene" / "manifest.json")
-    latent_bytes = 8 * n * 3 * 64 * 64
+    latent_bytes = 8 * int(np.prod(spec.latent_shape))
     return manifest, latent_bytes
 
 
@@ -81,6 +98,42 @@ def test_invert_peak_above_the_pruning_gate(scene, tmp_path):
     peak = _peak(pl.run_invert, manifest, schedule, denoiser, tmp_path / "traj")
     assert denoiser.certified_members > 0
     assert peak < (INVERT_BUDGET + TRACKING_BUFFERS) * latent_bytes, peak / latent_bytes
+
+
+def test_atlas_holds_one_copy_of_its_members(scene, tmp_path):
+    manifest, latent_bytes = scene
+    schedule = NoiseSchedule.default(n_steps=N_STEPS)
+    peak = _peak(pl.run_atlas, manifest, _variants(ATLAS_VARIANTS), schedule, tmp_path / "atlas")
+    k = ATLAS_VARIANTS + 1
+    assert peak < (k + ATLAS_BUDGET) * latent_bytes, peak / latent_bytes
+
+
+def test_invert_with_atlas_files_holds_one_copy_of_them(scene, tmp_path):
+    manifest, latent_bytes = scene
+    schedule = NoiseSchedule.default(n_steps=N_STEPS)
+    pl.run_atlas(manifest, _variants(ATLAS_VARIANTS), schedule, tmp_path / "atlas")
+    paths = sorted(str(p) for p in (tmp_path / "atlas").glob("member*.cmt"))
+    argv = ["invert", str(manifest.root / "manifest.json"), str(tmp_path / "traj"),
+            "--steps", str(N_STEPS), "--atlas", *paths]
+    peak = _peak(main, argv)
+    assert len(paths) > 10
+    budget = len(paths) + INVERT_BUDGET + TRACKING_BUFFERS
+    assert peak < budget * latent_bytes, peak / latent_bytes
+
+
+def test_pipeline_peak_above_the_pruning_gate(tmp_path):
+    spec = _spec()
+    config = {
+        "scene": scene_to_json(spec),
+        "atlas_scenes": [scene_to_json(v) for v in _variants(ATLAS_VARIANTS - 1)],
+        "schedule": {"n_steps": N_STEPS},
+        "guidance": {"n_inner_steps": 2, "t_end": 1},
+        "init": "fresh",
+        "seed": 3,
+    }
+    peak = _peak(pl.run_pipeline, config, tmp_path / "run")
+    latent_bytes = 8 * int(np.prod(spec.latent_shape))
+    assert peak < (ATLAS_VARIANTS + PIPELINE_BUDGET) * latent_bytes, peak / latent_bytes
 
 
 def test_ddim_step_allocates_two_latent_buffers_below_the_gate(scene):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momix import tensors
 from momix.errors import BadMagic, BadValue, DimMismatch, IoFailure, NonFinite
 from momix.synth import write_frame_images
 from momix.tensors import (
@@ -17,6 +18,7 @@ from momix.tensors import (
     load_manifest,
     load_mask,
     load_tensor,
+    read_array,
     save_manifest,
     save_mask,
     save_tensor,
@@ -104,6 +106,44 @@ def test_save_twice_identical(tmp_path):
     save_tensor(lv, p1)
     save_tensor(lv, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf, 1e39, -3.5e38],
+                         ids=["nan", "inf", "past-float32", "past-float32-negative"])
+def test_write_array_refuses_what_float32_cannot_hold(tmp_path, monkeypatch, value):
+    # a finite value past float32's range used to be written as inf
+    data = np.zeros((2, 3))
+    data[1, 2] = value
+
+    def refuse(*args):
+        raise AssertionError("atomic_write reached")
+
+    monkeypatch.setattr(tensors, "atomic_write", refuse)
+    with pytest.raises(NonFinite, match="not finite in float32"):
+        write_array(tmp_path / "a.cmt", data)
+    assert os.listdir(tmp_path) == []
+
+
+def test_write_array_round_trips_float32_extremes_and_strided_input(tmp_path):
+    big = float(np.finfo(np.float32).max)
+    data = np.array([[big, -big, 1e-45], [-0.0, 0.5, 3.0]]).T  # not C-ordered
+    path = tmp_path / "a.cmt"
+    write_array(path, data)
+    header = b"CMT1" + struct.pack("<I2I", 2, 3, 2)
+    assert path.read_bytes() == header + np.ascontiguousarray(data, dtype="<f4").tobytes()
+    assert read_array(path).tobytes() == data.astype(np.float32).tobytes()
+
+
+def test_read_array_into_a_float64_row(tmp_path):
+    data = np.linspace(-1.0, 1.0, 24).reshape(2, 3, 4)
+    path = tmp_path / "a.cmt"
+    write_array(path, data)
+    stack = np.zeros((2, 2, 3, 4))
+    read_array(path, out=stack[1])
+    assert stack[1].tobytes() == data.astype(np.float32).astype(np.float64).tobytes()
+    assert not stack[0].any()
+    with pytest.raises(DimMismatch, match=r"dims \(2, 3, 4\), expected \(3, 2, 4\)"):
+        read_array(path, out=np.zeros((3, 2, 4)))
 
 
 def test_header_payload_mismatch(tmp_path):
