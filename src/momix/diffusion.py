@@ -107,8 +107,9 @@ _UNIT_ROUNDOFF = 2.0**-53
 # exp(x) underflows to exactly 0 below x = -745.13; a member whose log-weight is
 # certified to lie this far below another's has weight 0 whether it is read or not
 _CERTIFY_GAP = 800.0
-# latent-sized passes the certificate adds to a call (see GaussianAtlasDenoiser)
-_TRACKING_PASSES = 10
+# with more members than this, the noise form's one term is the weighted mean;
+# with this many or fewer, its terms are the members of non-zero weight
+_MAX_MEMBER_TERMS = 10
 
 
 def _gamma(n: int) -> float:
@@ -117,120 +118,72 @@ def _gamma(n: int) -> float:
     return nu / (1.0 - nu)
 
 
-def _residual_bound(zz: float, g: tuple, gs: tuple, a: float, b: float, gam: float) -> float:
-    """An upper bound on ||z - a z_p - b m_p|| from the computed Gram of (z, z_p, m_p).
+class _CarriedBounds:
+    """One run's bounds on the inner products <m_k, z> of its latents z.
 
-    ``zz`` is <z, z>, ``g`` holds <z_p, z> and <m_p, z>, and ``gs`` holds
-    <z_p, z_p>, <z_p, m_p> and <m_p, m_p>. Each computed entry <x, y> errs by
-    at most (gam / 2) ||x|| ||y||, so the quadratic form errs by at most that
-    times (||z|| + |a| ||z_p|| + |b| ||m_p||)^2; the last term covers its own
-    rounding.
-    """
-    terms = (zz, -2.0 * a * g[0], -2.0 * b * g[1],
-             a * a * gs[0], 2.0 * a * b * gs[1], b * b * gs[2])
-    spread = math.sqrt(zz) + abs(a) * math.sqrt(gs[0]) + abs(b) * math.sqrt(gs[2])
-    r2 = sum(terms) + gam * spread * spread + 16 * _UNIT_ROUNDOFF * sum(map(abs, terms))
-    return math.sqrt(max(r2, 0.0)) * (1.0 + 4 * _UNIT_ROUNDOFF)
-
-
-def _coefficients(g: tuple, gs: tuple):
-    """Candidate (a, b) for z ~ a z_p + b m_p: each alone, then both by least squares.
-
-    Any pair is sound; the smallest residual bound wins. During inversion z_p
-    and m_p are often parallel, and the 2x2 system is then singular.
-    """
-    yield 0.0, 0.0
-    if gs[0] > 0:
-        yield g[0] / gs[0], 0.0
-    if gs[2] > 0:
-        yield 0.0, g[1] / gs[2]
-    det = gs[0] * gs[2] - gs[1] * gs[1]
-    if det > 1e-12 * gs[0] * gs[2]:
-        yield (g[0] * gs[2] - g[1] * gs[1]) / det, (gs[0] * g[1] - gs[1] * g[0]) / det
-
-
-class _MemberBounds:
-    """Intervals on the inner products <m_k, z>, carried from one call to the next.
-
-    After a call the state is a copy of the latents z_p it was given, the
-    weighted mean m_p it returned (the buffer's other row, or a lone
-    survivor's own member row), the weights w_p, and an interval on each
-    <m_k, z_p>. For the next z and any scalars a, b, with r = z - a z_p - b m_p,
-
-        <m_k, z> = a <m_k, z_p> + b <m_k, m_p> + <m_k, r>,
-
-    where <m_k, m_p> lies within ||m_k|| beta of (G w_p)_k for the atlas Gram
-    G, and |<m_k, r>| <= ||m_k|| ||r||. A DDIM step makes z from z_p and m_p
-    alone, so ||r|| is rounding-sized and the intervals stay tight; for any
-    other z they are only wider. A float sum of n products errs by at most
-    gamma_n times the product of the norms in any summation order, so the
-    Gram products may go through BLAS: they only bound, and are never outputs.
+    ``est`` holds K estimates with |est_k - <m_k, z>| <= ``err`` ||m_k||, and
+    ``znorm`` >= ||z||; ``est`` is None until a call has read every row. The
+    denoiser records each term of its form as v_j = sum_l x_jl m_l in
+    ``coords`` (a unit row for a member, the weights for their mean), so a
+    DDIM step z' = alpha z + sum_j beta_j v_j gives <m_k, z'> = alpha <m_k, z>
+    + (G y)_k + <m_k, r>, with y = sum_j beta_j x_j, the atlas Gram G, and r
+    the rounding of the step and of the mean. By Cauchy-Schwarz each gamma_n
+    allowance (of G, y, G y and r) is a multiple of ||m_k||, so one scalar
+    carries them all; the constants cover them twice over. The bounds only
+    choose the rows a call skips, and the rows read are read as in a full read.
     """
 
-    def __init__(self, flat: np.ndarray, sq_norms: np.ndarray):
-        k, n = flat.shape
-        self._flat = flat
-        self._sq_norms = sq_norms
-        self._gam = 2.0 * _gamma(n)  # one dot product, with norms from computed squares
-        self._gam_mean = 2.0 * _gamma(n + 3 * k)  # the weighted mean, G and G @ w
-        self._norms = np.sqrt(sq_norms * (1.0 + self._gam))  # upper bounds on ||m_k||
-        self._state = None  # rows for z_p and the summed mean, allocated at the first call
-        self._valid = False
+    def __init__(self, denoiser: GaussianAtlasDenoiser):
+        self.den, self.est, self.coords = denoiser, None, None
 
-    def live(self, zf: np.ndarray, c: float, ab: float, var: float) -> np.ndarray:
-        """Which members' weights may be non-zero at this call, as a bool vector.
+    def live(self, c: float, ab: float, var: float) -> np.ndarray:
+        """The members whose weight may be non-zero, in member order; without finite bounds, all.
 
         Every other member's log-weight, as the full formula computes it from
         a computed <m_k, z>, lies more than ``_CERTIFY_GAP`` below the largest.
-        The state is spent: ``record`` must follow before the next call.
         """
-        valid, self._valid = self._valid, False
-        zf = np.asarray(zf, dtype=np.float64)
-        k = self._norms.size
-        with np.errstate(all="ignore"):  # a non-finite z only makes the bounds vacuous
-            zz = self._zz = float(np.dot(zf, zf))
-            self._znorm = float(np.sqrt(zz * (1.0 + self._gam)))
-            if not valid:
-                if self._state is None:
-                    self._state = np.empty((2, zf.size))
-                    self._gram = self._flat @ self._flat.T
-                self._mid, self._rad = np.zeros(k), np.full(k, np.inf)
-                return np.ones(k, dtype=bool)
-            g = (float(np.dot(self._state[0], zf)), float(np.dot(self._mp, zf)))
-            r_up, a, b = min(
-                (_residual_bound(zz, g, self._gs, a, b, self._gam), a, b)
-                for a, b in _coefficients(g, self._gs)
-            )
-            step = a * self._mid
-            self._mid = step + b * self._gw
-            rad = abs(a) * self._rad + self._norms * (abs(b) * self._beta + r_up)
-            self._rad = rad + 8 * _UNIT_ROUNDOFF * (np.abs(step) + np.abs(b * self._gw) + rad)
-            # log-weight (2c <m_k, z> - ab ||m_k||^2) / (2 var), for any computed <m_k, z>
-            err = self._rad + self._gam * self._norms * self._znorm
-            size = ab * self._sq_norms + 2.0 * c * (np.abs(self._mid) + err)
-            center = (2.0 * c * self._mid - ab * self._sq_norms) / (2.0 * var)
-            half = c * err / var + 16 * _UNIT_ROUNDOFF * size / (2.0 * var)
-            best = float(np.max(center - half))
-            return ~(center + half < best - _CERTIFY_GAP - 4 * _UNIT_ROUNDOFF * abs(best))
-
-    def mean_buffer(self) -> np.ndarray:
-        """The row to sum this call's weighted mean into; ``record`` then keeps it as m_p."""
-        return self._state[1]
-
-    def record(self, zf: np.ndarray, first: int, ip: np.ndarray | None, w: np.ndarray,
-               mean: np.ndarray) -> None:
-        """Keep z, the weights, the mean, and the inner products read for rows ``first`` on."""
+        den, every = self.den, np.arange(len(self.den.members))
+        if self.est is None:
+            return every
         with np.errstate(all="ignore"):
-            if ip is not None:
-                rows = slice(first, first + ip.size)
-                self._mid[rows] = ip
-                self._rad[rows] = self._gam * self._norms[rows] * self._znorm
-            self._gw = self._gram @ w
-            self._beta = self._gam_mean * float(w @ self._norms)
-            zp, self._mp = self._state[0], mean
-            np.copyto(zp, zf)
-            self._gs = (self._zz, float(np.dot(zp, mean)), float(np.dot(mean, mean)))
-        self._valid = True
+            rad = den._norms * (self.err + den._gam * self.znorm)  # |computed <m_k, z> - est_k|
+            size = ab * den._sq_norms + 2.0 * c * (np.abs(self.est) + rad)
+            center = (2.0 * c * self.est - ab * den._sq_norms) / (2.0 * var)
+            half = c * rad / var + 16 * _UNIT_ROUNDOFF * size / (2.0 * var)
+            upper, best = center + half, float(np.max(center - half))
+        if not (np.isfinite(best) and np.all(np.isfinite(upper))):
+            return every
+        return np.flatnonzero(upper >= best - _CERTIFY_GAP - 4 * _UNIT_ROUNDOFF * abs(best))
+
+    def record(self, zf: np.ndarray, ip: np.ndarray | None, coords: np.ndarray) -> None:
+        """After a call: a full read's products become the estimates; keep the terms' coordinates."""
+        if self.est is None:
+            with np.errstate(all="ignore"):  # an overflowing norm only makes the bounds vacuous
+                zz = float(np.einsum("n,n->", zf, zf))
+                self.znorm = math.sqrt(zz * (1.0 + self.den._gam))
+            self.est, self.err = ip, self.den._gam * self.znorm
+        self.coords = coords
+
+    def advance(self, coefs: Sequence[float]) -> None:
+        """Carry the bounds to the latents alpha z + sum_j beta_j v_j that ``coefs`` made."""
+        if self.est is None:
+            return
+        den, alpha, betas = self.den, abs(coefs[0]), np.array(coefs[1:], dtype=np.float64)
+        coords = self.coords if betas.size else np.zeros((0, len(den.members)))
+        gam = _gamma((coords.shape[0] + 1) * (coords.shape[1] + 1) + 4)  # covers spread's sum
+        with np.errstate(all="ignore"):
+            # bounds sum_l |y_l| ||m_l|| and sum_j |beta_j| ||v_j||, up to the mean's rounding
+            spread = float(np.einsum("j,jl,l->", np.abs(betas), coords, den._norms))
+            y = np.einsum("j,jl->l", betas, coords)
+            self.est = coefs[0] * self.est + np.einsum("kl,l->k", den._gram, y)
+            self.err = (alpha * self.err + (den._gam + 8 * gam) * spread
+                        + 2 * gam * alpha * (self.znorm + self.err)) * (1.0 + 16 * _UNIT_ROUNDOFF)
+            self.znorm = (alpha * self.znorm + spread) * (1.0 + 8 * gam)
+
+
+def _carried_bounds(denoiser: Denoiser) -> _CarriedBounds | None:
+    """Fresh bounds for one run over the atlas denoiser; a custom denoiser takes none."""
+    return _CarriedBounds(denoiser) if isinstance(denoiser, GaussianAtlasDenoiser) else None
 
 
 class GaussianAtlasDenoiser:
@@ -247,31 +200,26 @@ class GaussianAtlasDenoiser:
     ``atlas`` is a list of latent videos, stacked here, or a float64
     (K, F, C, H, W) stack of finite members, which is kept as it is (read-only
     from then on); that lets a caller fill the stack one member at a time and
-    never hold a second copy. The squared norms are taken once. A call reads
-    members for the inner products <m_k, z>, which give the weights, with a
-    fixed-order einsum outside BLAS: OpenBLAS gemv splits its sums
-    differently per thread count, so a matmul's bytes would depend on it.
-    Below the pruning gate the form's terms are the members of non-zero
-    weight, in member order, as read-only views of ``members``: a call
-    allocates nothing latent-sized.
+    never hold a second copy. The squared norms and the Gram are taken once,
+    and a call reads members for the inner products <m_k, z>, which give the
+    weights. Every product is a fixed-order einsum, never BLAS: OpenBLAS
+    splits its sums differently per thread count. With at most ten members
+    (``_MAX_MEMBER_TERMS``) the form's terms are the members of non-zero
+    weight, in member order, as read-only views of ``members``. With more,
+    the one term is the weighted mean m, read-only, summed by one einsum over
+    the rows read into a row allocated at the first such call, with the bytes
+    of a member-order multiply-and-add of the non-zero weights.
 
-    Over many cells most weights underflow to exactly 0. With more than
-    ``_TRACKING_PASSES`` (ten) members, the denoiser carries an interval
-    on each <m_k, z> from one call to the next (``_MemberBounds``) and
-    certifies the members whose weight is 0 before reading them. A call then
-    reads, as one view, the rows from the first uncertified member to the
-    last; such a view of two rows or more gives the bytes of the full
-    product. A lone uncertified member is not read at all: its weight is
-    exp(0) / 1 = 1.0, as the full formula computes it. The softmax runs over
+    Over many cells most weights underflow to exactly 0. The samplers pass
+    both methods the bounds their run carries (``_bounds``), and a call skips
+    the members whose weight the bounds certify is 0. It reads, as one view,
+    the rows from the first uncertified member to the last; a view of two
+    rows or more gives the bytes of the full product. A lone uncertified
+    member is not read at all: its weight is exp(0) / 1 = 1.0, as the full
+    formula computes it, and m is its own member row. The softmax runs over
     all K log-weights, with -inf at the members not read, so every weight's
-    byte is the same as with every member read. The certificate costs ten
-    latent-sized passes a call, five dot products (through BLAS, as they only
-    bound) and one copy. It needs the weighted mean m_p, so above the gate
-    the form's one term is m_p, read-only: one fixed-order einsum over the
-    rows read sums it into the tracking state (two latent-sized rows
-    allocated at the first call, the other a copy of z), with the bytes of a
-    member-order multiply-and-add of the non-zero weights. A lone survivor's
-    weight is 1.0, so its m_p is its own member row, with no pass at all.
+    byte is the same as with every member read. Without bounds a call reads
+    every row.
 
     ``calls``, ``certified_members``, ``member_rows_read`` (rows read for
     inner products) and ``single_survivor_calls`` count what the calls did.
@@ -300,13 +248,18 @@ class GaussianAtlasDenoiser:
         self.members.setflags(write=False)
         self._flat = self.members.reshape(len(atlas), -1)
         self._sq_norms = np.einsum("kn,kn->k", self._flat, self._flat)
+        # for the carried bounds: one product's allowance, with norms from computed
+        # squares, upper bounds on ||m_k||, and the Gram
+        self._gam = 2.0 * _gamma(self._flat.shape[1])
+        self._norms = np.sqrt(self._sq_norms * (1.0 + self._gam))
+        self._gram = np.einsum("kn,ln->kl", self._flat, self._flat)
+        self._mean = None  # the weighted mean's row, above _MAX_MEMBER_TERMS members
         self.schedule = schedule
         self.bandwidth = float(bandwidth)
-        self._bounds = (_MemberBounds(self._flat, self._sq_norms)
-                        if len(atlas) > _TRACKING_PASSES else None)
         self.calls = self.certified_members = self.member_rows_read = self.single_survivor_calls = 0
 
-    def posterior_mean(self, z: np.ndarray, t: int) -> AffineForm:
+    def posterior_mean(self, z: np.ndarray, t: int, *,
+                       _bounds: _CarriedBounds | None = None) -> AffineForm:
         if z.shape != self.members.shape[1:]:
             raise DimMismatch(f"latents {z.shape} do not match atlas members "
                               f"{self.members.shape[1:]}")
@@ -315,17 +268,16 @@ class GaussianAtlasDenoiser:
         var = ab * self.bandwidth**2 + (1.0 - ab)
         zf = z.reshape(-1)
         n_members = len(self._flat)
-        first, last = 0, n_members
         self.calls += 1
-        if self._bounds is not None:
-            live = np.flatnonzero(self._bounds.live(zf, c, ab, var))
-            first, last = int(live[0]), int(live[-1]) + 1
-            self.certified_members += n_members - live.size
+        skipping = _bounds is not None and _bounds.est is not None
+        live = np.arange(n_members) if _bounds is None else _bounds.live(c, ab, var)
+        first, last = int(live[0]), int(live[-1]) + 1
+        self.certified_members += n_members - live.size
         # Members outside rows first:last are certified: their weight underflows to
         # exactly 0 either way, so they take log-weight -inf unread.
         logw = np.full(n_members, -np.inf)
         ip = None
-        if self._bounds is not None and last - first == 1:
+        if skipping and last - first == 1:
             logw[first] = 0.0  # the lone survivor's weight exp(0) / 1 needs no product
             self.single_survivor_calls += 1
         else:
@@ -341,28 +293,37 @@ class GaussianAtlasDenoiser:
         # mean + shrink * (z - c * mean) = shrink * z + (1 - c * shrink) * mean
         shrink = c * self.bandwidth**2 / var
         keep = 1.0 - c * shrink
-        # over many cells exp underflows to exactly 0 for all but the nearest members
-        if self._bounds is None:
-            return shrink, tuple((keep * w[k], self.members[k]) for k in np.flatnonzero(w))
-        if ip is None:
-            mean = self._flat[first]
+        if n_members <= _MAX_MEMBER_TERMS:
+            # over many cells exp underflows to exactly 0 for all but the nearest members
+            kept = np.flatnonzero(w)
+            form = shrink, tuple((keep * w[k], self.members[k]) for k in kept)
+            coords = np.eye(n_members)[kept]
         else:
-            # a row of weight 0 adds +-0 to sums that start at +0, which leaves their
-            # bytes those of summing only the non-zero terms, in member order
-            mean = np.einsum("k,kn->n", w[first:last], self._flat[first:last],
-                             out=self._bounds.mean_buffer())
-        self._bounds.record(zf, first, ip, w, mean)
-        mean = mean.reshape(z.shape)
-        mean.setflags(write=False)
-        return shrink, ((keep, mean),)
+            if ip is None:
+                mean = self._flat[first]
+            else:
+                if self._mean is None:
+                    self._mean = np.empty(self._flat.shape[1])
+                # a row of weight 0 adds +-0 to sums that start at +0, which leaves their
+                # bytes those of summing only the non-zero terms, in member order
+                mean = np.einsum("k,kn->n", w[first:last], self._flat[first:last],
+                                 out=self._mean)
+            mean = mean.reshape(z.shape)
+            mean.setflags(write=False)
+            form = shrink, ((keep, mean),)
+            coords = w[None]
+        if _bounds is not None:
+            _bounds.record(zf, ip, coords)
+        return form
 
-    def predict_noise(self, z: np.ndarray, t: int) -> AffineForm:
+    def predict_noise(self, z: np.ndarray, t: int, *,
+                      _bounds: _CarriedBounds | None = None) -> AffineForm:
         ab = float(self.schedule.alpha_bar[t])
         rem = 1.0 - ab
         if rem <= 1e-12:
             return 0.0, ()
         # (z - sqrt(ab) * x_hat) / sqrt(rem), with x_hat = s z + sum c_k v_k
-        s, terms = self.posterior_mean(z, t)
+        s, terms = self.posterior_mean(z, t, _bounds=_bounds)
         c, root = np.sqrt(ab), np.sqrt(rem)
         return (1.0 - c * s) / root, tuple((-c * ck / root, v) for ck, v in terms)
 
@@ -370,6 +331,7 @@ class GaussianAtlasDenoiser:
 def _ddim_step(
     denoiser: Denoiser, z: np.ndarray, ab: np.ndarray, t: int, t_next: int,
     out: np.ndarray | None = None, scratch: np.ndarray | None = None,
+    bounds: _CarriedBounds | None = None,
 ) -> np.ndarray:
     """One deterministic DDIM move of the latents from timestep t to t_next, either way.
 
@@ -379,8 +341,10 @@ def _ddim_step(
     summed in term order with fixed-order ufuncs into ``out`` through
     ``scratch``: float64 buffers of z's shape, allocated when not given. They
     must alias neither ``z`` nor the denoiser's arrays, which are only read.
+    The run's ``bounds`` for z go to the denoiser, then follow the step.
     """
-    a, terms = denoiser.predict_noise(z, t)
+    a, terms = (denoiser.predict_noise(z, t) if bounds is None
+                else denoiser.predict_noise(z, t, _bounds=bounds))
     scale = np.sqrt(ab[t_next]) / np.sqrt(ab[t])
     mix = np.sqrt(1.0 - ab[t_next]) - scale * np.sqrt(1.0 - ab[t])
     coefs = [scale + mix * a] + [mix * ck for ck, _ in terms]
@@ -396,6 +360,8 @@ def _ddim_step(
         out += scratch
     if not np.all(np.isfinite(out)):
         raise NonFinite(f"DDIM step produced non-finite latents at t={t_next}")
+    if bounds is not None:
+        bounds.advance(coefs)
     return out
 
 
@@ -407,14 +373,15 @@ def ddim_invert_steps(
     Yields the float64 latents at t = 0..n_steps, each a read-only array of
     its own that ``_ddim_step`` has checked finite. The generator drops its
     reference once the next step is taken, so a consumer that writes each
-    latent out holds about one at a time.
+    latent out holds about one at a time. Each generator carries its own bounds.
     """
     z = z0.data.astype(np.float64, copy=True)
     z.setflags(write=False)
     yield z
     scratch = np.empty(z.shape)
+    bounds = _carried_bounds(denoiser)
     for t in range(schedule.n_steps):
-        z = _ddim_step(denoiser, z, schedule.alpha_bar, t, t + 1, scratch=scratch)
+        z = _ddim_step(denoiser, z, schedule.alpha_bar, t, t + 1, scratch=scratch, bounds=bounds)
         z.setflags(write=False)
         yield z
 
@@ -451,19 +418,24 @@ def ddim_sample(
     At each timestep that has a guidance target, the latents are corrected
     with the motion-guidance update, checked finite, before the denoising
     step, so the denoiser itself stays untouched. Between steps the latents
-    are a plain float64 array; ``zT`` is only read.
+    are a plain float64 array; ``zT`` is only read. A guided update drops the
+    run's bounds, so the next call reads every row.
     """
     z = np.array(zT.data, dtype=np.float64, order="C")
     spare, scratch = np.empty(z.shape), np.empty(z.shape)  # z and spare swap at each step
     targets = guidance.targets if guidance is not None else {}
+    bounds = None
     for t in range(schedule.n_steps, 0, -1):
         if t in targets:
+            bounds = None
             z, losses = guided_update(z, targets[t], guidance.config)
             for k, value in enumerate(losses):
                 guidance.trace.append({"timestep": t, "inner_step": k, "loss": value})
             if not np.all(np.isfinite(z)):
                 raise NonFinite(f"guidance produced non-finite latents at t={t}")
-        spare, z = z, _ddim_step(denoiser, z, schedule.alpha_bar, t, t - 1, spare, scratch)
+        if bounds is None and t > 1 and t - 1 not in targets:  # else they would go unused
+            bounds = _carried_bounds(denoiser)
+        spare, z = z, _ddim_step(denoiser, z, schedule.alpha_bar, t, t - 1, spare, scratch, bounds)
     return LatentVideo(z)
 
 

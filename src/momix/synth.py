@@ -38,6 +38,8 @@ from .tensors import (
 log = logging.getLogger(__name__)
 
 _N_WAVES = 3
+# the latents are stored as float32: a larger value could only be written as inf
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,9 @@ class SceneSpec:
             )
         if self.texture_seed < 0:
             raise BadValue(f"texture_seed must be >= 0, got {self.texture_seed}")
+        # the texture's waves sum to at most the amplitude in magnitude
+        if not abs(self.texture_amplitude) <= _FLOAT32_MAX:
+            raise BadValue(f"texture_amplitude {self.texture_amplitude} is past float32's range")
         lo, hi = self.texture_wavelengths
         if not 0 < lo <= hi:
             raise BadValue(f"need 0 < texture wavelengths lo <= hi, got {self.texture_wavelengths}")
@@ -117,6 +122,9 @@ class SceneSpec:
                     f"blob {b.subject_id!r} signature length {len(b.channel_signature)} "
                     f"!= n_channels {self.n_channels}"
                 )
+            if not all(abs(v) <= _FLOAT32_MAX for v in b.channel_signature):
+                raise BadValue(f"blob {b.subject_id!r} signature {b.channel_signature} "
+                               f"is past float32's range")
 
     @property
     def latent_shape(self) -> tuple[int, int, int, int]:

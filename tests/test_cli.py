@@ -132,15 +132,36 @@ def test_synth_rejects_mistyped_values(tmp_path, capsys, path, value, message):
     assert not (tmp_path / "out").exists()
 
 
+def _past_float32(doc, key):
+    """A scene document with a signature value, or the texture amplitude, of 1e39."""
+    if key == "channel_signature":
+        doc["blobs"][0]["channel_signature"] = [1e39, 0.0, 0.0]
+    else:
+        doc["texture_amplitude"] = -1e39
+    return doc
+
+
 def test_synth_of_values_past_float32_writes_no_latents(tmp_path, capsys):
-    # used to exit 0 with the values stored as inf, which invert then refused
-    doc = scene_to_json(demo_scene())
-    doc["blobs"][0]["channel_signature"] = [1e39, 0.0, 0.0]
-    spec = tmp_path / "scene.json"
-    spec.write_text(json.dumps(doc))
-    assert main(["synth", str(spec), str(tmp_path / "out")]) == 3
-    assert "not finite in float32" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "latents_t0.cmt").exists()
+    # used to exit 0 with the values stored as inf, which invert then refused,
+    # and then to exit 3 with an empty output directory
+    for key in ("channel_signature", "texture_amplitude"):
+        spec = tmp_path / "scene.json"
+        spec.write_text(json.dumps(_past_float32(scene_to_json(demo_scene()), key)))
+        assert main(["synth", str(spec), str(tmp_path / "out")]) == 2
+        assert "past float32's range" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_pipeline_atlas_scene_past_float32_writes_nothing(tmp_path, capsys):
+    # used to exit 3 after writing scene/ and part of atlas/
+    for key in ("channel_signature", "texture_amplitude"):
+        cfg = dict(_pipeline_config(tmp_path, f"run-{key}"), atlas_scenes=[
+            scene_to_json(demo_scene(n=5)), _past_float32(scene_to_json(demo_scene(n=5)), key)])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["pipeline", str(cfg_path)]) == 2
+        assert "past float32's range" in capsys.readouterr().err
+        assert not Path(cfg["out_dir"]).exists()
 
 
 def test_synth_deterministic(tmp_path):

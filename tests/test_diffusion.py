@@ -14,7 +14,7 @@ from momix.diffusion import (
     NoiseSchedule,
     SamplingGuidance,
     ZeroDenoiser,
-    _TRACKING_PASSES,
+    _MAX_MEMBER_TERMS,
     _ddim_step,
     ddim_invert,
     ddim_invert_steps,
@@ -206,8 +206,8 @@ def _multipass_ddim_step(eps, z, ab, t, t_next):
 def _oracle_mean_form(den, z, t):
     """The posterior mean's affine form s z + (1 - c s) sum w_k m_k, with temporaries.
 
-    Below the pruning gate each member of non-zero weight is a term; above
-    it the weighted mean is the one term.
+    With at most ten members each member of non-zero weight is a term; with
+    more, the weighted mean is the one term.
     """
     ab = float(den.schedule.alpha_bar[t])
     c = np.sqrt(ab)
@@ -215,7 +215,7 @@ def _oracle_mean_form(den, z, t):
     w = _oracle_weights(den, z, t)
     shrink = c * den.bandwidth**2 / var
     keep = 1.0 - c * shrink
-    if len(den.members) <= _TRACKING_PASSES:
+    if len(den.members) <= _MAX_MEMBER_TERMS:
         return shrink, tuple((keep * w[k], den.members[k]) for k in np.flatnonzero(w))
     return shrink, ((keep, _oracle_mean(den, w, z.shape)),)
 
@@ -279,15 +279,17 @@ def test_in_place_arithmetic_matches_the_written_out_formulas_byte_for_byte():
 def _multipass_chain(den, z, ab, eps_of):
     """Inversion to the end, then sampling back: each affine step against the first formula.
 
-    Returns the largest difference of a step relative to the largest magnitude
-    the first formula gives.
+    The steps carry one run's bounds, as the samplers do. Returns the largest
+    difference of a step relative to the largest magnitude the first formula
+    gives.
     """
     n_steps = len(ab) - 1
     worst = 0.0
     moves = [(t, t + 1) for t in range(n_steps)] + [(t, t - 1) for t in range(n_steps, 0, -1)]
+    bounds = diffusion._carried_bounds(den)
     for t, t_next in moves:
         want = _multipass_ddim_step(eps_of(z, t), z, ab, t, t_next)
-        got = _ddim_step(den, z, ab, t, t_next)
+        got = _ddim_step(den, z, ab, t, t_next, bounds=bounds)
         worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
         z = got
     return worst
@@ -412,10 +414,11 @@ def test_predict_noise_bytes_do_not_depend_on_blas_threads():
     assert len(digests) == 1, digests
 
 
-# Certified pruning: above the gate the denoiser skips the members whose weight it
-# can certify is 0. These atlases draw members far apart over 18,432 cells, a size
-# at which a one-row einsum gives other bytes than the batched product, so a wrong
-# certificate or a wrongly read row shows up as an output byte.
+# Certified pruning: a run carries bounds on every <m_k, z> through its DDIM steps,
+# and the denoiser skips the members whose weight they certify is 0. These
+# atlases draw members far apart over 18,432 cells, a size at which a one-row
+# einsum gives other bytes than the batched product, so a wrong certificate or a
+# wrongly read row shows up as an output byte.
 _SEPARATED_SHAPE = (4, 2, 48, 48)
 
 
@@ -446,6 +449,11 @@ def test_certified_pruning_matches_the_oracle_through_inversion_and_sampling():
     assert den.member_rows_read < den.calls * len(atlas)
 
 
+def _still(bounds):
+    """Advance the bounds over a DDIM move from t to t: alpha = 1, and beta = 0 for the one term."""
+    bounds.advance([1.0, 0.0])
+
+
 @pytest.mark.parametrize("gap, certified", [(-700.5, False), (-745.2, False), (-790.0, False),
                                             (-900.0, True)])
 def test_a_member_near_the_underflow_boundary_is_read(gap, certified):
@@ -464,9 +472,13 @@ def test_a_member_near_the_underflow_boundary_is_read(gap, certified):
     z = np.sqrt(ab) * m0
     d2 = [np.sum((z - np.sqrt(ab) * m.data) ** 2) for m in atlas[:2]]
     assert abs((d2[0] - d2[1]) / (2.0 * var) - gap) < 1e-6
-    for _ in range(2):
-        _assert_same_form(den.posterior_mean(z, t), _oracle_mean_form(den, z, t))
-    # the second call repeats the first z, so every far member is certified
+    # the first call reads every row; a DDIM move from t to t leaves z as it is
+    bounds = diffusion._carried_bounds(den)
+    moved = _ddim_step(den, z, sched.alpha_bar, t, t, bounds=bounds)
+    assert moved.tobytes() == _oracle_ddim_step(den, z, sched.alpha_bar, t, t).tobytes()
+    assert moved.tobytes() == z.tobytes()
+    _assert_same_form(den.posterior_mean(moved, t, _bounds=bounds), _oracle_mean_form(den, z, t))
+    # so at the second call every far member is certified
     assert den.certified_members == len(atlas) - 1 - (not certified)
     assert den.single_survivor_calls == int(certified)
 
@@ -474,26 +486,129 @@ def test_a_member_near_the_underflow_boundary_is_read(gap, certified):
 def test_certified_pruning_matches_the_oracle_for_any_call_sequence():
     atlas = _separated_atlas()
     sched = NoiseSchedule.default(n_steps=20)
+    ab = sched.alpha_bar
     den = GaussianAtlasDenoiser(atlas, sched)
     rng = np.random.default_rng(8)
 
     def check(z, t):
         _assert_same_form(den.posterior_mean(z, t), _oracle_mean_form(den, z, t))
 
-    # unrelated latents in turn, at unrelated timesteps
+    # direct calls carry nothing from one call to the next, so each reads every
+    # row: unrelated latents in turn, at unrelated timesteps
     for t in (3, 17, 1, 1, 9):
         check(rng.standard_normal(_SEPARATED_SHAPE), t)
         check(0.9 * atlas[2].data, t)
         check(atlas[5].data + 0.1 * rng.standard_normal(_SEPARATED_SHAPE), t)
-    # a caller that reuses one buffer and rewrites it in place after each call:
-    # a denoiser that kept the buffer, not a copy, would bound the new z with
-    # inner products of the old one
+    # and a caller that reuses one buffer and rewrites it in place after each call
     z = np.array(atlas[4].data)
     for t, nearest in ((2, 4), (2, 4), (2, 7), (5, 7), (5, 3), (1, 3)):
         z[...] = atlas[nearest].data
         check(z, t)
         check(z, t)
+    assert den.certified_members == den.single_survivor_calls == 0
+    assert den.member_rows_read == den.calls * len(atlas)
+    # one run's bounds follow DDIM moves up, down and across the schedule
+    bounds = diffusion._carried_bounds(den)
+    z = atlas[5].data + 0.1 * rng.standard_normal(_SEPARATED_SHAPE)
+    for t, t_next in ((0, 3), (3, 17), (17, 1), (1, 1), (1, 9), (9, 20), (20, 2), (2, 2)):
+        want = _oracle_ddim_step(den, z, ab, t, t_next)
+        z = _ddim_step(den, z, ab, t, t_next, bounds=bounds)
+        assert z.tobytes() == want.tobytes(), (t, t_next)
     assert den.certified_members > 0 and den.single_survivor_calls > 0
+
+
+@pytest.mark.parametrize("spread, n_members", [(1.0, 12), (0.01, 6), (0.01, 12)],
+                         ids=["separated", "mixed-member-terms", "mixed-mean-term"])
+def test_the_carried_bounds_hold_along_a_run(spread, n_members):
+    # |est_k - <m_k, z>| <= err ||m_k|| and ||z|| <= znorm after every step, with
+    # the inner products and norms taken in extended precision; members 0.01
+    # apart keep the weights mixed, members far apart let the run certify
+    base = np.random.default_rng(5).standard_normal(_SEPARATED_SHAPE)
+    atlas = [LatentVideo((1.0 - spread) * base + spread * m.data)
+             for m in _separated_atlas(n_members)]
+    sched = NoiseSchedule.default(n_steps=20)
+    ab = sched.alpha_bar
+    den = GaussianAtlasDenoiser(atlas, sched)
+    flat = den.members.reshape(n_members, -1).astype(np.longdouble)
+    norms = np.sqrt(np.einsum("kn,kn->k", flat, flat))
+    bounds = diffusion._carried_bounds(den)
+    z = atlas[0].data + 0.2 * np.random.default_rng(4).standard_normal(_SEPARATED_SHAPE)
+    moves = [(t, t + 1) for t in range(sched.n_steps)] + [(t, t - 1) for t in range(20, 0, -1)]
+    for t, t_next in moves:
+        z = _ddim_step(den, z, ab, t, t_next, bounds=bounds)
+        if bounds.est is not None:
+            zl = z.reshape(-1).astype(np.longdouble)
+            ip = np.einsum("kn,n->k", flat, zl)
+            assert np.all(np.abs(bounds.est - ip) <= bounds.err * norms), t_next
+            assert np.sqrt(np.einsum("n,n->", zl, zl)) <= bounds.znorm, t_next
+    assert (den.certified_members > 0) == (spread == 1.0)
+
+
+def test_each_run_carries_its_own_bounds():
+    # two inversions advanced in turn over one denoiser: bounds kept on the
+    # denoiser would certify one run's members from the other run's latents
+    atlas = _separated_atlas()
+    sched = NoiseSchedule.default(n_steps=20)
+    ab = sched.alpha_bar
+    den = GaussianAtlasDenoiser(atlas, sched)
+    starts = [atlas[2].data, atlas[9].data]
+    runs = [ddim_invert_steps(LatentVideo(z0), sched, den) for z0 in starts]
+    want = [np.array(z0) for z0 in starts]
+    for t in range(sched.n_steps + 1):
+        for k, run in enumerate(runs):
+            if t > 0:
+                want[k] = _oracle_ddim_step(den, want[k], ab, t - 1, t)
+            assert next(run).tobytes() == want[k].tobytes(), (k, t)
+    assert den.certified_members > 0
+
+
+def test_guided_sampling_drops_the_bounds_at_each_guided_update(monkeypatch):
+    # each guided update adds a member to z, which makes that member the nearest:
+    # bounds carried across the update would certify the members of the old z
+    atlas = _separated_atlas()
+    sched = NoiseSchedule.default(n_steps=16)
+    ab = sched.alpha_bar
+    den = GaussianAtlasDenoiser(atlas, sched)
+    monkeypatch.setattr(diffusion, "guided_update",
+                        lambda z, k, config: (z + atlas[k].data, [0.0]))
+    targets = {12: 3, 7: 8, 6: 1}
+    zT = make_initial_noise(LatentVideo(atlas[0].data), mode="fresh", seed=2)
+    z = zT.data
+    for t in range(sched.n_steps, 0, -1):
+        if t in targets:
+            z, _ = diffusion.guided_update(z, targets[t], None)
+        z = _oracle_ddim_step(den, z, ab, t, t - 1)
+    guidance = SamplingGuidance(config=GuidanceConfig(), targets=targets)
+    assert ddim_sample(zT, sched, den, guidance=guidance).data.tobytes() == z.tobytes()
+    assert den.certified_members > 0
+    assert [e["timestep"] for e in guidance.trace] == [12, 7, 6]
+
+
+@pytest.mark.parametrize("where", ["latent", "member"])
+def test_an_overflowing_bound_skips_no_member(where):
+    # a cell of 1e160 leaves every product of the weights finite, but its square,
+    # and with it ||z|| or ||m_k|| and the bounds, overflows
+    atlas = _separated_atlas()
+    z0 = np.array(atlas[0].data)
+    if where == "latent":
+        z0.reshape(-1)[0] = 1e160
+    else:
+        member = np.array(atlas[7].data)
+        member.reshape(-1)[0] = 1e160
+        atlas[7] = LatentVideo(member)
+    sched = NoiseSchedule.default(n_steps=12)
+    ab = sched.alpha_bar
+    den = GaussianAtlasDenoiser(atlas, sched)
+    traj = ddim_invert(LatentVideo(z0), sched, den)
+    z = z0
+    for t in range(sched.n_steps):
+        z = _oracle_ddim_step(den, z, ab, t, t + 1)
+        assert traj[t + 1].data.tobytes() == z.tobytes(), t
+    for t in range(sched.n_steps, 0, -1):
+        z = _oracle_ddim_step(den, z, ab, t, t - 1)
+    assert ddim_sample(traj[-1], sched, den).data.tobytes() == z.tobytes()
+    assert den.certified_members == den.single_survivor_calls == 0
+    assert den.member_rows_read == den.calls * len(atlas)
 
 
 def _clustered_atlas_with_signed_zeros():
@@ -519,14 +634,16 @@ def test_the_one_pass_mean_has_the_bytes_of_the_per_member_sum():
     den = GaussianAtlasDenoiser(atlas, sched)
     t = 6
     z = np.sqrt(sched.alpha_bar[t]) * base
+    bounds = diffusion._carried_bounds(den)
     for _ in range(3):  # the first call reads every row; the later ones certify
         w = _oracle_weights(den, z, t)
         read = np.flatnonzero(w)
         assert read.size >= 2 and np.any(w[read[0]:read[-1] + 1] == 0.0)
-        _, ((_, mean),) = den.posterior_mean(z, t)
+        _, ((_, mean),) = den.posterior_mean(z, t, _bounds=bounds)
         want = _oracle_mean(den, w, z.shape)
         assert mean.tobytes() == want.tobytes()
         assert not mean.flags.writeable
+        _still(bounds)
     assert not np.signbit(mean.reshape(-1)[0])  # sums start at +0, as before
     # the counts the per-member sum gave on the same calls
     assert (den.calls, den.certified_members, den.member_rows_read,
@@ -539,8 +656,10 @@ def test_a_lone_survivors_mean_is_its_own_member_row():
     den = GaussianAtlasDenoiser(atlas, sched)
     t = 6
     z = np.sqrt(sched.alpha_bar[t]) * atlas[5].data
+    bounds = diffusion._carried_bounds(den)
     for _ in range(2):  # the second call certifies every member but the nearest
-        _, ((_, mean),) = den.posterior_mean(z, t)
+        _, ((_, mean),) = den.posterior_mean(z, t, _bounds=bounds)
+        _still(bounds)
     assert np.shares_memory(mean, den.members[5])
     assert not mean.flags.writeable
     assert mean.tobytes() == den.members[5].tobytes()  # its -0.0 included
@@ -549,9 +668,9 @@ def test_a_lone_survivors_mean_is_its_own_member_row():
             den.single_survivor_calls) == (2, 11, 12, 1)
 
 
-# A separated 12-member atlas of 100,820 cells, so that the Gram products the
-# certificate takes through BLAS split differently at 1 and 2 threads; the
-# probe prints the output digest and then the certified count.
+# A separated 12-member atlas of 100,820 cells, a size at which OpenBLAS splits
+# its sums differently at 1 and 2 threads; the probe prints the output digest,
+# then the certified count and the rows read, which no BLAS product may move.
 _CERTIFIED_THREAD_PROBE = """
 import hashlib
 import numpy as np
@@ -569,23 +688,23 @@ for latents in trajectory:
     digest.update(latents.data.tobytes())
 zT = make_initial_noise(trajectory[-1], mode="fresh", seed=1)
 digest.update(ddim_sample(zT, schedule, den).data.tobytes())
-print(digest.hexdigest(), den.certified_members)
+print(digest.hexdigest(), den.certified_members, den.member_rows_read)
 """
 
 
 def test_certified_pruning_bytes_do_not_depend_on_blas_threads():
     src = str(Path(momix.__file__).resolve().parents[1])
-    digests = set()
+    outputs = set()
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
         done = subprocess.run(
             [sys.executable, "-c", _CERTIFIED_THREAD_PROBE],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
-        digest, certified = done.stdout.split()
+        digest, certified, rows_read = done.stdout.split()
         assert int(certified) > 0
-        digests.add(digest)
-    assert len(digests) == 1, digests
+        outputs.add((digest, certified, rows_read))
+    assert len(outputs) == 1, outputs
 
 
 def test_denoiser_validation():
