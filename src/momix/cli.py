@@ -284,11 +284,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    config = read_json(args.config)
-    out_root = args.out or config.get("out_dir")
-    if out_root is None:
-        raise BadValue("config needs 'out_dir' (or pass --out)")
-    report = pl.run_pipeline(config, out_root)
+    report = pl.run_pipeline(read_json(args.config), args.out)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 

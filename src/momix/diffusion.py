@@ -186,6 +186,13 @@ def _carried_bounds(denoiser: Denoiser) -> _CarriedBounds | None:
     return _CarriedBounds(denoiser) if isinstance(denoiser, GaussianAtlasDenoiser) else None
 
 
+def check_bandwidth(bandwidth: float) -> float:
+    """``bandwidth`` as a float, once it is finite and positive."""
+    if not 0 < bandwidth < np.inf:
+        raise BadValue(f"bandwidth must be finite and positive, got {bandwidth}")
+    return float(bandwidth)
+
+
 class GaussianAtlasDenoiser:
     """Noise prediction from the posterior mean of a Gaussian mixture.
 
@@ -242,8 +249,7 @@ class GaussianAtlasDenoiser:
         for member in () if stacked else atlas:
             if member.shape != atlas[0].shape:
                 raise DimMismatch(f"atlas member shape {member.shape} != {atlas[0].shape}")
-        if not 0 < bandwidth < np.inf:
-            raise BadValue(f"bandwidth must be finite and positive, got {bandwidth}")
+        self.bandwidth = check_bandwidth(bandwidth)
         self.members = atlas if stacked else np.stack([m.data for m in atlas], dtype=np.float64)
         self.members.setflags(write=False)
         self._flat = self.members.reshape(len(atlas), -1)
@@ -255,7 +261,6 @@ class GaussianAtlasDenoiser:
         self._gram = np.einsum("kn,ln->kl", self._flat, self._flat)
         self._mean = None  # the weighted mean's row, above _MAX_MEMBER_TERMS members
         self.schedule = schedule
-        self.bandwidth = float(bandwidth)
         self.calls = self.certified_members = self.member_rows_read = self.single_survivor_calls = 0
 
     def posterior_mean(self, z: np.ndarray, t: int, *,

@@ -39,11 +39,11 @@ from .tensors import (
     REQUIRED,
     LatentVideo,
     MaskTrack,
-    check_keys,
     ensure_same_geometry,
     read_array,
     read_json,
     typed_field,
+    typed_fields,
     typed_numbers,
     write_array,
     write_json,
@@ -394,7 +394,11 @@ def soft_blend(subject_delta: np.ndarray, camera_delta: np.ndarray, w_c: float) 
 
 @dataclass(frozen=True)
 class Directive:
-    """Per-subject recomposition directive."""
+    """Per-subject recomposition directive.
+
+    Only ``soften`` takes a ``w_c`` (its own strength in place of the plan's),
+    and only ``mask_edit`` an ``edit``, which it requires.
+    """
 
     kind: Literal["keep", "remove", "soften", "mask_edit"]
     w_c: float | None = None
@@ -403,8 +407,12 @@ class Directive:
     def __post_init__(self):
         if self.kind not in ("keep", "remove", "soften", "mask_edit"):
             raise BadValue(f"unknown directive kind {self.kind!r}")
+        if self.w_c is not None and self.kind != "soften":
+            raise BadValue(f"a {self.kind} directive takes no w_c; only soften does")
         if self.kind == "mask_edit" and self.edit is None:
             raise BadValue("mask_edit directive requires an edit")
+        if self.edit is not None and self.kind != "mask_edit":
+            raise BadValue(f"a {self.kind} directive takes no edit; only mask_edit does")
         if self.w_c is not None and not 0 <= self.w_c < np.inf:
             raise BadValue(f"w_c must be finite and non-negative, got {self.w_c}")
 
@@ -488,44 +496,23 @@ def recompose(descriptors: Sequence[MotionDescriptor], plan: EditPlan) -> list[M
     return out
 
 
-_PLAN_KEYS = ("subjects", "include_background", "w_c", "camera_only")
-_DIRECTIVE_KEYS = ("op", "w_c", "edit")
-_EDIT_KEYS = ("kind", "dx", "dy", "factor", "anchor")
-
-
 def plan_from_json(doc: dict) -> EditPlan:
     """The plan in ``doc``: ``subjects`` (id -> ``op``, ``w_c``, ``edit`` with ``kind``,
     ``dx``, ``dy``, ``factor``, ``anchor``), ``include_background``, ``w_c`` and
     ``camera_only``; any other key is rejected."""
-    what = "edit plan"
-    check_keys(doc, _PLAN_KEYS, what)
+    fields = typed_fields(doc, {"subjects": dict, "include_background": bool, "w_c": float,
+                                "camera_only": bool}, "edit plan")
     directives = {}
-    for sid, entry in typed_field(doc, "subjects", dict, {}, what).items():
-        check_keys(entry, _DIRECTIVE_KEYS, f"plan entry {sid!r}")
-        edit = None
-        if entry.get("edit") is not None:
-            e = check_keys(entry["edit"], _EDIT_KEYS, f"plan edit of {sid!r}")
-            anchor = e.get("anchor")
-            if anchor is not None:
-                anchor = typed_numbers(anchor, 2, f"malformed {what}: anchor")
-            edit = MaskEdit(
-                kind=typed_field(e, "kind", str, REQUIRED, what),
-                dx=typed_field(e, "dx", int, 0, what),
-                dy=typed_field(e, "dy", int, 0, what),
-                factor=typed_field(e, "factor", float, 1.0, what),
-                anchor=anchor,
-            )
-        directives[sid] = Directive(
-            kind=typed_field(entry, "op", str, REQUIRED, what),
-            w_c=typed_field(entry, "w_c", float, None, what),
-            edit=edit,
-        )
-    return EditPlan(
-        directives=directives,
-        include_background=typed_field(doc, "include_background", bool, True, what),
-        w_c=typed_field(doc, "w_c", float, 0.0, what),
-        camera_only=typed_field(doc, "camera_only", bool, False, what),
-    )
+    for sid, entry in fields.pop("subjects", {}).items():
+        d = typed_fields(entry, {"op": str, "w_c": float, "edit": dict | None},
+                         f"plan entry {sid!r}", required=("op",))
+        if d.get("edit") is not None:
+            d["edit"] = MaskEdit(**typed_fields(d["edit"], {
+                "kind": str, "dx": int, "dy": int, "factor": float,
+                "anchor": lambda v, label: None if v is None else typed_numbers(v, 2, label),
+            }, f"plan edit of {sid!r}", required=("kind",)))
+        directives[sid] = Directive(d.pop("op"), **d)
+    return EditPlan(directives, **fields)
 
 
 def load_plan(path) -> EditPlan:

@@ -143,13 +143,19 @@ class MaskEdit:
     anchor: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("shift", "scale"):
-            raise BadValue(f"unknown edit kind {self.kind!r}")
-        if self.kind == "scale":
+        if self.kind == "shift":
+            if (self.factor, self.anchor) != (1.0, None):
+                raise BadValue(f"a shift edit takes no factor or anchor, got factor "
+                               f"{self.factor} and anchor {self.anchor}")
+        elif self.kind == "scale":
+            if (self.dx, self.dy) != (0, 0):
+                raise BadValue(f"a scale edit takes no dx or dy, got ({self.dx}, {self.dy})")
             if not 0 < self.factor < np.inf:
                 raise BadValue(f"scale factor must be finite and positive, got {self.factor}")
             if self.anchor is None:
                 raise BadValue("scale edit requires an anchor (row, col)")
+        else:
+            raise BadValue(f"unknown edit kind {self.kind!r}")
 
 
 def shift_mask(frame: np.ndarray, dy: int, dx: int) -> np.ndarray:
@@ -167,20 +173,31 @@ def shift_mask(frame: np.ndarray, dy: int, dx: int) -> np.ndarray:
     return out
 
 
+def scale_sources(height: int, width: int, factor: float,
+                  anchor: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's and each column's source, rounded half up, in a frame scaled about ``anchor``.
+
+    A source may lie outside the frame. An anchor outside the frame, or a
+    factor that maps a cell past 2**53 pixels from it, raises BadValue, so a
+    caller can check a scale edit before it has any mask.
+    """
+    ar, ac = float(anchor[0]), float(anchor[1])
+    if not (0 <= ar <= height - 1 and 0 <= ac <= width - 1):
+        raise BadValue(f"anchor {anchor} outside frame bounds {(height, width)}")
+    rows = ar + (np.arange(height) - ar) / factor
+    cols = ac + (np.arange(width) - ac) / factor
+    # past 2**53 a float has no fractional part, so rounding half up is no longer exact
+    if max(np.abs(rows).max(), np.abs(cols).max()) >= 2.0**53:
+        raise BadValue(f"scale factor {factor} maps cells past 2**53 pixels from the anchor")
+    return np.floor(rows + 0.5), np.floor(cols + 0.5)
+
+
 def scale_mask(frame: np.ndarray, factor: float, anchor: tuple[float, float]) -> np.ndarray:
     """Scale a 2-D mask about ``anchor`` by ``factor`` using inverse mapping."""
     frame = _check_region(frame)
     h, w = frame.shape
-    ar, ac = float(anchor[0]), float(anchor[1])
-    if not (0 <= ar <= h - 1 and 0 <= ac <= w - 1):
-        raise BadValue(f"anchor {anchor} outside frame bounds {(h, w)}")
-    rows = ar + (np.arange(h) - ar) / factor
-    cols = ac + (np.arange(w) - ac) / factor
-    # past 2**53 a float has no fractional part, so rounding half up is no longer exact
-    if max(np.abs(rows).max(), np.abs(cols).max()) >= 2.0**53:
-        raise BadValue(f"scale factor {factor} maps cells past 2**53 pixels from the anchor")
-    # round half up, and test the bounds before the integer cast
-    src_r, src_c = np.floor(rows + 0.5), np.floor(cols + 0.5)
+    src_r, src_c = scale_sources(h, w, factor, anchor)
+    # test the bounds before the integer cast
     ok_r, ok_c = (src_r >= 0) & (src_r < h), (src_c >= 0) & (src_c < w)
     out = np.zeros_like(frame)
     out[np.ix_(ok_r, ok_c)] = frame[np.ix_(src_r[ok_r].astype(int), src_c[ok_c].astype(int))]

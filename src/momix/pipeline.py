@@ -21,6 +21,7 @@ from .diffusion import (
     NoiseSchedule,
     SamplingGuidance,
     ZeroDenoiser,
+    check_bandwidth,
     ddim_invert_steps,
     ddim_sample,
     make_initial_noise,
@@ -40,10 +41,11 @@ from .features import (
     save_descriptor,
 )
 from .guidance import GuidanceConfig, GuidanceTarget
-from .masks import BACKGROUND_ID, SAFE_NAME, apply_edit
+from .masks import BACKGROUND_ID, SAFE_NAME, apply_edit, scale_sources
 from .metrics import compare_trajectories, descriptor_distance
 from .synth import (
     SceneSpec,
+    _render_into,
     estimate_blob_track,
     load_scene,
     render_scene,
@@ -56,7 +58,6 @@ from .tensors import (
     LatentVideo,
     SceneManifest,
     atomic_write,
-    check_keys,
     load_manifest,
     load_tensor,
     make_dir,
@@ -68,6 +69,7 @@ from .tensors import (
     save_mask,
     save_tensor,
     typed_field,
+    typed_fields,
     write_array,
     write_json,
 )
@@ -160,7 +162,7 @@ def run_atlas(
     A spec of another shape than the scene's raises DimMismatch before
     anything is rendered. The denoiser's stack is allocated first and is the
     only copy of the members kept: each is loaded or rendered straight into
-    its row, so at most one render is alive besides the stack.
+    its row, so a render holds only its masks and texture frames besides.
     """
     shape = manifest.latent_shape
     _check_member_shapes(member_specs, shape)
@@ -169,7 +171,7 @@ def run_atlas(
     if include_reference:
         read_array(manifest.latent_path("0"), out=members[0])
     for row, member_spec in zip(members[int(include_reference):], member_specs):
-        row[...] = render_scene(member_spec)[0].data
+        _render_into(member_spec, row)
     for k, row in enumerate(members):
         write_array(out_dir / f"member{k:03d}.cmt", row)
     return build_denoiser(members, schedule, bandwidth=bandwidth)
@@ -282,30 +284,21 @@ class ExtractIndex:
         return refs
 
 
-_INDEX_KEYS = ("n_steps", "timesteps", "sources", "legacy_region", "manifest")
-
-
 def read_extract_index(desc_dir) -> ExtractIndex:
     """The typed index ``run_extract`` wrote; a missing or mistyped field is rejected."""
     desc_dir = Path(desc_dir)
     what = f"extract index {desc_dir}"
-    doc = check_keys(read_json(desc_dir / "extract_index.json"), _INDEX_KEYS, what)
-    n_steps = typed_field(doc, "n_steps", int, REQUIRED, what)
-    timesteps = typed_field(doc, "timesteps", list, REQUIRED, what)
+    kinds = {"n_steps": int, "timesteps": list, "sources": list, "legacy_region": bool,
+             "manifest": str | None}  # null: extract recorded no manifest
+    fields = typed_fields(read_json(desc_dir / "extract_index.json"), kinds, what, required=kinds)
+    n_steps, timesteps, sources = fields["n_steps"], fields.pop("timesteps"), fields["sources"]
     if len(timesteps) != n_steps + 1 or any(type(t) is not int or t != k
                                             for k, t in enumerate(timesteps)):
         raise BadValue(f"malformed {what}: timesteps must be 0..{n_steps}, got {timesteps!r}")
-    sources = typed_field(doc, "sources", list, REQUIRED, what)
     if not all(isinstance(sid, str) and SAFE_NAME.fullmatch(sid) for sid in sources):
         raise BadValue(f"malformed {what}: sources must be filesystem-safe strings, "
                        f"got {sources!r}")
-    if doc.get("manifest", "") is not None:  # null: extract recorded no manifest
-        typed_field(doc, "manifest", str, REQUIRED, what)
-    return ExtractIndex(
-        desc_dir, n_steps, sources,
-        legacy_region=typed_field(doc, "legacy_region", bool, REQUIRED, what),
-        manifest=doc["manifest"],
-    )
+    return ExtractIndex(desc_dir, **fields)
 
 
 # --- recompose + guided sampling ---------------------------------------------
@@ -463,35 +456,20 @@ def run_metrics(run_dir, scene_dir, desc_dir=None, out_path=None, threshold: flo
 # --- full pipeline --------------------------------------------------------------
 
 
-_PIPELINE_KEYS = (
-    "out_dir", "seed", "scene", "schedule", "atlas_include_reference", "atlas_scenes",
-    "bandwidth", "invert_denoiser", "legacy_region", "guidance", "plan", "init", "guided",
-    "metrics",
-)
-_SCHEDULE_KEYS = ("n_steps", "power", "floor")
-_METRICS_KEYS = ("threshold",)
-_GUIDANCE_KEYS = ("step_size", "n_inner_steps", "t_start", "t_end", "weights")
-
-
 def guidance_config_from_json(doc: dict) -> GuidanceConfig:
-    """The ``guidance`` section of a pipeline config; any other key is rejected."""
+    """The ``guidance`` section of a pipeline config; any other key is rejected.
+
+    A null ``step_size``, like an absent one, selects the stable step.
+    """
     what = "guidance config"
-    check_keys(doc, _GUIDANCE_KEYS, what)
-    weights = doc.get("weights", {})
-    if not isinstance(weights, dict):
-        raise BadValue(f"malformed {what}: weights must be an object, got {weights!r}")
-    # null, like an absent key, selects the stable step
-    step_size = None if doc.get("step_size") is None else typed_field(
-        doc, "step_size", float, None, what)
-    return GuidanceConfig(
-        step_size=step_size,
-        n_inner_steps=typed_field(doc, "n_inner_steps", int, 3, what),
-        t_start=typed_field(doc, "t_start", int, None, what),
-        t_end=typed_field(doc, "t_end", int, None, what),
-        per_source_weight={
-            str(sid): typed_field(weights, sid, float, None, f"{what} weights") for sid in weights
-        },
-    )
+    fields = typed_fields(doc, {"step_size": float | None, "n_inner_steps": int, "t_start": int,
+                                "t_end": int, "weights": dict}, what)
+    if "weights" in fields:
+        weights = fields.pop("weights")
+        fields["per_source_weight"] = {
+            sid: typed_field(weights, sid, float, REQUIRED, f"{what} weights") for sid in weights
+        }
+    return GuidanceConfig(**fields)
 
 
 def _scene_spec(doc) -> SceneSpec:
@@ -499,45 +477,46 @@ def _scene_spec(doc) -> SceneSpec:
     return load_scene(doc) if isinstance(doc, str) else scene_from_json(doc)
 
 
-def run_pipeline(config: dict, out_root) -> dict:
+def run_pipeline(config: dict, out_root=None) -> dict:
     """Run every stage per a config document; returns the metrics report.
 
+    The stages write under ``out_root``, by default the config's ``out_dir``.
     Every key is checked, and every value parsed, before the first stage
     writes output; an unknown key is rejected rather than left to its default.
     Booleans, integers and the enumerated strings must have their JSON type.
     """
-    out_root = Path(out_root)
     what = "pipeline config"
-    check_keys(config, _PIPELINE_KEYS, what)
-    plan = plan_from_json(config.get("plan", {}))
-    gcfg = guidance_config_from_json(config.get("guidance", {}))
-    sched_doc = check_keys(config.get("schedule", {}), _SCHEDULE_KEYS, "schedule")
-    metrics_doc = check_keys(config.get("metrics", {}), _METRICS_KEYS, "metrics")
-    if "scene" not in config:
-        raise BadValue("pipeline config needs a 'scene'")
-    spec = _scene_spec(config["scene"])
-    member_specs = [_scene_spec(doc) for doc in config.get("atlas_scenes", [])]
+    cfg = typed_fields(config, {
+        "out_dir": str, "seed": int, "scene": dict | str, "schedule": dict,
+        "atlas_include_reference": bool, "atlas_scenes": list, "bandwidth": float,
+        "invert_denoiser": ("atlas", "zero"), "legacy_region": bool, "guidance": dict,
+        "plan": dict, "init": ("auto", "shared", "fresh"), "guided": bool, "metrics": dict,
+    }, what, required=("scene",))
+    out_root = out_root or cfg.get("out_dir")
+    if out_root is None:
+        raise BadValue("config needs 'out_dir' (or pass --out)")
+    out_root = Path(out_root)
+    plan = plan_from_json(cfg.get("plan", {}))
+    gcfg = guidance_config_from_json(cfg.get("guidance", {}))
+    schedule = NoiseSchedule.default(**typed_fields(
+        cfg.get("schedule", {}), {"n_steps": int, "power": float, "floor": float}, "schedule",
+        where=what))
+    metrics_args = typed_fields(cfg.get("metrics", {}), {"threshold": float}, "metrics")
+    spec = _scene_spec(cfg["scene"])
+    member_specs = [_scene_spec(doc) for doc in cfg.get("atlas_scenes", [])]
     _check_member_shapes(member_specs, spec.latent_shape)
-    schedule = NoiseSchedule.default(
-        n_steps=typed_field(sched_doc, "n_steps", int, 20, what),
-        power=typed_field(sched_doc, "power", float, 2.0, what),
-        floor=typed_field(sched_doc, "floor", float, 1e-4, what),
-    )
-    bandwidth = typed_field(config, "bandwidth", float, 0.5, what)
-    threshold = typed_field(metrics_doc, "threshold", float, 0.5, what)
-    seed = typed_field(config, "seed", int, 0, what)
+    bandwidth = check_bandwidth(cfg.get("bandwidth", 0.5))
+    seed = cfg.get("seed", 0)
     if seed < 0:
         raise BadValue(f"malformed {what}: seed must be >= 0, got {seed}")
     gcfg.window(schedule.n_steps)  # an empty guidance window is a config error
-    guided = typed_field(config, "guided", bool, True, what)
-    init = typed_field(config, "init", ("auto", "shared", "fresh"), "auto", what)
-    legacy_region = typed_field(config, "legacy_region", bool, False, what)
-    include_reference = typed_field(config, "atlas_include_reference", bool, True, what)
-    invert_with = typed_field(config, "invert_denoiser", ("atlas", "zero"), "atlas", what)
     blob_ids = {b.subject_id for b in spec.blobs}
-    for sid in plan.directives:
+    for sid, directive in plan.directives.items():
         if sid == BACKGROUND_ID or sid not in blob_ids:
             raise UnknownSubject(f"plan names subject {sid!r}; the scene has {sorted(blob_ids)}")
+        edit = directive.edit
+        if edit is not None and edit.kind == "scale":
+            scale_sources(spec.height, spec.width, edit.factor, edit.anchor)
     for sid in gcfg.per_source_weight:
         if sid != BACKGROUND_ID and sid not in blob_ids:
             raise UnknownSubject(f"guidance weight for unknown source {sid!r}; the scene has "
@@ -546,16 +525,17 @@ def run_pipeline(config: dict, out_root) -> dict:
     manifest = load_manifest(scene_dir / "manifest.json")
     # one denoiser serves inversion and recompose
     denoiser = run_atlas(manifest, member_specs, schedule, out_root / "atlas",
-                         include_reference=include_reference, bandwidth=bandwidth)
+                         include_reference=cfg.get("atlas_include_reference", True),
+                         bandwidth=bandwidth)
 
-    invert_denoiser = ZeroDenoiser() if invert_with == "zero" else denoiser
+    invert_denoiser = ZeroDenoiser() if cfg.get("invert_denoiser") == "zero" else denoiser
     traj_dir = run_invert(manifest, schedule, invert_denoiser, out_root / "traj")
 
     desc_dir = run_extract(
         traj_dir,
         manifest,
         out_root / "desc",
-        legacy_region=legacy_region,
+        legacy_region=cfg.get("legacy_region", False),
         manifest_path="../scene/manifest.json",
     )
 
@@ -567,16 +547,16 @@ def run_pipeline(config: dict, out_root) -> dict:
         denoiser=denoiser,
         manifest=manifest,
         guidance_config=gcfg,
-        init=init,
+        init=cfg.get("init", "auto"),
         seed=seed,
-        guided=guided,
+        guided=cfg.get("guided", True),
     )
     report = run_metrics(
         out_root / "run",
         scene_dir,
         desc_dir=desc_dir,
         out_path=out_root / "metrics.json",
-        threshold=threshold,
+        **metrics_args,
     )
     recorded = {k: v for k, v in config.items() if k != "out_dir"}
     write_json(out_root / "config.json", recorded)

@@ -22,14 +22,12 @@ from .errors import BadValue, DimMismatch
 from .masks import check_subject_ids
 from .tensors import (
     _MAX_ELEMENTS,
-    REQUIRED,
     LatentVideo,
     MaskTrack,
     atomic_write,
-    check_keys,
     make_dir,
     read_json,
-    typed_field,
+    typed_fields,
     typed_numbers,
     typed_points,
     write_json,
@@ -172,18 +170,14 @@ def _disk(height: int, width: int, center: tuple[float, float], radius: float) -
     return (rr - center[0]) ** 2 + (cc - center[1]) ** 2 <= radius**2
 
 
-def render_scene(
-    spec: SceneSpec,
-) -> tuple[LatentVideo, list[MaskTrack], dict[str, list[tuple[float, float]]]]:
-    """Render a scene into (latents, mask tracks, ground-truth trajectories).
+def _render_into(spec: SceneSpec, frames: np.ndarray) -> dict[str, np.ndarray]:
+    """Render the scene's latents into ``frames``, an array of its latent shape.
 
-    Blobs are opaque: a covered cell takes the topmost blob's signature
-    instead of the texture value. Masks are reported for every blob even
-    where another blob occludes it.
+    Every cell is written. Returns each blob's (n_frames, height, width)
+    masks by subject id.
     """
     waves = _texture_waves(spec)
     textures: dict[tuple[float, float], np.ndarray] = {}  # one per distinct drift
-    frames = np.zeros(spec.latent_shape)
     mask_data = {b.subject_id: np.zeros((spec.n_frames, spec.height, spec.width), bool)
                  for b in spec.blobs}
     for f in range(spec.n_frames):
@@ -208,6 +202,20 @@ def render_scene(
                 log.warning(
                     "blob %s clipped by frame border at frame %d", blob.subject_id, f
                 )
+    return mask_data
+
+
+def render_scene(
+    spec: SceneSpec,
+) -> tuple[LatentVideo, list[MaskTrack], dict[str, list[tuple[float, float]]]]:
+    """Render a scene into (latents, mask tracks, ground-truth trajectories).
+
+    Blobs are opaque: a covered cell takes the topmost blob's signature
+    instead of the texture value. Masks are reported for every blob even
+    where another blob occludes it.
+    """
+    frames = np.empty(spec.latent_shape)
+    mask_data = _render_into(spec, frames)
     latents = LatentVideo(frames)
     tracks = [MaskTrack(mask_data[b.subject_id], subject_id=b.subject_id) for b in spec.blobs]
     trajectories = {b.subject_id: list(b.trajectory) for b in spec.blobs}
@@ -335,11 +343,11 @@ def scene_to_json(spec: SceneSpec) -> dict:
     }
 
 
-_SCENE_KEYS = (
-    "n_frames", "n_channels", "height", "width", "texture_seed", "texture_amplitude",
-    "texture_wavelengths", "background_drift", "blobs",
-)
-_BLOB_KEYS = ("subject_id", "trajectory", "radius", "channel_signature")
+def _blob_from_json(doc) -> BlobSpec:
+    where = f"scene blob {doc.get('subject_id')!r}" if isinstance(doc, dict) else "scene blob"
+    kinds = {"subject_id": str, "trajectory": typed_points, "radius": float,
+             "channel_signature": lambda v, label: typed_numbers(v, None, label)}
+    return BlobSpec(**typed_fields(doc, kinds, "scene blob", required=kinds, where=where))
 
 
 def scene_from_json(doc: dict) -> SceneSpec:
@@ -348,39 +356,16 @@ def scene_from_json(doc: dict) -> SceneSpec:
     Sizes and the texture seed must be JSON integers, and every other
     number a finite JSON number: nothing is coerced.
     """
-    what = "scene spec"
-    check_keys(doc, _SCENE_KEYS, what)
-    blobs = []
-    for b in typed_field(doc, "blobs", list, [], what):
-        check_keys(b, _BLOB_KEYS, "scene blob")
-        where = f"scene blob {b.get('subject_id')!r}"
-        blobs.append(BlobSpec(
-            subject_id=typed_field(b, "subject_id", str, REQUIRED, where),
-            trajectory=typed_points(typed_field(b, "trajectory", list, REQUIRED, where),
-                                    f"malformed {where}: trajectory"),
-            radius=typed_field(b, "radius", float, REQUIRED, where),
-            channel_signature=typed_numbers(
-                typed_field(b, "channel_signature", list, REQUIRED, where), None,
-                f"malformed {where}: channel_signature",
-            ),
-        ))
-    drift = doc.get("background_drift")
-    if drift is not None:
-        drift = typed_points(drift, f"malformed {what}: background_drift")
-    return SceneSpec(
-        n_frames=typed_field(doc, "n_frames", int, REQUIRED, what),
-        n_channels=typed_field(doc, "n_channels", int, REQUIRED, what),
-        height=typed_field(doc, "height", int, REQUIRED, what),
-        width=typed_field(doc, "width", int, REQUIRED, what),
-        blobs=tuple(blobs),
-        background_drift=drift,
-        texture_seed=typed_field(doc, "texture_seed", int, 0, what),
-        texture_amplitude=typed_field(doc, "texture_amplitude", float, 0.5, what),
-        texture_wavelengths=typed_numbers(
-            doc.get("texture_wavelengths", (1.5, 3.0)), 2,
-            f"malformed {what}: texture_wavelengths",
-        ),
-    )
+    fields = typed_fields(doc, {
+        "n_frames": int, "n_channels": int, "height": int, "width": int, "texture_seed": int,
+        "texture_amplitude": float,
+        "texture_wavelengths": lambda v, label: typed_numbers(v, 2, label),
+        "background_drift": lambda v, label: None if v is None else typed_points(v, label),
+        "blobs": list,
+    }, "scene spec", required=("n_frames", "n_channels", "height", "width"))
+    if "blobs" in fields:
+        fields["blobs"] = tuple(_blob_from_json(b) for b in fields["blobs"])
+    return SceneSpec(**fields)
 
 
 def load_scene(path) -> SceneSpec:

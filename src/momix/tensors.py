@@ -19,6 +19,8 @@ import json
 import math
 import os
 import struct
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -317,31 +319,22 @@ def read_json(path) -> dict:
     return doc
 
 
-def check_keys(doc, known, what: str) -> dict:
-    """``doc`` itself, once it is an object whose keys all lie in ``known``.
-
-    A misspelt key would otherwise fall back silently to its default.
-    """
-    if not isinstance(doc, dict):
-        raise BadValue(f"{what} must be an object, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - set(known))
-    if unknown:
-        raise BadValue(f"unknown {what} keys {unknown}; known: {sorted(known)}")
-    return doc
-
-
 REQUIRED = object()  # the ``default`` of ``typed_field`` for a key that must be present
+_JSON_NAMES = {bool: "boolean", int: "integer", str: "string", list: "array", dict: "object",
+               float: "number", type(None): "null"}
 
 
 def typed_field(doc: dict, key: str, kind, default, what: str):
     """``doc[key]`` (``default`` when absent), once it has the JSON type ``kind``.
 
     ``kind`` is ``bool``, ``int``, ``str``, ``list``, ``dict``, ``float`` (a
-    finite JSON number, integer or not, returned as a float) or a tuple of
-    the allowed strings. Nothing else is coerced: ``"false"`` is no boolean,
-    ``2.9`` or ``true`` no integer, ``5`` or ``["x"]`` no string, and
-    ``"2"``, ``true`` or ``Infinity`` no number. An absent key whose
-    ``default`` is ``REQUIRED`` is rejected.
+    finite JSON number, integer or not, returned as a float), a union of
+    these such as ``float | None`` (``None`` admits JSON null), a tuple of
+    the allowed strings, or a function ``(value, label)`` that returns the
+    value converted or raises ``BadValue`` naming ``label``. Nothing else is
+    coerced: ``"false"`` is no boolean, ``2.9`` or ``true`` no integer,
+    ``5`` or ``["x"]`` no string, and ``"2"``, ``true`` or ``Infinity`` no
+    number. An absent key whose ``default`` is ``REQUIRED`` is rejected.
     """
     if key not in doc:
         if default is REQUIRED:
@@ -352,12 +345,35 @@ def typed_field(doc: dict, key: str, kind, default, what: str):
         if not (isinstance(value, str) and value in kind):
             raise BadValue(f"malformed {what}: {key} must be one of {list(kind)}, got {value!r}")
         return value
-    if kind is float:
+    if not isinstance(kind, (type, types.UnionType)):
+        return kind(value, f"malformed {what}: {key}")
+    kinds = typing.get_args(kind) or (kind,)
+    if float in kinds and isinstance(value, (int, float)) and not isinstance(value, bool):
         return _finite_number(value, f"malformed {what}: {key}")
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        name = {bool: "boolean", int: "integer", str: "string", list: "array", dict: "object"}
-        raise BadValue(f"malformed {what}: {key} must be a JSON {name[kind]}, got {value!r}")
+    if not any(isinstance(value, k) and not (k is int and isinstance(value, bool)) for k in kinds):
+        names = " or ".join(_JSON_NAMES[k] for k in kinds)
+        raise BadValue(f"malformed {what}: {key} must be a JSON {names}, got {value!r}")
     return value
+
+
+def typed_fields(doc, kinds: dict, what: str, required=(), where: str | None = None) -> dict:
+    """The keys of ``doc``, each typed by ``typed_field`` with its kind in ``kinds``.
+
+    ``doc`` must be an object whose keys all lie in ``kinds``: a misspelt key
+    would otherwise fall back silently to its default. A key in ``required``
+    must be present; any other absent key is left out, so a constructor
+    given the result as keywords supplies its own default. ``what`` names
+    the document in every error, ``where`` (default ``what``) in those
+    about one value.
+    """
+    if not isinstance(doc, dict):
+        raise BadValue(f"{what} must be an object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(kinds))
+    if unknown:
+        raise BadValue(f"unknown {what} keys {unknown}; known: {sorted(kinds)}")
+    where = what if where is None else where
+    return {key: typed_field(doc, key, kind, REQUIRED, where)
+            for key, kind in kinds.items() if key in doc or key in required}
 
 
 def typed_numbers(value, length: int | None, label: str) -> tuple[float, ...]:

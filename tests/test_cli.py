@@ -685,6 +685,21 @@ def test_pipeline_rejects_unknown_config_keys(tmp_path, capsys, patch, message):
 _MALFORMED = "malformed pipeline config"
 
 
+def _plan_edit(edit):
+    return {"subjects": {"A": {"op": "mask_edit", "edit": edit}}}
+
+
+@pytest.mark.parametrize("out_dir", [5, ["x"]], ids=["integer", "array"])
+def test_pipeline_mistyped_out_dir_writes_nothing(tmp_path, capsys, monkeypatch, out_dir):
+    # used to end in a TypeError traceback from Path() (exit 1)
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(_pipeline_config(tmp_path), out_dir=out_dir)))
+    assert main(["pipeline", str(cfg_path)]) == 2
+    assert "out_dir must be a JSON string" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 def _scene_with_ids(*ids):
     doc = scene_to_json(demo_scene(n=5))
     for blob, sid in zip(doc["blobs"], ids):
@@ -732,6 +747,23 @@ def _scene_with_ids(*ids):
         ({"scene": _scene_with_ids("../x")}, "subject id '../x' is not filesystem-safe"),
         ({"scene": _scene_with_ids("background")}, "subject id 'background' is reserved"),
         ({"scene": _scene_with_ids("A", "A")}, "duplicate subject id 'A'"),
+        ({"bandwidth": 0}, "bandwidth must be finite and positive"),
+        ({"bandwidth": -1}, "bandwidth must be finite and positive"),
+        ({"plan": _plan_edit({"kind": "scale", "factor": 2.0, "anchor": [1000, 1000]})},
+         "outside frame bounds (24, 24)"),
+        ({"plan": _plan_edit({"kind": "scale", "factor": 1e-300, "anchor": [4, 4]})},
+         "maps cells past 2**53 pixels"),
+        ({"atlas_scenes": "spec.json"}, "atlas_scenes must be a JSON array"),
+        ({"plan": {"subjects": {"A": {"op": "keep", "w_c": 3.0}}}},
+         "a keep directive takes no w_c"),
+        ({"plan": {"subjects": {"A": {"op": "remove", "edit": {"kind": "shift", "dx": 9}}}}},
+         "a remove directive takes no edit"),
+        ({"plan": _plan_edit({"kind": "shift", "dx": 2, "factor": 2.0})},
+         "a shift edit takes no factor or anchor"),
+        ({"plan": _plan_edit({"kind": "shift", "dx": 2, "anchor": [4, 4]})},
+         "a shift edit takes no factor or anchor"),
+        ({"plan": _plan_edit({"kind": "scale", "factor": 2.0, "anchor": [4, 4], "dy": 1})},
+         "a scale edit takes no dx or dy"),
     ],
     ids=[
         "schedule", "bandwidth", "seed", "seed-float", "n_steps-float", "guided",
@@ -742,11 +774,17 @@ def _scene_with_ids(*ids):
         "bandwidth-infinite", "power-string", "floor-infinite", "threshold-bool", "plan-w_c",
         "seed-negative", "plan-unknown-subject", "plan-background", "weight-unknown-source",
         "n_steps-past-the-cap", "blob-id-unsafe", "blob-id-background", "blob-id-duplicate",
+        "bandwidth-zero", "bandwidth-negative", "anchor-outside", "factor-tiny",
+        "atlas_scenes-string", "keep-w_c", "remove-edit", "shift-factor", "shift-anchor",
+        "scale-dy",
     ],
 )
 def test_pipeline_rejects_mistyped_values(tmp_path, capsys, patch, message):
     # each used to run on a misread value, or fail only after the scene was written
-    # (an unsafe or reserved blob id), or end in a MemoryError traceback (n_steps)
+    # (an unsafe or reserved blob id), or end in a MemoryError traceback (n_steps);
+    # a bandwidth of 0 or an edit outside the frame failed only after scene/ and
+    # atlas/ were written, a string of atlas_scenes was read character by
+    # character, and a field its directive or edit kind does not use was ignored
     cfg = dict(_pipeline_config(tmp_path), **patch)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))

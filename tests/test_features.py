@@ -206,6 +206,21 @@ def test_soften_weight_must_be_finite(w_c):
             make()
 
 
+@pytest.mark.parametrize("kind", ["keep", "remove", "mask_edit"])
+def test_only_soften_takes_a_w_c(kind):
+    # a w_c on any other directive used to be accepted and never read
+    edit = MaskEdit("shift", dx=1) if kind == "mask_edit" else None
+    with pytest.raises(BadValue, match=f"a {kind} directive takes no w_c"):
+        Directive(kind, w_c=1.0, edit=edit)
+
+
+@pytest.mark.parametrize("kind", ["keep", "remove", "soften"])
+def test_only_mask_edit_takes_an_edit(kind):
+    # an edit on any other directive used to be accepted and never read
+    with pytest.raises(BadValue, match=f"a {kind} directive takes no edit"):
+        Directive(kind, edit=MaskEdit("shift", dx=1))
+
+
 def test_soft_blend_monotone_approach():
     rng = np.random.default_rng(1)
     s, c = rng.standard_normal(4), rng.standard_normal(4)

@@ -196,6 +196,19 @@ def test_scale_anchor_validation():
         MaskEdit("scale", factor=2.0)  # anchor required
 
 
+@pytest.mark.parametrize(
+    "kind, unused",
+    [("shift", {"factor": 2.0}), ("shift", {"anchor": (1.0, 1.0)}), ("scale", {"dx": 1}),
+     ("scale", {"dy": -1})],
+    ids=["shift-factor", "shift-anchor", "scale-dx", "scale-dy"],
+)
+def test_an_edit_takes_only_the_fields_its_kind_uses(kind, unused):
+    # such a field used to be accepted and never read
+    needed = {"factor": 2.0, "anchor": (1.0, 1.0)} if kind == "scale" else {}
+    with pytest.raises(BadValue, match=f"a {kind} edit takes no"):
+        MaskEdit(kind, **needed, **unused)
+
+
 @pytest.mark.parametrize("factor", [float("inf"), float("nan")])
 def test_scale_edit_rejects_a_non_finite_factor(factor):
     # an infinite factor used to scale every frame to its anchor cell
