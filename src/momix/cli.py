@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resize", nargs=2, action="append", default=[], metavar=("ID", "FACTOR"))
     p.add_argument("--init", choices=["auto", "shared", "fresh"], default="auto")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step-size", type=float, default=None)
+    p.add_argument("--step-size", type=float, default=None, help="step size (default: 1/curvature)")
     p.add_argument("--inner-steps", type=int, default=3)
     p.add_argument("--t-start", type=int, default=None)
     p.add_argument("--t-end", type=int, default=None)

@@ -240,6 +240,7 @@ class PairOperator:
         member = self._regions.astype(np.float64)
         # sums of integer cell counts, exact in float64
         self.area = np.einsum("ra,a->r", member, self._sizes).astype(np.int64)
+        self._curvatures: dict[bytes, float] = {}
         # per frame, the rows that touch it in row order: +1 where it is i, -1 where it is j
         self._groups = []
         for f in range(self.n_frames):
@@ -273,6 +274,14 @@ class PairOperator:
                 gram[np.ix_(index, index)] += np.outer(scale, scale) * overlap
         gram.setflags(write=False)
         return gram
+
+    def curvature(self, weight: np.ndarray) -> float:
+        """λmax of ``D½ G D½``, D = diag(weight), G = ``gram``; memoized per weight vector."""
+        if (key := weight.tobytes()) not in self._curvatures:
+            top = weight.max() or 1.0
+            root = np.sqrt(weight / top)  # entries at most 1: no underflow or overflow
+            self._curvatures[key] = top * _top_eigenvalue(root[:, None] * self.gram * root)
+        return self._curvatures[key]
 
     def apply(self, latents: np.ndarray) -> np.ndarray:
         """(F, C, H, W) latents -> (n_rows, C) region-mean deltas ``mean_i - mean_j``."""
@@ -311,6 +320,20 @@ class PairOperator:
         # atoms[:, :, labels] lays it out with frames and channels innermost
         cells = np.take(atoms, self._labels, axis=2)
         return cells.reshape(self.n_frames, coef.shape[1], *self.spatial)
+
+
+def _top_eigenvalue(a: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric positive semidefinite matrix, by power iteration.
+
+    Fixed-order einsums, not LAPACK or BLAS, so the bytes do not depend on the thread count.
+    The Rayleigh quotient only rises; it stops once a step gains less than 1e-6 of it.
+    """
+    u, rho, last = np.random.default_rng(0).standard_normal(len(a)), 0.0, -1.0
+    while rho - last > 1e-6 * rho:
+        v = u / np.sqrt(np.einsum("r,r->", u, u))
+        u = np.einsum("rs,s->r", a, v)
+        rho, last = float(np.einsum("r,r->", v, u)), rho
+    return rho
 
 
 def compile_sources(

@@ -33,8 +33,7 @@ from .tensors import LatentVideo
 class GuidanceConfig:
     """Optimizer and window settings for the latent guidance updates.
 
-    ``step_size=None`` uses 1/L per update, with L the curvature bound of
-    the quadratic (guaranteed non-increasing loss). ``t_start``/``t_end``
+    ``step_size=None`` uses ``stable_step_size`` (non-increasing loss). ``t_start``/``t_end``
     default to the first 80% of the denoising steps when left unset.
     """
 
@@ -170,17 +169,14 @@ def loss_and_gradient(
 
 
 def stable_step_size(target: GuidanceTarget) -> float:
-    """1/L with L = 4 * (sum of enforced row weights) / (smallest enforced area).
+    """1/L, with L = 2 λmax(D½ G D½) the largest eigenvalue of the loss's Hessian ``2 Wᵀ D W``.
 
-    L upper-bounds the largest Hessian eigenvalue of the quadratic (per
-    channel, via the trace), so gradient descent with this step cannot
-    increase the loss.
+    G = W Wᵀ is the operator's Gram matrix and D = diag(weight). Below 2/L, descent cannot
+    increase the loss. The operator memoizes λmax per weight vector: once per run.
     """
-    enforced = target.enforced
-    total = float(target.weight[enforced].sum())
-    if total == 0.0:
+    if not target.weight.any():
         raise NoValidPairs("cannot size a step with no enforced pairs")
-    return float(1.0 / (4.0 * total / target.regions.area[enforced].min()))
+    return float(np.float64(0.5) / target.regions.curvature(target.weight))  # a 0 gives inf
 
 
 def guided_update(

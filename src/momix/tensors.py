@@ -241,17 +241,18 @@ def read_array(path, out: np.ndarray | None = None) -> np.ndarray:
             dims = _read_header(fh, TENSOR_MAGIC, path)
             if out is not None and dims != out.shape:
                 raise DimMismatch(f"{path}: dims {dims}, expected {out.shape}")
-            payload = fh.read()
+            n = int(np.prod(dims, dtype=np.int64))
+            if (size := os.fstat(fh.fileno()).st_size - fh.tell()) == 4 * n:  # allocate no more
+                arr = np.empty(dims, dtype="<f4")
+                size = fh.readinto(arr) + len(fh.read(1))
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    n = int(np.prod(dims, dtype=np.int64))
-    if len(payload) != 4 * n:
-        raise DimMismatch(f"{path}: header says {n} values, payload holds {len(payload)} bytes")
-    arr = np.frombuffer(payload, dtype="<f4").reshape(dims)
-    if not np.all(np.isfinite(arr)):
+    if size != 4 * n:
+        raise DimMismatch(f"{path}: header says {n} values, payload holds {size} bytes")
+    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):  # NaN and inf show in these
         raise NonFinite(f"{path}: payload contains NaN or Inf")
     if out is None:
-        return arr.copy()
+        return arr
     out[...] = arr
     return out
 

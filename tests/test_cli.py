@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from momix import gradcheck
+from momix import diffusion, features, gradcheck
 from momix import pipeline as pl
 from momix.cli import main
 from momix.diffusion import (
@@ -854,6 +854,20 @@ def test_recompose_checks_every_guided_timestep_before_sampling(
         )
     assert sampled == []
     assert not (tmp_path / "r").exists()
+
+
+def test_guided_recompose_sizes_its_default_step_once(pipeline_dirs, tmp_path, monkeypatch):
+    # every guided timestep shares one operator and one weight vector, so the
+    # power iteration behind the default step runs once per run
+    scene, traj, desc = pipeline_dirs
+    eigen, updates = [], []
+    top_eigenvalue, guided_update = features._top_eigenvalue, diffusion.guided_update
+    monkeypatch.setattr(features, "_top_eigenvalue",
+                        lambda a: eigen.append(a) or top_eigenvalue(a))
+    monkeypatch.setattr(diffusion, "guided_update",
+                        lambda z, *args: updates.append(z) or guided_update(z, *args))
+    assert _recompose(desc, traj, scene, tmp_path / "r") == 0
+    assert len(updates) > 1 and len(eigen) == 1
 
 
 @pytest.mark.parametrize("change, message", [

@@ -440,6 +440,51 @@ def test_guided_update_bytes_do_not_depend_on_blas_threads():
     assert len(digests) == 1, digests
 
 
+# large-edit's geometry: 16 frames x 4 channels x 64x64 and 3 subjects, 480 rows;
+# for both weight sets, eigvalsh's largest eigenvalue has different bytes at 1 and
+# 2 OpenBLAS threads
+_STEP_THREAD_PROBE = """
+import numpy as np
+from momix.features import MotionDescriptor, compile_sources
+from momix.guidance import GuidanceTarget, stable_step_size
+from momix.synth import BlobSpec, SceneSpec, render_scene
+
+n = 16
+spec = SceneSpec(
+    n_frames=n, n_channels=4, height=64, width=64,
+    blobs=(
+        BlobSpec("A", tuple((20.0, 10.0 + 2.3 * f) for f in range(n)), 5.0, (0, 2.5, 0, 0)),
+        BlobSpec("B", tuple((46.0, 54.0 - 2.3 * f) for f in range(n)), 5.0, (0, 0, 2.5, 0)),
+        BlobSpec("C", tuple((8.0 + 2.3 * f, 56.0) for f in range(n)), 4.0, (0, 0, 0, 2.5)),
+    ),
+    texture_seed=1,
+)
+latents, tracks, _ = render_scene(spec)
+regions = compile_sources(latents, tracks)
+assert len(regions.rows) == 480, len(regions.rows)
+rng = np.random.default_rng(4)
+refs = [
+    MotionDescriptor(sid, 0, n, regions.ij[rows], rng.standard_normal((rows.stop - rows.start, 4)))
+    for sid, rows in regions.slices.items()
+]
+for weights in ({"A": 2.0, "B": 2.0, "C": 0.5}, {"A": 1.0, "B": 0.0, "C": 1.0}):
+    print(stable_step_size(GuidanceTarget(refs, regions, weights=weights)).hex())
+"""
+
+
+def test_stable_step_size_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(momix.__file__).resolve().parents[1])
+    steps = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _STEP_THREAD_PROBE],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        steps.add(done.stdout.strip())
+    assert len(steps) == 1, steps
+
+
 _GRADCHECK_PROBE = """
 import json
 from momix.gradcheck import run_gradcheck
@@ -530,17 +575,34 @@ def test_unknown_source_and_config_validation():
 
 
 def test_stable_step_size_bound():
-    target = _single_pair_setup(weight=2.0)
-    # L = 4 * weight * pairs / min_area = 4 * 2 * 1 / 16
-    assert stable_step_size(target) == pytest.approx(16.0 / 8.0)
+    # closed forms of 1 / (2 lambda_max(D^1/2 G D^1/2))
+    # one pair over 16 cells: G = 2/16, so lambda_max = weight/8 and the step 4/weight,
+    # also for weights whose squares underflow or overflow
+    for weight in (2.0, 1e-200, 1e200):
+        step = stable_step_size(_single_pair_setup(weight=weight))
+        assert step == pytest.approx(4.0 / weight, rel=1e-12), weight
+    # a full-frame source over 3 frames with (0, 2) unenforced: G over (0, 1) and
+    # (1, 2) is [[2, -1], [-1, 2]] / 16, whose top eigenvector (1, -1) a start
+    # along the weights would miss, giving lambda 1/16 instead of 3/16
+    track = MaskTrack(np.ones((3, 4, 4), dtype=bool), subject_id="s")
+    ref = MotionDescriptor.from_forward_pairs(
+        "s", 0, 3, {(0, 1): np.array([1.0]), (1, 2): np.array([1.0])}
+    )
+    target = GuidanceTarget([ref], PairOperator({"s": track}))
+    assert stable_step_size(target) == pytest.approx(16.0 / 6.0, rel=1e-6)
+    target = GuidanceTarget([ref], PairOperator({"s": track}), weights={"s": 0.0})
+    with pytest.raises(NoValidPairs):
+        stable_step_size(target)
 
 
-def test_stable_step_size_matches_per_source_sum():
-    # the per-source loop the row sums replaced: L = 4 * sum_s w_s * n_enforced_s / min_area,
-    # with the smallest region left unenforced so that only enforced areas may count
+def test_stable_step_size_matches_the_exact_curvature():
+    # the step against an eigensolver on D^1/2 G D^1/2, with fractional and integer
+    # weights, and with the smallest region left unenforced so that its row must not count
     rng = np.random.default_rng(5)
-    for k in range(10):
-        regions = random_case(rng, 3, 2, 8, 8, 2).target.regions
+    sizes = [(3, 2, 8, 8, 2), (4, 2, 10, 10, 3), (6, 1, 12, 12, 3), (2, 2, 6, 6, 1)]
+    checked = 0
+    for k in range(24):
+        regions = random_case(rng, *sizes[k % len(sizes)]).target.regions
         smallest = regions.rows[int(np.argmin(regions.area))]
         references = [
             MotionDescriptor.from_forward_pairs(
@@ -551,18 +613,16 @@ def test_stable_step_size_matches_per_source_sum():
         ]
         fractional = {sid: float(rng.uniform(0.2, 2.0)) for sid in regions.source_ids()}
         integer = {sid: float(n + 1) for n, sid in enumerate(regions.source_ids())}
-        for weights, rel in ((fractional, 1e-12), (integer, 0.0)):
+        for weights in (fractional, integer):
             target = GuidanceTarget(references, regions, weights=weights)
             if not target.enforced.any():
                 continue
-            total, min_area = 0.0, np.inf
-            for sid, rows in regions.slices.items():
-                enforced = target.enforced[rows]
-                if enforced.any():
-                    total += weights[sid] * np.count_nonzero(enforced)
-                    min_area = min(min_area, regions.area[rows][enforced].min())
-            want = 1.0 / (4.0 * total / min_area)
-            assert stable_step_size(target) == pytest.approx(want, rel=rel, abs=0.0), k
+            assert target.weight[regions.rows.index(smallest)] == 0.0
+            root = np.sqrt(target.weight)
+            want = 1.0 / (2.0 * np.linalg.eigvalsh(root[:, None] * regions.gram * root).max())
+            assert stable_step_size(target) == pytest.approx(want, rel=1e-2), k
+            checked += 1
+    assert checked >= 20
 
 
 def test_guidance_window_default():

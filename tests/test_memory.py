@@ -29,7 +29,7 @@ N_STEPS = 30
 INVERT_BUDGET = 4  # measured 3.65: the step's two buffers plus z0 and the file write
 EXTRACT_BUDGET = 3  # measured 1.8
 MEAN_BUFFERS = 1  # with more than ten members: the summed mean (measured 4.64 with it)
-ATLAS_BUDGET = 2  # measured 1.00 beside the stack, reading the scene's latents into it
+ATLAS_BUDGET = 1  # measured 0.63 beside the stack, reading the scene's latents into it
 # measured 7.27 beside a 12-member stack, in recompose: the mean's row, the
 # sampler's three buffers, the initial noise and the guidance problem
 PIPELINE_BUDGET = 8

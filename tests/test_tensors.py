@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,53 @@ def test_read_array_into_a_float64_row(tmp_path):
     assert not stack[0].any()
     with pytest.raises(DimMismatch, match=r"dims \(2, 3, 4\), expected \(3, 2, 4\)"):
         read_array(path, out=np.zeros((3, 2, 4)))
+
+
+@pytest.mark.parametrize("tail, bad, error", [
+    (-4, (), DimMismatch), (4, (), DimMismatch), (0, (np.nan,), NonFinite),
+    (0, (np.inf,), NonFinite), (0, (-np.inf,), NonFinite), (0, (np.inf, -np.inf), NonFinite),
+], ids=["short-payload", "long-payload", "nan", "inf", "minus-inf", "both-infs"])
+def test_read_array_checks_its_payload_before_filling_a_row(tmp_path, tail, bad, error):
+    # the finite values reach float32's range, so their float64 sum must stay finite
+    data = np.linspace(-3e38, 3e38, 24, dtype=np.float32)
+    data[5:5 + len(bad)] = bad
+    payload = data.tobytes()
+    payload = payload[:tail] if tail < 0 else payload + b"\x00" * tail
+    path = tmp_path / "bad.cmt"
+    path.write_bytes(b"CMT1" + struct.pack("<I3I", 3, 2, 3, 4) + payload)
+    row = np.zeros((2, 3, 4))
+    with pytest.raises(error):
+        read_array(path, out=row)
+    assert not row.any()
+    data[5:5 + len(bad)] = 3e38
+    path.write_bytes(b"CMT1" + struct.pack("<I3I", 3, 2, 3, 4) + data.tobytes())
+    assert read_array(path, out=row).tobytes() == data.astype(np.float64).reshape(2, 3, 4).tobytes()
+
+
+def test_read_array_holds_one_float32_copy_of_the_payload(tmp_path):
+    # it reads into a float32 array of the header's size; reading the bytes and
+    # then copying them held a float64 latent's worth for a float32 payload
+    shape = (6, 3, 64, 64)
+    path = tmp_path / "a.cmt"
+    write_array(path, np.random.default_rng(0).standard_normal(shape))
+    row = np.empty(shape)
+    for out in (row, None):
+        tracemalloc.start()
+        try:
+            read_array(path, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.7 * row.nbytes, peak / row.nbytes
+    # a header of 2**31 values over a four-value payload allocates nothing for them
+    path.write_bytes(b"CMT1" + struct.pack("<I2I", 2, 1 << 16, 1 << 15) + b"\x00" * 16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimMismatch, match="payload holds 16 bytes"):
+            read_array(path)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_header_payload_mismatch(tmp_path):
