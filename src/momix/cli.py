@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import pipeline as pl
 from .diffusion import NoiseSchedule, ZeroDenoiser, read_trajectory_index, trajectory_path
-from .errors import BadValue, EmptyRegion, MomixError, NonFinite, NoValidPairs, UnknownSubject
+from .errors import BadValue, EmptyRegion, MomixError, NonFinite, NoValidPairs
 from .features import (
     Directive,
     EditPlan,
@@ -134,21 +134,24 @@ def _cmd_invert(args) -> int:
 
 def _cmd_extract(args) -> int:
     manifest = load_manifest(args.manifest)
+    baseline = None
+    if args.baseline:  # read before anything is written, so a bad baseline leaves no archive
+        baseline = {d.source_id: d
+                    for d in pl.read_extract_index(args.baseline).references([0])[0]}
     rel = os.path.relpath(args.manifest, args.out_dir)
     out = pl.run_extract(
         args.traj_dir, manifest, args.out_dir, legacy_region=args.legacy_region, manifest_path=rel
     )
     index = pl.read_extract_index(out)
     print(f"descriptors written to {out}: sources={index.sources}, timesteps=0..{index.n_steps}")
-    if args.baseline:
-        _print_baseline_distances(args, manifest)
+    if baseline is not None:
+        _print_baseline_distances(args, manifest, baseline)
     return 0
 
 
-def _print_baseline_distances(args, manifest) -> None:
+def _print_baseline_distances(args, manifest, baseline) -> None:
     z0 = load_tensor(trajectory_path(args.traj_dir, 0))  # run_extract has read its index
     masks = manifest.load_masks()
-    baseline = {d.source_id: d for d in pl.read_extract_index(args.baseline).references([0])[0]}
     for mode, legacy in (("refined", False), ("legacy", True)):
         for d in extract_descriptors(z0, masks, timestep=0, legacy_region=legacy, strict=False):
             if d.source_id in baseline:
@@ -172,27 +175,18 @@ def _parse_weights(items: list[str]) -> dict[str, float]:
 def _plan_from_args(args, manifest) -> EditPlan:
     base = load_plan(args.plan) if args.plan else EditPlan()
     directives = dict(base.directives)
-    known = set(manifest.subject_ids)
-
-    def check(sid):
-        if sid not in known:
-            raise UnknownSubject(f"unknown subject {sid!r}; manifest has {sorted(known)}")
-
     if args.soften is not None:
-        for sid in known:
+        for sid in manifest.subject_ids:
             directives.setdefault(sid, Directive("soften", w_c=args.soften))
     for sid in args.remove:
-        check(sid)
         directives[sid] = Directive("remove")
     for sid, dx, dy in args.shift:
-        check(sid)
         try:
             edit = MaskEdit("shift", dx=int(dx), dy=int(dy))
         except ValueError:
             raise BadValue(f"--shift expects integer dx dy, got {dx!r} {dy!r}")
         directives[sid] = Directive("mask_edit", edit=edit)
     for sid, factor in args.resize:
-        check(sid)
         try:
             factor = float(factor)
         except ValueError:

@@ -107,9 +107,6 @@ _UNIT_ROUNDOFF = 2.0**-53
 # exp(x) underflows to exactly 0 below x = -745.13; a member whose log-weight is
 # certified to lie this far below another's has weight 0 whether it is read or not
 _CERTIFY_GAP = 800.0
-# with more members than this, the noise form's one term is the weighted mean;
-# with this many or fewer, its terms are the members of non-zero weight
-_MAX_MEMBER_TERMS = 10
 
 
 def _gamma(n: int) -> float:
@@ -123,18 +120,18 @@ class _CarriedBounds:
 
     ``est`` holds K estimates with |est_k - <m_k, z>| <= ``err`` ||m_k||, and
     ``znorm`` >= ||z||; ``est`` is None until a call has read every row. The
-    denoiser records each term of its form as v_j = sum_l x_jl m_l in
-    ``coords`` (a unit row for a member, the weights for their mean), so a
-    DDIM step z' = alpha z + sum_j beta_j v_j gives <m_k, z'> = alpha <m_k, z>
-    + (G y)_k + <m_k, r>, with y = sum_j beta_j x_j, the atlas Gram G, and r
-    the rounding of the step and of the mean. By Cauchy-Schwarz each gamma_n
-    allowance (of G, y, G y and r) is a multiple of ||m_k||, so one scalar
-    carries them all; the constants cover them twice over. The bounds only
-    choose the rows a call skips, and the rows read are read as in a full read.
+    denoiser records the members its form's terms are in ``kept``, so a DDIM
+    step z' = alpha z + sum_j beta_j m_kept[j] gives <m_k, z'> =
+    alpha <m_k, z> + (G y)_k + <m_k, r>, with y the betas scattered onto the
+    kept members, the atlas Gram G, and r the rounding of the step. By
+    Cauchy-Schwarz each gamma_n allowance (of G, G y and r) is a multiple of
+    ||m_k||, so one scalar carries them all; the constants cover them twice
+    over. The bounds only choose the rows a call skips, and the rows read are
+    read as in a full read.
     """
 
     def __init__(self, denoiser: GaussianAtlasDenoiser):
-        self.den, self.est, self.coords = denoiser, None, None
+        self.den, self.est, self.kept = denoiser, None, None
 
     def live(self, c: float, ab: float, var: float) -> np.ndarray:
         """The members whose weight may be non-zero, in member order; without finite bounds, all.
@@ -155,26 +152,27 @@ class _CarriedBounds:
             return every
         return np.flatnonzero(upper >= best - _CERTIFY_GAP - 4 * _UNIT_ROUNDOFF * abs(best))
 
-    def record(self, zf: np.ndarray, ip: np.ndarray | None, coords: np.ndarray) -> None:
-        """After a call: a full read's products become the estimates; keep the terms' coordinates."""
+    def record(self, zf: np.ndarray, ip: np.ndarray | None, kept: np.ndarray) -> None:
+        """After a call: a full read's products become the estimates; keep the terms' members."""
         if self.est is None:
             with np.errstate(all="ignore"):  # an overflowing norm only makes the bounds vacuous
                 zz = float(np.einsum("n,n->", zf, zf))
                 self.znorm = math.sqrt(zz * (1.0 + self.den._gam))
             self.est, self.err = ip, self.den._gam * self.znorm
-        self.coords = coords
+        self.kept = kept
 
     def advance(self, coefs: Sequence[float]) -> None:
-        """Carry the bounds to the latents alpha z + sum_j beta_j v_j that ``coefs`` made."""
+        """Carry the bounds to the latents alpha z + sum_j beta_j m_kept[j] that ``coefs`` made."""
         if self.est is None:
             return
         den, alpha, betas = self.den, abs(coefs[0]), np.array(coefs[1:], dtype=np.float64)
-        coords = self.coords if betas.size else np.zeros((0, len(den.members)))
-        gam = _gamma((coords.shape[0] + 1) * (coords.shape[1] + 1) + 4)  # covers spread's sum
+        kept = self.kept[:betas.size]  # none at t = 0, whose noise form has no terms
+        gam = _gamma((kept.size + 1) * (len(den.members) + 1) + 4)  # covers spread's sum
         with np.errstate(all="ignore"):
-            # bounds sum_l |y_l| ||m_l|| and sum_j |beta_j| ||v_j||, up to the mean's rounding
-            spread = float(np.einsum("j,jl,l->", np.abs(betas), coords, den._norms))
-            y = np.einsum("j,jl->l", betas, coords)
+            # bounds sum_j |beta_j| ||m_kept[j]||
+            spread = float(np.einsum("j,j->", np.abs(betas), den._norms[kept]))
+            y = np.zeros(len(den.members))
+            y[kept] = betas
             self.est = coefs[0] * self.est + np.einsum("kl,l->k", den._gram, y)
             self.err = (alpha * self.err + (den._gam + 8 * gam) * spread
                         + 2 * gam * alpha * (self.znorm + self.err)) * (1.0 + 16 * _UNIT_ROUNDOFF)
@@ -210,12 +208,9 @@ class GaussianAtlasDenoiser:
     never hold a second copy. The squared norms and the Gram are taken once,
     and a call reads members for the inner products <m_k, z>, which give the
     weights. Every product is a fixed-order einsum, never BLAS: OpenBLAS
-    splits its sums differently per thread count. With at most ten members
-    (``_MAX_MEMBER_TERMS``) the form's terms are the members of non-zero
-    weight, in member order, as read-only views of ``members``. With more,
-    the one term is the weighted mean m, read-only, summed by one einsum over
-    the rows read into a row allocated at the first such call, with the bytes
-    of a member-order multiply-and-add of the non-zero weights.
+    splits its sums differently per thread count. The form's terms are the
+    members of non-zero weight, in member order, as read-only views of
+    ``members``; a call allocates no latent-sized array.
 
     Over many cells most weights underflow to exactly 0. The samplers pass
     both methods the bounds their run carries (``_bounds``), and a call skips
@@ -223,7 +218,7 @@ class GaussianAtlasDenoiser:
     the rows from the first uncertified member to the last; a view of two
     rows or more gives the bytes of the full product. A lone uncertified
     member is not read at all: its weight is exp(0) / 1 = 1.0, as the full
-    formula computes it, and m is its own member row. The softmax runs over
+    formula computes it, and it is the one term. The softmax runs over
     all K log-weights, with -inf at the members not read, so every weight's
     byte is the same as with every member read. Without bounds a call reads
     every row.
@@ -259,7 +254,6 @@ class GaussianAtlasDenoiser:
         self._gam = 2.0 * _gamma(self._flat.shape[1])
         self._norms = np.sqrt(self._sq_norms * (1.0 + self._gam))
         self._gram = np.einsum("kn,ln->kl", self._flat, self._flat)
-        self._mean = None  # the weighted mean's row, above _MAX_MEMBER_TERMS members
         self.schedule = schedule
         self.calls = self.certified_members = self.member_rows_read = self.single_survivor_calls = 0
 
@@ -298,28 +292,11 @@ class GaussianAtlasDenoiser:
         # mean + shrink * (z - c * mean) = shrink * z + (1 - c * shrink) * mean
         shrink = c * self.bandwidth**2 / var
         keep = 1.0 - c * shrink
-        if n_members <= _MAX_MEMBER_TERMS:
-            # over many cells exp underflows to exactly 0 for all but the nearest members
-            kept = np.flatnonzero(w)
-            form = shrink, tuple((keep * w[k], self.members[k]) for k in kept)
-            coords = np.eye(n_members)[kept]
-        else:
-            if ip is None:
-                mean = self._flat[first]
-            else:
-                if self._mean is None:
-                    self._mean = np.empty(self._flat.shape[1])
-                # a row of weight 0 adds +-0 to sums that start at +0, which leaves their
-                # bytes those of summing only the non-zero terms, in member order
-                mean = np.einsum("k,kn->n", w[first:last], self._flat[first:last],
-                                 out=self._mean)
-            mean = mean.reshape(z.shape)
-            mean.setflags(write=False)
-            form = shrink, ((keep, mean),)
-            coords = w[None]
+        # over many cells exp underflows to exactly 0 for all but the nearest members
+        kept = np.flatnonzero(w)
         if _bounds is not None:
-            _bounds.record(zf, ip, coords)
-        return form
+            _bounds.record(zf, ip, kept)
+        return shrink, tuple((keep * w[k], self.members[k]) for k in kept)
 
     def predict_noise(self, z: np.ndarray, t: int, *,
                       _bounds: _CarriedBounds | None = None) -> AffineForm:

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import BadValue, NoValidPairs
 from .features import MotionDescriptor, PairOperator
 from .guidance import GuidanceTarget, guidance_gradient
+from .masks import BACKGROUND_ID, background_track
 from .tensors import LatentVideo, MaskTrack
 
 _CHUNK = 256
@@ -142,10 +143,7 @@ def random_case(
     masks = {}
     for k in range(n_subjects):
         masks[f"s{k}"] = _random_track(rng, n_frames, height, width, f"s{k}")
-    occupied = np.zeros((n_frames, height, width), dtype=bool)
-    for t in masks.values():
-        occupied |= t.data
-    masks["background"] = MaskTrack(~occupied, subject_id="background")
+    masks[BACKGROUND_ID] = background_track(list(masks.values()))
 
     regions = PairOperator(masks)
     references = []

@@ -304,6 +304,31 @@ def read_extract_index(desc_dir) -> ExtractIndex:
 # --- recompose + guided sampling ---------------------------------------------
 
 
+def check_edit(plan: EditPlan, config: GuidanceConfig, subject_ids, n_steps: int,
+               height: int, width: int) -> tuple[int, int]:
+    """The guidance window of ``config`` over ``n_steps``, once the edit is known to apply.
+
+    The plan may name only the scene's ``subject_ids``, and the weights only
+    those and the background; a scale edit must be one ``scale_sources`` can
+    map over the (``height``, ``width``) frame. An empty window is an error too.
+    """
+    window = config.window(n_steps)
+    known = sorted(subject_ids)
+    for sid, directive in plan.directives.items():
+        if sid not in known:
+            raise UnknownSubject(f"plan names subject {sid!r}, an unknown subject; "
+                                 f"the scene has {known}")
+        edit = directive.edit
+        if edit is not None and edit.kind == "scale":
+            scale_sources(height, width, edit.factor, edit.anchor)
+    for sid in config.per_source_weight:
+        if sid != BACKGROUND_ID and sid not in known:
+            raise UnknownSubject(f"guidance weight for unknown source {sid!r}: a weight for "
+                                 f"source {sid!r} needs its mask; the scene has {known} "
+                                 f"and {BACKGROUND_ID!r}")
+    return window
+
+
 @dataclass
 class RecomposeResult:
     output: LatentVideo
@@ -329,9 +354,15 @@ def run_recompose(
     ``denoiser`` comes from ``build_denoiser``: an atlas denoiser must have
     the trajectory's schedule and latent shape, or the run stops before
     sampling. run.json records its ``bandwidth`` (null for any other denoiser).
+    The plan and the guidance config pass ``check_edit`` against the
+    manifest's subjects before sampling, guided or not.
     """
     # sampling starts from z_T, so the other latents are never read
     schedule = read_trajectory_index(traj_dir)
+    plan = plan if plan is not None else EditPlan()
+    config = guidance_config if guidance_config is not None else GuidanceConfig()
+    start, end = check_edit(plan, config, manifest.subject_ids, schedule.n_steps,
+                            manifest.height, manifest.width)
     reference_zT = load_tensor(trajectory_path(traj_dir, schedule.n_steps))
     if isinstance(denoiser, GaussianAtlasDenoiser):
         if denoiser.members.shape[1:] != reference_zT.shape:
@@ -339,7 +370,6 @@ def run_recompose(
                               f"the latents {reference_zT.shape}")
         if not np.array_equal(denoiser.schedule.alpha_bar, schedule.alpha_bar):
             raise BadValue(f"the denoiser's schedule is not the one {traj_dir} was inverted with")
-    plan = plan if plan is not None else EditPlan()
     edits = {sid: d.edit for sid, d in plan.directives.items() if d.kind == "mask_edit"}
     if init == "auto":
         init_mode = "fresh" if plan.camera_only or edits else "shared"
@@ -349,8 +379,6 @@ def run_recompose(
 
     guidance = None
     if guided:
-        config = guidance_config if guidance_config is not None else GuidanceConfig()
-        start, end = config.window(schedule.n_steps)
         index = read_extract_index(desc_dir)
         if index.n_steps != schedule.n_steps:
             raise BadValue(f"{desc_dir}: descriptors span timesteps 0..{index.n_steps}, "
@@ -509,18 +537,8 @@ def run_pipeline(config: dict, out_root=None) -> dict:
     seed = cfg.get("seed", 0)
     if seed < 0:
         raise BadValue(f"malformed {what}: seed must be >= 0, got {seed}")
-    gcfg.window(schedule.n_steps)  # an empty guidance window is a config error
-    blob_ids = {b.subject_id for b in spec.blobs}
-    for sid, directive in plan.directives.items():
-        if sid == BACKGROUND_ID or sid not in blob_ids:
-            raise UnknownSubject(f"plan names subject {sid!r}; the scene has {sorted(blob_ids)}")
-        edit = directive.edit
-        if edit is not None and edit.kind == "scale":
-            scale_sources(spec.height, spec.width, edit.factor, edit.anchor)
-    for sid in gcfg.per_source_weight:
-        if sid != BACKGROUND_ID and sid not in blob_ids:
-            raise UnknownSubject(f"guidance weight for unknown source {sid!r}; the scene has "
-                                 f"{sorted(blob_ids)} and {BACKGROUND_ID!r}")
+    check_edit(plan, gcfg, [b.subject_id for b in spec.blobs], schedule.n_steps,
+               spec.height, spec.width)
     scene_dir = run_synth(spec, out_root / "scene")
     manifest = load_manifest(scene_dir / "manifest.json")
     # one denoiser serves inversion and recompose

@@ -472,6 +472,17 @@ def test_extract_baseline_prints_both_distances(tmp_path, capsys):
     assert "legacy A: distance to baseline" in out
 
 
+def test_extract_with_a_missing_baseline_writes_nothing(pipeline_dirs, tmp_path, capsys):
+    # used to write the whole descriptor archive before reading the baseline
+    scene, traj, _ = pipeline_dirs
+    out = tmp_path / "desc2"
+    rc = main(["extract", str(traj), str(scene / "manifest.json"), str(out),
+               "--baseline", str(tmp_path / "nowhere")])
+    assert rc == 2
+    assert "cannot read" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_recompose_unguided_samples_without_guidance(pipeline_dirs, tmp_path, capsys):
     scene, traj, desc = pipeline_dirs
     run = tmp_path / "r"
@@ -480,6 +491,29 @@ def test_recompose_unguided_samples_without_guidance(pipeline_dirs, tmp_path, ca
     assert rc == 0
     assert "sampled without guidance" in capsys.readouterr().out
     assert (run / "trace.jsonl").read_bytes() == b""
+
+
+@pytest.mark.parametrize("extra, plan, message", [
+    ([], {"subjects": {"ghost": {"op": "remove"}}}, "plan names subject 'ghost'"),
+    ([], {"subjects": {"ghost": {"op": "mask_edit", "edit": {"kind": "shift", "dx": 2}}}},
+     "plan names subject 'ghost'"),
+    (["--weight", "ghost=1"], None, "weight for source 'ghost'"),
+    (["--t-end", "100"], None, "guidance window empty"),
+], ids=["plan-remove", "plan-mask-edit", "weight", "window"])
+def test_unguided_recompose_checks_the_plan_and_guidance(
+    pipeline_dirs, tmp_path, capsys, extra, plan, message
+):
+    # each used to sample and exit 0 without guidance, though a guided run exits 2
+    scene, traj, desc = pipeline_dirs
+    if plan is not None:
+        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        extra = extra + ["--plan", str(tmp_path / "plan.json")]
+    run = tmp_path / "r"
+    rc = main(["recompose", str(desc), str(traj), str(run),
+               "--atlas", str(scene / "latents_t0.cmt"), "--unguided", *extra])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not run.exists()
 
 
 def test_recompose_camera_only_switch(pipeline_dirs, tmp_path):

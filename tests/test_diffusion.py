@@ -14,7 +14,6 @@ from momix.diffusion import (
     NoiseSchedule,
     SamplingGuidance,
     ZeroDenoiser,
-    _MAX_MEMBER_TERMS,
     _ddim_step,
     ddim_invert,
     ddim_invert_steps,
@@ -206,8 +205,7 @@ def _multipass_ddim_step(eps, z, ab, t, t_next):
 def _oracle_mean_form(den, z, t):
     """The posterior mean's affine form s z + (1 - c s) sum w_k m_k, with temporaries.
 
-    With at most ten members each member of non-zero weight is a term; with
-    more, the weighted mean is the one term.
+    Each member of non-zero weight is a term, in member order.
     """
     ab = float(den.schedule.alpha_bar[t])
     c = np.sqrt(ab)
@@ -215,9 +213,7 @@ def _oracle_mean_form(den, z, t):
     w = _oracle_weights(den, z, t)
     shrink = c * den.bandwidth**2 / var
     keep = 1.0 - c * shrink
-    if len(den.members) <= _MAX_MEMBER_TERMS:
-        return shrink, tuple((keep * w[k], den.members[k]) for k in np.flatnonzero(w))
-    return shrink, ((keep, _oracle_mean(den, w, z.shape)),)
+    return shrink, tuple((keep * w[k], den.members[k]) for k in np.flatnonzero(w))
 
 
 def _oracle_noise_form(den, z, t):
@@ -295,6 +291,7 @@ def _multipass_chain(den, z, ab, eps_of):
     return worst
 
 
+# the atlases: below-gate has two members, above-gate twelve
 @pytest.mark.parametrize("atlas", ["zero", "below-gate", "above-gate"])
 def test_affine_step_matches_the_multipass_formula(atlas):
     sched = NoiseSchedule.default(n_steps=30)
@@ -373,8 +370,8 @@ def test_sampling_reads_a_noise_term_that_is_the_latents_themselves():
 # 17 members of 100,820 cells: OpenBLAS 0.3.31 splits both gemv sums differently at
 # 1 and 2 threads for this size (3 members it does not), and the members sit close
 # enough together that the weights are mixed. The probe hashes the noise forms'
-# coefficients and weighted means, then one inversion and one sampling pass over
-# the same atlas.
+# coefficients and terms, then one inversion and one sampling pass over the same
+# atlas.
 _THREAD_PROBE = """
 import hashlib
 import numpy as np
@@ -449,9 +446,9 @@ def test_certified_pruning_matches_the_oracle_through_inversion_and_sampling():
     assert den.member_rows_read < den.calls * len(atlas)
 
 
-def _still(bounds):
-    """Advance the bounds over a DDIM move from t to t: alpha = 1, and beta = 0 for the one term."""
-    bounds.advance([1.0, 0.0])
+def _still(bounds, terms):
+    """Advance the bounds over a DDIM move from t to t: alpha = 1, and beta = 0 for each term."""
+    bounds.advance([1.0] + [0.0] * len(terms))
 
 
 @pytest.mark.parametrize("gap, certified", [(-700.5, False), (-745.2, False), (-790.0, False),
@@ -518,7 +515,7 @@ def test_certified_pruning_matches_the_oracle_for_any_call_sequence():
 
 
 @pytest.mark.parametrize("spread, n_members", [(1.0, 12), (0.01, 6), (0.01, 12)],
-                         ids=["separated", "mixed-member-terms", "mixed-mean-term"])
+                         ids=["separated", "mixed-member-terms", "mixed-twelve-members"])
 def test_the_carried_bounds_hold_along_a_run(spread, n_members):
     # |est_k - <m_k, z>| <= err ||m_k|| and ||z|| <= znorm after every step, with
     # the inner products and norms taken in extended precision; members 0.01
@@ -628,7 +625,8 @@ def _clustered_atlas_with_signed_zeros():
     return base, [LatentVideo(m) for m in atlas]
 
 
-def test_the_one_pass_mean_has_the_bytes_of_the_per_member_sum():
+def test_the_form_terms_are_the_members_of_non_zero_weight():
+    # twelve members, a zero weight between two non-zero ones: the terms skip it
     base, atlas = _clustered_atlas_with_signed_zeros()
     sched = NoiseSchedule.default(n_steps=20)
     den = GaussianAtlasDenoiser(atlas, sched)
@@ -637,15 +635,15 @@ def test_the_one_pass_mean_has_the_bytes_of_the_per_member_sum():
     bounds = diffusion._carried_bounds(den)
     for _ in range(3):  # the first call reads every row; the later ones certify
         w = _oracle_weights(den, z, t)
-        read = np.flatnonzero(w)
-        assert read.size >= 2 and np.any(w[read[0]:read[-1] + 1] == 0.0)
-        _, ((_, mean),) = den.posterior_mean(z, t, _bounds=bounds)
-        want = _oracle_mean(den, w, z.shape)
-        assert mean.tobytes() == want.tobytes()
-        assert not mean.flags.writeable
-        _still(bounds)
-    assert not np.signbit(mean.reshape(-1)[0])  # sums start at +0, as before
-    # the counts the per-member sum gave on the same calls
+        kept = np.flatnonzero(w)
+        assert kept.size >= 2 and np.any(w[kept[0]:kept[-1] + 1] == 0.0)
+        form = den.posterior_mean(z, t, _bounds=bounds)
+        _assert_same_form(form, _oracle_mean_form(den, z, t))
+        for k, (_, v) in zip(kept, form[1], strict=True):
+            assert np.shares_memory(v, den.members[k])
+            assert not v.flags.writeable
+        _still(bounds, form[1])
+    # the first call reads all 12 rows; the next two certify 9 members each and read 4
     assert (den.calls, den.certified_members, den.member_rows_read,
             den.single_survivor_calls) == (3, 18, 20, 0)
 
@@ -659,7 +657,7 @@ def test_a_lone_survivors_mean_is_its_own_member_row():
     bounds = diffusion._carried_bounds(den)
     for _ in range(2):  # the second call certifies every member but the nearest
         _, ((_, mean),) = den.posterior_mean(z, t, _bounds=bounds)
-        _still(bounds)
+        _still(bounds, [mean])
     assert np.shares_memory(mean, den.members[5])
     assert not mean.flags.writeable
     assert mean.tobytes() == den.members[5].tobytes()  # its -0.0 included

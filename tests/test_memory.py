@@ -6,9 +6,9 @@ scene; a stage that held the whole trajectory would need about n_steps + 1
 of them for inversion, and half that for extraction's float32 tensors.
 An atlas of K members costs K latents, its denoiser's stack, on top: a
 stage that held the members a second time, as a list beside the stack,
-would need about 2K. With more than ten members the denoiser adds one row,
-the weighted mean it sums in place; the bounds a run carries to skip members
-are a few K-vectors.
+would need about 2K. The denoiser's noise form reads members in place, so it
+adds no latent at any K; the bounds a run carries to skip members are a few
+K-vectors.
 The finite-difference oracle's budget is in perturbation stacks of one
 (frame, channel) plane.
 """
@@ -28,11 +28,10 @@ from momix.tensors import LatentVideo, load_manifest
 N_STEPS = 30
 INVERT_BUDGET = 4  # measured 3.65: the step's two buffers plus z0 and the file write
 EXTRACT_BUDGET = 3  # measured 1.8
-MEAN_BUFFERS = 1  # with more than ten members: the summed mean (measured 4.64 with it)
 ATLAS_BUDGET = 1  # measured 0.63 beside the stack, reading the scene's latents into it
-# measured 7.27 beside a 12-member stack, in recompose: the mean's row, the
-# sampler's three buffers, the initial noise and the guidance problem
-PIPELINE_BUDGET = 8
+# measured 6.23 beside a 12-member stack, in recompose: the sampler's three
+# buffers, the initial noise and the guidance problem
+PIPELINE_BUDGET = 7
 ATLAS_VARIANTS = 12  # members rendered besides the scene's own, past ten
 
 
@@ -59,6 +58,12 @@ def _spec(texture_seed=7):
 
 def _variants(k):
     return [_spec(texture_seed=100 + s) for s in range(k)]
+
+
+def _noisy_atlas(z0):
+    """Twelve members: z0 and eleven noisy copies of it."""
+    rng = np.random.default_rng(0)
+    return [z0] + [LatentVideo(z0.data + rng.standard_normal(z0.shape)) for _ in range(11)]
 
 
 @pytest.fixture()
@@ -91,16 +96,14 @@ def test_extract_peak_does_not_grow_with_n_steps(scene, tmp_path):
 
 
 def test_invert_peak_above_the_pruning_gate(scene, tmp_path):
-    # twelve members: the form's one term is the weighted mean
+    # twelve members, some of them certified away
     manifest, latent_bytes = scene
     schedule = NoiseSchedule.default(n_steps=N_STEPS)
     z0 = manifest.load_latent("0")
-    rng = np.random.default_rng(0)
-    atlas = [z0] + [LatentVideo(z0.data + rng.standard_normal(z0.shape)) for _ in range(11)]
-    denoiser = GaussianAtlasDenoiser(atlas, schedule)
+    denoiser = GaussianAtlasDenoiser(_noisy_atlas(z0), schedule)
     peak = _peak(pl.run_invert, manifest, schedule, denoiser, tmp_path / "traj")
     assert denoiser.certified_members > 0
-    assert peak < (INVERT_BUDGET + MEAN_BUFFERS) * latent_bytes, peak / latent_bytes
+    assert peak < INVERT_BUDGET * latent_bytes, peak / latent_bytes
 
 
 def test_atlas_holds_one_copy_of_its_members(scene, tmp_path):
@@ -120,7 +123,7 @@ def test_invert_with_atlas_files_holds_one_copy_of_them(scene, tmp_path):
             "--steps", str(N_STEPS), "--atlas", *paths]
     peak = _peak(main, argv)
     assert len(paths) > 10
-    budget = len(paths) + INVERT_BUDGET + MEAN_BUFFERS
+    budget = len(paths) + INVERT_BUDGET
     assert peak < budget * latent_bytes, peak / latent_bytes
 
 
@@ -139,13 +142,14 @@ def test_pipeline_peak_above_the_pruning_gate(tmp_path):
     assert peak < (ATLAS_VARIANTS + PIPELINE_BUDGET) * latent_bytes, peak / latent_bytes
 
 
-def test_ddim_step_allocates_two_latent_buffers_below_the_gate(scene):
-    # the returned latents and one scratch buffer; the finiteness scan's bool
-    # mask is an eighth of a latent
+def test_ddim_step_allocates_two_latent_buffers(scene):
+    # the returned latents and one scratch buffer, with twelve members (the
+    # first step measured 2.13); the finiteness scan's bool mask is an eighth
+    # of a latent
     manifest, latent_bytes = scene
     schedule = NoiseSchedule.default(n_steps=N_STEPS)
     z0 = manifest.load_latent("0")
-    denoiser = GaussianAtlasDenoiser([z0, z0], schedule)
+    denoiser = GaussianAtlasDenoiser(_noisy_atlas(z0), schedule)
     z = z0.data.astype(np.float64)
     for t, t_next in ((3, 4), (4, 3), (0, 1), (N_STEPS, N_STEPS - 1)):
         peak = _peak(_ddim_step, denoiser, z, schedule.alpha_bar, t, t_next)
