@@ -25,12 +25,11 @@ import numpy as np
 from .errors import BadValue, DimMismatch, NonFinite
 from .guidance import GuidanceConfig, GuidanceTarget, guided_update
 from .tensors import (
-    REQUIRED,
     LatentVideo,
     make_dir,
     read_json,
     remove_file,
-    typed_field,
+    typed_fields,
     typed_numbers,
     write_array,
     write_json,
@@ -487,16 +486,16 @@ def read_trajectory_index(dir_path) -> NoiseSchedule:
     """
     dir_path = Path(dir_path)
     what = f"trajectory index {dir_path}"
-    index = read_json(dir_path / "index.json")
-    n_steps = typed_field(index, "n_steps", int, REQUIRED, what)
-    alpha_bar = typed_field(index, "alpha_bar", list, REQUIRED, what)
-    schedule = NoiseSchedule(np.asarray(typed_numbers(alpha_bar, None, f"{what}: alpha_bar")))
+    kinds = {"n_steps": int, "alpha_bar": lambda v, label: typed_numbers(v, None, label),
+             "files": dict}
+    index = typed_fields(read_json(dir_path / "index.json"), kinds, what, required=kinds)
+    n_steps, files = index["n_steps"], index["files"]
+    schedule = NoiseSchedule(np.asarray(index["alpha_bar"]))
     if schedule.n_steps != n_steps:
         raise BadValue(
             f"{dir_path}: index says n_steps {n_steps} but alpha_bar has "
             f"{schedule.n_steps + 1} values"
         )
-    files = typed_field(index, "files", dict, REQUIRED, what)
     if files != {str(t): trajectory_path(dir_path, t).name for t in range(n_steps + 1)}:
         raise BadValue(f"{dir_path}: index files must map each timestep 0..{n_steps} to t###.cmt")
     return schedule

@@ -36,13 +36,11 @@ from .masks import (
     pair_region,
 )
 from .tensors import (
-    REQUIRED,
     LatentVideo,
     MaskTrack,
     ensure_same_geometry,
     read_array,
     read_json,
-    typed_field,
     typed_fields,
     typed_numbers,
     write_array,
@@ -570,19 +568,20 @@ def load_descriptor(json_path) -> MotionDescriptor:
     """
     json_path = Path(json_path)
     what = f"descriptor {json_path}"
-    doc = read_json(json_path)
+    kinds = {"source_id": str, "timestep": int, "n_frames": int, "valid_pairs": list,
+             "tensor": str}
+    doc = typed_fields(read_json(json_path), kinds, what, required=kinds)
     tensor = json_path.with_suffix(".cmt")
-    if typed_field(doc, "tensor", str, REQUIRED, what) != tensor.name:
+    if doc["tensor"] != tensor.name:
         raise BadValue(f"malformed {what}: tensor must be {tensor.name!r}, got {doc['tensor']!r}")
-    n_frames = typed_field(doc, "n_frames", int, REQUIRED, what)
-    pairs = typed_field(doc, "valid_pairs", list, REQUIRED, what)
+    n_frames, pairs = doc["n_frames"], doc["valid_pairs"]
     if not all(isinstance(p, list) and len(p) == 2
                and all(type(f) is int and 0 <= f < n_frames for f in p) for p in pairs):
         raise BadValue(f"malformed {what}: valid_pairs must hold [i, j] pairs of JSON integers "
                        f"in 0..{n_frames - 1}")
     return MotionDescriptor(
-        typed_field(doc, "source_id", str, REQUIRED, what),
-        typed_field(doc, "timestep", int, REQUIRED, what),
+        doc["source_id"],
+        doc["timestep"],
         n_frames,
         np.array(pairs, dtype=np.int64).reshape(-1, 2),
         read_array(tensor) if pairs else np.zeros((0, 0)),

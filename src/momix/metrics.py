@@ -83,10 +83,13 @@ def descriptor_distance(d1: MotionDescriptor, d2: MotionDescriptor) -> tuple[flo
 
     Returns (distance, number of compared unordered pairs); disjoint
     valid-pair sets yield (0.0, 0), which callers should treat as a
-    vacuous comparison.
+    vacuous comparison. Descriptors of other frame or channel counts raise
+    LengthMismatch; one without pairs has no channels to compare.
     """
     if d1.n_frames != d2.n_frames:
         raise LengthMismatch(f"frame counts differ: {d1.n_frames} vs {d2.n_frames}")
+    if len(d1.pairs) and len(d2.pairs) and d1.n_channels != d2.n_channels:
+        raise LengthMismatch(f"channel counts differ: {d1.n_channels} vs {d2.n_channels}")
     rows = d2.rows_of(d1.pairs)
     shared = rows >= 0
     if not shared.any():

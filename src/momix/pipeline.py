@@ -53,7 +53,6 @@ from .synth import (
     scene_from_json,
 )
 from .tensors import (
-    REQUIRED,
     TENSOR_MAGIC,
     LatentVideo,
     SceneManifest,
@@ -68,7 +67,6 @@ from .tensors import (
     save_manifest,
     save_mask,
     save_tensor,
-    typed_field,
     typed_fields,
     write_array,
     write_json,
@@ -109,9 +107,7 @@ def run_synth(spec: SceneSpec, out_dir) -> Path:
 # --- invert -----------------------------------------------------------------
 
 
-def build_denoiser(
-    atlas: np.ndarray | None, schedule: NoiseSchedule, bandwidth: float = 0.5
-) -> Denoiser:
+def build_denoiser(atlas: np.ndarray | None, schedule: NoiseSchedule, bandwidth: float) -> Denoiser:
     """The atlas denoiser over the float64 stack ``atlas``, which it keeps uncopied.
 
     No atlas (None, or a stack of no members) gives the zero denoiser.
@@ -222,6 +218,9 @@ def run_extract(
     masks = manifest.load_masks()
     latents = load_tensor(trajectory_path(traj_dir, 0))
     shape = latents.shape
+    if shape != manifest.latent_shape:
+        raise DimMismatch(f"{traj_dir}: latents {shape} differ from the manifest's "
+                          f"{manifest.latent_shape}")
     # the regions depend on the masks alone
     operator = compile_sources(latents, masks, legacy_region=legacy_region)
     make_dir(out_dir)
@@ -432,6 +431,9 @@ def run_metrics(run_dir, scene_dir, desc_dir=None, out_path=None, threshold: flo
     run_dir, scene_dir = Path(run_dir), Path(scene_dir)
     output = load_tensor(run_dir / "output.cmt")
     spec = load_scene(scene_dir / "spec.json")
+    if output.shape != spec.latent_shape:
+        raise DimMismatch(f"{run_dir}: output latents {output.shape} differ from the scene's "
+                          f"{spec.latent_shape}")
     report: dict = {"subjects": {}, "descriptor_distances": {}, "warnings": []}
     for blob in spec.blobs:
         centroids, areas = estimate_blob_track(output, blob.channel_signature, threshold)
@@ -494,9 +496,8 @@ def guidance_config_from_json(doc: dict) -> GuidanceConfig:
                                 "t_end": int, "weights": dict}, what)
     if "weights" in fields:
         weights = fields.pop("weights")
-        fields["per_source_weight"] = {
-            sid: typed_field(weights, sid, float, REQUIRED, f"{what} weights") for sid in weights
-        }
+        fields["per_source_weight"] = typed_fields(weights, dict.fromkeys(weights, float),
+                                                   f"{what} weights", required=weights)
     return GuidanceConfig(**fields)
 
 
@@ -533,18 +534,20 @@ def run_pipeline(config: dict, out_root=None) -> dict:
     spec = _scene_spec(cfg["scene"])
     member_specs = [_scene_spec(doc) for doc in cfg.get("atlas_scenes", [])]
     _check_member_shapes(member_specs, spec.latent_shape)
-    bandwidth = check_bandwidth(cfg.get("bandwidth", 0.5))
-    seed = cfg.get("seed", 0)
-    if seed < 0:
-        raise BadValue(f"malformed {what}: seed must be >= 0, got {seed}")
+    if "bandwidth" in cfg:
+        check_bandwidth(cfg["bandwidth"])
+    if cfg.get("seed", 0) < 0:
+        raise BadValue(f"malformed {what}: seed must be >= 0, got {cfg['seed']}")
     check_edit(plan, gcfg, [b.subject_id for b in spec.blobs], schedule.n_steps,
                spec.height, spec.width)
+    def given(**keys):  # the stage arguments the config sets, by config key; stages default others
+        return {arg: cfg[key] for arg, key in keys.items() if key in cfg}
     scene_dir = run_synth(spec, out_root / "scene")
     manifest = load_manifest(scene_dir / "manifest.json")
     # one denoiser serves inversion and recompose
     denoiser = run_atlas(manifest, member_specs, schedule, out_root / "atlas",
-                         include_reference=cfg.get("atlas_include_reference", True),
-                         bandwidth=bandwidth)
+                         **given(include_reference="atlas_include_reference",
+                                 bandwidth="bandwidth"))
 
     invert_denoiser = ZeroDenoiser() if cfg.get("invert_denoiser") == "zero" else denoiser
     traj_dir = run_invert(manifest, schedule, invert_denoiser, out_root / "traj")
@@ -553,11 +556,11 @@ def run_pipeline(config: dict, out_root=None) -> dict:
         traj_dir,
         manifest,
         out_root / "desc",
-        legacy_region=cfg.get("legacy_region", False),
         manifest_path="../scene/manifest.json",
+        **given(legacy_region="legacy_region"),
     )
 
-    result = run_recompose(
+    run_recompose(
         desc_dir,
         plan,
         traj_dir,
@@ -565,9 +568,7 @@ def run_pipeline(config: dict, out_root=None) -> dict:
         denoiser=denoiser,
         manifest=manifest,
         guidance_config=gcfg,
-        init=cfg.get("init", "auto"),
-        seed=seed,
-        guided=cfg.get("guided", True),
+        **given(init="init", seed="seed", guided="guided"),
     )
     report = run_metrics(
         out_root / "run",

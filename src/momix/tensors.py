@@ -320,52 +320,30 @@ def read_json(path) -> dict:
     return doc
 
 
-REQUIRED = object()  # the ``default`` of ``typed_field`` for a key that must be present
 _JSON_NAMES = {bool: "boolean", int: "integer", str: "string", list: "array", dict: "object",
                float: "number", type(None): "null"}
 
 
-def typed_field(doc: dict, key: str, kind, default, what: str):
-    """``doc[key]`` (``default`` when absent), once it has the JSON type ``kind``.
+def typed_fields(doc, kinds: dict, what: str, required=(), where: str | None = None) -> dict:
+    """The keys of ``doc``, each checked against its JSON type in ``kinds``.
 
-    ``kind`` is ``bool``, ``int``, ``str``, ``list``, ``dict``, ``float`` (a
+    Every JSON document momix reads goes through here. ``doc`` must be an
+    object whose keys all lie in ``kinds``, so a misspelt key is rejected
+    instead of read as absent. A key in ``required`` must be present; any
+    other absent key is left out, so a constructor given the result as
+    keywords supplies its own default. A table of free keys, such as a
+    manifest's masks, is typed ``dict`` and then read with the kinds
+    ``dict.fromkeys(table, kind)`` and ``required=table``. ``what`` names the
+    document in every error, ``where`` (default ``what``) in those about one value.
+
+    A kind is ``bool``, ``int``, ``str``, ``list``, ``dict``, ``float`` (a
     finite JSON number, integer or not, returned as a float), a union of
     these such as ``float | None`` (``None`` admits JSON null), a tuple of
     the allowed strings, or a function ``(value, label)`` that returns the
     value converted or raises ``BadValue`` naming ``label``. Nothing else is
     coerced: ``"false"`` is no boolean, ``2.9`` or ``true`` no integer,
     ``5`` or ``["x"]`` no string, and ``"2"``, ``true`` or ``Infinity`` no
-    number. An absent key whose ``default`` is ``REQUIRED`` is rejected.
-    """
-    if key not in doc:
-        if default is REQUIRED:
-            raise BadValue(f"malformed {what}: missing {key}")
-        return default
-    value = doc[key]
-    if isinstance(kind, tuple):
-        if not (isinstance(value, str) and value in kind):
-            raise BadValue(f"malformed {what}: {key} must be one of {list(kind)}, got {value!r}")
-        return value
-    if not isinstance(kind, (type, types.UnionType)):
-        return kind(value, f"malformed {what}: {key}")
-    kinds = typing.get_args(kind) or (kind,)
-    if float in kinds and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return _finite_number(value, f"malformed {what}: {key}")
-    if not any(isinstance(value, k) and not (k is int and isinstance(value, bool)) for k in kinds):
-        names = " or ".join(_JSON_NAMES[k] for k in kinds)
-        raise BadValue(f"malformed {what}: {key} must be a JSON {names}, got {value!r}")
-    return value
-
-
-def typed_fields(doc, kinds: dict, what: str, required=(), where: str | None = None) -> dict:
-    """The keys of ``doc``, each typed by ``typed_field`` with its kind in ``kinds``.
-
-    ``doc`` must be an object whose keys all lie in ``kinds``: a misspelt key
-    would otherwise fall back silently to its default. A key in ``required``
-    must be present; any other absent key is left out, so a constructor
-    given the result as keywords supplies its own default. ``what`` names
-    the document in every error, ``where`` (default ``what``) in those
-    about one value.
+    number.
     """
     if not isinstance(doc, dict):
         raise BadValue(f"{what} must be an object, got {type(doc).__name__}")
@@ -373,8 +351,27 @@ def typed_fields(doc, kinds: dict, what: str, required=(), where: str | None = N
     if unknown:
         raise BadValue(f"unknown {what} keys {unknown}; known: {sorted(kinds)}")
     where = what if where is None else where
-    return {key: typed_field(doc, key, kind, REQUIRED, where)
+    return {key: _typed_field(doc, key, kind, where)
             for key, kind in kinds.items() if key in doc or key in required}
+
+
+def _typed_field(doc: dict, key: str, kind, where: str):
+    if key not in doc:
+        raise BadValue(f"malformed {where}: missing {key}")
+    value, label = doc[key], f"malformed {where}: {key}"
+    if isinstance(kind, tuple):
+        if not (isinstance(value, str) and value in kind):
+            raise BadValue(f"{label} must be one of {list(kind)}, got {value!r}")
+        return value
+    if not isinstance(kind, (type, types.UnionType)):
+        return kind(value, label)
+    kinds = typing.get_args(kind) or (kind,)
+    if float in kinds and isinstance(value, (int, float)) and not isinstance(value, bool):
+        return _finite_number(value, label)
+    if not any(isinstance(value, k) and not (k is int and isinstance(value, bool)) for k in kinds):
+        names = " or ".join(_JSON_NAMES[k] for k in kinds)
+        raise BadValue(f"{label} must be a JSON {names}, got {value!r}")
+    return value
 
 
 def typed_numbers(value, length: int | None, label: str) -> tuple[float, ...]:
@@ -483,18 +480,17 @@ def save_manifest(manifest: SceneManifest, path) -> None:
 def load_manifest(path) -> SceneManifest:
     """The manifest ``save_manifest`` wrote, once every file it lists has its dims.
 
-    The sizes must be JSON integers and every latent and mask path a JSON string.
+    The sizes must be JSON integers and every latent and mask path a JSON
+    string; ``masks`` may be absent, but a key ``save_manifest`` never writes
+    is rejected.
     """
     path = Path(path)
     what = f"manifest {path}"
-    doc = read_json(path)
-    latents = typed_field(doc, "latents", dict, REQUIRED, what)
-    masks = typed_field(doc, "masks", dict, {}, what)
-    for table in (latents, masks):
-        for key in table:
-            typed_field(table, key, str, REQUIRED, what)
-    keys = ("frames", "channels", "height", "width")
-    sizes = [typed_field(doc, k, int, REQUIRED, what) for k in keys]
-    manifest = SceneManifest(*sizes, latents=latents, masks=masks, root=path.parent)
+    kinds = {"frames": int, "channels": int, "height": int, "width": int, "latents": dict,
+             "masks": dict}
+    fields = typed_fields(read_json(path), kinds, what, required=set(kinds) - {"masks"})
+    for table in (fields["latents"], fields.get("masks", {})):  # each maps keys to paths
+        typed_fields(table, dict.fromkeys(table, str), what, required=table)
+    manifest = SceneManifest(**fields, root=path.parent)
     manifest.verify()
     return manifest

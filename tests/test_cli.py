@@ -1344,3 +1344,85 @@ def test_pipeline_tree_does_not_depend_on_blas_threads(tmp_path):
         )
         digests.append(tree_digest(out))
     assert digests[0] == digests[1]
+
+
+def _rename_key(old, new):
+    return lambda doc: doc.update({new: doc.pop(old)})
+
+
+# file, its edit, and the message naming the key its writer never writes
+_UNKNOWN_KEYS = {
+    "manifest-extra": ("scene/manifest.json", lambda doc: doc.update(note=1), "keys ['note']"),
+    "manifest-mask": ("scene/manifest.json", _rename_key("masks", "mask"), "keys ['mask']"),
+    "index-extra": ("traj/index.json", lambda doc: doc.update(note=1), "keys ['note']"),
+    "descriptor-extra": ("desc/t005/A.json", lambda doc: doc.update(note=1), "keys ['note']"),
+}
+
+
+@pytest.mark.parametrize("damage, stage", [
+    ("manifest-extra", "invert"), ("manifest-extra", "extract"),
+    ("manifest-extra", "recompose"), ("manifest-extra", "metrics"),
+    ("manifest-mask", "invert"), ("manifest-mask", "extract"),
+    ("manifest-mask", "recompose"), ("manifest-mask", "metrics"),
+    ("index-extra", "extract"), ("index-extra", "recompose"),
+    ("descriptor-extra", "recompose"),
+])
+def test_a_key_its_writer_never_writes_is_a_usage_error(pipeline_dirs, tmp_path, capsys,
+                                                        damage, stage):
+    # each used to be ignored: a manifest with "mask" for "masks" had no
+    # subjects, so extract archived only the background and exited 0
+    scene, traj, desc = pipeline_dirs
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "output.cmt").write_bytes((scene / "latents_t0.cmt").read_bytes())
+    path, edit, message = _UNKNOWN_KEYS[damage]
+    _edit_json(tmp_path / path, edit)
+    out = tmp_path / "out"
+    argv = {
+        "invert": ["invert", str(scene / "manifest.json"), str(out), "--steps", "2"],
+        "extract": ["extract", str(traj), str(scene / "manifest.json"), str(out)],
+        "recompose": ["recompose", str(desc), str(traj), str(out),
+                      "--atlas", str(scene / "latents_t0.cmt"), "--inner-steps", "1"],
+        "metrics": ["metrics", str(run), str(scene)],
+    }[stage]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() and not (run / "metrics.json").exists()
+
+
+@pytest.fixture()
+def two_channel_dirs(tmp_path):
+    spec = demo_scene()
+    blobs = tuple(dataclasses.replace(b, channel_signature=b.channel_signature[1:])
+                  for b in spec.blobs)
+    save_scene(dataclasses.replace(spec, n_channels=2, blobs=blobs), tmp_path / "scene2.json")
+    scene, traj, desc = (tmp_path / d for d in ("scene2", "traj2", "desc2"))
+    assert main(["synth", str(tmp_path / "scene2.json"), str(scene)]) == 0
+    assert main(["invert", str(scene / "manifest.json"), str(traj),
+                 "--steps", "8", "--zero-noise"]) == 0
+    assert main(["extract", str(traj), str(scene / "manifest.json"), str(desc)]) == 0
+    return scene, traj, desc
+
+
+@pytest.mark.parametrize("stage, message", [
+    ("metrics", "output latents (6, 3, 24, 24) differ from the scene's (6, 2, 24, 24)"),
+    ("metrics-desc", "channel counts differ: 2 vs 3"),
+    ("extract", "latents (6, 3, 24, 24) differ from the manifest's (6, 2, 24, 24)"),
+], ids=["metrics", "metrics-desc", "extract"])
+def test_latents_of_another_channel_count_are_a_usage_error(pipeline_dirs, two_channel_dirs,
+                                                            tmp_path, capsys, stage, message):
+    # both metrics cases used to end in a ValueError traceback (exit 1), and
+    # extract of a 3-channel trajectory over a 2-channel manifest exited 0
+    scene, traj, _ = pipeline_dirs
+    scene2, _, desc2 = two_channel_dirs
+    run, out = tmp_path / "run", tmp_path / "out"
+    run.mkdir()
+    (run / "output.cmt").write_bytes((scene / "latents_t0.cmt").read_bytes())
+    argv = {
+        "metrics": ["metrics", str(run), str(scene2)],
+        "metrics-desc": ["metrics", str(run), str(scene), "--desc", str(desc2)],
+        "extract": ["extract", str(traj), str(scene2 / "manifest.json"), str(out)],
+    }[stage]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (run / "metrics.json").exists() and not out.exists()

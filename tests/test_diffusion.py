@@ -291,20 +291,19 @@ def _multipass_chain(den, z, ab, eps_of):
     return worst
 
 
-# the atlases: below-gate has two members, above-gate twelve
-@pytest.mark.parametrize("atlas", ["zero", "below-gate", "above-gate"])
+@pytest.mark.parametrize("atlas", ["zero", "two-members", "twelve-members"])
 def test_affine_step_matches_the_multipass_formula(atlas):
     sched = NoiseSchedule.default(n_steps=30)
     if atlas == "zero":
         den, z0 = ZeroDenoiser(), _latents(seed=4).data
         eps_of = lambda z, t: np.zeros(z.shape)  # noqa: E731
     else:
-        members = list(_atlas_pair()) if atlas == "below-gate" else _separated_atlas()
+        members = list(_atlas_pair()) if atlas == "two-members" else _separated_atlas()
         den = GaussianAtlasDenoiser(members, sched)
         z0 = members[0].data + 0.3 * np.random.default_rng(2).standard_normal(members[0].shape)
         eps_of = lambda z, t: _oracle_predict_noise(den, z, t)  # noqa: E731
     assert _multipass_chain(den, z0, sched.alpha_bar, eps_of) <= 1e-13
-    if atlas == "above-gate":
+    if atlas == "twelve-members":
         assert den.certified_members > 0
 
 

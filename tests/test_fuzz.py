@@ -1,8 +1,9 @@
 """Damaged artifacts end in a documented exit code, never in a traceback.
 
 One small real run (the 6-frame 24x24 demo scene, 6 DDIM steps) is built
-once. Each example copies it, damages one artifact, and runs every stage
-that reads artifacts: each must exit 0, 2 or 3.
+once. Each example copies it, damages one artifact (truncates, overwrites
+or deletes a file, or sets or renames one key of a JSON document), and runs
+every stage that reads artifacts: each must exit 0, 2 or 3.
 """
 
 import json
@@ -34,6 +35,7 @@ ARTIFACTS = sorted(
     + [f"desc/t{t:03d}/{sid}.cmt" for t in range(N_STEPS + 1) for sid in SOURCES]
 )
 VALUES = (None, True, False, -1, 10**20, 1.5, "x", [0, 1], {"k": 0})
+NAMES = ("mask", "x", "n_step", "background")
 
 _damage = st.one_of(
     st.tuples(st.just("truncate"), st.sampled_from(ARTIFACTS), st.integers(0, 2**16)),
@@ -42,6 +44,8 @@ _damage = st.one_of(
     st.tuples(st.just("delete"), st.sampled_from(ARTIFACTS)),
     st.tuples(st.just("set"), st.sampled_from(JSON_FILES), st.integers(0, 2**16),
               st.sampled_from(VALUES)),
+    st.tuples(st.just("rename"), st.sampled_from(JSON_FILES), st.integers(0, 2**16),
+              st.sampled_from(NAMES)),
 )
 
 
@@ -87,8 +91,14 @@ def _apply(damage, root: Path) -> None:
         path.write_bytes(data[:at] + damage[3] + data[at + len(damage[3]):])
     else:
         doc = json.loads(data)
-        container, key = (fields := _fields(doc))[damage[2] % len(fields)]
-        container[key] = damage[3]
+        fields = _fields(doc)
+        if kind == "rename":  # one key of an object, its value kept
+            fields = [(container, key) for container, key in fields if isinstance(key, str)]
+            container, key = fields[damage[2] % len(fields)]
+            container[damage[3]] = container.pop(key)
+        else:
+            container, key = fields[damage[2] % len(fields)]
+            container[key] = damage[3]
         path.write_text(json.dumps(doc))
 
 
@@ -101,6 +111,8 @@ def _apply(damage, root: Path) -> None:
 @example(damage=("set", "desc/t004/A.json", 0, 10**20))
 @example(damage=("set", "desc/t004/background.json", 0, 10**20))
 @example(damage=("set", "desc/t000/B.json", 0, 10**20))
+# "mask" for "masks" (the manifest's key 5 in document order): no subjects at all
+@example(damage=("rename", "scene/manifest.json", 5, "mask"))
 def test_damaged_artifacts_exit_with_a_documented_code(base_run, damage):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "run"

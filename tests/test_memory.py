@@ -32,7 +32,7 @@ ATLAS_BUDGET = 1  # measured 0.63 beside the stack, reading the scene's latents 
 # measured 6.23 beside a 12-member stack, in recompose: the sampler's three
 # buffers, the initial noise and the guidance problem
 PIPELINE_BUDGET = 7
-ATLAS_VARIANTS = 12  # members rendered besides the scene's own, past ten
+ATLAS_VARIANTS = 12  # members rendered besides the scene's own
 
 
 def _peak(fn, *args, **kwargs) -> int:
@@ -95,7 +95,7 @@ def test_extract_peak_does_not_grow_with_n_steps(scene, tmp_path):
     assert peak < EXTRACT_BUDGET * latent_bytes, peak / latent_bytes
 
 
-def test_invert_peak_above_the_pruning_gate(scene, tmp_path):
+def test_invert_peak_with_twelve_members(scene, tmp_path):
     # twelve members, some of them certified away
     manifest, latent_bytes = scene
     schedule = NoiseSchedule.default(n_steps=N_STEPS)
@@ -127,7 +127,7 @@ def test_invert_with_atlas_files_holds_one_copy_of_them(scene, tmp_path):
     assert peak < budget * latent_bytes, peak / latent_bytes
 
 
-def test_pipeline_peak_above_the_pruning_gate(tmp_path):
+def test_pipeline_peak_with_twelve_members(tmp_path):
     spec = _spec()
     config = {
         "scene": scene_to_json(spec),

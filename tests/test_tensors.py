@@ -12,7 +12,6 @@ from momix import tensors
 from momix.errors import BadMagic, BadValue, DimMismatch, IoFailure, NonFinite
 from momix.synth import write_frame_images
 from momix.tensors import (
-    REQUIRED,
     LatentVideo,
     MaskTrack,
     SceneManifest,
@@ -23,7 +22,7 @@ from momix.tensors import (
     save_manifest,
     save_mask,
     save_tensor,
-    typed_field,
+    typed_fields,
     write_array,
     write_json,
 )
@@ -336,15 +335,16 @@ def test_manifest_without_clean_latents_is_a_usage_error(tmp_path):
 
 def test_typed_field_required_and_container_kinds():
     doc = {"n": 3, "xs": [1], "table": {}}
-    assert typed_field(doc, "n", int, REQUIRED, "doc") == 3
-    assert typed_field(doc, "xs", list, REQUIRED, "doc") == [1]
-    assert typed_field(doc, "missing", dict, {}, "doc") == {}
+    kinds = {"n": int, "xs": list, "table": dict, "missing": dict}
+    assert typed_fields(doc, kinds, "doc", required=("n", "xs")) == doc  # "missing" left out
     with pytest.raises(BadValue, match="malformed doc: missing m"):
-        typed_field(doc, "m", int, REQUIRED, "doc")
+        typed_fields(doc, dict(kinds, m=int), "doc", required=("m",))
     with pytest.raises(BadValue, match="table must be a JSON array"):
-        typed_field(doc, "table", list, REQUIRED, "doc")
+        typed_fields(doc, dict(kinds, table=list), "doc")
     with pytest.raises(BadValue, match="xs must be a JSON object"):
-        typed_field(doc, "xs", dict, REQUIRED, "doc")
+        typed_fields(doc, dict(kinds, xs=dict), "doc")
+    with pytest.raises(BadValue, match=r"unknown doc keys \['n'\]"):
+        typed_fields(doc, {"xs": list, "table": dict}, "doc")
 
 
 _WRITERS = {
