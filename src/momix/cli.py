@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import pipeline as pl
 from .diffusion import NoiseSchedule, ZeroDenoiser, read_trajectory_index, trajectory_path
-from .errors import BadValue, EmptyRegion, MomixError, NonFinite, NoValidPairs
+from .errors import BadValue, DimMismatch, EmptyRegion, MomixError, NonFinite, NoValidPairs
 from .features import (
     Directive,
     EditPlan,
@@ -29,6 +29,9 @@ from .synth import load_scene
 from .tensors import load_manifest, load_tensor, read_json
 
 _NUMERIC_ERRORS = (NonFinite, NoValidPairs, EmptyRegion)
+# A flag so marked is left out of ``args`` when not given, and ``pl.given``
+# passes its stage only the flags that are there: the stage's default applies.
+_STAGE_DEFAULT = argparse.SUPPRESS
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,18 +49,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invert", help="run DDIM inversion and archive the trajectory")
     p.add_argument("manifest", help="scene manifest JSON")
     p.add_argument("out_dir")
-    p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--power", type=float, default=2.0)
-    p.add_argument("--floor", type=float, default=1e-4)
+    p.add_argument("--steps", type=int, default=_STAGE_DEFAULT)
+    p.add_argument("--power", type=float, default=_STAGE_DEFAULT)
+    p.add_argument("--floor", type=float, default=_STAGE_DEFAULT)
     p.add_argument("--zero-noise", action="store_true", help="use the zero denoiser")
     p.add_argument("--atlas", nargs="+", default=None, help="atlas latent files")
-    p.add_argument("--bandwidth", type=float, default=0.5)
+    p.add_argument("--bandwidth", type=float, default=_STAGE_DEFAULT)
 
     p = sub.add_parser("extract", help="extract motion descriptors per source per timestep")
     p.add_argument("traj_dir", help="trajectory archive directory")
     p.add_argument("manifest", help="scene manifest JSON")
     p.add_argument("out_dir")
-    p.add_argument("--legacy-region", action="store_true", help="skip other-subject exclusion")
     p.add_argument(
         "--baseline",
         default=None,
@@ -72,18 +74,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", default=None, help="edit plan JSON (default: keep everything)")
     p.add_argument("--manifest", default=None, help="override the manifest recorded at extract")
     p.add_argument("--atlas", nargs="+", required=True, help="atlas latent files for the denoiser")
-    p.add_argument("--bandwidth", type=float, default=0.5)
+    p.add_argument("--bandwidth", type=float, default=_STAGE_DEFAULT)
     p.add_argument("--soften", type=float, default=None, metavar="W_C")
     p.add_argument("--remove", action="append", default=[], metavar="ID")
     p.add_argument("--camera-only", action="store_true")
     p.add_argument("--shift", nargs=3, action="append", default=[], metavar=("ID", "DX", "DY"))
     p.add_argument("--resize", nargs=2, action="append", default=[], metavar=("ID", "FACTOR"))
-    p.add_argument("--init", choices=["auto", "shared", "fresh"], default="auto")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step-size", type=float, default=None, help="step size (default: 1/curvature)")
-    p.add_argument("--inner-steps", type=int, default=3)
-    p.add_argument("--t-start", type=int, default=None)
-    p.add_argument("--t-end", type=int, default=None)
+    p.add_argument("--init", choices=["auto", "shared", "fresh"], default=_STAGE_DEFAULT)
+    p.add_argument("--seed", type=int, default=_STAGE_DEFAULT)
+    p.add_argument("--step-size", type=float, default=_STAGE_DEFAULT, help="default: 1/curvature")
+    p.add_argument("--inner-steps", type=int, default=_STAGE_DEFAULT)
+    p.add_argument("--t-start", type=int, default=_STAGE_DEFAULT)
+    p.add_argument("--t-end", type=int, default=_STAGE_DEFAULT)
     p.add_argument("--weight", action="append", default=[], metavar="ID=W")
     p.add_argument("--unguided", action="store_true", help="sample without guidance")
 
@@ -91,12 +93,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("run_dir")
     p.add_argument("scene_dir")
     p.add_argument("--desc", default=None, help="reference descriptor dir")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=_STAGE_DEFAULT)
     p.add_argument("--out", default=None, help="report path (default run_dir/metrics.json)")
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the guidance gradient")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=20)
+    p.add_argument("--seed", type=int, default=_STAGE_DEFAULT)
+    p.add_argument("--cases", type=int, default=_STAGE_DEFAULT)
     p.add_argument("--fault", choices=["sign-flip"], default=None, help="test hook")
     p.add_argument("--zero-weights", action="store_true", help="test hook")
 
@@ -120,13 +122,14 @@ def _cmd_synth(args) -> int:
 
 def _cmd_invert(args) -> int:
     manifest = load_manifest(args.manifest)
-    schedule = NoiseSchedule.default(n_steps=args.steps, power=args.power, floor=args.floor)
+    schedule = NoiseSchedule.default(**pl.given(vars(args), n_steps="steps", power="power",
+                                                floor="floor"))
     if args.zero_noise:
         denoiser = ZeroDenoiser()
     else:
         atlas_paths = args.atlas if args.atlas else [manifest.latent_path("0")]
         denoiser = pl.build_denoiser(pl.load_atlas(atlas_paths, manifest.latent_shape),
-                                     schedule, bandwidth=args.bandwidth)
+                                     schedule, **pl.given(vars(args), bandwidth="bandwidth"))
     out = pl.run_invert(manifest, schedule, denoiser, args.out_dir)
     print(f"trajectory archive written to {out} ({schedule.n_steps + 1} tensors)")
     return 0
@@ -138,10 +141,14 @@ def _cmd_extract(args) -> int:
     if args.baseline:  # read before anything is written, so a bad baseline leaves no archive
         baseline = {d.source_id: d
                     for d in pl.read_extract_index(args.baseline).references([0])[0]}
+        for d in baseline.values():
+            channels = d.n_channels if len(d.pairs) else manifest.channels  # no pairs, no channels
+            if (d.n_frames, channels) != (manifest.frames, manifest.channels):
+                raise DimMismatch(f"baseline {args.baseline}: descriptor {d.source_id!r} has "
+                                  f"{d.n_frames} frames x {d.n_channels} channels, the scene "
+                                  f"{manifest.frames} x {manifest.channels}")
     rel = os.path.relpath(args.manifest, args.out_dir)
-    out = pl.run_extract(
-        args.traj_dir, manifest, args.out_dir, legacy_region=args.legacy_region, manifest_path=rel
-    )
+    out = pl.run_extract(args.traj_dir, manifest, args.out_dir, manifest_path=rel)
     index = pl.read_extract_index(out)
     print(f"descriptors written to {out}: sources={index.sources}, timesteps=0..{index.n_steps}")
     if baseline is not None:
@@ -214,14 +221,13 @@ def _cmd_recompose(args) -> int:
     manifest = load_manifest(manifest_path)
     plan = _plan_from_args(args, manifest)
     config = GuidanceConfig(
-        step_size=args.step_size,
-        n_inner_steps=args.inner_steps,
-        t_start=args.t_start,
-        t_end=args.t_end,
+        **pl.given(vars(args), step_size="step_size", n_inner_steps="inner_steps",
+                   t_start="t_start", t_end="t_end"),
         per_source_weight=_parse_weights(args.weight),
     )
     denoiser = pl.build_denoiser(pl.load_atlas(args.atlas, manifest.latent_shape),
-                                 read_trajectory_index(args.traj_dir), bandwidth=args.bandwidth)
+                                 read_trajectory_index(args.traj_dir),
+                                 **pl.given(vars(args), bandwidth="bandwidth"))
     result = pl.run_recompose(
         desc_dir,
         plan,
@@ -230,9 +236,8 @@ def _cmd_recompose(args) -> int:
         denoiser=denoiser,
         manifest=manifest,
         guidance_config=config,
-        init=args.init,
-        seed=args.seed,
         guided=not args.unguided,
+        **pl.given(vars(args), init="init", seed="seed"),
     )
     if result.trace:
         first, last = result.trace[0]["loss"], result.trace[-1]["loss"]
@@ -250,7 +255,7 @@ def _cmd_metrics(args) -> int:
         args.scene_dir,
         desc_dir=args.desc,
         out_path=out_path,
-        threshold=args.threshold,
+        **pl.given(vars(args), threshold="threshold"),
     )
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
@@ -258,10 +263,9 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     report = run_gradcheck(
-        seed=args.seed,
-        n_cases=args.cases,
         fault=args.fault,
         zero_weights=args.zero_weights,
+        **pl.given(vars(args), seed="seed", n_cases="cases"),
     )
     if report["vacuous"]:
         print(f"warning: {report['vacuous']}; gradient check is vacuous")

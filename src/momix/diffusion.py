@@ -184,10 +184,13 @@ def _carried_bounds(denoiser: Denoiser) -> _CarriedBounds | None:
 
 
 def check_bandwidth(bandwidth: float) -> float:
-    """``bandwidth`` as a float, once it is finite and positive."""
-    if not 0 < bandwidth < np.inf:
-        raise BadValue(f"bandwidth must be finite and positive, got {bandwidth}")
-    return float(bandwidth)
+    """``bandwidth`` as a float, once it is positive and its square, which the
+    denoiser takes, is a finite float64."""
+    bandwidth = float(bandwidth)
+    if not (bandwidth > 0 and bandwidth * bandwidth < math.inf):
+        raise BadValue(f"bandwidth must be finite and positive, with a finite square, "
+                       f"got {bandwidth}")
+    return bandwidth
 
 
 class GaussianAtlasDenoiser:

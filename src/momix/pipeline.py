@@ -11,7 +11,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -107,14 +107,16 @@ def run_synth(spec: SceneSpec, out_dir) -> Path:
 # --- invert -----------------------------------------------------------------
 
 
-def build_denoiser(atlas: np.ndarray | None, schedule: NoiseSchedule, bandwidth: float) -> Denoiser:
+def build_denoiser(atlas: np.ndarray | None, schedule: NoiseSchedule, **options) -> Denoiser:
     """The atlas denoiser over the float64 stack ``atlas``, which it keeps uncopied.
 
-    No atlas (None, or a stack of no members) gives the zero denoiser.
+    ``options`` (``bandwidth``) go to ``GaussianAtlasDenoiser``, which
+    defaults what is not given. No atlas (None, or a stack of no members)
+    gives the zero denoiser.
     """
     if atlas is None or len(atlas) == 0:
         return ZeroDenoiser()
-    return GaussianAtlasDenoiser(atlas, schedule, bandwidth=bandwidth)
+    return GaussianAtlasDenoiser(atlas, schedule, **options)
 
 
 def load_atlas(paths: Sequence, shape: tuple[int, ...]) -> np.ndarray:
@@ -149,7 +151,7 @@ def run_atlas(
     out_dir,
     *,
     include_reference: bool = True,
-    bandwidth: float = 0.5,
+    **denoiser_options,
 ) -> Denoiser:
     """Write the atlas members to ``out_dir`` and build their denoiser.
 
@@ -159,6 +161,7 @@ def run_atlas(
     anything is rendered. The denoiser's stack is allocated first and is the
     only copy of the members kept: each is loaded or rendered straight into
     its row, so a render holds only its masks and texture frames besides.
+    ``denoiser_options`` go to ``build_denoiser``.
     """
     shape = manifest.latent_shape
     _check_member_shapes(member_specs, shape)
@@ -170,7 +173,7 @@ def run_atlas(
         _render_into(member_spec, row)
     for k, row in enumerate(members):
         write_array(out_dir / f"member{k:03d}.cmt", row)
-    return build_denoiser(members, schedule, bandwidth=bandwidth)
+    return build_denoiser(members, schedule, **denoiser_options)
 
 
 def run_invert(
@@ -199,7 +202,6 @@ def run_extract(
     manifest: SceneManifest,
     out_dir,
     *,
-    legacy_region: bool = False,
     manifest_path=None,
 ) -> Path:
     """Extract descriptors for every source at every stored timestep.
@@ -222,7 +224,7 @@ def run_extract(
         raise DimMismatch(f"{traj_dir}: latents {shape} differ from the manifest's "
                           f"{manifest.latent_shape}")
     # the regions depend on the masks alone
-    operator = compile_sources(latents, masks, legacy_region=legacy_region)
+    operator = compile_sources(latents, masks)
     make_dir(out_dir)
     remove_file(out_dir / "extract_index.json")
     sources_seen: set[str] = set()
@@ -240,7 +242,6 @@ def run_extract(
         "n_steps": schedule.n_steps,
         "timesteps": list(range(schedule.n_steps + 1)),
         "sources": sorted(sources_seen),
-        "legacy_region": legacy_region,
         "manifest": str(manifest_path) if manifest_path else None,
     }
     write_json(out_dir / "extract_index.json", index)
@@ -251,15 +252,13 @@ def run_extract(
 class ExtractIndex:
     """A descriptor archive's ``extract_index.json``.
 
-    ``root`` holds ``t###/<source>.json`` for t in 0..n_steps, extracted with
-    ``legacy_region``. ``manifest`` is the scene manifest's path relative to
-    ``root``, or None.
+    ``root`` holds ``t###/<source>.json`` for t in 0..n_steps. ``manifest`` is
+    the scene manifest's path relative to ``root``, or None.
     """
 
     root: Path
     n_steps: int
     sources: list[str]
-    legacy_region: bool
     manifest: str | None
 
     def references(self, timesteps=None) -> dict[int, list[MotionDescriptor]]:
@@ -287,7 +286,7 @@ def read_extract_index(desc_dir) -> ExtractIndex:
     """The typed index ``run_extract`` wrote; a missing or mistyped field is rejected."""
     desc_dir = Path(desc_dir)
     what = f"extract index {desc_dir}"
-    kinds = {"n_steps": int, "timesteps": list, "sources": list, "legacy_region": bool,
+    kinds = {"n_steps": int, "timesteps": list, "sources": list,
              "manifest": str | None}  # null: extract recorded no manifest
     fields = typed_fields(read_json(desc_dir / "extract_index.json"), kinds, what, required=kinds)
     n_steps, timesteps, sources = fields["n_steps"], fields.pop("timesteps"), fields["sources"]
@@ -385,7 +384,7 @@ def run_recompose(
         refs_by_t = index.references(range(end, start + 1))
         subjects = [apply_edit(m, edits[m.subject_id]) if m.subject_id in edits else m
                     for m in manifest.load_masks()]
-        regions = compile_sources(reference_zT, subjects, legacy_region=index.legacy_region)
+        regions = compile_sources(reference_zT, subjects)
         targets = {}
         for t, refs in refs_by_t.items():
             # checked before ``recompose``, which indexes an (n_frames, n_frames) row table
@@ -450,15 +449,13 @@ def run_metrics(run_dir, scene_dir, desc_dir=None, out_path=None, threshold: flo
 
     manifest = load_manifest(scene_dir / "manifest.json")
     masks = manifest.load_masks()
-    # compared over the regions the references were extracted with
-    index = read_extract_index(desc_dir) if desc_dir is not None else None
-    operator = compile_sources(output, masks, legacy_region=bool(index and index.legacy_region))
+    operator = compile_sources(output, masks)
     try:
         out_desc = extract_descriptors(output, masks, timestep=0, strict=False, operator=operator)
     except NoValidPairs:
         out_desc = []
-    if index is not None:
-        ref_desc = index.references([0])[0]
+    if desc_dir is not None:
+        ref_desc = read_extract_index(desc_dir).references([0])[0]
     else:
         ref_desc = extract_descriptors(
             manifest.load_latent("0"), masks, timestep=0, strict=False, operator=operator)
@@ -506,6 +503,11 @@ def _scene_spec(doc) -> SceneSpec:
     return load_scene(doc) if isinstance(doc, str) else scene_from_json(doc)
 
 
+def given(settings: Mapping, **keys) -> dict:
+    """Each ``arg=name`` as ``arg: settings[name]``, if set; the stage defaults the rest."""
+    return {arg: settings[name] for arg, name in keys.items() if name in settings}
+
+
 def run_pipeline(config: dict, out_root=None) -> dict:
     """Run every stage per a config document; returns the metrics report.
 
@@ -518,7 +520,7 @@ def run_pipeline(config: dict, out_root=None) -> dict:
     cfg = typed_fields(config, {
         "out_dir": str, "seed": int, "scene": dict | str, "schedule": dict,
         "atlas_include_reference": bool, "atlas_scenes": list, "bandwidth": float,
-        "invert_denoiser": ("atlas", "zero"), "legacy_region": bool, "guidance": dict,
+        "invert_denoiser": ("atlas", "zero"), "guidance": dict,
         "plan": dict, "init": ("auto", "shared", "fresh"), "guided": bool, "metrics": dict,
     }, what, required=("scene",))
     out_root = out_root or cfg.get("out_dir")
@@ -540,25 +542,18 @@ def run_pipeline(config: dict, out_root=None) -> dict:
         raise BadValue(f"malformed {what}: seed must be >= 0, got {cfg['seed']}")
     check_edit(plan, gcfg, [b.subject_id for b in spec.blobs], schedule.n_steps,
                spec.height, spec.width)
-    def given(**keys):  # the stage arguments the config sets, by config key; stages default others
-        return {arg: cfg[key] for arg, key in keys.items() if key in cfg}
     scene_dir = run_synth(spec, out_root / "scene")
     manifest = load_manifest(scene_dir / "manifest.json")
     # one denoiser serves inversion and recompose
     denoiser = run_atlas(manifest, member_specs, schedule, out_root / "atlas",
-                         **given(include_reference="atlas_include_reference",
+                         **given(cfg, include_reference="atlas_include_reference",
                                  bandwidth="bandwidth"))
 
     invert_denoiser = ZeroDenoiser() if cfg.get("invert_denoiser") == "zero" else denoiser
     traj_dir = run_invert(manifest, schedule, invert_denoiser, out_root / "traj")
 
-    desc_dir = run_extract(
-        traj_dir,
-        manifest,
-        out_root / "desc",
-        manifest_path="../scene/manifest.json",
-        **given(legacy_region="legacy_region"),
-    )
+    desc_dir = run_extract(traj_dir, manifest, out_root / "desc",
+                           manifest_path="../scene/manifest.json")
 
     run_recompose(
         desc_dir,
@@ -568,7 +563,7 @@ def run_pipeline(config: dict, out_root=None) -> dict:
         denoiser=denoiser,
         manifest=manifest,
         guidance_config=gcfg,
-        **given(init="init", seed="seed", guided="guided"),
+        **given(cfg, init="init", seed="seed", guided="guided"),
     )
     report = run_metrics(
         out_root / "run",

@@ -12,6 +12,7 @@ behind it and covers different texture ahead of it.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -50,8 +51,10 @@ class BlobSpec:
     channel_signature: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise BadValue(f"blob radius must be positive, got {self.radius}")
+        radius = float(self.radius)
+        if not (radius > 0 and radius * radius < math.inf):  # ``_disk`` takes the square
+            raise BadValue(f"blob radius must be positive, with a finite square, "
+                           f"got {self.radius}")
         object.__setattr__(
             self, "trajectory", tuple((float(r), float(c)) for r, c in self.trajectory)
         )
@@ -123,6 +126,8 @@ class SceneSpec:
             if not all(abs(v) <= _FLOAT32_MAX for v in b.channel_signature):
                 raise BadValue(f"blob {b.subject_id!r} signature {b.channel_signature} "
                                f"is past float32's range")
+            # the metrics find the blob by projecting onto its signature
+            _projector(b.channel_signature, f"blob {b.subject_id!r} signature")
 
     @property
     def latent_shape(self) -> tuple[int, int, int, int]:
@@ -234,6 +239,20 @@ def centroid_trajectory(mask: MaskTrack) -> list[tuple[float, float] | None]:
     return out
 
 
+def _projector(signature: Sequence[float], what: str) -> tuple[np.ndarray, float]:
+    """The float64 signature and its squared norm, which a projection onto it divides by.
+
+    A norm of 0, from a zero signature or from squares that all underflow,
+    is rejected.
+    """
+    sig = np.asarray(signature, dtype=np.float64)
+    norm2 = float(sig @ sig)
+    if not norm2 > 0:
+        raise BadValue(f"{what} must be a nonzero vector with a nonzero float64 norm, "
+                       f"got {list(signature)}")
+    return sig, norm2
+
+
 def estimate_blob_track(
     latents: LatentVideo,
     signature: Sequence[float],
@@ -245,10 +264,7 @@ def estimate_blob_track(
     score 1.0; cells with projection >= threshold count toward the blob.
     Returns per-frame centroids (None when nothing passes) and areas.
     """
-    sig = np.asarray(signature, dtype=np.float64)
-    norm2 = float(sig @ sig)
-    if norm2 <= 0:
-        raise BadValue("signature must be a nonzero vector")
+    sig, norm2 = _projector(signature, "signature")
     proj = np.einsum("fchw,c->fhw", latents.data.astype(np.float64), sig) / norm2
     centroids: list[tuple[float, float] | None] = []
     areas: list[int] = []

@@ -18,7 +18,7 @@ from momix.diffusion import (
 )
 from momix.errors import BadValue, NoValidPairs
 from momix.synth import render_scene
-from momix.guidance import GuidanceConfig
+from momix.guidance import MAX_INNER_STEPS, GuidanceConfig
 from momix.pipeline import read_extract_index
 from momix.synth import BlobSpec, SceneSpec, save_scene, scene_to_json
 from momix.tensors import LatentVideo, load_manifest, load_tensor, save_tensor
@@ -103,6 +103,11 @@ _MISSING = object()
         (("blobs", 0, "subject_id"), "../x", "subject id '../x' is not filesystem-safe"),
         (("blobs", 0, "subject_id"), "background", "subject id 'background' is reserved"),
         (("blobs", 1, "subject_id"), "A", "duplicate subject id 'A'"),
+        (("blobs", 0, "radius"), 1e300, "radius must be positive, with a finite square"),
+        (("blobs", 0, "channel_signature"), [0, 0, 0],
+         "blob 'A' signature must be a nonzero vector"),
+        (("blobs", 0, "channel_signature"), [-1e-300, 0, 0],
+         "blob 'A' signature must be a nonzero vector"),
     ],
     ids=["n_frames-string", "n_frames-missing", "n_channels-float", "height-bool",
          "width-string", "texture_seed-float", "texture_seed-negative", "radius-string",
@@ -112,10 +117,13 @@ _MISSING = object()
          "texture_wavelengths-string", "texture_wavelengths-short", "texture_wavelengths-zero",
          "blobs-object", "trajectory-missing", "channel_signature-missing",
          "height-past-int64", "height-past-the-element-cap", "subject_id-unsafe",
-         "subject_id-background", "subject_id-duplicate"],
+         "subject_id-background", "subject_id-duplicate", "radius-square-overflows",
+         "channel_signature-zero", "channel_signature-underflows"],
 )
 def test_synth_rejects_mistyped_values(tmp_path, capsys, path, value, message):
-    # each used to render a scene from a coerced value, or fail with a traceback
+    # each used to render a scene from a coerced value, or fail with a traceback;
+    # a zero signature, or one whose squares underflow, was written and failed
+    # only in metrics
     doc = json.loads(json.dumps(scene_to_json(demo_scene())))
     *parents, key = path
     entry = doc
@@ -483,6 +491,46 @@ def test_extract_with_a_missing_baseline_writes_nothing(pipeline_dirs, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dims, message", [
+    ({"n_channels": 2}, "has 6 frames x 2 channels, the scene 6 x 3"),
+    ({"n_frames": 5}, "has 5 frames x 3 channels, the scene 6 x 3"),
+], ids=["channels", "frames"])
+def test_extract_baseline_of_another_geometry_writes_nothing(pipeline_dirs, tmp_path, capsys,
+                                                             dims, message):
+    # used to write every t### and extract_index.json, then exit 2 from the distances
+    scene, traj, _ = pipeline_dirs
+    blob = demo_scene(5).blobs[0]
+    n_frames, n_channels = dims.get("n_frames", 6), dims.get("n_channels", 3)
+    iso = SceneSpec(n_frames=n_frames, n_channels=n_channels, height=24, width=24,
+                    blobs=(BlobSpec("A", blob.trajectory[:1] * n_frames, 2.5,
+                                    (0,) * (n_channels - 1) + (2.5,)),))
+    save_scene(iso, tmp_path / "iso.json")
+    iso_scene, iso_traj, iso_desc = (tmp_path / f"iso_{n}" for n in ("scene", "traj", "desc"))
+    assert main(["synth", str(tmp_path / "iso.json"), str(iso_scene)]) == 0
+    assert main(["invert", str(iso_scene / "manifest.json"), str(iso_traj),
+                 "--steps", "2", "--zero-noise"]) == 0
+    assert main(["extract", str(iso_traj), str(iso_scene / "manifest.json"), str(iso_desc)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "desc2"
+    rc = main(["extract", str(traj), str(scene / "manifest.json"), str(out),
+               "--baseline", str(iso_desc)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_extract_has_no_legacy_region_flag(pipeline_dirs, tmp_path, capsys):
+    # the refined regions are the only ones a stage archives; the legacy ones
+    # remain a library keyword and a --baseline printout
+    scene, traj, _ = pipeline_dirs
+    with pytest.raises(SystemExit) as exit_:
+        main(["extract", str(traj), str(scene / "manifest.json"), str(tmp_path / "d"),
+              "--legacy-region"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --legacy-region" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 def test_recompose_unguided_samples_without_guidance(pipeline_dirs, tmp_path, capsys):
     scene, traj, desc = pipeline_dirs
     run = tmp_path / "r"
@@ -704,8 +752,10 @@ def test_recompose_resolves_recorded_manifest_against_desc_dir(
         ({"guidence": {"n_inner_steps": 3}}, "unknown pipeline config keys ['guidence']"),
         ({"schedule": {"n_step": 6}}, "unknown schedule keys ['n_step']"),
         ({"metrics": {"treshold": 0.4}}, "unknown metrics keys ['treshold']"),
+        ({"legacy_region": False}, "unknown pipeline config keys ['legacy_region']"),
     ],
-    ids=["guidance-w_c", "guidance-typo", "top-level-typo", "schedule-typo", "metrics-typo"],
+    ids=["guidance-w_c", "guidance-typo", "top-level-typo", "schedule-typo", "metrics-typo",
+         "legacy_region"],
 )
 def test_pipeline_rejects_unknown_config_keys(tmp_path, capsys, patch, message):
     cfg = dict(_pipeline_config(tmp_path), **patch)
@@ -734,6 +784,17 @@ def test_pipeline_mistyped_out_dir_writes_nothing(tmp_path, capsys, monkeypatch,
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
+def _scene_with(path, value):
+    """The pipeline's demo scene document with the field at ``path`` set to ``value``."""
+    doc = scene_to_json(demo_scene(n=5))
+    *parents, key = path
+    entry = doc
+    for k in parents:
+        entry = entry[k]
+    entry[key] = value
+    return doc
+
+
 def _scene_with_ids(*ids):
     doc = scene_to_json(demo_scene(n=5))
     for blob, sid in zip(doc["blobs"], ids):
@@ -750,7 +811,6 @@ def _scene_with_ids(*ids):
         ({"seed": 5.0}, _MALFORMED),
         ({"schedule": {"n_steps": 6.5}}, _MALFORMED),
         ({"guided": "false"}, "guided must be a JSON boolean"),
-        ({"legacy_region": "no"}, "legacy_region must be a JSON boolean"),
         ({"atlas_include_reference": 1}, "atlas_include_reference must be a JSON boolean"),
         ({"invert_denoiser": "zeros"}, "invert_denoiser must be one of ['atlas', 'zero']"),
         ({"init": "fersh"}, "init must be one of ['auto', 'shared', 'fresh']"),
@@ -798,10 +858,20 @@ def _scene_with_ids(*ids):
          "a shift edit takes no factor or anchor"),
         ({"plan": _plan_edit({"kind": "scale", "factor": 2.0, "anchor": [4, 4], "dy": 1})},
          "a scale edit takes no dx or dy"),
+        ({"scene": _scene_with(("blobs", 0, "radius"), 1e300)},
+         "blob radius must be positive, with a finite square"),
+        ({"bandwidth": 1e300}, "bandwidth must be finite and positive, with a finite square"),
+        ({"guidance": {"n_inner_steps": MAX_INNER_STEPS + 1}},
+         f"n_inner_steps must be in 0..{MAX_INNER_STEPS}"),
+        ({"guidance": {"n_inner_steps": 10**20}}, f"n_inner_steps must be in 0..{MAX_INNER_STEPS}"),
+        ({"scene": _scene_with(("blobs", 1, "channel_signature"), [0, 0, 0])},
+         "blob 'B' signature must be a nonzero vector"),
+        ({"scene": _scene_with(("blobs", 1, "channel_signature"), [0, -1e-300, 0])},
+         "blob 'B' signature must be a nonzero vector"),
     ],
     ids=[
         "schedule", "bandwidth", "seed", "seed-float", "n_steps-float", "guided",
-        "legacy_region", "atlas_include_reference", "invert_denoiser", "init",
+        "atlas_include_reference", "invert_denoiser", "init",
         "t_end-string", "t_end-float", "t_start-bool", "n_inner_steps-float",
         "window-past-n_steps", "plan-camera_only", "step_size-string", "step_size-bool",
         "step_size-infinite", "weight-string", "weight-bool", "weight-nan", "bandwidth-bool",
@@ -810,7 +880,9 @@ def _scene_with_ids(*ids):
         "n_steps-past-the-cap", "blob-id-unsafe", "blob-id-background", "blob-id-duplicate",
         "bandwidth-zero", "bandwidth-negative", "anchor-outside", "factor-tiny",
         "atlas_scenes-string", "keep-w_c", "remove-edit", "shift-factor", "shift-anchor",
-        "scale-dy",
+        "scale-dy", "radius-square-overflows", "bandwidth-square-overflows",
+        "n_inner_steps-past-the-cap", "n_inner_steps-huge", "channel_signature-zero",
+        "channel_signature-underflows",
     ],
 )
 def test_pipeline_rejects_mistyped_values(tmp_path, capsys, patch, message):
@@ -818,7 +890,10 @@ def test_pipeline_rejects_mistyped_values(tmp_path, capsys, patch, message):
     # (an unsafe or reserved blob id), or end in a MemoryError traceback (n_steps);
     # a bandwidth of 0 or an edit outside the frame failed only after scene/ and
     # atlas/ were written, a string of atlas_scenes was read character by
-    # character, and a field its directive or edit kind does not use was ignored
+    # character, and a field its directive or edit kind does not use was ignored.
+    # A radius or bandwidth of 1e300 ended in an OverflowError traceback after
+    # scene/ (and atlas/ and traj/) were written, 10**20 inner steps ran until
+    # killed, and a zero signature failed only in metrics, after run/ was written.
     cfg = dict(_pipeline_config(tmp_path), **patch)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -1004,40 +1079,6 @@ def test_recompose_plan_with_unknown_key(pipeline_dirs, tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
-def _crossing_scene():
-    # the README scene with blob B moved to row 10, so the two blobs cross
-    n = 8
-    return SceneSpec(
-        n_frames=n, n_channels=3, height=32, width=32,
-        blobs=(
-            BlobSpec("A", tuple((10.0, 5.0 + 2.4 * f) for f in range(n)), 3.0, (0, 2.5, 0)),
-            BlobSpec("B", tuple((10.0, 26.0 - 2.4 * f) for f in range(n)), 3.0, (0, 0, 2.5)),
-        ),
-        texture_seed=7, texture_amplitude=1.0,
-    )
-
-
-def test_legacy_archive_self_transfer_matches_its_own_regions(tmp_path, capsys):
-    # recompose and metrics used to compile the refined regions over a legacy
-    # archive: guidance started at loss 0.37 and ended at 16, and relative_l2
-    # read 0.88 and 2.9
-    spec_path = tmp_path / "scene.json"
-    save_scene(_crossing_scene(), spec_path)
-    scene, traj, desc, run = (tmp_path / name for name in ("scene", "traj", "desc", "run"))
-    assert main(["synth", str(spec_path), str(scene)]) == 0
-    assert main(["invert", str(scene / "manifest.json"), str(traj), "--steps", "8"]) == 0
-    assert main(["extract", str(traj), str(scene / "manifest.json"), str(desc),
-                 "--legacy-region"]) == 0
-    assert main(["recompose", str(desc), str(traj), str(run), "--atlas",
-                 str(scene / "latents_t0.cmt"), "--inner-steps", "10", "--t-end", "1"]) == 0
-    trace = [json.loads(line) for line in (run / "trace.jsonl").read_text().splitlines()]
-    assert trace[0]["loss"] < 1e-10
-    assert main(["metrics", str(run), str(scene), "--desc", str(desc)]) == 0
-    report = json.loads((run / "metrics.json").read_text())
-    for sid in ("A", "B"):
-        assert report["descriptor_distances"][sid]["relative_l2"] < 1e-6
-
-
 def _edit_json(path, edit):
     doc = json.loads(path.read_text())
     edit(doc)
@@ -1082,14 +1123,13 @@ def _set(key, value):
         (_drop("n_steps"), "missing n_steps"),
         (_drop("timesteps"), "missing timesteps"),
         (_drop("sources"), "missing sources"),
-        (_drop("legacy_region"), "missing legacy_region"),
         (_drop("manifest"), "missing manifest"),
         (_set("n_steps", 8.0), "n_steps must be a JSON integer"),
         (_set("timesteps", [0, 1, 2, 3, 4, 5, 6, 7, "8"]), "timesteps must be 0..8"),
         (_set("timesteps", [0, 1, 2]), "timesteps must be 0..8"),
         (_set("sources", "A"), "sources must be a JSON array"),
         (_set("sources", ["A", 5]), "sources must be filesystem-safe strings"),
-        (_set("legacy_region", "false"), "legacy_region must be a JSON boolean"),
+        (_set("legacy_region", False), "keys ['legacy_region']"),
         (_set("manifest", 5), "manifest must be a JSON string"),
         (_set("manifest", None), "no manifest recorded at extract time; pass --manifest"),
         (lambda desc: _edit_json(desc / "t004" / "A.json",
@@ -1097,9 +1137,9 @@ def _set(key, value):
          "has 100000000000000000000 frames, the latents 6"),
     ],
     ids=["stale-t004", "tensor-redirect", "pair-float", "pair-bool", "source_id-mismatch",
-         "n_steps-missing", "timesteps-missing", "sources-missing", "legacy_region-missing",
+         "n_steps-missing", "timesteps-missing", "sources-missing",
          "manifest-missing", "n_steps-float", "timesteps-string", "timesteps-short",
-         "sources-string", "sources-integer", "legacy_region-string", "manifest-integer",
+         "sources-string", "sources-integer", "legacy_region-unknown", "manifest-integer",
          "manifest-null", "n_frames-huge"],
 )
 def test_recompose_damaged_descriptor_archive_is_a_usage_error(

@@ -2,7 +2,8 @@
 
 Each document sets every key its reader accepts to a value other than its
 default, so a key that is accepted and then dropped, or left to a default,
-fails here.
+fails here. The CLI's flags are held to the same rule, and a flag left out
+must leave its stage at the stage's own default.
 """
 
 import dataclasses
@@ -10,13 +11,17 @@ import json
 
 import numpy as np
 
+from momix import cli
 from momix import pipeline as pl
-from momix.diffusion import NoiseSchedule, ZeroDenoiser
+from momix.cli import main
+from momix.diffusion import GaussianAtlasDenoiser, NoiseSchedule, ZeroDenoiser
 from momix.features import Directive, EditPlan, plan_from_json
 from momix.guidance import GuidanceConfig
 from momix.masks import MaskEdit
 from momix.synth import BlobSpec, SceneSpec, save_scene, scene_from_json, scene_to_json
-from momix.tensors import write_json
+from momix.tensors import load_manifest, write_json
+
+from test_cli import tree_digest
 
 GUIDANCE = {"step_size": 0.25, "n_inner_steps": 7, "t_start": 9, "t_end": 4,
             "weights": {"A": 2.5, "background": 0.5}}
@@ -91,21 +96,27 @@ def test_scene_spec_carries_every_key():
 def test_extract_index_carries_every_key(tmp_path):
     write_json(tmp_path / "extract_index.json", {
         "n_steps": 2, "timesteps": [0, 1, 2], "sources": ["A", "background"],
-        "legacy_region": True, "manifest": "../scene/manifest.json",
+        "manifest": "../scene/manifest.json",
     })
     assert pl.read_extract_index(tmp_path) == pl.ExtractIndex(
-        tmp_path, 2, ["A", "background"], legacy_region=True, manifest="../scene/manifest.json")
+        tmp_path, 2, ["A", "background"], manifest="../scene/manifest.json")
 
 
-def test_pipeline_hands_every_config_value_to_its_stage(tmp_path, monkeypatch):
-    calls = {}
-    for name in ("run_synth", "run_atlas", "run_invert", "run_extract", "run_recompose",
-                 "run_metrics"):
-        def spy(*args, _stage=getattr(pl, name), _name=name, **kwargs):
+def _spy(monkeypatch, owner, names, calls=None) -> dict:
+    """Wrap each callable ``owner.<name>``; ``calls`` maps each name to its last (args, kwargs)."""
+    calls = {} if calls is None else calls
+    for name in names:
+        def spy(*args, _stage=getattr(owner, name), _name=name, **kwargs):
             calls[_name] = (args, kwargs)
             return _stage(*args, **kwargs)
 
-        monkeypatch.setattr(pl, name, spy)
+        monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_pipeline_hands_every_config_value_to_its_stage(tmp_path, monkeypatch):
+    calls = _spy(monkeypatch, pl, ("run_synth", "run_atlas", "run_invert", "run_extract",
+                                   "run_recompose", "run_metrics"))
     member = _scene(texture_seed=11)
     save_scene(member, tmp_path / "member.json")
     config = {  # every top-level key, none at its default
@@ -117,7 +128,6 @@ def test_pipeline_hands_every_config_value_to_its_stage(tmp_path, monkeypatch):
         "atlas_scenes": [str(tmp_path / "member.json")],
         "bandwidth": 0.8,
         "invert_denoiser": "zero",
-        "legacy_region": True,
         "guidance": GUIDANCE,
         "plan": PLAN,
         "init": "fresh",
@@ -133,7 +143,6 @@ def test_pipeline_hands_every_config_value_to_its_stage(tmp_path, monkeypatch):
     assert np.array_equal(schedule.alpha_bar, want.alpha_bar)
     assert atlas_kwargs == {"include_reference": False, "bandwidth": 0.8}
     assert isinstance(calls["run_invert"][0][2], ZeroDenoiser)
-    assert calls["run_extract"][1]["legacy_region"] is True
     (_, plan, *_), recompose_kwargs = calls["run_recompose"]
     assert plan == plan_from_json(PLAN)
     assert recompose_kwargs["denoiser"].bandwidth == 0.8
@@ -141,3 +150,71 @@ def test_pipeline_hands_every_config_value_to_its_stage(tmp_path, monkeypatch):
     assert (recompose_kwargs["init"], recompose_kwargs["seed"], recompose_kwargs["guided"]) == (
         "fresh", 6, False)
     assert calls["run_metrics"][1]["threshold"] == 0.3
+
+
+def _cli_scene(tmp_path):
+    scene = pl.run_synth(_scene(), tmp_path / "scene")
+    return scene, load_manifest(scene / "manifest.json")
+
+
+def _spy_cli_stages(monkeypatch) -> dict:
+    calls = _spy(monkeypatch, pl, ("build_denoiser", "run_invert", "run_recompose",
+                                   "run_metrics"))
+    return _spy(monkeypatch, cli, ("run_gradcheck",), calls)
+
+
+def test_cli_hands_each_stage_every_flag_given(tmp_path, monkeypatch):
+    calls = _spy_cli_stages(monkeypatch)
+    scene, _ = _cli_scene(tmp_path)
+    traj, desc, run = tmp_path / "traj", tmp_path / "desc", tmp_path / "run"
+    assert main(["invert", str(scene / "manifest.json"), str(traj), "--steps", "6",
+                 "--power", "1.5", "--floor", "1e-3", "--bandwidth", "0.8"]) == 0
+    want = NoiseSchedule.default(n_steps=6, power=1.5, floor=1e-3)
+    assert np.array_equal(calls["run_invert"][0][1].alpha_bar, want.alpha_bar)
+    assert calls["build_denoiser"][1] == {"bandwidth": 0.8}
+    assert main(["extract", str(traj), str(scene / "manifest.json"), str(desc)]) == 0
+    assert main(["recompose", str(desc), str(traj), str(run), "--atlas",
+                 str(scene / "latents_t0.cmt"), "--bandwidth", "0.7", "--init", "fresh",
+                 "--seed", "6", "--step-size", "0.25", "--inner-steps", "2", "--t-start", "5",
+                 "--t-end", "2", "--weight", "A=2"]) == 0
+    assert calls["build_denoiser"][1] == {"bandwidth": 0.7}
+    kwargs = calls["run_recompose"][1]
+    config = GuidanceConfig(step_size=0.25, n_inner_steps=2, t_start=5, t_end=2,
+                            per_source_weight={"A": 2.0})
+    assert (kwargs["init"], kwargs["seed"], kwargs["guidance_config"]) == ("fresh", 6, config)
+    _differs_from_defaults([config])
+    assert main(["metrics", str(run), str(scene), "--threshold", "0.3"]) == 0
+    assert calls["run_metrics"][1]["threshold"] == 0.3
+    assert main(["gradcheck", "--seed", "4", "--cases", "2"]) == 0
+    assert calls["run_gradcheck"][1] == {"seed": 4, "n_cases": 2, "fault": None,
+                                         "zero_weights": False}
+
+
+def test_cli_without_flags_writes_what_the_library_defaults_write(tmp_path, monkeypatch):
+    calls = _spy_cli_stages(monkeypatch)
+    scene, manifest = _cli_scene(tmp_path)
+    atlas = pl.load_atlas([manifest.latent_path("0")], manifest.latent_shape)
+    traj, desc = tmp_path / "traj", tmp_path / "desc"
+    assert main(["invert", str(scene / "manifest.json"), str(traj)]) == 0
+    assert calls["build_denoiser"][1] == {}
+    default = NoiseSchedule.default()
+    pl.run_invert(manifest, default, GaussianAtlasDenoiser(atlas, default), tmp_path / "lib_traj")
+    assert tree_digest(traj) == tree_digest(tmp_path / "lib_traj")
+    assert main(["extract", str(traj), str(scene / "manifest.json"), str(desc)]) == 0
+
+    run, lib_run = tmp_path / "run", tmp_path / "lib_run"
+    assert main(["recompose", str(desc), str(traj), str(run), "--atlas",
+                 str(scene / "latents_t0.cmt")]) == 0
+    assert calls["build_denoiser"][1] == {}
+    assert sorted(calls["run_recompose"][1]) == ["denoiser", "guidance_config", "guided",
+                                                 "manifest"]
+    assert calls["run_recompose"][1]["guidance_config"] == GuidanceConfig()
+    pl.run_recompose(desc, None, traj, lib_run, denoiser=GaussianAtlasDenoiser(atlas, default),
+                     manifest=manifest)
+    assert main(["metrics", str(run), str(scene)]) == 0
+    assert "threshold" not in calls["run_metrics"][1]
+    pl.run_metrics(lib_run, scene, out_path=lib_run / "metrics.json")
+    assert tree_digest(run) == tree_digest(lib_run)
+
+    assert main(["gradcheck"]) == 0
+    assert calls["run_gradcheck"][1] == {"fault": None, "zero_weights": False}  # no files
