@@ -92,7 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="score a generated video against its reference scene")
     p.add_argument("run_dir")
     p.add_argument("scene_dir")
-    p.add_argument("--desc", default=None, help="reference descriptor dir")
     p.add_argument("--threshold", type=float, default=_STAGE_DEFAULT)
     p.add_argument("--out", default=None, help="report path (default run_dir/metrics.json)")
 
@@ -125,6 +124,9 @@ def _cmd_invert(args) -> int:
     schedule = NoiseSchedule.default(**pl.given(vars(args), n_steps="steps", power="power",
                                                 floor="floor"))
     if args.zero_noise:
+        if args.atlas or "bandwidth" in args:
+            raise BadValue("--zero-noise takes no --atlas or --bandwidth: the zero denoiser "
+                           "has no atlas")
         denoiser = ZeroDenoiser()
     else:
         atlas_paths = args.atlas if args.atlas else [manifest.latent_path("0")]
@@ -202,7 +204,6 @@ def _plan_from_args(args, manifest) -> EditPlan:
         directives[sid] = Directive("mask_edit", edit=MaskEdit("scale", factor=factor, anchor=anchor))
     return EditPlan(
         directives=directives,
-        include_background=base.include_background,
         w_c=args.soften if args.soften is not None else base.w_c,
         camera_only=args.camera_only or base.camera_only,
     )
@@ -250,13 +251,8 @@ def _cmd_recompose(args) -> int:
 
 def _cmd_metrics(args) -> int:
     out_path = args.out or (Path(args.run_dir) / "metrics.json")
-    report = pl.run_metrics(
-        args.run_dir,
-        args.scene_dir,
-        desc_dir=args.desc,
-        out_path=out_path,
-        **pl.given(vars(args), threshold="threshold"),
-    )
+    report = pl.run_metrics(args.run_dir, args.scene_dir, out_path=out_path,
+                            **pl.given(vars(args), threshold="threshold"))
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 

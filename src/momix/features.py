@@ -38,7 +38,6 @@ from .masks import (
 from .tensors import (
     LatentVideo,
     MaskTrack,
-    ensure_same_geometry,
     read_array,
     read_json,
     typed_fields,
@@ -335,22 +334,26 @@ def _top_eigenvalue(a: np.ndarray) -> float:
 
 
 def compile_sources(
-    latents: LatentVideo,
+    latent_shape: Sequence[int],
     subjects: Sequence[MaskTrack],
     *,
     legacy_region: bool = False,
 ) -> PairOperator:
     """The pair operator over subject tracks plus their background.
 
-    ``latents`` fixes the geometry every track must match; the operator
-    applies to any latents of that geometry, whatever their timestep.
+    ``latent_shape``, (frames, channels, height, width), fixes the geometry
+    every track must match; the operator applies to any latents of that
+    shape, whatever their timestep. The masks alone fix its rows, so it can
+    be compiled before any latent exists.
     """
     check_subject_ids([track.subject_id for track in subjects])
+    dims = (latent_shape[0], *latent_shape[2:])
     tracks: dict[str, MaskTrack] = {}
     for track in subjects:
-        ensure_same_geometry(latents, track)
+        if track.data.shape != dims:
+            raise DimMismatch(f"mask track {track.data.shape} does not match latents "
+                              f"{tuple(latent_shape)}")
         tracks[track.subject_id] = track
-    dims = (latents.n_frames, latents.height, latents.width)
     tracks[BACKGROUND_ID] = background_track(list(tracks.values()), dims=dims)
     return PairOperator(tracks, legacy_region=legacy_region)
 
@@ -375,7 +378,7 @@ def extract_descriptors(
     an all-covering subject (the global-mean degenerate case) still works.
     """
     if operator is None:
-        operator = compile_sources(latents, subjects, legacy_region=legacy_region)
+        operator = compile_sources(latents.shape, subjects, legacy_region=legacy_region)
     deltas = operator.apply(latents.data)
     out: list[MotionDescriptor] = []
     for sid, rows in operator.slices.items():
@@ -442,12 +445,13 @@ class Directive:
 class EditPlan:
     """What to do with each source when recomposing motion for a new sample.
 
-    Subjects without an explicit directive are kept. ``camera_only`` drops
-    every subject and enforces only the background descriptor.
+    Subjects without an explicit directive are kept, and so is the
+    background: a guidance weight of 0 for it stops enforcing camera motion.
+    ``camera_only`` drops every subject and enforces only the background
+    descriptor.
     """
 
     directives: Mapping[str, Directive] = field(default_factory=dict)
-    include_background: bool = True
     w_c: float = 0.0
     camera_only: bool = False
 
@@ -489,11 +493,7 @@ def recompose(descriptors: Sequence[MotionDescriptor], plan: EditPlan) -> list[M
 
     out: list[MotionDescriptor] = []
     for desc in descriptors:
-        if desc.source_id == BACKGROUND_ID:
-            if plan.include_background:
-                out.append(desc)
-            continue
-        directive = plan.directive_for(desc.source_id)
+        directive = plan.directive_for(desc.source_id)  # the background's is keep
         if directive.kind in ("keep", "mask_edit"):
             out.append(desc)
         elif directive.kind == "remove":
@@ -519,10 +519,10 @@ def recompose(descriptors: Sequence[MotionDescriptor], plan: EditPlan) -> list[M
 
 def plan_from_json(doc: dict) -> EditPlan:
     """The plan in ``doc``: ``subjects`` (id -> ``op``, ``w_c``, ``edit`` with ``kind``,
-    ``dx``, ``dy``, ``factor``, ``anchor``), ``include_background``, ``w_c`` and
-    ``camera_only``; any other key is rejected."""
-    fields = typed_fields(doc, {"subjects": dict, "include_background": bool, "w_c": float,
-                                "camera_only": bool}, "edit plan")
+    ``dx``, ``dy``, ``factor``, ``anchor``), ``w_c`` and ``camera_only``; any
+    other key is rejected."""
+    fields = typed_fields(doc, {"subjects": dict, "w_c": float, "camera_only": bool},
+                          "edit plan")
     directives = {}
     for sid, entry in fields.pop("subjects", {}).items():
         d = typed_fields(entry, {"op": str, "w_c": float, "edit": dict | None},

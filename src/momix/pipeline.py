@@ -33,6 +33,7 @@ from .errors import BadValue, DimMismatch, NoValidPairs, UnknownSubject
 from .features import (
     EditPlan,
     MotionDescriptor,
+    PairOperator,
     compile_sources,
     extract_descriptors,
     load_descriptor,
@@ -42,7 +43,7 @@ from .features import (
 )
 from .guidance import GuidanceConfig, GuidanceTarget
 from .masks import BACKGROUND_ID, SAFE_NAME, apply_edit, scale_sources
-from .metrics import compare_trajectories, descriptor_distance
+from .metrics import compare_trajectories
 from .synth import (
     SceneSpec,
     _render_into,
@@ -51,6 +52,7 @@ from .synth import (
     render_scene,
     save_scene,
     scene_from_json,
+    scene_masks,
 )
 from .tensors import (
     TENSOR_MAGIC,
@@ -224,7 +226,7 @@ def run_extract(
         raise DimMismatch(f"{traj_dir}: latents {shape} differ from the manifest's "
                           f"{manifest.latent_shape}")
     # the regions depend on the masks alone
-    operator = compile_sources(latents, masks)
+    operator = compile_sources(shape, masks)
     make_dir(out_dir)
     remove_file(out_dir / "extract_index.json")
     sources_seen: set[str] = set()
@@ -302,20 +304,26 @@ def read_extract_index(desc_dir) -> ExtractIndex:
 # --- recompose + guided sampling ---------------------------------------------
 
 
-def check_edit(plan: EditPlan, config: GuidanceConfig, subject_ids, n_steps: int,
-               height: int, width: int) -> tuple[int, int]:
+def check_edit(plan: EditPlan, config: GuidanceConfig, regions: PairOperator,
+               n_steps: int) -> tuple[int, int]:
     """The guidance window of ``config`` over ``n_steps``, once the edit is known to apply.
 
-    The plan may name only the scene's ``subject_ids``, and the weights only
-    those and the background; a scale edit must be one ``scale_sources`` can
-    map over the (``height``, ``width``) frame. An empty window is an error too.
+    ``regions`` is compiled over the scene's masks. The plan may name only
+    its subjects that have a pair region, and the weights only its subjects
+    and the background; a scale edit must be one ``scale_sources`` can map
+    over the frame. An empty window is an error too.
     """
     window = config.window(n_steps)
-    known = sorted(subject_ids)
+    known = sorted(sid for sid in regions.slices if sid != BACKGROUND_ID)
+    height, width = regions.spatial
     for sid, directive in plan.directives.items():
         if sid not in known:
             raise UnknownSubject(f"plan names subject {sid!r}, an unknown subject; "
                                  f"the scene has {known}")
+        rows = regions.slices[sid]
+        if rows.start == rows.stop:
+            raise UnknownSubject(f"plan names subject {sid!r}, which has no pair region: "
+                                 f"other subjects cover it in every frame pair")
         edit = directive.edit
         if edit is not None and edit.kind == "scale":
             scale_sources(height, width, edit.factor, edit.anchor)
@@ -353,15 +361,16 @@ def run_recompose(
     the trajectory's schedule and latent shape, or the run stops before
     sampling. run.json records its ``bandwidth`` (null for any other denoiser).
     The plan and the guidance config pass ``check_edit`` against the
-    manifest's subjects before sampling, guided or not.
+    regions of the manifest's masks before sampling, guided or not.
     """
     # sampling starts from z_T, so the other latents are never read
     schedule = read_trajectory_index(traj_dir)
     plan = plan if plan is not None else EditPlan()
     config = guidance_config if guidance_config is not None else GuidanceConfig()
-    start, end = check_edit(plan, config, manifest.subject_ids, schedule.n_steps,
-                            manifest.height, manifest.width)
     reference_zT = load_tensor(trajectory_path(traj_dir, schedule.n_steps))
+    masks = manifest.load_masks()
+    start, end = check_edit(plan, config, compile_sources(reference_zT.shape, masks),
+                            schedule.n_steps)
     if isinstance(denoiser, GaussianAtlasDenoiser):
         if denoiser.members.shape[1:] != reference_zT.shape:
             raise DimMismatch(f"atlas members have shape {denoiser.members.shape[1:]}, "
@@ -383,8 +392,8 @@ def run_recompose(
                            f"the trajectory 0..{schedule.n_steps}")
         refs_by_t = index.references(range(end, start + 1))
         subjects = [apply_edit(m, edits[m.subject_id]) if m.subject_id in edits else m
-                    for m in manifest.load_masks()]
-        regions = compile_sources(reference_zT, subjects)
+                    for m in masks]
+        regions = compile_sources(reference_zT.shape, subjects)
         targets = {}
         for t, refs in refs_by_t.items():
             # checked before ``recompose``, which indexes an (n_frames, n_frames) row table
@@ -417,13 +426,15 @@ def run_recompose(
 # --- metrics ------------------------------------------------------------------
 
 
-def run_metrics(run_dir, scene_dir, desc_dir=None, out_path=None, threshold: float = 0.5) -> dict:
+def run_metrics(run_dir, scene_dir, out_path=None, threshold: float = 0.5) -> dict:
     """Compare a generated video against its reference scene.
 
     Blob trajectories are estimated from the output latents via signature
     projection and scored against the true trajectories in the scene's
-    ``spec.json``; descriptor distances compare clean-latent descriptors
-    over the reference masks.
+    ``spec.json``. Descriptor distances apply the pair operator of the
+    scene's masks to the scene's clean latents and to the output, and sum
+    each source's squared differences over its rows; ``relative_l2`` divides
+    by the reference's own sum of squares, and is null where that is 0.
     """
     if not np.isfinite(threshold):
         raise BadValue(f"metrics threshold must be finite, got {threshold}")
@@ -448,32 +459,18 @@ def run_metrics(run_dir, scene_dir, desc_dir=None, out_path=None, threshold: flo
         report["subjects"][blob.subject_id] = entry
 
     manifest = load_manifest(scene_dir / "manifest.json")
-    masks = manifest.load_masks()
-    operator = compile_sources(output, masks)
-    try:
-        out_desc = extract_descriptors(output, masks, timestep=0, strict=False, operator=operator)
-    except NoValidPairs:
-        out_desc = []
-    if desc_dir is not None:
-        ref_desc = read_extract_index(desc_dir).references([0])[0]
-    else:
-        ref_desc = extract_descriptors(
-            manifest.load_latent("0"), masks, timestep=0, strict=False, operator=operator)
-    ref_by_source = {d.source_id: d for d in ref_desc}
-    for d in out_desc:
-        ref = ref_by_source.get(d.source_id)
-        if ref is None:
-            continue
-        dist, count = descriptor_distance(ref, d)
-        shared = ref.deltas[d.rows_of(ref.pairs) >= 0]
-        ref_norm = float(np.sum(shared * shared))
-        rel = float(np.sqrt(dist / ref_norm)) if ref_norm > 0 else None
-        if count == 0:
-            report["warnings"].append(f"source {d.source_id}: no shared valid pairs")
-        report["descriptor_distances"][d.source_id] = {
+    operator = compile_sources(output.shape, manifest.load_masks())
+    ref = operator.apply(manifest.load_latent("0").data)
+    residual = ref - operator.apply(output.data)
+    for sid, rows in operator.slices.items():
+        dist = float(np.sum(residual[rows] * residual[rows]))
+        ref_norm = float(np.sum(ref[rows] * ref[rows]))
+        if rows.start == rows.stop:
+            report["warnings"].append(f"source {sid}: no valid pairs")
+        report["descriptor_distances"][sid] = {
             "distance": dist,
-            "n_pairs": count,
-            "relative_l2": rel,
+            "n_pairs": rows.stop - rows.start,
+            "relative_l2": float(np.sqrt(dist / ref_norm)) if ref_norm > 0 else None,
         }
     if out_path is not None:
         write_json(out_path, report)
@@ -540,8 +537,8 @@ def run_pipeline(config: dict, out_root=None) -> dict:
         check_bandwidth(cfg["bandwidth"])
     if cfg.get("seed", 0) < 0:
         raise BadValue(f"malformed {what}: seed must be >= 0, got {cfg['seed']}")
-    check_edit(plan, gcfg, [b.subject_id for b in spec.blobs], schedule.n_steps,
-               spec.height, spec.width)
+    check_edit(plan, gcfg, compile_sources(spec.latent_shape, scene_masks(spec)),
+               schedule.n_steps)
     scene_dir = run_synth(spec, out_root / "scene")
     manifest = load_manifest(scene_dir / "manifest.json")
     # one denoiser serves inversion and recompose
@@ -565,13 +562,8 @@ def run_pipeline(config: dict, out_root=None) -> dict:
         guidance_config=gcfg,
         **given(cfg, init="init", seed="seed", guided="guided"),
     )
-    report = run_metrics(
-        out_root / "run",
-        scene_dir,
-        desc_dir=desc_dir,
-        out_path=out_root / "metrics.json",
-        **metrics_args,
-    )
+    report = run_metrics(out_root / "run", scene_dir, out_path=out_root / "metrics.json",
+                         **metrics_args)
     recorded = {k: v for k, v in config.items() if k != "out_dir"}
     write_json(out_root / "config.json", recorded)
     return report

@@ -123,6 +123,13 @@ class SceneSpec:
                     f"blob {b.subject_id!r} signature length {len(b.channel_signature)} "
                     f"!= n_channels {self.n_channels}"
                 )
+            # ``_disk`` sums the squared offsets of every cell from the point
+            for r, c in b.trajectory:
+                far_r = max(abs(r), abs(r - (self.height - 1)))
+                far_c = max(abs(c), abs(c - (self.width - 1)))
+                if not far_r * far_r + far_c * far_c < math.inf:
+                    raise BadValue(f"blob {b.subject_id!r} trajectory point ({r}, {c}) lies so "
+                                   f"far off the frame that its squared distance overflows")
             if not all(abs(v) <= _FLOAT32_MAX for v in b.channel_signature):
                 raise BadValue(f"blob {b.subject_id!r} signature {b.channel_signature} "
                                f"is past float32's range")
@@ -175,24 +182,28 @@ def _disk(height: int, width: int, center: tuple[float, float], radius: float) -
     return (rr - center[0]) ** 2 + (cc - center[1]) ** 2 <= radius**2
 
 
-def _render_into(spec: SceneSpec, frames: np.ndarray) -> dict[str, np.ndarray]:
+def scene_masks(spec: SceneSpec) -> list[MaskTrack]:
+    """Each blob's disk at every frame, in blob order; nothing else is rendered."""
+    return [MaskTrack(np.stack([_disk(spec.height, spec.width, center, b.radius)
+                                for center in b.trajectory]), subject_id=b.subject_id)
+            for b in spec.blobs]
+
+
+def _render_into(spec: SceneSpec, frames: np.ndarray) -> list[MaskTrack]:
     """Render the scene's latents into ``frames``, an array of its latent shape.
 
-    Every cell is written. Returns each blob's (n_frames, height, width)
-    masks by subject id.
+    Every cell is written. Returns ``scene_masks(spec)``.
     """
     waves = _texture_waves(spec)
     textures: dict[tuple[float, float], np.ndarray] = {}  # one per distinct drift
-    mask_data = {b.subject_id: np.zeros((spec.n_frames, spec.height, spec.width), bool)
-                 for b in spec.blobs}
+    tracks = scene_masks(spec)
     for f in range(spec.n_frames):
         drift = spec.background_drift[f]
         if drift not in textures:
             textures[drift] = _texture_frame(waves, spec.height, spec.width, drift)
         frames[f] = textures[drift]
-        for blob in spec.blobs:
-            disk = _disk(spec.height, spec.width, blob.trajectory[f], blob.radius)
-            mask_data[blob.subject_id][f] = disk
+        for blob, track in zip(spec.blobs, tracks):
+            disk = track.data[f]
             if not disk.any():
                 continue
             sig = np.asarray(blob.channel_signature, dtype=np.float64)
@@ -207,7 +218,7 @@ def _render_into(spec: SceneSpec, frames: np.ndarray) -> dict[str, np.ndarray]:
                 log.warning(
                     "blob %s clipped by frame border at frame %d", blob.subject_id, f
                 )
-    return mask_data
+    return tracks
 
 
 def render_scene(
@@ -220,9 +231,8 @@ def render_scene(
     where another blob occludes it.
     """
     frames = np.empty(spec.latent_shape)
-    mask_data = _render_into(spec, frames)
+    tracks = _render_into(spec, frames)
     latents = LatentVideo(frames)
-    tracks = [MaskTrack(mask_data[b.subject_id], subject_id=b.subject_id) for b in spec.blobs]
     trajectories = {b.subject_id: list(b.trajectory) for b in spec.blobs}
     return latents, tracks, trajectories
 
@@ -256,7 +266,7 @@ def _projector(signature: Sequence[float], what: str) -> tuple[np.ndarray, float
 def estimate_blob_track(
     latents: LatentVideo,
     signature: Sequence[float],
-    threshold: float = 0.5,
+    threshold: float,
 ) -> tuple[list[tuple[float, float] | None], list[int]]:
     """Locate a blob in arbitrary latents by projecting onto its signature.
 

@@ -128,18 +128,6 @@ class MaskTrack:
         return f"MaskTrack({self.subject_id!r}, shape={self.data.shape})"
 
 
-def ensure_same_geometry(latents: LatentVideo, track: MaskTrack) -> None:
-    """Raise DimMismatch unless the track matches the latent geometry."""
-    if (track.n_frames, track.height, track.width) != (
-        latents.n_frames,
-        latents.height,
-        latents.width,
-    ):
-        raise DimMismatch(
-            f"mask track {track.data.shape} does not match latents {latents.shape}"
-        )
-
-
 # --- low-level binary container I/O -------------------------------------
 
 

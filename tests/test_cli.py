@@ -108,6 +108,7 @@ _MISSING = object()
          "blob 'A' signature must be a nonzero vector"),
         (("blobs", 0, "channel_signature"), [-1e-300, 0, 0],
          "blob 'A' signature must be a nonzero vector"),
+        (("blobs", 0, "trajectory", 0), [1e300, 4.0], "its squared distance overflows"),
     ],
     ids=["n_frames-string", "n_frames-missing", "n_channels-float", "height-bool",
          "width-string", "texture_seed-float", "texture_seed-negative", "radius-string",
@@ -118,12 +119,14 @@ _MISSING = object()
          "blobs-object", "trajectory-missing", "channel_signature-missing",
          "height-past-int64", "height-past-the-element-cap", "subject_id-unsafe",
          "subject_id-background", "subject_id-duplicate", "radius-square-overflows",
-         "channel_signature-zero", "channel_signature-underflows"],
+         "channel_signature-zero", "channel_signature-underflows",
+         "trajectory-square-overflows"],
 )
 def test_synth_rejects_mistyped_values(tmp_path, capsys, path, value, message):
     # each used to render a scene from a coerced value, or fail with a traceback;
     # a zero signature, or one whose squares underflow, was written and failed
-    # only in metrics
+    # only in metrics, and a point whose squared offset overflows rendered
+    # with an overflow warning
     doc = json.loads(json.dumps(scene_to_json(demo_scene())))
     *parents, key = path
     entry = doc
@@ -194,6 +197,18 @@ def test_invert_zero_noise_closed_form(scene_dir, tmp_path):
         zt = load_tensor(traj / index["files"][str(t)])
         want = np.sqrt(ab[t]) * z0.data
         assert np.max(np.abs(zt.data - want)) < 1e-6
+
+
+@pytest.mark.parametrize("flags", [["--bandwidth", "-5"], ["--atlas", "/nonexistent.cmt"]],
+                         ids=["bandwidth", "atlas"])
+def test_invert_zero_noise_rejects_the_atlas_flags(scene_dir, tmp_path, capsys, flags):
+    # each used to exit 0 with the flag never read
+    traj = tmp_path / "traj"
+    rc = main(["invert", str(scene_dir / "manifest.json"), str(traj), "--steps", "2",
+               "--zero-noise", *flags])
+    assert rc == 2
+    assert "--zero-noise takes no --atlas or --bandwidth" in capsys.readouterr().err
+    assert not traj.exists()
 
 
 def test_invert_default_run(scene_dir, tmp_path):
@@ -285,7 +300,7 @@ def test_recompose_all_keep_self_transfer(pipeline_dirs, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "first loss" in out
     # metrics: extracted target descriptors land within 5% relative L2
-    rc = main(["metrics", str(run), str(scene), "--desc", str(desc)])
+    rc = main(["metrics", str(run), str(scene)])
     assert rc == 0
     report = json.loads((run / "metrics.json").read_text())
     for source, entry in report["descriptor_distances"].items():
@@ -305,6 +320,51 @@ def test_recompose_unknown_subject(pipeline_dirs, tmp_path, capsys):
     ])
     assert rc == 2
     assert "unknown subject" in capsys.readouterr().err
+
+
+def _save_scene_hiding_b(path):
+    """The demo scene with a radius of 1e20 on A, which hides B in every frame pair."""
+    spec = demo_scene()
+    a, b = spec.blobs
+    save_scene(dataclasses.replace(spec, blobs=(dataclasses.replace(a, radius=1e20), b)), path)
+
+
+def test_recompose_plan_naming_a_hidden_subject_writes_nothing(tmp_path, capsys):
+    # the message used to call B an unknown subject
+    _save_scene_hiding_b(tmp_path / "s.json")
+    scene, traj, desc, run = (tmp_path / d for d in ("scene", "traj", "desc", "run"))
+    assert main(["synth", str(tmp_path / "s.json"), str(scene)]) == 0
+    assert main(["invert", str(scene / "manifest.json"), str(traj), "--steps", "2",
+                 "--zero-noise"]) == 0
+    assert main(["extract", str(traj), str(scene / "manifest.json"), str(desc)]) == 0
+    rc = main(["recompose", str(desc), str(traj), str(run),
+               "--atlas", str(scene / "latents_t0.cmt"), "--remove", "B"])
+    assert rc == 2
+    assert "plan names subject 'B', which has no pair region" in capsys.readouterr().err
+    assert not run.exists()
+
+
+def test_metrics_scores_every_source_against_the_scene_alone(tmp_path, capsys):
+    # a source without pairs used to get no entry; the reference now comes
+    # from the scene only, so there is no descriptor archive to pass
+    _save_scene_hiding_b(tmp_path / "s.json")
+    scene, run = tmp_path / "scene", tmp_path / "run"
+    assert main(["synth", str(tmp_path / "s.json"), str(scene)]) == 0
+    run.mkdir()
+    (run / "output.cmt").write_bytes((scene / "latents_t0.cmt").read_bytes())
+    assert main(["metrics", str(run), str(scene)]) == 0
+    report = json.loads((run / "metrics.json").read_text())
+    none = {"distance": 0.0, "n_pairs": 0, "relative_l2": None}
+    assert report["descriptor_distances"]["B"] == none
+    assert report["descriptor_distances"]["background"] == none
+    assert report["descriptor_distances"]["A"]["n_pairs"] == 15
+    assert report["descriptor_distances"]["A"]["distance"] == 0.0
+    assert {"source B: no valid pairs", "source background: no valid pairs"} <= set(
+        report["warnings"])
+    with pytest.raises(SystemExit) as exit_:
+        main(["metrics", str(run), str(scene), "--desc", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --desc" in capsys.readouterr().err
 
 
 def test_recompose_missing_desc_dir(pipeline_dirs, tmp_path, capsys):
@@ -753,9 +813,11 @@ def test_recompose_resolves_recorded_manifest_against_desc_dir(
         ({"schedule": {"n_step": 6}}, "unknown schedule keys ['n_step']"),
         ({"metrics": {"treshold": 0.4}}, "unknown metrics keys ['treshold']"),
         ({"legacy_region": False}, "unknown pipeline config keys ['legacy_region']"),
+        ({"plan": {"include_background": False}},
+         "unknown edit plan keys ['include_background']"),
     ],
     ids=["guidance-w_c", "guidance-typo", "top-level-typo", "schedule-typo", "metrics-typo",
-         "legacy_region"],
+         "legacy_region", "plan-include_background"],
 )
 def test_pipeline_rejects_unknown_config_keys(tmp_path, capsys, patch, message):
     cfg = dict(_pipeline_config(tmp_path), **patch)
@@ -868,6 +930,11 @@ def _scene_with_ids(*ids):
          "blob 'B' signature must be a nonzero vector"),
         ({"scene": _scene_with(("blobs", 1, "channel_signature"), [0, -1e-300, 0])},
          "blob 'B' signature must be a nonzero vector"),
+        ({"scene": _scene_with(("blobs", 0, "trajectory", 0), [1e300, 4.0])},
+         "blob 'A' trajectory point (1e+300, 4.0) lies so far off the frame"),
+        ({"scene": _scene_with(("blobs", 0, "radius"), 1e20),
+          "plan": {"subjects": {"B": {"op": "soften"}}}},
+         "plan names subject 'B', which has no pair region"),
     ],
     ids=[
         "schedule", "bandwidth", "seed", "seed-float", "n_steps-float", "guided",
@@ -882,7 +949,7 @@ def _scene_with_ids(*ids):
         "atlas_scenes-string", "keep-w_c", "remove-edit", "shift-factor", "shift-anchor",
         "scale-dy", "radius-square-overflows", "bandwidth-square-overflows",
         "n_inner_steps-past-the-cap", "n_inner_steps-huge", "channel_signature-zero",
-        "channel_signature-underflows",
+        "channel_signature-underflows", "trajectory-square-overflows", "plan-subject-hidden",
     ],
 )
 def test_pipeline_rejects_mistyped_values(tmp_path, capsys, patch, message):
@@ -894,6 +961,9 @@ def test_pipeline_rejects_mistyped_values(tmp_path, capsys, patch, message):
     # A radius or bandwidth of 1e300 ended in an OverflowError traceback after
     # scene/ (and atlas/ and traj/) were written, 10**20 inner steps ran until
     # killed, and a zero signature failed only in metrics, after run/ was written.
+    # A trajectory point of 1e300 ran to exit 0 with an overflow warning, and a
+    # plan naming a subject that a radius of 1e20 on A hides failed in recompose,
+    # after scene/, atlas/, traj/ and desc/ were written.
     cfg = dict(_pipeline_config(tmp_path), **patch)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -1022,7 +1092,7 @@ def test_json_that_cannot_be_decoded_is_a_usage_error(pipeline_dirs, tmp_path, c
     else:
         (tmp_path / "r").mkdir()
         (tmp_path / "r" / "output.cmt").write_bytes((scene / "latents_t0.cmt").read_bytes())
-        rc = main(["metrics", str(tmp_path / "r"), str(scene), "--desc", str(desc)])
+        rc = main(["metrics", str(tmp_path / "r"), str(scene)])
     assert rc == 2
     assert f"{damaged}: invalid JSON" in capsys.readouterr().err
 
@@ -1431,36 +1501,30 @@ def test_a_key_its_writer_never_writes_is_a_usage_error(pipeline_dirs, tmp_path,
 
 
 @pytest.fixture()
-def two_channel_dirs(tmp_path):
+def two_channel_scene(tmp_path):
     spec = demo_scene()
     blobs = tuple(dataclasses.replace(b, channel_signature=b.channel_signature[1:])
                   for b in spec.blobs)
     save_scene(dataclasses.replace(spec, n_channels=2, blobs=blobs), tmp_path / "scene2.json")
-    scene, traj, desc = (tmp_path / d for d in ("scene2", "traj2", "desc2"))
-    assert main(["synth", str(tmp_path / "scene2.json"), str(scene)]) == 0
-    assert main(["invert", str(scene / "manifest.json"), str(traj),
-                 "--steps", "8", "--zero-noise"]) == 0
-    assert main(["extract", str(traj), str(scene / "manifest.json"), str(desc)]) == 0
-    return scene, traj, desc
+    assert main(["synth", str(tmp_path / "scene2.json"), str(tmp_path / "scene2")]) == 0
+    return tmp_path / "scene2"
 
 
 @pytest.mark.parametrize("stage, message", [
     ("metrics", "output latents (6, 3, 24, 24) differ from the scene's (6, 2, 24, 24)"),
-    ("metrics-desc", "channel counts differ: 2 vs 3"),
     ("extract", "latents (6, 3, 24, 24) differ from the manifest's (6, 2, 24, 24)"),
-], ids=["metrics", "metrics-desc", "extract"])
-def test_latents_of_another_channel_count_are_a_usage_error(pipeline_dirs, two_channel_dirs,
+], ids=["metrics", "extract"])
+def test_latents_of_another_channel_count_are_a_usage_error(pipeline_dirs, two_channel_scene,
                                                             tmp_path, capsys, stage, message):
-    # both metrics cases used to end in a ValueError traceback (exit 1), and
-    # extract of a 3-channel trajectory over a 2-channel manifest exited 0
+    # metrics used to end in a ValueError traceback (exit 1), and extract of
+    # a 3-channel trajectory over a 2-channel manifest exited 0
     scene, traj, _ = pipeline_dirs
-    scene2, _, desc2 = two_channel_dirs
+    scene2 = two_channel_scene
     run, out = tmp_path / "run", tmp_path / "out"
     run.mkdir()
     (run / "output.cmt").write_bytes((scene / "latents_t0.cmt").read_bytes())
     argv = {
         "metrics": ["metrics", str(run), str(scene2)],
-        "metrics-desc": ["metrics", str(run), str(scene), "--desc", str(desc2)],
         "extract": ["extract", str(traj), str(scene2 / "manifest.json"), str(out)],
     }[stage]
     assert main(argv) == 2

@@ -31,7 +31,6 @@ PLAN = {
         "B": {"op": "mask_edit", "edit": {"kind": "shift", "dx": 3, "dy": -2}},
         "C": {"op": "mask_edit", "edit": {"kind": "scale", "factor": 1.5, "anchor": [4, 5.5]}},
     },
-    "include_background": False,
     "w_c": 0.75,
     "camera_only": True,
 }
@@ -78,7 +77,7 @@ def test_plan_carries_every_key():
             "B": Directive("mask_edit", edit=MaskEdit("shift", dx=3, dy=-2)),
             "C": Directive("mask_edit", edit=MaskEdit("scale", factor=1.5, anchor=(4.0, 5.5))),
         },
-        include_background=False, w_c=0.75, camera_only=True,
+        w_c=0.75, camera_only=True,
     )
     _differs_from_defaults([plan])
     _differs_from_defaults(list(plan.directives.values()))

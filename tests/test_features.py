@@ -307,7 +307,6 @@ def test_plan_json_round_trip(tmp_path):
             "B": {"op": "mask_edit", "edit": {"kind": "scale", "dx": 0, "dy": 0, "factor": 2.0,
                                                "anchor": [7.5, 7.5]}},
         },
-        "include_background": True,
         "w_c": 1.0,
         "camera_only": False,
     }
@@ -323,12 +322,14 @@ def test_plan_json_round_trip(tmp_path):
         ({"subjects": {"A": {"op": "soften", "wc": 2.0}}}, "plan entry 'A'"),
         ({"subjects": {"A": {"op": "mask_edit", "edit": {"kind": "shift", "DX": 8}}}},
          "plan edit of 'A'"),
+        ({"include_background": False}, "edit plan"),
     ],
-    ids=["top-level", "subject", "edit"],
+    ids=["top-level", "subject", "edit", "include_background"],
 )
 def test_plan_from_json_rejects_unknown_keys(doc, where):
     # each of these used to parse: to a keep-everything plan, a soften at the
-    # plan-wide w_c, and a shift by 0
+    # plan-wide w_c, and a shift by 0; a background weight of 0 is what
+    # include_background: false used to say
     with pytest.raises(BadValue, match=f"unknown {where} keys"):
         plan_from_json(doc)
 
@@ -347,7 +348,6 @@ def _scale(factor, anchor=(4.0, 4.0)):
     [
         ({"camera_only": "false"}, "camera_only must be a JSON boolean"),
         ({"camera_only": 0}, "camera_only must be a JSON boolean"),
-        ({"include_background": "no"}, "include_background must be a JSON boolean"),
         (_shift(1.5), "dx must be a JSON integer"),
         (_shift("8"), "dx must be a JSON integer"),
         ({"w_c": "0.5"}, "w_c must be a JSON number"),
@@ -364,7 +364,7 @@ def _scale(factor, anchor=(4.0, 4.0)):
         (_scale(2.0, [7.5, 7.5, 7.5]), "anchor must be a JSON array of 2 numbers"),
         (_scale(2.0, "7.5"), "anchor must be a JSON array of 2 numbers"),
     ],
-    ids=["camera_only-string", "camera_only-int", "include_background-string", "dx-float",
+    ids=["camera_only-string", "camera_only-int", "dx-float",
          "dx-string", "w_c-string", "w_c-bool", "directive-w_c-string", "directive-w_c-infinite",
          "factor-string", "factor-bool", "factor-nan", "anchor-string", "anchor-bool",
          "anchor-infinite", "anchor-short", "anchor-long", "anchor-not-array"],
@@ -507,7 +507,7 @@ def test_pair_operator_matches_naive_loop(kinds, n_frames, legacy, background, s
         op = PairOperator({t.subject_id: t for t in tracks + [bg]}, legacy_region=legacy)
     else:
         bg = background_track(tracks, dims=(n_frames, h, w))
-        op = (compile_sources(lat, tracks, legacy_region=legacy) if background == "derived"
+        op = (compile_sources(lat.shape, tracks, legacy_region=legacy) if background == "derived"
               else PairOperator({t.subject_id: t for t in tracks}, legacy_region=legacy))
     if (kinds, n_frames, legacy, background, seed) == (["random", "copy"], 3, False, "none", 4):
         assert _shares_a_cell_outside_every_subject_row(op, tracks)  # the example does its job

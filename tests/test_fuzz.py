@@ -1,9 +1,14 @@
-"""Damaged artifacts end in a documented exit code, never in a traceback.
+"""Damaged artifacts and mistyped configs end in a documented exit code, never in a traceback.
 
 One small real run (the 6-frame 24x24 demo scene, 6 DDIM steps) is built
 once. Each example copies it, damages one artifact (truncates, overwrites
 or deletes a file, or sets or renames one key of a JSON document), and runs
 every stage that reads artifacts: each must exit 0, 2 or 3.
+
+The config fuzz sets one field, at any level, of a small pipeline config
+(2 DDIM steps) or of the demo scene spec to one of a fixed set of probe
+values, and runs ``momix pipeline`` or ``momix synth``: each must exit 0,
+2 or 3, and on exit 2 must not have made its output directory.
 """
 
 import json
@@ -16,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momix.cli import main
-from momix.synth import save_scene
+from momix.synth import save_scene, scene_to_json
 
 from test_cli import demo_scene
 
@@ -59,7 +64,7 @@ def base_run(tmp_path_factory):
     assert main(["extract", traj, f"{scene}/manifest.json", desc]) == 0
     assert main(["recompose", desc, traj, run, "--atlas", f"{scene}/latents_t0.cmt",
                  "--inner-steps", "1"]) == 0
-    assert main(["metrics", run, scene, "--desc", desc, "--out", str(root / "metrics.json")]) == 0
+    assert main(["metrics", run, scene, "--out", str(root / "metrics.json")]) == 0
     for path in ("spec.json", "metrics.json"):  # no stage reads these
         (root / path).unlink()
     files = sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
@@ -127,7 +132,73 @@ def test_damaged_artifacts_exit_with_a_documented_code(base_run, damage):
             ["extract", traj, f"{scene}/manifest.json", f"{out}/desc"],
             recompose,
             recompose + ["--soften", "1"],
-            ["metrics", run, scene, "--desc", desc, "--out", f"{out}/metrics.json"],
+            ["metrics", run, scene, "--out", f"{out}/metrics.json"],
         ]
         codes = [main(argv) for argv in commands]
         assert set(codes) <= {0, 2, 3}, (damage, codes)
+
+
+# the pipeline config of tests/test_cli.py at 2 DDIM steps, with a weight and a
+# plan entry so that those sections have fields to set too
+PIPELINE = {
+    "out_dir": "unused",  # --out overrides it, so no example writes outside its directory
+    "seed": 5,
+    "scene": scene_to_json(demo_scene(n=5)),
+    "schedule": {"n_steps": 2, "power": 2.0, "floor": 1e-4},
+    "bandwidth": 0.5,
+    "guidance": {"n_inner_steps": 2, "t_end": 1, "weights": {"A": 1.0}},
+    "plan": {"subjects": {"B": {"op": "soften", "w_c": 0.5}}},
+    "init": "shared",
+    "metrics": {"threshold": 0.5},
+}
+SPEC = scene_to_json(demo_scene())
+PROBES = (None, True, False, -1, 0, 10**20, 1e300, -1e-300, 1.5, "x", [0, 1], {"k": 0}, [], {})
+
+
+def _paths(doc, prefix=()):
+    """The path of every value nested in a JSON document, containers included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    out = []
+    for key, value in items:
+        out.append((*prefix, key))
+        if isinstance(value, (dict, list)):
+            out.extend(_paths(value, (*prefix, key)))
+    return out
+
+
+_setting = st.one_of(
+    st.tuples(st.just("pipeline"), st.sampled_from(_paths(PIPELINE))),
+    st.tuples(st.just("synth"), st.sampled_from(_paths(SPEC))),
+)
+_POINT = ("blobs", 0, "trajectory", 0)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(setting=_setting, value=st.sampled_from(PROBES))
+# a point whose squared offset from the frame overflows float64
+@example(setting=("pipeline", ("scene", *_POINT)), value=[1e300, 4.0])
+@example(setting=("synth", _POINT), value=[1e300, 4.0])
+# a radius of 1e20 on A hides B, which the plan softens
+@example(setting=("pipeline", ("scene", "blobs", 0, "radius")), value=10**20)
+# squares that overflow, an inner-step count past the cap (checked, never run)
+@example(setting=("pipeline", ("scene", "blobs", 0, "radius")), value=1e300)
+@example(setting=("pipeline", ("bandwidth",)), value=1e300)
+@example(setting=("pipeline", ("guidance", "n_inner_steps")), value=10**20)
+# a zero signature
+@example(setting=("pipeline", ("scene", "blobs", 1, "channel_signature")), value=[0, 0, 0])
+def test_mistyped_configs_exit_with_a_documented_code(setting, value):
+    kind, path = setting
+    doc = json.loads(json.dumps(PIPELINE if kind == "pipeline" else SPEC))
+    *parents, key = path
+    entry = doc
+    for k in parents:
+        entry = entry[k]
+    entry[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        doc_path, out = Path(tmp) / "doc.json", Path(tmp) / "out"
+        doc_path.write_text(json.dumps(doc))
+        argv = (["pipeline", str(doc_path), "--out", str(out)] if kind == "pipeline"
+                else ["synth", str(doc_path), str(out)])
+        code = main(argv)
+        assert code in (0, 2, 3), (setting, value, code)
+        assert code != 2 or not out.exists(), (setting, value)

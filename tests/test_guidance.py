@@ -345,7 +345,7 @@ def _mask_edit_case(rng):
     edit = MaskEdit("shift", dx=3, dy=1)
     plan = EditPlan({"A": Directive("mask_edit", edit=edit)})
     refs = recompose(extract_descriptors(latents, tracks, timestep=0), plan)
-    regions = compile_sources(latents, [apply_edit(tracks[0], edit), tracks[1]])
+    regions = compile_sources(latents.shape, [apply_edit(tracks[0], edit), tracks[1]])
     target = GuidanceTarget(refs, regions)
     return "mask_edit", LatentVideo(rng.standard_normal(latents.shape)), target
 
@@ -460,7 +460,7 @@ spec = SceneSpec(
     texture_seed=1,
 )
 latents, tracks, _ = render_scene(spec)
-regions = compile_sources(latents, tracks)
+regions = compile_sources(latents.shape, tracks)
 assert len(regions.rows) == 480, len(regions.rows)
 rng = np.random.default_rng(4)
 refs = [

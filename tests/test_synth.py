@@ -157,14 +157,14 @@ def test_centroid_trivia():
 def test_estimate_blob_track_on_clean_scene():
     spec = two_blob_scene()
     lat, tracks, traj = render_scene(spec)
-    cents, areas = estimate_blob_track(lat, (0.0, 2.5, 0.0))
+    cents, areas = estimate_blob_track(lat, (0.0, 2.5, 0.0), 0.5)
     true_cents = centroid_trajectory(tracks[0])
     for est, true in zip(cents, true_cents):
         assert est is not None
         assert np.hypot(est[0] - true[0], est[1] - true[1]) <= 0.75
     assert all(a > 0 for a in areas)
     with pytest.raises(BadValue):
-        estimate_blob_track(lat, (0.0, 0.0, 0.0))
+        estimate_blob_track(lat, (0.0, 0.0, 0.0), 0.5)
 
 
 def test_scene_spec_validation():
