@@ -15,15 +15,9 @@ from pathlib import Path
 from . import pipeline as pl
 from .diffusion import NoiseSchedule, ZeroDenoiser, read_trajectory_index, trajectory_path
 from .errors import BadValue, DimMismatch, EmptyRegion, MomixError, NonFinite, NoValidPairs
-from .features import (
-    Directive,
-    EditPlan,
-    extract_descriptors,
-    load_plan,
-)
+from .features import extract_descriptors, load_plan
 from .gradcheck import run_gradcheck
 from .guidance import GuidanceConfig
-from .masks import MaskEdit
 from .metrics import descriptor_distance
 from .synth import load_scene
 from .tensors import load_manifest, load_tensor, read_json
@@ -75,11 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", default=None, help="override the manifest recorded at extract")
     p.add_argument("--atlas", nargs="+", required=True, help="atlas latent files for the denoiser")
     p.add_argument("--bandwidth", type=float, default=_STAGE_DEFAULT)
-    p.add_argument("--soften", type=float, default=None, metavar="W_C")
-    p.add_argument("--remove", action="append", default=[], metavar="ID")
-    p.add_argument("--camera-only", action="store_true")
-    p.add_argument("--shift", nargs=3, action="append", default=[], metavar=("ID", "DX", "DY"))
-    p.add_argument("--resize", nargs=2, action="append", default=[], metavar=("ID", "FACTOR"))
     p.add_argument("--init", choices=["auto", "shared", "fresh"], default=_STAGE_DEFAULT)
     p.add_argument("--seed", type=int, default=_STAGE_DEFAULT)
     p.add_argument("--step-size", type=float, default=_STAGE_DEFAULT, help="default: 1/curvature")
@@ -181,34 +170,6 @@ def _parse_weights(items: list[str]) -> dict[str, float]:
     return weights
 
 
-def _plan_from_args(args, manifest) -> EditPlan:
-    base = load_plan(args.plan) if args.plan else EditPlan()
-    directives = dict(base.directives)
-    if args.soften is not None:
-        for sid in manifest.subject_ids:
-            directives.setdefault(sid, Directive("soften", w_c=args.soften))
-    for sid in args.remove:
-        directives[sid] = Directive("remove")
-    for sid, dx, dy in args.shift:
-        try:
-            edit = MaskEdit("shift", dx=int(dx), dy=int(dy))
-        except ValueError:
-            raise BadValue(f"--shift expects integer dx dy, got {dx!r} {dy!r}")
-        directives[sid] = Directive("mask_edit", edit=edit)
-    for sid, factor in args.resize:
-        try:
-            factor = float(factor)
-        except ValueError:
-            raise BadValue(f"--resize expects a numeric factor, got {factor!r}")
-        anchor = ((manifest.height - 1) / 2.0, (manifest.width - 1) / 2.0)
-        directives[sid] = Directive("mask_edit", edit=MaskEdit("scale", factor=factor, anchor=anchor))
-    return EditPlan(
-        directives=directives,
-        w_c=args.soften if args.soften is not None else base.w_c,
-        camera_only=args.camera_only or base.camera_only,
-    )
-
-
 def _cmd_recompose(args) -> int:
     desc_dir = Path(args.desc_dir)
     if args.manifest:
@@ -220,7 +181,7 @@ def _cmd_recompose(args) -> int:
             raise BadValue("no manifest recorded at extract time; pass --manifest")
         manifest_path = desc_dir / recorded
     manifest = load_manifest(manifest_path)
-    plan = _plan_from_args(args, manifest)
+    plan = load_plan(args.plan) if args.plan else None
     config = GuidanceConfig(
         **pl.given(vars(args), step_size="step_size", n_inner_steps="inner_steps",
                    t_start="t_start", t_end="t_end"),

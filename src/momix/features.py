@@ -373,31 +373,41 @@ def extract_descriptors(
     skips the compile when many timesteps share one mask set; it then
     fixes the regions, and ``legacy_region`` is not read.
     A subject whose region is empty for every frame pair raises
-    NoValidPairs when ``strict``, otherwise it is skipped with a warning.
+    NoValidPairs when ``strict``, otherwise it is skipped.
     The background degrades to an empty descriptor instead of raising, so
     an all-covering subject (the global-mean degenerate case) still works.
+    Only regions compiled here are passed to ``warn_empty_sources``: a caller
+    that passes ``operator`` warns once for every timestep it serves.
     """
-    if operator is None:
+    compiled = operator is None
+    if compiled:
         operator = compile_sources(latents.shape, subjects, legacy_region=legacy_region)
     deltas = operator.apply(latents.data)
     out: list[MotionDescriptor] = []
     for sid, rows in operator.slices.items():
-        empty = rows.start == rows.stop
-        if empty and sid != BACKGROUND_ID:
+        if rows.start == rows.stop and sid != BACKGROUND_ID:
             if strict:
                 raise NoValidPairs(
                     f"subject {sid!r} has no non-empty pair region in any frame pair"
                 )
-            log.warning("skipping source %r: no valid frame pairs", sid)
             continue
-        if empty:
-            log.warning("background has no valid frame pairs (subjects cover every frame)")
         out.append(
             MotionDescriptor(sid, timestep, operator.n_frames, operator.ij[rows], deltas[rows])
         )
+    if compiled:
+        warn_empty_sources(operator)
     if not any(len(d.pairs) for d in out):
         raise NoValidPairs("no source has any valid frame pair")
     return out
+
+
+def warn_empty_sources(operator: PairOperator) -> None:
+    """Log each source of ``operator`` with no pair region: extraction skips or empties it."""
+    for sid, rows in operator.slices.items():
+        if rows.start == rows.stop and sid == BACKGROUND_ID:
+            log.warning("background has no valid frame pairs (subjects cover every frame)")
+        elif rows.start == rows.stop:
+            log.warning("skipping source %r: no valid frame pairs", sid)
 
 
 def soft_blend(subject_delta: np.ndarray, camera_delta: np.ndarray, w_c: float) -> np.ndarray:
@@ -420,8 +430,8 @@ def soft_blend(subject_delta: np.ndarray, camera_delta: np.ndarray, w_c: float) 
 class Directive:
     """Per-subject recomposition directive.
 
-    Only ``soften`` takes a ``w_c`` (its own strength in place of the plan's),
-    and only ``mask_edit`` an ``edit``, which it requires.
+    Only ``soften`` takes a ``w_c``, its strength, and only ``mask_edit`` an
+    ``edit``; each requires its own.
     """
 
     kind: Literal["keep", "remove", "soften", "mask_edit"]
@@ -433,10 +443,12 @@ class Directive:
             raise BadValue(f"unknown directive kind {self.kind!r}")
         if self.w_c is not None and self.kind != "soften":
             raise BadValue(f"a {self.kind} directive takes no w_c; only soften does")
-        if self.kind == "mask_edit" and self.edit is None:
-            raise BadValue("mask_edit directive requires an edit")
         if self.edit is not None and self.kind != "mask_edit":
             raise BadValue(f"a {self.kind} directive takes no edit; only mask_edit does")
+        if self.kind == "soften" and self.w_c is None:
+            raise BadValue("soften directive requires a w_c")
+        if self.kind == "mask_edit" and self.edit is None:
+            raise BadValue("mask_edit directive requires an edit")
         if self.w_c is not None and not 0 <= self.w_c < np.inf:
             raise BadValue(f"w_c must be finite and non-negative, got {self.w_c}")
 
@@ -445,20 +457,18 @@ class Directive:
 class EditPlan:
     """What to do with each source when recomposing motion for a new sample.
 
-    Subjects without an explicit directive are kept, and so is the
-    background: a guidance weight of 0 for it stops enforcing camera motion.
-    ``camera_only`` drops every subject and enforces only the background
-    descriptor.
+    ``directives`` maps a subject id to its directive, which carries every
+    parameter of its edit. Subjects without an explicit directive are kept,
+    and so is the background: a guidance weight of 0 for it stops enforcing
+    camera motion. ``camera_only`` drops every subject and enforces only the
+    background descriptor.
     """
 
     directives: Mapping[str, Directive] = field(default_factory=dict)
-    w_c: float = 0.0
     camera_only: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "directives", dict(self.directives))
-        if not 0 <= self.w_c < np.inf:
-            raise BadValue(f"w_c must be finite and non-negative, got {self.w_c}")
 
     def directive_for(self, subject_id: str) -> Directive:
         return self.directives.get(subject_id, Directive("keep"))
@@ -503,12 +513,11 @@ def recompose(descriptors: Sequence[MotionDescriptor], plan: EditPlan) -> list[M
                 )
             )
         else:  # soften, over the pairs the background also has
-            w_c = directive.w_c if directive.w_c is not None else plan.w_c
             rows = background.rows_of(desc.pairs)
             shared = rows >= 0
             deltas = desc.deltas[shared]
             if shared.any():
-                deltas = soft_blend(deltas, background.deltas[rows[shared]], w_c)
+                deltas = soft_blend(deltas, background.deltas[rows[shared]], directive.w_c)
             out.append(
                 MotionDescriptor(
                     desc.source_id, desc.timestep, desc.n_frames, desc.pairs[shared], deltas
@@ -519,10 +528,9 @@ def recompose(descriptors: Sequence[MotionDescriptor], plan: EditPlan) -> list[M
 
 def plan_from_json(doc: dict) -> EditPlan:
     """The plan in ``doc``: ``subjects`` (id -> ``op``, ``w_c``, ``edit`` with ``kind``,
-    ``dx``, ``dy``, ``factor``, ``anchor``), ``w_c`` and ``camera_only``; any
-    other key is rejected."""
-    fields = typed_fields(doc, {"subjects": dict, "w_c": float, "camera_only": bool},
-                          "edit plan")
+    ``dx``, ``dy``, ``factor``, ``anchor``) and ``camera_only``; any other key
+    is rejected. A ``soften`` entry needs its ``w_c``, a ``mask_edit`` its ``edit``."""
+    fields = typed_fields(doc, {"subjects": dict, "camera_only": bool}, "edit plan")
     directives = {}
     for sid, entry in fields.pop("subjects", {}).items():
         d = typed_fields(entry, {"op": str, "w_c": float, "edit": dict | None},

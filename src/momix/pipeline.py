@@ -40,6 +40,7 @@ from .features import (
     plan_from_json,
     recompose,
     save_descriptor,
+    warn_empty_sources,
 )
 from .guidance import GuidanceConfig, GuidanceTarget
 from .masks import BACKGROUND_ID, SAFE_NAME, apply_edit, scale_sources
@@ -227,6 +228,7 @@ def run_extract(
                           f"{manifest.latent_shape}")
     # the regions depend on the masks alone
     operator = compile_sources(shape, masks)
+    warn_empty_sources(operator)
     make_dir(out_dir)
     remove_file(out_dir / "extract_index.json")
     sources_seen: set[str] = set()
@@ -311,7 +313,9 @@ def check_edit(plan: EditPlan, config: GuidanceConfig, regions: PairOperator,
     ``regions`` is compiled over the scene's masks. The plan may name only
     its subjects that have a pair region, and the weights only its subjects
     and the background; a scale edit must be one ``scale_sources`` can map
-    over the frame. An empty window is an error too.
+    over the frame. Some source the plan guides (with ``camera_only``, the
+    background alone) must have both a pair region and a positive weight.
+    An empty window is an error too.
     """
     window = config.window(n_steps)
     known = sorted(sid for sid in regions.slices if sid != BACKGROUND_ID)
@@ -332,6 +336,12 @@ def check_edit(plan: EditPlan, config: GuidanceConfig, regions: PairOperator,
             raise UnknownSubject(f"guidance weight for unknown source {sid!r}: a weight for "
                                  f"source {sid!r} needs its mask; the scene has {known} "
                                  f"and {BACKGROUND_ID!r}")
+    guided = [BACKGROUND_ID] if plan.camera_only else list(regions.slices)
+    # a source without a weight is enforced at weight 1, as in GuidanceTarget
+    if not any(regions.slices[sid].stop > regions.slices[sid].start
+               and config.per_source_weight.get(sid, 1.0) > 0 for sid in guided):
+        raise BadValue(f"the edit guides nothing: none of {guided} has both a pair region "
+                       f"and a positive guidance weight")
     return window
 
 

@@ -1,7 +1,9 @@
+import argparse
 import dataclasses
 import hashlib
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from momix import diffusion, features, gradcheck
+from momix import cli, diffusion, features, gradcheck
 from momix import pipeline as pl
 from momix.cli import main
 from momix.diffusion import (
@@ -286,6 +288,27 @@ def test_extract_masked_out_subject_skipped(tmp_path, caplog):
     assert "ghost" not in index["sources"]
 
 
+def test_extract_warns_once_per_source_without_pairs(tmp_path, caplog):
+    # each warning used to repeat at every timestep, though the regions depend on the masks alone
+    _save_scene_hiding_b(tmp_path / "s.json")
+    scene, traj, desc = tmp_path / "scene", tmp_path / "traj", tmp_path / "desc"
+    assert main(["synth", str(tmp_path / "s.json"), str(scene)]) == 0
+    assert main(["invert", str(scene / "manifest.json"), str(traj), "--steps", "4",
+                 "--zero-noise"]) == 0
+    messages = ("skipping source 'B': no valid frame pairs", "background has no valid frame pairs")
+    for extract in (
+        lambda: main(["extract", str(traj), str(scene / "manifest.json"), str(desc)]),
+        # a direct call compiles its own regions, and warns for them
+        lambda: features.extract_descriptors(load_tensor(traj / "t000.cmt"),
+                                             load_manifest(scene / "manifest.json").load_masks(),
+                                             timestep=0, strict=False),
+    ):
+        caplog.clear()
+        extract()
+        logged = [r.getMessage() for r in caplog.records]
+        assert [sum(m in line for line in logged) for m in messages] == [1, 1], logged
+
+
 def test_recompose_all_keep_self_transfer(pipeline_dirs, tmp_path, capsys):
     scene, traj, desc = pipeline_dirs
     run = tmp_path / "run"
@@ -311,12 +334,19 @@ def test_recompose_all_keep_self_transfer(pipeline_dirs, tmp_path, capsys):
             assert entry["relative_l2"] <= 0.05, (source, entry)
 
 
+def _plan_args(tmp_path, plan):
+    """``--plan`` and the path of a file under ``tmp_path`` holding the plan document ``plan``."""
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    return ["--plan", str(path)]
+
+
 def test_recompose_unknown_subject(pipeline_dirs, tmp_path, capsys):
     scene, traj, desc = pipeline_dirs
     rc = main([
         "recompose", str(desc), str(traj), str(tmp_path / "r2"),
         "--atlas", str(scene / "latents_t0.cmt"),
-        "--remove", "nope",
+        *_plan_args(tmp_path, {"subjects": {"nope": {"op": "remove"}}}),
     ])
     assert rc == 2
     assert "unknown subject" in capsys.readouterr().err
@@ -337,8 +367,9 @@ def test_recompose_plan_naming_a_hidden_subject_writes_nothing(tmp_path, capsys)
     assert main(["invert", str(scene / "manifest.json"), str(traj), "--steps", "2",
                  "--zero-noise"]) == 0
     assert main(["extract", str(traj), str(scene / "manifest.json"), str(desc)]) == 0
-    rc = main(["recompose", str(desc), str(traj), str(run),
-               "--atlas", str(scene / "latents_t0.cmt"), "--remove", "B"])
+    rc = main(["recompose", str(desc), str(traj), str(run), "--atlas",
+               str(scene / "latents_t0.cmt"),
+               *_plan_args(tmp_path, {"subjects": {"B": {"op": "remove"}}})])
     assert rc == 2
     assert "plan names subject 'B', which has no pair region" in capsys.readouterr().err
     assert not run.exists()
@@ -614,8 +645,7 @@ def test_unguided_recompose_checks_the_plan_and_guidance(
     # each used to sample and exit 0 without guidance, though a guided run exits 2
     scene, traj, desc = pipeline_dirs
     if plan is not None:
-        (tmp_path / "plan.json").write_text(json.dumps(plan))
-        extra = extra + ["--plan", str(tmp_path / "plan.json")]
+        extra = extra + _plan_args(tmp_path, plan)
     run = tmp_path / "r"
     rc = main(["recompose", str(desc), str(traj), str(run),
                "--atlas", str(scene / "latents_t0.cmt"), "--unguided", *extra])
@@ -629,8 +659,8 @@ def test_recompose_camera_only_switch(pipeline_dirs, tmp_path):
     run = tmp_path / "cam"
     rc = main([
         "recompose", str(desc), str(traj), str(run),
-        "--atlas", str(scene / "latents_t0.cmt"),
-        "--camera-only", "--init", "shared", "--inner-steps", "2",
+        "--atlas", str(scene / "latents_t0.cmt"), *_plan_args(tmp_path, {"camera_only": True}),
+        "--init", "shared", "--inner-steps", "2",
     ])
     assert rc == 0
     assert (run / "output.cmt").exists()
@@ -638,32 +668,16 @@ def test_recompose_camera_only_switch(pipeline_dirs, tmp_path):
     assert trace  # background guidance ran and was recorded
 
 
-def test_plan_from_args_switches(scene_dir):
-    import argparse
-
-    from momix.cli import _plan_from_args
-    from momix.tensors import load_manifest
-
-    manifest = load_manifest(scene_dir / "manifest.json")
-    args = argparse.Namespace(
-        plan=None, soften=2.0, remove=["B"], camera_only=False,
-        shift=[["A", "8", "0"]], resize=[], weight=[],
-    )
-    plan = _plan_from_args(args, manifest)
-    assert plan.directives["A"].kind == "mask_edit"
-    assert plan.directives["A"].edit.dx == 8
-    assert plan.directives["B"].kind == "remove"
-    assert plan.w_c == 2.0
-
-    args2 = argparse.Namespace(
-        plan=None, soften=None, remove=[], camera_only=True,
-        shift=[], resize=[["A", "2.0"]], weight=[],
-    )
-    plan2 = _plan_from_args(args2, manifest)
-    edit = plan2.directives["A"].edit
-    assert edit.kind == "scale" and edit.factor == 2.0
-    assert edit.anchor == (11.5, 11.5)
-    assert plan2.camera_only
+def test_recompose_that_guides_nothing_writes_nothing(pipeline_dirs, tmp_path, capsys):
+    # used to exit 3 from the step sizing at the first guided timestep, once sampling had begun
+    scene, traj, desc = pipeline_dirs
+    run = tmp_path / "r"
+    rc = main(["recompose", str(desc), str(traj), str(run), "--atlas",
+               str(scene / "latents_t0.cmt"), *_plan_args(tmp_path, {"camera_only": True}),
+               "--weight", "background=0"])
+    assert rc == 2
+    assert "the edit guides nothing" in capsys.readouterr().err
+    assert not run.exists()
 
 
 def _recompose(desc, traj, scene, run):
@@ -815,9 +829,10 @@ def test_recompose_resolves_recorded_manifest_against_desc_dir(
         ({"legacy_region": False}, "unknown pipeline config keys ['legacy_region']"),
         ({"plan": {"include_background": False}},
          "unknown edit plan keys ['include_background']"),
+        ({"plan": {"w_c": 0.5}}, "unknown edit plan keys ['w_c']"),
     ],
     ids=["guidance-w_c", "guidance-typo", "top-level-typo", "schedule-typo", "metrics-typo",
-         "legacy_region", "plan-include_background"],
+         "legacy_region", "plan-include_background", "plan-w_c"],
 )
 def test_pipeline_rejects_unknown_config_keys(tmp_path, capsys, patch, message):
     cfg = dict(_pipeline_config(tmp_path), **patch)
@@ -893,7 +908,6 @@ def _scene_with_ids(*ids):
         ({"schedule": {"power": "2"}}, "power must be a JSON number"),
         ({"schedule": {"floor": float("-inf")}}, "floor must be finite"),
         ({"metrics": {"threshold": False}}, "threshold must be a JSON number"),
-        ({"plan": {"w_c": "0.5"}}, "malformed edit plan: w_c must be a JSON number"),
         ({"seed": -1, "init": "fresh"}, "seed must be >= 0"),
         ({"plan": {"subjects": {"Q": {"op": "remove"}}}}, "plan names subject 'Q'"),
         ({"plan": {"subjects": {"background": {"op": "keep"}}}},
@@ -933,8 +947,13 @@ def _scene_with_ids(*ids):
         ({"scene": _scene_with(("blobs", 0, "trajectory", 0), [1e300, 4.0])},
          "blob 'A' trajectory point (1e+300, 4.0) lies so far off the frame"),
         ({"scene": _scene_with(("blobs", 0, "radius"), 1e20),
-          "plan": {"subjects": {"B": {"op": "soften"}}}},
+          "plan": {"subjects": {"B": {"op": "soften", "w_c": 0.5}}}},
          "plan names subject 'B', which has no pair region"),
+        ({"plan": {"camera_only": True}, "guidance": {"weights": {"background": 0}}},
+         "the edit guides nothing"),
+        ({"guidance": {"weights": {"A": 0, "B": 0, "background": 0}}}, "the edit guides nothing"),
+        ({"scene": _scene_with(("blobs", 0, "radius"), 1e20), "plan": {"camera_only": True}},
+         "the edit guides nothing"),
     ],
     ids=[
         "schedule", "bandwidth", "seed", "seed-float", "n_steps-float", "guided",
@@ -942,7 +961,7 @@ def _scene_with_ids(*ids):
         "t_end-string", "t_end-float", "t_start-bool", "n_inner_steps-float",
         "window-past-n_steps", "plan-camera_only", "step_size-string", "step_size-bool",
         "step_size-infinite", "weight-string", "weight-bool", "weight-nan", "bandwidth-bool",
-        "bandwidth-infinite", "power-string", "floor-infinite", "threshold-bool", "plan-w_c",
+        "bandwidth-infinite", "power-string", "floor-infinite", "threshold-bool",
         "seed-negative", "plan-unknown-subject", "plan-background", "weight-unknown-source",
         "n_steps-past-the-cap", "blob-id-unsafe", "blob-id-background", "blob-id-duplicate",
         "bandwidth-zero", "bandwidth-negative", "anchor-outside", "factor-tiny",
@@ -950,6 +969,7 @@ def _scene_with_ids(*ids):
         "scale-dy", "radius-square-overflows", "bandwidth-square-overflows",
         "n_inner_steps-past-the-cap", "n_inner_steps-huge", "channel_signature-zero",
         "channel_signature-underflows", "trajectory-square-overflows", "plan-subject-hidden",
+        "camera-only-background-weight-0", "weights-all-0", "camera-only-no-background-region",
     ],
 )
 def test_pipeline_rejects_mistyped_values(tmp_path, capsys, patch, message):
@@ -963,7 +983,9 @@ def test_pipeline_rejects_mistyped_values(tmp_path, capsys, patch, message):
     # killed, and a zero signature failed only in metrics, after run/ was written.
     # A trajectory point of 1e300 ran to exit 0 with an overflow warning, and a
     # plan naming a subject that a radius of 1e20 on A hides failed in recompose,
-    # after scene/, atlas/, traj/ and desc/ were written.
+    # after scene/, atlas/, traj/ and desc/ were written, and so did a plan and
+    # weights that guide no source with a pair region (exit 3, or exit 0 with a
+    # fixed step_size and all-zero losses).
     cfg = dict(_pipeline_config(tmp_path), **patch)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -1253,26 +1275,24 @@ def test_invert_mistyped_manifest_is_a_usage_error(scene_dir, tmp_path, capsys, 
 
 
 @pytest.mark.parametrize(
-    "args, message",
+    "args, plan, message",
     [
-        (["--soften", "inf"], "w_c must be finite"),
-        (["--bandwidth", "inf"], "bandwidth must be finite"),
-        (["--resize", "A", "inf"], "scale factor must be finite"),
-        (["--resize", "A", "1e-300"], "scale factor 1e-300"),
-        (["--weight", "A"], "--weight expects ID=W, got 'A'"),
-        (["--weight", "A=x"], "--weight expects a numeric value, got 'A=x'"),
-        (["--shift", "A", "1", "x"], "--shift expects integer dx dy, got '1' 'x'"),
-        (["--resize", "A", "x"], "--resize expects a numeric factor, got 'x'"),
+        (["--bandwidth", "inf"], None, "bandwidth must be finite"),
+        ([], _plan_edit({"kind": "scale", "factor": 1e-300, "anchor": [4, 4]}),
+         "scale factor 1e-300"),
+        (["--weight", "A"], None, "--weight expects ID=W, got 'A'"),
+        (["--weight", "A=x"], None, "--weight expects a numeric value, got 'A=x'"),
     ],
-    ids=["soften", "bandwidth", "resize-infinite", "resize-tiny", "weight-no-value",
-         "weight-string", "shift-string", "resize-string"],
+    ids=["bandwidth", "plan-factor-tiny", "weight-no-value", "weight-string"],
 )
 def test_recompose_non_finite_values_are_usage_errors(pipeline_dirs, tmp_path, capsys,
-                                                      args, message):
-    # --soften inf and --bandwidth inf used to exit 3 on non-finite latents,
-    # and both resizes to exit 0 (the tiny one after an int-cast RuntimeWarning);
-    # a value that is not a number at all is a usage error too
+                                                      args, plan, message):
+    # --bandwidth inf used to exit 3 on non-finite latents, and a scale by
+    # 1e-300 to exit 0 after an int-cast RuntimeWarning; a value that is not a
+    # number at all is a usage error too
     scene, traj, desc = pipeline_dirs
+    if plan is not None:
+        args = args + _plan_args(tmp_path, plan)
     rc = main(["recompose", str(desc), str(traj), str(tmp_path / "r"),
                "--atlas", str(scene / "latents_t0.cmt"), "--inner-steps", "1", *args])
     assert rc == 2
@@ -1530,3 +1550,14 @@ def test_latents_of_another_channel_count_are_a_usage_error(pipeline_dirs, two_c
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not (run / "metrics.json").exists() and not out.exists()
+
+
+def test_readme_names_every_cli_option_and_no_other():
+    # --floor, --power, --threshold and --zero-weights used to go undocumented
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {o for sub in commands.choices.values() for action in sub._actions
+               for o in action.option_strings if o.startswith("--")} - {"--help"}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = "".join(line for line in readme.splitlines(True) if "pip install" not in line)
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*[a-z]", text)) == options

@@ -31,7 +31,6 @@ PLAN = {
         "B": {"op": "mask_edit", "edit": {"kind": "shift", "dx": 3, "dy": -2}},
         "C": {"op": "mask_edit", "edit": {"kind": "scale", "factor": 1.5, "anchor": [4, 5.5]}},
     },
-    "w_c": 0.75,
     "camera_only": True,
 }
 
@@ -77,7 +76,7 @@ def test_plan_carries_every_key():
             "B": Directive("mask_edit", edit=MaskEdit("shift", dx=3, dy=-2)),
             "C": Directive("mask_edit", edit=MaskEdit("scale", factor=1.5, anchor=(4.0, 5.5))),
         },
-        w_c=0.75, camera_only=True,
+        camera_only=True,
     )
     _differs_from_defaults([plan])
     _differs_from_defaults(list(plan.directives.values()))
@@ -172,11 +171,13 @@ def test_cli_hands_each_stage_every_flag_given(tmp_path, monkeypatch):
     assert np.array_equal(calls["run_invert"][0][1].alpha_bar, want.alpha_bar)
     assert calls["build_denoiser"][1] == {"bandwidth": 0.8}
     assert main(["extract", str(traj), str(scene / "manifest.json"), str(desc)]) == 0
+    write_json(tmp_path / "plan.json", PLAN)
     assert main(["recompose", str(desc), str(traj), str(run), "--atlas",
                  str(scene / "latents_t0.cmt"), "--bandwidth", "0.7", "--init", "fresh",
                  "--seed", "6", "--step-size", "0.25", "--inner-steps", "2", "--t-start", "5",
-                 "--t-end", "2", "--weight", "A=2"]) == 0
+                 "--t-end", "2", "--weight", "A=2", "--plan", str(tmp_path / "plan.json")]) == 0
     assert calls["build_denoiser"][1] == {"bandwidth": 0.7}
+    assert calls["run_recompose"][0][1] == plan_from_json(PLAN)
     kwargs = calls["run_recompose"][1]
     config = GuidanceConfig(step_size=0.25, n_inner_steps=2, t_start=5, t_end=2,
                             per_source_weight={"A": 2.0})
@@ -208,6 +209,7 @@ def test_cli_without_flags_writes_what_the_library_defaults_write(tmp_path, monk
     assert sorted(calls["run_recompose"][1]) == ["denoiser", "guidance_config", "guided",
                                                  "manifest"]
     assert calls["run_recompose"][1]["guidance_config"] == GuidanceConfig()
+    assert calls["run_recompose"][0][1] is None  # keep everything
     pl.run_recompose(desc, None, traj, lib_run, denoiser=GaussianAtlasDenoiser(atlas, default),
                      manifest=manifest)
     assert main(["metrics", str(run), str(scene)]) == 0

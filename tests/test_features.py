@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import momix
+from momix.cli import main
 from momix.errors import (
     BadValue,
     DimMismatch,
@@ -44,6 +45,8 @@ from momix.masks import (
 )
 from momix.synth import BlobSpec, SceneSpec, render_scene
 from momix.tensors import LatentVideo, MaskTrack, write_json
+
+from test_cli import _pipeline_config
 
 
 def test_lsmm_constant():
@@ -200,8 +203,7 @@ def test_soft_blend_endpoints_and_oracle():
 def test_soften_weight_must_be_finite(w_c):
     # an infinite w_c used to reach sampling and fail there as a numeric error
     s = np.array([1.0, 0.0])
-    for make in (lambda: Directive("soften", w_c=w_c), lambda: EditPlan(w_c=w_c),
-                 lambda: soft_blend(s, s, w_c)):
+    for make in (lambda: Directive("soften", w_c=w_c), lambda: soft_blend(s, s, w_c)):
         with pytest.raises(BadValue, match="finite and non-negative"):
             make()
 
@@ -212,6 +214,20 @@ def test_only_soften_takes_a_w_c(kind):
     edit = MaskEdit("shift", dx=1) if kind == "mask_edit" else None
     with pytest.raises(BadValue, match=f"a {kind} directive takes no w_c"):
         Directive(kind, w_c=1.0, edit=edit)
+
+
+def test_soften_requires_its_w_c(tmp_path, capsys):
+    # a soften without one used to take the plan-wide w_c, 0 unless the plan set it
+    with pytest.raises(BadValue, match="soften directive requires a w_c"):
+        Directive("soften")
+    doc = {"subjects": {"A": {"op": "soften"}}}
+    with pytest.raises(BadValue, match="soften directive requires a w_c"):
+        plan_from_json(doc)
+    cfg = dict(_pipeline_config(tmp_path), plan=doc)
+    write_json(tmp_path / "cfg.json", cfg)
+    assert main(["pipeline", str(tmp_path / "cfg.json")]) == 2
+    assert "soften directive requires a w_c" in capsys.readouterr().err
+    assert not Path(cfg["out_dir"]).exists()
 
 
 @pytest.mark.parametrize("kind", ["keep", "remove", "soften"])
@@ -299,7 +315,6 @@ def test_plan_json_round_trip(tmp_path):
             "A": Directive("soften", w_c=2.0),
             "B": Directive("mask_edit", edit=MaskEdit("scale", factor=2.0, anchor=(7.5, 7.5))),
         },
-        w_c=1.0,
     )
     doc = {
         "subjects": {
@@ -307,7 +322,6 @@ def test_plan_json_round_trip(tmp_path):
             "B": {"op": "mask_edit", "edit": {"kind": "scale", "dx": 0, "dy": 0, "factor": 2.0,
                                                "anchor": [7.5, 7.5]}},
         },
-        "w_c": 1.0,
         "camera_only": False,
     }
     assert plan_from_json(doc) == plan
@@ -323,13 +337,15 @@ def test_plan_json_round_trip(tmp_path):
         ({"subjects": {"A": {"op": "mask_edit", "edit": {"kind": "shift", "DX": 8}}}},
          "plan edit of 'A'"),
         ({"include_background": False}, "edit plan"),
+        ({"w_c": 1.0}, "edit plan"),
     ],
-    ids=["top-level", "subject", "edit", "include_background"],
+    ids=["top-level", "subject", "edit", "include_background", "w_c"],
 )
 def test_plan_from_json_rejects_unknown_keys(doc, where):
     # each of these used to parse: to a keep-everything plan, a soften at the
     # plan-wide w_c, and a shift by 0; a background weight of 0 is what
-    # include_background: false used to say
+    # include_background: false used to say, and each soften's own w_c what
+    # the plan-wide w_c did
     with pytest.raises(BadValue, match=f"unknown {where} keys"):
         plan_from_json(doc)
 
@@ -350,8 +366,7 @@ def _scale(factor, anchor=(4.0, 4.0)):
         ({"camera_only": 0}, "camera_only must be a JSON boolean"),
         (_shift(1.5), "dx must be a JSON integer"),
         (_shift("8"), "dx must be a JSON integer"),
-        ({"w_c": "0.5"}, "w_c must be a JSON number"),
-        ({"w_c": True}, "w_c must be a JSON number"),
+        ({"subjects": {"A": {"op": "soften", "w_c": True}}}, "w_c must be a JSON number"),
         ({"subjects": {"A": {"op": "soften", "w_c": "2"}}}, "w_c must be a JSON number"),
         ({"subjects": {"A": {"op": "soften", "w_c": float("inf")}}}, "w_c must be finite"),
         (_scale("2"), "factor must be a JSON number"),
@@ -365,7 +380,7 @@ def _scale(factor, anchor=(4.0, 4.0)):
         (_scale(2.0, "7.5"), "anchor must be a JSON array of 2 numbers"),
     ],
     ids=["camera_only-string", "camera_only-int", "dx-float",
-         "dx-string", "w_c-string", "w_c-bool", "directive-w_c-string", "directive-w_c-infinite",
+         "dx-string", "w_c-bool", "directive-w_c-string", "directive-w_c-infinite",
          "factor-string", "factor-bool", "factor-nan", "anchor-string", "anchor-bool",
          "anchor-infinite", "anchor-short", "anchor-long", "anchor-not-array"],
 )

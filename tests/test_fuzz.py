@@ -112,7 +112,7 @@ def _apply(damage, root: Path) -> None:
 # one non-UTF-8 byte in a JSON file a stage reads
 @example(damage=("overwrite", "desc/t003/A.json", 0, b"\xff"))
 @example(damage=("overwrite", "scene/manifest.json", 0, b"\xff"))
-# a descriptor's n_frames far beyond the latents' frame count, plain and --soften
+# a descriptor's n_frames far beyond the latents' frame count, plain and softened
 @example(damage=("set", "desc/t004/A.json", 0, 10**20))
 @example(damage=("set", "desc/t004/background.json", 0, 10**20))
 @example(damage=("set", "desc/t000/B.json", 0, 10**20))
@@ -127,11 +127,13 @@ def test_damaged_artifacts_exit_with_a_documented_code(base_run, damage):
                                                                    "out"))
         recompose = ["recompose", desc, traj, f"{out}/r", "--atlas", f"{scene}/latents_t0.cmt",
                      "--inner-steps", "1"]
+        soften = Path(tmp) / "soften.json"  # outside the copy, so never damaged
+        soften.write_text(json.dumps({"subjects": {"A": {"op": "soften", "w_c": 1}}}))
         commands = [
             ["invert", f"{scene}/manifest.json", f"{out}/traj", "--steps", str(N_STEPS)],
             ["extract", traj, f"{scene}/manifest.json", f"{out}/desc"],
             recompose,
-            recompose + ["--soften", "1"],
+            recompose + ["--plan", str(soften)],
             ["metrics", run, scene, "--out", f"{out}/metrics.json"],
         ]
         codes = [main(argv) for argv in commands]
