@@ -71,7 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bandwidth", type=float, default=_STAGE_DEFAULT)
     p.add_argument("--init", choices=["auto", "shared", "fresh"], default=_STAGE_DEFAULT)
     p.add_argument("--seed", type=int, default=_STAGE_DEFAULT)
-    p.add_argument("--step-size", type=float, default=_STAGE_DEFAULT, help="default: 1/curvature")
+    p.add_argument("--step-size", type=float, default=_STAGE_DEFAULT,
+                   help="steepest-descent step (default: none, for conjugate gradients)")
     p.add_argument("--inner-steps", type=int, default=_STAGE_DEFAULT)
     p.add_argument("--t-start", type=int, default=_STAGE_DEFAULT)
     p.add_argument("--t-end", type=int, default=_STAGE_DEFAULT)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BadValue, NoValidPairs
 from .features import MotionDescriptor, PairOperator
-from .guidance import GuidanceTarget, guidance_gradient
+from .guidance import DEFAULT_SOURCE_WEIGHT, GuidanceTarget, guidance_gradient
 from .masks import BACKGROUND_ID, background_track
 from .tensors import LatentVideo, MaskTrack
 
@@ -33,7 +33,7 @@ def _loss_terms(planes: np.ndarray, target: GuidanceTarget) -> list[tuple]:
     """
     terms = []
     for ref in sorted(target.references, key=lambda d: d.source_id):
-        weight = float(target.weights.get(ref.source_id, 1.0))
+        weight = float(target.weights.get(ref.source_id, DEFAULT_SOURCE_WEIGHT))
         for (i, j), (idx, _) in target.regions.pairs[ref.source_id].items():
             if not ref.has_pair(i, j):
                 continue

@@ -29,18 +29,19 @@ from .masks import BACKGROUND_ID
 from .tensors import LatentVideo
 
 # The cap on inner steps per guided timestep, as ``diffusion.MAX_STEPS`` caps the
-# timesteps: 100 times the README run's 10, by which the default step has left
-# 0.5% of the residual. The loop allocates nothing per step, so a larger count
+# timesteps: 100 times the README run's 10, by which the default steps have left
+# about 1e-5 of the residual. The loop allocates nothing per step, so a larger count
 # would only run until it is killed.
 MAX_INNER_STEPS = 1_000
+DEFAULT_SOURCE_WEIGHT = 1.0  # of a source that ``GuidanceTarget``'s weights leave out
 
 
 @dataclass(frozen=True)
 class GuidanceConfig:
     """Optimizer and window settings for the latent guidance updates.
 
-    ``step_size=None`` uses ``stable_step_size`` (non-increasing loss). ``t_start``/``t_end``
-    default to the first 80% of the denoising steps when left unset.
+    ``step_size=None`` runs conjugate gradients; a ``step_size``, steepest descent at that
+    step. ``t_start``/``t_end`` default to the first 80% of the denoising steps when unset.
     """
 
     step_size: float | None = None
@@ -128,7 +129,7 @@ class GuidanceTarget:
                 )
             r = rows.start + np.flatnonzero(hit)
             self.ref[r] = ref.deltas[ref_rows[hit]]
-            self.weight[r] = float(self.weights.get(sid, 1.0))
+            self.weight[r] = float(self.weights.get(sid, DEFAULT_SOURCE_WEIGHT))
             self.enforced[r] = True
 
     def with_references(self, references: Sequence[MotionDescriptor]) -> "GuidanceTarget":
@@ -178,12 +179,45 @@ def loss_and_gradient(
 def stable_step_size(target: GuidanceTarget) -> float:
     """1/L, with L = 2 λmax(D½ G D½) the largest eigenvalue of the loss's Hessian ``2 Wᵀ D W``.
 
-    G = W Wᵀ is the operator's Gram matrix and D = diag(weight). Below 2/L, descent cannot
-    increase the loss. The operator memoizes λmax per weight vector: once per run.
+    G = W Wᵀ is the operator's Gram matrix, D = diag(weight); below 2/L, descent cannot increase
+    the loss. λmax is memoized per weight vector. For explicit steps: a null one never calls it.
     """
     if not target.weight.any():
         raise NoValidPairs("cannot size a step with no enforced pairs")
     return float(np.float64(0.5) / target.regions.curvature(target.weight))  # a 0 gives inf
+
+
+def _cgls(residual: np.ndarray, target: GuidanceTarget, n_steps: int,
+          losses: list[float]) -> np.ndarray:
+    """CGLS on ``||D½(W z - ref)||²`` from its (C, n_rows) residual r; the latents move by Wᵀ c.
+
+    A latent direction ``Wᵀ d`` is kept as d and G d. With g = D r, a step moves r by
+    -α G d, and β updates d and G d by recurrence: one product ``G g`` per step, α and β
+    joint over the channels. Each step appends its loss to ``losses``. Once γ = <g, G g> is
+    at most eps times its first value, or ||D½ G d||² is not positive, the rest repeat the
+    last loss: G is singular in general, and past the minimum, rounding noise gives huge α
+    from spurious tiny eigenvalues, which moves the latents off what the trace says.
+    """
+    gram, weight = target.regions.gram, target.weight
+    state = np.stack([np.zeros_like(residual), residual])  # -Σ α d and r
+    grad, direction = np.empty_like(state), None  # (g, G g) and (d, G d)
+    for k in range(n_steps):
+        np.multiply(weight, state[1], out=grad[0])
+        np.einsum("rs,cs->cr", gram, grad[0], out=grad[1])
+        gamma = np.einsum("cr,cr->", grad[0], grad[1])
+        if direction is None:
+            direction, floor = grad.copy(), abs(gamma) * np.finfo(np.float64).eps
+        else:
+            direction *= gamma / last  # β
+            direction += grad
+        curvature = np.einsum("r,cr,cr->", weight, direction[1], direction[1])
+        if not (gamma > floor and curvature > 0):
+            losses.extend(losses[-1:] * (n_steps - k))
+            break
+        state -= (gamma / curvature) * direction  # α
+        losses.append(_weighted_sum_of_squares(state[1].T, weight))
+        last = gamma
+    return state[0]  # c
 
 
 def guided_update(
@@ -191,34 +225,36 @@ def guided_update(
     target: GuidanceTarget,
     config: GuidanceConfig,
 ) -> tuple[np.ndarray, list[float]]:
-    """Run ``n_inner_steps`` of steepest descent on the guidance loss over float64 latents.
+    """Run ``n_inner_steps`` inner steps on the guidance loss over float64 latents.
 
-    A step ``z -= step * Wᵀ coef`` moves the residual ``W z - ref`` by
-    ``-step * G coef``, with ``G = W Wᵀ`` the operator's Gram matrix, so the
-    inner steps run on the (n_rows, C) residual alone: one ``apply`` before
-    them, one ``adjoint`` of their summed coefficients after. The products
-    with G are fixed-order einsums, not BLAS, so the bytes do not depend on
-    the thread count.
+    With ``step_size`` None (the default) they are conjugate-gradient (CGLS) steps;
+    with a ``step_size``, steepest-descent steps of that size. A step that moves the
+    latents by ``Wᵀ c`` moves the residual ``W z - ref`` by ``G c``, with ``G = W Wᵀ``
+    the operator's Gram matrix, so the inner steps run on the (n_rows, C) residual
+    alone: one ``apply`` before them, one ``adjoint`` of their summed coefficients
+    after. The products with G are fixed-order einsums, not BLAS, so the bytes do
+    not depend on the thread count.
 
     Returns the updated latents, a new array unless there are no inner
     steps (then ``z`` itself), and the loss trace: the value before any step
     followed by the value after each step. ``z`` is only read.
     """
-    step = config.step_size if config.step_size is not None else stable_step_size(target)
     # channel-major (C, n_rows), so each product sums along contiguous rows of G
     residual = np.ascontiguousarray(_residual(z, target).T)
     losses = [_weighted_sum_of_squares(residual.T, target.weight)]
     if config.n_inner_steps == 0:
         return z, losses
-    gram = target.regions.gram
-    total = np.zeros_like(residual)
-    for _ in range(config.n_inner_steps):
-        coef = 2.0 * target.weight * residual
-        total += coef
-        residual -= step * np.einsum("rs,cs->cr", gram, coef)
-        losses.append(_weighted_sum_of_squares(residual.T, target.weight))
-    # z - step * g, as (-step * g) + z in g's own buffer
-    update = target.regions.adjoint(total.T)
-    update *= -step
+    if config.step_size is None:
+        update = target.regions.adjoint(_cgls(residual, target, config.n_inner_steps, losses).T)
+    else:
+        step, gram, total = config.step_size, target.regions.gram, np.zeros_like(residual)
+        for _ in range(config.n_inner_steps):
+            coef = 2.0 * target.weight * residual
+            total += coef
+            residual -= step * np.einsum("rs,cs->cr", gram, coef)
+            losses.append(_weighted_sum_of_squares(residual.T, target.weight))
+        # z - step * g, as (-step * g) + z in g's own buffer
+        update = target.regions.adjoint(total.T)
+        update *= -step
     update += z
     return update, losses

@@ -58,6 +58,7 @@ from .synth import (
 from .tensors import (
     TENSOR_MAGIC,
     LatentVideo,
+    MaskTrack,
     SceneManifest,
     atomic_write,
     load_manifest,
@@ -306,18 +307,18 @@ def read_extract_index(desc_dir) -> ExtractIndex:
 # --- recompose + guided sampling ---------------------------------------------
 
 
-def check_edit(plan: EditPlan, config: GuidanceConfig, regions: PairOperator,
-               n_steps: int) -> tuple[int, int]:
-    """The guidance window of ``config`` over ``n_steps``, once the edit is known to apply.
+def check_edit(plan: EditPlan, config: GuidanceConfig, latent_shape: Sequence[int],
+               masks: Sequence[MaskTrack], n_steps: int) -> tuple[tuple[int, int], PairOperator]:
+    """The guidance window of ``config`` over ``n_steps`` and the target regions (the
+    scene's ``masks`` with the plan's mask edits applied), once the edit is known to apply.
 
-    ``regions`` is compiled over the scene's masks. The plan may name only
-    its subjects that have a pair region, and the weights only its subjects
-    and the background; a scale edit must be one ``scale_sources`` can map
-    over the frame. Some source the plan guides (with ``camera_only``, the
-    background alone) must have both a pair region and a positive weight.
-    An empty window is an error too.
+    The plan may name only its subjects that have a pair region, and the weights only
+    its subjects and the background; a scale edit must be one ``scale_sources`` can map
+    over the frame. Some source with a positive weight must have a target row whose
+    pair its recomposed reference has. An empty window is an error too.
     """
     window = config.window(n_steps)
+    regions = compile_sources(latent_shape, masks)
     known = sorted(sid for sid in regions.slices if sid != BACKGROUND_ID)
     height, width = regions.spatial
     for sid, directive in plan.directives.items():
@@ -336,13 +337,19 @@ def check_edit(plan: EditPlan, config: GuidanceConfig, regions: PairOperator,
             raise UnknownSubject(f"guidance weight for unknown source {sid!r}: a weight for "
                                  f"source {sid!r} needs its mask; the scene has {known} "
                                  f"and {BACKGROUND_ID!r}")
-    guided = [BACKGROUND_ID] if plan.camera_only else list(regions.slices)
-    # a source without a weight is enforced at weight 1, as in GuidanceTarget
-    if not any(regions.slices[sid].stop > regions.slices[sid].start
-               and config.per_source_weight.get(sid, 1.0) > 0 for sid in guided):
-        raise BadValue(f"the edit guides nothing: none of {guided} has both a pair region "
-                       f"and a positive guidance weight")
-    return window
+    # the references have the pairs of extraction's descriptors: the scene's rows
+    refs = recompose([MotionDescriptor(sid, 0, regions.n_frames, regions.ij[rows],
+                                       np.zeros((rows.stop - rows.start, 1)))
+                      for sid, rows in regions.slices.items()], plan)
+    edits = {sid: d.edit for sid, d in plan.directives.items() if d.kind == "mask_edit"}
+    if edits:  # the scene's regions go first: two at once raise large-edit's peak RSS by 1 MB
+        del regions
+        regions = compile_sources(latent_shape, [apply_edit(m, edits[m.subject_id])
+                                                 if m.subject_id in edits else m for m in masks])
+    if not GuidanceTarget(refs, regions, weights=config.per_source_weight).weight.any():
+        raise BadValue("the edit guides nothing: no source with a positive guidance weight "
+                       "has a target pair region its recomposed reference also has")
+    return window, regions
 
 
 @dataclass
@@ -378,9 +385,10 @@ def run_recompose(
     plan = plan if plan is not None else EditPlan()
     config = guidance_config if guidance_config is not None else GuidanceConfig()
     reference_zT = load_tensor(trajectory_path(traj_dir, schedule.n_steps))
-    masks = manifest.load_masks()
-    start, end = check_edit(plan, config, compile_sources(reference_zT.shape, masks),
-                            schedule.n_steps)
+    (start, end), regions = check_edit(plan, config, reference_zT.shape, manifest.load_masks(),
+                                       schedule.n_steps)
+    # unguided, drop the operator (4 MB at 16x4x64x64) before z_T: held, it raised peak RSS 1.3 MB
+    regions = regions if guided else None
     if isinstance(denoiser, GaussianAtlasDenoiser):
         if denoiser.members.shape[1:] != reference_zT.shape:
             raise DimMismatch(f"atlas members have shape {denoiser.members.shape[1:]}, "
@@ -401,9 +409,6 @@ def run_recompose(
             raise BadValue(f"{desc_dir}: descriptors span timesteps 0..{index.n_steps}, "
                            f"the trajectory 0..{schedule.n_steps}")
         refs_by_t = index.references(range(end, start + 1))
-        subjects = [apply_edit(m, edits[m.subject_id]) if m.subject_id in edits else m
-                    for m in masks]
-        regions = compile_sources(reference_zT.shape, subjects)
         targets = {}
         for t, refs in refs_by_t.items():
             # checked before ``recompose``, which indexes an (n_frames, n_frames) row table
@@ -418,7 +423,6 @@ def run_recompose(
             if targets[t].enforced_pair_count() == 0:
                 raise NoValidPairs(f"guidance problem has no enforced pairs at timestep {t}")
         guidance = SamplingGuidance(config=config, targets=targets)
-
     output = ddim_sample(zT, schedule, denoiser, guidance=guidance)
     out_dir = make_dir(out_dir)
     save_tensor(output, out_dir / "output.cmt")
@@ -547,8 +551,7 @@ def run_pipeline(config: dict, out_root=None) -> dict:
         check_bandwidth(cfg["bandwidth"])
     if cfg.get("seed", 0) < 0:
         raise BadValue(f"malformed {what}: seed must be >= 0, got {cfg['seed']}")
-    check_edit(plan, gcfg, compile_sources(spec.latent_shape, scene_masks(spec)),
-               schedule.n_steps)
+    check_edit(plan, gcfg, spec.latent_shape, scene_masks(spec), schedule.n_steps)
     scene_dir = run_synth(spec, out_root / "scene")
     manifest = load_manifest(scene_dir / "manifest.json")
     # one denoiser serves inversion and recompose

@@ -668,13 +668,20 @@ def test_recompose_camera_only_switch(pipeline_dirs, tmp_path):
     assert trace  # background guidance ran and was recorded
 
 
-def test_recompose_that_guides_nothing_writes_nothing(pipeline_dirs, tmp_path, capsys):
-    # used to exit 3 from the step sizing at the first guided timestep, once sampling had begun
+@pytest.mark.parametrize("plan, weights", [
+    ({"camera_only": True}, ["background=0"]),
+    ({"subjects": {"A": {"op": "mask_edit", "edit": {"kind": "shift", "dx": 1000}}}},
+     ["B=0", "background=0"]),
+], ids=["camera-only-background-0", "shift-out-of-frame-others-0"])
+def test_recompose_that_guides_nothing_writes_nothing(pipeline_dirs, tmp_path, capsys,
+                                                      plan, weights):
+    # each used to exit 3 from the step sizing at the first guided timestep, once sampling
+    # had begun; the shift leaves A no target row, and B and the background weigh 0
     scene, traj, desc = pipeline_dirs
     run = tmp_path / "r"
     rc = main(["recompose", str(desc), str(traj), str(run), "--atlas",
-               str(scene / "latents_t0.cmt"), *_plan_args(tmp_path, {"camera_only": True}),
-               "--weight", "background=0"])
+               str(scene / "latents_t0.cmt"), *_plan_args(tmp_path, plan),
+               *(arg for w in weights for arg in ("--weight", w))])
     assert rc == 2
     assert "the edit guides nothing" in capsys.readouterr().err
     assert not run.exists()
@@ -954,6 +961,8 @@ def _scene_with_ids(*ids):
         ({"guidance": {"weights": {"A": 0, "B": 0, "background": 0}}}, "the edit guides nothing"),
         ({"scene": _scene_with(("blobs", 0, "radius"), 1e20), "plan": {"camera_only": True}},
          "the edit guides nothing"),
+        ({"schedule": {"n_steps": 4}, "plan": _plan_edit({"kind": "shift", "dx": 1000}),
+          "guidance": {"weights": {"B": 0, "background": 0}}}, "the edit guides nothing"),
     ],
     ids=[
         "schedule", "bandwidth", "seed", "seed-float", "n_steps-float", "guided",
@@ -970,6 +979,7 @@ def _scene_with_ids(*ids):
         "n_inner_steps-past-the-cap", "n_inner_steps-huge", "channel_signature-zero",
         "channel_signature-underflows", "trajectory-square-overflows", "plan-subject-hidden",
         "camera-only-background-weight-0", "weights-all-0", "camera-only-no-background-region",
+        "shift-out-of-frame-others-weight-0",
     ],
 )
 def test_pipeline_rejects_mistyped_values(tmp_path, capsys, patch, message):
@@ -985,7 +995,8 @@ def test_pipeline_rejects_mistyped_values(tmp_path, capsys, patch, message):
     # plan naming a subject that a radius of 1e20 on A hides failed in recompose,
     # after scene/, atlas/, traj/ and desc/ were written, and so did a plan and
     # weights that guide no source with a pair region (exit 3, or exit 0 with a
-    # fixed step_size and all-zero losses).
+    # fixed step_size and all-zero losses), or only one that a shift moves out of
+    # the frame (exit 3).
     cfg = dict(_pipeline_config(tmp_path), **patch)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -1057,9 +1068,9 @@ def test_recompose_checks_every_guided_timestep_before_sampling(
     assert not (tmp_path / "r").exists()
 
 
-def test_guided_recompose_sizes_its_default_step_once(pipeline_dirs, tmp_path, monkeypatch):
-    # every guided timestep shares one operator and one weight vector, so the
-    # power iteration behind the default step runs once per run
+def test_default_step_recompose_computes_no_curvature(pipeline_dirs, tmp_path, monkeypatch):
+    # the default inner steps are conjugate gradients, which need no step size, so
+    # the power iteration behind the stable step never runs
     scene, traj, desc = pipeline_dirs
     eigen, updates = [], []
     top_eigenvalue, guided_update = features._top_eigenvalue, diffusion.guided_update
@@ -1068,7 +1079,7 @@ def test_guided_recompose_sizes_its_default_step_once(pipeline_dirs, tmp_path, m
     monkeypatch.setattr(diffusion, "guided_update",
                         lambda z, *args: updates.append(z) or guided_update(z, *args))
     assert _recompose(desc, traj, scene, tmp_path / "r") == 0
-    assert len(updates) > 1 and len(eigen) == 1
+    assert len(updates) > 1 and eigen == []
 
 
 @pytest.mark.parametrize("change, message", [

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -308,13 +309,35 @@ def test_guided_update_zero_steps_identity():
 
 def _descent_oracle(latents, target, config):
     """Steepest descent on the latents: one gradient and one step per inner step."""
-    step = config.step_size if config.step_size is not None else stable_step_size(target)
     z, losses = latents.data.astype(np.float64), []
     for _ in range(config.n_inner_steps):
         loss, grad = loss_and_gradient(LatentVideo(z), target)
         losses.append(loss)
-        z = z - step * grad
+        z = z - config.step_size * grad
     losses.append(guidance_loss(LatentVideo(z), target))
+    return z, losses
+
+
+def _cgls_oracle(latents, target, config):
+    """Conjugate gradients on the latents: Fletcher-Reeves directions, exact line search.
+
+    The loss is quadratic, so its gradient is affine and the Hessian product
+    along a direction p is ``grad(z + p) - grad(z)``.
+    """
+    z = latents.data.astype(np.float64)
+    loss, grad = loss_and_gradient(LatentVideo(z), target)
+    losses, direction = [loss], None
+    for _ in range(config.n_inner_steps):
+        gamma = np.sum(grad * grad)
+        if gamma == 0:
+            losses.append(losses[-1])
+            continue
+        direction = -grad if direction is None else direction * (gamma / last) - grad
+        hessian_p = loss_and_gradient(LatentVideo(z + direction), target)[1] - grad
+        z = z + (-np.sum(grad * direction) / np.sum(direction * hessian_p)) * direction
+        loss, grad = loss_and_gradient(LatentVideo(z), target)
+        losses.append(loss)
+        last = gamma
     return z, losses
 
 
@@ -352,17 +375,62 @@ def _mask_edit_case(rng):
 
 @pytest.mark.parametrize("step_size", [None, 0.3], ids=["stable-step", "fixed-step"])
 def test_guided_update_matches_descent_on_the_latents(step_size):
-    # the pair-space iteration against the loop it replaced; losses that reach 0
-    # are compared relative to the starting loss
+    # the pair-space iterations against the same iterations on the latents: with the
+    # default (null) step, conjugate gradients; with a fixed step, the steepest-descent
+    # loop the pair-space one replaced. Losses that reach 0 are compared relative to
+    # the starting loss
     rng = np.random.default_rng(7)
     config = GuidanceConfig(step_size=step_size, n_inner_steps=5)
+    oracle, rtol = (_cgls_oracle, 1e-10) if step_size is None else (_descent_oracle, 1e-12)
     for label, latents, target in [*_gradcheck_cases(rng), _mask_edit_case(rng)]:
         out, losses = guided_update(latents.data, target, config)
-        want, want_losses = _descent_oracle(latents, target, config)
-        assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want)), label
+        want, want_losses = oracle(latents, target, config)
+        assert np.max(np.abs(out - want)) <= rtol * np.max(np.abs(want)), label
         np.testing.assert_allclose(
             losses, want_losses, rtol=1e-6, atol=1e-12 * want_losses[0], err_msg=label
         )
+
+
+@pytest.mark.parametrize("size", [(3, 2, 8, 8, 2), (4, 1, 6, 6, 3), (5, 1, 5, 5, 2),
+                                  (6, 1, 4, 4, 2)])
+def test_default_step_reaches_the_least_squares_minimum(size):
+    # conjugate gradients end in at most one step per enforced row, and a few more
+    # in rounding; the minimum comes from lstsq on the dense D½ W, built one unit
+    # latent at a time. These Gram matrices are singular: past the minimum, steps on
+    # rounding noise could move the latents far from it while the pair-space trace
+    # kept falling, so the trace's last loss must be the loss of the returned latents
+    rng = np.random.default_rng(11)
+    case = random_case(rng, *size)
+    while not case.target.enforced.any():
+        case = random_case(rng, *size)
+    z, target = case.latents.data, case.target
+    units = np.eye(z.size).reshape(z.size, *z.shape)
+    dense = np.stack([target.regions.apply(e).reshape(-1) for e in units], axis=1)
+    root = np.repeat(np.sqrt(target.weight), z.shape[1])  # rows of apply(z).reshape(-1)
+    a, b = root[:, None] * dense, root * target.ref.reshape(-1)
+    minimum = np.sum((a @ np.linalg.lstsq(a, b, rcond=None)[0] - b) ** 2)
+    config = GuidanceConfig(n_inner_steps=3 * target.enforced_pair_count())
+    out, losses = guided_update(z, target, config)
+    assert abs(losses[-1] - minimum) <= 1e-8 * losses[0], (losses, minimum)
+    assert abs(guidance_loss(LatentVideo(out), target) - losses[-1]) <= 1e-8 * losses[0]
+
+
+def test_default_step_at_the_reference_stays_put():
+    # γ is 0 at the first step: the losses repeat, the latents do not move, and
+    # nothing divides by 0
+    _, latents, target = _mask_edit_case(np.random.default_rng(12))
+    regions = target.regions
+    deltas = regions.apply(latents.data)
+    target = target.with_references([
+        MotionDescriptor(sid, 0, regions.n_frames, regions.ij[rows], deltas[rows])
+        for sid, rows in regions.slices.items()
+    ])
+    assert target.enforced_pair_count() > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, losses = guided_update(latents.data, target, GuidanceConfig(n_inner_steps=4))
+    assert losses == [losses[0]] * 5
+    assert np.array_equal(out, latents.data)
 
 
 @pytest.mark.parametrize("n_inner_steps", [0, 1, 2, 6])
@@ -402,6 +470,20 @@ def test_guided_update_returns_c_contiguous_latents():
     assert out.flags.c_contiguous and out.shape == latents.shape
 
 
+def _stdout_at_one_and_two_threads(probe):
+    """The set of what ``probe`` prints, run at 1 and at 2 OpenBLAS threads."""
+    src = str(Path(momix.__file__).resolve().parents[1])
+    outputs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        outputs.add(done.stdout.strip())
+    return outputs
+
+
 # 1,260 rows: at this size OpenBLAS gives different bytes for the Gram product at 1
 # and 2 threads, and the fixed step is large enough for that to reach the output
 _THREAD_PROBE = """
@@ -428,25 +510,16 @@ print(hashlib.sha256(out.tobytes() + np.array(losses).tobytes()).hexdigest())
 
 
 def test_guided_update_bytes_do_not_depend_on_blas_threads():
-    src = str(Path(momix.__file__).resolve().parents[1])
-    digests = set()
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-        done = subprocess.run(
-            [sys.executable, "-c", _THREAD_PROBE],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
-        )
-        digests.add(done.stdout.strip())
+    digests = _stdout_at_one_and_two_threads(_THREAD_PROBE)
     assert len(digests) == 1, digests
 
 
-# large-edit's geometry: 16 frames x 4 channels x 64x64 and 3 subjects, 480 rows;
-# for both weight sets, eigvalsh's largest eigenvalue has different bytes at 1 and
-# 2 OpenBLAS threads
-_STEP_THREAD_PROBE = """
+# large-edit's geometry: 16 frames x 4 channels x 64x64 and 3 subjects, 480 rows,
+# with random references
+_LARGE_EDIT_REFERENCES = """
 import numpy as np
 from momix.features import MotionDescriptor, compile_sources
-from momix.guidance import GuidanceTarget, stable_step_size
+from momix.guidance import GuidanceConfig, GuidanceTarget, guided_update, stable_step_size
 from momix.synth import BlobSpec, SceneSpec, render_scene
 
 n = 16
@@ -467,22 +540,34 @@ refs = [
     MotionDescriptor(sid, 0, n, regions.ij[rows], rng.standard_normal((rows.stop - rows.start, 4)))
     for sid, rows in regions.slices.items()
 ]
+"""
+
+# for both weight sets, eigvalsh's largest eigenvalue has different bytes at 1 and
+# 2 OpenBLAS threads
+_STEP_THREAD_PROBE = _LARGE_EDIT_REFERENCES + """
 for weights in ({"A": 2.0, "B": 2.0, "C": 0.5}, {"A": 1.0, "B": 0.0, "C": 1.0}):
     print(stable_step_size(GuidanceTarget(refs, regions, weights=weights)).hex())
 """
 
 
 def test_stable_step_size_bytes_do_not_depend_on_blas_threads():
-    src = str(Path(momix.__file__).resolve().parents[1])
-    steps = set()
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-        done = subprocess.run(
-            [sys.executable, "-c", _STEP_THREAD_PROBE],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
-        )
-        steps.add(done.stdout.strip())
+    steps = _stdout_at_one_and_two_threads(_STEP_THREAD_PROBE)
     assert len(steps) == 1, steps
+
+
+# the default step: conjugate gradients, whose α and β feed the output
+_CG_THREAD_PROBE = _LARGE_EDIT_REFERENCES + """
+import hashlib
+target = GuidanceTarget(refs, regions, weights={"A": 2.0, "B": 2.0, "C": 0.5})
+z = rng.standard_normal(latents.shape)
+out, losses = guided_update(z, target, GuidanceConfig(n_inner_steps=10))
+print(hashlib.sha256(out.tobytes() + np.array(losses).tobytes()).hexdigest())
+"""
+
+
+def test_default_step_update_bytes_do_not_depend_on_blas_threads():
+    digests = _stdout_at_one_and_two_threads(_CG_THREAD_PROBE)
+    assert len(digests) == 1, digests
 
 
 _GRADCHECK_PROBE = """
@@ -493,15 +578,7 @@ print(json.dumps(run_gradcheck(1, n_cases=5), sort_keys=True))
 
 
 def test_gradcheck_report_does_not_depend_on_blas_threads():
-    src = str(Path(momix.__file__).resolve().parents[1])
-    reports = set()
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-        done = subprocess.run(
-            [sys.executable, "-c", _GRADCHECK_PROBE],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
-        )
-        reports.add(done.stdout.strip())
+    reports = _stdout_at_one_and_two_threads(_GRADCHECK_PROBE)
     assert len(reports) == 1, reports
 
 
