@@ -13,12 +13,10 @@ import sys
 from pathlib import Path
 
 from . import pipeline as pl
-from .diffusion import NoiseSchedule, ZeroDenoiser, read_trajectory_index, trajectory_path
-from .errors import BadValue, DimMismatch, EmptyRegion, MomixError, NonFinite, NoValidPairs
-from .features import extract_descriptors, load_plan
+from .diffusion import NoiseSchedule, ZeroDenoiser, read_trajectory_index
+from .errors import BadValue, EmptyRegion, MomixError, NonFinite, NoValidPairs
+from .features import load_plan
 from .gradcheck import run_gradcheck
-from .guidance import GuidanceConfig
-from .metrics import descriptor_distance
 from .synth import load_scene
 from .tensors import load_manifest, load_tensor, read_json
 
@@ -54,29 +52,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("traj_dir", help="trajectory archive directory")
     p.add_argument("manifest", help="scene manifest JSON")
     p.add_argument("out_dir")
-    p.add_argument(
-        "--baseline",
-        default=None,
-        help="descriptor dir of an isolated-subject scene; prints refined and "
-        "legacy distances against it",
-    )
 
     p = sub.add_parser("recompose", help="apply an edit plan and sample a guided target video")
     p.add_argument("desc_dir", help="descriptor archive directory")
     p.add_argument("traj_dir", help="reference trajectory archive directory")
     p.add_argument("out_dir")
     p.add_argument("--plan", default=None, help="edit plan JSON (default: keep everything)")
-    p.add_argument("--manifest", default=None, help="override the manifest recorded at extract")
     p.add_argument("--atlas", nargs="+", required=True, help="atlas latent files for the denoiser")
     p.add_argument("--bandwidth", type=float, default=_STAGE_DEFAULT)
     p.add_argument("--init", choices=["auto", "shared", "fresh"], default=_STAGE_DEFAULT)
     p.add_argument("--seed", type=int, default=_STAGE_DEFAULT)
-    p.add_argument("--step-size", type=float, default=_STAGE_DEFAULT,
-                   help="steepest-descent step (default: none, for conjugate gradients)")
-    p.add_argument("--inner-steps", type=int, default=_STAGE_DEFAULT)
-    p.add_argument("--t-start", type=int, default=_STAGE_DEFAULT)
-    p.add_argument("--t-end", type=int, default=_STAGE_DEFAULT)
-    p.add_argument("--weight", action="append", default=[], metavar="ID=W")
+    p.add_argument("--guidance", default=None,
+                   help="guidance settings JSON: a pipeline config's guidance section")
     p.add_argument("--unguided", action="store_true", help="sample without guidance")
 
     p = sub.add_parser("metrics", help="score a generated video against its reference scene")
@@ -129,65 +116,21 @@ def _cmd_invert(args) -> int:
 
 def _cmd_extract(args) -> int:
     manifest = load_manifest(args.manifest)
-    baseline = None
-    if args.baseline:  # read before anything is written, so a bad baseline leaves no archive
-        baseline = {d.source_id: d
-                    for d in pl.read_extract_index(args.baseline).references([0])[0]}
-        for d in baseline.values():
-            channels = d.n_channels if len(d.pairs) else manifest.channels  # no pairs, no channels
-            if (d.n_frames, channels) != (manifest.frames, manifest.channels):
-                raise DimMismatch(f"baseline {args.baseline}: descriptor {d.source_id!r} has "
-                                  f"{d.n_frames} frames x {d.n_channels} channels, the scene "
-                                  f"{manifest.frames} x {manifest.channels}")
     rel = os.path.relpath(args.manifest, args.out_dir)
     out = pl.run_extract(args.traj_dir, manifest, args.out_dir, manifest_path=rel)
     index = pl.read_extract_index(out)
     print(f"descriptors written to {out}: sources={index.sources}, timesteps=0..{index.n_steps}")
-    if baseline is not None:
-        _print_baseline_distances(args, manifest, baseline)
     return 0
-
-
-def _print_baseline_distances(args, manifest, baseline) -> None:
-    z0 = load_tensor(trajectory_path(args.traj_dir, 0))  # run_extract has read its index
-    masks = manifest.load_masks()
-    for mode, legacy in (("refined", False), ("legacy", True)):
-        for d in extract_descriptors(z0, masks, timestep=0, legacy_region=legacy, strict=False):
-            if d.source_id in baseline:
-                dist, n = descriptor_distance(d, baseline[d.source_id])
-                print(f"{mode} {d.source_id}: distance to baseline = {dist:.6g} over {n} pairs")
-
-
-def _parse_weights(items: list[str]) -> dict[str, float]:
-    weights = {}
-    for item in items:
-        if "=" not in item:
-            raise BadValue(f"--weight expects ID=W, got {item!r}")
-        sid, _, val = item.partition("=")
-        try:
-            weights[sid] = float(val)
-        except ValueError:
-            raise BadValue(f"--weight expects a numeric value, got {item!r}")
-    return weights
 
 
 def _cmd_recompose(args) -> int:
     desc_dir = Path(args.desc_dir)
-    if args.manifest:
-        manifest_path = Path(args.manifest)
-    else:
-        # recorded relative to the desc dir at extract time
-        recorded = pl.read_extract_index(desc_dir).manifest
-        if recorded is None:
-            raise BadValue("no manifest recorded at extract time; pass --manifest")
-        manifest_path = desc_dir / recorded
-    manifest = load_manifest(manifest_path)
+    # recorded relative to the desc dir at extract time
+    manifest = load_manifest(desc_dir / pl.read_extract_index(desc_dir).manifest)
     plan = load_plan(args.plan) if args.plan else None
-    config = GuidanceConfig(
-        **pl.given(vars(args), step_size="step_size", n_inner_steps="inner_steps",
-                   t_start="t_start", t_end="t_end"),
-        per_source_weight=_parse_weights(args.weight),
-    )
+    options = pl.given(vars(args), init="init", seed="seed")
+    if args.guidance:
+        options["guidance_config"] = pl.guidance_config_from_json(read_json(args.guidance))
     denoiser = pl.build_denoiser(pl.load_atlas(args.atlas, manifest.latent_shape),
                                  read_trajectory_index(args.traj_dir),
                                  **pl.given(vars(args), bandwidth="bandwidth"))
@@ -198,9 +141,8 @@ def _cmd_recompose(args) -> int:
         args.out_dir,
         denoiser=denoiser,
         manifest=manifest,
-        guidance_config=config,
         guided=not args.unguided,
-        **pl.given(vars(args), init="init", seed="seed"),
+        **options,
     )
     if result.trace:
         first, last = result.trace[0]["loss"], result.trace[-1]["loss"]

@@ -48,10 +48,10 @@ class GuidanceConfig:
     n_inner_steps: int = 3
     t_start: int | None = None
     t_end: int | None = None
-    per_source_weight: Mapping[str, float] = field(default_factory=dict)
+    weights: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "per_source_weight", dict(self.per_source_weight))
+        object.__setattr__(self, "weights", dict(self.weights))
         if self.step_size is not None and not (np.isfinite(self.step_size) and self.step_size > 0):
             raise BadValue(f"step_size must be finite and positive, got {self.step_size}")
         if not 0 <= self.n_inner_steps <= MAX_INNER_STEPS:
@@ -62,7 +62,7 @@ class GuidanceConfig:
                 raise BadValue(
                     f"need t_start >= t_end >= 0, got ({self.t_start}, {self.t_end})"
                 )
-        for sid, w in self.per_source_weight.items():
+        for sid, w in self.weights.items():
             if not np.isfinite(w) or w < 0:
                 raise BadValue(f"weight for {sid!r} must be finite and >= 0, got {w}")
 

@@ -206,7 +206,7 @@ def run_extract(
     manifest: SceneManifest,
     out_dir,
     *,
-    manifest_path=None,
+    manifest_path,
 ) -> Path:
     """Extract descriptors for every source at every stored timestep.
 
@@ -247,7 +247,7 @@ def run_extract(
         "n_steps": schedule.n_steps,
         "timesteps": list(range(schedule.n_steps + 1)),
         "sources": sorted(sources_seen),
-        "manifest": str(manifest_path) if manifest_path else None,
+        "manifest": str(manifest_path),
     }
     write_json(out_dir / "extract_index.json", index)
     return out_dir
@@ -258,13 +258,13 @@ class ExtractIndex:
     """A descriptor archive's ``extract_index.json``.
 
     ``root`` holds ``t###/<source>.json`` for t in 0..n_steps. ``manifest`` is
-    the scene manifest's path relative to ``root``, or None.
+    the scene manifest's path relative to ``root``.
     """
 
     root: Path
     n_steps: int
     sources: list[str]
-    manifest: str | None
+    manifest: str
 
     def references(self, timesteps=None) -> dict[int, list[MotionDescriptor]]:
         """Descriptors of every listed source, per timestep (default: all of them).
@@ -292,7 +292,7 @@ def read_extract_index(desc_dir) -> ExtractIndex:
     desc_dir = Path(desc_dir)
     what = f"extract index {desc_dir}"
     kinds = {"n_steps": int, "timesteps": list, "sources": list,
-             "manifest": str | None}  # null: extract recorded no manifest
+             "manifest": str}
     fields = typed_fields(read_json(desc_dir / "extract_index.json"), kinds, what, required=kinds)
     n_steps, timesteps, sources = fields["n_steps"], fields.pop("timesteps"), fields["sources"]
     if len(timesteps) != n_steps + 1 or any(type(t) is not int or t != k
@@ -332,7 +332,7 @@ def check_edit(plan: EditPlan, config: GuidanceConfig, latent_shape: Sequence[in
         edit = directive.edit
         if edit is not None and edit.kind == "scale":
             scale_sources(height, width, edit.factor, edit.anchor)
-    for sid in config.per_source_weight:
+    for sid in config.weights:
         if sid != BACKGROUND_ID and sid not in known:
             raise UnknownSubject(f"guidance weight for unknown source {sid!r}: a weight for "
                                  f"source {sid!r} needs its mask; the scene has {known} "
@@ -346,7 +346,7 @@ def check_edit(plan: EditPlan, config: GuidanceConfig, latent_shape: Sequence[in
         del regions
         regions = compile_sources(latent_shape, [apply_edit(m, edits[m.subject_id])
                                                  if m.subject_id in edits else m for m in masks])
-    if not GuidanceTarget(refs, regions, weights=config.per_source_weight).weight.any():
+    if not GuidanceTarget(refs, regions, weights=config.weights).weight.any():
         raise BadValue("the edit guides nothing: no source with a positive guidance weight "
                        "has a target pair region its recomposed reference also has")
     return window, regions
@@ -418,7 +418,7 @@ def run_recompose(
                                       f"has {ref.n_frames} frames, the latents "
                                       f"{reference_zT.n_frames}")
             targets[t] = GuidanceTarget(
-                recompose(refs, plan), regions, weights=config.per_source_weight
+                recompose(refs, plan), regions, weights=config.weights
             )
             if targets[t].enforced_pair_count() == 0:
                 raise NoValidPairs(f"guidance problem has no enforced pairs at timestep {t}")
@@ -495,17 +495,18 @@ def run_metrics(run_dir, scene_dir, out_path=None, threshold: float = 0.5) -> di
 
 
 def guidance_config_from_json(doc: dict) -> GuidanceConfig:
-    """The ``guidance`` section of a pipeline config; any other key is rejected.
+    """A pipeline config's ``guidance`` section, or a ``recompose --guidance`` file.
 
-    A null ``step_size``, like an absent one, selects the stable step.
+    Any other key is rejected. A null ``step_size``, like an absent one, runs
+    conjugate gradients.
     """
     what = "guidance config"
     fields = typed_fields(doc, {"step_size": float | None, "n_inner_steps": int, "t_start": int,
                                 "t_end": int, "weights": dict}, what)
     if "weights" in fields:
-        weights = fields.pop("weights")
-        fields["per_source_weight"] = typed_fields(weights, dict.fromkeys(weights, float),
-                                                   f"{what} weights", required=weights)
+        weights = fields["weights"]
+        fields["weights"] = typed_fields(weights, dict.fromkeys(weights, float),
+                                         f"{what} weights", required=weights)
     return GuidanceConfig(**fields)
 
 

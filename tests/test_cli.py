@@ -315,7 +315,7 @@ def test_recompose_all_keep_self_transfer(pipeline_dirs, tmp_path, capsys):
     rc = main([
         "recompose", str(desc), str(traj), str(run),
         "--atlas", str(scene / "latents_t0.cmt"),
-        "--inner-steps", "5", "--t-end", "1",
+        *_guidance_args(tmp_path, {"n_inner_steps": 5, "t_end": 1}),
     ])
     assert rc == 0
     assert (run / "output.cmt").exists()
@@ -339,6 +339,13 @@ def _plan_args(tmp_path, plan):
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(plan))
     return ["--plan", str(path)]
+
+
+def _guidance_args(tmp_path, doc):
+    """``--guidance`` and the path of a file under ``tmp_path`` holding the guidance ``doc``."""
+    path = tmp_path / "guidance.json"
+    path.write_text(json.dumps(doc))
+    return ["--guidance", str(path)]
 
 
 def test_recompose_unknown_subject(pipeline_dirs, tmp_path, capsys):
@@ -537,82 +544,9 @@ def test_pipeline_bad_config(tmp_path, capsys):
     assert main(["pipeline", str(p)]) == 2
 
 
-def test_extract_baseline_prints_both_distances(tmp_path, capsys):
-    # isolated-subject baseline lets extract print refined and legacy distances
-    iso = SceneSpec(
-        n_frames=5, n_channels=3, height=24, width=24,
-        blobs=(demo_scene(5).blobs[0],),
-        texture_seed=7, texture_amplitude=0.8,
-    )
-    iso_path = tmp_path / "iso.json"
-    save_scene(iso, iso_path)
-    iso_scene = tmp_path / "iso_scene"
-    iso_traj = tmp_path / "iso_traj"
-    iso_desc = tmp_path / "iso_desc"
-    assert main(["synth", str(iso_path), str(iso_scene)]) == 0
-    assert main(["invert", str(iso_scene / "manifest.json"), str(iso_traj),
-                 "--steps", "2", "--zero-noise"]) == 0
-    assert main(["extract", str(iso_traj), str(iso_scene / "manifest.json"),
-                 str(iso_desc)]) == 0
-
-    spec_path = tmp_path / "multi.json"
-    save_scene(demo_scene(5), spec_path)
-    scene = tmp_path / "scene"
-    traj = tmp_path / "traj"
-    desc = tmp_path / "desc"
-    assert main(["synth", str(spec_path), str(scene)]) == 0
-    assert main(["invert", str(scene / "manifest.json"), str(traj),
-                 "--steps", "2", "--zero-noise"]) == 0
-    capsys.readouterr()
-    assert main(["extract", str(traj), str(scene / "manifest.json"), str(desc),
-                 "--baseline", str(iso_desc)]) == 0
-    out = capsys.readouterr().out
-    assert "refined A: distance to baseline" in out
-    assert "legacy A: distance to baseline" in out
-
-
-def test_extract_with_a_missing_baseline_writes_nothing(pipeline_dirs, tmp_path, capsys):
-    # used to write the whole descriptor archive before reading the baseline
-    scene, traj, _ = pipeline_dirs
-    out = tmp_path / "desc2"
-    rc = main(["extract", str(traj), str(scene / "manifest.json"), str(out),
-               "--baseline", str(tmp_path / "nowhere")])
-    assert rc == 2
-    assert "cannot read" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("dims, message", [
-    ({"n_channels": 2}, "has 6 frames x 2 channels, the scene 6 x 3"),
-    ({"n_frames": 5}, "has 5 frames x 3 channels, the scene 6 x 3"),
-], ids=["channels", "frames"])
-def test_extract_baseline_of_another_geometry_writes_nothing(pipeline_dirs, tmp_path, capsys,
-                                                             dims, message):
-    # used to write every t### and extract_index.json, then exit 2 from the distances
-    scene, traj, _ = pipeline_dirs
-    blob = demo_scene(5).blobs[0]
-    n_frames, n_channels = dims.get("n_frames", 6), dims.get("n_channels", 3)
-    iso = SceneSpec(n_frames=n_frames, n_channels=n_channels, height=24, width=24,
-                    blobs=(BlobSpec("A", blob.trajectory[:1] * n_frames, 2.5,
-                                    (0,) * (n_channels - 1) + (2.5,)),))
-    save_scene(iso, tmp_path / "iso.json")
-    iso_scene, iso_traj, iso_desc = (tmp_path / f"iso_{n}" for n in ("scene", "traj", "desc"))
-    assert main(["synth", str(tmp_path / "iso.json"), str(iso_scene)]) == 0
-    assert main(["invert", str(iso_scene / "manifest.json"), str(iso_traj),
-                 "--steps", "2", "--zero-noise"]) == 0
-    assert main(["extract", str(iso_traj), str(iso_scene / "manifest.json"), str(iso_desc)]) == 0
-    capsys.readouterr()
-    out = tmp_path / "desc2"
-    rc = main(["extract", str(traj), str(scene / "manifest.json"), str(out),
-               "--baseline", str(iso_desc)])
-    assert rc == 2
-    assert message in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_extract_has_no_legacy_region_flag(pipeline_dirs, tmp_path, capsys):
     # the refined regions are the only ones a stage archives; the legacy ones
-    # remain a library keyword and a --baseline printout
+    # remain a library keyword
     scene, traj, _ = pipeline_dirs
     with pytest.raises(SystemExit) as exit_:
         main(["extract", str(traj), str(scene / "manifest.json"), str(tmp_path / "d"),
@@ -632,18 +566,19 @@ def test_recompose_unguided_samples_without_guidance(pipeline_dirs, tmp_path, ca
     assert (run / "trace.jsonl").read_bytes() == b""
 
 
-@pytest.mark.parametrize("extra, plan, message", [
-    ([], {"subjects": {"ghost": {"op": "remove"}}}, "plan names subject 'ghost'"),
-    ([], {"subjects": {"ghost": {"op": "mask_edit", "edit": {"kind": "shift", "dx": 2}}}},
+@pytest.mark.parametrize("guidance, plan, message", [
+    (None, {"subjects": {"ghost": {"op": "remove"}}}, "plan names subject 'ghost'"),
+    (None, {"subjects": {"ghost": {"op": "mask_edit", "edit": {"kind": "shift", "dx": 2}}}},
      "plan names subject 'ghost'"),
-    (["--weight", "ghost=1"], None, "weight for source 'ghost'"),
-    (["--t-end", "100"], None, "guidance window empty"),
+    ({"weights": {"ghost": 1}}, None, "weight for source 'ghost'"),
+    ({"t_end": 100}, None, "guidance window empty"),
 ], ids=["plan-remove", "plan-mask-edit", "weight", "window"])
 def test_unguided_recompose_checks_the_plan_and_guidance(
-    pipeline_dirs, tmp_path, capsys, extra, plan, message
+    pipeline_dirs, tmp_path, capsys, guidance, plan, message
 ):
     # each used to sample and exit 0 without guidance, though a guided run exits 2
     scene, traj, desc = pipeline_dirs
+    extra = _guidance_args(tmp_path, guidance) if guidance is not None else []
     if plan is not None:
         extra = extra + _plan_args(tmp_path, plan)
     run = tmp_path / "r"
@@ -660,7 +595,7 @@ def test_recompose_camera_only_switch(pipeline_dirs, tmp_path):
     rc = main([
         "recompose", str(desc), str(traj), str(run),
         "--atlas", str(scene / "latents_t0.cmt"), *_plan_args(tmp_path, {"camera_only": True}),
-        "--init", "shared", "--inner-steps", "2",
+        "--init", "shared", *_guidance_args(tmp_path, {"n_inner_steps": 2}),
     ])
     assert rc == 0
     assert (run / "output.cmt").exists()
@@ -669,9 +604,9 @@ def test_recompose_camera_only_switch(pipeline_dirs, tmp_path):
 
 
 @pytest.mark.parametrize("plan, weights", [
-    ({"camera_only": True}, ["background=0"]),
+    ({"camera_only": True}, {"background": 0}),
     ({"subjects": {"A": {"op": "mask_edit", "edit": {"kind": "shift", "dx": 1000}}}},
-     ["B=0", "background=0"]),
+     {"B": 0, "background": 0}),
 ], ids=["camera-only-background-0", "shift-out-of-frame-others-0"])
 def test_recompose_that_guides_nothing_writes_nothing(pipeline_dirs, tmp_path, capsys,
                                                       plan, weights):
@@ -681,16 +616,20 @@ def test_recompose_that_guides_nothing_writes_nothing(pipeline_dirs, tmp_path, c
     run = tmp_path / "r"
     rc = main(["recompose", str(desc), str(traj), str(run), "--atlas",
                str(scene / "latents_t0.cmt"), *_plan_args(tmp_path, plan),
-               *(arg for w in weights for arg in ("--weight", w))])
+               *_guidance_args(tmp_path, {"weights": weights})])
     assert rc == 2
     assert "the edit guides nothing" in capsys.readouterr().err
     assert not run.exists()
 
 
+_ONE_STEP = {"n_inner_steps": 1}  # one inner step per guided timestep, for speed
+
+
 def _recompose(desc, traj, scene, run):
     return main([
         "recompose", str(desc), str(traj), str(run),
-        "--atlas", str(scene / "latents_t0.cmt"), "--inner-steps", "1",
+        "--atlas", str(scene / "latents_t0.cmt"),
+        *_guidance_args(Path(run).parent, _ONE_STEP),
     ])
 
 
@@ -817,12 +756,6 @@ def test_recompose_resolves_recorded_manifest_against_desc_dir(
     decoy.write_text("{not a manifest")
     monkeypatch.chdir(cwd)
     assert _recompose(desc, traj, scene, tmp_path / "r") == 0
-    # an explicit --manifest still resolves against the current directory
-    rc = main([
-        "recompose", str(desc), str(traj), str(tmp_path / "r2"),
-        "--atlas", str(scene / "latents_t0.cmt"), "--manifest", recorded,
-    ])
-    assert rc == 2
 
 
 @pytest.mark.parametrize(
@@ -1009,7 +942,8 @@ def test_recompose_weight_for_unknown_source_writes_nothing(pipeline_dirs, tmp_p
     # used to run to exit 0 with the weight ignored
     scene, traj, desc = pipeline_dirs
     rc = main(["recompose", str(desc), str(traj), str(tmp_path / "r"),
-               "--atlas", str(scene / "latents_t0.cmt"), "--weight", "Z=5"])
+               "--atlas", str(scene / "latents_t0.cmt"),
+               *_guidance_args(tmp_path, {"weights": {"Z": 5}})])
     assert rc == 2
     assert "weight for source 'Z'" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
@@ -1134,7 +1068,7 @@ def test_recompose_window_past_the_schedule_writes_nothing(pipeline_dirs, tmp_pa
     scene, traj, desc = pipeline_dirs
     rc = main([
         "recompose", str(desc), str(traj), str(tmp_path / "r"),
-        "--atlas", str(scene / "latents_t0.cmt"), "--t-end", "9",
+        "--atlas", str(scene / "latents_t0.cmt"), *_guidance_args(tmp_path, {"t_end": 9}),
     ])
     assert rc == 2
     assert "guidance window empty" in capsys.readouterr().err
@@ -1234,7 +1168,7 @@ def _set(key, value):
         (_set("sources", ["A", 5]), "sources must be filesystem-safe strings"),
         (_set("legacy_region", False), "keys ['legacy_region']"),
         (_set("manifest", 5), "manifest must be a JSON string"),
-        (_set("manifest", None), "no manifest recorded at extract time; pass --manifest"),
+        (_set("manifest", None), "manifest must be a JSON string"),
         (lambda desc: _edit_json(desc / "t004" / "A.json",
                                  lambda d: d.update({"n_frames": 10**20})),
          "has 100000000000000000000 frames, the latents 6"),
@@ -1286,26 +1220,31 @@ def test_invert_mistyped_manifest_is_a_usage_error(scene_dir, tmp_path, capsys, 
 
 
 @pytest.mark.parametrize(
-    "args, plan, message",
+    "args, plan, guidance, message",
     [
-        (["--bandwidth", "inf"], None, "bandwidth must be finite"),
-        ([], _plan_edit({"kind": "scale", "factor": 1e-300, "anchor": [4, 4]}),
+        (["--bandwidth", "inf"], None, _ONE_STEP, "bandwidth must be finite"),
+        ([], _plan_edit({"kind": "scale", "factor": 1e-300, "anchor": [4, 4]}), _ONE_STEP,
          "scale factor 1e-300"),
-        (["--weight", "A"], None, "--weight expects ID=W, got 'A'"),
-        (["--weight", "A=x"], None, "--weight expects a numeric value, got 'A=x'"),
+        ([], None, {"weights": {"A": None}}, "weights: A must be a JSON number, got None"),
+        ([], None, {"weights": {"A": "x"}}, "weights: A must be a JSON number, got 'x'"),
+        ([], None, {"n_inner_steps": 1, "inner_steps": 1}, "keys ['inner_steps']"),
+        ([], None, [1], "guidance.json: expected a JSON object, got list"),
     ],
-    ids=["bandwidth", "plan-factor-tiny", "weight-no-value", "weight-string"],
+    ids=["bandwidth", "plan-factor-tiny", "weight-no-value", "weight-string",
+         "guidance-unknown-key", "guidance-not-an-object"],
 )
 def test_recompose_non_finite_values_are_usage_errors(pipeline_dirs, tmp_path, capsys,
-                                                      args, plan, message):
+                                                      args, plan, guidance, message):
     # --bandwidth inf used to exit 3 on non-finite latents, and a scale by
     # 1e-300 to exit 0 after an int-cast RuntimeWarning; a value that is not a
-    # number at all is a usage error too
+    # number at all, and a guidance file that is no guidance document, are
+    # usage errors too
     scene, traj, desc = pipeline_dirs
     if plan is not None:
         args = args + _plan_args(tmp_path, plan)
     rc = main(["recompose", str(desc), str(traj), str(tmp_path / "r"),
-               "--atlas", str(scene / "latents_t0.cmt"), "--inner-steps", "1", *args])
+               "--atlas", str(scene / "latents_t0.cmt"), *_guidance_args(tmp_path, guidance),
+               *args])
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
@@ -1355,7 +1294,7 @@ def test_recompose_atlas_of_another_geometry_is_a_usage_error(pipeline_dirs, tmp
     for position, atlas in enumerate(([wide], [good, wide])):
         out = tmp_path / f"r{position}"
         rc = main(["recompose", str(desc), str(traj), str(out),
-                   "--atlas", *atlas, "--inner-steps", "1"])
+                   "--atlas", *atlas, *_guidance_args(tmp_path, _ONE_STEP)])
         assert rc == 2
         assert f"atlas member {position} has shape (6, 3, 28, 28)" in capsys.readouterr().err
         assert not out.exists()
@@ -1523,7 +1462,8 @@ def test_a_key_its_writer_never_writes_is_a_usage_error(pipeline_dirs, tmp_path,
         "invert": ["invert", str(scene / "manifest.json"), str(out), "--steps", "2"],
         "extract": ["extract", str(traj), str(scene / "manifest.json"), str(out)],
         "recompose": ["recompose", str(desc), str(traj), str(out),
-                      "--atlas", str(scene / "latents_t0.cmt"), "--inner-steps", "1"],
+                      "--atlas", str(scene / "latents_t0.cmt"),
+                      *_guidance_args(tmp_path, _ONE_STEP)],
         "metrics": ["metrics", str(run), str(scene)],
     }[stage]
     assert main(argv) == 2

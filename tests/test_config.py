@@ -64,7 +64,7 @@ def _scene(texture_seed=3):
 def test_guidance_config_carries_every_key():
     config = pl.guidance_config_from_json(GUIDANCE)
     assert config == GuidanceConfig(step_size=0.25, n_inner_steps=7, t_start=9, t_end=4,
-                                    per_source_weight={"A": 2.5, "background": 0.5})
+                                    weights={"A": 2.5, "background": 0.5})
     _differs_from_defaults([config])
 
 
@@ -172,15 +172,16 @@ def test_cli_hands_each_stage_every_flag_given(tmp_path, monkeypatch):
     assert calls["build_denoiser"][1] == {"bandwidth": 0.8}
     assert main(["extract", str(traj), str(scene / "manifest.json"), str(desc)]) == 0
     write_json(tmp_path / "plan.json", PLAN)
+    write_json(tmp_path / "guidance.json", GUIDANCE)
     assert main(["recompose", str(desc), str(traj), str(run), "--atlas",
                  str(scene / "latents_t0.cmt"), "--bandwidth", "0.7", "--init", "fresh",
-                 "--seed", "6", "--step-size", "0.25", "--inner-steps", "2", "--t-start", "5",
-                 "--t-end", "2", "--weight", "A=2", "--plan", str(tmp_path / "plan.json")]) == 0
+                 "--seed", "6", "--guidance", str(tmp_path / "guidance.json"),
+                 "--plan", str(tmp_path / "plan.json")]) == 0
     assert calls["build_denoiser"][1] == {"bandwidth": 0.7}
     assert calls["run_recompose"][0][1] == plan_from_json(PLAN)
     kwargs = calls["run_recompose"][1]
-    config = GuidanceConfig(step_size=0.25, n_inner_steps=2, t_start=5, t_end=2,
-                            per_source_weight={"A": 2.0})
+    config = GuidanceConfig(step_size=0.25, n_inner_steps=7, t_start=9, t_end=4,
+                            weights={"A": 2.5, "background": 0.5})
     assert (kwargs["init"], kwargs["seed"], kwargs["guidance_config"]) == ("fresh", 6, config)
     _differs_from_defaults([config])
     assert main(["metrics", str(run), str(scene), "--threshold", "0.3"]) == 0
@@ -206,9 +207,7 @@ def test_cli_without_flags_writes_what_the_library_defaults_write(tmp_path, monk
     assert main(["recompose", str(desc), str(traj), str(run), "--atlas",
                  str(scene / "latents_t0.cmt")]) == 0
     assert calls["build_denoiser"][1] == {}
-    assert sorted(calls["run_recompose"][1]) == ["denoiser", "guidance_config", "guided",
-                                                 "manifest"]
-    assert calls["run_recompose"][1]["guidance_config"] == GuidanceConfig()
+    assert sorted(calls["run_recompose"][1]) == ["denoiser", "guided", "manifest"]
     assert calls["run_recompose"][0][1] is None  # keep everything
     pl.run_recompose(desc, None, traj, lib_run, denoiser=GaussianAtlasDenoiser(atlas, default),
                      manifest=manifest)

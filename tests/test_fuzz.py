@@ -39,6 +39,7 @@ ARTIFACTS = sorted(
     + [f"traj/t{t:03d}.cmt" for t in range(N_STEPS + 1)]
     + [f"desc/t{t:03d}/{sid}.cmt" for t in range(N_STEPS + 1) for sid in SOURCES]
 )
+ONE_STEP = json.dumps({"n_inner_steps": 1})
 VALUES = (None, True, False, -1, 10**20, 1.5, "x", [0, 1], {"k": 0})
 NAMES = ("mask", "x", "n_step", "background")
 
@@ -57,13 +58,15 @@ _damage = st.one_of(
 @pytest.fixture(scope="module")
 def base_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
+    guidance = tmp_path_factory.mktemp("fuzz-guidance") / "guidance.json"
+    guidance.write_text(ONE_STEP)  # outside the run, so never in a damaged copy
     save_scene(demo_scene(), root / "spec.json")
     scene, traj, desc, run = (str(root / d) for d in ("scene", "traj", "desc", "run"))
     assert main(["synth", str(root / "spec.json"), scene]) == 0
     assert main(["invert", f"{scene}/manifest.json", traj, "--steps", str(N_STEPS)]) == 0
     assert main(["extract", traj, f"{scene}/manifest.json", desc]) == 0
     assert main(["recompose", desc, traj, run, "--atlas", f"{scene}/latents_t0.cmt",
-                 "--inner-steps", "1"]) == 0
+                 "--guidance", str(guidance)]) == 0
     assert main(["metrics", run, scene, "--out", str(root / "metrics.json")]) == 0
     for path in ("spec.json", "metrics.json"):  # no stage reads these
         (root / path).unlink()
@@ -125,9 +128,11 @@ def test_damaged_artifacts_exit_with_a_documented_code(base_run, damage):
         _apply(damage, root)
         scene, traj, desc, run, out = (str(root / d) for d in ("scene", "traj", "desc", "run",
                                                                    "out"))
+        guidance = Path(tmp) / "guidance.json"  # outside the copy, so never damaged
+        guidance.write_text(ONE_STEP)
         recompose = ["recompose", desc, traj, f"{out}/r", "--atlas", f"{scene}/latents_t0.cmt",
-                     "--inner-steps", "1"]
-        soften = Path(tmp) / "soften.json"  # outside the copy, so never damaged
+                     "--guidance", str(guidance)]
+        soften = Path(tmp) / "soften.json"
         soften.write_text(json.dumps({"subjects": {"A": {"op": "soften", "w_c": 1}}}))
         commands = [
             ["invert", f"{scene}/manifest.json", f"{out}/traj", "--steps", str(N_STEPS)],

@@ -648,7 +648,7 @@ def test_unknown_source_and_config_validation():
     with pytest.raises(BadValue):
         GuidanceConfig(t_start=2, t_end=5)
     with pytest.raises(BadValue):
-        GuidanceConfig(per_source_weight={"s": -1.0})
+        GuidanceConfig(weights={"s": -1.0})
 
 
 def test_stable_step_size_bound():

@@ -91,7 +91,8 @@ def test_invert_peak_does_not_grow_with_n_steps(scene, tmp_path):
 def test_extract_peak_does_not_grow_with_n_steps(scene, tmp_path):
     manifest, latent_bytes = scene
     _invert(manifest, tmp_path / "traj")()
-    peak = _peak(pl.run_extract, tmp_path / "traj", manifest, tmp_path / "desc")
+    peak = _peak(pl.run_extract, tmp_path / "traj", manifest, tmp_path / "desc",
+                 manifest_path="../scene/manifest.json")
     assert peak < EXTRACT_BUDGET * latent_bytes, peak / latent_bytes
 
 
