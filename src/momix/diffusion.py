@@ -312,6 +312,13 @@ class GaussianAtlasDenoiser:
         return (1.0 - c * s) / root, tuple((-c * ck / root, v) for ck, v in terms)
 
 
+_BLOCK = 32_768  # float64 cells per block of a DDIM step: its two rows (512 KiB) stay in L2
+
+
+def _block_buffer(size: int) -> np.ndarray:
+    return np.empty((2, min(_BLOCK, (size + 1) // 2)))  # two rows: a cell more than z at most
+
+
 def _ddim_step(
     denoiser: Denoiser, z: np.ndarray, ab: np.ndarray, t: int, t_next: int,
     out: np.ndarray | None = None, scratch: np.ndarray | None = None,
@@ -322,10 +329,11 @@ def _ddim_step(
     The move sqrt(ab[t_next]) x0_hat + sqrt(1 - ab[t_next]) eps, with
     x0_hat = (z - sqrt(1 - ab[t]) eps) / sqrt(ab[t]), is A z + B eps; the
     denoiser's eps = a z + sum c_k v_k makes it (A + B a) z + sum B c_k v_k,
-    summed in term order with fixed-order ufuncs into ``out`` through
-    ``scratch``: float64 buffers of z's shape, allocated when not given. They
-    must alias neither ``z`` nor the denoiser's arrays, which are only read.
-    The run's ``bounds`` for z go to the denoiser, then follow the step.
+    summed in term order by fixed-order ufuncs a block of cells at a time in the
+    block-sized ``scratch``, checked finite, then stored into the C-ordered ``out``
+    (both allocated when not given). ``out`` is z itself, even when a term is z, or
+    aliases nothing the step reads; NonFinite may leave it partly written. The
+    run's ``bounds`` for z go to the denoiser, then follow the step.
     """
     a, terms = (denoiser.predict_noise(z, t) if bounds is None
                 else denoiser.predict_noise(z, t, _bounds=bounds))
@@ -337,13 +345,18 @@ def _ddim_step(
     arrays = [np.asarray(v, dtype=np.float64) for _, v in terms]
     if any(v.shape != z.shape for v in arrays):
         raise DimMismatch(f"denoiser returned an array of another shape than {z.shape}")
-    out = np.multiply(coefs[0], z, out=np.empty(z.shape) if out is None else out)
-    scratch = np.empty(z.shape) if scratch is None and arrays else scratch
-    for beta, v in zip(coefs[1:], arrays):
-        np.multiply(beta, v, out=scratch)
-        out += scratch
-    if not np.all(np.isfinite(out)):
-        raise NonFinite(f"DDIM step produced non-finite latents at t={t_next}")
+    out = np.empty(z.shape) if out is None else out
+    scratch = _block_buffer(z.size) if scratch is None else scratch
+    cells, stored, arrays = z.reshape(-1), out.reshape(-1), [v.reshape(-1) for v in arrays]
+    for start in range(0, cells.size, scratch.shape[1]):
+        block = slice(start, start + scratch.shape[1])
+        total, product = scratch[:, :cells[block].size]
+        np.multiply(coefs[0], cells[block], out=total)
+        for beta, v in zip(coefs[1:], arrays):
+            total += np.multiply(beta, v[block], out=product)
+        if not np.all(np.isfinite(total)):
+            raise NonFinite(f"DDIM step produced non-finite latents at t={t_next}")
+        stored[block] = total
     if bounds is not None:
         bounds.advance(coefs)
     return out
@@ -355,15 +368,15 @@ def ddim_invert_steps(
     """Deterministic inversion from t=0 to t=n_steps, one latent at a time.
 
     Yields the float64 latents at t = 0..n_steps, each a read-only array of
-    its own that ``_ddim_step`` has checked finite. The generator drops its
-    reference once the next step is taken, so a consumer that writes each
-    latent out holds about one at a time. Each generator carries its own bounds.
+    its own that ``_ddim_step`` has checked finite. The generator drops z0, and
+    each latent once the next step is taken, so a consumer that writes each out
+    holds about one, and a block-sized buffer. Each generator carries its own bounds.
     """
     z = z0.data.astype(np.float64, copy=True)
+    del z0
     z.setflags(write=False)
     yield z
-    scratch = np.empty(z.shape)
-    bounds = _carried_bounds(denoiser)
+    scratch, bounds = _block_buffer(z.size), _carried_bounds(denoiser)
     for t in range(schedule.n_steps):
         z = _ddim_step(denoiser, z, schedule.alpha_bar, t, t + 1, scratch=scratch, bounds=bounds)
         z.setflags(write=False)
@@ -401,14 +414,14 @@ def ddim_sample(
 
     At each timestep that has a guidance target, the latents are corrected
     with the motion-guidance update, checked finite, before the denoising
-    step, so the denoiser itself stays untouched. Between steps the latents
-    are a plain float64 array; ``zT`` is only read. A guided update drops the
-    run's bounds, so the next call reads every row.
+    step, so the denoiser itself stays untouched. The run holds one float64 array,
+    which each step overwrites through a block-sized buffer (a NonFinite step may
+    leave it partly written) and the result wraps; ``zT`` is only read. A guided
+    update returns a new array and drops the run's bounds, so the next call reads every row.
     """
     z = np.array(zT.data, dtype=np.float64, order="C")
-    spare, scratch = np.empty(z.shape), np.empty(z.shape)  # z and spare swap at each step
+    scratch, bounds = _block_buffer(z.size), None
     targets = guidance.targets if guidance is not None else {}
-    bounds = None
     for t in range(schedule.n_steps, 0, -1):
         if t in targets:
             bounds = None
@@ -419,8 +432,11 @@ def ddim_sample(
                 raise NonFinite(f"guidance produced non-finite latents at t={t}")
         if bounds is None and t > 1 and t - 1 not in targets:  # else they would go unused
             bounds = _carried_bounds(denoiser)
-        spare, z = z, _ddim_step(denoiser, z, schedule.alpha_bar, t, t - 1, spare, scratch, bounds)
-    return LatentVideo(z)
+        _ddim_step(denoiser, z, schedule.alpha_bar, t, t - 1, z, scratch, bounds)
+    result = object.__new__(LatentVideo)  # LatentVideo(z) would copy z; the steps checked it
+    z.setflags(write=False)
+    object.__setattr__(result, "data", z)
+    return result
 
 
 def make_initial_noise(

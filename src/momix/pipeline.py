@@ -193,8 +193,8 @@ def run_invert(
     is. ``save_trajectory`` says how a rerun replaces an archive.
     """
     out_dir = Path(out_dir)
-    z0 = manifest.load_latent("0")
-    save_trajectory(ddim_invert_steps(z0, schedule, denoiser), schedule, out_dir)
+    steps = ddim_invert_steps(manifest.load_latent("0"), schedule, denoiser)
+    save_trajectory(steps, schedule, out_dir)
     return out_dir
 
 
@@ -384,15 +384,15 @@ def run_recompose(
     schedule = read_trajectory_index(traj_dir)
     plan = plan if plan is not None else EditPlan()
     config = guidance_config if guidance_config is not None else GuidanceConfig()
-    reference_zT = load_tensor(trajectory_path(traj_dir, schedule.n_steps))
-    (start, end), regions = check_edit(plan, config, reference_zT.shape, manifest.load_masks(),
+    zT = load_tensor(trajectory_path(traj_dir, schedule.n_steps))
+    (start, end), regions = check_edit(plan, config, zT.shape, manifest.load_masks(),
                                        schedule.n_steps)
     # unguided, drop the operator (4 MB at 16x4x64x64) before z_T: held, it raised peak RSS 1.3 MB
     regions = regions if guided else None
     if isinstance(denoiser, GaussianAtlasDenoiser):
-        if denoiser.members.shape[1:] != reference_zT.shape:
+        if denoiser.members.shape[1:] != zT.shape:
             raise DimMismatch(f"atlas members have shape {denoiser.members.shape[1:]}, "
-                              f"the latents {reference_zT.shape}")
+                              f"the latents {zT.shape}")
         if not np.array_equal(denoiser.schedule.alpha_bar, schedule.alpha_bar):
             raise BadValue(f"the denoiser's schedule is not the one {traj_dir} was inverted with")
     edits = {sid: d.edit for sid, d in plan.directives.items() if d.kind == "mask_edit"}
@@ -400,7 +400,7 @@ def run_recompose(
         init_mode = "fresh" if plan.camera_only or edits else "shared"
     else:
         init_mode = init
-    zT = make_initial_noise(reference_zT, mode=init_mode, seed=seed)
+    zT = make_initial_noise(zT, mode=init_mode, seed=seed)  # fresh noise drops the float32 z_T
 
     guidance = None
     if guided:
@@ -413,10 +413,9 @@ def run_recompose(
         for t, refs in refs_by_t.items():
             # checked before ``recompose``, which indexes an (n_frames, n_frames) row table
             for ref in refs:
-                if ref.n_frames != reference_zT.n_frames:
+                if ref.n_frames != zT.n_frames:
                     raise DimMismatch(f"{desc_dir}: descriptor {ref.source_id!r} at timestep {t} "
-                                      f"has {ref.n_frames} frames, the latents "
-                                      f"{reference_zT.n_frames}")
+                                      f"has {ref.n_frames} frames, the latents {zT.n_frames}")
             targets[t] = GuidanceTarget(
                 recompose(refs, plan), regions, weights=config.weights
             )

@@ -248,7 +248,7 @@ def _assert_same_form(got, want):
         assert v.tobytes() == v_want.tobytes()
 
 
-def test_in_place_arithmetic_matches_the_written_out_formulas_byte_for_byte():
+def test_in_place_arithmetic_matches_the_written_out_formulas_byte_for_byte(monkeypatch):
     a, b = _atlas_pair()
     sched = NoiseSchedule.default(n_steps=20)
     ab = sched.alpha_bar
@@ -270,12 +270,31 @@ def test_in_place_arithmetic_matches_the_written_out_formulas_byte_for_byte():
     for t in range(sched.n_steps, 0, -1):
         z = _oracle_ddim_step(den, z, ab, t, t - 1)
     assert ddim_sample(traj[-1], sched, den).data.tobytes() == z.tobytes()
+    # blocks of 1,001 cells: the 6,912 cells span seven, the last one partial, and
+    # each step writes over its own input
+    monkeypatch.setattr(diffusion, "_BLOCK", 1001)
+    assert diffusion._block_buffer(a.data.size).shape == (2, 1001)
+    term_counts = set()
+    for z in (a.data, noisy, 0.5 * (a.data + b.data)):
+        for t in range(sched.n_steps + 1):
+            term_counts.add(len(den.predict_noise(z, t)[1]))
+            for t_next in (t - 1, t + 1):
+                if 0 <= t_next <= sched.n_steps:
+                    got = np.array(z)
+                    _ddim_step(den, got, ab, t, t_next, out=got)
+                    assert got.tobytes() == _oracle_ddim_step(den, z, ab, t, t_next).tobytes()
+    assert term_counts == {0, 1, 2}  # two terms are all the members
+    blow_up = _KeptBuffer(a.shape)
+    blow_up.buffer.reshape(-1)[-1] = np.inf  # the one non-finite cell, in the partial block
+    with pytest.raises(NonFinite):
+        _ddim_step(blow_up, np.array(a.data), ab, 3, 2)
 
 
-def _multipass_chain(den, z, ab, eps_of):
+def _multipass_chain(den, z, ab, eps_of, in_place=False):
     """Inversion to the end, then sampling back: each affine step against the first formula.
 
-    The steps carry one run's bounds, as the samplers do. Returns the largest
+    The steps carry one run's bounds, as the samplers do, and with ``in_place``
+    each writes over its input, as sampling does. Returns the largest
     difference of a step relative to the largest magnitude the first formula
     gives.
     """
@@ -285,15 +304,21 @@ def _multipass_chain(den, z, ab, eps_of):
     bounds = diffusion._carried_bounds(den)
     for t, t_next in moves:
         want = _multipass_ddim_step(eps_of(z, t), z, ab, t, t_next)
-        got = _ddim_step(den, z, ab, t, t_next, bounds=bounds)
+        got = _ddim_step(den, z, ab, t, t_next, out=z if in_place else None, bounds=bounds)
         worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
         z = got
     return worst
 
 
-@pytest.mark.parametrize("atlas", ["zero", "two-members", "twelve-members"])
-def test_affine_step_matches_the_multipass_formula(atlas):
+@pytest.mark.parametrize("atlas", ["zero", "two-members", "twelve-members",
+                                   "twelve-members-in-1001-cell-blocks"])
+def test_affine_step_matches_the_multipass_formula(atlas, monkeypatch):
     sched = NoiseSchedule.default(n_steps=30)
+    in_blocks = atlas.endswith("blocks")
+    if in_blocks:
+        # 18,432 cells span nineteen blocks, the last one partial; the steps keep
+        # no member, one, or all twelve, and write over their input
+        monkeypatch.setattr(diffusion, "_BLOCK", 1001)
     if atlas == "zero":
         den, z0 = ZeroDenoiser(), _latents(seed=4).data
         eps_of = lambda z, t: np.zeros(z.shape)  # noqa: E731
@@ -302,8 +327,8 @@ def test_affine_step_matches_the_multipass_formula(atlas):
         den = GaussianAtlasDenoiser(members, sched)
         z0 = members[0].data + 0.3 * np.random.default_rng(2).standard_normal(members[0].shape)
         eps_of = lambda z, t: _oracle_predict_noise(den, z, t)  # noqa: E731
-    assert _multipass_chain(den, z0, sched.alpha_bar, eps_of) <= 1e-13
-    if atlas == "twelve-members":
+    assert _multipass_chain(den, z0, sched.alpha_bar, eps_of, in_place=in_blocks) <= 1e-13
+    if atlas.startswith("twelve-members"):
         assert den.certified_members > 0
 
 
