@@ -117,9 +117,9 @@ def _cmd_invert(args) -> int:
 def _cmd_extract(args) -> int:
     manifest = load_manifest(args.manifest)
     rel = os.path.relpath(args.manifest, args.out_dir)
-    out = pl.run_extract(args.traj_dir, manifest, args.out_dir, manifest_path=rel)
-    index = pl.read_extract_index(out)
-    print(f"descriptors written to {out}: sources={index.sources}, timesteps=0..{index.n_steps}")
+    index = pl.run_extract(args.traj_dir, manifest, args.out_dir, manifest_path=rel)
+    print(f"descriptors written to {index.root}: sources={index.sources}, "
+          f"timesteps=0..{index.n_steps}")
     return 0
 
 

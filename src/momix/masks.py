@@ -38,10 +38,10 @@ def check_subject_ids(ids: Sequence[str]) -> None:
         seen.add(sid)
 
 
-def _check_region(m: np.ndarray, name: str = "mask") -> np.ndarray:
+def _check_region(m: np.ndarray, name: str = "mask", ndims: tuple[int, ...] = (2,)) -> np.ndarray:
     m = np.asarray(m)
-    if m.ndim != 2:
-        raise DimMismatch(f"{name} must be 2-D, got shape {m.shape}")
+    if m.ndim not in ndims:
+        raise DimMismatch(f"{name} must be {' or '.join(map(str, ndims))}-D, got shape {m.shape}")
     if m.dtype != np.bool_:
         m = m.astype(bool)
     return m
@@ -158,17 +158,17 @@ class MaskEdit:
             raise BadValue(f"unknown edit kind {self.kind!r}")
 
 
-def shift_mask(frame: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """Translate a 2-D mask by (dy, dx); content leaving the frame is dropped."""
-    frame = _check_region(frame)
-    h, w = frame.shape
-    out = np.zeros_like(frame)
+def shift_mask(frames: np.ndarray, dy: int, dx: int) -> np.ndarray:
+    """Translate a mask or an (F, H, W) track by (dy, dx); content leaving the frame is dropped."""
+    frames = _check_region(frames, ndims=(2, 3))
+    h, w = frames.shape[-2:]
+    out = np.zeros_like(frames)
     src_r0, src_r1 = max(0, -dy), min(h, h - dy)
     src_c0, src_c1 = max(0, -dx), min(w, w - dx)
     if src_r0 >= src_r1 or src_c0 >= src_c1:
         return out
-    out[src_r0 + dy : src_r1 + dy, src_c0 + dx : src_c1 + dx] = frame[
-        src_r0:src_r1, src_c0:src_c1
+    out[..., src_r0 + dy : src_r1 + dy, src_c0 + dx : src_c1 + dx] = frames[
+        ..., src_r0:src_r1, src_c0:src_c1
     ]
     return out
 
@@ -192,24 +192,21 @@ def scale_sources(height: int, width: int, factor: float,
     return np.floor(rows + 0.5), np.floor(cols + 0.5)
 
 
-def scale_mask(frame: np.ndarray, factor: float, anchor: tuple[float, float]) -> np.ndarray:
-    """Scale a 2-D mask about ``anchor`` by ``factor`` using inverse mapping."""
-    frame = _check_region(frame)
-    h, w = frame.shape
+def scale_mask(frames: np.ndarray, factor: float, anchor: tuple[float, float]) -> np.ndarray:
+    """Scale a mask or an (F, H, W) track about ``anchor`` by ``factor``, by inverse mapping."""
+    frames = _check_region(frames, ndims=(2, 3))
+    h, w = frames.shape[-2:]
     src_r, src_c = scale_sources(h, w, factor, anchor)
     # test the bounds before the integer cast
     ok_r, ok_c = (src_r >= 0) & (src_r < h), (src_c >= 0) & (src_c < w)
-    out = np.zeros_like(frame)
-    out[np.ix_(ok_r, ok_c)] = frame[np.ix_(src_r[ok_r].astype(int), src_c[ok_c].astype(int))]
+    out = np.zeros_like(frames)
+    out[(..., *np.ix_(ok_r, ok_c))] = frames[
+        (..., *np.ix_(src_r[ok_r].astype(int), src_c[ok_c].astype(int)))]
     return out
 
 
 def apply_edit(track: MaskTrack, edit: MaskEdit) -> MaskTrack:
-    """Apply a shift or scale edit to every frame of a mask track."""
-    if edit.kind == "shift":
-        frames = [shift_mask(track.frame(f), edit.dy, edit.dx) for f in range(track.n_frames)]
-    else:
-        frames = [
-            scale_mask(track.frame(f), edit.factor, edit.anchor) for f in range(track.n_frames)
-        ]
-    return MaskTrack(np.stack(frames), subject_id=track.subject_id)
+    """Apply a shift or scale edit to all frames of a mask track in one call."""
+    data = (shift_mask(track.data, edit.dy, edit.dx) if edit.kind == "shift"
+            else scale_mask(track.data, edit.factor, edit.anchor))
+    return MaskTrack(data, subject_id=track.subject_id)

@@ -7,26 +7,10 @@ footage, and they are documented as such.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import LengthMismatch
 from .features import MotionDescriptor
-
-
-@dataclass(frozen=True)
-class TrajectoryReport:
-    rmse_px: float
-    displacement_similarity: float
-    n_frames_compared: int
-
-    def to_json(self) -> dict:
-        return {
-            "rmse_px": self.rmse_px,
-            "displacement_similarity": self.displacement_similarity,
-            "n_frames_compared": self.n_frames_compared,
-        }
 
 
 def _as_points(seq) -> np.ndarray:
@@ -98,9 +82,10 @@ def descriptor_distance(d1: MotionDescriptor, d2: MotionDescriptor) -> tuple[flo
     return float(np.sum(r * r)), int(np.count_nonzero(shared))
 
 
-def compare_trajectories(a, b) -> TrajectoryReport:
-    return TrajectoryReport(
-        rmse_px=trajectory_rmse(a, b),
-        displacement_similarity=displacement_similarity(a, b),
-        n_frames_compared=len(a),
-    )
+def compare_trajectories(a, b) -> dict:
+    """The dict ``run_metrics`` stores per subject: RMSE, displacement similarity, frame count."""
+    return {
+        "rmse_px": trajectory_rmse(a, b),
+        "displacement_similarity": displacement_similarity(a, b),
+        "n_frames_compared": len(a),
+    }

@@ -207,8 +207,8 @@ def run_extract(
     out_dir,
     *,
     manifest_path,
-) -> Path:
-    """Extract descriptors for every source at every stored timestep.
+) -> ExtractIndex:
+    """Extract descriptors for every source at every stored timestep; returns the index written.
 
     The trajectory index is read once; then each timestep's latents are
     loaded, extracted and written before the next is read, so the run holds
@@ -243,14 +243,14 @@ def run_extract(
         for desc in extract_descriptors(latents, masks, timestep=t, strict=False, operator=operator):
             save_descriptor(desc, t_dir / f"{desc.source_id}.json")
             sources_seen.add(desc.source_id)
-    index = {
-        "n_steps": schedule.n_steps,
-        "timesteps": list(range(schedule.n_steps + 1)),
-        "sources": sorted(sources_seen),
-        "manifest": str(manifest_path),
-    }
-    write_json(out_dir / "extract_index.json", index)
-    return out_dir
+    index = ExtractIndex(out_dir, schedule.n_steps, sorted(sources_seen), str(manifest_path))
+    write_json(out_dir / "extract_index.json", {
+        "n_steps": index.n_steps,
+        "timesteps": list(range(index.n_steps + 1)),
+        "sources": index.sources,
+        "manifest": index.manifest,
+    })
+    return index
 
 
 @dataclass(frozen=True)
@@ -464,7 +464,7 @@ def run_metrics(run_dir, scene_dir, out_path=None, threshold: float = 0.5) -> di
         entry: dict = {"areas": areas, "missing_frames": missing}
         if missing == 0:
             entry["estimated"] = [list(c) for c in centroids]
-            entry.update(compare_trajectories(blob.trajectory, centroids).to_json())
+            entry.update(compare_trajectories(blob.trajectory, centroids))
         else:
             report["warnings"].append(
                 f"subject {blob.subject_id}: blob not found in {missing} output frames"
@@ -562,11 +562,11 @@ def run_pipeline(config: dict, out_root=None) -> dict:
     invert_denoiser = ZeroDenoiser() if cfg.get("invert_denoiser") == "zero" else denoiser
     traj_dir = run_invert(manifest, schedule, invert_denoiser, out_root / "traj")
 
-    desc_dir = run_extract(traj_dir, manifest, out_root / "desc",
-                           manifest_path="../scene/manifest.json")
+    index = run_extract(traj_dir, manifest, out_root / "desc",
+                        manifest_path="../scene/manifest.json")
 
     run_recompose(
-        desc_dir,
+        index.root,
         plan,
         traj_dir,
         out_root / "run",

@@ -272,22 +272,14 @@ def estimate_blob_track(
 
     The projection is normalized so cells carrying exactly the signature
     score 1.0; cells with projection >= threshold count toward the blob.
-    Returns per-frame centroids (None when nothing passes) and areas.
+    All frames are thresholded at once. Returns the selection's
+    ``centroid_trajectory`` (None where nothing passes) and its per-frame areas.
     """
     sig, norm2 = _projector(signature, "signature")
     proj = np.einsum("fchw,c->fhw", latents.data.astype(np.float64), sig) / norm2
-    centroids: list[tuple[float, float] | None] = []
-    areas: list[int] = []
-    for f in range(latents.n_frames):
-        sel = proj[f] >= threshold
-        n = int(np.count_nonzero(sel))
-        areas.append(n)
-        if n == 0:
-            centroids.append(None)
-        else:
-            rows, cols = np.nonzero(sel)
-            centroids.append((float(rows.mean()), float(cols.mean())))
-    return centroids, areas
+    selected = MaskTrack(proj >= threshold)
+    areas = [int(n) for n in np.count_nonzero(selected.data, axis=(1, 2))]
+    return centroid_trajectory(selected), areas
 
 
 # --- edits used to build scene variants ------------------------------------
@@ -411,7 +403,7 @@ def write_frame_images(latents: LatentVideo, out_dir) -> list[Path]:
     paths = []
     for f in range(latents.n_frames):
         img = ((latents.data[f, 0] - lo) / span * 255.0).astype(np.uint8)
-        header = f"P5\n{latents.width} {latents.height}\n255\n".encode()
+        header = f"P5\n{latents.shape[3]} {latents.shape[2]}\n255\n".encode()
         p = out_dir / f"frame{f:03d}.pgm"
         atomic_write(p, header, img.tobytes())
         paths.append(p)

@@ -72,14 +72,6 @@ class LatentVideo:
         return self.data.shape[1]
 
     @property
-    def height(self) -> int:
-        return self.data.shape[2]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[3]
-
-    @property
     def shape(self) -> tuple[int, int, int, int]:
         return self.data.shape
 
@@ -112,14 +104,6 @@ class MaskTrack:
     @property
     def n_frames(self) -> int:
         return self.data.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
 
     def frame(self, i: int) -> np.ndarray:
         return self.data[i]

@@ -11,6 +11,7 @@ from momix.masks import (
     pair_region,
     scale_mask,
     set_difference,
+    shift_mask,
     union,
 )
 from momix.tensors import MaskTrack
@@ -136,6 +137,13 @@ def test_background_pair_region_is_intersection():
     assert np.array_equal(got, bg.frame(0) & bg.frame(3))
 
 
+def assert_frame_by_frame(got, edit, track, *args):
+    """``got`` must hold the bytes of ``edit`` applied to each frame of ``track`` and stacked."""
+    want = np.stack([edit(frame, *args) for frame in track])
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_shift_identity_and_translation():
     rng = np.random.default_rng(10)
     t = _track(rng)
@@ -146,6 +154,10 @@ def test_shift_identity_and_translation():
     moved = apply_edit(MaskTrack(one, subject_id="p"), MaskEdit("shift", dx=2, dy=0))
     assert moved.data[:, 4, 6].all()
     assert moved.data.sum() == 2
+    # a frame or a track; any other rank is rejected
+    for shape in ((9,), (1, 2, 9, 9)):
+        with pytest.raises(DimMismatch, match="must be 2 or 3-D"):
+            shift_mask(np.zeros(shape, bool), 1, 1)
 
 
 def test_shift_clips_and_area_non_increasing():
@@ -154,6 +166,8 @@ def test_shift_clips_and_area_non_increasing():
         t = _track(rng)
         dx, dy = int(rng.integers(-9, 10)), int(rng.integers(-9, 10))
         shifted = apply_edit(t, MaskEdit("shift", dx=dx, dy=dy))
+        assert_frame_by_frame(shifted.data, shift_mask, t.data, dy, dx)
+        assert_frame_by_frame(shift_mask(t.data, dy, dx), shift_mask, t.data, dy, dx)
         assert shifted.data.sum() <= t.data.sum()
         back = apply_edit(shifted, MaskEdit("shift", dx=-dx, dy=-dy))
         assert not (back.data & ~t.data).any()
@@ -184,12 +198,25 @@ def test_scale_square_doubles():
     assert ring <= 2 * (8 * 4)  # at most a one-pixel ring of disagreement
     ratio = scaled.sum() / frame.sum()
     assert abs(ratio - 4.0) <= 4 * 8 * 4 / frame.sum()
+    # the square, an empty frame and a random one, scaled in one call; a shrink
+    # maps some cells to sources outside the frame
+    track = np.stack([frame, np.zeros_like(frame), rand_mask(np.random.default_rng(13), (16, 16))])
+    for factor, anchor in ((2.0, (7.5, 7.5)), (0.7, (3.0, 12.0))):
+        assert_frame_by_frame(scale_mask(track, factor, anchor), scale_mask, track, factor, anchor)
+        edited = apply_edit(MaskTrack(track), MaskEdit("scale", factor=factor, anchor=anchor))
+        assert_frame_by_frame(edited.data, scale_mask, track, factor, anchor)
 
 
 def test_scale_anchor_validation():
     frame = np.zeros((8, 8), dtype=bool)
     with pytest.raises(BadValue):
         scale_mask(frame, 2.0, (9.0, 0.0))
+    with pytest.raises(BadValue):
+        scale_mask(np.stack([frame, frame]), 2.0, (9.0, 0.0))
+    # a frame or a track; any other rank is rejected
+    for shape in ((8,), (1, 2, 8, 8)):
+        with pytest.raises(DimMismatch, match="must be 2 or 3-D"):
+            scale_mask(np.zeros(shape, bool), 2.0, (1.0, 1.0))
     with pytest.raises(BadValue):
         MaskEdit("scale", factor=0.0, anchor=(1.0, 1.0))
     with pytest.raises(BadValue):
@@ -219,9 +246,10 @@ def test_scale_edit_rejects_a_non_finite_factor(factor):
 def test_scale_mask_tests_bounds_before_the_integer_cast(recwarn):
     # a factor of 1e-300 used to cast 1e300 to int, with a RuntimeWarning
     frame = np.ones((8, 8), dtype=bool)
-    with pytest.raises(BadValue, match="2\\*\\*53"):
-        scale_mask(frame, 1e-300, (3.5, 3.5))
-    assert not scale_mask(frame, 1e-3, (3.5, 3.5)).any()
+    for mask in (frame, np.stack([frame, frame])):
+        with pytest.raises(BadValue, match="2\\*\\*53"):
+            scale_mask(mask, 1e-300, (3.5, 3.5))
+        assert not scale_mask(mask, 1e-3, (3.5, 3.5)).any()
     assert not recwarn.list
 
 

@@ -19,7 +19,7 @@ from momix.synth import (
     scene_to_json,
     shift_blob,
 )
-from momix.tensors import MaskTrack
+from momix.tensors import LatentVideo, MaskTrack
 
 
 def linear(p0, p1, n):
@@ -157,12 +157,17 @@ def test_centroid_trivia():
 def test_estimate_blob_track_on_clean_scene():
     spec = two_blob_scene()
     lat, tracks, traj = render_scene(spec)
+    # one more frame, all zero, where nothing passes the threshold
+    lat = LatentVideo(np.concatenate([lat.data, np.zeros_like(lat.data[:1])]))
     cents, areas = estimate_blob_track(lat, (0.0, 2.5, 0.0), 0.5)
     true_cents = centroid_trajectory(tracks[0])
+    assert len(cents) == len(areas) == spec.n_frames + 1
     for est, true in zip(cents, true_cents):
         assert est is not None
         assert np.hypot(est[0] - true[0], est[1] - true[1]) <= 0.75
-    assert all(a > 0 for a in areas)
+    assert all(a > 0 for a in areas[:-1])
+    assert cents[-1] is None and areas[-1] == 0
+    assert all(type(a) is int for a in areas)
     with pytest.raises(BadValue):
         estimate_blob_track(lat, (0.0, 0.0, 0.0), 0.5)
 
