@@ -1,4 +1,4 @@
-"""Command-line driver: synth, invert, extract, recompose, metrics, gradcheck, pipeline.
+"""Command-line driver: synth, invert, recompose, metrics, gradcheck, pipeline.
 
 Exit codes: 0 success, 2 usage/config error, 3 numeric failure. Every
 command is deterministic given its config and seeds.
@@ -38,20 +38,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_dir")
     p.add_argument("--images", action="store_true", help="also dump PGM frames")
 
-    p = sub.add_parser("invert", help="run DDIM inversion and archive the trajectory")
+    p = sub.add_parser("invert", help="run DDIM inversion, extracting descriptors as it goes")
     p.add_argument("manifest", help="scene manifest JSON")
-    p.add_argument("out_dir")
+    p.add_argument("traj_dir", help="trajectory archive directory (z_T)")
+    p.add_argument("desc_dir", help="descriptor archive directory")
     p.add_argument("--steps", type=int, default=_STAGE_DEFAULT)
     p.add_argument("--power", type=float, default=_STAGE_DEFAULT)
     p.add_argument("--floor", type=float, default=_STAGE_DEFAULT)
     p.add_argument("--zero-noise", action="store_true", help="use the zero denoiser")
     p.add_argument("--atlas", nargs="+", default=None, help="atlas latent files")
     p.add_argument("--bandwidth", type=float, default=_STAGE_DEFAULT)
-
-    p = sub.add_parser("extract", help="extract motion descriptors per source per timestep")
-    p.add_argument("traj_dir", help="trajectory archive directory")
-    p.add_argument("manifest", help="scene manifest JSON")
-    p.add_argument("out_dir")
 
     p = sub.add_parser("recompose", help="apply an edit plan and sample a guided target video")
     p.add_argument("desc_dir", help="descriptor archive directory")
@@ -78,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault", choices=["sign-flip"], default=None, help="test hook")
     p.add_argument("--zero-weights", action="store_true", help="test hook")
 
-    p = sub.add_parser("pipeline", help="run synth->invert->extract->recompose->metrics")
+    p = sub.add_parser("pipeline", help="run synth->invert->recompose->metrics")
     p.add_argument("config", help="run config JSON")
     p.add_argument("--out", default=None, help="override out_dir from the config")
 
@@ -109,15 +105,10 @@ def _cmd_invert(args) -> int:
         atlas_paths = args.atlas if args.atlas else [manifest.latent_path("0")]
         denoiser = pl.build_denoiser(pl.load_atlas(atlas_paths, manifest.latent_shape),
                                      schedule, **pl.given(vars(args), bandwidth="bandwidth"))
-    out = pl.run_invert(manifest, schedule, denoiser, args.out_dir)
-    print(f"trajectory archive written to {out} ({schedule.n_steps + 1} tensors)")
-    return 0
-
-
-def _cmd_extract(args) -> int:
-    manifest = load_manifest(args.manifest)
-    rel = os.path.relpath(args.manifest, args.out_dir)
-    index = pl.run_extract(args.traj_dir, manifest, args.out_dir, manifest_path=rel)
+    rel = os.path.relpath(args.manifest, args.desc_dir)
+    index = pl.run_extract(pl.run_invert(manifest, schedule, denoiser, args.traj_dir), manifest,
+                           args.desc_dir, manifest_path=rel)
+    print(f"trajectory archive written to {args.traj_dir} (z_T after {index.n_steps} steps)")
     print(f"descriptors written to {index.root}: sources={index.sources}, "
           f"timesteps=0..{index.n_steps}")
     return 0
@@ -125,7 +116,7 @@ def _cmd_extract(args) -> int:
 
 def _cmd_recompose(args) -> int:
     desc_dir = Path(args.desc_dir)
-    # recorded relative to the desc dir at extract time
+    # recorded relative to the desc dir at invert time
     manifest = load_manifest(desc_dir / pl.read_extract_index(desc_dir).manifest)
     plan = load_plan(args.plan) if args.plan else None
     options = pl.given(vars(args), init="init", seed="seed")
@@ -190,7 +181,6 @@ def _cmd_pipeline(args) -> int:
 _COMMANDS = {
     "synth": _cmd_synth,
     "invert": _cmd_invert,
-    "extract": _cmd_extract,
     "recompose": _cmd_recompose,
     "metrics": _cmd_metrics,
     "gradcheck": _cmd_gradcheck,

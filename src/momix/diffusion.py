@@ -3,7 +3,7 @@
 Inversion walks a clean latent video up the noise schedule using the
 denoiser's own predictions and yields every intermediate latent, because
 guidance compares reference and target features at matching timesteps;
-the trajectory archive takes them one at a time.
+extraction takes them one at a time, and only z_T is stored.
 Sampling walks back down, optionally correcting the latents with the
 motion-guidance update before each denoising step.
 
@@ -18,22 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Protocol, Sequence
+from typing import Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from .errors import BadValue, DimMismatch, NonFinite
 from .guidance import GuidanceConfig, GuidanceTarget, guided_update
-from .tensors import (
-    LatentVideo,
-    make_dir,
-    read_json,
-    remove_file,
-    typed_fields,
-    typed_numbers,
-    write_array,
-    write_json,
-)
+from .tensors import LatentVideo, read_json, typed_fields, typed_numbers
 
 
 # 200 times the 50 steps of the largest benchmark workload; a larger count
@@ -367,26 +358,29 @@ def ddim_invert_steps(
 ) -> Iterator[np.ndarray]:
     """Deterministic inversion from t=0 to t=n_steps, one latent at a time.
 
-    Yields the float64 latents at t = 0..n_steps, each a read-only array of
-    its own that ``_ddim_step`` has checked finite. The generator drops z0, and
-    each latent once the next step is taken, so a consumer that writes each out
-    holds about one, and a block-sized buffer. Each generator carries its own bounds.
+    The generator keeps one private float64 buffer, which each DDIM step
+    overwrites in place through a block-sized buffer, and yields the same
+    read-only view of it at t = 0..n_steps, each latent checked finite by
+    ``_ddim_step``. A view holds its timestep's latent only until the
+    generator is resumed, so a consumer that keeps one copies it, as
+    ``ddim_invert`` does. The generator drops z0, so the run holds one latent
+    and the block buffer. Each generator carries its own bounds.
     """
-    z = z0.data.astype(np.float64, copy=True)
+    z = np.array(z0.data, dtype=np.float64, order="C")
     del z0
-    z.setflags(write=False)
-    yield z
+    view = z.view()
+    view.setflags(write=False)
+    yield view
     scratch, bounds = _block_buffer(z.size), _carried_bounds(denoiser)
     for t in range(schedule.n_steps):
-        z = _ddim_step(denoiser, z, schedule.alpha_bar, t, t + 1, scratch=scratch, bounds=bounds)
-        z.setflags(write=False)
-        yield z
+        _ddim_step(denoiser, z, schedule.alpha_bar, t, t + 1, z, scratch, bounds)
+        yield view
 
 
 def ddim_invert(
     z0: LatentVideo, schedule: NoiseSchedule, denoiser: Denoiser
 ) -> list[LatentVideo]:
-    """Deterministic inversion from t=0 to t=n_steps; returns the full trajectory."""
+    """Deterministic inversion from t=0 to t=n_steps; returns a copy of every latent."""
     return [LatentVideo(z) for z in ddim_invert_steps(z0, schedule, denoiser)]
 
 
@@ -416,10 +410,12 @@ def ddim_sample(
     with the motion-guidance update, checked finite, before the denoising
     step, so the denoiser itself stays untouched. The run holds one float64 array,
     which each step overwrites through a block-sized buffer (a NonFinite step may
-    leave it partly written) and the result wraps; ``zT`` is only read. A guided
-    update returns a new array and drops the run's bounds, so the next call reads every row.
+    leave it partly written) and the result wraps, or copies if it is a view; ``zT``
+    is only read, and dropped once copied. A guided update returns new latents (a
+    view) and drops the run's bounds, so the next call reads every row.
     """
     z = np.array(zT.data, dtype=np.float64, order="C")
+    del zT
     scratch, bounds = _block_buffer(z.size), None
     targets = guidance.targets if guidance is not None else {}
     for t in range(schedule.n_steps, 0, -1):
@@ -433,10 +429,8 @@ def ddim_sample(
         if bounds is None and t > 1 and t - 1 not in targets:  # else they would go unused
             bounds = _carried_bounds(denoiser)
         _ddim_step(denoiser, z, schedule.alpha_bar, t, t - 1, z, scratch, bounds)
-    result = object.__new__(LatentVideo)  # LatentVideo(z) would copy z; the steps checked it
     z.setflags(write=False)
-    object.__setattr__(result, "data", z)
-    return result
+    return LatentVideo(z)
 
 
 def make_initial_noise(
@@ -448,8 +442,9 @@ def make_initial_noise(
     if mode == "shared":
         return reference_zT
     if mode == "fresh":
-        rng = np.random.default_rng(np.random.PCG64(seed))
-        return LatentVideo(rng.standard_normal(reference_zT.shape))
+        noise = np.random.default_rng(np.random.PCG64(seed)).standard_normal(reference_zT.shape)
+        noise.setflags(write=False)  # LatentVideo keeps it uncopied
+        return LatentVideo(noise)
     raise BadValue(f"unknown initial-noise mode {mode!r}")
 
 
@@ -461,60 +456,24 @@ def trajectory_path(dir_path, t: int) -> Path:
     return Path(dir_path) / f"t{t:03d}.cmt"
 
 
-def save_trajectory(
-    trajectory: Iterable[LatentVideo | np.ndarray], schedule: NoiseSchedule, out_dir
-) -> None:
-    """Archive the latents at t = 0..n_steps: ``t###.cmt`` files, then ``index.json``.
-
-    ``trajectory`` may be any iterable, such as ``ddim_invert_steps``: each
-    latent is written as it arrives, so only the one in hand is held. A
-    trajectory whose length is not ``n_steps + 1`` raises DimMismatch with
-    no index written. Any old index is removed before the first write and
-    the new one written after the last file, so a rewrite that fails half
-    way leaves an archive no reader accepts, never new files under an old index.
-    """
-    out_dir = make_dir(out_dir)
-    index = out_dir / "index.json"
-    remove_file(index)
-    want = schedule.n_steps + 1
-    files = {}
-    for t, lat in enumerate(trajectory):
-        if t == want:
-            raise DimMismatch(f"trajectory has more than {want} entries, schedule wants {want}")
-        path = trajectory_path(out_dir, t)
-        write_array(path, lat.data if isinstance(lat, LatentVideo) else lat)
-        files[str(t)] = path.name
-    if len(files) != want:
-        raise DimMismatch(f"trajectory has {len(files)} entries, schedule wants {want}")
-    write_json(
-        index,
-        {
-            "n_steps": schedule.n_steps,
-            "alpha_bar": [float(a) for a in schedule.alpha_bar],
-            "files": files,
-        },
-    )
-
-
 def read_trajectory_index(dir_path) -> NoiseSchedule:
     """The schedule of the trajectory archive in ``dir_path``, read from its index.
 
-    The index must agree with itself: ``n_steps`` is a JSON integer,
-    ``alpha_bar`` holds ``n_steps + 1`` numbers and ``files`` maps exactly
-    the timesteps 0..n_steps, each t to the file ``t###.cmt``.
+    The archive holds z_T as ``trajectory_path(dir_path, n_steps)`` beside
+    the index, which ``run_invert`` writes. The index must agree with itself:
+    ``n_steps`` is a JSON integer and ``alpha_bar`` holds ``n_steps + 1``
+    numbers. Any other key, such as the ``files`` map of an archive that
+    stored every latent, is rejected.
     """
     dir_path = Path(dir_path)
     what = f"trajectory index {dir_path}"
-    kinds = {"n_steps": int, "alpha_bar": lambda v, label: typed_numbers(v, None, label),
-             "files": dict}
+    kinds = {"n_steps": int, "alpha_bar": lambda v, label: typed_numbers(v, None, label)}
     index = typed_fields(read_json(dir_path / "index.json"), kinds, what, required=kinds)
-    n_steps, files = index["n_steps"], index["files"]
+    n_steps = index["n_steps"]
     schedule = NoiseSchedule(np.asarray(index["alpha_bar"]))
     if schedule.n_steps != n_steps:
         raise BadValue(
             f"{dir_path}: index says n_steps {n_steps} but alpha_bar has "
             f"{schedule.n_steps + 1} values"
         )
-    if files != {str(t): trajectory_path(dir_path, t).name for t in range(n_steps + 1)}:
-        raise BadValue(f"{dir_path}: index files must map each timestep 0..{n_steps} to t###.cmt")
     return schedule

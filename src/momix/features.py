@@ -193,8 +193,8 @@ class PairOperator:
     carry the same bit in every track at every frame (an *atom*) belong to
     exactly the same rows. The algebra runs on one representative cell per
     atom, for every source and frame pair in one array expression, and the
-    regions are stored as one 0/1 (rows, atoms) matrix per frame holding
-    every row that touches it. ``apply`` sums each
+    regions are stored once, as one 0/1 (rows, atoms) matrix; each frame keeps
+    only the indices and signs of the rows that touch it. ``apply`` sums each
     frame's cells per atom with ``np.bincount`` and ``adjoint`` gathers
     per-atom coefficients back to the cells; every product is a fixed-order
     einsum or bincount, not BLAS, so the bytes do not depend on the thread
@@ -228,21 +228,20 @@ class PairOperator:
                           atoms[:, i] & atoms[:, j])
         kept = region.any(axis=2)
         source, pair = np.nonzero(kept)
-        self._regions = region[source, pair]
+        self._member = region[source, pair].astype(np.float64)
         self.ij = np.column_stack((i[pair], j[pair])).astype(np.int64)
         sids = list(tracks)
         self.rows = tuple((sids[s], a, b) for s, a, b in zip(source.tolist(), *self.ij.T.tolist()))
         bounds = [0, *np.cumsum(np.count_nonzero(kept, axis=1)).tolist()]
         self.slices = {sid: slice(a, b) for sid, a, b in zip(sids, bounds, bounds[1:])}
-        member = self._regions.astype(np.float64)
         # sums of integer cell counts, exact in float64
-        self.area = np.einsum("ra,a->r", member, self._sizes).astype(np.int64)
+        self.area = np.einsum("ra,a->r", self._member, self._sizes).astype(np.int64)
         self._curvatures: dict[bytes, float] = {}
         # per frame, the rows that touch it in row order: +1 where it is i, -1 where it is j
         self._groups = []
         for f in range(self.n_frames):
             index = np.flatnonzero((self.ij == f).any(axis=1))
-            self._groups.append((index, np.where(self.ij[index, 0] == f, 1.0, -1.0), member[index]))
+            self._groups.append((index, np.where(self.ij[index, 0] == f, 1.0, -1.0)))
 
     def source_ids(self) -> list[str]:
         return list(self.slices)
@@ -252,7 +251,7 @@ class PairOperator:
         """source_id -> {(i, j): (flat cell indices, area)}: the rows, one pair at a time."""
         table: dict[str, dict] = {sid: {} for sid in self.slices}
         for r, (sid, i, j) in enumerate(self.rows):
-            table[sid][(i, j)] = (np.flatnonzero(self._regions[r, self._labels]), int(self.area[r]))
+            table[sid][(i, j)] = (np.flatnonzero(self._member[r, self._labels]), int(self.area[r]))
         return table
 
     @cached_property
@@ -264,8 +263,9 @@ class PairOperator:
         are sums of atom sizes, integers exact in float64 in any order. Read-only.
         """
         gram = np.zeros((len(self.rows), len(self.rows)))
-        for index, sign, member in self._groups:
+        for index, sign in self._groups:
             if index.size:
+                member = self._member[index]
                 overlap = np.einsum("ra,sa->rs", member * self._sizes, member)
                 scale = sign / self.area[index]
                 gram[np.ix_(index, index)] += np.outer(scale, scale) * overlap
@@ -294,11 +294,11 @@ class PairOperator:
         bins = (self._labels + n_atoms * np.arange(n_channels)[:, None]).reshape(-1)
         out = np.zeros((len(self.rows), n_channels))
         # frames run in order and i < j, so each row gets +mean_i before -mean_j
-        for f, (index, sign, member) in enumerate(self._groups):
+        for f, (index, sign) in enumerate(self._groups):
             if index.size:
                 sums = np.bincount(bins, weights=flat[f], minlength=n_channels * n_atoms)
                 sums = sums.reshape(n_channels, n_atoms)
-                means = np.einsum("ra,ca->rc", member, sums) / self.area[index, None]
+                means = np.einsum("ra,ca->rc", self._member[index], sums) / self.area[index, None]
                 out[index] += sign[:, None] * means
         return out
 
@@ -310,9 +310,10 @@ class PairOperator:
         """
         per_cell = coef / self.area[:, None]
         atoms = np.zeros((self.n_frames, coef.shape[1], self._sizes.size))
-        for f, (index, sign, member) in enumerate(self._groups):
+        for f, (index, sign) in enumerate(self._groups):
             if index.size:
-                atoms[f] = np.einsum("ra,rc->ca", member, sign[:, None] * per_cell[index])
+                atoms[f] = np.einsum("ra,rc->ca", self._member[index],
+                                     sign[:, None] * per_cell[index])
         # np.take keeps the gathered axis last, so the result is C-contiguous;
         # atoms[:, :, labels] lays it out with frames and channels innermost
         cells = np.take(atoms, self._labels, axis=2)

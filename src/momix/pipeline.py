@@ -1,4 +1,4 @@
-"""End-to-end orchestration: synth -> invert -> extract -> recompose -> metrics.
+"""End-to-end orchestration: synth -> invert and extract, in one pass -> recompose -> metrics.
 
 Each stage writes plain files into a fixed layout under the run root so a
 rerun with the same config and seeds is byte-identical. The CLI drives
@@ -11,7 +11,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .diffusion import (
     ddim_sample,
     make_initial_noise,
     read_trajectory_index,
-    save_trajectory,
     trajectory_path,
 )
 from .errors import BadValue, DimMismatch, NoValidPairs, UnknownSubject
@@ -184,66 +183,70 @@ def run_invert(
     manifest: SceneManifest,
     schedule: NoiseSchedule,
     denoiser: Denoiser,
-    out_dir,
-) -> Path:
-    """Invert the scene's clean latents and archive the trajectory in ``out_dir``.
+    traj_dir,
+) -> Iterator[np.ndarray]:
+    """Invert the scene's clean latents: yield each one, then archive z_T in ``traj_dir``.
 
-    Each latent is written as soon as its DDIM step has made and checked
-    it, so the run holds about one latent at a time, whatever ``n_steps``
-    is. ``save_trajectory`` says how a rerun replaces an archive.
+    A generator: asked for its first latent, it removes any ``index.json`` in
+    ``traj_dir``, then yields the float64 latents at t = 0..n_steps as
+    ``ddim_invert_steps`` makes them, each a read-only view valid until the next
+    is asked for. Resumed after the last, it writes z_T as
+    ``trajectory_path(traj_dir, n_steps)`` and then the index (``n_steps`` and
+    ``alpha_bar``), so a stream abandoned half way leaves no index.
     """
-    out_dir = Path(out_dir)
-    steps = ddim_invert_steps(manifest.load_latent("0"), schedule, denoiser)
-    save_trajectory(steps, schedule, out_dir)
-    return out_dir
+    traj_dir = make_dir(traj_dir)
+    index = traj_dir / "index.json"
+    remove_file(index)
+    for z in ddim_invert_steps(manifest.load_latent("0"), schedule, denoiser):
+        yield z
+    write_array(trajectory_path(traj_dir, schedule.n_steps), z)
+    write_json(index, {"n_steps": schedule.n_steps,
+                       "alpha_bar": [float(a) for a in schedule.alpha_bar]})
 
 
 # --- extract ----------------------------------------------------------------
 
 
 def run_extract(
-    traj_dir,
+    latents: Iterable[np.ndarray],
     manifest: SceneManifest,
     out_dir,
     *,
     manifest_path,
 ) -> ExtractIndex:
-    """Extract descriptors for every source at every stored timestep; returns the index written.
+    """Extract descriptors for every source from a stream of latents; returns the index written.
 
-    The trajectory index is read once; then each timestep's latents are
-    loaded, extracted and written before the next is read, so the run holds
-    about one latent at a time. A timestep whose latents have another shape
-    than t=0's raises DimMismatch before its descriptors are written; a bad
-    subject id or mask geometry fails before anything is written. An
-    ``extract_index.json`` already in ``out_dir`` is removed before the
-    first descriptor is written, and the new one is written after the last,
-    so a rerun that fails half way leaves an archive no reader accepts.
+    ``latents`` yields float64 latents of the manifest's shape at t = 0..n_steps,
+    such as ``run_invert``'s stream. Each is cast to float32, the values a tensor
+    file holds, and its descriptors are written before the next is asked for.
+    A bad subject id or mask geometry fails before anything is written, and a
+    stream of no latents raises BadValue. An ``extract_index.json`` already in
+    ``out_dir`` is removed before the first latent is asked for, and the new one
+    is written after the last, so a rerun that fails half way leaves an archive
+    no reader accepts.
     """
     out_dir = Path(out_dir)
-    schedule = read_trajectory_index(traj_dir)
     masks = manifest.load_masks()
-    latents = load_tensor(trajectory_path(traj_dir, 0))
-    shape = latents.shape
-    if shape != manifest.latent_shape:
-        raise DimMismatch(f"{traj_dir}: latents {shape} differ from the manifest's "
-                          f"{manifest.latent_shape}")
     # the regions depend on the masks alone
-    operator = compile_sources(shape, masks)
+    operator = compile_sources(manifest.latent_shape, masks)
     warn_empty_sources(operator)
     make_dir(out_dir)
     remove_file(out_dir / "extract_index.json")
     sources_seen: set[str] = set()
-    for t in range(schedule.n_steps + 1):
-        if t > 0:
-            path = trajectory_path(traj_dir, t)
-            latents = load_tensor(path)
-            if latents.shape != shape:
-                raise DimMismatch(f"{path}: latents {latents.shape} differ from t=0's {shape}")
+    t = -1
+    for t, z in enumerate(latents):
+        with np.errstate(over="ignore"):  # past float32's range is inf, which LatentVideo rejects
+            z = z.astype(np.float32)
+        z.setflags(write=False)
         t_dir = make_dir(out_dir / f"t{t:03d}")
-        for desc in extract_descriptors(latents, masks, timestep=t, strict=False, operator=operator):
+        for desc in extract_descriptors(LatentVideo(z), masks, timestep=t, strict=False,
+                                        operator=operator):
             save_descriptor(desc, t_dir / f"{desc.source_id}.json")
             sources_seen.add(desc.source_id)
-    index = ExtractIndex(out_dir, schedule.n_steps, sorted(sources_seen), str(manifest_path))
+        del z  # the next latent is made with no cast alive
+    if t < 0:
+        raise BadValue(f"{out_dir}: no latents to extract descriptors from")
+    index = ExtractIndex(out_dir, t, sorted(sources_seen), str(manifest_path))
     write_json(out_dir / "extract_index.json", {
         "n_steps": index.n_steps,
         "timesteps": list(range(index.n_steps + 1)),
@@ -374,25 +377,29 @@ def run_recompose(
 ) -> RecomposeResult:
     """Build the guidance problem from stored descriptors and sample a target video.
 
+    z_T's header must give the manifest's shape, or the run stops before it
+    reads anything else; z_T itself is loaded only to start sampling.
     ``denoiser`` comes from ``build_denoiser``: an atlas denoiser must have
     the trajectory's schedule and latent shape, or the run stops before
     sampling. run.json records its ``bandwidth`` (null for any other denoiser).
     The plan and the guidance config pass ``check_edit`` against the
     regions of the manifest's masks before sampling, guided or not.
     """
-    # sampling starts from z_T, so the other latents are never read
     schedule = read_trajectory_index(traj_dir)
     plan = plan if plan is not None else EditPlan()
     config = guidance_config if guidance_config is not None else GuidanceConfig()
-    zT = load_tensor(trajectory_path(traj_dir, schedule.n_steps))
-    (start, end), regions = check_edit(plan, config, zT.shape, manifest.load_masks(),
+    zT_path = trajectory_path(traj_dir, schedule.n_steps)
+    shape = peek_dims(zT_path, TENSOR_MAGIC)
+    if shape != manifest.latent_shape:
+        raise DimMismatch(f"{zT_path}: z_T {shape} is not the manifest's {manifest.latent_shape}")
+    (start, end), regions = check_edit(plan, config, shape, manifest.load_masks(),
                                        schedule.n_steps)
     # unguided, drop the operator (4 MB at 16x4x64x64) before z_T: held, it raised peak RSS 1.3 MB
     regions = regions if guided else None
     if isinstance(denoiser, GaussianAtlasDenoiser):
-        if denoiser.members.shape[1:] != zT.shape:
+        if denoiser.members.shape[1:] != shape:
             raise DimMismatch(f"atlas members have shape {denoiser.members.shape[1:]}, "
-                              f"the latents {zT.shape}")
+                              f"the latents {shape}")
         if not np.array_equal(denoiser.schedule.alpha_bar, schedule.alpha_bar):
             raise BadValue(f"the denoiser's schedule is not the one {traj_dir} was inverted with")
     edits = {sid: d.edit for sid, d in plan.directives.items() if d.kind == "mask_edit"}
@@ -400,7 +407,6 @@ def run_recompose(
         init_mode = "fresh" if plan.camera_only or edits else "shared"
     else:
         init_mode = init
-    zT = make_initial_noise(zT, mode=init_mode, seed=seed)  # fresh noise drops the float32 z_T
 
     guidance = None
     if guided:
@@ -413,16 +419,18 @@ def run_recompose(
         for t, refs in refs_by_t.items():
             # checked before ``recompose``, which indexes an (n_frames, n_frames) row table
             for ref in refs:
-                if ref.n_frames != zT.n_frames:
+                if ref.n_frames != shape[0]:
                     raise DimMismatch(f"{desc_dir}: descriptor {ref.source_id!r} at timestep {t} "
-                                      f"has {ref.n_frames} frames, the latents {zT.n_frames}")
+                                      f"has {ref.n_frames} frames, the latents {shape[0]}")
             targets[t] = GuidanceTarget(
                 recompose(refs, plan), regions, weights=config.weights
             )
             if targets[t].enforced_pair_count() == 0:
                 raise NoValidPairs(f"guidance problem has no enforced pairs at timestep {t}")
         guidance = SamplingGuidance(config=config, targets=targets)
-    output = ddim_sample(zT, schedule, denoiser, guidance=guidance)
+    # z_T lives only as the argument ddim_sample drops once copied; fresh noise drops it sooner
+    output = ddim_sample(make_initial_noise(load_tensor(zT_path), mode=init_mode, seed=seed),
+                         schedule, denoiser, guidance=guidance)
     out_dir = make_dir(out_dir)
     save_tensor(output, out_dir / "output.cmt")
     trace = guidance.trace if guidance is not None else []
@@ -560,15 +568,13 @@ def run_pipeline(config: dict, out_root=None) -> dict:
                                  bandwidth="bandwidth"))
 
     invert_denoiser = ZeroDenoiser() if cfg.get("invert_denoiser") == "zero" else denoiser
-    traj_dir = run_invert(manifest, schedule, invert_denoiser, out_root / "traj")
-
-    index = run_extract(traj_dir, manifest, out_root / "desc",
-                        manifest_path="../scene/manifest.json")
+    index = run_extract(run_invert(manifest, schedule, invert_denoiser, out_root / "traj"),
+                        manifest, out_root / "desc", manifest_path="../scene/manifest.json")
 
     run_recompose(
         index.root,
         plan,
-        traj_dir,
+        out_root / "traj",
         out_root / "run",
         denoiser=denoiser,
         manifest=manifest,

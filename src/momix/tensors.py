@@ -43,9 +43,10 @@ def _as_float_array(data) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class LatentVideo:
-    """A (n_frames, n_channels, height, width) array of finite reals.
+    """A (n_frames, n_channels, height, width) array of finite reals, never writable.
 
-    The buffer is copied on construction and marked read-only.
+    A read-only float array that owns its memory is kept uncopied; anything
+    else, such as a writable array or a view, is copied and the copy marked read-only.
     """
 
     data: np.ndarray
@@ -59,8 +60,9 @@ class LatentVideo:
             raise DimMismatch(f"invalid latent dims {arr.shape}: need >=2 frames and positive dims")
         if not np.all(np.isfinite(arr)):
             raise NonFinite("latent video contains NaN or Inf")
-        arr = np.array(arr, copy=True)
-        arr.setflags(write=False)
+        if arr.flags.writeable or not arr.flags.owndata:
+            arr = np.array(arr, copy=True)
+            arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
     @property
@@ -237,6 +239,7 @@ def load_tensor(path) -> LatentVideo:
     arr = read_array(path)
     if arr.ndim != 4:
         raise DimMismatch(f"{path}: latent video file must be 4-D, got {arr.shape}")
+    arr.setflags(write=False)  # a fresh array: LatentVideo keeps it uncopied
     return LatentVideo(arr)
 
 

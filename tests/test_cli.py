@@ -23,7 +23,7 @@ from momix.synth import render_scene
 from momix.guidance import MAX_INNER_STEPS, GuidanceConfig
 from momix.pipeline import read_extract_index
 from momix.synth import BlobSpec, SceneSpec, save_scene, scene_to_json
-from momix.tensors import LatentVideo, load_manifest, load_tensor, save_tensor
+from momix.tensors import load_manifest, load_tensor, save_tensor
 
 
 def demo_scene(n=6):
@@ -188,53 +188,54 @@ def test_synth_deterministic(tmp_path):
 
 def test_invert_zero_noise_closed_form(scene_dir, tmp_path):
     traj = tmp_path / "traj"
-    rc = main(["invert", str(scene_dir / "manifest.json"), str(traj),
+    rc = main(["invert", str(scene_dir / "manifest.json"), str(traj), str(tmp_path / "desc"),
                "--steps", "6", "--zero-noise"])
     assert rc == 0
     index = json.loads((traj / "index.json").read_text())
-    assert len(index["files"]) == 7
+    assert sorted(index) == ["alpha_bar", "n_steps"]
     z0 = load_tensor(scene_dir / "latents_t0.cmt")
-    ab = index["alpha_bar"]
-    for t in (2, 6):
-        zt = load_tensor(traj / index["files"][str(t)])
-        want = np.sqrt(ab[t]) * z0.data
-        assert np.max(np.abs(zt.data - want)) < 1e-6
+    zT = load_tensor(traj / "t006.cmt")
+    want = np.sqrt(index["alpha_bar"][6]) * z0.data
+    assert np.max(np.abs(zT.data - want)) < 1e-6
 
 
 @pytest.mark.parametrize("flags", [["--bandwidth", "-5"], ["--atlas", "/nonexistent.cmt"]],
                          ids=["bandwidth", "atlas"])
 def test_invert_zero_noise_rejects_the_atlas_flags(scene_dir, tmp_path, capsys, flags):
     # each used to exit 0 with the flag never read
-    traj = tmp_path / "traj"
-    rc = main(["invert", str(scene_dir / "manifest.json"), str(traj), "--steps", "2",
+    traj, desc = tmp_path / "traj", tmp_path / "desc"
+    rc = main(["invert", str(scene_dir / "manifest.json"), str(traj), str(desc), "--steps", "2",
                "--zero-noise", *flags])
     assert rc == 2
     assert "--zero-noise takes no --atlas or --bandwidth" in capsys.readouterr().err
-    assert not traj.exists()
+    assert not traj.exists() and not desc.exists()
 
 
 def test_invert_default_run(scene_dir, tmp_path):
-    traj = tmp_path / "traj"
-    rc = main(["invert", str(scene_dir / "manifest.json"), str(traj), "--steps", "20"])
+    # the trajectory archive keeps z_T alone; the descriptors cover every timestep
+    traj, desc = tmp_path / "traj", tmp_path / "desc"
+    rc = main(["invert", str(scene_dir / "manifest.json"), str(traj), str(desc), "--steps", "20"])
     assert rc == 0
-    assert len(list(traj.glob("t*.cmt"))) == 21
+    assert sorted(p.name for p in traj.iterdir()) == ["index.json", "t020.cmt"]
+    assert read_extract_index(desc).n_steps == 20
+    assert sorted(p.name for p in desc.glob("t*")) == [f"t{t:03d}" for t in range(21)]
 
 
 def test_invert_zero_steps(scene_dir, tmp_path):
-    traj = tmp_path / "traj"
-    rc = main(["invert", str(scene_dir / "manifest.json"), str(traj),
+    traj, desc = tmp_path / "traj", tmp_path / "desc"
+    rc = main(["invert", str(scene_dir / "manifest.json"), str(traj), str(desc),
                "--steps", "0", "--zero-noise"])
     assert rc == 0
-    assert len(list(traj.glob("t*.cmt"))) == 1
+    assert sorted(p.name for p in traj.iterdir()) == ["index.json", "t000.cmt"]
+    assert read_extract_index(desc).n_steps == 0
 
 
 @pytest.fixture()
 def pipeline_dirs(scene_dir, tmp_path):
     traj = tmp_path / "traj"
     desc = tmp_path / "desc"
-    assert main(["invert", str(scene_dir / "manifest.json"), str(traj),
+    assert main(["invert", str(scene_dir / "manifest.json"), str(traj), str(desc),
                  "--steps", "8", "--zero-noise"]) == 0
-    assert main(["extract", str(traj), str(scene_dir / "manifest.json"), str(desc)]) == 0
     return scene_dir, traj, desc
 
 
@@ -258,9 +259,8 @@ def test_extract_single_subject_two_sources(tmp_path):
     traj = tmp_path / "traj"
     desc = tmp_path / "desc"
     assert main(["synth", str(spec_path), str(scene)]) == 0
-    assert main(["invert", str(scene / "manifest.json"), str(traj),
+    assert main(["invert", str(scene / "manifest.json"), str(traj), str(desc),
                  "--steps", "4", "--zero-noise"]) == 0
-    assert main(["extract", str(traj), str(scene / "manifest.json"), str(desc)]) == 0
     index = json.loads((desc / "extract_index.json").read_text())
     assert index["sources"] == ["background", "solo"]
 
@@ -281,11 +281,19 @@ def test_extract_masked_out_subject_skipped(tmp_path, caplog):
     traj = tmp_path / "traj"
     desc = tmp_path / "desc"
     assert main(["synth", str(spec_path), str(scene)]) == 0
-    assert main(["invert", str(scene / "manifest.json"), str(traj),
+    assert main(["invert", str(scene / "manifest.json"), str(traj), str(desc),
                  "--steps", "3", "--zero-noise"]) == 0
-    assert main(["extract", str(traj), str(scene / "manifest.json"), str(desc)]) == 0
     index = json.loads((desc / "extract_index.json").read_text())
     assert "ghost" not in index["sources"]
+
+
+def test_extract_of_no_latents_writes_no_index(pipeline_dirs):
+    # extraction takes any stream of latents; one of none is no archive
+    scene, _, desc = pipeline_dirs
+    with pytest.raises(BadValue, match="no latents"):
+        pl.run_extract(iter(()), load_manifest(scene / "manifest.json"), desc,
+                       manifest_path="../scene/manifest.json")
+    assert not (desc / "extract_index.json").exists()
 
 
 def test_extract_warns_once_per_source_without_pairs(tmp_path, caplog):
@@ -293,13 +301,12 @@ def test_extract_warns_once_per_source_without_pairs(tmp_path, caplog):
     _save_scene_hiding_b(tmp_path / "s.json")
     scene, traj, desc = tmp_path / "scene", tmp_path / "traj", tmp_path / "desc"
     assert main(["synth", str(tmp_path / "s.json"), str(scene)]) == 0
-    assert main(["invert", str(scene / "manifest.json"), str(traj), "--steps", "4",
-                 "--zero-noise"]) == 0
     messages = ("skipping source 'B': no valid frame pairs", "background has no valid frame pairs")
     for extract in (
-        lambda: main(["extract", str(traj), str(scene / "manifest.json"), str(desc)]),
+        lambda: main(["invert", str(scene / "manifest.json"), str(traj), str(desc), "--steps",
+                      "4", "--zero-noise"]),
         # a direct call compiles its own regions, and warns for them
-        lambda: features.extract_descriptors(load_tensor(traj / "t000.cmt"),
+        lambda: features.extract_descriptors(load_tensor(traj / "t004.cmt"),
                                              load_manifest(scene / "manifest.json").load_masks(),
                                              timestep=0, strict=False),
     ):
@@ -371,9 +378,8 @@ def test_recompose_plan_naming_a_hidden_subject_writes_nothing(tmp_path, capsys)
     _save_scene_hiding_b(tmp_path / "s.json")
     scene, traj, desc, run = (tmp_path / d for d in ("scene", "traj", "desc", "run"))
     assert main(["synth", str(tmp_path / "s.json"), str(scene)]) == 0
-    assert main(["invert", str(scene / "manifest.json"), str(traj), "--steps", "2",
+    assert main(["invert", str(scene / "manifest.json"), str(traj), str(desc), "--steps", "2",
                  "--zero-noise"]) == 0
-    assert main(["extract", str(traj), str(scene / "manifest.json"), str(desc)]) == 0
     rc = main(["recompose", str(desc), str(traj), str(run), "--atlas",
                str(scene / "latents_t0.cmt"),
                *_plan_args(tmp_path, {"subjects": {"B": {"op": "remove"}}})])
@@ -413,16 +419,6 @@ def test_recompose_missing_desc_dir(pipeline_dirs, tmp_path, capsys):
     ])
     assert rc == 2
     assert "cannot read" in capsys.readouterr().err
-
-
-def test_extract_trajectory_index_without_alpha_bar(pipeline_dirs, tmp_path, capsys):
-    scene, traj, _ = pipeline_dirs
-    index = json.loads((traj / "index.json").read_text())
-    del index["alpha_bar"]
-    (traj / "index.json").write_text(json.dumps(index))
-    rc = main(["extract", str(traj), str(scene / "manifest.json"), str(tmp_path / "d2")])
-    assert rc == 2
-    assert "alpha_bar" in capsys.readouterr().err
 
 
 def test_stray_descriptor_is_not_loaded(pipeline_dirs):
@@ -547,9 +543,9 @@ def test_pipeline_bad_config(tmp_path, capsys):
 def test_extract_has_no_legacy_region_flag(pipeline_dirs, tmp_path, capsys):
     # the refined regions are the only ones a stage archives; the legacy ones
     # remain a library keyword
-    scene, traj, _ = pipeline_dirs
+    scene, _, _ = pipeline_dirs
     with pytest.raises(SystemExit) as exit_:
-        main(["extract", str(traj), str(scene / "manifest.json"), str(tmp_path / "d"),
+        main(["invert", str(scene / "manifest.json"), str(tmp_path / "t"), str(tmp_path / "d"),
               "--legacy-region"])
     assert exit_.value.code == 2
     assert "unrecognized arguments: --legacy-region" in capsys.readouterr().err
@@ -681,7 +677,8 @@ def test_recompose_reads_only_the_guidance_window(pipeline_dirs, tmp_path, monke
 
 
 def test_recompose_reads_only_the_terminal_latents(pipeline_dirs, tmp_path):
-    # sampling starts from z_T, so a damaged t000 does not reach it
+    # sampling starts from z_T, so a damaged t000, such as an archive that
+    # stored every latent leaves behind, does not reach it
     scene, traj, desc = pipeline_dirs
     assert _recompose(desc, traj, scene, tmp_path / "before") == 0
     (traj / "t000.cmt").write_bytes(b"garbage")
@@ -705,16 +702,15 @@ def _edit_index(traj, edit):
     [
         (lambda traj: (traj / "t008.cmt").unlink(), "t008.cmt"),
         (lambda traj: _truncate(traj / "t008.cmt"), "t008.cmt"),
-        (lambda traj: _edit_index(traj, lambda ix: ix["files"].pop("3")), "0..8"),
-        (lambda traj: _edit_index(traj, lambda ix: ix["files"].update({"9": "t008.cmt"})),
-         "0..8"),
-        (lambda traj: _edit_index(traj, lambda ix: ix["files"].update({"8": "t007.cmt"})),
-         "0..8"),
+        # the index of an archive that stored every latent
+        (lambda traj: _edit_index(traj, lambda ix: ix.update(
+            {"files": {str(t): f"t{t:03d}.cmt" for t in range(9)}})), "keys ['files']"),
         (lambda traj: _edit_index(traj, lambda ix: ix.update({"n_steps": 8.9})),
          "n_steps must be a JSON integer"),
+        (lambda traj: _edit_index(traj, lambda ix: ix.pop("alpha_bar")), "missing alpha_bar"),
     ],
-    ids=["terminal-missing", "terminal-truncated", "files-short", "files-extra",
-         "files-renamed", "n_steps-float"],
+    ids=["terminal-missing", "terminal-truncated", "files-extra", "n_steps-float",
+         "alpha_bar-missing"],
 )
 def test_recompose_damaged_trajectory_is_a_usage_error(
     pipeline_dirs, tmp_path, capsys, damage, message
@@ -949,6 +945,7 @@ def test_recompose_weight_for_unknown_source_writes_nothing(pipeline_dirs, tmp_p
     assert not (tmp_path / "r").exists()
 
 
+# "invert" blocks the trajectory archive, "extract" the descriptor archive invert writes
 @pytest.mark.parametrize("stage, blocked", [
     ("synth", "out"), ("synth-images", "out/frames"), ("invert", "out"), ("extract", "out"),
     ("extract", "out/t003"), ("recompose", "out"), ("pipeline", "out"),
@@ -968,8 +965,8 @@ def test_a_file_where_an_output_directory_belongs_is_a_usage_error(
     argv = {
         "synth": ["synth", str(tmp_path / "scene.json"), str(out)],
         "synth-images": ["synth", str(tmp_path / "scene.json"), str(out), "--images"],
-        "invert": ["invert", manifest, str(out), "--steps", "2"],
-        "extract": ["extract", str(traj), manifest, str(out)],
+        "invert": ["invert", manifest, str(out), str(tmp_path / "d"), "--steps", "2"],
+        "extract": ["invert", manifest, str(tmp_path / "t"), str(out), "--steps", "4"],
         "recompose": ["recompose", str(desc), str(traj), str(out),
                       "--atlas", str(scene / "latents_t0.cmt")],
         "pipeline": ["pipeline", str(cfg)],
@@ -1195,9 +1192,8 @@ def test_recompose_archive_of_another_schedule_is_a_usage_error(pipeline_dirs, t
     # descriptors of a 6-step inversion used to guide sampling on an 8-step schedule
     scene, traj, _ = pipeline_dirs
     traj6, desc6 = tmp_path / "traj6", tmp_path / "desc6"
-    assert main(["invert", str(scene / "manifest.json"), str(traj6),
+    assert main(["invert", str(scene / "manifest.json"), str(traj6), str(desc6),
                  "--steps", "6", "--zero-noise"]) == 0
-    assert main(["extract", str(traj6), str(scene / "manifest.json"), str(desc6)]) == 0
     assert _recompose(desc6, traj, scene, tmp_path / "r") == 2
     assert "descriptors span timesteps 0..6, the trajectory 0..8" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
@@ -1214,7 +1210,8 @@ def test_invert_mistyped_manifest_is_a_usage_error(scene_dir, tmp_path, capsys, 
     # "6" and 24.7 used to be read as 6 and 24 (exit 0), and no t=0 latents
     # ended in a KeyError traceback (exit 1)
     _edit_json(scene_dir / "manifest.json", lambda doc: doc.update(patch))
-    rc = main(["invert", str(scene_dir / "manifest.json"), str(tmp_path / "t"), "--steps", "2"])
+    rc = main(["invert", str(scene_dir / "manifest.json"), str(tmp_path / "t"),
+               str(tmp_path / "d"), "--steps", "2"])
     assert rc == 2
     assert message in capsys.readouterr().err
 
@@ -1253,15 +1250,16 @@ def test_recompose_non_finite_values_are_usage_errors(pipeline_dirs, tmp_path, c
 @pytest.mark.parametrize("steps", ["-1", "100000000000"])
 def test_invert_step_count_out_of_range_is_a_usage_error(scene_dir, tmp_path, capsys, steps):
     # the huge count used to end in a MemoryError traceback (exit 1)
-    rc = main(["invert", str(scene_dir / "manifest.json"), str(tmp_path / "t"), "--steps", steps])
+    rc = main(["invert", str(scene_dir / "manifest.json"), str(tmp_path / "t"),
+               str(tmp_path / "d"), "--steps", steps])
     assert rc == 2
     assert f"n_steps must be in 0..10000, got {steps}" in capsys.readouterr().err
-    assert not (tmp_path / "t").exists()
+    assert not (tmp_path / "t").exists() and not (tmp_path / "d").exists()
 
 
 def test_invert_infinite_bandwidth_is_a_usage_error(scene_dir, tmp_path, capsys):
     rc = main(["invert", str(scene_dir / "manifest.json"), str(tmp_path / "t"),
-               "--steps", "2", "--bandwidth", "inf"])
+               str(tmp_path / "d"), "--steps", "2", "--bandwidth", "inf"])
     assert rc == 2
     assert "bandwidth must be finite" in capsys.readouterr().err
 
@@ -1278,13 +1276,13 @@ def test_invert_atlas_of_another_geometry_is_a_usage_error(scene_dir, tmp_path, 
     # header is checked before the first member is loaded
     good, wide = str(scene_dir / "latents_t0.cmt"), str(_wide_scene_latents(tmp_path))
     for position, atlas in enumerate(([wide], [good, wide])):
-        traj = tmp_path / f"traj{position}"
-        rc = main(["invert", str(scene_dir / "manifest.json"), str(traj), "--steps", "2",
-                   "--atlas", *atlas])
+        traj, desc = tmp_path / f"traj{position}", tmp_path / f"desc{position}"
+        rc = main(["invert", str(scene_dir / "manifest.json"), str(traj), str(desc),
+                   "--steps", "2", "--atlas", *atlas])
         assert rc == 2
         assert (f"atlas member {position} has shape (6, 3, 28, 28), the latents (6, 3, 24, 24)"
                 in capsys.readouterr().err)
-        assert not traj.exists()
+        assert not traj.exists() and not desc.exists()
 
 
 def test_recompose_atlas_of_another_geometry_is_a_usage_error(pipeline_dirs, tmp_path, capsys):
@@ -1325,26 +1323,31 @@ class _NanFrom:
         return (np.nan if t >= self.t else 0.0), ()
 
 
-def test_invert_rerun_that_fails_leaves_no_index(scene_dir, tmp_path, monkeypatch, capsys):
-    # the rerun streams its latents over the old ones; without the old index
-    # extract cannot read that mix as one trajectory
-    manifest, traj = str(scene_dir / "manifest.json"), tmp_path / "traj"
-    assert main(["invert", manifest, str(traj), "--steps", "8"]) == 0
+def test_invert_rerun_that_fails_leaves_no_index(pipeline_dirs, tmp_path, monkeypatch, capsys):
+    # the rerun has removed the old trajectory index when t=3 fails, and never
+    # writes z_T or a new one; recompose must not sample from the old z_T
+    scene, traj, desc = pipeline_dirs
+    zT = (traj / "t008.cmt").read_bytes()
     monkeypatch.setattr(pl, "build_denoiser", lambda *args, **kwargs: _NanFrom(3))
-    assert main(["invert", manifest, str(traj), "--steps", "8"]) == 3
+    assert main(["invert", str(scene / "manifest.json"), str(traj), str(tmp_path / "d2"),
+                 "--steps", "8"]) == 3
     assert "non-finite values at t=3" in capsys.readouterr().err
     assert not (traj / "index.json").exists()
-    assert main(["extract", str(traj), manifest, str(tmp_path / "desc")]) == 2
+    assert (traj / "t008.cmt").read_bytes() == zT
+    assert _recompose(desc, traj, scene, tmp_path / "r") == 2
     assert "index.json" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
-def test_extract_rerun_over_a_damaged_trajectory_leaves_no_index(pipeline_dirs, tmp_path, capsys):
-    # the rerun has rewritten t000..t004 when t005 fails; recompose must not
-    # read them under the old index
+def test_extract_rerun_over_a_damaged_trajectory_leaves_no_index(pipeline_dirs, tmp_path,
+                                                                 monkeypatch, capsys):
+    # the rerun has rewritten t000..t002 when the inversion turns non-finite at
+    # t=3; recompose must not read them under the old index
     scene, traj, desc = pipeline_dirs
-    (traj / "t005.cmt").write_bytes(b"garbage")
-    assert main(["extract", str(traj), str(scene / "manifest.json"), str(desc)]) == 2
-    assert "t005.cmt" in capsys.readouterr().err
+    monkeypatch.setattr(pl, "build_denoiser", lambda *args, **kwargs: _NanFrom(3))
+    assert main(["invert", str(scene / "manifest.json"), str(tmp_path / "t2"), str(desc),
+                 "--steps", "8"]) == 3
+    assert "non-finite values at t=3" in capsys.readouterr().err
     assert not (desc / "extract_index.json").exists()
     assert _recompose(desc, traj, scene, tmp_path / "r") == 2
     assert "extract_index.json" in capsys.readouterr().err
@@ -1386,24 +1389,12 @@ def _rename_mask(old, new):
 def test_extract_damaged_scene_is_a_usage_error(pipeline_dirs, tmp_path, capsys, damage, message):
     # a bad mask id used to fail after the output directory was made, or its
     # first descriptors written
-    scene, traj, _ = pipeline_dirs
+    scene, _, _ = pipeline_dirs
     damage(scene)
-    out = tmp_path / "d2"
-    assert main(["extract", str(traj), str(scene / "manifest.json"), str(out)]) == 2
+    traj, out = tmp_path / "t2", tmp_path / "d2"
+    assert main(["invert", str(scene / "manifest.json"), str(traj), str(out), "--steps", "2"]) == 2
     assert message in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_extract_rejects_a_timestep_of_another_shape(pipeline_dirs, capsys):
-    # used to exit 0, leaving recompose to fail one stage later on the channel count
-    scene, traj, desc = pipeline_dirs
-    t5 = load_tensor(traj / "t005.cmt")
-    save_tensor(LatentVideo(t5.data[:, :2]), traj / "t005.cmt")
-    written = tree_digest(desc / "t005")
-    assert main(["extract", str(traj), str(scene / "manifest.json"), str(desc)]) == 2
-    assert "latents (6, 2, 24, 24) differ from t=0's (6, 3, 24, 24)" in capsys.readouterr().err
-    assert tree_digest(desc / "t005") == written
-    assert not (desc / "extract_index.json").exists()
+    assert not traj.exists() and not out.exists()
 
 
 def test_pipeline_tree_does_not_depend_on_blas_threads(tmp_path):
@@ -1439,18 +1430,18 @@ _UNKNOWN_KEYS = {
 }
 
 
+# "invert" makes no trajectory archive, "extract" no descriptor archive
 @pytest.mark.parametrize("damage, stage", [
     ("manifest-extra", "invert"), ("manifest-extra", "extract"),
     ("manifest-extra", "recompose"), ("manifest-extra", "metrics"),
     ("manifest-mask", "invert"), ("manifest-mask", "extract"),
     ("manifest-mask", "recompose"), ("manifest-mask", "metrics"),
-    ("index-extra", "extract"), ("index-extra", "recompose"),
-    ("descriptor-extra", "recompose"),
+    ("index-extra", "recompose"), ("descriptor-extra", "recompose"),
 ])
 def test_a_key_its_writer_never_writes_is_a_usage_error(pipeline_dirs, tmp_path, capsys,
                                                         damage, stage):
     # each used to be ignored: a manifest with "mask" for "masks" had no
-    # subjects, so extract archived only the background and exited 0
+    # subjects, so extraction archived only the background and exited 0
     scene, traj, desc = pipeline_dirs
     run = tmp_path / "run"
     run.mkdir()
@@ -1459,8 +1450,10 @@ def test_a_key_its_writer_never_writes_is_a_usage_error(pipeline_dirs, tmp_path,
     _edit_json(tmp_path / path, edit)
     out = tmp_path / "out"
     argv = {
-        "invert": ["invert", str(scene / "manifest.json"), str(out), "--steps", "2"],
-        "extract": ["extract", str(traj), str(scene / "manifest.json"), str(out)],
+        "invert": ["invert", str(scene / "manifest.json"), str(out), str(tmp_path / "d"),
+                   "--steps", "2"],
+        "extract": ["invert", str(scene / "manifest.json"), str(tmp_path / "t"), str(out),
+                    "--steps", "2"],
         "recompose": ["recompose", str(desc), str(traj), str(out),
                       "--atlas", str(scene / "latents_t0.cmt"),
                       *_guidance_args(tmp_path, _ONE_STEP)],
@@ -1483,20 +1476,26 @@ def two_channel_scene(tmp_path):
 
 @pytest.mark.parametrize("stage, message", [
     ("metrics", "output latents (6, 3, 24, 24) differ from the scene's (6, 2, 24, 24)"),
-    ("extract", "latents (6, 3, 24, 24) differ from the manifest's (6, 2, 24, 24)"),
-], ids=["metrics", "extract"])
+    ("recompose", "z_T (6, 3, 24, 24) is not the manifest's (6, 2, 24, 24)"),
+], ids=["metrics", "recompose"])
 def test_latents_of_another_channel_count_are_a_usage_error(pipeline_dirs, two_channel_scene,
                                                             tmp_path, capsys, stage, message):
-    # metrics used to end in a ValueError traceback (exit 1), and extract of
-    # a 3-channel trajectory over a 2-channel manifest exited 0
+    # metrics used to end in a ValueError traceback (exit 1); recompose reads
+    # the z_T header before any latent, and checks it against the manifest of
+    # the descriptor archive it is given, here a 2-channel scene's
     scene, traj, _ = pipeline_dirs
     scene2 = two_channel_scene
     run, out = tmp_path / "run", tmp_path / "out"
     run.mkdir()
     (run / "output.cmt").write_bytes((scene / "latents_t0.cmt").read_bytes())
+    desc2 = tmp_path / "desc2"
+    if stage == "recompose":
+        assert main(["invert", str(scene2 / "manifest.json"), str(tmp_path / "traj2"),
+                     str(desc2), "--steps", "8", "--zero-noise"]) == 0
     argv = {
         "metrics": ["metrics", str(run), str(scene2)],
-        "extract": ["extract", str(traj), str(scene2 / "manifest.json"), str(out)],
+        "recompose": ["recompose", str(desc2), str(traj), str(out),
+                      "--atlas", str(scene2 / "latents_t0.cmt")],
     }[stage]
     assert main(argv) == 2
     assert message in capsys.readouterr().err

@@ -100,21 +100,35 @@ def test_extract_index_carries_every_key(tmp_path):
         tmp_path, 2, ["A", "background"], manifest="../scene/manifest.json")
 
 
-def _spy(monkeypatch, owner, names, calls=None) -> dict:
-    """Wrap each callable ``owner.<name>``; ``calls`` maps each name to its last (args, kwargs)."""
+def _spy(monkeypatch, owner, names, calls=None, events=None) -> dict:
+    """Wrap each callable ``owner.<name>``; ``calls`` maps each name to its last (args, kwargs).
+
+    ``events``, if given, gets ``("enter", name)`` and ``("exit", name)`` around each call.
+    """
     calls = {} if calls is None else calls
+    events = [] if events is None else events
     for name in names:
         def spy(*args, _stage=getattr(owner, name), _name=name, **kwargs):
             calls[_name] = (args, kwargs)
-            return _stage(*args, **kwargs)
+            events.append(("enter", _name))
+            try:
+                return _stage(*args, **kwargs)
+            finally:
+                events.append(("exit", _name))
 
         monkeypatch.setattr(owner, name, spy)
     return calls
 
 
+STAGES = ("run_synth", "run_atlas", "run_invert", "run_extract", "run_recompose", "run_metrics")
+
+
 def test_pipeline_hands_every_config_value_to_its_stage(tmp_path, monkeypatch):
-    calls = _spy(monkeypatch, pl, ("run_synth", "run_atlas", "run_invert", "run_extract",
-                                   "run_recompose", "run_metrics"))
+    # the benchmark's pipeline.coverage sums the stage spans, so a stage entered
+    # inside another would count its time twice: each stage returns before the
+    # next is entered, run_invert handing run_extract a stream it has not started
+    events = []
+    calls = _spy(monkeypatch, pl, STAGES, events=events)
     member = _scene(texture_seed=11)
     save_scene(member, tmp_path / "member.json")
     config = {  # every top-level key, none at its default
@@ -134,6 +148,7 @@ def test_pipeline_hands_every_config_value_to_its_stage(tmp_path, monkeypatch):
     }
     pl.run_pipeline(config)
     assert (tmp_path / "out" / "metrics.json").exists()
+    assert events == [(step, name) for name in STAGES for step in ("enter", "exit")]
     assert calls["run_synth"][0][0] == _scene()
     (_, members, schedule, _), atlas_kwargs = calls["run_atlas"]
     assert members == [member]
@@ -165,12 +180,11 @@ def test_cli_hands_each_stage_every_flag_given(tmp_path, monkeypatch):
     calls = _spy_cli_stages(monkeypatch)
     scene, _ = _cli_scene(tmp_path)
     traj, desc, run = tmp_path / "traj", tmp_path / "desc", tmp_path / "run"
-    assert main(["invert", str(scene / "manifest.json"), str(traj), "--steps", "6",
+    assert main(["invert", str(scene / "manifest.json"), str(traj), str(desc), "--steps", "6",
                  "--power", "1.5", "--floor", "1e-3", "--bandwidth", "0.8"]) == 0
     want = NoiseSchedule.default(n_steps=6, power=1.5, floor=1e-3)
     assert np.array_equal(calls["run_invert"][0][1].alpha_bar, want.alpha_bar)
     assert calls["build_denoiser"][1] == {"bandwidth": 0.8}
-    assert main(["extract", str(traj), str(scene / "manifest.json"), str(desc)]) == 0
     write_json(tmp_path / "plan.json", PLAN)
     write_json(tmp_path / "guidance.json", GUIDANCE)
     assert main(["recompose", str(desc), str(traj), str(run), "--atlas",
@@ -196,12 +210,14 @@ def test_cli_without_flags_writes_what_the_library_defaults_write(tmp_path, monk
     scene, manifest = _cli_scene(tmp_path)
     atlas = pl.load_atlas([manifest.latent_path("0")], manifest.latent_shape)
     traj, desc = tmp_path / "traj", tmp_path / "desc"
-    assert main(["invert", str(scene / "manifest.json"), str(traj)]) == 0
+    assert main(["invert", str(scene / "manifest.json"), str(traj), str(desc)]) == 0
     assert calls["build_denoiser"][1] == {}
     default = NoiseSchedule.default()
-    pl.run_invert(manifest, default, GaussianAtlasDenoiser(atlas, default), tmp_path / "lib_traj")
+    stream = pl.run_invert(manifest, default, GaussianAtlasDenoiser(atlas, default),
+                           tmp_path / "lib_traj")
+    pl.run_extract(stream, manifest, tmp_path / "lib_desc", manifest_path="../scene/manifest.json")
     assert tree_digest(traj) == tree_digest(tmp_path / "lib_traj")
-    assert main(["extract", str(traj), str(scene / "manifest.json"), str(desc)]) == 0
+    assert tree_digest(desc) == tree_digest(tmp_path / "lib_desc")
 
     run, lib_run = tmp_path / "run", tmp_path / "lib_run"
     assert main(["recompose", str(desc), str(traj), str(run), "--atlas",

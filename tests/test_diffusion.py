@@ -9,6 +9,7 @@ import pytest
 
 import momix
 from momix import diffusion
+from momix import pipeline as pl
 from momix.diffusion import (
     GaussianAtlasDenoiser,
     NoiseSchedule,
@@ -20,7 +21,6 @@ from momix.diffusion import (
     ddim_sample,
     make_initial_noise,
     read_trajectory_index,
-    save_trajectory,
     trajectory_path,
 )
 from momix.errors import BadValue, DimMismatch, NonFinite
@@ -33,7 +33,7 @@ from momix.features import (
 )
 from momix.guidance import GuidanceConfig, GuidanceTarget
 from momix.synth import BlobSpec, SceneSpec, render_scene
-from momix.tensors import LatentVideo, load_tensor
+from momix.tensors import LatentVideo, SceneManifest, load_tensor, save_tensor
 
 
 def test_schedule_invariants():
@@ -793,18 +793,25 @@ def test_fresh_noise_statistics():
     assert abs(z.std() - 1.0) <= 0.02
 
 
-def test_trajectory_archive_round_trip(tmp_path):
-    z0 = _latents(seed=3, shape=(2, 1, 6, 6))
-    sched = NoiseSchedule.default(n_steps=4)
-    traj = ddim_invert(z0, sched, ZeroDenoiser())
-    save_trajectory(traj, sched, tmp_path / "traj")
-    sched2 = read_trajectory_index(tmp_path / "traj")
-    assert sched2.n_steps == 4
-    assert np.allclose(sched2.alpha_bar, sched.alpha_bar)
-    for t, a in enumerate(traj):
-        b = load_tensor(trajectory_path(tmp_path / "traj", t))
-        assert np.array_equal(b.data, a.data.astype(np.float32))
+def _scene_of(z0: LatentVideo, scene_dir) -> SceneManifest:
+    """A scene on disk that holds ``z0`` (as float32) and no masks."""
+    scene_dir.mkdir()
+    save_tensor(z0, scene_dir / "latents_t0.cmt")
+    return SceneManifest(*z0.shape, latents={"0": "latents_t0.cmt"}, root=scene_dir)
 
+
+def test_trajectory_archive_round_trip(tmp_path):
+    # run_invert yields the whole trajectory and archives z_T alone
+    manifest = _scene_of(_latents(seed=3, shape=(2, 1, 6, 6)), tmp_path / "scene")
+    sched = NoiseSchedule.default(n_steps=4)
+    traj = [z.copy() for z in pl.run_invert(manifest, sched, ZeroDenoiser(), tmp_path / "traj")]
+    want = ddim_invert(manifest.load_latent("0"), sched, ZeroDenoiser())
+    assert [z.tobytes() for z in traj] == [lat.data.tobytes() for lat in want]
+    assert sorted(p.name for p in (tmp_path / "traj").iterdir()) == ["index.json", "t004.cmt"]
+    sched2 = read_trajectory_index(tmp_path / "traj")
+    assert np.array_equal(sched2.alpha_bar, sched.alpha_bar)
+    zT = load_tensor(trajectory_path(tmp_path / "traj", 4))
+    assert np.array_equal(zT.data, traj[-1].astype(np.float32))
 
 
 @pytest.mark.parametrize(
@@ -812,14 +819,15 @@ def test_trajectory_archive_round_trip(tmp_path):
     [
         lambda ix: ix.update(n_steps=2),  # fewer steps than alpha_bar holds
         lambda ix: ix.update(n_steps=5),  # more steps than alpha_bar holds
-        lambda ix: ix["files"].pop("3"),  # a timestep without a file
-        lambda ix: ix["files"].update({"9": "t004.cmt"}),  # a file for no timestep
+        lambda ix: ix.update(files={"4": "t004.cmt"}),  # the map of an archive of every latent
+        lambda ix: ix["alpha_bar"].reverse(),  # a schedule that does not start at 1
     ],
 )
 def test_trajectory_index_must_agree_with_itself(tmp_path, edit):
-    z0 = _latents(seed=3, shape=(2, 1, 6, 6))
+    manifest = _scene_of(_latents(seed=3, shape=(2, 1, 6, 6)), tmp_path / "scene")
     sched = NoiseSchedule.default(n_steps=4)
-    save_trajectory(ddim_invert(z0, sched, ZeroDenoiser()), sched, tmp_path)
+    for _ in pl.run_invert(manifest, sched, ZeroDenoiser(), tmp_path):
+        pass
     index = json.loads((tmp_path / "index.json").read_text())
     edit(index)
     (tmp_path / "index.json").write_text(json.dumps(index))
@@ -828,27 +836,35 @@ def test_trajectory_index_must_agree_with_itself(tmp_path, edit):
 
 
 def test_invert_steps_yield_the_trajectory_read_only():
+    # one read-only view of the generator's one buffer, at every step; ddim_invert
+    # keeps a copy of each, and its copies equal a fresh run's
     z0, _ = _atlas_pair()
     sched = NoiseSchedule.default(n_steps=5)
     den = GaussianAtlasDenoiser(list(_atlas_pair()), sched)
-    steps = list(ddim_invert_steps(z0, sched, den))
-    assert not any(z.flags.writeable for z in steps)
-    assert [z.tobytes() for z in steps] == [
-        lat.data.tobytes() for lat in ddim_invert(z0, sched, den)
-    ]
+    views, seen = [], []
+    for z in ddim_invert_steps(z0, sched, den):
+        assert not z.flags.writeable and not z.flags.owndata
+        views.append(z)
+        seen.append(z.tobytes())
+    assert all(z is views[0] for z in views)
+    assert len(set(seen)) == len(seen)
+    trajectory = ddim_invert(z0, sched, den)
+    assert [lat.data.tobytes() for lat in trajectory] == seen
+    assert not any(np.shares_memory(a.data, b.data)
+                   for k, a in enumerate(trajectory) for b in trajectory[k + 1:])
+    assert [lat.data.tobytes() for lat in ddim_invert(z0, sched, den)] == seen
 
 
-@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
-def test_save_trajectory_of_the_wrong_length_writes_no_index(tmp_path, extra):
-    # a rewrite removes the old index first, and writes none for a wrong count
-    z0 = _latents(seed=3, shape=(2, 1, 6, 6))
-    sched = NoiseSchedule.default(n_steps=4)
-    save_trajectory(ddim_invert(z0, sched, ZeroDenoiser()), sched, tmp_path)
-    steps = ddim_invert_steps(z0, NoiseSchedule.default(n_steps=4 + extra), ZeroDenoiser())
-    with pytest.raises(DimMismatch, match="schedule wants 5"):
-        save_trajectory(steps, sched, tmp_path)
-    assert not (tmp_path / "index.json").exists()
-    assert not (tmp_path / "t005.cmt").exists()
+def test_an_abandoned_invert_stream_leaves_no_index(tmp_path):
+    # a rerun removes the old index before its first latent, and writes z_T and
+    # the new index only once its consumer has taken the last latent
+    manifest = _scene_of(_latents(seed=3, shape=(2, 1, 6, 6)), tmp_path / "scene")
+    for _ in pl.run_invert(manifest, NoiseSchedule.default(n_steps=4), ZeroDenoiser(), tmp_path):
+        pass
+    stream = pl.run_invert(manifest, NoiseSchedule.default(n_steps=5), ZeroDenoiser(), tmp_path)
+    assert len([z for _, z in zip(range(6), stream)]) == 6  # t = 0..5, z_T taken, not stored
+    stream.close()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scene", "t004.cmt"]
 
 
 def test_atlas_denoiser_rejects_latents_of_another_shape():

@@ -36,7 +36,7 @@ ARTIFACTS = sorted(
     JSON_FILES
     + ["scene/latents_t0.cmt", "scene/mask_A.cmm", "scene/mask_B.cmm", "run/output.cmt",
        "run/trace.jsonl"]
-    + [f"traj/t{t:03d}.cmt" for t in range(N_STEPS + 1)]
+    + [f"traj/t{N_STEPS:03d}.cmt"]  # z_T, the one latent the archive keeps
     + [f"desc/t{t:03d}/{sid}.cmt" for t in range(N_STEPS + 1) for sid in SOURCES]
 )
 ONE_STEP = json.dumps({"n_inner_steps": 1})
@@ -63,8 +63,7 @@ def base_run(tmp_path_factory):
     save_scene(demo_scene(), root / "spec.json")
     scene, traj, desc, run = (str(root / d) for d in ("scene", "traj", "desc", "run"))
     assert main(["synth", str(root / "spec.json"), scene]) == 0
-    assert main(["invert", f"{scene}/manifest.json", traj, "--steps", str(N_STEPS)]) == 0
-    assert main(["extract", traj, f"{scene}/manifest.json", desc]) == 0
+    assert main(["invert", f"{scene}/manifest.json", traj, desc, "--steps", str(N_STEPS)]) == 0
     assert main(["recompose", desc, traj, run, "--atlas", f"{scene}/latents_t0.cmt",
                  "--guidance", str(guidance)]) == 0
     assert main(["metrics", run, scene, "--out", str(root / "metrics.json")]) == 0
@@ -121,6 +120,10 @@ def _apply(damage, root: Path) -> None:
 @example(damage=("set", "desc/t000/B.json", 0, 10**20))
 # "mask" for "masks" (the manifest's key 5 in document order): no subjects at all
 @example(damage=("rename", "scene/manifest.json", 5, "mask"))
+# a z_T header of 5 frames, where the manifest has 6, and a trajectory index
+# that names a "files" map, as an archive of every latent did
+@example(damage=("overwrite", "traj/t006.cmt", 8, b"\x05"))
+@example(damage=("rename", "traj/index.json", 0, "files"))
 def test_damaged_artifacts_exit_with_a_documented_code(base_run, damage):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "run"
@@ -135,8 +138,8 @@ def test_damaged_artifacts_exit_with_a_documented_code(base_run, damage):
         soften = Path(tmp) / "soften.json"
         soften.write_text(json.dumps({"subjects": {"A": {"op": "soften", "w_c": 1}}}))
         commands = [
-            ["invert", f"{scene}/manifest.json", f"{out}/traj", "--steps", str(N_STEPS)],
-            ["extract", traj, f"{scene}/manifest.json", f"{out}/desc"],
+            ["invert", f"{scene}/manifest.json", f"{out}/traj", f"{out}/desc", "--steps",
+             str(N_STEPS)],
             recompose,
             recompose + ["--plan", str(soften)],
             ["metrics", run, scene, "--out", f"{out}/metrics.json"],

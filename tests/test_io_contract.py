@@ -12,7 +12,8 @@ directory. The contract names no file format:
   file the stage itself wrote; no stage lists a directory;
 * a stage that guides reads the descriptor archive at exactly the
   timesteps of its guidance window;
-* a run that exits 2 writes, renames, makes and removes nothing.
+* a run that exits 2 writes, renames, makes and removes nothing;
+* an ``invert`` that fails mid-stream (exit 3) leaves no index and no temp file.
 
 What an index lists is ``_listed``'s one piece of layout knowledge.
 """
@@ -36,10 +37,11 @@ N_STEPS = 6
 
 _CHILD = r"""
 import json, os, sys
-work, calls_path, out_path = sys.argv[1:]
+work, calls_path, out_path, setup = sys.argv[1:]
 sys.path = [p for p in sys.path if p not in ("", ".")]  # imports never look in the work dir
 os.chdir(work)
 from momix.cli import main
+exec(setup)
 
 WATCHED = {"open", "os.rename", "os.remove", "os.mkdir", "os.rmdir", "os.listdir",
            "os.scandir", "os.truncate"}
@@ -77,13 +79,17 @@ _WRITE_FLAGS = os.O_WRONLY | os.O_RDWR | os.O_CREAT | os.O_APPEND | os.O_TRUNC
 _TEMP = re.compile(r"\.(?P<name>.+)\.[0-9a-f]{16}\.tmp")
 
 
-def run_calls(work: Path, calls: list[list[str]]) -> list[dict]:
-    """Each argv in ``calls`` through ``main`` in one hooked subprocess, with its events."""
+def run_calls(work: Path, calls: list[list[str]], setup: str = "") -> list[dict]:
+    """Each argv in ``calls`` through ``main`` in one hooked subprocess, with its events.
+
+    ``setup`` is code the subprocess runs before the hook is installed.
+    """
     calls_path, out_path = work.parent / "calls.json", work.parent / "events.json"
     calls_path.write_text(json.dumps(calls))
     env = dict(os.environ, PYTHONPATH=str(Path(momix.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", _CHILD, str(work), str(calls_path),
-                           str(out_path)], env=env, capture_output=True, text=True, timeout=120)
+                           str(out_path), setup], env=env, capture_output=True, text=True,
+                          timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(out_path.read_text())
 
@@ -183,7 +189,8 @@ _USAGE_ERRORS = {
     "wrong-scene-document": ({"wrong-scene.json": {"n_frames": 4, "n_channels": 1, "height": 8,
                                                    "width": 8, "blob": []}},
                              ["synth", "wrong-scene.json", "out/bad"]),
-    "negative-power": ({}, ["invert", "out/scene/manifest.json", "out/bad", "--power", "-1"]),
+    "negative-power": ({}, ["invert", "out/scene/manifest.json", "out/bad", "out/bad/desc",
+                            "--power", "-1"]),
 }
 
 
@@ -198,7 +205,7 @@ def flow(tmp_path_factory):
     files, calls = readme_flow()
     for name, text in files.items():
         (work / name).write_text(text)
-    assert [argv[0] for argv in calls] == ["synth", "invert", "extract", "recompose", "metrics"]
+    assert [argv[0] for argv in calls] == ["synth", "invert", "recompose", "metrics"]
     names = [argv[0] for argv in calls] + list(_USAGE_ERRORS)
     for docs, argv in _USAGE_ERRORS.values():
         for name, doc in docs.items():
@@ -207,7 +214,7 @@ def flow(tmp_path_factory):
     return work, dict(zip(names, run_calls(work, calls)))
 
 
-@pytest.mark.parametrize("stage", ["synth", "invert", "extract", "recompose", "metrics"])
+@pytest.mark.parametrize("stage", ["synth", "invert", "recompose", "metrics"])
 def test_readme_flow_keeps_the_io_contract(flow, stage):
     work, calls = flow
     call = calls[stage]
@@ -243,3 +250,38 @@ def test_a_usage_error_touches_nothing(flow, case):
     changed = [e[:2] for e in call["events"] if e[0] != "open" or _is_write(e[2], e[3])]
     assert changed == []
     assert not (work / "out" / "bad").exists()
+
+
+# every denoiser the CLI builds predicts finite noise up to t = 2, then inf
+_BLOW_UP = """
+import numpy as np
+from momix import pipeline as pl
+
+class BlowUp:
+    def predict_noise(self, z, t):
+        return 0.0, (((1.0, np.full(z.shape, np.inf)),) if t >= 3 else ())
+
+pl.build_denoiser = lambda *args, **kwargs: BlowUp()
+"""
+
+
+def test_an_invert_that_fails_mid_stream_leaves_no_index(tmp_path):
+    # the rerun removes both indexes before its first latent and has written
+    # descriptors for t = 0..3 when the step to t = 4 turns non-finite
+    files, calls = readme_flow()
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "scene.json").write_text(files["scene.json"])
+    synth, invert = calls[:2]
+    assert [call["rc"] for call in run_calls(work, [synth, invert])] == [0, 0]
+    traj, desc = (work / invert[i] for i in (2, 3))
+    assert (traj / "index.json").exists() and (desc / "extract_index.json").exists()
+    [call] = run_calls(work, [invert], setup=_BLOW_UP)
+    assert call["rc"] == 3
+    check_contract(call, work)
+    assert not (traj / "index.json").exists()
+    assert not (desc / "extract_index.json").exists()
+    written = {Path(paths[1]).parent.name for event, paths, *_ in call["events"]
+               if event == "os.rename"}
+    assert written == {f"t{t:03d}" for t in range(4)}
+    assert [p for p in work.rglob("*") if _TEMP.fullmatch(p.name)] == []

@@ -1,9 +1,11 @@
 """Inversion and extraction hold about one latent at a time, whatever n_steps is.
 
 tracemalloc sees numpy's buffers, so its peak over a stage counts the arrays
-the stage keeps alive at once. The budgets are in float64 latents of the
-scene; a stage that held the whole trajectory would need about n_steps + 1
-of them for inversion, and half that for extraction's float32 tensors.
+the stage keeps alive at once; the modules a first run imports are imported
+before it starts, so a test measures the same alone as after others. The
+budgets are in float64 latents of the scene; a stage that held the whole
+trajectory would need about n_steps + 1 of them for inversion, and half that
+for extraction's float32 casts.
 An atlas of K members costs K latents, its denoiser's stack, on top: a
 stage that held the members a second time, as a list beside the stack,
 would need about 2K. The denoiser's noise form reads members in place, so it
@@ -16,6 +18,7 @@ The finite-difference oracle's budget is in perturbation stacks of one
 import tracemalloc
 
 import numpy as np
+import numpy.random  # noqa: F401  a first run would import it, and hashlib with it, when traced
 import pytest
 
 from momix import pipeline as pl
@@ -26,15 +29,18 @@ from momix.synth import BlobSpec, SceneSpec, scene_to_json
 from momix.tensors import LatentVideo, load_manifest
 
 N_STEPS = 30
-# measured 2.97: the latent in hand, the step's output and block buffer, and the file
-# write; holding the float32 z0 as well would take half a latent more
+# measured 3.03 (3.00 with twelve members) for inversion and extraction in one
+# pass: the inversion's buffer and block buffer, the float32 cast extraction
+# reads, the operator, and z_T's write; holding z0 or the cast beside the next
+# step would take half a latent more
 INVERT_BUDGET = 3.25
-EXTRACT_BUDGET = 3  # measured 1.8
+EXTRACT_BUDGET = 3  # measured 2.27 over a stream of fresh latents, the one in hand counted
 ATLAS_BUDGET = 1  # measured 0.63 beside the stack, reading the scene's latents into it
-# measured 4.57 beside a 12-member stack, in recompose: the sampler's latent and
-# block buffer (0.89 of a latent at 73,728 cells), a guided update's new latents,
-# the initial noise and the guidance problem
-PIPELINE_BUDGET = 5
+# measured 3.50 (3.56 as a process's first run) beside a 12-member stack, in
+# recompose: the sampler's latent and block buffer (0.89 of a latent at 73,728
+# cells), a guided update's new latents and the guidance problem; the start
+# latent lives only until the sampler has copied it
+PIPELINE_BUDGET = 4
 ATLAS_VARIANTS = 12  # members rendered besides the scene's own
 
 
@@ -78,23 +84,31 @@ def scene(tmp_path):
     return manifest, latent_bytes
 
 
-def _invert(manifest, out_dir):
-    schedule = NoiseSchedule.default(n_steps=N_STEPS)
-    z0 = manifest.load_latent("0")
-    denoiser = GaussianAtlasDenoiser([z0, z0], schedule)
-    return lambda: pl.run_invert(manifest, schedule, denoiser, out_dir)
+def _invert_and_extract(manifest, schedule, denoiser, out_dir):
+    """The one pass ``momix invert`` makes, writing ``traj`` and ``desc`` under ``out_dir``."""
+    stream = pl.run_invert(manifest, schedule, denoiser, out_dir / "traj")
+    pl.run_extract(stream, manifest, out_dir / "desc", manifest_path="../scene/manifest.json")
 
 
 def test_invert_peak_does_not_grow_with_n_steps(scene, tmp_path):
     manifest, latent_bytes = scene
-    peak = _peak(_invert(manifest, tmp_path / "traj"))
+    schedule = NoiseSchedule.default(n_steps=N_STEPS)
+    z0 = manifest.load_latent("0")
+    denoiser = GaussianAtlasDenoiser([z0, z0], schedule)
+    peak = _peak(_invert_and_extract, manifest, schedule, denoiser, tmp_path)
     assert peak < INVERT_BUDGET * latent_bytes, peak / latent_bytes
+
+
+def _fresh_latents(shape, n):
+    """``n`` float64 latents of ``shape``, each made as it is asked for."""
+    for t in range(n):
+        yield np.random.default_rng(t).standard_normal(shape)
 
 
 def test_extract_peak_does_not_grow_with_n_steps(scene, tmp_path):
     manifest, latent_bytes = scene
-    _invert(manifest, tmp_path / "traj")()
-    peak = _peak(pl.run_extract, tmp_path / "traj", manifest, tmp_path / "desc",
+    stream = _fresh_latents(manifest.latent_shape, N_STEPS + 1)
+    peak = _peak(pl.run_extract, stream, manifest, tmp_path / "desc",
                  manifest_path="../scene/manifest.json")
     assert peak < EXTRACT_BUDGET * latent_bytes, peak / latent_bytes
 
@@ -105,7 +119,7 @@ def test_invert_peak_with_twelve_members(scene, tmp_path):
     schedule = NoiseSchedule.default(n_steps=N_STEPS)
     z0 = manifest.load_latent("0")
     denoiser = GaussianAtlasDenoiser(_noisy_atlas(z0), schedule)
-    peak = _peak(pl.run_invert, manifest, schedule, denoiser, tmp_path / "traj")
+    peak = _peak(_invert_and_extract, manifest, schedule, denoiser, tmp_path)
     assert denoiser.certified_members > 0
     assert peak < INVERT_BUDGET * latent_bytes, peak / latent_bytes
 
@@ -124,7 +138,7 @@ def test_invert_with_atlas_files_holds_one_copy_of_them(scene, tmp_path):
     pl.run_atlas(manifest, _variants(ATLAS_VARIANTS), schedule, tmp_path / "atlas")
     paths = sorted(str(p) for p in (tmp_path / "atlas").glob("member*.cmt"))
     argv = ["invert", str(manifest.root / "manifest.json"), str(tmp_path / "traj"),
-            "--steps", str(N_STEPS), "--atlas", *paths]
+            str(tmp_path / "desc"), "--steps", str(N_STEPS), "--atlas", *paths]
     peak = _peak(main, argv)
     assert len(paths) > 10
     budget = len(paths) + INVERT_BUDGET

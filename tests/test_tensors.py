@@ -45,6 +45,18 @@ def test_latent_is_immutable():
         lv.data[0, 0, 0, 0] = 1.0
 
 
+def test_latent_keeps_a_read_only_array_it_owns_and_copies_anything_else():
+    owned = np.random.default_rng(0).standard_normal((2, 2, 2, 2))
+    owned.setflags(write=False)
+    assert LatentVideo(owned).data is owned
+    writable = owned.copy()
+    view = owned.view()
+    for given in (writable, view, owned[:, :1]):
+        data = LatentVideo(given).data
+        assert not np.shares_memory(data, given) and np.array_equal(data, given)
+        assert data.flags.owndata and not data.flags.writeable
+
+
 def test_zero_tensor_round_trip(tmp_path):
     lv = LatentVideo(np.zeros((2, 1, 2, 2), dtype=np.float32))
     p = tmp_path / "t.cmt"
@@ -169,15 +181,17 @@ def test_read_array_checks_its_payload_before_filling_a_row(tmp_path, tail, bad,
 
 def test_read_array_holds_one_float32_copy_of_the_payload(tmp_path):
     # it reads into a float32 array of the header's size; reading the bytes and
-    # then copying them held a float64 latent's worth for a float32 payload
+    # then copying them held a float64 latent's worth for a float32 payload, and
+    # so did load_tensor when LatentVideo copied the array it read
     shape = (6, 3, 64, 64)
     path = tmp_path / "a.cmt"
     write_array(path, np.random.default_rng(0).standard_normal(shape))
     row = np.empty(shape)
-    for out in (row, None):
+    for read in (lambda: read_array(path, out=row), lambda: read_array(path),
+                 lambda: load_tensor(path)):
         tracemalloc.start()
         try:
-            read_array(path, out=out)
+            read()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
