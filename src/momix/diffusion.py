@@ -246,7 +246,12 @@ class GaussianAtlasDenoiser:
         # squares, upper bounds on ||m_k||, and the Gram
         self._gam = 2.0 * _gamma(self._flat.shape[1])
         self._norms = np.sqrt(self._sq_norms * (1.0 + self._gam))
-        self._gram = np.einsum("kn,ln->kl", self._flat, self._flat)
+        # the lower triangle, one dot per entry, mirrored: half the full product's
+        # work, and the bounds' allowances hold for any summation order
+        self._gram = gram = np.empty((len(self._flat),) * 2)
+        for k, m in enumerate(self._flat):
+            for l in range(k + 1):
+                gram[k, l] = gram[l, k] = np.einsum("n,n->", self._flat[l], m)
         self.schedule = schedule
         self.calls = self.certified_members = self.member_rows_read = self.single_survivor_calls = 0
 

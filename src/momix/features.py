@@ -14,7 +14,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 from typing import Literal, Mapping, Sequence
 
 import numpy as np
@@ -38,12 +37,9 @@ from .masks import (
 from .tensors import (
     LatentVideo,
     MaskTrack,
-    read_array,
     read_json,
     typed_fields,
     typed_numbers,
-    write_array,
-    write_json,
 )
 
 log = logging.getLogger(__name__)
@@ -549,49 +545,11 @@ def load_plan(path) -> EditPlan:
     return plan_from_json(read_json(path))
 
 
-# --- descriptor archive -----------------------------------------------------
+def __getattr__(name: str):
+    # ``load_descriptor`` lives in ``archive``, which imports this module; callers
+    # that import it from here, as perfbench's t = 0 check does, find it on first use
+    if name == "load_descriptor":
+        from .archive import load_descriptor
 
-
-def save_descriptor(desc: MotionDescriptor, json_path) -> None:
-    """Write a descriptor as a JSON manifest plus its (n_pairs, n_channels) tensor."""
-    json_path = Path(json_path)
-    if len(desc.pairs):
-        write_array(json_path.with_suffix(".cmt"), desc.deltas)
-    write_json(
-        json_path,
-        {
-            "source_id": desc.source_id,
-            "timestep": desc.timestep,
-            "n_frames": desc.n_frames,
-            "valid_pairs": desc.pairs.tolist(),
-            "tensor": json_path.with_suffix(".cmt").name,
-        },
-    )
-
-
-def load_descriptor(json_path) -> MotionDescriptor:
-    """The descriptor ``save_descriptor`` wrote at ``json_path``, every field typed.
-
-    Its tensor is the file beside it with the suffix ``.cmt``; a ``tensor``
-    field naming any other file is rejected.
-    """
-    json_path = Path(json_path)
-    what = f"descriptor {json_path}"
-    kinds = {"source_id": str, "timestep": int, "n_frames": int, "valid_pairs": list,
-             "tensor": str}
-    doc = typed_fields(read_json(json_path), kinds, what, required=kinds)
-    tensor = json_path.with_suffix(".cmt")
-    if doc["tensor"] != tensor.name:
-        raise BadValue(f"malformed {what}: tensor must be {tensor.name!r}, got {doc['tensor']!r}")
-    n_frames, pairs = doc["n_frames"], doc["valid_pairs"]
-    if not all(isinstance(p, list) and len(p) == 2
-               and all(type(f) is int and 0 <= f < n_frames for f in p) for p in pairs):
-        raise BadValue(f"malformed {what}: valid_pairs must hold [i, j] pairs of JSON integers "
-                       f"in 0..{n_frames - 1}")
-    return MotionDescriptor(
-        doc["source_id"],
-        doc["timestep"],
-        n_frames,
-        np.array(pairs, dtype=np.int64).reshape(-1, 2),
-        read_array(tensor) if pairs else np.zeros((0, 0)),
-    )
+        return load_descriptor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .archive import _read_timestep, save_descriptors
 from .diffusion import (
     Denoiser,
     GaussianAtlasDenoiser,
@@ -35,10 +36,8 @@ from .features import (
     PairOperator,
     compile_sources,
     extract_descriptors,
-    load_descriptor,
     plan_from_json,
     recompose,
-    save_descriptor,
     warn_empty_sources,
 )
 from .guidance import GuidanceConfig, GuidanceTarget
@@ -172,8 +171,15 @@ def run_atlas(
     members = np.empty((int(include_reference) + len(member_specs), *shape))
     if include_reference:
         read_array(manifest.latent_path("0"), out=members[0])
+    # consecutive members of one blob geometry share its masks; held only while
+    # they serve, they add nothing to the stage's peak
+    blobs = tracks = None
     for row, member_spec in zip(members[int(include_reference):], member_specs):
-        _render_into(member_spec, row)
+        if member_spec.blobs != blobs:
+            del tracks  # before the next geometry's are made
+            blobs, tracks = member_spec.blobs, scene_masks(member_spec)
+        _render_into(member_spec, row, tracks)
+    del tracks
     for k, row in enumerate(members):
         write_array(out_dir / f"member{k:03d}.cmt", row)
     return build_denoiser(members, schedule, **denoiser_options)
@@ -238,11 +244,10 @@ def run_extract(
         with np.errstate(over="ignore"):  # past float32's range is inf, which LatentVideo rejects
             z = z.astype(np.float32)
         z.setflags(write=False)
-        t_dir = make_dir(out_dir / f"t{t:03d}")
-        for desc in extract_descriptors(LatentVideo(z), masks, timestep=t, strict=False,
-                                        operator=operator):
-            save_descriptor(desc, t_dir / f"{desc.source_id}.json")
-            sources_seen.add(desc.source_id)
+        descs = extract_descriptors(LatentVideo(z), masks, timestep=t, strict=False,
+                                    operator=operator)
+        save_descriptors(descs, make_dir(out_dir / f"t{t:03d}"))
+        sources_seen.update(desc.source_id for desc in descs)
         del z  # the next latent is made with no cast alive
     if t < 0:
         raise BadValue(f"{out_dir}: no latents to extract descriptors from")
@@ -260,7 +265,9 @@ def run_extract(
 class ExtractIndex:
     """A descriptor archive's ``extract_index.json``.
 
-    ``root`` holds ``t###/<source>.json`` for t in 0..n_steps. ``manifest`` is
+    ``root`` holds, for t in 0..n_steps, ``t###/deltas.cmt``, the timestep's
+    (n_rows, C) deltas of every source, and one ``t###/<source>.json`` per
+    source naming its pairs and its ``rows`` of that tensor. ``manifest`` is
     the scene manifest's path relative to ``root``.
     """
 
@@ -273,20 +280,21 @@ class ExtractIndex:
         """Descriptors of every listed source, per timestep (default: all of them).
 
         Only the files the index names are read, so a stray descriptor is never
-        a reference, and each must hold the source and timestep of its name.
+        a reference. Each timestep's tensor is read once; each document must
+        hold the source and timestep of its name, its rows must be as many as
+        its pairs, and the sources' rows must tile the tensor. Every timestep
+        read must have one channel count.
         """
         refs: dict[int, list[MotionDescriptor]] = {}
+        channels = set()
         for t in range(self.n_steps + 1) if timesteps is None else timesteps:
             if t not in range(self.n_steps + 1):
                 raise BadValue(f"{self.root}: extract index lists no timestep {t}")
-            refs[t] = []
-            for sid in self.sources:
-                path = self.root / f"t{t:03d}" / f"{sid}.json"
-                desc = load_descriptor(path)
-                if (desc.source_id, desc.timestep) != (sid, t):
-                    raise BadValue(f"{path}: holds source {desc.source_id!r} at timestep "
-                                   f"{desc.timestep}, not {sid!r} at {t}")
-                refs[t].append(desc)
+            refs[t] = _read_timestep(self.root / f"t{t:03d}", t, self.sources)
+            channels.update(desc.n_channels for desc in refs[t])
+            if len(channels) > 1:
+                raise BadValue(f"{self.root}: descriptors up to timestep {t} have channel "
+                               f"counts {sorted(channels)}")
         return refs
 
 

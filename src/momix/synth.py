@@ -189,14 +189,16 @@ def scene_masks(spec: SceneSpec) -> list[MaskTrack]:
             for b in spec.blobs]
 
 
-def _render_into(spec: SceneSpec, frames: np.ndarray) -> list[MaskTrack]:
+def _render_into(spec: SceneSpec, frames: np.ndarray,
+                 tracks: list[MaskTrack] | None = None) -> list[MaskTrack]:
     """Render the scene's latents into ``frames``, an array of its latent shape.
 
-    Every cell is written. Returns ``scene_masks(spec)``.
+    Every cell is written. Returns ``scene_masks(spec)``; ``tracks``, if given,
+    is taken to be it.
     """
     waves = _texture_waves(spec)
     textures: dict[tuple[float, float], np.ndarray] = {}  # one per distinct drift
-    tracks = scene_masks(spec)
+    tracks = scene_masks(spec) if tracks is None else tracks
     for f in range(spec.n_frames):
         drift = spec.background_drift[f]
         if drift not in textures:

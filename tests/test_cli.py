@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from momix import cli, diffusion, features, gradcheck
+from momix import archive, cli, diffusion, features, gradcheck
 from momix import pipeline as pl
 from momix.cli import main
 from momix.diffusion import (
@@ -23,7 +23,7 @@ from momix.synth import render_scene
 from momix.guidance import MAX_INNER_STEPS, GuidanceConfig
 from momix.pipeline import read_extract_index
 from momix.synth import BlobSpec, SceneSpec, save_scene, scene_to_json
-from momix.tensors import load_manifest, load_tensor, save_tensor
+from momix.tensors import load_manifest, load_tensor, read_array, save_tensor, write_array
 
 
 def demo_scene(n=6):
@@ -421,6 +421,18 @@ def test_recompose_missing_desc_dir(pipeline_dirs, tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_extract_archives_the_operators_output_per_timestep(scene_dir, tmp_path):
+    manifest = load_manifest(scene_dir / "manifest.json")
+    stream = [np.random.default_rng(t).standard_normal(manifest.latent_shape) for t in range(3)]
+    pl.run_extract(iter(stream), manifest, tmp_path / "desc",
+                   manifest_path="../scene/manifest.json")
+    operator = features.compile_sources(manifest.latent_shape, manifest.load_masks())
+    for t, z in enumerate(stream):
+        want = operator.apply(z.astype(np.float32)).astype(np.float32)
+        got = read_array(tmp_path / "desc" / f"t{t:03d}" / "deltas.cmt")
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape, t
+
+
 def test_stray_descriptor_is_not_loaded(pipeline_dirs):
     # a descriptor file the extract index does not list is never a reference
     _, _, desc = pipeline_dirs
@@ -663,17 +675,17 @@ def test_recompose_failed_trace_write_keeps_the_old_run(
 
 def test_recompose_reads_only_the_guidance_window(pipeline_dirs, tmp_path, monkeypatch):
     # every archived timestep used to be loaded and checked, though guidance reads
-    # only the window's
+    # only the window's, and each timestep's one tensor once
     scene, traj, desc = pipeline_dirs
-    opened, load = [], pl.load_descriptor
+    opened, read = [], archive.read_array
 
-    def load_descriptor(path):
-        opened.append(Path(path).parent.name)
-        return load(path)
+    def read_array(path, *args, **kwargs):
+        opened.append(Path(path).relative_to(desc).as_posix())
+        return read(path, *args, **kwargs)
 
-    monkeypatch.setattr(pl, "load_descriptor", load_descriptor)
+    monkeypatch.setattr(archive, "read_array", read_array)
     assert _recompose(desc, traj, scene, tmp_path / "r") == 0
-    assert sorted(set(opened)) == [f"t{t:03d}" for t in range(3, 9)]
+    assert opened == [f"t{t:03d}/deltas.cmt" for t in range(3, 9)]
 
 
 def test_recompose_reads_only_the_terminal_latents(pipeline_dirs, tmp_path):
@@ -980,11 +992,17 @@ def test_recompose_checks_every_guided_timestep_before_sampling(
 ):
     # a guided timestep with no enforced pairs in mid-window used to fail only
     # when sampling reached it
+    # an archived timestep always has a row, so the reader hands over t004 with none
     scene, traj, desc = pipeline_dirs
-    for path in (desc / "t004").glob("*.json"):
-        doc = json.loads(path.read_text())
-        doc["valid_pairs"] = []
-        path.write_text(json.dumps(doc))
+    read = pl._read_timestep
+
+    def read_timestep(t_dir, t, sources):
+        descs = read(t_dir, t, sources)
+        return descs if t != 4 else [
+            features.MotionDescriptor(d.source_id, t, d.n_frames, np.zeros((0, 2)),
+                                      np.zeros((0, d.n_channels))) for d in descs]
+
+    monkeypatch.setattr(pl, "_read_timestep", read_timestep)
     sampled = []
     monkeypatch.setattr(pl, "ddim_sample", lambda *args, **kwargs: sampled.append(args))
     with pytest.raises(NoValidPairs, match="at timestep 4"):
@@ -1120,8 +1138,24 @@ def _edit_json(path, edit):
 
 
 def _copy_t005_over_t004(desc):
-    for suffix in (".json", ".cmt"):
-        (desc / "t004" / f"A{suffix}").write_bytes((desc / "t005" / f"A{suffix}").read_bytes())
+    for name in ("A.json", "deltas.cmt"):
+        (desc / "t004" / name).write_bytes((desc / "t005" / name).read_bytes())
+
+
+def _edit_deltas(edit):
+    def damage(desc):
+        path = desc / "t004" / "deltas.cmt"
+        write_array(path, edit(read_array(path)))
+    return damage
+
+
+def _shift_rows(sid, by):
+    return lambda desc: _edit_json(desc / "t004" / f"{sid}.json", lambda d: d.update(
+        rows=[r + by for r in d["rows"]]))
+
+
+def _drop_first_row(d):
+    d["valid_pairs"], d["rows"] = d["valid_pairs"][1:], [d["rows"][0] + 1, d["rows"][1]]
 
 
 def _set_pair(k, pair):
@@ -1146,7 +1180,17 @@ def _set(key, value):
         (_copy_t005_over_t004, "holds source 'A' at timestep 5, not 'A' at 4"),
         (lambda desc: _edit_json(desc / "t004" / "A.json",
                                  lambda d: d.update({"tensor": "../t006/A.cmt"})),
-         "tensor must be 'A.cmt'"),
+         "keys ['tensor']"),
+        (_edit_deltas(lambda d: np.concatenate([d, d[:1]])), "do not tile the 46 rows"),
+        (_edit_deltas(lambda d: d[:-1]), "0 <= start <= stop <= 44"),
+        (_edit_deltas(lambda d: np.concatenate([d, d[:, :1]], axis=1)),
+         "descriptors up to timestep 4 have channel counts"),
+        (_shift_rows("B", -1), "do not tile"),
+        (lambda desc: _edit_json(desc / "t004" / "A.json", _drop_first_row), "do not tile"),
+        (lambda desc: _edit_json(desc / "t004" / "A.json",
+                                 lambda d: d.update(rows=[d["rows"][0], d["rows"][1] - 1])),
+         "hold 14 rows, valid_pairs 15 pairs"),
+        (lambda desc: (desc / "t004" / "deltas.cmt").unlink(), "t004/deltas.cmt"),
         (lambda desc: _edit_json(desc / "t004" / "A.json", _set_pair(1, [0, 2.5])),
          "valid_pairs must hold [i, j] pairs of JSON integers"),
         (lambda desc: _edit_json(desc / "t004" / "A.json", _set_pair(0, [0, True])),
@@ -1170,8 +1214,10 @@ def _set(key, value):
                                  lambda d: d.update({"n_frames": 10**20})),
          "has 100000000000000000000 frames, the latents 6"),
     ],
-    ids=["stale-t004", "tensor-redirect", "pair-float", "pair-bool", "source_id-mismatch",
-         "n_steps-missing", "timesteps-missing", "sources-missing",
+    ids=["stale-t004", "tensor-redirect", "deltas-extra-row", "deltas-missing-row",
+         "deltas-extra-channel", "rows-overlap", "rows-gap", "rows-length", "deltas-missing",
+         "pair-float", "pair-bool", "source_id-mismatch", "n_steps-missing",
+         "timesteps-missing", "sources-missing",
          "manifest-missing", "n_steps-float", "timesteps-string", "timesteps-short",
          "sources-string", "sources-integer", "legacy_region-unknown", "manifest-integer",
          "manifest-null", "n_frames-huge"],

@@ -565,6 +565,16 @@ def test_the_carried_bounds_hold_along_a_run(spread, n_members):
     assert (den.certified_members > 0) == (spread == 1.0)
 
 
+def test_the_gram_is_symmetric_and_within_the_bounds_allowance():
+    # the lower triangle, row by row, differs from the full product only within
+    # the allowance the carried bounds take for it
+    den = GaussianAtlasDenoiser(_separated_atlas(), NoiseSchedule.default(n_steps=4))
+    flat = den.members.reshape(len(den.members), -1)
+    full = np.einsum("kn,ln->kl", flat, flat)
+    assert np.array_equal(den._gram, den._gram.T)
+    assert np.all(np.abs(den._gram - full) <= den._gam * np.outer(den._norms, den._norms))
+
+
 def test_each_run_carries_its_own_bounds():
     # two inversions advanced in turn over one denoiser: bounds kept on the
     # denoiser would certify one run's members from the other run's latents

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,11 +16,13 @@ from momix.errors import (
     BadValue,
     DimMismatch,
     EmptyRegion,
+    IoFailure,
     LengthMismatch,
     MissingBackground,
     NoValidPairs,
     UnknownSubject,
 )
+from momix.archive import load_descriptor, save_descriptors
 from momix.features import (
     Directive,
     EditPlan,
@@ -27,13 +30,11 @@ from momix.features import (
     PairOperator,
     compile_sources,
     extract_descriptors,
-    load_descriptor,
     load_plan,
     lsmm,
     motion_delta,
     plan_from_json,
     recompose,
-    save_descriptor,
     soft_blend,
 )
 from momix.masks import (
@@ -44,7 +45,7 @@ from momix.masks import (
     pair_region,
 )
 from momix.synth import BlobSpec, SceneSpec, render_scene
-from momix.tensors import LatentVideo, MaskTrack, write_json
+from momix.tensors import LatentVideo, MaskTrack, read_array, write_array, write_json
 
 from test_cli import _pipeline_config
 
@@ -398,8 +399,8 @@ def test_plan_from_json_reads_the_anchor_as_floats():
 
 def test_descriptor_archive_round_trip(tmp_path):
     descs = _descriptors()
+    save_descriptors(descs, tmp_path)
     for d in descs:
-        save_descriptor(d, tmp_path / f"{d.source_id}.json")
         back = load_descriptor(tmp_path / f"{d.source_id}.json")
         assert back.source_id == d.source_id
         assert back.valid_pairs == d.valid_pairs
@@ -409,6 +410,22 @@ def test_descriptor_archive_round_trip(tmp_path):
                 back.delta(i, j), d.delta(i, j).astype(np.float32).astype(np.float64)
             )
 
+
+def test_descriptor_archive_is_one_tensor_and_compact_documents(tmp_path):
+    descs = _descriptors()
+    save_descriptors(descs, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["deltas.cmt", *(f"{d.source_id}.json" for d in descs)])
+    stacked = np.concatenate([d.deltas for d in descs])
+    assert np.array_equal(read_array(tmp_path / "deltas.cmt"), stacked.astype(np.float32))
+    start = 0
+    for d in descs:
+        text = (tmp_path / f"{d.source_id}.json").read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        assert doc["rows"] == [start, start + len(d.pairs)]
+        assert doc["valid_pairs"] == d.pairs.tolist()
+        start += len(d.pairs)
 
 
 def test_descriptor_array_layout():
@@ -454,18 +471,45 @@ def test_descriptor_rejects_deltas_that_are_not_a_matrix():
         MotionDescriptor.from_forward_pairs("s", 0, 3, {(2, 1): np.zeros(2)})
 
 
-def test_descriptor_archive_rejects_mismatched_tensor(tmp_path):
-    d = next(d for d in _descriptors() if d.source_id == "A")
-    save_descriptor(d, tmp_path / "A.json")
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda d: d.update(valid_pairs=d["valid_pairs"][1:]), "valid_pairs 9 pairs"),
+        (lambda d: d.pop("valid_pairs"), "missing valid_pairs"),
+        (lambda d: d.pop("rows"), "missing rows"),
+        (lambda d: d.update(rows=[0, 10.0]), "rows must be [start, stop]"),
+        (lambda d: d.update(rows=[2, 1]), "rows must be [start, stop]"),
+        (lambda d: d.update(rows=[10**6, 10**6 + 10]), "rows must be [start, stop]"),
+        (lambda d: d.update(tensor="A.cmt"), "keys ['tensor']"),
+    ],
+    ids=["pairs-short", "pairs-missing", "rows-missing", "rows-float", "rows-reversed",
+         "rows-past-tensor", "tensor-unknown"],
+)
+def test_descriptor_archive_rejects_a_damaged_document(tmp_path, damage, message):
+    descs = _descriptors()
+    assert len(next(d for d in descs if d.source_id == "A").pairs) == 10
+    save_descriptors(descs, tmp_path)
     doc = json.loads((tmp_path / "A.json").read_text())
-    doc["valid_pairs"] = doc["valid_pairs"][1:]
+    damage(doc)
     (tmp_path / "A.json").write_text(json.dumps(doc))
-    with pytest.raises(DimMismatch):
+    with pytest.raises(BadValue, match=re.escape(message)):
         load_descriptor(tmp_path / "A.json")
-    del doc["valid_pairs"]
-    (tmp_path / "A.json").write_text(json.dumps(doc))
-    with pytest.raises(BadValue):
-        load_descriptor(tmp_path / "A.json")
+
+
+def test_descriptor_archive_rejects_mismatched_tensor(tmp_path):
+    descs = _descriptors()
+    save_descriptors(descs, tmp_path)
+    last = tmp_path / f"{descs[-1].source_id}.json"
+    deltas = read_array(tmp_path / "deltas.cmt")
+    write_array(tmp_path / "deltas.cmt", deltas[:-1])  # the last source's rows run past it
+    with pytest.raises(BadValue, match=re.escape(f"stop <= {len(deltas) - 1}")):
+        load_descriptor(last)
+    write_array(tmp_path / "deltas.cmt", deltas.reshape(-1))
+    with pytest.raises(DimMismatch, match="deltas must be"):
+        load_descriptor(last)
+    (tmp_path / "deltas.cmt").unlink()
+    with pytest.raises(IoFailure, match="deltas.cmt"):
+        load_descriptor(last)
 
 
 def _shares_a_cell_outside_every_subject_row(op, tracks):

@@ -37,7 +37,7 @@ ARTIFACTS = sorted(
     + ["scene/latents_t0.cmt", "scene/mask_A.cmm", "scene/mask_B.cmm", "run/output.cmt",
        "run/trace.jsonl"]
     + [f"traj/t{N_STEPS:03d}.cmt"]  # z_T, the one latent the archive keeps
-    + [f"desc/t{t:03d}/{sid}.cmt" for t in range(N_STEPS + 1) for sid in SOURCES]
+    + [f"desc/t{t:03d}/deltas.cmt" for t in range(N_STEPS + 1)]
 )
 ONE_STEP = json.dumps({"n_inner_steps": 1})
 VALUES = (None, True, False, -1, 10**20, 1.5, "x", [0, 1], {"k": 0})

@@ -98,7 +98,7 @@ def _listed(index: Path) -> set[Path]:
     """The files an index names: each of its strings, as a path against its directory.
 
     The descriptor archive's index names its files by layout instead: each
-    source at each timestep.
+    source at each timestep, and each timestep's tensor.
     """
     doc = json.loads(index.read_text())
     strings, stack = [], [doc]
@@ -114,6 +114,7 @@ def _listed(index: Path) -> set[Path]:
     if {"timesteps", "sources"} <= doc.keys():
         out |= {index.parent / f"t{t:03d}" / f"{sid}.json"
                 for t in doc["timesteps"] for sid in doc["sources"]}
+        out |= {index.parent / f"t{t:03d}" / "deltas.cmt" for t in doc["timesteps"]}
     return out
 
 
