@@ -12,10 +12,12 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import pipeline as pl
 from .diffusion import NoiseSchedule, ZeroDenoiser, read_trajectory_index
 from .errors import BadValue, EmptyRegion, MomixError, NonFinite, NoValidPairs
-from .features import load_plan
+from .features import compile_sources, load_plan
 from .gradcheck import run_gradcheck
 from .synth import load_scene
 from .tensors import load_manifest, load_tensor, read_json
@@ -96,18 +98,23 @@ def _cmd_invert(args) -> int:
     manifest = load_manifest(args.manifest)
     schedule = NoiseSchedule.default(**pl.given(vars(args), n_steps="steps", power="power",
                                                 floor="floor"))
+    if args.zero_noise and (args.atlas or "bandwidth" in args):
+        raise BadValue("--zero-noise takes no --atlas or --bandwidth: the zero denoiser "
+                       "has no atlas")
+    atlas = pl.load_atlas(args.atlas, manifest.latent_shape) if args.atlas else None
+    # the one read of the clean latents: inversion's start, t = 0's descriptors and,
+    # without --atlas, the atlas
+    z0 = manifest.load_latent("0")
     if args.zero_noise:
-        if args.atlas or "bandwidth" in args:
-            raise BadValue("--zero-noise takes no --atlas or --bandwidth: the zero denoiser "
-                           "has no atlas")
         denoiser = ZeroDenoiser()
     else:
-        atlas_paths = args.atlas if args.atlas else [manifest.latent_path("0")]
-        denoiser = pl.build_denoiser(pl.load_atlas(atlas_paths, manifest.latent_shape),
-                                     schedule, **pl.given(vars(args), bandwidth="bandwidth"))
+        atlas = z0.data[None].astype(np.float64) if atlas is None else atlas
+        denoiser = pl.build_denoiser(atlas, schedule, **pl.given(vars(args), bandwidth="bandwidth"))
     rel = os.path.relpath(args.manifest, args.desc_dir)
-    index = pl.run_extract(pl.run_invert(manifest, schedule, denoiser, args.traj_dir), manifest,
-                           args.desc_dir, manifest_path=rel)
+    operator = compile_sources(manifest.latent_shape, manifest.load_masks())
+    stream = pl.run_invert(z0, schedule, denoiser, args.traj_dir, operator)
+    del z0, operator  # the stream holds them only as long as it needs them
+    index = pl.run_extract(stream, args.desc_dir, manifest_path=rel)
     print(f"trajectory archive written to {args.traj_dir} (z_T after {index.n_steps} steps)")
     print(f"descriptors written to {index.root}: sources={index.sources}, "
           f"timesteps=0..{index.n_steps}")

@@ -3,7 +3,8 @@
 Inversion walks a clean latent video up the noise schedule using the
 denoiser's own predictions and yields every intermediate latent, because
 guidance compares reference and target features at matching timesteps;
-extraction takes them one at a time, and only z_T is stored.
+extraction reads them off the image under the pair operator that inversion
+carries alongside (``CarriedImage``), and only z_T is stored.
 Sampling walks back down, optionally correcting the latents with the
 motion-guidance update before each denoising step.
 
@@ -23,6 +24,7 @@ from typing import Iterator, Mapping, Protocol, Sequence
 import numpy as np
 
 from .errors import BadValue, DimMismatch, NonFinite
+from .features import PairOperator
 from .guidance import GuidanceConfig, GuidanceTarget, guided_update
 from .tensors import LatentVideo, read_json, typed_fields, typed_numbers
 
@@ -174,6 +176,35 @@ def _carried_bounds(denoiser: Denoiser) -> _CarriedBounds | None:
     return _CarriedBounds(denoiser) if isinstance(denoiser, GaussianAtlasDenoiser) else None
 
 
+class CarriedImage:
+    """``W z`` for one pair operator W and the latents z of one run, moved along each step.
+
+    A DDIM step z' = c_0 z + sum_j beta_j v_j is affine and W is linear, so
+    W z' = c_0 W z + sum_j beta_j W v_j costs (rows x channels) per term once
+    each W v_j is known. An atlas member's image W m_k is applied once, on
+    its first use by this run; the arrays of any other denoiser's terms are
+    applied at every step, since a denoiser may overwrite them between calls.
+    ``image`` is the (n_rows, C) float64 W z; each step replaces it with a new
+    array, and a guided update overwrites it in place.
+    """
+
+    def __init__(self, operator: PairOperator, image: np.ndarray):
+        self.operator, self.image, self._members = operator, image, {}
+
+    def moved(self, coefs: Sequence[float], arrays: Sequence[np.ndarray],
+              members: Sequence[int] | None) -> np.ndarray:
+        """W z' for the step ``coefs`` over ``arrays``, which are the atlas ``members``
+        given (None for any other denoiser); taken before z' overwrites any term."""
+        image = coefs[0] * self.image
+        for j, (beta, v) in enumerate(zip(coefs[1:], arrays)):
+            if members is None:
+                term = self.operator.apply(v)
+            elif (term := self._members.get(members[j])) is None:
+                term = self._members[members[j]] = self.operator.apply(v)
+            image += beta * term
+        return image
+
+
 def check_bandwidth(bandwidth: float) -> float:
     """``bandwidth`` as a float, once it is positive and its square, which the
     denoiser takes, is a finite float64."""
@@ -203,7 +234,8 @@ class GaussianAtlasDenoiser:
     weights. Every product is a fixed-order einsum, never BLAS: OpenBLAS
     splits its sums differently per thread count. The form's terms are the
     members of non-zero weight, in member order, as read-only views of
-    ``members``; a call allocates no latent-sized array.
+    ``members``; a call allocates no latent-sized array. A list passed as
+    ``_kept`` gets those members' indices, in term order.
 
     Over many cells most weights underflow to exactly 0. The samplers pass
     both methods the bounds their run carries (``_bounds``), and a call skips
@@ -255,8 +287,8 @@ class GaussianAtlasDenoiser:
         self.schedule = schedule
         self.calls = self.certified_members = self.member_rows_read = self.single_survivor_calls = 0
 
-    def posterior_mean(self, z: np.ndarray, t: int, *,
-                       _bounds: _CarriedBounds | None = None) -> AffineForm:
+    def posterior_mean(self, z: np.ndarray, t: int, *, _bounds: _CarriedBounds | None = None,
+                       _kept: list[int] | None = None) -> AffineForm:
         if z.shape != self.members.shape[1:]:
             raise DimMismatch(f"latents {z.shape} do not match atlas members "
                               f"{self.members.shape[1:]}")
@@ -294,16 +326,18 @@ class GaussianAtlasDenoiser:
         kept = np.flatnonzero(w)
         if _bounds is not None:
             _bounds.record(zf, ip, kept)
+        if _kept is not None:
+            _kept.extend(kept.tolist())
         return shrink, tuple((keep * w[k], self.members[k]) for k in kept)
 
-    def predict_noise(self, z: np.ndarray, t: int, *,
-                      _bounds: _CarriedBounds | None = None) -> AffineForm:
+    def predict_noise(self, z: np.ndarray, t: int, *, _bounds: _CarriedBounds | None = None,
+                      _kept: list[int] | None = None) -> AffineForm:
         ab = float(self.schedule.alpha_bar[t])
         rem = 1.0 - ab
         if rem <= 1e-12:
             return 0.0, ()
         # (z - sqrt(ab) * x_hat) / sqrt(rem), with x_hat = s z + sum c_k v_k
-        s, terms = self.posterior_mean(z, t, _bounds=_bounds)
+        s, terms = self.posterior_mean(z, t, _bounds=_bounds, _kept=_kept)
         c, root = np.sqrt(ab), np.sqrt(rem)
         return (1.0 - c * s) / root, tuple((-c * ck / root, v) for ck, v in terms)
 
@@ -318,7 +352,7 @@ def _block_buffer(size: int) -> np.ndarray:
 def _ddim_step(
     denoiser: Denoiser, z: np.ndarray, ab: np.ndarray, t: int, t_next: int,
     out: np.ndarray | None = None, scratch: np.ndarray | None = None,
-    bounds: _CarriedBounds | None = None,
+    bounds: _CarriedBounds | None = None, carried: CarriedImage | None = None,
 ) -> np.ndarray:
     """One deterministic DDIM move of the latents from timestep t to t_next, either way.
 
@@ -329,10 +363,13 @@ def _ddim_step(
     block-sized ``scratch``, checked finite, then stored into the C-ordered ``out``
     (both allocated when not given). ``out`` is z itself, even when a term is z, or
     aliases nothing the step reads; NonFinite may leave it partly written. The
-    run's ``bounds`` for z go to the denoiser, then follow the step.
+    run's ``bounds`` for z go to the denoiser, then follow the step, as does
+    its ``carried`` image of z: moved before z is overwritten, kept once the
+    new latents are checked.
     """
-    a, terms = (denoiser.predict_noise(z, t) if bounds is None
-                else denoiser.predict_noise(z, t, _bounds=bounds))
+    kept = [] if isinstance(denoiser, GaussianAtlasDenoiser) else None  # the terms' members
+    a, terms = (denoiser.predict_noise(z, t) if kept is None
+                else denoiser.predict_noise(z, t, _bounds=bounds, _kept=kept))
     scale = np.sqrt(ab[t_next]) / np.sqrt(ab[t])
     mix = np.sqrt(1.0 - ab[t_next]) - scale * np.sqrt(1.0 - ab[t])
     coefs = [scale + mix * a] + [mix * ck for ck, _ in terms]
@@ -341,25 +378,29 @@ def _ddim_step(
     arrays = [np.asarray(v, dtype=np.float64) for _, v in terms]
     if any(v.shape != z.shape for v in arrays):
         raise DimMismatch(f"denoiser returned an array of another shape than {z.shape}")
+    image = None if carried is None else carried.moved(coefs, arrays, kept)
     out = np.empty(z.shape) if out is None else out
     scratch = _block_buffer(z.size) if scratch is None else scratch
-    cells, stored, arrays = z.reshape(-1), out.reshape(-1), [v.reshape(-1) for v in arrays]
+    cells, stored, flat = z.reshape(-1), out.reshape(-1), [v.reshape(-1) for v in arrays]
     for start in range(0, cells.size, scratch.shape[1]):
         block = slice(start, start + scratch.shape[1])
         total, product = scratch[:, :cells[block].size]
         np.multiply(coefs[0], cells[block], out=total)
-        for beta, v in zip(coefs[1:], arrays):
+        for beta, v in zip(coefs[1:], flat):
             total += np.multiply(beta, v[block], out=product)
         if not np.all(np.isfinite(total)):
             raise NonFinite(f"DDIM step produced non-finite latents at t={t_next}")
         stored[block] = total
     if bounds is not None:
         bounds.advance(coefs)
+    if carried is not None:
+        carried.image = image
     return out
 
 
 def ddim_invert_steps(
-    z0: LatentVideo, schedule: NoiseSchedule, denoiser: Denoiser
+    z0: LatentVideo, schedule: NoiseSchedule, denoiser: Denoiser,
+    carried: CarriedImage | None = None,
 ) -> Iterator[np.ndarray]:
     """Deterministic inversion from t=0 to t=n_steps, one latent at a time.
 
@@ -369,7 +410,8 @@ def ddim_invert_steps(
     ``_ddim_step``. A view holds its timestep's latent only until the
     generator is resumed, so a consumer that keeps one copies it, as
     ``ddim_invert`` does. The generator drops z0, so the run holds one latent
-    and the block buffer. Each generator carries its own bounds.
+    and the block buffer. Each generator carries its own bounds, and moves
+    ``carried``, the image of z0 under its operator, along with every step.
     """
     z = np.array(z0.data, dtype=np.float64, order="C")
     del z0
@@ -378,7 +420,7 @@ def ddim_invert_steps(
     yield view
     scratch, bounds = _block_buffer(z.size), _carried_bounds(denoiser)
     for t in range(schedule.n_steps):
-        _ddim_step(denoiser, z, schedule.alpha_bar, t, t + 1, z, scratch, bounds)
+        _ddim_step(denoiser, z, schedule.alpha_bar, t, t + 1, z, scratch, bounds, carried)
         yield view
 
 
@@ -418,36 +460,53 @@ def ddim_sample(
     leave it partly written) and the result wraps, or copies if it is a view; ``zT``
     is only read, and dropped once copied. A guided update returns new latents (a
     view) and drops the run's bounds, so the next call reads every row.
+
+    From the first guided timestep to the last, the run carries W z for the
+    target's operator W (``CarriedImage``): a guided update reads it instead of
+    applying W to z, and leaves W of its new latents in it. A target over another
+    operator than the one carried starts a fresh carry with one ``apply``.
     """
     z = np.array(zT.data, dtype=np.float64, order="C")
     del zT
-    scratch, bounds = _block_buffer(z.size), None
+    scratch, bounds, carried = _block_buffer(z.size), None, None
     targets = guidance.targets if guidance is not None else {}
+    last_guided = min(targets, default=None)
     for t in range(schedule.n_steps, 0, -1):
         if t in targets:
-            bounds = None
-            z, losses = guided_update(z, targets[t], guidance.config)
+            bounds, regions = None, targets[t].regions
+            if carried is None or carried.operator is not regions:
+                carried = CarriedImage(regions, regions.apply(z))
+            z, losses = guided_update(z, targets[t], guidance.config, carried.image)
             for k, value in enumerate(losses):
                 guidance.trace.append({"timestep": t, "inner_step": k, "loss": value})
             if not np.all(np.isfinite(z)):
                 raise NonFinite(f"guidance produced non-finite latents at t={t}")
+            if t == last_guided:  # no later update reads it
+                carried = None
         if bounds is None and t > 1 and t - 1 not in targets:  # else they would go unused
             bounds = _carried_bounds(denoiser)
-        _ddim_step(denoiser, z, schedule.alpha_bar, t, t - 1, z, scratch, bounds)
+        _ddim_step(denoiser, z, schedule.alpha_bar, t, t - 1, z, scratch, bounds, carried)
     z.setflags(write=False)
     return LatentVideo(z)
 
 
 def make_initial_noise(
-    reference_zT: LatentVideo, mode: str = "shared", seed: int = 0
+    reference_zT: LatentVideo | tuple[int, ...], mode: str = "shared", seed: int = 0
 ) -> LatentVideo:
-    """Initial latents for sampling: the reference terminal, or seeded fresh noise."""
+    """Initial latents for sampling: the reference terminal, or seeded fresh noise of its shape.
+
+    Fresh noise reads only the shape, which may stand in for the terminal.
+    """
     if seed < 0:
         raise BadValue(f"noise seed must be >= 0, got {seed}")
+    shape_only = isinstance(reference_zT, tuple)
     if mode == "shared":
+        if shape_only:
+            raise BadValue("shared initial noise is the reference terminal itself, not its shape")
         return reference_zT
     if mode == "fresh":
-        noise = np.random.default_rng(np.random.PCG64(seed)).standard_normal(reference_zT.shape)
+        shape = reference_zT if shape_only else reference_zT.shape
+        noise = np.random.default_rng(np.random.PCG64(seed)).standard_normal(shape)
         noise.setflags(write=False)  # LatentVideo keeps it uncopied
         return LatentVideo(noise)
     raise BadValue(f"unknown initial-noise mode {mode!r}")

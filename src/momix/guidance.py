@@ -139,9 +139,10 @@ class GuidanceTarget:
         return int(np.count_nonzero(self.enforced))
 
 
-def _residual(z: np.ndarray, target: GuidanceTarget) -> np.ndarray:
-    """(n_rows, C) target deltas of the latents ``z`` minus reference deltas."""
-    deltas = target.regions.apply(z)
+def _residual(z: np.ndarray, target: GuidanceTarget,
+              deltas: np.ndarray | None = None) -> np.ndarray:
+    """(n_rows, C) target deltas of the latents ``z`` (``deltas`` if given) minus reference deltas."""
+    deltas = target.regions.apply(z) if deltas is None else deltas
     if target.enforced_pair_count() == 0:
         raise NoValidPairs("no pair is valid on both the reference and target side")
     if deltas.shape[1] != target.ref.shape[1]:
@@ -189,7 +190,9 @@ def stable_step_size(target: GuidanceTarget) -> float:
 
 def _cgls(residual: np.ndarray, target: GuidanceTarget, n_steps: int,
           losses: list[float]) -> np.ndarray:
-    """CGLS on ``||D½(W z - ref)||²`` from its (C, n_rows) residual r; the latents move by Wᵀ c.
+    """CGLS on ``||D½(W z - ref)||²`` from its (C, n_rows) residual r: c and the final r.
+
+    The latents move by Wᵀ c, and the residual to the final r.
 
     A latent direction ``Wᵀ d`` is kept as d and G d. With g = D r, a step moves r by
     -α G d, and β updates d and G d by recurrence: one product ``G g`` per step, α and β
@@ -217,13 +220,14 @@ def _cgls(residual: np.ndarray, target: GuidanceTarget, n_steps: int,
         state -= (gamma / curvature) * direction  # α
         losses.append(_weighted_sum_of_squares(state[1].T, weight))
         last = gamma
-    return state[0]  # c
+    return state  # c and the final residual
 
 
 def guided_update(
     z: np.ndarray,
     target: GuidanceTarget,
     config: GuidanceConfig,
+    deltas: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[float]]:
     """Run ``n_inner_steps`` inner steps on the guidance loss over float64 latents.
 
@@ -235,17 +239,22 @@ def guided_update(
     after. The products with G are fixed-order einsums, not BLAS, so the bytes do
     not depend on the thread count.
 
+    ``deltas``, the (n_rows, C) ``W z`` a sampler carries, stands in for the
+    ``apply``; after the steps it is overwritten with the reference plus the final
+    residual, which is ``W`` of the updated latents up to rounding.
+
     Returns the updated latents, a new array unless there are no inner
     steps (then ``z`` itself), and the loss trace: the value before any step
     followed by the value after each step. ``z`` is only read.
     """
     # channel-major (C, n_rows), so each product sums along contiguous rows of G
-    residual = np.ascontiguousarray(_residual(z, target).T)
+    residual = np.ascontiguousarray(_residual(z, target, deltas).T)
     losses = [_weighted_sum_of_squares(residual.T, target.weight)]
     if config.n_inner_steps == 0:
         return z, losses
     if config.step_size is None:
-        update = target.regions.adjoint(_cgls(residual, target, config.n_inner_steps, losses).T)
+        coef, residual = _cgls(residual, target, config.n_inner_steps, losses)
+        update = target.regions.adjoint(coef.T)
     else:
         step, gram, total = config.step_size, target.regions.gram, np.zeros_like(residual)
         for _ in range(config.n_inner_steps):
@@ -257,4 +266,6 @@ def guided_update(
         update = target.regions.adjoint(total.T)
         update *= -step
     update += z
+    if deltas is not None:
+        np.add(target.ref, residual.T, out=deltas)
     return update, losses

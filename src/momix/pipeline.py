@@ -17,6 +17,7 @@ import numpy as np
 
 from .archive import _read_timestep, save_descriptors
 from .diffusion import (
+    CarriedImage,
     Denoiser,
     GaussianAtlasDenoiser,
     NoiseSchedule,
@@ -186,25 +187,37 @@ def run_atlas(
 
 
 def run_invert(
-    manifest: SceneManifest,
+    z0: LatentVideo,
     schedule: NoiseSchedule,
     denoiser: Denoiser,
     traj_dir,
-) -> Iterator[np.ndarray]:
-    """Invert the scene's clean latents: yield each one, then archive z_T in ``traj_dir``.
+    operator: PairOperator,
+) -> Iterator[list[MotionDescriptor]]:
+    """Invert the clean latents ``z0``: yield each timestep's descriptors, then archive z_T.
 
-    A generator: asked for its first latent, it removes any ``index.json`` in
-    ``traj_dir``, then yields the float64 latents at t = 0..n_steps as
-    ``ddim_invert_steps`` makes them, each a read-only view valid until the next
-    is asked for. Resumed after the last, it writes z_T as
+    A generator: asked for its first item, it removes any ``index.json`` in
+    ``traj_dir`` and warns of each source of ``operator`` (compiled from the
+    scene's masks) with no pair region. It then yields the descriptors at
+    t = 0..n_steps, each list once ``ddim_invert_steps`` has made and checked its
+    latent. Those at t = 0 are ``extract_descriptors``' of z0, whose ``apply``
+    seeds the image ``W z`` the inversion carries (``CarriedImage``); each later
+    timestep's are the same sources' rows of that image, so no later latent is
+    applied. Resumed after the last, it writes z_T as
     ``trajectory_path(traj_dir, n_steps)`` and then the index (``n_steps`` and
     ``alpha_bar``), so a stream abandoned half way leaves no index.
     """
     traj_dir = make_dir(traj_dir)
     index = traj_dir / "index.json"
     remove_file(index)
-    for z in ddim_invert_steps(manifest.load_latent("0"), schedule, denoiser):
-        yield z
+    warn_empty_sources(operator)
+    descs = extract_descriptors(z0, (), 0, strict=False, operator=operator)  # its regions
+    carried = CarriedImage(operator, np.concatenate([d.deltas for d in descs]))
+    steps = ddim_invert_steps(z0, schedule, denoiser, carried)
+    del z0  # the inversion's own float64 copy is the one latent held
+    for t, z in enumerate(steps):
+        yield descs if t == 0 else [
+            MotionDescriptor(d.source_id, t, d.n_frames, d.pairs,
+                             carried.image[operator.slices[d.source_id]]) for d in descs]
     write_array(trajectory_path(traj_dir, schedule.n_steps), z)
     write_json(index, {"n_steps": schedule.n_steps,
                        "alpha_bar": [float(a) for a in schedule.alpha_bar]})
@@ -214,43 +227,29 @@ def run_invert(
 
 
 def run_extract(
-    latents: Iterable[np.ndarray],
-    manifest: SceneManifest,
+    descriptors: Iterable[Sequence[MotionDescriptor]],
     out_dir,
     *,
     manifest_path,
 ) -> ExtractIndex:
-    """Extract descriptors for every source from a stream of latents; returns the index written.
+    """Archive each timestep's descriptors from a stream; returns the index written.
 
-    ``latents`` yields float64 latents of the manifest's shape at t = 0..n_steps,
-    such as ``run_invert``'s stream. Each is cast to float32, the values a tensor
-    file holds, and its descriptors are written before the next is asked for.
-    A bad subject id or mask geometry fails before anything is written, and a
-    stream of no latents raises BadValue. An ``extract_index.json`` already in
-    ``out_dir`` is removed before the first latent is asked for, and the new one
-    is written after the last, so a rerun that fails half way leaves an archive
-    no reader accepts.
+    ``descriptors`` yields the descriptors at t = 0..n_steps, such as
+    ``run_invert``'s stream; each timestep's are written, as float32, before the
+    next are asked for. A stream of none raises BadValue. An
+    ``extract_index.json`` already in ``out_dir`` is removed before the first
+    timestep is asked for, and the new one is written after the last, so a rerun
+    that fails half way leaves an archive no reader accepts.
     """
-    out_dir = Path(out_dir)
-    masks = manifest.load_masks()
-    # the regions depend on the masks alone
-    operator = compile_sources(manifest.latent_shape, masks)
-    warn_empty_sources(operator)
-    make_dir(out_dir)
+    out_dir = make_dir(out_dir)
     remove_file(out_dir / "extract_index.json")
     sources_seen: set[str] = set()
     t = -1
-    for t, z in enumerate(latents):
-        with np.errstate(over="ignore"):  # past float32's range is inf, which LatentVideo rejects
-            z = z.astype(np.float32)
-        z.setflags(write=False)
-        descs = extract_descriptors(LatentVideo(z), masks, timestep=t, strict=False,
-                                    operator=operator)
+    for t, descs in enumerate(descriptors):
         save_descriptors(descs, make_dir(out_dir / f"t{t:03d}"))
         sources_seen.update(desc.source_id for desc in descs)
-        del z  # the next latent is made with no cast alive
     if t < 0:
-        raise BadValue(f"{out_dir}: no latents to extract descriptors from")
+        raise BadValue(f"{out_dir}: the stream held no timestep to archive")
     index = ExtractIndex(out_dir, t, sorted(sources_seen), str(manifest_path))
     write_json(out_dir / "extract_index.json", {
         "n_steps": index.n_steps,
@@ -386,7 +385,7 @@ def run_recompose(
     """Build the guidance problem from stored descriptors and sample a target video.
 
     z_T's header must give the manifest's shape, or the run stops before it
-    reads anything else; z_T itself is loaded only to start sampling.
+    reads anything else; z_T itself is loaded only to start shared sampling.
     ``denoiser`` comes from ``build_denoiser``: an atlas denoiser must have
     the trajectory's schedule and latent shape, or the run stops before
     sampling. run.json records its ``bandwidth`` (null for any other denoiser).
@@ -436,8 +435,10 @@ def run_recompose(
             if targets[t].enforced_pair_count() == 0:
                 raise NoValidPairs(f"guidance problem has no enforced pairs at timestep {t}")
         guidance = SamplingGuidance(config=config, targets=targets)
-    # z_T lives only as the argument ddim_sample drops once copied; fresh noise drops it sooner
-    output = ddim_sample(make_initial_noise(load_tensor(zT_path), mode=init_mode, seed=seed),
+    # z_T lives only as the argument ddim_sample drops once copied; fresh noise takes
+    # only its shape, which the header gave
+    output = ddim_sample(make_initial_noise(load_tensor(zT_path) if init_mode == "shared"
+                                            else shape, mode=init_mode, seed=seed),
                          schedule, denoiser, guidance=guidance)
     out_dir = make_dir(out_dir)
     save_tensor(output, out_dir / "output.cmt")
@@ -576,8 +577,11 @@ def run_pipeline(config: dict, out_root=None) -> dict:
                                  bandwidth="bandwidth"))
 
     invert_denoiser = ZeroDenoiser() if cfg.get("invert_denoiser") == "zero" else denoiser
-    index = run_extract(run_invert(manifest, schedule, invert_denoiser, out_root / "traj"),
-                        manifest, out_root / "desc", manifest_path="../scene/manifest.json")
+    # the extraction operator lives only as long as inversion: recompose compiles its own
+    index = run_extract(run_invert(manifest.load_latent("0"), schedule, invert_denoiser,
+                                   out_root / "traj",
+                                   compile_sources(manifest.latent_shape, manifest.load_masks())),
+                        out_root / "desc", manifest_path="../scene/manifest.json")
 
     run_recompose(
         index.root,

@@ -15,7 +15,7 @@ from momix import cli
 from momix import pipeline as pl
 from momix.cli import main
 from momix.diffusion import GaussianAtlasDenoiser, NoiseSchedule, ZeroDenoiser
-from momix.features import Directive, EditPlan, plan_from_json
+from momix.features import Directive, EditPlan, compile_sources, plan_from_json
 from momix.guidance import GuidanceConfig
 from momix.masks import MaskEdit
 from momix.synth import BlobSpec, SceneSpec, save_scene, scene_from_json, scene_to_json
@@ -213,9 +213,10 @@ def test_cli_without_flags_writes_what_the_library_defaults_write(tmp_path, monk
     assert main(["invert", str(scene / "manifest.json"), str(traj), str(desc)]) == 0
     assert calls["build_denoiser"][1] == {}
     default = NoiseSchedule.default()
-    stream = pl.run_invert(manifest, default, GaussianAtlasDenoiser(atlas, default),
-                           tmp_path / "lib_traj")
-    pl.run_extract(stream, manifest, tmp_path / "lib_desc", manifest_path="../scene/manifest.json")
+    operator = compile_sources(manifest.latent_shape, manifest.load_masks())
+    stream = pl.run_invert(manifest.load_latent("0"), default,
+                           GaussianAtlasDenoiser(atlas, default), tmp_path / "lib_traj", operator)
+    pl.run_extract(stream, tmp_path / "lib_desc", manifest_path="../scene/manifest.json")
     assert tree_digest(traj) == tree_digest(tmp_path / "lib_traj")
     assert tree_digest(desc) == tree_digest(tmp_path / "lib_desc")
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from momix.features import (
     EditPlan,
     MotionDescriptor,
     PairOperator,
+    compile_sources,
     extract_descriptors,
     recompose,
 )
@@ -601,13 +603,15 @@ def test_guided_sampling_drops_the_bounds_at_each_guided_update(monkeypatch):
     ab = sched.alpha_bar
     den = GaussianAtlasDenoiser(atlas, sched)
     monkeypatch.setattr(diffusion, "guided_update",
-                        lambda z, k, config: (z + atlas[k].data, [0.0]))
-    targets = {12: 3, 7: 8, 6: 1}
+                        lambda z, target, config, deltas: (z + atlas[target.k].data, [0.0]))
+    # a stub target: the member its update adds, and the operator the sampler carries
+    regions = compile_sources(_SEPARATED_SHAPE, [])
+    targets = {t: SimpleNamespace(k=k, regions=regions) for t, k in {12: 3, 7: 8, 6: 1}.items()}
     zT = make_initial_noise(LatentVideo(atlas[0].data), mode="fresh", seed=2)
     z = zT.data
     for t in range(sched.n_steps, 0, -1):
         if t in targets:
-            z, _ = diffusion.guided_update(z, targets[t], None)
+            z, _ = diffusion.guided_update(z, targets[t], None, None)
         z = _oracle_ddim_step(den, z, ab, t, t - 1)
     guidance = SamplingGuidance(config=GuidanceConfig(), targets=targets)
     assert ddim_sample(zT, sched, den, guidance=guidance).data.tobytes() == z.tobytes()
@@ -793,6 +797,10 @@ def test_make_initial_noise_modes():
     assert not np.array_equal(f1.data, ref.data)
     with pytest.raises(BadValue):
         make_initial_noise(ref, mode="weird", seed=0)
+    # fresh noise reads only the shape, which may stand in for the terminal
+    assert make_initial_noise(ref.shape, mode="fresh", seed=7).data.tobytes() == f1.data.tobytes()
+    with pytest.raises(BadValue, match="not its shape"):
+        make_initial_noise(ref.shape, mode="shared", seed=0)
 
 
 def test_fresh_noise_statistics():
@@ -810,18 +818,29 @@ def _scene_of(z0: LatentVideo, scene_dir) -> SceneManifest:
     return SceneManifest(*z0.shape, latents={"0": "latents_t0.cmt"}, root=scene_dir)
 
 
+def _invert(manifest: SceneManifest, sched, denoiser, traj_dir):
+    """``run_invert``'s stream over the scene's latents and the operator of its masks."""
+    operator = compile_sources(manifest.latent_shape, manifest.load_masks())
+    return pl.run_invert(manifest.load_latent("0"), sched, denoiser, traj_dir, operator)
+
+
 def test_trajectory_archive_round_trip(tmp_path):
-    # run_invert yields the whole trajectory and archives z_T alone
+    # run_invert yields the descriptors of the whole trajectory and archives z_T alone
     manifest = _scene_of(_latents(seed=3, shape=(2, 1, 6, 6)), tmp_path / "scene")
     sched = NoiseSchedule.default(n_steps=4)
-    traj = [z.copy() for z in pl.run_invert(manifest, sched, ZeroDenoiser(), tmp_path / "traj")]
+    traj = list(_invert(manifest, sched, ZeroDenoiser(), tmp_path / "traj"))
     want = ddim_invert(manifest.load_latent("0"), sched, ZeroDenoiser())
-    assert [z.tobytes() for z in traj] == [lat.data.tobytes() for lat in want]
+    operator = compile_sources(manifest.latent_shape, [])
+    assert len(traj) == len(want)
+    for t, ([background], lat) in enumerate(zip(traj, want)):
+        exact = operator.apply(lat.data)
+        assert background.timestep == t
+        assert np.abs(background.deltas - exact).max() <= 1e-12 * np.abs(exact).max(), t
     assert sorted(p.name for p in (tmp_path / "traj").iterdir()) == ["index.json", "t004.cmt"]
     sched2 = read_trajectory_index(tmp_path / "traj")
     assert np.array_equal(sched2.alpha_bar, sched.alpha_bar)
     zT = load_tensor(trajectory_path(tmp_path / "traj", 4))
-    assert np.array_equal(zT.data, traj[-1].astype(np.float32))
+    assert np.array_equal(zT.data, want[-1].data.astype(np.float32))
 
 
 @pytest.mark.parametrize(
@@ -836,7 +855,7 @@ def test_trajectory_archive_round_trip(tmp_path):
 def test_trajectory_index_must_agree_with_itself(tmp_path, edit):
     manifest = _scene_of(_latents(seed=3, shape=(2, 1, 6, 6)), tmp_path / "scene")
     sched = NoiseSchedule.default(n_steps=4)
-    for _ in pl.run_invert(manifest, sched, ZeroDenoiser(), tmp_path):
+    for _ in _invert(manifest, sched, ZeroDenoiser(), tmp_path):
         pass
     index = json.loads((tmp_path / "index.json").read_text())
     edit(index)
@@ -869,9 +888,9 @@ def test_an_abandoned_invert_stream_leaves_no_index(tmp_path):
     # a rerun removes the old index before its first latent, and writes z_T and
     # the new index only once its consumer has taken the last latent
     manifest = _scene_of(_latents(seed=3, shape=(2, 1, 6, 6)), tmp_path / "scene")
-    for _ in pl.run_invert(manifest, NoiseSchedule.default(n_steps=4), ZeroDenoiser(), tmp_path):
+    for _ in _invert(manifest, NoiseSchedule.default(n_steps=4), ZeroDenoiser(), tmp_path):
         pass
-    stream = pl.run_invert(manifest, NoiseSchedule.default(n_steps=5), ZeroDenoiser(), tmp_path)
+    stream = _invert(manifest, NoiseSchedule.default(n_steps=5), ZeroDenoiser(), tmp_path)
     assert len([z for _, z in zip(range(6), stream)]) == 6  # t = 0..5, z_T taken, not stored
     stream.close()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scene", "t004.cmt"]
@@ -985,7 +1004,8 @@ def test_guidance_that_yields_non_finite_latents_aborts(monkeypatch, denoiser):
     lat, sched, den, inv, config, targets = _guided_setup(n_steps=8)
     den = ZeroDenoiser() if denoiser == "zero" else den
     monkeypatch.setattr(
-        diffusion, "guided_update", lambda z, target, config: (np.full(z.shape, np.nan), [1.0])
+        diffusion, "guided_update",
+        lambda z, target, config, deltas: (np.full(z.shape, np.nan), [1.0])
     )
     guidance = SamplingGuidance(config=config, targets={5: targets[5]})
     with pytest.raises(NonFinite, match="guidance produced non-finite latents at t=5"):
@@ -1003,3 +1023,64 @@ def test_sampling_leaves_the_callers_latents_unchanged(n_inner_steps):
         ddim_sample(zT, sched, ZeroDenoiser())
         assert zT.data.tobytes() == before
         assert not zT.data.flags.writeable
+
+
+class _TanhDenoiser:
+    """Computes eps outright, tanh(z), into one buffer it overwrites at every call."""
+
+    def __init__(self):
+        self.eps = None
+
+    def predict_noise(self, z, t):
+        self.eps = np.empty_like(z) if self.eps is None else self.eps
+        np.tanh(z, out=self.eps)
+        return 0.0, ((1.0, self.eps),)
+
+
+def _carry_denoiser(kind, lat, sched):
+    if kind == "atlas":  # three members whose weights mix along the run
+        others = [LatentVideo(lat.data[::-1].copy()), LatentVideo(0.5 * lat.data)]
+        return GaussianAtlasDenoiser([lat, *others], sched, bandwidth=2.0)
+    return ZeroDenoiser() if kind == "zero" else _TanhDenoiser()
+
+
+def _carry_errors(monkeypatch) -> list[float]:
+    """Wrap ``guided_update``; each call records how far the carried W z lies from a
+    fresh ``apply``, relative to the largest entry."""
+    seen, real = [], diffusion.guided_update
+
+    def check(z, target, config, deltas):
+        exact = target.regions.apply(z)
+        seen.append(np.max(np.abs(deltas - exact)) / np.max(np.abs(exact)))
+        return real(z, target, config, deltas)
+
+    monkeypatch.setattr(diffusion, "guided_update", check)
+    return seen
+
+
+@pytest.mark.parametrize("kind", ["atlas", "zero", "eps"])
+def test_the_carried_image_follows_inversion_and_guided_sampling(monkeypatch, kind):
+    # W z carried through every step matches W applied afresh to the stepped latent
+    lat, sched, _, _, config, targets = _guided_setup(n_steps=8)
+    den = _carry_denoiser(kind, lat, sched)
+    operator = targets[1].regions
+    carried = diffusion.CarriedImage(operator, operator.apply(lat.data))
+    for t, z in enumerate(ddim_invert_steps(lat, sched, den, carried)):
+        exact = operator.apply(z)
+        assert np.max(np.abs(carried.image - exact)) <= 1e-12 * np.max(np.abs(exact)), t
+    # guided at 7, 6 and 3: the carry crosses guided updates and unguided steps
+    seen = _carry_errors(monkeypatch)
+    guidance = SamplingGuidance(config=config, targets={t: targets[t] for t in (7, 6, 3)})
+    ddim_sample(LatentVideo(z.copy()), sched, den, guidance=guidance)
+    assert len(seen) == 3 and max(seen) <= 1e-12, seen
+
+
+def test_a_target_over_another_operator_starts_a_fresh_carry(monkeypatch):
+    # each switch of operator seeds a carry with one apply of the latents at hand
+    lat, sched, den, inv, config, targets = _guided_setup(n_steps=8)
+    background = [r for r in targets[5].references if r.source_id == "background"]
+    other = GuidanceTarget(background, compile_sources(lat.shape, []))
+    seen = _carry_errors(monkeypatch)
+    guided = {6: targets[6], 5: other, 4: targets[4], 3: targets[3]}
+    ddim_sample(inv[-1], sched, den, guidance=SamplingGuidance(config=config, targets=guided))
+    assert len(seen) == 4 and max(seen) <= 1e-12, seen

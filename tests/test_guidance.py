@@ -391,6 +391,24 @@ def test_guided_update_matches_descent_on_the_latents(step_size):
         )
 
 
+@pytest.mark.parametrize("n_inner_steps", [0, 4])
+@pytest.mark.parametrize("step_size", [None, 0.3], ids=["stable-step", "fixed-step"])
+def test_guided_update_with_carried_deltas(step_size, n_inner_steps):
+    # the carried W z stands in for the apply: the same latents up to rounding, and
+    # W of them left in the deltas, which the update overwrites
+    rng = np.random.default_rng(9)
+    config = GuidanceConfig(step_size=step_size, n_inner_steps=n_inner_steps)
+    for label, latents, target in [*_gradcheck_cases(rng), _mask_edit_case(rng)]:
+        z = latents.data.astype(np.float64)
+        want, want_losses = guided_update(z, target, config)
+        deltas = target.regions.apply(z)
+        out, losses = guided_update(z, target, config, deltas)
+        assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want)), label
+        assert losses == want_losses, label  # the first apply is the carried one, bit for bit
+        exact = target.regions.apply(out)
+        assert np.max(np.abs(deltas - exact)) <= 1e-12 * np.max(np.abs(exact)), label
+
+
 @pytest.mark.parametrize("size", [(3, 2, 8, 8, 2), (4, 1, 6, 6, 3), (5, 1, 5, 5, 2),
                                   (6, 1, 4, 4, 2)])
 def test_default_step_reaches_the_least_squares_minimum(size):

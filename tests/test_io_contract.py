@@ -31,6 +31,7 @@ import pytest
 import momix
 from momix import pipeline as pl
 from momix.diffusion import read_trajectory_index
+from momix.features import PairOperator
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 N_STEPS = 6
@@ -240,6 +241,34 @@ def test_pipeline_keeps_the_io_contract(tmp_path):
     assert call["rc"] == 0
     reads = check_contract(call, work)
     check_window(reads, Path("out/desc"), guidance, work / "out" / "traj")
+
+
+def test_invert_reads_the_clean_latents_once(flow):
+    # one full read serves inversion's start, t = 0's descriptors and the default
+    # atlas; the other open is the manifest's check of the file's header (the
+    # default atlas used to add a header check and a read of its own)
+    _, calls = flow
+    argv = calls["invert"]["argv"]
+    latents = Path(os.path.normpath(Path(argv[1]).parent / "latents_t0.cmt"))
+    opened = [Path(paths[0]) for event, paths, *_ in calls["invert"]["events"]
+              if event == "open"]
+    assert opened.count(latents) == 2, opened
+
+
+@pytest.mark.parametrize("n_steps", [N_STEPS, 2 * N_STEPS])
+def test_pipeline_applies_do_not_grow_with_n_steps(tmp_path, monkeypatch, n_steps):
+    # inversion and guided sampling carry W z through every step, so the pair
+    # operator is applied a fixed number of times per run: t = 0's descriptors, one
+    # image per atlas member in each carry, the first guided timestep, and the metrics
+    files, _ = readme_flow()
+    config = {"scene": json.loads(files["scene.json"]), "schedule": {"n_steps": n_steps},
+              "guidance": json.loads(files["guidance.json"])}
+    applies = []
+    original = PairOperator.apply
+    monkeypatch.setattr(PairOperator, "apply",
+                        lambda self, latents: applies.append(1) or original(self, latents))
+    pl.run_pipeline(config, tmp_path / "out")
+    assert len(applies) == 1 + 1 + 1 + 1 + 2  # one atlas member: the scene's own
 
 
 @pytest.mark.parametrize("case", list(_USAGE_ERRORS))

@@ -4,8 +4,7 @@ tracemalloc sees numpy's buffers, so its peak over a stage counts the arrays
 the stage keeps alive at once; the modules a first run imports are imported
 before it starts, so a test measures the same alone as after others. The
 budgets are in float64 latents of the scene; a stage that held the whole
-trajectory would need about n_steps + 1 of them for inversion, and half that
-for extraction's float32 casts.
+trajectory would need about n_steps + 1 of them for inversion.
 An atlas of K members costs K latents, its denoiser's stack, on top: a
 stage that held the members a second time, as a list beside the stack,
 would need about 2K. The denoiser's noise form reads members in place, so it
@@ -24,17 +23,18 @@ import pytest
 from momix import pipeline as pl
 from momix.cli import main
 from momix.diffusion import _BLOCK, GaussianAtlasDenoiser, NoiseSchedule, _block_buffer, _ddim_step
+from momix.features import compile_sources, extract_descriptors
 from momix.gradcheck import _CHUNK, finite_difference_gradient, random_case
 from momix.synth import BlobSpec, SceneSpec, scene_to_json
 from momix.tensors import LatentVideo, load_manifest
 
 N_STEPS = 30
-# measured 3.03 (3.00 with twelve members) for inversion and extraction in one
-# pass: the inversion's buffer and block buffer, the float32 cast extraction
-# reads, the operator, and z_T's write; holding z0 or the cast beside the next
-# step would take half a latent more
+# measured 2.34 (2.36 with twelve members) for inversion and extraction in one
+# pass: the inversion's buffer and block buffer, the operator and the image it
+# carries, and z_T's write; holding z0 beside the next step would take half a
+# latent more (3.03 when extraction read a float32 cast of each latent)
 INVERT_BUDGET = 3.25
-EXTRACT_BUDGET = 3  # measured 2.27 over a stream of fresh latents, the one in hand counted
+EXTRACT_BUDGET = 3  # measured 2.09 over the descriptors of fresh latents, the one in hand counted
 ATLAS_BUDGET = 1  # measured 0.63 beside the stack, reading the scene's latents into it
 # measured 3.50 (3.56 as a process's first run) beside a 12-member stack, in
 # recompose: the sampler's latent and block buffer (0.89 of a latent at 73,728
@@ -86,8 +86,9 @@ def scene(tmp_path):
 
 def _invert_and_extract(manifest, schedule, denoiser, out_dir):
     """The one pass ``momix invert`` makes, writing ``traj`` and ``desc`` under ``out_dir``."""
-    stream = pl.run_invert(manifest, schedule, denoiser, out_dir / "traj")
-    pl.run_extract(stream, manifest, out_dir / "desc", manifest_path="../scene/manifest.json")
+    stream = pl.run_invert(manifest.load_latent("0"), schedule, denoiser, out_dir / "traj",
+                           compile_sources(manifest.latent_shape, manifest.load_masks()))
+    pl.run_extract(stream, out_dir / "desc", manifest_path="../scene/manifest.json")
 
 
 def test_invert_peak_does_not_grow_with_n_steps(scene, tmp_path):
@@ -99,16 +100,19 @@ def test_invert_peak_does_not_grow_with_n_steps(scene, tmp_path):
     assert peak < INVERT_BUDGET * latent_bytes, peak / latent_bytes
 
 
-def _fresh_latents(shape, n):
-    """``n`` float64 latents of ``shape``, each made as it is asked for."""
+def _fresh_descriptors(manifest, n):
+    """``n`` timesteps' descriptors, each of a float64 latent made as it is asked for."""
+    operator = compile_sources(manifest.latent_shape, manifest.load_masks())
     for t in range(n):
-        yield np.random.default_rng(t).standard_normal(shape)
+        z = np.random.default_rng(t).standard_normal(manifest.latent_shape)
+        z.setflags(write=False)  # LatentVideo keeps it uncopied
+        yield extract_descriptors(LatentVideo(z), (), t, strict=False, operator=operator)
 
 
 def test_extract_peak_does_not_grow_with_n_steps(scene, tmp_path):
     manifest, latent_bytes = scene
-    stream = _fresh_latents(manifest.latent_shape, N_STEPS + 1)
-    peak = _peak(pl.run_extract, stream, manifest, tmp_path / "desc",
+    stream = _fresh_descriptors(manifest, N_STEPS + 1)
+    peak = _peak(pl.run_extract, stream, tmp_path / "desc",
                  manifest_path="../scene/manifest.json")
     assert peak < EXTRACT_BUDGET * latent_bytes, peak / latent_bytes
 
