@@ -11,11 +11,11 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .archive import _read_timestep, save_descriptors
+from .archive import read_extract_index, run_extract
 from .diffusion import (
     CarriedImage,
     Denoiser,
@@ -42,7 +42,7 @@ from .features import (
     warn_empty_sources,
 )
 from .guidance import GuidanceConfig, GuidanceTarget
-from .masks import BACKGROUND_ID, SAFE_NAME, apply_edit, scale_sources
+from .masks import BACKGROUND_ID, apply_edit, scale_sources
 from .metrics import compare_trajectories
 from .synth import (
     SceneSpec,
@@ -65,7 +65,6 @@ from .tensors import (
     make_dir,
     peek_dims,
     read_array,
-    read_json,
     remove_file,
     save_manifest,
     save_mask,
@@ -223,97 +222,6 @@ def run_invert(
                        "alpha_bar": [float(a) for a in schedule.alpha_bar]})
 
 
-# --- extract ----------------------------------------------------------------
-
-
-def run_extract(
-    descriptors: Iterable[Sequence[MotionDescriptor]],
-    out_dir,
-    *,
-    manifest_path,
-) -> ExtractIndex:
-    """Archive each timestep's descriptors from a stream; returns the index written.
-
-    ``descriptors`` yields the descriptors at t = 0..n_steps, such as
-    ``run_invert``'s stream; each timestep's are written, as float32, before the
-    next are asked for. A stream of none raises BadValue. An
-    ``extract_index.json`` already in ``out_dir`` is removed before the first
-    timestep is asked for, and the new one is written after the last, so a rerun
-    that fails half way leaves an archive no reader accepts.
-    """
-    out_dir = make_dir(out_dir)
-    remove_file(out_dir / "extract_index.json")
-    sources_seen: set[str] = set()
-    t = -1
-    for t, descs in enumerate(descriptors):
-        save_descriptors(descs, make_dir(out_dir / f"t{t:03d}"))
-        sources_seen.update(desc.source_id for desc in descs)
-    if t < 0:
-        raise BadValue(f"{out_dir}: the stream held no timestep to archive")
-    index = ExtractIndex(out_dir, t, sorted(sources_seen), str(manifest_path))
-    write_json(out_dir / "extract_index.json", {
-        "n_steps": index.n_steps,
-        "timesteps": list(range(index.n_steps + 1)),
-        "sources": index.sources,
-        "manifest": index.manifest,
-    })
-    return index
-
-
-@dataclass(frozen=True)
-class ExtractIndex:
-    """A descriptor archive's ``extract_index.json``.
-
-    ``root`` holds, for t in 0..n_steps, ``t###/deltas.cmt``, the timestep's
-    (n_rows, C) deltas of every source, and one ``t###/<source>.json`` per
-    source naming its pairs and its ``rows`` of that tensor. ``manifest`` is
-    the scene manifest's path relative to ``root``.
-    """
-
-    root: Path
-    n_steps: int
-    sources: list[str]
-    manifest: str
-
-    def references(self, timesteps=None) -> dict[int, list[MotionDescriptor]]:
-        """Descriptors of every listed source, per timestep (default: all of them).
-
-        Only the files the index names are read, so a stray descriptor is never
-        a reference. Each timestep's tensor is read once; each document must
-        hold the source and timestep of its name, its rows must be as many as
-        its pairs, and the sources' rows must tile the tensor. Every timestep
-        read must have one channel count.
-        """
-        refs: dict[int, list[MotionDescriptor]] = {}
-        channels = set()
-        for t in range(self.n_steps + 1) if timesteps is None else timesteps:
-            if t not in range(self.n_steps + 1):
-                raise BadValue(f"{self.root}: extract index lists no timestep {t}")
-            refs[t] = _read_timestep(self.root / f"t{t:03d}", t, self.sources)
-            channels.update(desc.n_channels for desc in refs[t])
-            if len(channels) > 1:
-                raise BadValue(f"{self.root}: descriptors up to timestep {t} have channel "
-                               f"counts {sorted(channels)}")
-        return refs
-
-
-def read_extract_index(desc_dir) -> ExtractIndex:
-    """The typed index ``run_extract`` wrote; a missing or mistyped field is rejected."""
-    desc_dir = Path(desc_dir)
-    what = f"extract index {desc_dir}"
-    kinds = {"n_steps": int, "timesteps": list, "sources": list,
-             "manifest": str}
-    fields = typed_fields(read_json(desc_dir / "extract_index.json"), kinds, what, required=kinds)
-    n_steps, timesteps, sources = fields["n_steps"], fields.pop("timesteps"), fields["sources"]
-    if len(timesteps) != n_steps + 1 or any(type(t) is not int or t != k
-                                            for k, t in enumerate(timesteps)):
-        raise BadValue(f"malformed {what}: timesteps must be 0..{n_steps}, got {timesteps!r}")
-    if not all(isinstance(sid, str) and SAFE_NAME.fullmatch(sid) for sid in sources):
-        raise BadValue(f"malformed {what}: sources must be filesystem-safe strings, "
-                       f"got {sources!r}")
-    return ExtractIndex(desc_dir, **fields)
-
-
 # --- recompose + guided sampling ---------------------------------------------
 
 
@@ -421,17 +329,13 @@ def run_recompose(
         if index.n_steps != schedule.n_steps:
             raise BadValue(f"{desc_dir}: descriptors span timesteps 0..{index.n_steps}, "
                            f"the trajectory 0..{schedule.n_steps}")
-        refs_by_t = index.references(range(end, start + 1))
+        # checked before ``recompose``, which indexes an (n_frames, n_frames) row table
+        if index.n_frames != shape[0]:
+            raise DimMismatch(f"{desc_dir}: the extract index has {index.n_frames} frames, "
+                              f"the latents {shape[0]}")
         targets = {}
-        for t, refs in refs_by_t.items():
-            # checked before ``recompose``, which indexes an (n_frames, n_frames) row table
-            for ref in refs:
-                if ref.n_frames != shape[0]:
-                    raise DimMismatch(f"{desc_dir}: descriptor {ref.source_id!r} at timestep {t} "
-                                      f"has {ref.n_frames} frames, the latents {shape[0]}")
-            targets[t] = GuidanceTarget(
-                recompose(refs, plan), regions, weights=config.weights
-            )
+        for t, refs in index.references(range(end, start + 1)).items():
+            targets[t] = GuidanceTarget(recompose(refs, plan), regions, weights=config.weights)
             if targets[t].enforced_pair_count() == 0:
                 raise NoValidPairs(f"guidance problem has no enforced pairs at timestep {t}")
         guidance = SamplingGuidance(config=config, targets=targets)
@@ -582,17 +486,9 @@ def run_pipeline(config: dict, out_root=None) -> dict:
                                    out_root / "traj",
                                    compile_sources(manifest.latent_shape, manifest.load_masks())),
                         out_root / "desc", manifest_path="../scene/manifest.json")
-
-    run_recompose(
-        index.root,
-        plan,
-        out_root / "traj",
-        out_root / "run",
-        denoiser=denoiser,
-        manifest=manifest,
-        guidance_config=gcfg,
-        **given(cfg, init="init", seed="seed", guided="guided"),
-    )
+    run_recompose(index.root, plan, out_root / "traj", out_root / "run", denoiser=denoiser,
+                  manifest=manifest, guidance_config=gcfg,
+                  **given(cfg, init="init", seed="seed", guided="guided"))
     report = run_metrics(out_root / "run", scene_dir, out_path=out_root / "metrics.json",
                          **metrics_args)
     recorded = {k: v for k, v in config.items() if k != "out_dir"}

@@ -297,6 +297,17 @@ def test_extract_of_no_latents_writes_no_index(pipeline_dirs):
     assert not (desc / "extract_index.json").exists()
 
 
+def test_extract_of_a_stream_whose_pairs_change_writes_no_index(pipeline_dirs):
+    # every timestep shares t = 0's row table, so a later timestep with other pairs is refused
+    scene, _, desc = pipeline_dirs
+    t0 = read_extract_index(desc).references([0])[0]
+    later = [features.MotionDescriptor(d.source_id, 1, d.n_frames, d.pairs[1:], d.deltas[1:])
+             if d.source_id == "A" else d for d in t0]
+    with pytest.raises(BadValue, match="not those at t = 0"):
+        pl.run_extract(iter([t0, later]), desc, manifest_path="../scene/manifest.json")
+    assert not (desc / "extract_index.json").exists()
+
+
 def test_extract_warns_once_per_source_without_pairs(tmp_path, caplog):
     # each warning used to repeat at every timestep, though the regions depend on the masks alone
     _save_scene_hiding_b(tmp_path / "s.json")
@@ -450,6 +461,16 @@ def test_stray_descriptor_is_not_loaded(pipeline_dirs):
     refs = read_extract_index(desc).references()
     assert [d.source_id for d in refs[0]] == ["A", "B", "background"]
     assert all(len(descs) == 3 for descs in refs.values())
+
+
+def test_stray_files_in_the_archive_are_never_read(pipeline_dirs, tmp_path):
+    # only t000 has documents, and only the window's tensors are read: a document
+    # at a later timestep, or a tensor past n_steps, is never opened
+    scene, traj, desc = pipeline_dirs
+    (desc / "t005" / "A.json").write_bytes(b"\xff")
+    (desc / "t009").mkdir()
+    (desc / "t009" / "deltas.cmt").write_bytes(b"garbage")
+    assert _recompose(desc, traj, scene, tmp_path / "r") == 0
 
 
 def test_metrics_self_comparison(pipeline_dirs, tmp_path):
@@ -650,11 +671,11 @@ def _recompose(desc, traj, scene, run):
 
 
 def test_recompose_descriptor_without_valid_pairs(pipeline_dirs, tmp_path, capsys):
-    # t005 lies in the default guidance window (8..3) of the 8-step archive
+    # the index's row table gives every timestep's pairs
     scene, traj, desc = pipeline_dirs
-    doc = json.loads((desc / "t005" / "A.json").read_text())
-    del doc["valid_pairs"]
-    (desc / "t005" / "A.json").write_text(json.dumps(doc))
+    doc = json.loads((desc / "extract_index.json").read_text())
+    del doc["table"]["A"]["valid_pairs"]
+    (desc / "extract_index.json").write_text(json.dumps(doc))
     assert _recompose(desc, traj, scene, tmp_path / "r") == 2
     assert "valid_pairs" in capsys.readouterr().err
 
@@ -1002,15 +1023,15 @@ def test_recompose_checks_every_guided_timestep_before_sampling(
     # when sampling reached it
     # an archived timestep always has a row, so the reader hands over t004 with none
     scene, traj, desc = pipeline_dirs
-    read = pl._read_timestep
+    read = archive.ExtractIndex.references
 
-    def read_timestep(t_dir, t, sources):
-        descs = read(t_dir, t, sources)
-        return descs if t != 4 else [
-            features.MotionDescriptor(d.source_id, t, d.n_frames, np.zeros((0, 2)),
-                                      np.zeros((0, d.n_channels))) for d in descs]
+    def references(index, timesteps):
+        refs = read(index, timesteps)
+        refs[4] = [features.MotionDescriptor(d.source_id, 4, d.n_frames, np.zeros((0, 2)),
+                                             np.zeros((0, d.n_channels))) for d in refs[4]]
+        return refs
 
-    monkeypatch.setattr(pl, "_read_timestep", read_timestep)
+    monkeypatch.setattr(archive.ExtractIndex, "references", references)
     sampled = []
     monkeypatch.setattr(pl, "ddim_sample", lambda *args, **kwargs: sampled.append(args))
     with pytest.raises(NoValidPairs, match="at timestep 4"):
@@ -1067,7 +1088,7 @@ def test_recompose_records_the_denoisers_bandwidth(pipeline_dirs, tmp_path, band
 
 
 @pytest.mark.parametrize("stage, path, data", [
-    ("recompose", "desc/t003/A.json", b"\xff"),
+    ("recompose", "desc/extract_index.json", b"\xff"),
     ("metrics", "scene/manifest.json", b"\xff"),
     ("metrics", "scene/spec.json", b"[" * 100_000),
 ], ids=["recompose-not-utf8", "metrics-not-utf8", "metrics-nested-too-deep"])
@@ -1145,11 +1166,6 @@ def _edit_json(path, edit):
     path.write_text(json.dumps(doc))
 
 
-def _copy_t005_over_t004(desc):
-    for name in ("A.json", "deltas.cmt"):
-        (desc / "t004" / name).write_bytes((desc / "t005" / name).read_bytes())
-
-
 def _edit_deltas(edit):
     def damage(desc):
         path = desc / "t004" / "deltas.cmt"
@@ -1157,9 +1173,16 @@ def _edit_deltas(edit):
     return damage
 
 
+def _index_case(edit):
+    return lambda desc: _edit_json(desc / "extract_index.json", edit)
+
+
+def _table_case(sid, edit):
+    return _index_case(lambda ix: edit(ix["table"][sid]))
+
+
 def _shift_rows(sid, by):
-    return lambda desc: _edit_json(desc / "t004" / f"{sid}.json", lambda d: d.update(
-        rows=[r + by for r in d["rows"]]))
+    return _table_case(sid, lambda d: d.update(rows=[r + by for r in d["rows"]]))
 
 
 def _drop_first_row(d):
@@ -1168,10 +1191,6 @@ def _drop_first_row(d):
 
 def _set_pair(k, pair):
     return lambda d: d["valid_pairs"].__setitem__(k, pair)
-
-
-def _index_case(edit):
-    return lambda desc: _edit_json(desc / "extract_index.json", edit)
 
 
 def _drop(key):
@@ -1185,27 +1204,24 @@ def _set(key, value):
 @pytest.mark.parametrize(
     "damage, message",
     [
-        (_copy_t005_over_t004, "holds source 'A' at timestep 5, not 'A' at 4"),
-        (lambda desc: _edit_json(desc / "t004" / "A.json",
-                                 lambda d: d.update({"tensor": "../t006/A.cmt"})),
-         "keys ['tensor']"),
-        (_edit_deltas(lambda d: np.concatenate([d, d[:1]])), "do not tile the 46 rows"),
-        (_edit_deltas(lambda d: d[:-1]), "0 <= start <= stop <= 44"),
+        # the tensor a run over other masks left: A's rows alone
+        (_edit_deltas(lambda d: d[:15]), "t004/deltas.cmt: holds 15 rows, the row table 45"),
+        (_table_case("A", lambda d: d.update({"tensor": "../t006/A.cmt"})), "keys ['tensor']"),
+        (_edit_deltas(lambda d: np.concatenate([d, d[:1]])), "holds 46 rows, the row table 45"),
+        (_edit_deltas(lambda d: d[:-1]), "holds 44 rows, the row table 45"),
         (_edit_deltas(lambda d: np.concatenate([d, d[:, :1]], axis=1)),
          "descriptors up to timestep 4 have channel counts"),
         (_shift_rows("B", -1), "do not tile"),
-        (lambda desc: _edit_json(desc / "t004" / "A.json", _drop_first_row), "do not tile"),
-        (lambda desc: _edit_json(desc / "t004" / "A.json",
-                                 lambda d: d.update(rows=[d["rows"][0], d["rows"][1] - 1])),
+        (_table_case("A", _drop_first_row), "do not tile"),
+        (_table_case("A", lambda d: d.update(rows=[d["rows"][0], d["rows"][1] - 1])),
          "hold 14 rows, valid_pairs 15 pairs"),
         (lambda desc: (desc / "t004" / "deltas.cmt").unlink(), "t004/deltas.cmt"),
-        (lambda desc: _edit_json(desc / "t004" / "A.json", _set_pair(1, [0, 2.5])),
+        (_table_case("A", _set_pair(1, [0, 2.5])),
          "valid_pairs must hold [i, j] pairs of JSON integers"),
-        (lambda desc: _edit_json(desc / "t004" / "A.json", _set_pair(0, [0, True])),
+        (_table_case("A", _set_pair(0, [0, True])),
          "valid_pairs must hold [i, j] pairs of JSON integers"),
-        (lambda desc: _edit_json(desc / "t004" / "A.json",
-                                 lambda d: d.update({"source_id": "ghost"})),
-         "holds source 'ghost'"),
+        (_index_case(lambda ix: ix["table"].update(ghost=ix["table"].pop("A"))),
+         "table holds sources ['B', 'background', 'ghost'], the index lists ['A', 'B', "),
         (_drop("n_steps"), "missing n_steps"),
         (_drop("timesteps"), "missing timesteps"),
         (_drop("sources"), "missing sources"),
@@ -1218,9 +1234,17 @@ def _set(key, value):
         (_set("legacy_region", False), "keys ['legacy_region']"),
         (_set("manifest", 5), "manifest must be a JSON string"),
         (_set("manifest", None), "manifest must be a JSON string"),
-        (lambda desc: _edit_json(desc / "t004" / "A.json",
-                                 lambda d: d.update({"n_frames": 10**20})),
-         "has 100000000000000000000 frames, the latents 6"),
+        (_set("n_frames", 10**20), "has 100000000000000000000 frames, the latents 6"),
+        (_drop("n_frames"), "missing n_frames"),
+        (_drop("table"), "missing table"),
+        (_set("table", []), "table must be a JSON object"),
+        (_index_case(lambda ix: ix["table"].pop("B")),
+         "table holds sources ['A', 'background'], the index lists ['A', 'B', 'background']"),
+        (_table_case("A", lambda d: d.pop("rows")), "source 'A': missing rows"),
+        (_table_case("A", lambda d: d.update(valid_pairs=d["valid_pairs"][::-1])),
+         "pairs must be sorted and distinct"),
+        (_table_case("A", _set_pair(0, [0, 6])), "JSON integers in 0..5"),
+        (_table_case("A", lambda d: d.update(rows=[0, 15.0])), "rows must be [start, stop]"),
     ],
     ids=["stale-t004", "tensor-redirect", "deltas-extra-row", "deltas-missing-row",
          "deltas-extra-channel", "rows-overlap", "rows-gap", "rows-length", "deltas-missing",
@@ -1228,7 +1252,9 @@ def _set(key, value):
          "timesteps-missing", "sources-missing",
          "manifest-missing", "n_steps-float", "timesteps-string", "timesteps-short",
          "sources-string", "sources-integer", "legacy_region-unknown", "manifest-integer",
-         "manifest-null", "n_frames-huge"],
+         "manifest-null", "n_frames-huge", "n_frames-missing", "table-missing",
+         "table-array", "table-source-missing", "table-rows-missing", "pairs-unsorted",
+         "pair-out-of-range", "rows-float"],
 )
 def test_recompose_damaged_descriptor_archive_is_a_usage_error(
     pipeline_dirs, tmp_path, capsys, damage, message
@@ -1480,7 +1506,8 @@ _UNKNOWN_KEYS = {
     "manifest-extra": ("scene/manifest.json", lambda doc: doc.update(note=1), "keys ['note']"),
     "manifest-mask": ("scene/manifest.json", _rename_key("masks", "mask"), "keys ['mask']"),
     "index-extra": ("traj/index.json", lambda doc: doc.update(note=1), "keys ['note']"),
-    "descriptor-extra": ("desc/t005/A.json", lambda doc: doc.update(note=1), "keys ['note']"),
+    "descriptor-extra": ("desc/extract_index.json", lambda doc: doc["table"]["A"].update(note=1),
+                         "keys ['note']"),
 }
 
 

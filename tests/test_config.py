@@ -94,10 +94,20 @@ def test_scene_spec_carries_every_key():
 def test_extract_index_carries_every_key(tmp_path):
     write_json(tmp_path / "extract_index.json", {
         "n_steps": 2, "timesteps": [0, 1, 2], "sources": ["A", "background"],
-        "manifest": "../scene/manifest.json",
+        "manifest": "../scene/manifest.json", "n_frames": 3,
+        "table": {"A": {"valid_pairs": [[0, 1], [1, 2]], "rows": [1, 3]},
+                  "background": {"valid_pairs": [[0, 2]], "rows": [0, 1]}},
     })
-    assert pl.read_extract_index(tmp_path) == pl.ExtractIndex(
-        tmp_path, 2, ["A", "background"], manifest="../scene/manifest.json")
+    index = pl.read_extract_index(tmp_path)
+    fields = {f.name: getattr(index, f.name) for f in dataclasses.fields(index)}
+    assert fields.pop("table") is index.table
+    assert fields == {"root": tmp_path, "n_steps": 2, "sources": ["A", "background"],
+                      "manifest": "../scene/manifest.json", "n_frames": 3}
+    assert list(index.table) == ["A", "background"]
+    for sid, pairs, rows in [("A", [[0, 1], [1, 2]], slice(1, 3)),
+                             ("background", [[0, 2]], slice(0, 1))]:
+        assert index.table[sid][0].tolist() == pairs and index.table[sid][1] == rows
+        assert not index.table[sid][0].flags.writeable
 
 
 def _spy(monkeypatch, owner, names, calls=None, events=None) -> dict:

@@ -30,7 +30,7 @@ SOURCES = ("A", "B", "background")
 JSON_FILES = (
     ["scene/manifest.json", "scene/spec.json", "traj/index.json", "desc/extract_index.json",
      "run/run.json"]
-    + [f"desc/t{t:03d}/{sid}.json" for t in range(N_STEPS + 1) for sid in SOURCES]
+    + [f"desc/t000/{sid}.json" for sid in SOURCES]  # later timesteps are their tensor alone
 )
 ARTIFACTS = sorted(
     JSON_FILES
@@ -112,11 +112,12 @@ def _apply(damage, root: Path) -> None:
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(damage=_damage)
 # one non-UTF-8 byte in a JSON file a stage reads
-@example(damage=("overwrite", "desc/t003/A.json", 0, b"\xff"))
+@example(damage=("overwrite", "desc/extract_index.json", 0, b"\xff"))
 @example(damage=("overwrite", "scene/manifest.json", 0, b"\xff"))
-# a descriptor's n_frames far beyond the latents' frame count, plain and softened
-@example(damage=("set", "desc/t004/A.json", 0, 10**20))
-@example(damage=("set", "desc/t004/background.json", 0, 10**20))
+# the row table's n_frames (the index's key 1 in document order) and a t = 0
+# document's (key 0) far beyond the latents' frame count
+@example(damage=("set", "desc/extract_index.json", 1, 10**20))
+@example(damage=("set", "desc/t000/A.json", 0, 10**20))
 @example(damage=("set", "desc/t000/B.json", 0, 10**20))
 # "mask" for "masks" (the manifest's key 5 in document order): no subjects at all
 @example(damage=("rename", "scene/manifest.json", 5, "mask"))

@@ -99,7 +99,7 @@ def _listed(index: Path) -> set[Path]:
     """The files an index names: each of its strings, as a path against its directory.
 
     The descriptor archive's index names its files by layout instead: each
-    source at each timestep, and each timestep's tensor.
+    source's document at t = 0, and each timestep's tensor.
     """
     doc = json.loads(index.read_text())
     strings, stack = [], [doc]
@@ -113,8 +113,7 @@ def _listed(index: Path) -> set[Path]:
             strings.append(value)
     out = {Path(os.path.normpath(index.parent / s)) for s in strings}
     if {"timesteps", "sources"} <= doc.keys():
-        out |= {index.parent / f"t{t:03d}" / f"{sid}.json"
-                for t in doc["timesteps"] for sid in doc["sources"]}
+        out |= {index.parent / "t000" / f"{sid}.json" for sid in doc["sources"]}
         out |= {index.parent / f"t{t:03d}" / "deltas.cmt" for t in doc["timesteps"]}
     return out
 
@@ -269,6 +268,36 @@ def test_pipeline_applies_do_not_grow_with_n_steps(tmp_path, monkeypatch, n_step
                         lambda self, latents: applies.append(1) or original(self, latents))
     pl.run_pipeline(config, tmp_path / "out")
     assert len(applies) == 1 + 1 + 1 + 1 + 2  # one atlas member: the scene's own
+
+
+def test_pipeline_descriptor_files_grow_by_one_tensor_per_step(tmp_path, monkeypatch):
+    # the row table is written once, in the index, so each timestep after t = 0
+    # adds its tensor alone; t = 0 adds it and one document per source
+    files, _ = readme_flow()
+    renamed = []
+    replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: renamed.append(Path(dst)) or
+                        replace(src, dst))
+    counts = []
+    for n_steps in (N_STEPS, 2 * N_STEPS):
+        config = {"scene": json.loads(files["scene.json"]), "schedule": {"n_steps": n_steps},
+                  "guidance": json.loads(files["guidance.json"])}
+        desc = tmp_path / str(n_steps) / "desc"
+        pl.run_pipeline(config, desc.parent)
+        counts.append(sum(path.is_relative_to(desc) for path in renamed))
+        renamed.clear()
+    assert counts[1] - counts[0] == N_STEPS
+    assert counts[0] == 1 + 3 + (N_STEPS + 1)  # the index, t000's documents, the tensors
+
+
+def test_recompose_opens_no_descriptor_document(flow):
+    # the index's row table serves every timestep: no t###/<source>.json is read
+    _, calls = flow
+    desc = Path(calls["recompose"]["argv"][1])
+    opened = [Path(paths[0]) for event, paths, *_ in calls["recompose"]["events"]
+              if event == "open" and Path(paths[0]).is_relative_to(desc)]
+    assert opened and [p for p in opened if re.fullmatch(r"t\d+", p.parent.name)
+                       and p.suffix == ".json"] == []
 
 
 @pytest.mark.parametrize("case", list(_USAGE_ERRORS))
