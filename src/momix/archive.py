@@ -85,7 +85,7 @@ def _read_deltas(t_dir: Path) -> np.ndarray:
 
 def _pairs_and_rows(doc: dict, n_frames: int, n_rows: int | None,
                     what: str) -> tuple[np.ndarray, slice]:
-    """A source's ``valid_pairs`` as an (n_pairs, 2) array, and its as many ``rows`` as a slice."""
+    """A source's sorted forward ``valid_pairs``, read-only (n_pairs, 2), and its ``rows`` slice."""
     pairs, rows = doc["valid_pairs"], doc["rows"]
     if not all(isinstance(p, list) and len(p) == 2
                and all(type(f) is int and 0 <= f < n_frames for f in p) for p in pairs):
@@ -99,7 +99,11 @@ def _pairs_and_rows(doc: dict, n_frames: int, n_rows: int | None,
     if rows[1] - rows[0] != len(pairs):
         raise BadValue(f"malformed {what}: rows {rows} hold {rows[1] - rows[0]} rows, "
                        f"valid_pairs {len(pairs)} pairs")
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2), slice(*rows)
+    if any(i >= j for i, j in pairs) or any(p >= q for p, q in zip(pairs, pairs[1:])):
+        raise BadValue(f"malformed {what}: valid_pairs must be sorted and distinct, with i < j")
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    pairs.setflags(write=False)
+    return pairs, slice(*rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,8 +111,8 @@ class ExtractIndex:
     """A descriptor archive's ``extract_index.json``, over the tensors ``root/t###/deltas.cmt``.
 
     ``table`` gives each source, in ``sources`` order, its pairs, one read-only
-    (n_pairs, 2) array, and its rows of every tensor. ``manifest`` is the
-    scene manifest's path relative to ``root``.
+    (n_pairs, 2) array, and its rows of every tensor, which ``deltas`` hands
+    out. ``manifest`` is the scene manifest's path relative to ``root``.
     """
 
     root: Path
@@ -118,14 +122,14 @@ class ExtractIndex:
     n_frames: int
     table: dict[str, tuple[np.ndarray, slice]]
 
-    def references(self, timesteps=None) -> dict[int, list[MotionDescriptor]]:
-        """Descriptors of every listed source, per timestep (default: all of them).
+    def deltas(self, timesteps=None) -> dict[int, np.ndarray]:
+        """Each timestep's float32 (n_rows, C) tensor (default: every timestep's).
 
         Only the tensors of those timesteps are read, each once. Each must be
         (n_rows, C), with the table's n_rows and one C across them.
         """
         n_rows = max((rows.stop for _, rows in self.table.values()), default=0)
-        refs: dict[int, list[MotionDescriptor]] = {}
+        out: dict[int, np.ndarray] = {}
         channels = set()
         for t in range(self.n_steps + 1) if timesteps is None else timesteps:
             if t not in range(self.n_steps + 1):
@@ -138,10 +142,8 @@ class ExtractIndex:
             if len(channels) > 1:
                 raise BadValue(f"{self.root}: descriptors up to timestep {t} have channel "
                                f"counts {sorted(channels)}")
-            deltas = deltas.astype(np.float64)  # cast once, so each source's rows are a view
-            refs[t] = [MotionDescriptor(sid, t, self.n_frames, pairs, deltas[rows])
-                       for sid, (pairs, rows) in self.table.items()]
-        return refs
+            out[t] = deltas
+        return out
 
 
 def run_extract(descriptors: Iterable[Sequence[MotionDescriptor]], out_dir, *,
@@ -200,11 +202,8 @@ def _extract_index(desc_dir: Path, doc: dict) -> ExtractIndex:
                        f"the index lists {sorted(sources)}")
     for sid in sources:
         where = f"{what} source {sid!r}"
-        pairs, rows = _pairs_and_rows(typed_fields(table[sid], _ENTRY, where, required=_ENTRY),
-                                      n_frames, None, where)
-        # sorted and distinct forward pairs, as a descriptor's; read-only from here on
-        pairs = MotionDescriptor(sid, 0, n_frames, pairs, np.empty((len(pairs), 0))).pairs
-        fields["table"][sid] = pairs, rows
+        fields["table"][sid] = _pairs_and_rows(
+            typed_fields(table[sid], _ENTRY, where, required=_ENTRY), n_frames, None, where)
     spans = sorted((rows.start, rows.stop) for _, rows in fields["table"].values())
     stops = [0] + [stop for _, stop in spans]
     if [start for start, _ in spans] != stops[:-1]:

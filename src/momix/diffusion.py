@@ -435,9 +435,9 @@ def ddim_invert(
 class SamplingGuidance:
     """Everything the sampler needs to run guided updates.
 
-    ``targets`` maps each guided timestep to its guidance problem, built
-    from the reference descriptors extracted from the inversion trajectory
-    at that same timestep. The trace records every inner-step loss.
+    ``targets`` maps each guided timestep to its guidance problem, with the
+    references of the inversion trajectory at that same timestep. The trace
+    records every inner-step loss.
     """
 
     config: GuidanceConfig

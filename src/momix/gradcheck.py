@@ -23,18 +23,18 @@ from .tensors import LatentVideo, MaskTrack
 _CHUNK = 256
 
 
-def _loss_terms(planes: np.ndarray, target: GuidanceTarget) -> list[tuple]:
+def _loss_terms(planes: np.ndarray, case: GradCheckCase) -> list[tuple]:
     """The loss as a list of (weight, i, j, mask, size, delta, base means) terms.
 
-    A per-pair walk over the target regions and the references, kept apart
-    from the pair operator the analytic gradient uses: each region mean is
-    a fixed-order dot product with the pair's dense 0/1 cell mask over the
-    region's own cell count. The base means are at frames i and j, (2, C).
+    A per-pair walk over the target regions and the case's references and
+    weights, kept apart from the pair operator the analytic gradient uses: each
+    region mean is a fixed-order dot product with the pair's dense 0/1 cell mask
+    over the region's own cell count. The base means are at frames i and j, (2, C).
     """
     terms = []
-    for ref in sorted(target.references, key=lambda d: d.source_id):
-        weight = float(target.weights.get(ref.source_id, DEFAULT_SOURCE_WEIGHT))
-        for (i, j), (idx, _) in target.regions.pairs[ref.source_id].items():
+    for ref in sorted(case.references, key=lambda d: d.source_id):
+        weight = float(case.weights.get(ref.source_id, DEFAULT_SOURCE_WEIGHT))
+        for (i, j), (idx, _) in case.target.regions.pairs[ref.source_id].items():
             if not ref.has_pair(i, j):
                 continue
             mask = np.zeros(planes.shape[2])
@@ -66,10 +66,8 @@ def _plane_losses(terms: list[tuple], stack: np.ndarray, f: int, c: int) -> np.n
     return total
 
 
-def finite_difference_gradient(
-    z: LatentVideo, target: GuidanceTarget, h: float = 1e-3
-) -> np.ndarray:
-    """Central-difference gradient of the guidance loss, one cell at a time.
+def finite_difference_gradient(z: LatentVideo, case: GradCheckCase, h: float = 1e-3) -> np.ndarray:
+    """Central-difference gradient of ``case``'s guidance loss at ``z``, one cell at a time.
 
     A perturbed copy differs from ``z`` in one (frame, channel) plane, so only
     that plane's means are recomputed; the others are the base's, bit for bit.
@@ -78,7 +76,7 @@ def finite_difference_gradient(
         raise BadValue(f"finite-difference step must be finite and positive, got {h}")
     base = z.data.astype(np.float64, copy=True)
     planes = base.reshape(*base.shape[:2], -1)
-    terms = _loss_terms(planes, target)
+    terms = _loss_terms(planes, case)
     grad = np.zeros_like(planes)
     n = planes.shape[2]
     for f, c in np.ndindex(planes.shape[:2]):
@@ -125,9 +123,13 @@ def _random_track(rng: np.random.Generator, f: int, hgt: int, wdt: int, name: st
 
 @dataclass
 class GradCheckCase:
+    """Latents and a target, with the references and weights the oracle reads its loss from."""
+
     label: str
     latents: LatentVideo
     target: GuidanceTarget
+    references: list[MotionDescriptor]
+    weights: dict[str, float]
 
 
 def random_case(
@@ -160,7 +162,7 @@ def random_case(
         weights[sid] = float(rng.uniform(0.2, 2.0))
     target = GuidanceTarget(references, regions, weights=weights)
     label = f"({n_frames}f,{n_channels}c,{height}x{width},{n_subjects}s)"
-    return GradCheckCase(label, latents, target)
+    return GradCheckCase(label, latents, target, references, weights)
 
 
 def run_gradcheck(
@@ -196,12 +198,9 @@ def run_gradcheck(
         for _ in range(20):  # redraw degenerate cases with no valid pairs
             case = random_case(rng, f, c, hh, ww, s)
             if zero_weights:
-                case.target.weights = {sid: 0.0 for sid in case.target.regions.source_ids()}
-                case = GradCheckCase(
-                    case.label,
-                    case.latents,
-                    case.target.with_references(case.target.references),
-                )
+                zero = dict.fromkeys(case.weights, 0.0)
+                case = GradCheckCase(case.label, case.latents, GuidanceTarget(
+                    case.references, case.target.regions, weights=zero), case.references, zero)
             try:
                 analytic = guidance_gradient(case.latents, case.target)
                 break
@@ -211,7 +210,7 @@ def run_gradcheck(
             continue
         if fault == "sign-flip":
             analytic = -analytic
-        numeric = finite_difference_gradient(case.latents, case.target, h=h)
+        numeric = finite_difference_gradient(case.latents, case, h=h)
         rel = max_relative_error(analytic, numeric)
         checked += 1
         if rel > worst["rel_err"]:

@@ -20,11 +20,10 @@ import numpy as np
 from .errors import (
     BadValue,
     DimMismatch,
-    MissingBackground,
     NoValidPairs,
     UnknownSubject,
 )
-from .features import MotionDescriptor, PairOperator
+from .features import EditPlan, MotionDescriptor, PairOperator
 from .masks import BACKGROUND_ID
 from .tensors import LatentVideo
 
@@ -76,67 +75,101 @@ class GuidanceConfig:
 
 
 class GuidanceTarget:
-    """Reference descriptors bound to target-side regions and source weights.
+    """Reference deltas bound to target-side regions and source weights.
 
     Every referenced or weighted source must have a target mask track; the
     enforced pair set per source is the intersection of reference-valid
-    pairs and non-empty target regions. ``regions``, the operator over the
-    target masks, is compiled once and shared by ``with_references``. Per
-    operator row it holds the reference delta and the weight, which is 0
-    for rows that are not enforced.
+    pairs and non-empty target regions. Per row of ``regions``, the operator
+    over the target masks, it holds the reference delta ``ref`` and the
+    ``weight``, which is 0 for rows that are not ``enforced``. It holds no
+    descriptor: it is a keep plan's ``RowMap`` over the references' own rows,
+    and ``compiled`` builds one from any ``RowMap`` and a timestep's deltas.
     """
 
-    def __init__(
-        self,
-        references: Sequence[MotionDescriptor],
-        regions: PairOperator,
-        *,
-        weights: Mapping[str, float] | None = None,
-    ):
-        self.regions = regions
-        self.references = list(references)
-        self.weights = dict(weights or {})
-        for sid in self.weights:
-            if sid not in regions.slices:
-                raise UnknownSubject(f"weight for source {sid!r}, which has no target-side mask")
-        by_source: dict[str, MotionDescriptor] = {}
-        for ref in self.references:
-            if ref.source_id not in regions.slices:
-                if ref.source_id == BACKGROUND_ID:
-                    raise MissingBackground("no target-side background mask for reference")
-                raise UnknownSubject(f"no target-side mask for source {ref.source_id!r}")
-            if ref.source_id in by_source:
-                raise BadValue(f"duplicate reference for source {ref.source_id!r}")
-            if ref.n_frames != regions.n_frames:
-                raise DimMismatch(
-                    f"reference {ref.source_id!r} has {ref.n_frames} frames, "
-                    f"target {regions.n_frames}"
-                )
-            by_source[ref.source_id] = ref
-        n_channels = max((ref.n_channels for ref in self.references), default=0)
-        self.ref = np.zeros((len(regions.rows), n_channels))
-        self.weight = np.zeros(len(regions.rows))
-        self.enforced = np.zeros(len(regions.rows), dtype=bool)
-        for sid, ref in by_source.items():
-            rows = regions.slices[sid]
-            ref_rows = ref.rows_of(regions.ij[rows])
-            hit = ref_rows >= 0
-            if not hit.any():
-                continue
-            if ref.n_channels != n_channels:
-                raise DimMismatch(
-                    f"reference {sid!r} has {ref.n_channels} channels, others {n_channels}"
-                )
-            r = rows.start + np.flatnonzero(hit)
-            self.ref[r] = ref.deltas[ref_rows[hit]]
-            self.weight[r] = float(self.weights.get(sid, DEFAULT_SOURCE_WEIGHT))
-            self.enforced[r] = True
+    def __init__(self, references: Sequence[MotionDescriptor], regions: PairOperator, *,
+                 weights: Mapping[str, float] | None = None):
+        refs = list(references)
+        n_channels = max((ref.n_channels for ref in refs), default=0)
+        stops = np.cumsum([0] + [len(ref.pairs) for ref in refs]).tolist()
+        table = {ref.source_id: (ref.pairs, slice(a, b))
+                 for ref, a, b in zip(refs, stops, stops[1:])}
+        if len(table) < len(refs):
+            raise BadValue(f"duplicate references: {len(refs)} for the sources {sorted(table)}")
+        for ref in refs:  # a reference without pairs may have any channel count
+            if ref.n_frames != regions.n_frames or len(ref.pairs) and ref.n_channels != n_channels:
+                raise DimMismatch(f"reference {ref.source_id!r} has {ref.n_frames} frames and "
+                                  f"{ref.n_channels} channels, the target {regions.n_frames} "
+                                  f"frames and the references {n_channels} channels")
+        deltas = [ref.deltas.reshape(len(ref.pairs), n_channels) for ref in refs]
+        self._bind(RowMap(EditPlan(), table, regions, weights),
+                   np.concatenate([np.zeros((0, n_channels)), *deltas]))
+
+    @classmethod
+    def compiled(cls, rows: RowMap, deltas: np.ndarray) -> "GuidanceTarget":
+        """The target of ``rows`` over one timestep's (table rows, C) float32 ``deltas``."""
+        target = cls.__new__(cls)
+        target._bind(rows, deltas)
+        return target
+
+    def _bind(self, rows: RowMap, deltas: np.ndarray) -> None:
+        self.regions, self.weights = rows.regions, rows.weights
+        self.weight, self.enforced = rows.weight, rows.enforced
+        self.ref = np.zeros((len(rows.source), deltas.shape[1]))
+        self.ref[rows.enforced] = deltas[rows.source[rows.enforced]]
+        mixed = rows.blend >= 0  # soft_blend's (s + w_c c) / (w_c + 1), row by row
+        s, c, w_c = deltas[rows.source[mixed]], deltas[rows.blend[mixed]], rows.w_c[mixed, None]
+        self.ref[mixed] = (s + w_c * c) / (w_c + 1)
 
     def with_references(self, references: Sequence[MotionDescriptor]) -> "GuidanceTarget":
         return GuidanceTarget(references, self.regions, weights=self.weights)
 
     def enforced_pair_count(self) -> int:
         return int(np.count_nonzero(self.enforced))
+
+
+class RowMap:
+    """An edit plan compiled once: ``recompose`` and then ``GuidanceTarget``, as a row map.
+
+    Per row r of ``regions``, ``source[r]`` is the row of ``table`` (an
+    ``ExtractIndex.table``) whose delta r takes, -1 where r is not
+    ``enforced``; where ``blend[r]`` is a row too, r takes their
+    ``soft_blend`` with ``w_c[r]``; ``weight[r]`` is 0 where r is not
+    enforced. The masks alone fix both row tables, so one map serves each
+    guided timestep; the caller checks the plan's subjects.
+    """
+
+    def __init__(self, plan: EditPlan, table: Mapping[str, tuple[np.ndarray, slice]],
+                 regions: PairOperator, weights: Mapping[str, float] | None = None):
+        self.table, self.regions, self.weights = table, regions, dict(weights or {})
+        for sid in [*self.weights, *table]:
+            if sid not in regions.slices:
+                raise UnknownSubject(f"no target-side mask for source {sid!r}")
+        row_of = {}  # per source, its row of each frame pair in either orientation, or -1
+        for sid, (pairs, rows) in table.items():
+            row_of[sid] = np.full((regions.n_frames,) * 2, -1, dtype=np.intp)
+            row_of[sid][pairs[:, 0], pairs[:, 1]] = row_of[sid][pairs[:, 1], pairs[:, 0]] = (
+                np.arange(rows.start, rows.stop))
+        self.source, self.blend = np.full((2, len(regions.rows)), -1, dtype=np.intp)
+        self.w_c, self.weight = np.zeros((2, len(regions.rows)))
+        for sid, rows in regions.slices.items():
+            directive = plan.directive_for(sid)  # the background's is keep
+            of = BACKGROUND_ID if directive.kind == "remove" else sid
+            if (plan.camera_only and sid != BACKGROUND_ID) or of not in row_of:
+                continue
+            i, j = regions.ij[rows].T
+            own = row_of[of][i, j]
+            if directive.kind == "soften":
+                camera = row_of[BACKGROUND_ID][i, j]
+                own[camera < 0] = -1
+                if directive.w_c:  # at 0, s as it is: s + 0 c would turn -0.0 into 0.0
+                    self.blend[rows] = np.where(own >= 0, camera, -1)
+                    self.w_c[rows] = directive.w_c
+            self.source[rows] = own
+            weight = float(self.weights.get(sid, DEFAULT_SOURCE_WEIGHT))
+            self.weight[rows] = np.where(own >= 0, weight, 0.0)
+        self.enforced = self.source >= 0
+        for array in (self.source, self.blend, self.w_c, self.weight, self.enforced):
+            array.setflags(write=False)
 
 
 def _residual(z: np.ndarray, target: GuidanceTarget,

@@ -30,7 +30,7 @@ from .diffusion import (
     read_trajectory_index,
     trajectory_path,
 )
-from .errors import BadValue, DimMismatch, NoValidPairs, UnknownSubject
+from .errors import BadValue, DimMismatch, UnknownSubject
 from .features import (
     EditPlan,
     MotionDescriptor,
@@ -38,10 +38,9 @@ from .features import (
     compile_sources,
     extract_descriptors,
     plan_from_json,
-    recompose,
     warn_empty_sources,
 )
-from .guidance import GuidanceConfig, GuidanceTarget
+from .guidance import GuidanceConfig, GuidanceTarget, RowMap
 from .masks import BACKGROUND_ID, apply_edit, scale_sources
 from .metrics import compare_trajectories
 from .synth import (
@@ -226,9 +225,10 @@ def run_invert(
 
 
 def check_edit(plan: EditPlan, config: GuidanceConfig, latent_shape: Sequence[int],
-               masks: Sequence[MaskTrack], n_steps: int) -> tuple[tuple[int, int], PairOperator]:
-    """The guidance window of ``config`` over ``n_steps`` and the target regions (the
-    scene's ``masks`` with the plan's mask edits applied), once the edit is known to apply.
+               masks: Sequence[MaskTrack], n_steps: int) -> tuple[tuple[int, int], RowMap]:
+    """The guidance window of ``config`` over ``n_steps``, and the edit as one ``RowMap``: from
+    the rows extraction archives over the scene's ``masks`` to the target regions' (the masks
+    with the plan's mask edits applied), once the edit is known to apply.
 
     The plan may name only its subjects that have a pair region, and the weights only
     its subjects and the background; a scale edit must be one ``scale_sources`` can map
@@ -255,19 +255,19 @@ def check_edit(plan: EditPlan, config: GuidanceConfig, latent_shape: Sequence[in
             raise UnknownSubject(f"guidance weight for unknown source {sid!r}: a weight for "
                                  f"source {sid!r} needs its mask; the scene has {known} "
                                  f"and {BACKGROUND_ID!r}")
-    # the references have the pairs of extraction's descriptors: the scene's rows
-    refs = recompose([MotionDescriptor(sid, 0, regions.n_frames, regions.ij[rows],
-                                       np.zeros((rows.stop - rows.start, 1)))
-                      for sid, rows in regions.slices.items()], plan)
+    # extraction archives every source with a pair, and the background
+    table = {sid: (regions.ij[rows], rows) for sid, rows in regions.slices.items()
+             if rows.start < rows.stop or sid == BACKGROUND_ID}
     edits = {sid: d.edit for sid, d in plan.directives.items() if d.kind == "mask_edit"}
     if edits:  # the scene's regions go first: two at once raise large-edit's peak RSS by 1 MB
         del regions
         regions = compile_sources(latent_shape, [apply_edit(m, edits[m.subject_id])
                                                  if m.subject_id in edits else m for m in masks])
-    if not GuidanceTarget(refs, regions, weights=config.weights).weight.any():
+    rows = RowMap(plan, table, regions, config.weights)
+    if not rows.weight.any():
         raise BadValue("the edit guides nothing: no source with a positive guidance weight "
                        "has a target pair region its recomposed reference also has")
-    return window, regions
+    return window, rows
 
 
 @dataclass
@@ -298,7 +298,9 @@ def run_recompose(
     the trajectory's schedule and latent shape, or the run stops before
     sampling. run.json records its ``bandwidth`` (null for any other denoiser).
     The plan and the guidance config pass ``check_edit`` against the
-    regions of the manifest's masks before sampling, guided or not.
+    regions of the manifest's masks before sampling, guided or not. Guided,
+    the archive's row table must be the one those masks compile to, and each
+    window timestep's target is one gather over its tensor.
     """
     schedule = read_trajectory_index(traj_dir)
     plan = plan if plan is not None else EditPlan()
@@ -307,21 +309,17 @@ def run_recompose(
     shape = peek_dims(zT_path, TENSOR_MAGIC)
     if shape != manifest.latent_shape:
         raise DimMismatch(f"{zT_path}: z_T {shape} is not the manifest's {manifest.latent_shape}")
-    (start, end), regions = check_edit(plan, config, shape, manifest.load_masks(),
-                                       schedule.n_steps)
+    (start, end), rows = check_edit(plan, config, shape, manifest.load_masks(), schedule.n_steps)
     # unguided, drop the operator (4 MB at 16x4x64x64) before z_T: held, it raised peak RSS 1.3 MB
-    regions = regions if guided else None
+    rows = rows if guided else None
     if isinstance(denoiser, GaussianAtlasDenoiser):
         if denoiser.members.shape[1:] != shape:
             raise DimMismatch(f"atlas members have shape {denoiser.members.shape[1:]}, "
                               f"the latents {shape}")
         if not np.array_equal(denoiser.schedule.alpha_bar, schedule.alpha_bar):
             raise BadValue(f"the denoiser's schedule is not the one {traj_dir} was inverted with")
-    edits = {sid: d.edit for sid, d in plan.directives.items() if d.kind == "mask_edit"}
-    if init == "auto":
-        init_mode = "fresh" if plan.camera_only or edits else "shared"
-    else:
-        init_mode = init
+    edited = any(d.kind == "mask_edit" for d in plan.directives.values())
+    init_mode = init if init != "auto" else "fresh" if plan.camera_only or edited else "shared"
 
     guidance = None
     if guided:
@@ -329,15 +327,17 @@ def run_recompose(
         if index.n_steps != schedule.n_steps:
             raise BadValue(f"{desc_dir}: descriptors span timesteps 0..{index.n_steps}, "
                            f"the trajectory 0..{schedule.n_steps}")
-        # checked before ``recompose``, which indexes an (n_frames, n_frames) row table
         if index.n_frames != shape[0]:
             raise DimMismatch(f"{desc_dir}: the extract index has {index.n_frames} frames, "
                               f"the latents {shape[0]}")
-        targets = {}
-        for t, refs in index.references(range(end, start + 1)).items():
-            targets[t] = GuidanceTarget(recompose(refs, plan), regions, weights=config.weights)
-            if targets[t].enforced_pair_count() == 0:
-                raise NoValidPairs(f"guidance problem has no enforced pairs at timestep {t}")
+        # the map gathers rows by position, so they must be the rows the masks compile to
+        if index.table.keys() != rows.table.keys() or any(
+                rows.table[sid][1] != span or not np.array_equal(rows.table[sid][0], pairs)
+                for sid, (pairs, span) in index.table.items()):
+            raise BadValue(f"{desc_dir}: the archive's row table is not the one the "
+                           f"manifest's masks compile to")
+        targets = {t: GuidanceTarget.compiled(rows, deltas)
+                   for t, deltas in index.deltas(range(end, start + 1)).items()}
         guidance = SamplingGuidance(config=config, targets=targets)
     # z_T lives only as the argument ddim_sample drops once copied; fresh noise takes
     # only its shape, which the header gave

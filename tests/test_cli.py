@@ -20,11 +20,12 @@ from momix.diffusion import (
 )
 from momix.errors import BadValue, NoValidPairs
 from momix.synth import render_scene
-from momix.guidance import MAX_INNER_STEPS, GuidanceConfig
+from momix.guidance import MAX_INNER_STEPS, GuidanceConfig, GuidanceTarget
 from momix.pipeline import read_extract_index
 from momix.synth import BlobSpec, SceneSpec, save_scene, scene_to_json
 from momix.tensors import (
-    LatentVideo, load_manifest, load_tensor, read_array, save_tensor, write_array,
+    LatentVideo, MaskTrack, load_manifest, load_mask, load_tensor, read_array, save_mask,
+    save_tensor, write_array,
 )
 
 
@@ -300,7 +301,10 @@ def test_extract_of_no_latents_writes_no_index(pipeline_dirs):
 def test_extract_of_a_stream_whose_pairs_change_writes_no_index(pipeline_dirs):
     # every timestep shares t = 0's row table, so a later timestep with other pairs is refused
     scene, _, desc = pipeline_dirs
-    t0 = read_extract_index(desc).references([0])[0]
+    index = read_extract_index(desc)
+    deltas = index.deltas([0])[0]
+    t0 = [features.MotionDescriptor(sid, 0, index.n_frames, pairs, deltas[rows])
+          for sid, (pairs, rows) in index.table.items()]
     later = [features.MotionDescriptor(d.source_id, 1, d.n_frames, d.pairs[1:], d.deltas[1:])
              if d.source_id == "A" else d for d in t0]
     with pytest.raises(BadValue, match="not those at t = 0"):
@@ -458,9 +462,10 @@ def test_stray_descriptor_is_not_loaded(pipeline_dirs):
     doc = json.loads((desc / "t000" / "A.json").read_text())
     doc["source_id"] = "ghost"
     (desc / "t000" / "ghost.json").write_text(json.dumps(doc))
-    refs = read_extract_index(desc).references()
-    assert [d.source_id for d in refs[0]] == ["A", "B", "background"]
-    assert all(len(descs) == 3 for descs in refs.values())
+    index = read_extract_index(desc)
+    assert list(index.table) == ["A", "B", "background"]
+    n_rows = index.table["background"][1].stop
+    assert all(len(deltas) == n_rows for deltas in index.deltas().values())
 
 
 def test_stray_files_in_the_archive_are_never_read(pipeline_dirs, tmp_path):
@@ -1020,21 +1025,22 @@ def test_recompose_checks_every_guided_timestep_before_sampling(
     pipeline_dirs, tmp_path, monkeypatch
 ):
     # a guided timestep with no enforced pairs in mid-window used to fail only
-    # when sampling reached it
-    # an archived timestep always has a row, so the reader hands over t004 with none
+    # when sampling reached it; one row table now serves every timestep, so an
+    # index whose table is not the masks' is refused before a tensor is read:
+    # here A's last pair is gone, and the rows after it move up by one
     scene, traj, desc = pipeline_dirs
-    read = archive.ExtractIndex.references
 
-    def references(index, timesteps):
-        refs = read(index, timesteps)
-        refs[4] = [features.MotionDescriptor(d.source_id, 4, d.n_frames, np.zeros((0, 2)),
-                                             np.zeros((0, d.n_channels))) for d in refs[4]]
-        return refs
+    def drop_last_pair(ix):
+        a = ix["table"]["A"]
+        a["valid_pairs"], a["rows"] = a["valid_pairs"][:-1], [a["rows"][0], a["rows"][1] - 1]
+        for sid in ("B", "background"):
+            ix["table"][sid]["rows"] = [r - 1 for r in ix["table"][sid]["rows"]]
 
-    monkeypatch.setattr(archive.ExtractIndex, "references", references)
-    sampled = []
+    _edit_json(desc / "extract_index.json", drop_last_pair)
+    read, sampled = [], []
+    monkeypatch.setattr(archive.ExtractIndex, "deltas", lambda *args: read.append(args))
     monkeypatch.setattr(pl, "ddim_sample", lambda *args, **kwargs: sampled.append(args))
-    with pytest.raises(NoValidPairs, match="at timestep 4"):
+    with pytest.raises(BadValue, match="row table is not the one the manifest's masks"):
         pl.run_recompose(
             desc, None, traj, tmp_path / "r",
             denoiser=GaussianAtlasDenoiser([load_tensor(scene / "latents_t0.cmt")],
@@ -1042,8 +1048,43 @@ def test_recompose_checks_every_guided_timestep_before_sampling(
             manifest=load_manifest(scene / "manifest.json"),
             guidance_config=GuidanceConfig(n_inner_steps=1, t_start=6, t_end=2),
         )
-    assert sampled == []
+    assert read == [] and sampled == []
     assert not (tmp_path / "r").exists()
+
+
+def test_recompose_refuses_an_archive_of_other_masks(pipeline_dirs, tmp_path, capsys):
+    # the targets gather archive rows by position: masks that change a source's
+    # pairs after invert (A gone from frames 0 and 1 drops its pair (0, 1)) used to
+    # recompose from rows the masks no longer describe
+    scene, traj, desc = pipeline_dirs
+    mask = load_mask(scene / "mask_A.cmm")
+    data = mask.data.copy()
+    data[:2] = False
+    save_mask(MaskTrack(data, subject_id="A"), scene / "mask_A.cmm")
+    assert _recompose(desc, traj, scene, tmp_path / "r") == 2
+    assert "row table is not the one the manifest's masks compile to" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_recompose_targets_hold_no_descriptor(pipeline_dirs, tmp_path, monkeypatch):
+    # each guided timestep's target is a gather over its tensor: it keeps the
+    # rows sampling reads, and no descriptor alive through sampling
+    scene, traj, desc = pipeline_dirs
+    seen = []
+    monkeypatch.setattr(pl, "ddim_sample", lambda zT, schedule, denoiser, guidance:
+                        seen.append(guidance) or zT)
+    config = GuidanceConfig(n_inner_steps=1)
+    pl.run_recompose(desc, None, traj, tmp_path / "r", denoiser=ZeroDenoiser(),
+                     manifest=load_manifest(scene / "manifest.json"), guidance_config=config)
+    [guidance] = seen
+    start, end = config.window(8)
+    assert sorted(guidance.targets) == list(range(end, start + 1))
+    for target in guidance.targets.values():
+        assert isinstance(target, GuidanceTarget) and target.enforced_pair_count() > 0
+        values = list(vars(target).values())
+        values += [v for c in values if isinstance(c, (list, tuple, dict))
+                   for v in (c.values() if isinstance(c, dict) else c)]
+        assert not any(isinstance(v, features.MotionDescriptor) for v in values)
 
 
 def test_default_step_recompose_computes_no_curvature(pipeline_dirs, tmp_path, monkeypatch):

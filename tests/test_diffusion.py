@@ -1078,8 +1078,10 @@ def test_the_carried_image_follows_inversion_and_guided_sampling(monkeypatch, ki
 def test_a_target_over_another_operator_starts_a_fresh_carry(monkeypatch):
     # each switch of operator seeds a carry with one apply of the latents at hand
     lat, sched, den, inv, config, targets = _guided_setup(n_steps=8)
-    background = [r for r in targets[5].references if r.source_id == "background"]
-    other = GuidanceTarget(background, compile_sources(lat.shape, []))
+    regions, rows = targets[5].regions, targets[5].regions.slices["background"]
+    background = MotionDescriptor("background", 5, regions.n_frames, regions.ij[rows],
+                                  targets[5].ref[rows])
+    other = GuidanceTarget([background], compile_sources(lat.shape, []))
     seen = _carry_errors(monkeypatch)
     guided = {6: targets[6], 5: other, 4: targets[4], 3: targets[3]}
     ddim_sample(inv[-1], sched, den, guidance=SamplingGuidance(config=config, targets=guided))

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import momix
 from momix import gradcheck, guidance
+from momix.diffusion import GaussianAtlasDenoiser, NoiseSchedule
 from momix.errors import BadValue, DimMismatch, NoValidPairs, UnknownSubject
 from momix.features import (
     Directive,
@@ -23,6 +25,7 @@ from momix.features import (
 )
 from momix.gradcheck import (
     _CHUNK,
+    GradCheckCase,
     _loss_terms,
     _perturbed,
     _plane_losses,
@@ -99,7 +102,7 @@ def test_gradient_against_finite_differences():
     rng = np.random.default_rng(1)
     case = random_case(rng, 2, 2, 6, 6, 2)
     analytic = guidance_gradient(case.latents, case.target)
-    numeric = finite_difference_gradient(case.latents, case.target, h=1e-3)
+    numeric = finite_difference_gradient(case.latents, case, h=1e-3)
     assert max_relative_error(analytic, numeric) < 1e-4
 
 
@@ -125,8 +128,8 @@ def test_run_gradcheck_rejects_bad_arguments(kwargs):
         run_gradcheck(**kwargs)
 
 
-def _oracle_targets():
-    """Targets for the finite-difference oracle, each with a label.
+def _oracle_cases():
+    """Cases for the finite-difference oracle: targets, each with its references and weights.
 
     The five ``run_gradcheck`` sizes (``random_case`` leaves about 15% of
     the pairs unreferenced), then a fixed scene with a source that has no
@@ -134,8 +137,7 @@ def _oracle_targets():
     reference at all, and zero weights on some or all sources.
     """
     rng = np.random.default_rng(11)
-    for label, _, target in _gradcheck_cases(rng):
-        yield label, target
+    yield from _gradcheck_cases(rng)
     n = 4
     a = np.zeros((n, 10, 10), dtype=bool)
     b = np.zeros_like(a)
@@ -161,18 +163,20 @@ def _oracle_targets():
         MotionDescriptor.from_forward_pairs("ghost", 0, n, {}),
     ]
     for weights in ({"A": 1.3, "B": 0.7}, {"A": 0.0, "B": 0.7}, {"A": 0.0, "B": 0.0}):
-        yield f"fixed-scene-{weights}", GuidanceTarget(references, regions, weights=weights)
+        target = GuidanceTarget(references, regions, weights=weights)
+        yield GradCheckCase(f"fixed-scene-{weights}", None, target, references, weights)
 
 
 def test_plane_losses_match_guidance_loss_per_row():
     # the oracle against the operator's loss, one perturbed row at a time
     rng = np.random.default_rng(12)
-    for label, target in _oracle_targets():
+    for case in _oracle_cases():
+        label, target = case.label, case.target
         n_channels = target.ref.shape[1]
         shape = (target.regions.n_frames, n_channels, *target.regions.spatial)
         base = rng.standard_normal(shape)
         planes = base.reshape(*shape[:2], -1)
-        terms = _loss_terms(planes, target)
+        terms = _loss_terms(planes, case)
         for f, c in ((0, 0), (shape[0] - 1, n_channels - 1), (1, n_channels // 2)):
             stack = planes[f, c] + rng.standard_normal((5, planes.shape[2]))
             got = _plane_losses(terms, stack, f, c)
@@ -185,14 +189,14 @@ def test_plane_losses_match_guidance_loss_per_row():
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (label, f, c, got, want)
 
 
-def _full_stack_loss(z_batch, target):
+def _full_stack_loss(z_batch, case):
     """Loss of each latent tensor in a (batch, F, C, H, W) stack, every mean recomputed."""
     b, f, c, h, w = z_batch.shape
     flat = z_batch.reshape(b, f, c, -1)
     total = np.zeros(b)
-    for ref in sorted(target.references, key=lambda d: d.source_id):
-        weight = float(target.weights.get(ref.source_id, 1.0))
-        for (i, j), (idx, _) in target.regions.pairs[ref.source_id].items():
+    for ref in sorted(case.references, key=lambda d: d.source_id):
+        weight = float(case.weights.get(ref.source_id, 1.0))
+        for (i, j), (idx, _) in case.target.regions.pairs[ref.source_id].items():
             if not ref.has_pair(i, j):
                 continue
             mask = np.zeros(flat.shape[3])
@@ -204,7 +208,7 @@ def _full_stack_loss(z_batch, target):
     return total
 
 
-def _full_stack_gradient(z, target, h=1e-3):
+def _full_stack_gradient(z, case, h=1e-3):
     """The central differences over whole perturbed copies of the latents, chunk by chunk."""
     base = z.data.astype(np.float64, copy=True)
     n = base.size
@@ -213,7 +217,7 @@ def _full_stack_gradient(z, target, h=1e-3):
     for start in range(0, n, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, n))
         stacked = _perturbed(flat, idx, h).reshape(2 * idx.size, *base.shape)
-        losses = _full_stack_loss(stacked, target)
+        losses = _full_stack_loss(stacked, case)
         grad[idx] = (losses[: idx.size] - losses[idx.size :]) / (2.0 * h)
     return grad.reshape(base.shape)
 
@@ -221,12 +225,13 @@ def _full_stack_gradient(z, target, h=1e-3):
 def test_plane_by_plane_gradient_bytes_match_the_full_stack():
     # reusing the base means outside the perturbed plane changes no bit
     rng = np.random.default_rng(14)
-    for label, target in _oracle_targets():
+    for case in _oracle_cases():
+        label, target = case.label, case.target
         n_channels = target.ref.shape[1]
         shape = (target.regions.n_frames, n_channels, *target.regions.spatial)
         z = LatentVideo(rng.standard_normal(shape))
-        got = finite_difference_gradient(z, target)
-        want = _full_stack_gradient(z, target)
+        got = finite_difference_gradient(z, case)
+        want = _full_stack_gradient(z, case)
         assert got.tobytes() == want.tobytes(), label
 
 
@@ -235,7 +240,7 @@ def test_finite_difference_gradient_rejects_a_bad_step(h):
     # h = 0 used to give an all-NaN gradient with only a warning
     case = random_case(np.random.default_rng(15), 2, 2, 6, 6, 1)
     with pytest.raises(BadValue):
-        finite_difference_gradient(case.latents, case.target, h=h)
+        finite_difference_gradient(case.latents, case, h=h)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -350,7 +355,7 @@ def _gradcheck_cases(rng):
         case = random_case(rng, *size)
         while not case.target.enforced.any():
             case = random_case(rng, *size)
-        yield case.label, case.latents, case.target
+        yield case
 
 
 def _mask_edit_case(rng):
@@ -382,7 +387,8 @@ def test_guided_update_matches_descent_on_the_latents(step_size):
     rng = np.random.default_rng(7)
     config = GuidanceConfig(step_size=step_size, n_inner_steps=5)
     oracle, rtol = (_cgls_oracle, 1e-10) if step_size is None else (_descent_oracle, 1e-12)
-    for label, latents, target in [*_gradcheck_cases(rng), _mask_edit_case(rng)]:
+    cases = [(case.label, case.latents, case.target) for case in _gradcheck_cases(rng)]
+    for label, latents, target in [*cases, _mask_edit_case(rng)]:
         out, losses = guided_update(latents.data, target, config)
         want, want_losses = oracle(latents, target, config)
         assert np.max(np.abs(out - want)) <= rtol * np.max(np.abs(want)), label
@@ -398,7 +404,8 @@ def test_guided_update_with_carried_deltas(step_size, n_inner_steps):
     # W of them left in the deltas, which the update overwrites
     rng = np.random.default_rng(9)
     config = GuidanceConfig(step_size=step_size, n_inner_steps=n_inner_steps)
-    for label, latents, target in [*_gradcheck_cases(rng), _mask_edit_case(rng)]:
+    cases = [(case.label, case.latents, case.target) for case in _gradcheck_cases(rng)]
+    for label, latents, target in [*cases, _mask_edit_case(rng)]:
         z = latents.data.astype(np.float64)
         want, want_losses = guided_update(z, target, config)
         deltas = target.regions.apply(z)
@@ -769,3 +776,71 @@ def test_target_rows_match_naive_loop(n_sources, n_frames, keep, seed):
     assert np.array_equal(target.ref, want_ref)
     assert np.array_equal(target.weight, want_weight)
     assert np.array_equal(target.enforced, want_enforced)
+
+
+def _three_subject_scene():
+    """8 frames x 2 channels x 32x32, three blobs; B crosses C's track."""
+    n = 8
+    return SceneSpec(
+        n_frames=n, n_channels=2, height=32, width=32,
+        blobs=(
+            BlobSpec("A", tuple((9.0, 4.0 + 2.6 * f) for f in range(n)), 3.5, (0, 2.5)),
+            BlobSpec("B", tuple((23.0, 27.0 - 2.6 * f) for f in range(n)), 3.5, (2.5, 0)),
+            BlobSpec("C", tuple((4.0 + 3.1 * f, 15.0) for f in range(n)), 3.0, (1.5, 1.5)),
+        ),
+        texture_seed=4, texture_amplitude=0.8,
+    )
+
+
+def _covered_scene():
+    """Latents and masks where A fills frame 2 around B: the background has no pair with 2."""
+    a = np.zeros((4, 10, 10), dtype=bool)
+    b = np.zeros_like(a)
+    for f in range(4):
+        a[f, 1:4, 1 + f:4 + f] = True
+        b[f, 6:9, 5:8] = True
+    a[2] = ~b[2]
+    z0 = LatentVideo(np.random.default_rng(3).standard_normal((4, 2, 10, 10)))
+    return z0, [MaskTrack(a, subject_id="A"), MaskTrack(b, subject_id="B")]
+
+
+@pytest.mark.parametrize("scene", ["readme", "three-subject", "covered"])
+def test_compiled_targets_are_recompose_bit_for_bit(tmp_path, scene):
+    # the row map that check_edit compiles once against the chain it replaced at every
+    # guided timestep: recompose the archived descriptors, then bind them to the regions;
+    # in the covered scene soften keeps only the pairs the background also has
+    from momix.pipeline import check_edit, run_extract, run_invert
+    from momix.synth import scene_from_json
+    from test_io_contract import readme_flow
+
+    if scene == "covered":
+        z0, tracks = _covered_scene()
+    else:
+        z0, tracks, _ = render_scene(
+            scene_from_json(json.loads(readme_flow()[0]["scene.json"])) if scene == "readme"
+            else _three_subject_scene())
+    schedule = NoiseSchedule.default(n_steps=6)
+    stream = run_invert(z0, schedule, GaussianAtlasDenoiser(z0.data[None], schedule),
+                        tmp_path / "traj", compile_sources(z0.shape, tracks))
+    index = run_extract(stream, tmp_path / "desc", manifest_path="manifest.json")
+    shift = Directive("mask_edit", edit=MaskEdit("shift", dx=3, dy=-2))
+    plans = [EditPlan(), EditPlan({"B": Directive("remove")}),
+             EditPlan({"A": Directive("soften", w_c=0.7)}),
+             EditPlan({"A": Directive("soften", w_c=0.0)}), EditPlan(camera_only=True),
+             EditPlan({"A": shift}),
+             EditPlan({"A": shift, "B": Directive("soften", w_c=2.0), "C": Directive("remove")})]
+    checked = 0
+    for plan in plans if scene == "three-subject" else plans[:-1]:
+        for weights in ({}, {"A": 0.0, "B": 0.5}, {"B": 0.0, "background": 0.25}):
+            _, rows = check_edit(plan, GuidanceConfig(weights=weights), z0.shape, tracks,
+                                 schedule.n_steps)
+            for t, deltas in index.deltas().items():
+                refs = [MotionDescriptor(sid, t, index.n_frames, pairs, deltas[span])
+                        for sid, (pairs, span) in index.table.items()]
+                want = GuidanceTarget(recompose(refs, plan), rows.regions, weights=weights)
+                got = GuidanceTarget.compiled(rows, deltas)
+                assert got.ref.tobytes() == want.ref.tobytes(), (plan, weights, t)
+                assert got.weight.tobytes() == want.weight.tobytes(), (plan, weights, t)
+                assert np.array_equal(got.enforced, want.enforced), (plan, weights, t)
+                checked += got.enforced_pair_count()
+    assert checked > 0

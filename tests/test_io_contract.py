@@ -29,6 +29,7 @@ from pathlib import Path
 import pytest
 
 import momix
+from momix import features, guidance
 from momix import pipeline as pl
 from momix.diffusion import read_trajectory_index
 from momix.features import PairOperator
@@ -268,6 +269,35 @@ def test_pipeline_applies_do_not_grow_with_n_steps(tmp_path, monkeypatch, n_step
                         lambda self, latents: applies.append(1) or original(self, latents))
     pl.run_pipeline(config, tmp_path / "out")
     assert len(applies) == 1 + 1 + 1 + 1 + 2  # one atlas member: the scene's own
+
+
+@pytest.mark.parametrize("n_steps", [N_STEPS, 2 * N_STEPS])
+def test_pipeline_compiles_the_edit_once_per_check(tmp_path, monkeypatch, n_steps):
+    # the edit is one row map, compiled by each check_edit (the pipeline's own, and
+    # recompose's); each guided timestep is a gather over its tensor, so recompose
+    # neither recomposes descriptors nor builds one, at any n_steps
+    files, _ = readme_flow()
+    config = {"scene": json.loads(files["scene.json"]), "schedule": {"n_steps": n_steps},
+              "guidance": json.loads(files["guidance.json"])}
+    compiles, recomposed, inside, built = [], [], [], []
+    for name in ("check_edit", "run_recompose"):
+        def entered(*args, _original=getattr(pl, name), **kwargs):
+            inside.append(1)
+            try:
+                return _original(*args, **kwargs)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(pl, name, entered)
+    init, post_init = guidance.RowMap.__init__, features.MotionDescriptor.__post_init__
+    monkeypatch.setattr(guidance.RowMap, "__init__",
+                        lambda self, *args: compiles.append(1) or init(self, *args))
+    monkeypatch.setattr(features.MotionDescriptor, "__post_init__",
+                        lambda self: (built.append(1) if inside else None) or post_init(self))
+    for module in (features, guidance, pl):
+        if hasattr(module, "recompose"):
+            monkeypatch.setattr(module, "recompose", lambda *args: recomposed.append(1))
+    pl.run_pipeline(config, tmp_path / "out")
+    assert (len(compiles), len(recomposed), len(built)) == (2, 0, 0)
 
 
 def test_pipeline_descriptor_files_grow_by_one_tensor_per_step(tmp_path, monkeypatch):

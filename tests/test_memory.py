@@ -188,5 +188,5 @@ def test_finite_difference_peak_stays_under_three_plane_stacks():
     # copying the whole latent per perturbed row peaked at 32.9 MB on this case
     case = random_case(np.random.default_rng(0), 4, 4, 16, 16, 3)
     stack_bytes = 2 * _CHUNK * 16 * 16 * 8
-    peak = _peak(finite_difference_gradient, case.latents, case.target)
+    peak = _peak(finite_difference_gradient, case.latents, case)
     assert peak < 3 * stack_bytes, peak / stack_bytes
